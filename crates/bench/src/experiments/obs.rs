@@ -19,7 +19,9 @@ use crate::Scale;
 use ksp_core::dtlp::DtlpConfig;
 use ksp_obs::{EventKind, HistogramSnapshot, PublishStage, Stage};
 use ksp_proto::KspClient;
-use ksp_serve::{run_closed_loop_over, LoadDriverConfig, QueryService, ServiceConfig, TcpServer};
+use ksp_serve::{
+    run_closed_loop_over, EventLoopServer, LoadDriverConfig, QueryService, ServiceConfig,
+};
 use ksp_workload::{
     DatasetPreset, QueryWorkload, QueryWorkloadConfig, TrafficConfig, TrafficModel,
 };
@@ -47,7 +49,7 @@ pub fn observability(scale: Scale) -> Vec<Table> {
     // recorder, and the scrape below carries it back over the wire.
     config.observability.slo_p99 = Duration::from_nanos(1);
     let service = Arc::new(QueryService::start(graph.clone(), config).expect("service start"));
-    let server = TcpServer::bind(service.clone(), "127.0.0.1:0").expect("bind loopback");
+    let server = EventLoopServer::bind(service.clone(), "127.0.0.1:0").expect("bind loopback");
     let addr = server.local_addr();
 
     // First half of the traffic, then a metrics baseline, then the second

@@ -18,7 +18,7 @@ use ksp_core::dtlp::DtlpConfig;
 use ksp_graph::VertexId;
 use ksp_proto::KspClient;
 use ksp_repl::{Replica, ReplicaConfig, ReplicationSource};
-use ksp_serve::{QueryService, ServiceConfig, TcpServer};
+use ksp_serve::{EventLoopServer, QueryService, ServiceConfig};
 use ksp_store::{StoreCodec, StoreConfig, SyncPolicy};
 use ksp_workload::{DatasetPreset, TrafficConfig, TrafficModel};
 use std::path::PathBuf;
@@ -68,7 +68,7 @@ pub fn repl(scale: Scale) -> Vec<Table> {
             .expect("leader start"),
     );
     let source = ReplicationSource::attach(&leader).expect("attach replication source");
-    let server = TcpServer::bind(leader.clone(), "127.0.0.1:0").expect("bind loopback");
+    let server = EventLoopServer::bind(leader.clone(), "127.0.0.1:0").expect("bind loopback");
     let mut traffic = TrafficModel::new(&graph, TrafficConfig::new(0.5, 0.5), 0x4E7);
 
     let mut shipping = Table::new(

@@ -1,7 +1,8 @@
 //! Serving-layer experiments: closed-loop throughput and tail latency of
 //! `ksp_serve::QueryService` as the shard count grows, with traffic epochs
 //! publishing concurrently — and the same closed loop run over the typed
-//! wire protocol, pricing the TCP transport against the in-process path.
+//! wire protocol, pricing the event-loop TCP server against the in-process
+//! path.
 //!
 //! This is the serving-side companion of the batch scaling figures: instead of
 //! a batch makespan it reports what an online operator watches — queries per
@@ -12,8 +13,8 @@ use crate::Scale;
 use ksp_core::dtlp::DtlpConfig;
 use ksp_proto::{KspClient, TransportStats};
 use ksp_serve::{
-    route_shard, run_closed_loop, run_closed_loop_over, InProcTransport, LoadDriverConfig,
-    QueryService, ServiceConfig, TcpServer, WireLoadReport,
+    run_closed_loop, run_closed_loop_over, run_open_loop_over, EventLoopServer, InProcTransport,
+    LoadDriverConfig, OpenLoopConfig, QueryService, ServiceConfig, WireLoadReport,
 };
 use ksp_workload::{
     DatasetPreset, QueryWorkload, QueryWorkloadConfig, TrafficConfig, TrafficModel,
@@ -85,84 +86,13 @@ pub fn serve_throughput(scale: Scale) -> Vec<Table> {
             service.queue_gauges().iter().map(|g| g.high_water).max().unwrap_or(0).to_string(),
         ]);
     }
-    vec![table, serve_skewed(scale)]
-}
-
-/// The same closed loop over a *skewed* workload: every query hash-routes to
-/// shard 0, the worst case for pure affinity routing. The two rows compare
-/// the static-routing baseline (`work_stealing = false` — one shard does all
-/// the work, the busy spread pins near 1) against the work-stealing
-/// scheduler, which should show nonzero steals, a smaller busy spread and a
-/// better tail.
-fn serve_skewed(scale: Scale) -> Table {
-    let spec = DatasetPreset::NewYork.spec(scale.dataset_scale());
-    let net = spec.generate().expect("dataset generation");
-    let graph = net.graph;
-    let shards = 4usize;
-    let clients = 8usize;
-
-    // Draw a large uniform pool, keep only the queries shard 0 owns: a
-    // deterministic, maximally skewed request stream of *distinct* queries
-    // (distinct so the hot shard keeps computing instead of serving hits).
-    let pool = QueryWorkload::generate(
-        &graph,
-        QueryWorkloadConfig::new(scale.default_num_queries() * 8, 2),
-        0xD00D,
-    );
-    let queries: Vec<_> = pool
-        .queries
-        .into_iter()
-        .filter(|q| route_shard(q.source, q.target, q.k, shards) == 0)
-        .collect();
-    let workload = QueryWorkload { queries };
-    let requests_per_client = (workload.len() * 2 / clients).max(1);
-
-    let mut table = Table::new(
-        format!(
-            "serve: skewed workload (all queries route to shard 0 of {shards}; {} distinct, {} clients)",
-            workload.len(),
-            clients
-        ),
-        &["stealing", "completed", "rejected", "qps", "p95_ms", "p99_ms", "busy_spread", "steals"],
-    );
-    for stealing in [false, true] {
-        let mut config = ServiceConfig::new(shards, DtlpConfig::new(spec.default_z, 2));
-        config.work_stealing = stealing;
-        // A small cache keeps the hot shard compute-bound under churn, which
-        // is the regime stealing exists for.
-        config.cache_capacity = 32;
-        let service = QueryService::start(graph.clone(), config).expect("service start");
-        let mut traffic = TrafficModel::new(&graph, TrafficConfig::default(), 0xA1);
-        let report = run_closed_loop(
-            &service,
-            &workload,
-            Some(&mut traffic),
-            LoadDriverConfig::new(clients, requests_per_client)
-                .with_updates_every(Duration::from_millis(10)),
-        );
-        table.row(vec![
-            if stealing { "on" } else { "off" }.to_string(),
-            report.completed.to_string(),
-            report.rejected.to_string(),
-            f2(report.throughput_qps()),
-            f2(report.metrics.p95.as_secs_f64() * 1e3),
-            f2(report.metrics.p99.as_secs_f64() * 1e3),
-            f2(report.metrics.load_balance.busy_spread),
-            report.metrics.steals.to_string(),
-        ]);
-    }
-    table
+    vec![table]
 }
 
 /// The same closed loop driven through `ksp-proto` transports: once over the
-/// zero-copy in-process transport, once over real loopback TCP connections
-/// served thread-per-connection, and once over the same loopback served by
-/// the epoll event loop.
-///
-/// Comparing the rows prices the protocol and the serving architecture: the
-/// in-proc → tcp delta is serialisation + socket cost, and the tcp →
-/// tcp-evloop rows contrast a thread per connection against a fixed thread
-/// count (the `srv_threads` column) at the same wire cost per request.
+/// zero-copy in-process transport and once over real loopback TCP
+/// connections served by the epoll event loop. The delta between the two
+/// rows is serialisation + socket cost.
 pub fn serve_tcp(scale: Scale) -> Vec<Table> {
     let spec = DatasetPreset::NewYork.spec(scale.dataset_scale());
     let net = spec.generate().expect("dataset generation");
@@ -178,7 +108,7 @@ pub fn serve_tcp(scale: Scale) -> Vec<Table> {
 
     let mut table = Table::new(
         format!(
-            "serve_tcp: closed loop over in-proc vs TCP vs event-loop transport ({}, {} vertices, {} shards, {} clients)",
+            "serve_tcp: closed loop over in-proc vs event-loop transport ({}, {} vertices, {} shards, {} clients)",
             spec.preset.short_name(),
             graph.num_vertices(),
             shards,
@@ -216,9 +146,9 @@ pub fn serve_tcp(scale: Scale) -> Vec<Table> {
                 );
                 (report, 0)
             }
-            "tcp" => {
+            _ => {
                 let server =
-                    TcpServer::bind(service.clone(), "127.0.0.1:0").expect("bind loopback");
+                    EventLoopServer::bind(service.clone(), "127.0.0.1:0").expect("bind event loop");
                 let addr = server.local_addr();
                 let report = run_closed_loop_over(
                     || KspClient::connect(addr).expect("connect").0,
@@ -226,39 +156,12 @@ pub fn serve_tcp(scale: Scale) -> Vec<Table> {
                     Some(&mut traffic),
                     config,
                 );
-                // Peak serving threads: the acceptor plus one worker per
-                // connection the run opened — this is the column the event
-                // loop exists to flatten.
-                let threads = server.thread_count();
-                (report, threads)
-            }
-            _ => {
-                #[cfg(target_os = "linux")]
-                {
-                    let server = ksp_serve::EventLoopServer::bind(service.clone(), "127.0.0.1:0")
-                        .expect("bind event loop");
-                    let addr = server.local_addr();
-                    let report = run_closed_loop_over(
-                        || KspClient::connect(addr).expect("connect").0,
-                        &workload,
-                        Some(&mut traffic),
-                        config,
-                    );
-                    let threads = server.thread_count();
-                    (report, threads)
-                }
-                #[cfg(not(target_os = "linux"))]
-                unreachable!("the event-loop transport is Linux-only")
+                (report, server.thread_count())
             }
         }
     };
 
-    let transports: &[&str] = if cfg!(target_os = "linux") {
-        &["in-proc", "tcp", "tcp-evloop"]
-    } else {
-        &["in-proc", "tcp"]
-    };
-    for &transport in transports {
+    for transport in ["in-proc", "event-loop"] {
         // A fresh service per transport so cache warmth and epochs are
         // comparable across rows.
         let service = Arc::new(
@@ -280,7 +183,7 @@ pub fn serve_tcp(scale: Scale) -> Vec<Table> {
             f2(report.metrics.p99_micros as f64 / 1e3),
             // Client-perceived percentiles sit next to the server-side ones:
             // the gap is the transport's own cost (serialization, framing,
-            // the socket), zero-ish for in-proc and real for TCP.
+            // the socket), zero-ish for in-proc and real over the loop.
             f2(report.perceived_p50().as_secs_f64() * 1e3),
             f2(report.perceived_p95().as_secs_f64() * 1e3),
             f2(report.perceived_p99().as_secs_f64() * 1e3),
@@ -291,30 +194,18 @@ pub fn serve_tcp(scale: Scale) -> Vec<Table> {
         ]);
     }
 
-    let mut tables = vec![table];
-    #[cfg(target_os = "linux")]
-    tables.push(serve_overload(&graph, spec.default_z));
-    tables
+    vec![table, serve_overload(&graph, spec.default_z)]
 }
 
-/// Open-loop overload against the event loop at ~2× measured capacity:
-/// SLO-driven adaptive admission vs the static queue cap, across a widening
-/// connection fleet.
-///
-/// The story the four rows tell: under sustained 2× overload the static cap
-/// accepts (almost) everything and lets the accepted-request p99 blow through
-/// the SLO; the adaptive controller sheds the excess with typed,
-/// `retry_after_ms`-hinted rejections (the `hinted` column) and holds the
-/// accepted p99 near the budget.
-#[cfg(target_os = "linux")]
+/// Open-loop overload against the event loop at ~2× measured capacity, across
+/// a widening connection fleet: SLO-driven adaptive admission sheds the
+/// excess with typed, `retry_after_ms`-hinted rejections (the `hinted`
+/// column) and holds the accepted p99 near the budget.
 fn serve_overload(graph: &ksp_graph::DynamicGraph, z: usize) -> Table {
-    use ksp_serve::{run_open_loop_over, EventLoopServer, OpenLoopConfig};
-
     let shards = 2usize;
-    let base_config = |adaptive: bool, slo: Duration| {
+    let base_config = |slo: Duration| {
         let mut config = ServiceConfig::new(shards, DtlpConfig::new(z, 2));
         config.observability.slo_p99 = slo;
-        config.admission.adaptive = adaptive;
         // A small cache keeps the run compute-bound: overload must mean
         // engine-run queueing, not a warmed cache absorbing the flood.
         config.cache_capacity = 32;
@@ -335,8 +226,7 @@ fn serve_overload(graph: &ksp_graph::DynamicGraph, z: usize) -> Table {
     // service actually sustains here, so "2× overload" means 2× *this
     // machine's* capacity, not a magic number.
     let calibration_service = Arc::new(
-        QueryService::start(graph.clone(), base_config(false, Duration::ZERO))
-            .expect("service start"),
+        QueryService::start(graph.clone(), base_config(Duration::ZERO)).expect("service start"),
     );
     let calibration_server =
         EventLoopServer::bind(calibration_service.clone(), "127.0.0.1:0").expect("bind event loop");
@@ -372,7 +262,6 @@ fn serve_overload(graph: &ksp_graph::DynamicGraph, z: usize) -> Table {
             slo.as_secs_f64() * 1e3
         ),
         &[
-            "admission",
             "conns",
             "offered_qps",
             "achieved_qps",
@@ -388,60 +277,55 @@ fn serve_overload(graph: &ksp_graph::DynamicGraph, z: usize) -> Table {
     );
 
     // Fleet width bounds server queue depth (each blocking connection has at
-    // most one request in flight), so the narrow fleet shows both policies
-    // coping and the wide one shows the static cap letting a deep queue form
-    // — deep enough that waiting out the backlog breaches the SLO — while
-    // the adaptive controller sheds it at admission.
+    // most one request in flight): the narrow fleet never builds a deep
+    // queue, the wide one would — deep enough that waiting out the backlog
+    // breaches the SLO — and the controller sheds it at admission.
     for &conns in &[4usize, 64] {
-        for adaptive in [true, false] {
-            let service = Arc::new(
-                QueryService::start(graph.clone(), base_config(adaptive, budget))
-                    .expect("service start"),
-            );
-            let server =
-                EventLoopServer::bind(service.clone(), "127.0.0.1:0").expect("bind event loop");
-            let addr = server.local_addr();
-            // Warm the controller before measuring, at the *same concurrency
-            // as the flood*: the closed loop seeds the per-class service-time
-            // EWMAs under realistic CPU contention, so the flood hits a
-            // controller that already knows what an engine run costs here —
-            // otherwise the opening wave is admitted against a stale
-            // low-contention estimate, queues deeply, and that startup
-            // cohort, not steady-state behaviour, sets the accepted p99.
-            let _ = run_closed_loop_over(
-                || KspClient::connect(addr).expect("connect").0,
-                &overload_workload,
-                None,
-                LoadDriverConfig::new(conns, 6),
-            );
-            let interval = Duration::from_secs_f64(conns as f64 / offered_qps);
-            let config = OpenLoopConfig::new(conns, 48, interval);
-            let report = run_open_loop_over(
-                || KspClient::connect(addr).expect("connect").0,
-                &overload_workload,
-                config,
-            );
-            // The SLO verdict is held against the *server-reported* accepted
-            // p99 (queueing + service, the quantity admission predicts and
-            // the service's own breach detection measures); the perceived
-            // columns additionally carry wire transit and client-side
-            // scheduling, which no server-side controller can shed.
-            let srv_p99 = report.server_p99();
-            table.row(vec![
-                if adaptive { "adaptive" } else { "static-cap" }.to_string(),
-                conns.to_string(),
-                f2(config.offered_qps()),
-                f2(report.achieved_qps()),
-                report.completed.to_string(),
-                report.rejected.to_string(),
-                report.rejected_with_hint.to_string(),
-                f2(report.accepted_p50().as_secs_f64() * 1e3),
-                f2(report.accepted_p99().as_secs_f64() * 1e3),
-                f2(srv_p99.as_secs_f64() * 1e3),
-                f2(slo.as_secs_f64() * 1e3),
-                if srv_p99 <= slo { "yes" } else { "no" }.to_string(),
-            ]);
-        }
+        let service = Arc::new(
+            QueryService::start(graph.clone(), base_config(budget)).expect("service start"),
+        );
+        let server =
+            EventLoopServer::bind(service.clone(), "127.0.0.1:0").expect("bind event loop");
+        let addr = server.local_addr();
+        // Warm the controller before measuring, at the *same concurrency
+        // as the flood*: the closed loop seeds the per-class service-time
+        // EWMAs under realistic CPU contention, so the flood hits a
+        // controller that already knows what an engine run costs here —
+        // otherwise the opening wave is admitted against a stale
+        // low-contention estimate, queues deeply, and that startup
+        // cohort, not steady-state behaviour, sets the accepted p99.
+        let _ = run_closed_loop_over(
+            || KspClient::connect(addr).expect("connect").0,
+            &overload_workload,
+            None,
+            LoadDriverConfig::new(conns, 6),
+        );
+        let interval = Duration::from_secs_f64(conns as f64 / offered_qps);
+        let config = OpenLoopConfig::new(conns, 48, interval);
+        let report = run_open_loop_over(
+            || KspClient::connect(addr).expect("connect").0,
+            &overload_workload,
+            config,
+        );
+        // The SLO verdict is held against the *server-reported* accepted
+        // p99 (queueing + service, the quantity admission predicts and
+        // the service's own breach detection measures); the perceived
+        // columns additionally carry wire transit and client-side
+        // scheduling, which no server-side controller can shed.
+        let srv_p99 = report.server_p99();
+        table.row(vec![
+            conns.to_string(),
+            f2(config.offered_qps()),
+            f2(report.achieved_qps()),
+            report.completed.to_string(),
+            report.rejected.to_string(),
+            report.rejected_with_hint.to_string(),
+            f2(report.accepted_p50().as_secs_f64() * 1e3),
+            f2(report.accepted_p99().as_secs_f64() * 1e3),
+            f2(srv_p99.as_secs_f64() * 1e3),
+            f2(slo.as_secs_f64() * 1e3),
+            if srv_p99 <= slo { "yes" } else { "no" }.to_string(),
+        ]);
     }
     table
 }
@@ -453,24 +337,17 @@ mod tests {
     #[test]
     fn serve_throughput_reports_all_shard_counts() {
         let tables = serve_throughput(Scale::Tiny);
-        assert_eq!(tables.len(), 2);
+        assert_eq!(tables.len(), 1);
         assert_eq!(tables[0].num_rows(), 4);
-        // The skewed table compares stealing off vs on.
-        assert_eq!(tables[1].num_rows(), 2);
     }
 
     #[test]
     fn serve_tcp_reports_every_transport_and_the_overload_arm() {
         let tables = serve_tcp(Scale::Tiny);
-        if cfg!(target_os = "linux") {
-            // in-proc, thread-per-connection TCP, and the event loop — plus
-            // the open-loop overload table (adaptive vs static × two fleets).
-            assert_eq!(tables.len(), 2);
-            assert_eq!(tables[0].num_rows(), 3);
-            assert_eq!(tables[1].num_rows(), 4);
-        } else {
-            assert_eq!(tables.len(), 1);
-            assert_eq!(tables[0].num_rows(), 2);
-        }
+        // in-proc and the event loop, plus the open-loop overload table (one
+        // row per fleet width).
+        assert_eq!(tables.len(), 2);
+        assert_eq!(tables[0].num_rows(), 2);
+        assert_eq!(tables[1].num_rows(), 2);
     }
 }

@@ -17,6 +17,7 @@ use crate::message::{Request, Response};
 use ksp_store::StoreCodec;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};
+use std::time::{Duration, Instant};
 
 /// Physical communication cost accounting of one transport.
 ///
@@ -168,7 +169,12 @@ impl Transport for Box<dyn Transport> {
 pub struct TcpTransport {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
+    /// Everything but the two codec times, which accumulate unrounded below
+    /// and are converted in [`Transport::stats`]: a sub-microsecond encode
+    /// would otherwise add zero every time.
     stats: TransportStats,
+    serialize: Duration,
+    decode: Duration,
 }
 
 impl TcpTransport {
@@ -217,6 +223,8 @@ impl TcpTransport {
             reader: BufReader::new(stream.try_clone()?),
             writer: BufWriter::new(stream),
             stats: TransportStats::default(),
+            serialize: Duration::ZERO,
+            decode: Duration::ZERO,
         };
         transport.set_io_timeout(timeout)?;
         Ok(transport)
@@ -236,9 +244,9 @@ impl TcpTransport {
     }
 
     fn send(&mut self, request: &Request) -> Result<(), TransportError> {
-        let started = std::time::Instant::now();
+        let started = Instant::now();
         let payload = request.to_bytes();
-        self.stats.serialize_micros += started.elapsed().as_micros().min(u64::MAX as u128) as u64;
+        self.serialize += started.elapsed();
         write_frame(&mut self.writer, FrameKind::Request, &payload)?;
         self.stats.requests += 1;
         self.stats.bytes_sent += crate::frame::frame_len(payload.len()) as u64;
@@ -251,10 +259,9 @@ impl TcpTransport {
             Some((FrameKind::Response, payload)) => {
                 self.stats.responses += 1;
                 self.stats.bytes_received += crate::frame::frame_len(payload.len()) as u64;
-                let started = std::time::Instant::now();
+                let started = Instant::now();
                 let response = Response::from_bytes(&payload).map_err(FrameError::Codec)?;
-                self.stats.decode_micros +=
-                    started.elapsed().as_micros().min(u64::MAX as u128) as u64;
+                self.decode += started.elapsed();
                 Ok(response)
             }
             Some((FrameKind::Request, _)) => Err(TransportError::UnexpectedFrame),
@@ -283,7 +290,12 @@ impl Transport for TcpTransport {
     }
 
     fn stats(&self) -> TransportStats {
-        self.stats
+        let micros = |d: Duration| d.as_micros().min(u64::MAX as u128) as u64;
+        TransportStats {
+            serialize_micros: micros(self.serialize),
+            decode_micros: micros(self.decode),
+            ..self.stats
+        }
     }
 }
 
@@ -316,5 +328,22 @@ mod tests {
         assert_eq!(total.decode_micros, 20);
         assert!((total.bytes_per_request() - 125.0).abs() < 1e-9);
         assert_eq!(TransportStats::default().bytes_per_request(), 0.0);
+    }
+
+    #[test]
+    fn sub_microsecond_encodes_add_up() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut transport = TcpTransport::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut peer, _) = listener.accept().unwrap();
+        // Drain the socket so buffered frames never block the sender.
+        let drain = std::thread::spawn(move || io::copy(&mut peer, &mut io::sink()));
+        for _ in 0..10_000 {
+            transport.send(&Request::ping()).unwrap();
+        }
+        let stats = transport.stats();
+        assert_eq!(stats.requests, 10_000);
+        assert!(stats.serialize_micros >= 1, "10 000 encodes must not round to zero");
+        drop(transport);
+        drain.join().unwrap().unwrap();
     }
 }

@@ -49,10 +49,9 @@ pub struct FollowerLag {
 }
 
 /// The leader-side replication endpoint. Construct with
-/// [`ReplicationSource::attach`]; afterwards both of the service's transports
-/// (thread-per-connection and event loop) answer `ShipSegment`,
-/// `SnapshotChunk` and `ReplAck`, and the service's observability snapshot
-/// grows the `ksp_repl_*` metric families.
+/// [`ReplicationSource::attach`]; afterwards every transport of the service
+/// answers `ShipSegment`, `SnapshotChunk` and `ReplAck`, and the service's
+/// observability snapshot grows the `ksp_repl_*` metric families.
 pub struct ReplicationSource {
     /// Weak: the service holds an `Arc` of this hook, so a strong pointer
     /// back would leak both.

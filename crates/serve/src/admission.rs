@@ -42,18 +42,11 @@ pub struct AdmissionConfig {
     pub max_queue_depth: usize,
     /// Maximum number of requests a worker drains per batch.
     pub max_batch: usize,
-    /// When `true` (the default) and the service's [`ksp_obs::ObsConfig`]
-    /// sets a non-zero `slo_p99`, the adaptive controller rejects requests
-    /// whose predicted latency (queue depth × service-time EWMA + own
-    /// predicted cost) would breach the SLO budget — before they queue. When
-    /// `false`, or when no SLO is configured, only the static `max_queue_depth`
-    /// cap rejects: the pre-adaptive behaviour, kept as the overload baseline.
-    pub adaptive: bool,
 }
 
 impl Default for AdmissionConfig {
     fn default() -> Self {
-        AdmissionConfig { max_queue_depth: 1024, max_batch: 32, adaptive: true }
+        AdmissionConfig { max_queue_depth: 1024, max_batch: 32 }
     }
 }
 

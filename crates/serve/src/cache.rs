@@ -60,11 +60,11 @@ pub struct CacheRetention {
 
 const NIL: usize = usize::MAX;
 
-/// Default length of the dirty-set ring ([`ResultCache::with_history_depth`]).
-/// Deep enough to bridge the handful of publishes a slow query can race
-/// against, small enough that the per-publish clone of the dirty set stays
-/// negligible next to the retention walk itself.
-pub const DEFAULT_HISTORY_DEPTH: usize = 8;
+/// Length of the dirty-set ring. Deep enough to bridge the handful of
+/// publishes a slow query can race against, small enough that the
+/// per-publish clone of the dirty set stays negligible next to the retention
+/// walk itself.
+const HISTORY_DEPTH: usize = 8;
 
 /// How many entries from the LRU tail the weighted victim scan considers.
 /// Bounded so an insert stays O(1); large enough that a huge-trace entry
@@ -99,28 +99,17 @@ pub struct ResultCache {
     /// Capacity evictions where the trace-size weight picked a victim other
     /// than the plain-LRU tail; drained by [`ResultCache::retain_for_publish`].
     weighted_evictions: usize,
-    /// Ring of the last [`ResultCache::history_depth`] publishes, oldest
-    /// first: `(epoch, dirty)` records that the publish which produced
-    /// `epoch` dirtied exactly `dirty`. Lets an entry lagging several epochs
-    /// survive when the ring certifies every publish it slept through.
+    /// Ring of the last [`HISTORY_DEPTH`] publishes, oldest first:
+    /// `(epoch, dirty)` records that the publish which produced `epoch`
+    /// dirtied exactly `dirty`. Lets an entry lagging several epochs survive
+    /// when the ring certifies every publish it slept through.
     history: VecDeque<(u64, SubgraphSet)>,
-    /// Maximum ring length; `0` disables multi-epoch survival entirely,
-    /// restoring the strict one-publish-at-a-time rule.
-    history_depth: usize,
 }
 
 impl ResultCache {
-    /// Creates a cache that holds at most `capacity` entries, with the
-    /// default dirty-set ring depth ([`DEFAULT_HISTORY_DEPTH`]).
-    pub fn new(capacity: usize) -> Self {
-        Self::with_history_depth(capacity, DEFAULT_HISTORY_DEPTH)
-    }
-
     /// Creates a cache that holds at most `capacity` entries and remembers
-    /// the dirty sets of the last `history_depth` publishes for multi-epoch
-    /// survival. `history_depth == 0` turns the ring off: entries then only
-    /// ever survive the single publish they are current for.
-    pub fn with_history_depth(capacity: usize, history_depth: usize) -> Self {
+    /// the dirty sets of the last eight publishes for multi-epoch survival.
+    pub fn new(capacity: usize) -> Self {
         assert!(capacity >= 1, "cache capacity must be at least 1");
         ResultCache {
             map: HashMap::with_capacity(capacity.min(1 << 16)),
@@ -130,8 +119,7 @@ impl ResultCache {
             tail: NIL,
             capacity,
             weighted_evictions: 0,
-            history: VecDeque::with_capacity(history_depth),
-            history_depth,
+            history: VecDeque::with_capacity(HISTORY_DEPTH),
         }
     }
 
@@ -248,12 +236,10 @@ impl ResultCache {
         new_epoch: u64,
         dirty: &SubgraphSet,
     ) -> CacheRetention {
-        if self.history_depth > 0 {
-            if self.history.len() == self.history_depth {
-                self.history.pop_front();
-            }
-            self.history.push_back((new_epoch, dirty.clone()));
+        if self.history.len() == HISTORY_DEPTH {
+            self.history.pop_front();
         }
+        self.history.push_back((new_epoch, dirty.clone()));
         let mut outcome = CacheRetention {
             // Hand the insert-time weighted-eviction count to the publish
             // that collects retention totals, then restart the window.
@@ -315,12 +301,10 @@ impl ResultCache {
         false
     }
 
-    /// Drops every entry — the wholesale invalidation the survival path
-    /// replaced, kept as the baseline for benchmarks and for services
-    /// configured without cache survival. The dirty-set ring is *not*
-    /// cleared: it records publish history, which remains true regardless of
-    /// what the cache holds, so entries inserted afterwards at older epochs
-    /// can still be certified.
+    /// Drops every entry. The dirty-set ring is *not* cleared: it records
+    /// publish history, which remains true regardless of what the cache
+    /// holds, so entries inserted afterwards at older epochs can still be
+    /// certified.
     pub fn clear(&mut self) {
         self.map.clear();
         self.slab.clear();
@@ -550,35 +534,22 @@ mod tests {
     }
 
     #[test]
-    fn history_depth_zero_disables_multi_epoch_survival() {
-        let mut cache = ResultCache::with_history_depth(4, 0);
-        cache.retain_for_publish(0, 1, &dirty(&[5]));
-        cache.retain_for_publish(1, 2, &dirty(&[6]));
-        cache.insert(key(0, 1, 2), 0, trace(&[3]), path(1.0));
-        let outcome = cache.retain_for_publish(2, 3, &dirty(&[7]));
-        assert_eq!(outcome.ring_retained, 0, "no ring, no rescue");
-        assert_eq!(outcome.evicted, 1);
-        // The one-publish fast path must still work without a ring.
-        cache.insert(key(0, 2, 2), 3, trace(&[3]), path(2.0));
-        let next = cache.retain_for_publish(3, 4, &dirty(&[7]));
-        assert_eq!(next.retained, 1);
-    }
-
-    #[test]
     fn ring_forgets_publishes_beyond_its_depth() {
-        let mut cache = ResultCache::with_history_depth(4, 2);
-        cache.retain_for_publish(0, 1, &dirty(&[5]));
-        cache.retain_for_publish(1, 2, &dirty(&[6]));
-        // Laggard from epoch 0 needs dirty sets for epochs 1..=3, but the
-        // depth-2 ring will have dropped epoch 1's by the time epoch 3
-        // publishes; a laggard from epoch 1 only needs 2..=3, still covered.
+        let mut cache = ResultCache::new(4);
+        for epoch in 0..HISTORY_DEPTH as u64 {
+            cache.retain_for_publish(epoch, epoch + 1, &dirty(&[5]));
+        }
+        // Publishing epoch D + 1 pushes epoch 1's dirty set out of the ring.
+        // A laggard from epoch 0 needs every dirty set in 1..=D + 1 and so
+        // dies; a laggard from epoch 1 needs only 2..=D + 1, still covered.
+        let depth = HISTORY_DEPTH as u64;
         cache.insert(key(0, 1, 2), 0, trace(&[3]), path(1.0));
         cache.insert(key(0, 2, 2), 1, trace(&[3]), path(2.0));
-        let outcome = cache.retain_for_publish(2, 3, &dirty(&[7]));
+        let outcome = cache.retain_for_publish(depth, depth + 1, &dirty(&[7]));
         assert_eq!(outcome.ring_retained, 1, "only the in-window laggard survives");
         assert_eq!(outcome.evicted, 1);
-        assert!(cache.get(&key(0, 2, 2), 3).is_some());
-        assert!(cache.get(&key(0, 1, 2), 3).is_none());
+        assert!(cache.get(&key(0, 2, 2), depth + 1).is_some());
+        assert!(cache.get(&key(0, 1, 2), depth + 1).is_none());
     }
 
     #[test]

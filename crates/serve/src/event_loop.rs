@@ -1,11 +1,11 @@
 //! Readiness-polled TCP serving: one epoll-driven poller thread and a small
-//! fixed pool of dispatch workers, replacing thread-per-connection scaling.
+//! fixed pool of dispatch workers.
 //!
-//! [`TcpServer`](crate::rpc::TcpServer) spends one OS thread (and its stack)
-//! per connection; at a thousand mostly-idle clients that is a thousand
-//! blocked threads the scheduler has to care about. [`EventLoopServer`] serves
-//! the same wire protocol — same frames, same typed errors, same
-//! hostile-frame contract — on a *bounded* thread count:
+//! A thread per connection would spend one OS thread (and its stack) per
+//! client; at a thousand mostly-idle clients that is a thousand blocked
+//! threads the scheduler has to care about. [`EventLoopServer`] serves the
+//! wire protocol — CRC-guarded frames, typed errors, a typed reply and a
+//! clean disconnect for every hostile frame — on a *bounded* thread count:
 //!
 //! ```text
 //!              ┌────────────────────────────────────────────┐
@@ -31,8 +31,7 @@
 //! completion queue; a self-pipe wakes the poller to write them out.
 //!
 //! Requests of one connection are dispatched strictly in arrival order, one
-//! at a time — a pipelined client gets its responses in request order, just
-//! as it would from the thread-per-connection server.
+//! at a time — a pipelined client gets its responses in request order.
 //!
 //! # Admission at the socket
 //!
@@ -53,7 +52,6 @@
 //! exposition.
 
 use crate::admission::{AdmissionVerdict, CostClass};
-use crate::rpc::hostile_frame;
 use crate::service::{route_shard, QueryService};
 use ksp_obs::EventKind;
 use ksp_proto::frame::{
@@ -249,6 +247,21 @@ const PENDING_CAP: usize = 64;
 /// latency if a wake byte is ever lost.
 const IDLE_POLL_MS: i32 = 500;
 
+/// Hostile-frame reason codes carried in the [`EventKind::HostileFrame`]
+/// flight events (payload word `a`).
+pub mod hostile_frame {
+    /// The frame parsed but its request payload did not decode.
+    pub const UNDECODABLE_PAYLOAD: u64 = 0;
+    /// The peer sent a response-kind frame to a server.
+    pub const RESPONSE_KIND_FRAME: u64 = 1;
+    /// The peer's frame header announced a foreign protocol version
+    /// (payload word `b` = the version it announced).
+    pub const VERSION_MISMATCH: u64 = 2;
+    /// Framing was lost: bad magic, CRC mismatch, truncation or an oversized
+    /// length.
+    pub const FRAMING_LOST: u64 = 3;
+}
+
 /// Tuning for an [`EventLoopServer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EventLoopConfig {
@@ -431,9 +444,8 @@ impl LoopShared {
 
 /// A readiness-polled TCP serving endpoint over a [`QueryService`]: one
 /// epoll poller thread plus a fixed dispatch pool, graceful shutdown on drop.
-/// Speaks exactly the wire protocol of [`TcpServer`](crate::rpc::TcpServer) —
-/// a [`KspClient`](ksp_proto::KspClient) cannot tell them apart — on a thread
-/// count independent of the connection count.
+/// Speaks the wire protocol a [`KspClient`](ksp_proto::KspClient) expects on
+/// a thread count independent of the connection count.
 pub struct EventLoopServer {
     local_addr: SocketAddr,
     shared: Arc<LoopShared>,
@@ -552,8 +564,7 @@ fn worker_main(shared: &Arc<LoopShared>) {
         }
         stamp_loop_latency(&mut response, job.admitted);
         append_eventloop_metrics(shared, &mut response);
-        // Same contract as the blocking server: a failed version handshake is
-        // answered, then disconnected.
+        // A failed version handshake is answered, then disconnected.
         let disconnect = matches!(response, Response::Error(ErrorReply::UnsupportedVersion { .. }));
         let bytes = encode_response(&response);
         shared.complete(Completion { token: job.token, bytes, disconnect });
@@ -605,8 +616,7 @@ fn stamp_loop_latency(response: &mut Response, admitted: Instant) {
 
 /// Frames a response, substituting the typed `Unsupported` reply when the
 /// payload exceeds the frame cap — `write_frame` refuses before emitting a
-/// byte, so framing stays intact and the connection stays alive, exactly as
-/// on the blocking path.
+/// byte, so framing stays intact and the connection stays alive.
 fn encode_response(response: &Response) -> Vec<u8> {
     let payload = response.to_bytes();
     let mut frame = Vec::with_capacity(frame_len(payload.len().min(4096)));
@@ -626,10 +636,9 @@ fn encode_response(response: &Response) -> Vec<u8> {
 }
 
 /// Appends the loop's aggregate transport metrics to an `ObsSnapshot`
-/// response (unwrapping a trace envelope if present) — the event-loop
-/// analogue of the blocking server's per-connection `ksp_connection_*`
-/// families, aggregated because a thousand per-connection series would drown
-/// the exposition the loop exists to keep cheap.
+/// response (unwrapping a trace envelope if present) — aggregated over all
+/// connections, because a thousand per-connection series would drown the
+/// exposition the loop exists to keep cheap.
 fn append_eventloop_metrics(shared: &LoopShared, response: &mut Response) {
     let snapshot = match response {
         Response::ObsSnapshot(s) => s,
@@ -804,11 +813,10 @@ enum AdmissionOutcome {
 }
 
 /// Admission at the socket, for query-bearing requests only (control-plane
-/// requests — ping, metrics, publish, checkpoint, snapshot — always pass,
-/// as they do on the blocking path). Mirrors the service-side policy and
-/// bookkeeping: static backlog cap first, then the SLO predictor with a
-/// cost-class peek, with `Rejection` events and one `AdmissionBreach` flight
-/// dump per episode.
+/// requests — ping, metrics, publish, checkpoint, snapshot — always pass).
+/// Mirrors the service-side policy and bookkeeping: static backlog cap
+/// first, then the SLO predictor with a cost-class peek, with `Rejection`
+/// events and one `AdmissionBreach` flight dump per episode.
 fn loop_admission(shared: &LoopShared, request: Request) -> AdmissionOutcome {
     let probe = match &request {
         Request::Traced { inner, .. } => query_probe(inner),
@@ -1052,8 +1060,7 @@ fn on_readable(conn: &mut Conn, shared: &LoopShared) {
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => {
-                // The blocking server's FrameError::Io arm: the peer is
-                // gone, there is nobody to answer.
+                // The peer is gone; there is nobody to answer.
                 conn.io_dead = true;
                 return;
             }
@@ -1063,9 +1070,9 @@ fn on_readable(conn: &mut Conn, shared: &LoopShared) {
 }
 
 /// Cuts complete frames off `read_buf`, dispatching well-formed requests and
-/// converting the first protocol violation into the blocking server's typed
-/// reply-then-close, deferred behind any earlier requests still in flight so
-/// responses keep arrival order.
+/// converting the first protocol violation into a typed reply-then-close,
+/// deferred behind any earlier requests still in flight so responses keep
+/// arrival order.
 ///
 /// Decoding and dispatch alternate until neither can advance. The loop
 /// matters: a pipelined burst larger than `PENDING_CAP` sits fully buffered

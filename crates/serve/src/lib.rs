@@ -17,8 +17,8 @@
 //!   per-shard **bounded queues** (reject-with-backpressure admission control),
 //!   request **batching** (one epoch load per drained batch), and **work
 //!   stealing**: hash routing keeps cache affinity, but an idle worker steals
-//!   the oldest requests from the deepest queue, so skewed workloads no
-//!   longer pin one shard while the rest idle.
+//!   the oldest requests from the deepest queue, so skewed workloads do not
+//!   pin one shard while the rest idle.
 //! * [`admission`] — besides the static queue cap, an **SLO-driven,
 //!   cost-aware adaptive controller**: per predicted cost class (a
 //!   trace-checked cache hit costs microseconds, an engine run costs
@@ -58,17 +58,16 @@
 //!   `ksp-proto` [`Transport`](ksp_proto::Transport), reporting physical wire
 //!   bytes alongside throughput.
 //! * [`rpc`] — the **protocol endpoint**: [`QueryService::handle`] dispatches
-//!   `ksp-proto`'s typed [`Request`](ksp_proto::Request)s, the zero-copy
-//!   [`InProcTransport`] serves same-process clients, and [`TcpServer`] puts
-//!   the service behind a socket (one acceptor, one worker per connection,
-//!   typed errors for malformed/foreign-version frames, graceful shutdown).
-//! * [`event_loop`] (Linux) — the same wire protocol from a **fixed thread
-//!   count**: one poller thread drives a level-triggered `epoll` set with
-//!   non-blocking sockets, per-connection buffers and partial-frame
-//!   reassembly, a small dispatch pool runs the service, and the adaptive
-//!   admission controller is applied at the socket — floods are answered
-//!   with typed rejections instead of occupying threads, and a thousand
-//!   idle connections cost file descriptors, not stacks.
+//!   `ksp-proto`'s typed [`Request`](ksp_proto::Request)s, and the zero-copy
+//!   [`InProcTransport`] serves same-process clients.
+//! * [`event_loop`] — the **TCP server**, on a fixed thread count: one poller
+//!   thread drives a level-triggered `epoll` set with non-blocking sockets,
+//!   per-connection buffers and partial-frame reassembly, a small dispatch
+//!   pool runs the service, and the adaptive admission controller is applied
+//!   at the socket — floods are answered with typed rejections instead of
+//!   occupying threads, malformed or foreign-version frames with a typed
+//!   error and a disconnect, and a thousand idle connections cost file
+//!   descriptors, not stacks. `epoll` makes this crate Linux-only.
 //!
 //! A service can also be **persistent**: started with
 //! [`QueryService::start_with_store`], every published batch is appended to
@@ -106,27 +105,28 @@
 
 #![warn(missing_docs)]
 
+#[cfg(not(target_os = "linux"))]
+compile_error!("ksp-serve serves over epoll and builds for Linux only");
+
 pub mod admission;
 pub mod cache;
 pub mod driver;
 pub mod epoch;
-#[cfg(target_os = "linux")]
 pub mod event_loop;
 pub mod metrics;
 pub mod rpc;
 pub mod service;
 
 pub use admission::{AdmissionConfig, QueueFull, TimedPop};
-pub use cache::{CacheKey, CacheRetention, ResultCache, DEFAULT_HISTORY_DEPTH};
+pub use cache::{CacheKey, CacheRetention, ResultCache};
 pub use driver::{
     run_closed_loop, run_closed_loop_over, run_open_loop_over, LoadDriverConfig, LoadReport,
     OpenLoopConfig, OpenLoopReport, WireLoadReport,
 };
 pub use epoch::{EpochPointer, EpochSnapshot};
-#[cfg(target_os = "linux")]
 pub use event_loop::{EventLoopConfig, EventLoopServer, EventLoopStats};
 pub use metrics::{LatencyHistogram, MetricsDelta, MetricsReport, ServiceMetrics, ShardQueueGauge};
-pub use rpc::{wire_metrics, InProcTransport, ReplicationHook, TcpServer};
+pub use rpc::{wire_metrics, InProcTransport, ReplicationHook};
 pub use service::{
     route_shard, Observability, PublishError, QueryResponse, QueryService, ServiceConfig,
     ServiceError, RECOVERY_STEP_COMPLETED,

@@ -1,43 +1,30 @@
-//! The protocol endpoint of a [`QueryService`]: request dispatch, the
-//! in-process transport and the TCP server.
+//! The protocol endpoint of a [`QueryService`]: request dispatch and the
+//! in-process transport.
 //!
 //! [`QueryService::handle`] turns any protocol [`Request`] into a
-//! [`Response`] — it is the single dispatch both transports funnel into, so a
-//! query answered over a socket runs exactly the code path (and produces the
-//! bit-identical answer) of a query answered in process:
+//! [`Response`] — it is the single dispatch every transport funnels into, so
+//! a query answered over a socket runs exactly the code path (and produces
+//! the bit-identical answer) of a query answered in process:
 //!
 //! * [`InProcTransport`] hands the request straight to `handle` — nothing is
 //!   serialised, paths move by pointer, and the transport's byte counters
 //!   stay at zero (the baseline the communication-cost experiments compare
 //!   the wire against).
-//! * [`TcpServer`] runs one acceptor thread plus one worker thread per
-//!   connection. Each worker reads length-prefixed CRC-guarded frames,
-//!   decodes, dispatches to `handle`, and writes the response frame back.
-//!   Malformed, truncated, corrupt or foreign-version frames are answered
-//!   with a typed [`ErrorReply`] and a clean disconnect — never a panic, and
-//!   never a hung client.
-//!
-//! Shutdown is graceful: dropping (or explicitly shutting down) the server
-//! stops the acceptor, half-closes every live connection so its worker
-//! observes end-of-stream, and joins all threads before returning.
+//! * [`EventLoopServer`](crate::EventLoopServer) puts `handle` behind a
+//!   socket: it reads length-prefixed CRC-guarded frames, decodes, dispatches
+//!   and writes the response frame back, answering malformed, truncated,
+//!   corrupt or foreign-version frames with a typed [`ErrorReply`] and a
+//!   clean disconnect.
 
 use crate::metrics::MetricsReport;
 use crate::service::{PublishError, QueryResponse, QueryService, ServiceError};
-use ksp_obs::EventKind;
-use ksp_proto::frame::{frame_len, read_frame, write_frame, FrameError, FrameKind};
 use ksp_proto::message::{
     ErrorReply, QueryAnswer, QueryOutcome, Request, Response, WireMetrics, WireQueueGauge,
     PROTOCOL_VERSION, PROTOCOL_VERSION_MAX,
 };
-use ksp_proto::obs::{WireCounter, WireGauge, WireObsSnapshot};
+use ksp_proto::obs::WireObsSnapshot;
 use ksp_proto::transport::{Transport, TransportError, TransportStats};
-use ksp_store::StoreCodec;
-use std::collections::HashMap;
-use std::io::{BufReader, BufWriter, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 
 impl From<ServiceError> for ErrorReply {
     fn from(e: ServiceError) -> Self {
@@ -68,9 +55,8 @@ impl From<PublishError> for ErrorReply {
 ///
 /// `ksp-serve` knows nothing about log shipping — the hook inverts the
 /// dependency so `ksp-repl` can plug a leader-side `ReplicationSource` into
-/// the service *after* construction, and both transports (thread-per-connection
-/// and event loop) route through it automatically because they both funnel
-/// into [`QueryService::handle`].
+/// the service *after* construction, and every transport routes through it
+/// automatically because they all funnel into [`QueryService::handle`].
 pub trait ReplicationHook: Send + Sync {
     /// Answers one replication request. Only the three replication variants
     /// are ever dispatched here; anything else is a service bug.
@@ -125,8 +111,8 @@ pub fn wire_metrics(report: &MetricsReport) -> WireMetrics {
 }
 
 impl QueryService {
-    /// Answers one protocol request. This is the generic dispatch both
-    /// transports call into; [`QueryService::query`] and
+    /// Answers one protocol request. This is the generic dispatch every
+    /// transport calls into; [`QueryService::query`] and
     /// [`QueryService::apply_batch`] are the typed fast paths it routes
     /// through, so in-process and remote callers observe identical behaviour.
     ///
@@ -252,391 +238,6 @@ impl Transport for InProcTransport {
     fn stats(&self) -> TransportStats {
         self.stats
     }
-}
-
-/// Per-connection transport accounting, shared between the connection worker
-/// (which updates it) and the registry (which snapshots it into `ObsSnapshot`
-/// responses). All counters are cumulative over the connection's lifetime.
-#[derive(Debug, Default)]
-struct ConnStats {
-    /// Request frames read from this connection.
-    frames_in: AtomicU64,
-    /// Response frames written to this connection.
-    frames_out: AtomicU64,
-    /// Wire bytes read (headers + payloads).
-    bytes_in: AtomicU64,
-    /// Wire bytes written (headers + payloads).
-    bytes_out: AtomicU64,
-    /// Cumulative microseconds spent inside `handle` for this connection's
-    /// requests — server-side service time, excluding socket I/O.
-    handle_micros: AtomicU64,
-}
-
-/// One live connection's registry entry: the half-closable stream plus its
-/// transport accounting.
-struct ConnEntry {
-    stream: TcpStream,
-    stats: Arc<ConnStats>,
-}
-
-struct ServerShared {
-    service: Arc<QueryService>,
-    shutting_down: AtomicBool,
-    /// Live connections by id, half-closed at shutdown so blocked worker
-    /// reads observe end-of-stream. A worker deregisters its entry on exit —
-    /// the registry tracks live connections only, and a socket closes the
-    /// moment its worker is done with it.
-    conns: Mutex<HashMap<u64, ConnEntry>>,
-    next_conn_id: AtomicU64,
-    workers: Mutex<Vec<JoinHandle<()>>>,
-}
-
-/// A TCP serving endpoint over a [`QueryService`]: one acceptor thread, one
-/// worker thread per connection, graceful shutdown on drop.
-pub struct TcpServer {
-    local_addr: SocketAddr,
-    shared: Arc<ServerShared>,
-    acceptor: Option<JoinHandle<()>>,
-}
-
-impl TcpServer {
-    /// Binds `addr` (use port 0 for an ephemeral port) and starts accepting
-    /// connections for `service`.
-    pub fn bind(service: Arc<QueryService>, addr: impl ToSocketAddrs) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        let shared = Arc::new(ServerShared {
-            service,
-            shutting_down: AtomicBool::new(false),
-            conns: Mutex::new(HashMap::new()),
-            next_conn_id: AtomicU64::new(0),
-            workers: Mutex::new(Vec::new()),
-        });
-        let acceptor = std::thread::Builder::new()
-            .name("ksp-serve-acceptor".to_string())
-            .spawn({
-                let shared = shared.clone();
-                move || acceptor_main(&listener, &shared)
-            })
-            .expect("failed to spawn acceptor");
-        Ok(TcpServer { local_addr, shared, acceptor: Some(acceptor) })
-    }
-
-    /// The address the server is listening on.
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
-    }
-
-    /// Serving threads this server has spawned so far: the acceptor plus one
-    /// worker per accepted connection. Workers are joined only at shutdown,
-    /// so while connections are live this is also the peak — the number the
-    /// event loop's fixed [`thread_count`](crate::EventLoopServer::thread_count)
-    /// is compared against.
-    pub fn thread_count(&self) -> usize {
-        1 + self.shared.workers.lock().unwrap_or_else(|e| e.into_inner()).len()
-    }
-
-    /// Stops accepting, disconnects every live connection and joins all
-    /// threads. Idempotent; also runs on drop.
-    pub fn shutdown(&mut self) {
-        if self.shared.shutting_down.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        // Unblock the acceptor: a throwaway connection makes `accept` return,
-        // after which the acceptor observes the flag and exits.
-        let _ = TcpStream::connect(self.local_addr);
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        // Half-close every live connection; blocked worker reads observe EOF
-        // and the workers exit cleanly.
-        for (_, conn) in self.shared.conns.lock().unwrap_or_else(|e| e.into_inner()).drain() {
-            let _ = conn.stream.shutdown(std::net::Shutdown::Both);
-        }
-        let workers: Vec<_> =
-            self.shared.workers.lock().unwrap_or_else(|e| e.into_inner()).drain(..).collect();
-        for worker in workers {
-            let _ = worker.join();
-        }
-    }
-}
-
-impl Drop for TcpServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn acceptor_main(listener: &TcpListener, shared: &Arc<ServerShared>) {
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => {
-                if shared.shutting_down.load(Ordering::SeqCst) {
-                    return;
-                }
-                // A persistent accept error (classically EMFILE when the fd
-                // limit is hit) must not peg a core in a tight retry loop.
-                std::thread::sleep(std::time::Duration::from_millis(20));
-                continue;
-            }
-        };
-        if shared.shutting_down.load(Ordering::SeqCst) {
-            return;
-        }
-        let _ = stream.set_nodelay(true);
-        let conn_id = shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
-        let stats = Arc::new(ConnStats::default());
-        if let Ok(registered) = stream.try_clone() {
-            shared
-                .conns
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .insert(conn_id, ConnEntry { stream: registered, stats: stats.clone() });
-        }
-        let worker = std::thread::Builder::new().name("ksp-serve-conn".to_string()).spawn({
-            let shared = shared.clone();
-            move || connection_main(conn_id, stream, &shared, &stats)
-        });
-        match worker {
-            Ok(handle) => {
-                let mut workers = shared.workers.lock().unwrap_or_else(|e| e.into_inner());
-                // Drop handles of connections that already finished (a
-                // detached finished thread needs no join), so the registry
-                // tracks live workers instead of growing per connection ever
-                // accepted.
-                workers.retain(|h| !h.is_finished());
-                workers.push(handle);
-            }
-            Err(e) => {
-                eprintln!("ksp-serve: failed to spawn connection worker: {e}");
-                // The spawn consumed (and dropped) the accepted stream, but
-                // the registry clone would keep the socket open with nobody
-                // serving it — deregister and close so the peer sees EOF
-                // instead of a hang.
-                if let Some(conn) =
-                    shared.conns.lock().unwrap_or_else(|e| e.into_inner()).remove(&conn_id)
-                {
-                    let _ = conn.stream.shutdown(std::net::Shutdown::Both);
-                }
-            }
-        }
-    }
-}
-
-/// Hostile-frame reason codes carried in the [`EventKind::HostileFrame`]
-/// flight events (payload word `a`).
-pub mod hostile_frame {
-    /// The frame parsed but its request payload did not decode.
-    pub const UNDECODABLE_PAYLOAD: u64 = 0;
-    /// The peer sent a response-kind frame to a server.
-    pub const RESPONSE_KIND_FRAME: u64 = 1;
-    /// The peer's frame header announced a foreign protocol version
-    /// (payload word `b` = the version it announced).
-    pub const VERSION_MISMATCH: u64 = 2;
-    /// Framing was lost: bad magic, CRC mismatch, truncation or an oversized
-    /// length.
-    pub const FRAMING_LOST: u64 = 3;
-}
-
-/// Serves one connection until the peer disconnects, sends unrecoverable
-/// bytes, or the server shuts down. Protocol failures are answered with a
-/// typed [`ErrorReply`] before the connection closes; once framing is lost
-/// the stream cannot be resynchronised, so the close is part of the
-/// contract.
-///
-/// Every hostile frame is also an anomaly trigger: the service's flight
-/// recorder captures a dump tagged with the [`hostile_frame`] reason code, so
-/// an operator scraping `ObsSnapshot` sees what the service was doing when a
-/// peer started speaking garbage.
-fn connection_main(conn_id: u64, stream: TcpStream, shared: &ServerShared, stats: &ConnStats) {
-    if let Ok(read_half) = stream.try_clone() {
-        let mut reader = BufReader::new(read_half);
-        let mut writer = BufWriter::new(stream);
-        serve_connection(&mut reader, &mut writer, shared, stats);
-        // Close the socket *now*: the registry may still hold a clone (until
-        // the deregistration below), and a clean disconnect after an error
-        // reply is part of the protocol contract.
-        let _ = writer.flush();
-        let _ = writer.get_ref().shutdown(std::net::Shutdown::Both);
-    } else {
-        let _ = stream.shutdown(std::net::Shutdown::Both);
-    }
-    shared.conns.lock().unwrap_or_else(|e| e.into_inner()).remove(&conn_id);
-}
-
-fn serve_connection(
-    reader: &mut BufReader<TcpStream>,
-    writer: &mut BufWriter<TcpStream>,
-    shared: &ServerShared,
-    stats: &ConnStats,
-) {
-    let send = |writer: &mut BufWriter<TcpStream>, response: &Response| {
-        let payload = response.to_bytes();
-        match write_frame(writer, FrameKind::Response, &payload) {
-            Ok(()) => {
-                let ok = writer.flush().is_ok();
-                if ok {
-                    stats.frames_out.fetch_add(1, Ordering::Relaxed);
-                    stats.bytes_out.fetch_add(frame_len(payload.len()) as u64, Ordering::Relaxed);
-                }
-                ok
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::InvalidInput => {
-                // The response exceeds the frame cap. write_frame refused it
-                // before any byte reached the stream, so framing is intact:
-                // answer typed and keep the connection alive.
-                let reply = Response::Error(ErrorReply::Unsupported(format!(
-                    "response does not fit one frame ({e}); split the request"
-                )));
-                let reply_payload = reply.to_bytes();
-                let ok = write_frame(writer, FrameKind::Response, &reply_payload)
-                    .and_then(|()| writer.flush())
-                    .is_ok();
-                if ok {
-                    stats.frames_out.fetch_add(1, Ordering::Relaxed);
-                    stats
-                        .bytes_out
-                        .fetch_add(frame_len(reply_payload.len()) as u64, Ordering::Relaxed);
-                }
-                ok
-            }
-            Err(_) => false,
-        }
-    };
-    loop {
-        match read_frame(reader) {
-            Ok(None) => return, // clean disconnect at a frame boundary
-            Ok(Some((FrameKind::Request, payload))) => {
-                stats.frames_in.fetch_add(1, Ordering::Relaxed);
-                stats.bytes_in.fetch_add(frame_len(payload.len()) as u64, Ordering::Relaxed);
-                match Request::from_bytes(&payload) {
-                    Ok(request) => {
-                        let started = std::time::Instant::now();
-                        let mut response = shared.service.handle(request);
-                        stats.handle_micros.fetch_add(
-                            started.elapsed().as_micros().min(u64::MAX as u128) as u64,
-                            Ordering::Relaxed,
-                        );
-                        append_connection_metrics(shared, &mut response);
-                        let disconnect = matches!(
-                            response,
-                            Response::Error(ErrorReply::UnsupportedVersion { .. })
-                        );
-                        if !send(writer, &response) || disconnect {
-                            return;
-                        }
-                    }
-                    Err(e) => {
-                        shared.service.observability().trigger(
-                            EventKind::HostileFrame,
-                            hostile_frame::UNDECODABLE_PAYLOAD,
-                            0,
-                            0,
-                            None,
-                        );
-                        let reply = Response::Error(ErrorReply::Malformed(format!(
-                            "request payload did not decode: {e}"
-                        )));
-                        send(writer, &reply);
-                        return;
-                    }
-                }
-            }
-            Ok(Some((FrameKind::Response, _))) => {
-                shared.service.observability().trigger(
-                    EventKind::HostileFrame,
-                    hostile_frame::RESPONSE_KIND_FRAME,
-                    0,
-                    0,
-                    None,
-                );
-                let reply = Response::Error(ErrorReply::Malformed(
-                    "clients must send request frames".to_string(),
-                ));
-                send(writer, &reply);
-                return;
-            }
-            Err(FrameError::VersionMismatch { ours, theirs }) => {
-                shared.service.observability().trigger(
-                    EventKind::HostileFrame,
-                    hostile_frame::VERSION_MISMATCH,
-                    theirs as u64,
-                    0,
-                    None,
-                );
-                let reply = Response::Error(ErrorReply::UnsupportedVersion {
-                    server: ours,
-                    client: theirs,
-                });
-                send(writer, &reply);
-                return;
-            }
-            Err(FrameError::Io(_)) => return, // peer is gone; nothing to tell it
-            Err(e) => {
-                // BadMagic / CRC mismatch / truncation / oversized length:
-                // answer typed, then close — frame synchronisation is lost.
-                shared.service.observability().trigger(
-                    EventKind::HostileFrame,
-                    hostile_frame::FRAMING_LOST,
-                    0,
-                    0,
-                    None,
-                );
-                let reply = Response::Error(ErrorReply::Malformed(e.to_string()));
-                send(writer, &reply);
-                return;
-            }
-        }
-    }
-}
-
-/// Appends the TCP layer's per-connection transport accounting to an
-/// `ObsSnapshot` response (unwrapping a trace envelope if present): one
-/// `ksp_connection_*` counter per live connection per family, grouped by
-/// family so the text renderer emits a single `# TYPE` per family, plus the
-/// `ksp_open_connections` gauge. These families exist only over TCP — the
-/// service itself cannot see sockets, so they are appended here rather than
-/// in [`QueryService::obs_snapshot`].
-fn append_connection_metrics(shared: &ServerShared, response: &mut Response) {
-    let snapshot = match response {
-        Response::ObsSnapshot(s) => s,
-        Response::Traced { inner, .. } => match inner.as_mut() {
-            Response::ObsSnapshot(s) => s,
-            _ => return,
-        },
-        _ => return,
-    };
-    let mut entries: Vec<(u64, Arc<ConnStats>)> = shared
-        .conns
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .iter()
-        .map(|(&id, entry)| (id, entry.stats.clone()))
-        .collect();
-    entries.sort_unstable_by_key(|&(id, _)| id);
-    type StatAccessor = fn(&ConnStats) -> u64;
-    let families: [(&str, StatAccessor); 5] = [
-        ("ksp_connection_frames_in_total", |s| s.frames_in.load(Ordering::Relaxed)),
-        ("ksp_connection_frames_out_total", |s| s.frames_out.load(Ordering::Relaxed)),
-        ("ksp_connection_bytes_in_total", |s| s.bytes_in.load(Ordering::Relaxed)),
-        ("ksp_connection_bytes_out_total", |s| s.bytes_out.load(Ordering::Relaxed)),
-        ("ksp_connection_handle_micros_total", |s| s.handle_micros.load(Ordering::Relaxed)),
-    ];
-    for (name, value_of) in families {
-        for (id, stats) in &entries {
-            snapshot.counters.push(WireCounter {
-                name: name.to_string(),
-                labels: format!("conn=\"{id}\""),
-                value: value_of(stats),
-            });
-        }
-    }
-    snapshot.gauges.push(WireGauge {
-        name: "ksp_open_connections".to_string(),
-        labels: String::new(),
-        value: entries.len() as f64,
-    });
 }
 
 #[cfg(test)]
@@ -788,65 +389,5 @@ mod tests {
         assert_eq!(stats.requests, 2); // ping + query
         assert_eq!(stats.bytes_sent, 0, "in-process moves no bytes");
         assert_eq!(stats.bytes_received, 0);
-    }
-
-    #[test]
-    fn tcp_server_round_trips_and_shuts_down_gracefully() {
-        let (service, graph) = service(130, 2, 17);
-        let last = VertexId(graph.num_vertices() as u32 - 1);
-        let mut server = TcpServer::bind(service.clone(), "127.0.0.1:0").unwrap();
-        let addr = server.local_addr();
-
-        let (mut client, info) = KspClient::connect(addr).unwrap();
-        assert_eq!(info.protocol_version, PROTOCOL_VERSION);
-        let over_wire = client.query(VertexId(0), last, 2).unwrap();
-        let direct = service.query(VertexId(0), last, 2).unwrap();
-        assert_eq!(over_wire.paths.len(), direct.paths.len());
-        for (a, b) in over_wire.paths.iter().zip(direct.paths.iter()) {
-            assert_eq!(a.vertices(), b.vertices());
-            assert_eq!(a.distance().value().to_bits(), b.distance().value().to_bits());
-        }
-        let stats = client.stats();
-        assert!(stats.bytes_sent > 0 && stats.bytes_received > 0);
-
-        // Graceful shutdown: the held connection is closed, not leaked.
-        server.shutdown();
-        assert!(client.ping().is_err(), "connection must be closed after shutdown");
-    }
-
-    #[test]
-    fn scrape_and_hostile_frames_over_tcp() {
-        use std::io::{Read as _, Write as _};
-        let (service, graph) = service(130, 2, 23);
-        let last = VertexId(graph.num_vertices() as u32 - 1);
-        let mut server = TcpServer::bind(service.clone(), "127.0.0.1:0").unwrap();
-        let addr = server.local_addr();
-
-        let (mut client, _) = KspClient::connect(addr).unwrap();
-        client.query(VertexId(0), last, 2).unwrap();
-        let text = client.scrape_text().unwrap();
-        for family in ["ksp_stage_duration_seconds", "ksp_request_duration_seconds"] {
-            assert!(text.contains(family), "scrape must carry {family}");
-        }
-        assert!(text.contains("stage=\"engine\""));
-        assert!(text.contains("ksp_requests_completed_total 1"));
-
-        // A peer speaking garbage is answered typed *and* captured as a
-        // flight-recorder anomaly with the framing-lost reason code.
-        let mut raw = TcpStream::connect(addr).unwrap();
-        raw.write_all(b"this is not a KSPF frame at all").unwrap();
-        raw.flush().unwrap();
-        let mut reply = Vec::new();
-        let _ = raw.read_to_end(&mut reply); // typed Malformed reply, then EOF
-        assert!(!reply.is_empty(), "hostile bytes still get a typed reply");
-        let dump = service.observability().flight().last_dump().expect("hostile frame dumps");
-        assert_eq!(dump.cause.kind, EventKind::HostileFrame);
-        assert_eq!(dump.cause.a, hostile_frame::FRAMING_LOST);
-
-        // The dump travels: a fresh scrape decodes it back out of the wire.
-        let snapshot = client.obs_snapshot().unwrap();
-        let wired = snapshot.dump.expect("the dump rides the ObsSnapshot response");
-        assert_eq!(wired.cause.kind, EventKind::HostileFrame);
-        server.shutdown();
     }
 }

@@ -55,33 +55,12 @@ pub struct ServiceConfig {
     pub num_shards: usize,
     /// Capacity of each shard's result cache, in entries.
     pub cache_capacity: usize,
-    /// Admission control for each shard's queue.
+    /// Admission control for each shard's queue. The adaptive controller's
+    /// latency budget is [`ObsConfig::slo_p99`]; a zero SLO leaves only the
+    /// static queue cap.
     pub admission: AdmissionConfig,
-    /// Engine configuration used by every worker.
-    pub engine: KspDgConfig,
     /// DTLP index configuration (subgraph size `z`, bounding paths `ξ`).
     pub dtlp: DtlpConfig,
-    /// When `true` (the default), cached results survive epoch publishes
-    /// whose dirty set is disjoint from their subgraph trace. When `false`,
-    /// every publish clears every shard cache wholesale — the pre-trace
-    /// behaviour, kept as the benchmark baseline.
-    ///
-    /// The service forces [`KspDgConfig::collect_trace`] on its workers to
-    /// match this setting (the survival sweep is pure overhead without the
-    /// cache consuming its certificate, and vice versa), overriding whatever
-    /// the `engine` field says.
-    pub cache_survival: bool,
-    /// How many recent publishes each shard cache remembers as a ring of
-    /// `(epoch, dirty set)` pairs. An entry stamped several epochs back — a
-    /// worker that computed against an old snapshot and inserted after
-    /// publishes raced past it — survives the next retention walk when the
-    /// ring covers every publish it missed and its trace is disjoint from
-    /// all of their dirty sets. `0` restores the strict one-publish survival
-    /// rule; irrelevant when [`ServiceConfig::cache_survival`] is off.
-    pub cache_history_depth: usize,
-    /// When `true` (the default), an idle shard worker steals the oldest
-    /// requests from the deepest shard queue instead of sleeping.
-    pub work_stealing: bool,
     /// Observability: per-request span recording, flight-recorder sizing and
     /// anomaly triggers. Per-request instrumentation can be switched off
     /// ([`ObsConfig::disabled`]) for a benchmark baseline; service-level
@@ -97,11 +76,7 @@ impl ServiceConfig {
             num_shards,
             cache_capacity: 4096,
             admission: AdmissionConfig::default(),
-            engine: KspDgConfig::default(),
             dtlp,
-            cache_survival: true,
-            cache_history_depth: crate::cache::DEFAULT_HISTORY_DEPTH,
-            work_stealing: true,
             observability: ObsConfig::default(),
         }
     }
@@ -546,27 +521,19 @@ impl QueryService {
     fn boot_with_dirty(
         graph: Arc<DynamicGraph>,
         index: Arc<DtlpIndex>,
-        mut config: ServiceConfig,
+        config: ServiceConfig,
         store: Option<Store>,
         dirty_since_job: HashSet<SubgraphId>,
     ) -> Self {
-        // Cache survival consumes the engine's trace certificate, so the two
-        // settings travel together: the survival sweep is pure overhead
-        // without the cache (and the cache keeps nothing without the sweep).
-        config.engine.collect_trace = config.cache_survival;
         let initial = EpochSnapshot::new(graph.version(), graph.clone(), index.clone());
         let epoch = Arc::new(EpochPointer::new(initial));
         let metrics = Arc::new(ServiceMetrics::new(config.num_shards));
         let obs = Arc::new(Observability::new(config.observability));
         // The adaptive controller's budget is the SLO itself: a request
         // predicted to finish within `slo_p99` is admitted, one predicted to
-        // breach it is rejected up front. A zero SLO (or `adaptive: false`)
-        // leaves only the static queue cap — the pre-adaptive baseline.
-        let admission = Arc::new(AdmissionController::new(if config.admission.adaptive {
-            config.observability.slo_p99
-        } else {
-            Duration::ZERO
-        }));
+        // breach it is rejected up front. A zero SLO leaves only the static
+        // queue cap.
+        let admission = Arc::new(AdmissionController::new(config.observability.slo_p99));
 
         // Every worker sees every shard's queue and cache: that is what makes
         // stealing (and home-cache inserts for stolen work) possible.
@@ -575,10 +542,7 @@ impl QueryService {
                 .map(|_| {
                     Arc::new(ShardResources {
                         queue: BoundedQueue::new(config.admission.max_queue_depth),
-                        cache: Mutex::new(ResultCache::with_history_depth(
-                            config.cache_capacity,
-                            config.cache_history_depth,
-                        )),
+                        cache: Mutex::new(ResultCache::new(config.cache_capacity)),
                     })
                 })
                 .collect(),
@@ -593,9 +557,7 @@ impl QueryService {
                     let metrics = metrics.clone();
                     let obs = obs.clone();
                     let admission = admission.clone();
-                    let engine_config = config.engine;
                     let max_batch = config.admission.max_batch;
-                    let work_stealing = config.work_stealing;
                     move || {
                         let ctx = WorkerContext {
                             shards: &resources,
@@ -603,9 +565,8 @@ impl QueryService {
                             metrics: &metrics,
                             obs: &obs,
                             admission: &admission,
-                            engine_config,
                         };
-                        shard_main(shard_id, &ctx, max_batch, work_stealing)
+                        shard_main(shard_id, &ctx, max_batch)
                     }
                 })
                 .expect("failed to spawn shard worker");
@@ -671,9 +632,8 @@ impl QueryService {
     }
 
     /// Registers the replication endpoint `ShipSegment` / `SnapshotChunk` /
-    /// `ReplAck` requests are delegated to. Both transports route through
-    /// [`QueryService::handle`], so one registration covers the
-    /// thread-per-connection server and the event loop alike.
+    /// `ReplAck` requests are delegated to. Every transport routes through
+    /// [`QueryService::handle`], so one registration covers them all.
     pub fn set_replication_hook(&self, hook: Arc<dyn crate::rpc::ReplicationHook>) {
         *self.replication.write() = Some(hook);
     }
@@ -929,18 +889,12 @@ impl QueryService {
         let mut ring_retained = 0u64;
         let mut weighted_evicted = 0u64;
         for shard in &self.shards {
-            if self.config.cache_survival {
-                let outcome =
-                    shard.resources.cache.lock().retain_for_publish(prev_epoch, epoch, &dirty_set);
-                retained += outcome.retained as u64;
-                evicted += outcome.evicted as u64;
-                ring_retained += outcome.ring_retained as u64;
-                weighted_evicted += outcome.weighted_evicted as u64;
-            } else {
-                let mut cache = shard.resources.cache.lock();
-                evicted += cache.len() as u64;
-                cache.clear();
-            }
+            let outcome =
+                shard.resources.cache.lock().retain_for_publish(prev_epoch, epoch, &dirty_set);
+            retained += outcome.retained as u64;
+            evicted += outcome.evicted as u64;
+            ring_retained += outcome.ring_retained as u64;
+            weighted_evicted += outcome.weighted_evicted as u64;
         }
         span.mark_retained();
         drop(masters);
@@ -1079,9 +1033,8 @@ impl QueryService {
         &self.obs
     }
 
-    /// The adaptive admission controller (its estimator is live even when the
-    /// adaptive decision is disabled, so static-cap rejections can still
-    /// carry a backoff hint).
+    /// The adaptive admission controller (its estimator is live even when no
+    /// SLO is set, so static-cap rejections can still carry a backoff hint).
     pub fn admission_controller(&self) -> &AdmissionController {
         &self.admission
     }
@@ -1560,29 +1513,21 @@ const STEAL_POLL: Duration = Duration::from_micros(500);
 const STEAL_POLL_MAX: Duration = Duration::from_millis(20);
 
 /// Everything a shard worker shares with its siblings: every shard's
-/// queue/cache pair, the epoch pointer, the metrics sink, the observability
-/// runtime and the engine configuration.
+/// queue/cache pair, the epoch pointer, the metrics sink and the
+/// observability runtime.
 struct WorkerContext<'a> {
     shards: &'a [Arc<ShardResources>],
     epoch: &'a EpochPointer,
     metrics: &'a ServiceMetrics,
     obs: &'a Observability,
     admission: &'a AdmissionController,
-    engine_config: KspDgConfig,
 }
 
-fn shard_main(shard_id: usize, ctx: &WorkerContext<'_>, max_batch: usize, work_stealing: bool) {
+fn shard_main(shard_id: usize, ctx: &WorkerContext<'_>, max_batch: usize) {
     let own = &ctx.shards[shard_id].queue;
     let _guard = CloseQueueOnExit(own);
     let mut poll = STEAL_POLL;
     loop {
-        if !work_stealing {
-            match own.pop_batch(max_batch) {
-                Some(batch) => run_batch(shard_id, shard_id, batch, ctx),
-                None => return,
-            }
-            continue;
-        }
         match own.pop_batch_timeout(max_batch, poll) {
             TimedPop::Items(batch) => {
                 poll = STEAL_POLL;
@@ -1648,11 +1593,13 @@ fn run_batch(
     ctx: &WorkerContext<'_>,
 ) {
     use std::sync::atomic::Ordering::Relaxed;
-    let WorkerContext { shards, epoch, metrics, obs, admission, engine_config } = *ctx;
+    let WorkerContext { shards, epoch, metrics, obs, admission } = *ctx;
     // One epoch load per batch: every request in the batch is answered
-    // against the same consistent (graph, index) pair.
+    // against the same consistent (graph, index) pair. Tracing is on: the
+    // cache's publish-time survival consumes the answer's subgraph trace.
     let snapshot = epoch.load();
-    let engine = SharedEngine::with_config(snapshot.index().clone(), engine_config);
+    let engine =
+        SharedEngine::with_config(snapshot.index().clone(), KspDgConfig::default().with_trace());
     let cache = &shards[home_shard].cache;
     for mut request in batch {
         request.span.mark_dequeued(executing_shard != home_shard);
@@ -1817,7 +1764,7 @@ mod tests {
             // Same engine configuration the shard workers run (tracing on).
             let engine = ksp_core::kspdg::KspDgEngine::with_config(
                 snapshot.index(),
-                service.config().engine,
+                KspDgConfig::default().with_trace(),
             );
             let result = engine.query(s, t, 2);
             assert!(result.trace.complete);
@@ -1842,29 +1789,6 @@ mod tests {
         let report = service.metrics();
         assert!(report.cache_retained >= 1, "retention must be counted");
         assert_eq!(report.epochs_published, 2);
-    }
-
-    /// With survival disabled the service behaves exactly like the old
-    /// wholesale-clear design: every publish empties every cache.
-    #[test]
-    fn survival_disabled_clears_wholesale_at_publish() {
-        let graph = RoadNetworkGenerator::new(RoadNetworkConfig::with_vertices(150))
-            .generate(7)
-            .unwrap()
-            .graph;
-        let mut config = ServiceConfig::new(2, DtlpConfig::new(18, 2));
-        config.cache_survival = false;
-        let service = QueryService::start(graph.clone(), config).unwrap();
-        let (s, t) = (VertexId(1), VertexId(graph.num_vertices() as u32 - 1));
-        service.query(s, t, 2).unwrap();
-        assert!(service.query(s, t, 2).unwrap().cache_hit);
-        let mut traffic = TrafficModel::new(&graph, TrafficConfig::new(0.1, 0.2), 11);
-        service.apply_batch(&traffic.next_snapshot()).unwrap();
-        let after = service.query(s, t, 2).unwrap();
-        assert!(!after.cache_hit, "wholesale clear must drop every entry");
-        let report = service.metrics();
-        assert_eq!(report.cache_retained, 0);
-        assert!(report.cache_evicted >= 1);
     }
 
     /// A single hot (source, target, k) pins all load to one shard under pure

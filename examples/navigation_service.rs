@@ -15,12 +15,11 @@
 //! example twice and compare the reported cold-start times.
 //!
 //! It is also **network-ready**: after the closed-loop run the example binds
-//! the same service to a loopback TCP port and talks to it through
-//! `KspClient` — version handshake, pipelined queries, a metrics scrape and a
-//! checkpoint request over the typed wire protocol — reporting the physical
-//! bytes the protocol moved. On Linux it then binds the epoll
-//! `EventLoopServer` and answers a fleet of concurrent sessions on a fixed
-//! handful of serving threads.
+//! the same service to a loopback TCP port behind the epoll `EventLoopServer`
+//! and talks to it through `KspClient` — version handshake, pipelined
+//! queries, a metrics scrape and a checkpoint request over the typed wire
+//! protocol — reporting the physical bytes the protocol moved, then answers a
+//! fleet of concurrent sessions on the server's fixed handful of threads.
 //!
 //! ```text
 //! cargo run --release --example navigation_service
@@ -29,7 +28,9 @@
 
 use ksp_dg::core::dtlp::DtlpConfig;
 use ksp_dg::proto::{KspClient, QueryKey};
-use ksp_dg::serve::{run_closed_loop, LoadDriverConfig, QueryService, ServiceConfig, TcpServer};
+use ksp_dg::serve::{
+    run_closed_loop, EventLoopServer, LoadDriverConfig, QueryService, ServiceConfig,
+};
 use ksp_dg::store::{Store, StoreConfig};
 use ksp_dg::workload::datasets::DatasetScale;
 use ksp_dg::workload::{
@@ -176,7 +177,7 @@ fn main() {
     // remote navigation client or operator console would use.
     println!();
     println!("== wire protocol showcase (loopback TCP) ==");
-    let server = TcpServer::bind(service.clone(), "127.0.0.1:0").expect("bind loopback");
+    let server = EventLoopServer::bind(service.clone(), "127.0.0.1:0").expect("bind loopback");
     let (mut client, hello) = KspClient::connect(server.local_addr()).expect("connect");
     println!(
         "connected to {} — protocol v{}, epoch {}, {} shards",
@@ -282,10 +283,10 @@ fn main() {
         breakdown.decode_micros,
     );
     println!(
-        "connections: {} open; this one has moved {} frames in / {} frames out so far",
-        snap.gauge("ksp_open_connections").unwrap_or(0.0),
-        snap.counter("ksp_connection_frames_in_total"),
-        snap.counter("ksp_connection_frames_out_total"),
+        "connections: {} open; the server has moved {} frames in / {} frames out so far",
+        snap.gauge("ksp_eventloop_open_connections").unwrap_or(0.0),
+        snap.counter("ksp_eventloop_frames_in_total"),
+        snap.counter("ksp_eventloop_frames_out_total"),
     );
     let exposition = client.scrape_text().expect("scrape over the wire");
     let families = exposition.lines().filter(|l| l.starts_with("# TYPE ")).count();
@@ -299,35 +300,29 @@ fn main() {
         println!("    {line}");
     }
 
-    // The same service once more, behind the epoll event loop: identical
-    // frames and byte-identical answers, but the serving thread count is a
-    // small constant instead of one thread per connection — the deployment
-    // shape for a fleet of mostly-idle navigation sessions.
-    #[cfg(target_os = "linux")]
-    {
-        use ksp_dg::serve::EventLoopServer;
-        println!();
-        println!("== event-loop serving showcase (epoll, fixed thread count) ==");
-        let evloop =
-            EventLoopServer::bind(service.clone(), "127.0.0.1:0").expect("bind event loop");
-        let mut sessions: Vec<_> =
-            (0..32).map(|_| KspClient::connect(evloop.local_addr()).expect("connect").0).collect();
-        let q = workload.iter().next().expect("non-empty workload");
-        for session in &mut sessions {
-            session.query(q.source, q.target, q.k).expect("query over the event loop");
-        }
-        let stats = evloop.stats();
-        println!(
-            "{} concurrent sessions answered on {} serving threads \
-             (peak {} connections open, {} frames in / {} frames out, {} rejected)",
-            sessions.len(),
-            evloop.thread_count(),
-            stats.peak_connections,
-            stats.frames_in,
-            stats.frames_out,
-            stats.rejected,
-        );
+    // A fleet of sessions on the same server: the serving thread count is a
+    // small constant, not one thread per connection — the deployment shape
+    // for a fleet of mostly-idle navigation sessions.
+    println!();
+    println!("== session fleet showcase (epoll, fixed thread count) ==");
+    let mut sessions: Vec<_> =
+        (0..32).map(|_| KspClient::connect(server.local_addr()).expect("connect").0).collect();
+    let q = workload.iter().next().expect("non-empty workload");
+    for session in &mut sessions {
+        session.query(q.source, q.target, q.k).expect("query over the event loop");
     }
+    let stats = server.stats();
+    println!(
+        "{} concurrent sessions answered on {} serving threads \
+         (peak {} connections open, {} frames in / {} frames out, {} rejected)",
+        sessions.len(),
+        server.thread_count(),
+        stats.peak_connections,
+        stats.frames_in,
+        stats.frames_out,
+        stats.rejected,
+    );
+    drop(sessions);
 
     // A controlled shutdown checkpoints the final epoch — requested over the
     // wire, so the next run recovers without replaying this run's log.
@@ -345,6 +340,6 @@ fn main() {
         wire.bytes_per_request()
     );
     drop(client);
-    drop(server); // graceful: stops the acceptor and joins connection workers
+    drop(server); // graceful: stops the poller and joins the dispatch workers
     println!("navigation service example finished");
 }

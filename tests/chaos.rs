@@ -17,7 +17,7 @@ use ksp_dg::core::dtlp::DtlpConfig;
 use ksp_dg::fault::{FaultAction, FaultPlan, FaultPoint, Schedule};
 use ksp_dg::graph::{DynamicGraph, UpdateBatch, VertexId};
 use ksp_dg::repl::{Replica, ReplicaConfig, ReplicationSource};
-use ksp_dg::serve::{PublishError, QueryService, ServiceConfig, TcpServer};
+use ksp_dg::serve::{EventLoopServer, PublishError, QueryService, ServiceConfig};
 use ksp_dg::store::{apply_crash_damage, FaultyIo, StorageIo, StoreCodec, StoreConfig, SyncPolicy};
 use ksp_dg::workload::{RoadNetworkConfig, RoadNetworkGenerator, TrafficConfig, TrafficModel};
 use std::path::{Path, PathBuf};
@@ -235,7 +235,7 @@ fn follower_converges_to_byte_identity_through_a_faulty_link() {
     let leader =
         Arc::new(QueryService::start_with_store(graph.clone(), sconfig, &leader_dir, st).unwrap());
     let _source = ReplicationSource::attach(&leader).unwrap();
-    let server = TcpServer::bind(leader.clone(), "127.0.0.1:0").unwrap();
+    let server = EventLoopServer::bind(leader.clone(), "127.0.0.1:0").unwrap();
     let mut traffic = TrafficModel::new(&graph, TrafficConfig::new(0.5, 0.5), 53);
 
     // The replica's every leader connection is wrapped in a FaultTransport

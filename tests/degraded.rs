@@ -13,7 +13,7 @@ use ksp_dg::core::dtlp::DtlpConfig;
 use ksp_dg::fault::{FaultAction, FaultPlan, FaultPoint, Schedule};
 use ksp_dg::graph::VertexId;
 use ksp_dg::proto::{ClientConfig, ClientError, ErrorReply, KspClient, QueryAnswer};
-use ksp_dg::serve::{QueryService, ServiceConfig, TcpServer};
+use ksp_dg::serve::{EventLoopServer, QueryService, ServiceConfig};
 use ksp_dg::store::{FaultyIo, StorageIo, StoreConfig, SyncPolicy};
 use ksp_dg::workload::{RoadNetworkConfig, RoadNetworkGenerator, TrafficConfig, TrafficModel};
 use std::path::PathBuf;
@@ -55,7 +55,7 @@ fn fsync_fault_degrades_to_read_only_then_recovers_and_survives_restart() {
     let io: Arc<dyn StorageIo> = Arc::new(FaultyIo::new(plan.clone()));
     let service =
         Arc::new(QueryService::start_with_store_io(graph.clone(), sconfig, &dir, st, io).unwrap());
-    let mut server = TcpServer::bind(service.clone(), "127.0.0.1:0").unwrap();
+    let mut server = EventLoopServer::bind(service.clone(), "127.0.0.1:0").unwrap();
     let config =
         ClientConfig { io_timeout: Some(Duration::from_secs(10)), ..ClientConfig::default() };
     let (mut client, _hello) = KspClient::connect_with_config(server.local_addr(), config).unwrap();

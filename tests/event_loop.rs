@@ -1,31 +1,35 @@
-//! Integration tests for the epoll event-loop server: the same wire protocol
-//! as `TcpServer`, on a bounded thread count, with SLO-driven admission at
-//! the socket.
+//! Integration tests for the epoll event-loop server: the typed wire
+//! protocol over real loopback TCP, on a bounded thread count, with
+//! SLO-driven admission at the socket.
 //!
-//! Four contracts are proven here:
+//! Five contracts are proven here:
 //!
 //! 1. **Bit-exactness** — answers served through the event loop equal the
 //!    in-process answers byte for byte, for sequential, batched and
-//!    pipelined clients alike.
+//!    pipelined clients alike, and a batch published by one connection is
+//!    visible to every other.
 //! 2. **Reassembly** — a frame dribbled one byte per segment, several frames
 //!    coalesced into one segment, and a frame torn at every possible offset
 //!    all behave exactly as the blocking reader: complete frames answer,
 //!    tears answer typed and disconnect.
-//! 3. **Scale** — a thousand-plus concurrent connections are served with
-//!    correct answers while the process thread count stays flat (the
+//! 3. **Robustness** — malformed frames, CRC corruption, oversized lengths
+//!    and foreign protocol versions are answered with a typed `ErrorReply`
+//!    and a clean disconnect, and the server keeps serving afterwards.
+//! 4. **Scale** — a thousand-plus concurrent connections are served with
+//!    correct answers while the process thread count stays flat (a
 //!    thread-per-connection server would add a thousand threads).
-//! 4. **Admission under burst** — property-tested: whatever mix of idle
+//! 5. **Admission under burst** — property-tested: whatever mix of idle
 //!    connection storms, hot-shard floods and epoch publishes arrives, every
 //!    accepted request is answered byte-identically to in-proc and every
 //!    rejection is a typed `Overloaded` — never a dropped connection.
 
-#![cfg(target_os = "linux")]
-
 use ksp_dg::core::dtlp::DtlpConfig;
 use ksp_dg::graph::{DynamicGraph, VertexId};
+use ksp_dg::obs::EventKind;
 use ksp_dg::proto::frame::{read_frame, write_frame, FrameKind, MAX_FRAME_PAYLOAD};
 use ksp_dg::proto::message::{ErrorReply, QueryKey, Request, Response, PROTOCOL_VERSION};
 use ksp_dg::proto::{ClientError, KspClient};
+use ksp_dg::serve::event_loop::hostile_frame;
 use ksp_dg::serve::{route_shard, EventLoopConfig, EventLoopServer, QueryService, ServiceConfig};
 use ksp_dg::store::StoreCodec;
 use ksp_dg::workload::{
@@ -164,6 +168,14 @@ fn event_loop_answers_are_byte_identical_to_in_proc() {
         }
     });
 
+    // The metrics surface (including the rejected counter) is visible over
+    // the wire.
+    let (mut client, _) = KspClient::connect(addr).unwrap();
+    let metrics = client.metrics().unwrap();
+    assert!(metrics.completed >= 3 * workload.len() as u64);
+    assert_eq!(metrics.rejected, 0);
+    assert_eq!(metrics.queue_gauges.len(), 3);
+
     let stats = server.stats();
     assert!(stats.accepted >= 3);
     assert!(stats.frames_in > 0 && stats.frames_out > 0);
@@ -218,6 +230,18 @@ fn publishes_over_the_event_loop_are_visible_to_every_connection() {
     let over_wire = reader_conn.query(VertexId(0), last, 3).unwrap();
     let direct = service.query(VertexId(0), last, 3).unwrap();
     assert_answers_match(&over_wire.paths, &direct.paths, over_wire.epoch, direct.epoch);
+
+    // An invalid batch is rejected typed over the wire and publishes nothing.
+    use ksp_dg::graph::{EdgeId, UpdateBatch, Weight, WeightUpdate};
+    let bogus = UpdateBatch::new(vec![WeightUpdate::new(
+        EdgeId(graph.num_edges() as u32 + 50),
+        Weight::new(1.0),
+    )]);
+    match writer_conn.apply_batch(&bogus) {
+        Err(ClientError::Server(ErrorReply::InvalidBatch(_))) => {}
+        other => panic!("invalid batch must fail typed, got {other:?}"),
+    }
+    assert_eq!(service.current_epoch(), 2);
 }
 
 #[test]
@@ -300,7 +324,7 @@ fn dribbled_coalesced_and_torn_frames_reassemble_exactly() {
 
 #[test]
 fn hostile_frames_fail_typed_and_the_event_loop_survives() {
-    let (server, _service, graph) = default_server(120, 2, 43);
+    let (server, service, graph) = default_server(120, 2, 43);
     let addr = server.local_addr();
     let last = VertexId(graph.num_vertices() as u32 - 1);
 
@@ -316,6 +340,10 @@ fn hostile_frames_fail_typed_and_the_event_loop_survives() {
             other => panic!("expected a typed Malformed reply, got {other:?}"),
         }
         assert_disconnected(&mut conn);
+        // The incident is a flight-recorder anomaly with its reason code.
+        let dump = service.observability().flight().last_dump().expect("hostile frame dumps");
+        assert_eq!(dump.cause.kind, EventKind::HostileFrame);
+        assert_eq!(dump.cause.a, hostile_frame::FRAMING_LOST);
     }
 
     // (b) CRC mismatch.
@@ -405,9 +433,29 @@ fn hostile_frames_fail_typed_and_the_event_loop_survives() {
         assert_disconnected(&mut conn);
     }
 
+    // (g) A current-version frame whose Ping announces a foreign version:
+    // the handshake fails typed and disconnects, while a connection opened
+    // before it keeps working.
+    let (mut client, _) = KspClient::connect(addr).unwrap();
+    {
+        let mut frame = Vec::new();
+        write_frame(&mut frame, FrameKind::Request, &Request::ping_legacy(2).to_bytes()).unwrap();
+        let mut conn = raw_conn(addr);
+        conn.write_all(&frame).unwrap();
+        conn.flush().unwrap();
+        match read_response(&mut conn) {
+            Some(Response::Error(ErrorReply::UnsupportedVersion { server, client })) => {
+                assert_eq!(server, PROTOCOL_VERSION);
+                assert_eq!(client, 2);
+            }
+            other => panic!("expected UnsupportedVersion, got {other:?}"),
+        }
+        assert_disconnected(&mut conn);
+    }
+    assert!(client.ping().is_ok());
+
     // After the abuse, a well-formed client is still served, and the hostile
     // incidents were counted.
-    let (mut client, _) = KspClient::connect(addr).unwrap();
     let answer = client.query(VertexId(0), last, 2).unwrap();
     assert!(!answer.paths.is_empty(), "server must keep serving after hostile clients");
     assert!(server.stats().hostile_frames >= 6);

@@ -1,5 +1,6 @@
 //! Integration tests for the observability subsystem, end to end: a
-//! `QueryService` behind a loopback `TcpServer`, scraped through `KspClient`.
+//! `QueryService` behind a loopback `EventLoopServer`, scraped through
+//! `KspClient`.
 //!
 //! Three contracts are proven here:
 //!
@@ -17,7 +18,7 @@
 use ksp_dg::core::dtlp::DtlpConfig;
 use ksp_dg::obs::{EventKind, FlightRecorder, Stage};
 use ksp_dg::proto::KspClient;
-use ksp_dg::serve::{QueryService, ServiceConfig, TcpServer};
+use ksp_dg::serve::{EventLoopServer, QueryService, ServiceConfig};
 use ksp_dg::workload::{
     QueryWorkload, QueryWorkloadConfig, RoadNetworkConfig, RoadNetworkGenerator, TrafficConfig,
     TrafficModel,
@@ -30,13 +31,13 @@ fn start_server(
     n: usize,
     config: ServiceConfig,
     seed: u64,
-) -> (TcpServer, Arc<QueryService>, ksp_dg::graph::DynamicGraph) {
+) -> (EventLoopServer, Arc<QueryService>, ksp_dg::graph::DynamicGraph) {
     let graph = RoadNetworkGenerator::new(RoadNetworkConfig::with_vertices(n))
         .generate(seed)
         .unwrap()
         .graph;
     let service = Arc::new(QueryService::start(graph.clone(), config).unwrap());
-    let server = TcpServer::bind(service.clone(), "127.0.0.1:0").unwrap();
+    let server = EventLoopServer::bind(service.clone(), "127.0.0.1:0").unwrap();
     (server, service, graph)
 }
 
@@ -277,10 +278,10 @@ fn scrape_text_is_well_formed_prometheus_exposition() {
     for family in [
         "ksp_publish_stage_duration_seconds",
         "ksp_publish_duration_seconds",
-        "ksp_connection_frames_in_total",
-        "ksp_connection_bytes_out_total",
+        "ksp_eventloop_frames_in_total",
+        "ksp_eventloop_bytes_out_total",
         "ksp_flight_overwritten_total",
-        "ksp_open_connections",
+        "ksp_eventloop_open_connections",
     ] {
         assert!(types.contains_key(family), "missing family {family}");
     }

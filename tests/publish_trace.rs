@@ -22,7 +22,7 @@ use ksp_dg::core::dtlp::DtlpConfig;
 use ksp_dg::graph::VertexId;
 use ksp_dg::obs::{EventKind, ObsSnapshot, PublishStage};
 use ksp_dg::proto::KspClient;
-use ksp_dg::serve::{QueryService, ServiceConfig, TcpServer};
+use ksp_dg::serve::{EventLoopServer, QueryService, ServiceConfig};
 use ksp_dg::store::{StoreConfig, SyncPolicy};
 use ksp_dg::workload::{RoadNetworkConfig, RoadNetworkGenerator, TrafficConfig, TrafficModel};
 use proptest::prelude::*;
@@ -77,7 +77,7 @@ fn persistent_publishes_decompose_exactly_over_the_wire() {
     let service = Arc::new(
         QueryService::start_with_store(graph.clone(), config, &dir, store_config).unwrap(),
     );
-    let server = TcpServer::bind(service.clone(), "127.0.0.1:0").unwrap();
+    let server = EventLoopServer::bind(service.clone(), "127.0.0.1:0").unwrap();
     let (mut client, _) = KspClient::connect(server.local_addr()).unwrap();
 
     let mut traffic = TrafficModel::new(&graph, TrafficConfig::new(0.4, 0.4), 7);
@@ -186,7 +186,7 @@ fn slo_breach_dump_resolves_to_the_clients_own_trace_id() {
         .unwrap()
         .graph;
     let service = Arc::new(QueryService::start(graph.clone(), config).unwrap());
-    let server = TcpServer::bind(service.clone(), "127.0.0.1:0").unwrap();
+    let server = EventLoopServer::bind(service.clone(), "127.0.0.1:0").unwrap();
     let (mut client, _) = KspClient::connect(server.local_addr()).unwrap();
 
     let last = VertexId(graph.num_vertices() as u32 - 1);
@@ -231,7 +231,7 @@ fn untraced_clients_still_get_untraced_replies() {
         .unwrap()
         .graph;
     let service = Arc::new(QueryService::start(graph.clone(), config).unwrap());
-    let server = TcpServer::bind(service.clone(), "127.0.0.1:0").unwrap();
+    let server = EventLoopServer::bind(service.clone(), "127.0.0.1:0").unwrap();
     let (mut client, _) = KspClient::connect(server.local_addr()).unwrap();
     client.set_tracing(false);
 

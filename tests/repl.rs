@@ -13,7 +13,7 @@ use ksp_dg::core::dtlp::DtlpConfig;
 use ksp_dg::graph::{DynamicGraph, VertexId};
 use ksp_dg::proto::KspClient;
 use ksp_dg::repl::{Replica, ReplicaConfig, ReplicationSource};
-use ksp_dg::serve::{QueryService, ServiceConfig, TcpServer};
+use ksp_dg::serve::{EventLoopServer, QueryService, ServiceConfig};
 use ksp_dg::store::{StoreCodec, StoreConfig, SyncPolicy};
 use ksp_dg::workload::{RoadNetworkConfig, RoadNetworkGenerator, TrafficConfig, TrafficModel};
 use std::path::PathBuf;
@@ -62,7 +62,7 @@ fn follower_replays_to_byte_identity_over_a_real_socket() {
             .unwrap(),
     );
     let source = ReplicationSource::attach(&leader).unwrap();
-    let server = TcpServer::bind(leader.clone(), "127.0.0.1:0").unwrap();
+    let server = EventLoopServer::bind(leader.clone(), "127.0.0.1:0").unwrap();
 
     let mut traffic = TrafficModel::new(&graph, TrafficConfig::new(0.5, 0.5), 9);
     for _ in 0..3 {
@@ -138,7 +138,7 @@ fn pruned_log_falls_back_to_snapshot_for_laggards_and_late_joiners() {
     let leader =
         Arc::new(QueryService::start_with_store(graph.clone(), sconfig, &leader_dir, st).unwrap());
     let source = ReplicationSource::attach(&leader).unwrap();
-    let server = TcpServer::bind(leader.clone(), "127.0.0.1:0").unwrap();
+    let server = EventLoopServer::bind(leader.clone(), "127.0.0.1:0").unwrap();
     let mut traffic = TrafficModel::new(&graph, TrafficConfig::new(0.5, 0.5), 41);
 
     // A follower catches up to epoch 4 (its shipping crossed at least one
@@ -207,7 +207,7 @@ fn staleness_bound_and_warm_failover_promotion() {
             .unwrap(),
     );
     let source = ReplicationSource::attach(&leader).unwrap();
-    let server = TcpServer::bind(leader.clone(), "127.0.0.1:0").unwrap();
+    let server = EventLoopServer::bind(leader.clone(), "127.0.0.1:0").unwrap();
     let mut traffic = TrafficModel::new(&graph, TrafficConfig::new(0.5, 0.5), 83);
     for _ in 0..6 {
         leader.apply_batch(&traffic.next_snapshot()).unwrap();
