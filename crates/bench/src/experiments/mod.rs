@@ -7,14 +7,9 @@
 
 pub mod ablation;
 pub mod baselines;
-pub mod chaos;
 pub mod dtlp;
 pub mod kspdg;
-pub mod obs;
-pub mod persistence;
-pub mod repl;
 pub mod scaling;
-pub mod serve;
 
 use crate::report::Table;
 use crate::Scale;
@@ -50,12 +45,6 @@ pub fn catalogue() -> Vec<(&'static str, &'static str)> {
         ("fig46", "Figure 46: relative speedups vs servers"),
         ("loadbal", "Section 6.6: per-server CPU/memory load balance"),
         ("ablation", "Ablation: vfrags, xi, MFP-tree backend, partial-path cache"),
-        ("serve", "Serving: closed-loop throughput/latency vs shards with live epochs"),
-        ("serve_tcp", "Serving: in-proc vs TCP transport, protocol wire-byte cost"),
-        ("persistence", "Storage: cold-start-from-checkpoint vs full rebuild, store verify"),
-        ("obs", "Observability: per-stage latency decomposition, interval counters, scrape"),
-        ("repl", "Replication: log shipping, snapshot fallback, warm failover vs cold recovery"),
-        ("chaos", "Robustness: seeded fault injection, degraded mode, crash/recover byte identity"),
     ]
 }
 
@@ -89,12 +78,6 @@ pub fn run(id: &str, scale: Scale) -> Option<Vec<Table>> {
         "fig46" => scaling::fig46(scale),
         "loadbal" => scaling::load_balance(scale),
         "ablation" => ablation::run(scale),
-        "serve" => serve::serve_throughput(scale),
-        "serve_tcp" => serve::serve_tcp(scale),
-        "persistence" => persistence::persistence(scale),
-        "obs" => obs::observability(scale),
-        "repl" => repl::repl(scale),
-        "chaos" => chaos::chaos(scale),
         _ => return None,
     };
     Some(tables)

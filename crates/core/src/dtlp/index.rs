@@ -274,28 +274,6 @@ impl DtlpIndex {
         })
     }
 
-    /// A clone that shares no allocation with `self`: every per-subgraph index
-    /// and every shared table is duplicated. This is exactly the
-    /// clone-the-world publish cost the copy-on-write representation removed;
-    /// the `epoch_publish` benchmark uses it as the baseline, and sharing
-    /// tests use it as a guaranteed-unshared control.
-    pub fn deep_clone(&self) -> Self {
-        DtlpIndex {
-            config: self.config,
-            directed: self.directed,
-            subgraph_indexes: self
-                .subgraph_indexes
-                .iter()
-                .map(|idx| Arc::new(idx.deep_clone()))
-                .collect(),
-            vertex_subgraphs: Arc::new((*self.vertex_subgraphs).clone()),
-            edge_owner: Arc::new((*self.edge_owner).clone()),
-            boundary: Arc::new((*self.boundary).clone()),
-            skeleton: Arc::new((*self.skeleton).clone()),
-            build_stats: self.build_stats.clone(),
-        }
-    }
-
     /// The configuration this index was built with.
     pub fn config(&self) -> &DtlpConfig {
         &self.config
@@ -713,16 +691,6 @@ mod tests {
         );
         // The auxiliary tables are shared wholesale.
         assert_eq!(base.boundary_vertices(), next.boundary_vertices());
-
-        // A deep clone shares nothing.
-        let deep = next.deep_clone();
-        for id in 0..next.num_subgraphs() {
-            let id = ksp_graph::SubgraphId(id as u32);
-            assert!(!std::sync::Arc::ptr_eq(
-                next.subgraph_index_handle(id),
-                deep.subgraph_index_handle(id)
-            ));
-        }
     }
 
     #[test]

@@ -158,18 +158,6 @@ impl SubgraphIndex {
         &self.subgraph
     }
 
-    /// A clone that shares nothing with `self`: every `Arc`'d component is
-    /// reallocated. This is the "clone the whole index per epoch" behaviour
-    /// the copy-on-write publish path replaced; it exists as the baseline for
-    /// the `epoch_publish` benchmark and for tests that must rule out
-    /// accidental sharing.
-    pub fn deep_clone(&self) -> Self {
-        let mut copy = self.clone();
-        copy.subgraph = Arc::new((*self.subgraph).clone());
-        copy.backend = Arc::new((*self.backend).clone());
-        copy
-    }
-
     /// The bounding-path sets, one per indexed boundary pair.
     pub fn pairs(&self) -> &[BoundingPathSet] {
         &self.pairs

@@ -14,10 +14,8 @@ use crate::message::{
 };
 use crate::transport::{TcpTransport, Transport, TransportError, TransportStats};
 use ksp_graph::{UpdateBatch, VertexId};
-use ksp_obs::LatencyHistogram;
 use std::net::ToSocketAddrs;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Process-wide client id allocator: every `KspClient` gets a distinct id so
@@ -46,11 +44,6 @@ pub struct LatencyBreakdown {
     pub server_micros: u64,
     /// Microseconds decoding response payloads.
     pub decode_micros: u64,
-    /// Overload retries performed under
-    /// [`ClientConfig::retry_on_overload`]; `0` when the policy is off (the
-    /// default) or never triggered. Each retry's backoff sleep is *included*
-    /// in `total_micros` — a retried call is one client-perceived call.
-    pub retries: u64,
 }
 
 /// What the server reported during the `Ping` handshake.
@@ -68,51 +61,16 @@ pub struct HandshakeInfo {
     pub negotiated_version: u32,
 }
 
-/// Client-side policy knobs.
-///
-/// The retry policy implements *decorrelated jitter*: each backoff is drawn
-/// uniformly from `[base_backoff_ms, 3 × previous_sleep]` (clamped to
-/// `max_backoff_ms`), and never below the server's `retry_after_ms` hint when
-/// one was carried — so a fleet of rejected clients decorrelates instead of
-/// retrying in lockstep, while still honouring the server's own estimate of
-/// when capacity returns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Client-side connection knobs. An [`ErrorReply::Overloaded`] rejection is
+/// never retried behind the caller's back: it surfaces as
+/// [`ClientError::Server`], carrying the server's `retry_after_ms` hint.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClientConfig {
-    /// Whether [`ErrorReply::Overloaded`] rejections are retried after a
-    /// backoff instead of surfaced. Off by default: a load generator must
-    /// observe rejections, and retries amplify overload unless an operator
-    /// opts in deliberately.
-    pub retry_on_overload: bool,
-    /// Maximum retries per call before the rejection surfaces anyway.
-    pub max_retries: u32,
-    /// Lower bound of every backoff draw, milliseconds.
-    pub base_backoff_ms: u64,
-    /// Upper clamp on any single backoff sleep, milliseconds.
-    pub max_backoff_ms: u64,
     /// Deadline applied to the TCP connect and to every individual socket
     /// read and write ([`KspClient::connect_with_config`]). An expired
     /// deadline surfaces as [`ClientError::TimedOut`]. `None` (the default)
     /// blocks forever — the pre-deadline behaviour.
     pub io_timeout: Option<Duration>,
-}
-
-impl Default for ClientConfig {
-    fn default() -> Self {
-        ClientConfig {
-            retry_on_overload: false,
-            max_retries: 3,
-            base_backoff_ms: 5,
-            max_backoff_ms: 500,
-            io_timeout: None,
-        }
-    }
-}
-
-impl ClientConfig {
-    /// The opt-in retry policy with default bounds.
-    pub fn retrying() -> Self {
-        ClientConfig { retry_on_overload: true, ..ClientConfig::default() }
-    }
 }
 
 /// Why a client call failed.
@@ -194,14 +152,6 @@ pub struct KspClient<T: Transport> {
     last_trace_id: u64,
     total_micros: u64,
     server_micros: u64,
-    perceived: Option<Arc<LatencyHistogram>>,
-    config: ClientConfig,
-    retries: u64,
-    /// Previous backoff sleep in ms — the decorrelated-jitter state.
-    prev_backoff_ms: u64,
-    /// xorshift64 state for the jitter draws; seeded from the client id so
-    /// concurrent clients decorrelate without any shared randomness source.
-    jitter_state: u64,
 }
 
 impl KspClient<TcpTransport> {
@@ -229,8 +179,7 @@ impl KspClient<TcpTransport> {
     ) -> Result<(Self, HandshakeInfo), ClientError> {
         let transport = TcpTransport::connect_timeout(addr, config.io_timeout)
             .map_err(|e| ClientError::from(TransportError::from(e)))?;
-        let (client, info) = Self::handshake(transport)?;
-        Ok((client.with_config(config), info))
+        Self::handshake(transport)
     }
 }
 
@@ -238,39 +187,16 @@ impl<T: Transport> KspClient<T> {
     /// Wraps a transport without a handshake. Useful for in-process
     /// transports, where both ends are the same build by construction.
     pub fn new(transport: T) -> Self {
-        let client_id = NEXT_CLIENT_ID.fetch_add(1, Ordering::Relaxed);
         KspClient {
             transport,
             origin: Instant::now(),
-            client_id,
+            client_id: NEXT_CLIENT_ID.fetch_add(1, Ordering::Relaxed),
             requests_sent: 0,
             tracing: true,
             last_trace_id: 0,
             total_micros: 0,
             server_micros: 0,
-            perceived: None,
-            config: ClientConfig::default(),
-            retries: 0,
-            prev_backoff_ms: 0,
-            jitter_state: client_id.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1,
         }
-    }
-
-    /// Replaces the client's policy knobs (retry behaviour).
-    pub fn set_config(&mut self, config: ClientConfig) {
-        self.config = config;
-    }
-
-    /// Builder-style [`KspClient::set_config`].
-    pub fn with_config(mut self, config: ClientConfig) -> Self {
-        self.set_config(config);
-        self
-    }
-
-    /// Overload retries performed so far under
-    /// [`ClientConfig::retry_on_overload`].
-    pub fn retries(&self) -> u64 {
-        self.retries
     }
 
     /// Wraps a transport and performs the `Ping` version handshake.
@@ -292,13 +218,6 @@ impl<T: Transport> KspClient<T> {
         self.last_trace_id
     }
 
-    /// Installs a shared sink recording the client-perceived wall-clock
-    /// latency of every call. Several clients can share one histogram to
-    /// build a fleet-wide perceived-latency distribution.
-    pub fn set_perceived_sink(&mut self, sink: Arc<LatencyHistogram>) {
-        self.perceived = Some(sink);
-    }
-
     /// Decomposes cumulative client-perceived latency into
     /// serialize / network / server / decode buckets.
     pub fn latency_breakdown(&self) -> LatencyBreakdown {
@@ -310,7 +229,6 @@ impl<T: Transport> KspClient<T> {
             network_micros: self.total_micros.saturating_sub(attributed),
             server_micros: self.server_micros,
             decode_micros: stats.decode_micros,
-            retries: self.retries,
         }
     }
 
@@ -429,11 +347,7 @@ impl<T: Transport> KspClient<T> {
             })
             .collect();
         let responses = self.transport.pipeline(requests)?;
-        let elapsed = started.elapsed().as_micros().min(u64::MAX as u128) as u64;
-        self.total_micros += elapsed;
-        if let Some(sink) = &self.perceived {
-            sink.record_micros(elapsed);
-        }
+        self.total_micros += started.elapsed().as_micros().min(u64::MAX as u128) as u64;
         responses
             .into_iter()
             .map(|response| {
@@ -498,62 +412,7 @@ impl<T: Transport> KspClient<T> {
         self.transport.stats()
     }
 
-    /// Consumes the client, returning its transport.
-    pub fn into_transport(self) -> T {
-        self.transport
-    }
-
     fn call(&mut self, request: Request) -> Result<Response, ClientError> {
-        if !self.config.retry_on_overload {
-            return self.call_once(request);
-        }
-        let mut attempt = 0u32;
-        loop {
-            let result = self.call_once(request.clone());
-            let hint = match &result {
-                Err(ClientError::Server(e)) if e.is_overloaded() => e.retry_after_ms(),
-                _ => return result,
-            };
-            if attempt >= self.config.max_retries {
-                return result;
-            }
-            attempt += 1;
-            self.retries += 1;
-            let backoff = Duration::from_millis(self.next_backoff_ms(hint));
-            let slept = Instant::now();
-            std::thread::sleep(backoff);
-            // The backoff is part of what this caller perceived for the call.
-            self.total_micros += slept.elapsed().as_micros().min(u64::MAX as u128) as u64;
-        }
-    }
-
-    /// Draws the next decorrelated-jitter backoff: uniform in
-    /// `[base, 3 × previous]`, clamped to the configured maximum, then
-    /// floored by the server's `retry_after_ms` hint when one was carried.
-    fn next_backoff_ms(&mut self, hint: Option<u64>) -> u64 {
-        let base = self.config.base_backoff_ms.max(1);
-        let prev = self.prev_backoff_ms.max(base);
-        let span = prev.saturating_mul(3).saturating_sub(base).max(1);
-        let draw = base.saturating_add(self.next_jitter() % span);
-        let mut sleep = draw.min(self.config.max_backoff_ms.max(base));
-        if let Some(hint) = hint {
-            sleep = sleep.max(hint);
-        }
-        self.prev_backoff_ms = sleep;
-        sleep
-    }
-
-    /// xorshift64 — deterministic per client, decorrelated across clients.
-    fn next_jitter(&mut self) -> u64 {
-        let mut x = self.jitter_state;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.jitter_state = x;
-        x
-    }
-
-    fn call_once(&mut self, request: Request) -> Result<Response, ClientError> {
         let started = Instant::now();
         let (sent_trace, request) = if self.tracing {
             let trace = self.next_trace();
@@ -563,11 +422,7 @@ impl<T: Transport> KspClient<T> {
             (None, request)
         };
         let response = self.transport.roundtrip(request)?;
-        let elapsed = started.elapsed().as_micros().min(u64::MAX as u128) as u64;
-        self.total_micros += elapsed;
-        if let Some(sink) = &self.perceived {
-            sink.record_micros(elapsed);
-        }
+        self.total_micros += started.elapsed().as_micros().min(u64::MAX as u128) as u64;
         // Unwrap the trace envelope *before* the error check: the server
         // echoes `Traced` around typed error replies too.
         let (echoed, response) = response.into_parts();
@@ -599,103 +454,5 @@ impl<T: Transport> KspClient<T> {
             }
             _ => {}
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::message::{ErrorReply, PROTOCOL_VERSION, PROTOCOL_VERSION_MAX};
-
-    /// Rejects the first `rejections_left` calls with a typed `Overloaded`
-    /// carrying a 1 ms hint, then answers every call with a Pong.
-    struct FlakyTransport {
-        rejections_left: u32,
-        calls: u32,
-    }
-
-    impl Transport for FlakyTransport {
-        fn roundtrip(&mut self, _request: Request) -> Result<Response, TransportError> {
-            self.calls += 1;
-            if self.rejections_left > 0 {
-                self.rejections_left -= 1;
-                return Ok(Response::Error(ErrorReply::Overloaded { depth: 7, retry_after_ms: 1 }));
-            }
-            Ok(Response::Pong {
-                protocol_version: PROTOCOL_VERSION,
-                epoch: 4,
-                num_shards: 1,
-                negotiated_version: PROTOCOL_VERSION_MAX,
-            })
-        }
-
-        fn stats(&self) -> TransportStats {
-            TransportStats::default()
-        }
-    }
-
-    fn fast_retrying(max_retries: u32) -> ClientConfig {
-        ClientConfig {
-            retry_on_overload: true,
-            max_retries,
-            base_backoff_ms: 1,
-            max_backoff_ms: 2,
-            ..ClientConfig::default()
-        }
-    }
-
-    #[test]
-    fn overload_retry_is_off_by_default() {
-        let mut client = KspClient::new(FlakyTransport { rejections_left: 1, calls: 0 });
-        assert!(matches!(client.ping(), Err(ClientError::Server(e)) if e.is_overloaded()));
-        assert_eq!(client.retries(), 0);
-        assert_eq!(client.into_transport().calls, 1, "no hidden retry without opting in");
-    }
-
-    #[test]
-    fn overload_retry_absorbs_transient_rejections() {
-        let mut client = KspClient::new(FlakyTransport { rejections_left: 2, calls: 0 })
-            .with_config(fast_retrying(3));
-        let hello = client.ping().expect("two rejections are under the retry budget");
-        assert_eq!(hello.epoch, 4);
-        assert_eq!(client.retries(), 2);
-        assert!(
-            client.latency_breakdown().total_micros >= 2_000,
-            "the backoff sleeps ride the perceived latency"
-        );
-        assert_eq!(client.latency_breakdown().retries, 2);
-        assert_eq!(client.into_transport().calls, 3);
-    }
-
-    #[test]
-    fn overload_retry_is_bounded() {
-        let mut client = KspClient::new(FlakyTransport { rejections_left: 10, calls: 0 })
-            .with_config(fast_retrying(2));
-        assert!(matches!(client.ping(), Err(ClientError::Server(e)) if e.is_overloaded()));
-        assert_eq!(client.retries(), 2);
-        assert_eq!(client.into_transport().calls, 3, "initial call plus exactly max_retries");
-    }
-
-    #[test]
-    fn backoff_is_decorrelated_hint_floored_and_clamped() {
-        let mut client = KspClient::new(FlakyTransport { rejections_left: 0, calls: 0 })
-            .with_config(ClientConfig {
-                retry_on_overload: true,
-                max_retries: 8,
-                base_backoff_ms: 2,
-                max_backoff_ms: 50,
-                ..ClientConfig::default()
-            });
-        let mut prev = 0u64;
-        for _ in 0..32 {
-            let sleep = client.next_backoff_ms(None);
-            assert!((2..=50).contains(&sleep), "draw {sleep} must stay in [base, max]");
-            // Decorrelated jitter: the window grows from the previous draw,
-            // never from a fixed schedule.
-            assert!(sleep <= prev.max(2) * 3);
-            prev = sleep;
-        }
-        // A server hint floors the draw.
-        assert!(client.next_backoff_ms(Some(40)) >= 40);
     }
 }

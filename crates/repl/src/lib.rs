@@ -29,8 +29,8 @@
 //!   declares the already-running service the new authority — promotion takes
 //!   milliseconds (no index build, no log replay, no image load), versus a
 //!   cold [`Store::recover`](ksp_store::Store::recover) start paying image
-//!   decode plus replay. The `repl` experiment in `ksp-bench` measures the
-//!   gap.
+//!   decode plus replay. The ledger's `repl.promote_us` and
+//!   `store.recovery_ms` rows measure the gap.
 //!
 //! The wire surface is versioned: replication requests ride protocol
 //! version 2, negotiated through the extended `Ping` handshake, and a v1-only

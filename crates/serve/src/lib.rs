@@ -11,8 +11,7 @@
 //!   and never observe a torn graph/index combination. Publication is
 //!   **copy-on-write**: consecutive epochs share the graph topology, every
 //!   untouched per-subgraph index and the auxiliary tables, so staging an
-//!   epoch costs O(batch) rather than O(index) (the `epoch_publish` bench
-//!   measures the gap against the old clone-everything path).
+//!   epoch costs O(batch) rather than O(index).
 //! * [`service`] — the [`QueryService`]: a sharded pool of worker threads with
 //!   per-shard **bounded queues** (reject-with-backpressure admission control),
 //!   request **batching** (one epoch load per drained batch), and **work
@@ -35,11 +34,8 @@
 //!   epoch — so under steady small-batch churn the hit rate tracks update
 //!   locality instead of collapsing to zero at every publish.
 //! * [`metrics`] — lock-free latency histograms (p50/p95/p99), cache hit rate,
-//!   retention/steal counters, and per-shard busy accounting exported through
-//!   `ksp-cluster`'s [`ServerLoad`](ksp_cluster::ServerLoad) so the
-//!   Section 6.6 load-balance reporting applies to service shards. All
-//!   counters are cumulative-monotonic; [`MetricsReport::delta_since`] turns
-//!   two reports into per-interval increments.
+//!   retention/steal counters and per-shard queue gauges. All counters are
+//!   cumulative-monotonic.
 //! * **observability** (via `ksp-obs`) — every request carries a
 //!   [`RequestSpan`](ksp_obs::RequestSpan) stamped at each stage boundary
 //!   (admission → queue/steal → cache → engine → trace-sweep → reply); the
@@ -51,12 +47,6 @@
 //!   publish stall). [`QueryService::obs_snapshot`] exports the lot, and
 //!   [`QueryService::render_exposition`] renders it in the Prometheus text
 //!   format.
-//! * [`driver`] — a **closed-loop load driver** replaying a
-//!   [`QueryWorkload`](ksp_workload::QueryWorkload) from many client threads
-//!   while a [`TrafficModel`](ksp_workload::TrafficModel) publishes epochs;
-//!   [`run_closed_loop_over`] is the same loop generalised over any
-//!   `ksp-proto` [`Transport`](ksp_proto::Transport), reporting physical wire
-//!   bytes alongside throughput.
 //! * [`rpc`] — the **protocol endpoint**: [`QueryService::handle`] dispatches
 //!   `ksp-proto`'s typed [`Request`](ksp_proto::Request)s, and the zero-copy
 //!   [`InProcTransport`] serves same-process clients.
@@ -110,7 +100,6 @@ compile_error!("ksp-serve serves over epoll and builds for Linux only");
 
 pub mod admission;
 pub mod cache;
-pub mod driver;
 pub mod epoch;
 pub mod event_loop;
 pub mod metrics;
@@ -119,13 +108,9 @@ pub mod service;
 
 pub use admission::{AdmissionConfig, QueueFull, TimedPop};
 pub use cache::{CacheKey, CacheRetention, ResultCache};
-pub use driver::{
-    run_closed_loop, run_closed_loop_over, run_open_loop_over, LoadDriverConfig, LoadReport,
-    OpenLoopConfig, OpenLoopReport, WireLoadReport,
-};
 pub use epoch::{EpochPointer, EpochSnapshot};
 pub use event_loop::{EventLoopConfig, EventLoopServer, EventLoopStats};
-pub use metrics::{LatencyHistogram, MetricsDelta, MetricsReport, ServiceMetrics, ShardQueueGauge};
+pub use metrics::{LatencyHistogram, MetricsReport, ServiceMetrics, ShardQueueGauge};
 pub use rpc::{wire_metrics, InProcTransport, ReplicationHook};
 pub use service::{
     route_shard, Observability, PublishError, QueryResponse, QueryService, ServiceConfig,

@@ -1,12 +1,10 @@
 //! Latency/throughput metrics for the serving subsystem.
 //!
 //! Everything on the hot path is an atomic counter: workers record into a
-//! log-scale latency histogram and per-shard busy-time counters without locks,
+//! log-scale latency histogram and per-shard steal counters without locks,
 //! and [`ServiceMetrics::report`] folds the counters into the summary the
 //! operator cares about — p50/p95/p99 latency, cache hit rate, admission
-//! rejections and epochs published. Per-shard busy time is exported through the
-//! measurement cluster's [`ServerLoad`] accounting so the same load-balance
-//! reporting used for the paper's Section 6.6 figures applies to service shards.
+//! rejections and epochs published.
 //!
 //! The histogram type itself lives in `ksp-obs` (re-exported here), which also
 //! supplies the per-stage histograms ([`StageHistograms`]) that span chains
@@ -16,11 +14,9 @@
 //! `completed`, `rejected`, `cache_hits`, `cache_misses`, `epochs_published`,
 //! `cache_retained`, `cache_evicted`, `steals` — is *cumulative-monotonic*
 //! over the service's lifetime: it only ever grows, and a report is a
-//! point-in-time snapshot of the running totals. Rates and per-interval
-//! figures are derived by differencing two reports with
-//! [`MetricsReport::delta_since`], never by resetting counters.
+//! point-in-time snapshot of the running totals. Per-interval figures are the
+//! difference of two reports, never a counter reset.
 
-use ksp_cluster::{LoadBalanceReport, ServerLoad};
 pub use ksp_obs::LatencyHistogram;
 use ksp_obs::{PublishStageHistograms, StageHistograms};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -29,19 +25,10 @@ use std::time::{Duration, Instant};
 /// Per-shard hot-path counters.
 #[derive(Debug, Default)]
 pub struct ShardCounters {
-    busy_nanos: AtomicU64,
-    requests: AtomicU64,
     steals: AtomicU64,
 }
 
 impl ShardCounters {
-    /// Attributes `elapsed` of compute time (one request) to this shard.
-    pub fn record(&self, elapsed: Duration) {
-        self.busy_nanos
-            .fetch_add(elapsed.as_nanos().min(u64::MAX as u128) as u64, Ordering::Relaxed);
-        self.requests.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Records that this shard's worker stole `count` requests from another
     /// shard's queue.
     pub fn record_steals(&self, count: usize) {
@@ -51,15 +38,6 @@ impl ShardCounters {
     /// Requests this shard's worker stole from other shards so far.
     pub fn steals(&self) -> u64 {
         self.steals.load(Ordering::Relaxed)
-    }
-
-    /// Converts the counters into the cluster's per-server accounting record.
-    pub fn as_server_load(&self) -> ServerLoad {
-        ServerLoad {
-            busy_time: Duration::from_nanos(self.busy_nanos.load(Ordering::Relaxed)),
-            items_processed: self.requests.load(Ordering::Relaxed) as usize,
-            memory_bytes: 0,
-        }
     }
 }
 
@@ -109,7 +87,7 @@ pub struct ServiceMetrics {
     /// Capacity evictions where the trace-size weight overrode plain LRU
     /// order (collected from the per-shard caches at each publish).
     pub cache_weighted_evictions: AtomicU64,
-    /// Per-shard busy accounting.
+    /// Per-shard steal counters.
     pub shards: Vec<ShardCounters>,
     /// When these metrics were created (service boot).
     started: Instant,
@@ -159,7 +137,6 @@ impl ServiceMetrics {
 
     /// Folds the live counters into an immutable report.
     pub fn report(&self) -> MetricsReport {
-        let per_shard: Vec<ServerLoad> = self.shards.iter().map(|s| s.as_server_load()).collect();
         let per_shard_steals: Vec<u64> = self.shards.iter().map(|s| s.steals()).collect();
         let completed = self.completed.load(Ordering::Relaxed);
         let hits = self.cache_hits.load(Ordering::Relaxed);
@@ -187,8 +164,6 @@ impl ServiceMetrics {
             p99: self.latency.quantile(0.99),
             mean: self.latency.mean(),
             max: self.latency.max(),
-            load_balance: LoadBalanceReport::from_loads(&per_shard),
-            per_shard,
             queue_gauges: Vec::new(),
         }
     }
@@ -223,8 +198,7 @@ impl ShardQueueGauge {
 }
 
 /// A point-in-time summary of a service's metrics. All `u64` counters are
-/// cumulative-monotonic (see the module docs); difference two reports with
-/// [`MetricsReport::delta_since`] for per-interval figures.
+/// cumulative-monotonic (see the module docs).
 #[derive(Debug, Clone)]
 pub struct MetricsReport {
     /// Requests answered.
@@ -254,7 +228,7 @@ pub struct MetricsReport {
     /// Requests answered by a worker that stole them from another shard's
     /// queue, total.
     pub steals: u64,
-    /// Steal counts attributed to the *thief* shard, indexed like `per_shard`.
+    /// Steal counts attributed to the *thief* shard, indexed by shard.
     pub per_shard_steals: Vec<u64>,
     /// Time since the last epoch publish when the report was taken (time
     /// since boot, before the first publish) — the staleness gauge a replica
@@ -270,50 +244,10 @@ pub struct MetricsReport {
     pub mean: Duration,
     /// Worst observed end-to-end latency.
     pub max: Duration,
-    /// Busy time and request count attributed to each shard.
-    pub per_shard: Vec<ServerLoad>,
-    /// Shard load balance through the cluster crate's accounting.
-    pub load_balance: LoadBalanceReport,
     /// Per-shard queue backlog gauges (empty when the report was produced
     /// directly from [`ServiceMetrics::report`], which cannot see the queues;
     /// [`crate::QueryService::metrics`] fills them in).
     pub queue_gauges: Vec<ShardQueueGauge>,
-}
-
-/// The counter increments between two [`MetricsReport`]s — what happened
-/// *during* an interval, as opposed to since boot.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MetricsDelta {
-    /// Requests answered in the interval.
-    pub completed: u64,
-    /// Requests rejected in the interval.
-    pub rejected: u64,
-    /// Cache hits in the interval.
-    pub cache_hits: u64,
-    /// Cache misses in the interval.
-    pub cache_misses: u64,
-    /// Epochs published in the interval.
-    pub epochs_published: u64,
-    /// Cache entries retained across publishes in the interval.
-    pub cache_retained: u64,
-    /// Cache entries evicted at publishes in the interval.
-    pub cache_evicted: u64,
-    /// Multi-epoch laggards rescued by the dirty-set ring in the interval.
-    pub cache_ring_retained: u64,
-    /// Requests served via work stealing in the interval.
-    pub steals: u64,
-}
-
-impl MetricsDelta {
-    /// Fraction of the interval's completed requests answered from the cache.
-    pub fn cache_hit_rate(&self) -> f64 {
-        let denom = self.cache_hits + self.cache_misses;
-        if denom == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / denom as f64
-        }
-    }
 }
 
 impl MetricsReport {
@@ -324,23 +258,6 @@ impl MetricsReport {
             0.0
         } else {
             self.cache_hits as f64 / denom as f64
-        }
-    }
-
-    /// The counter increments between `prev` (taken earlier on the same
-    /// service) and this report. Saturating: a mismatched pair (e.g. reports
-    /// from different services) yields zeros rather than wrap-around noise.
-    pub fn delta_since(&self, prev: &MetricsReport) -> MetricsDelta {
-        MetricsDelta {
-            completed: self.completed.saturating_sub(prev.completed),
-            rejected: self.rejected.saturating_sub(prev.rejected),
-            cache_hits: self.cache_hits.saturating_sub(prev.cache_hits),
-            cache_misses: self.cache_misses.saturating_sub(prev.cache_misses),
-            epochs_published: self.epochs_published.saturating_sub(prev.epochs_published),
-            cache_retained: self.cache_retained.saturating_sub(prev.cache_retained),
-            cache_evicted: self.cache_evicted.saturating_sub(prev.cache_evicted),
-            cache_ring_retained: self.cache_ring_retained.saturating_sub(prev.cache_ring_retained),
-            steals: self.steals.saturating_sub(prev.steals),
         }
     }
 }
@@ -355,13 +272,10 @@ mod tests {
         m.cache_hits.fetch_add(3, Ordering::Relaxed);
         m.cache_misses.fetch_add(1, Ordering::Relaxed);
         m.completed.fetch_add(4, Ordering::Relaxed);
-        m.shards[1].record(Duration::from_millis(5));
         m.latency.record(Duration::from_millis(2));
         let report = m.report();
         assert!((report.cache_hit_rate() - 0.75).abs() < 1e-9);
-        assert_eq!(report.per_shard.len(), 3);
-        assert_eq!(report.per_shard[1].items_processed, 1);
-        assert_eq!(report.load_balance.num_servers, 3);
+        assert_eq!(report.per_shard_steals.len(), 3);
         assert!(report.p50 > Duration::ZERO);
     }
 
@@ -421,32 +335,6 @@ mod tests {
         let after = m.epoch_age();
         assert!(after < before, "publish resets the staleness gauge");
         assert!(m.report().epoch_age >= after);
-    }
-
-    #[test]
-    fn delta_since_yields_interval_increments() {
-        let m = ServiceMetrics::new(2);
-        m.completed.fetch_add(10, Ordering::Relaxed);
-        m.cache_hits.fetch_add(4, Ordering::Relaxed);
-        m.cache_misses.fetch_add(6, Ordering::Relaxed);
-        m.epochs_published.fetch_add(2, Ordering::Relaxed);
-        let first = m.report();
-        m.completed.fetch_add(5, Ordering::Relaxed);
-        m.cache_hits.fetch_add(5, Ordering::Relaxed);
-        m.epochs_published.fetch_add(1, Ordering::Relaxed);
-        m.cache_retained.fetch_add(7, Ordering::Relaxed);
-        m.shards[0].record_steals(3);
-        let second = m.report();
-        let delta = second.delta_since(&first);
-        assert_eq!(delta.completed, 5);
-        assert_eq!(delta.cache_hits, 5);
-        assert_eq!(delta.cache_misses, 0);
-        assert_eq!(delta.epochs_published, 1);
-        assert_eq!(delta.cache_retained, 7);
-        assert_eq!(delta.steals, 3);
-        assert_eq!(delta.cache_hit_rate(), 1.0);
-        // Reversed order saturates to zero instead of wrapping.
-        assert_eq!(first.delta_since(&second), MetricsDelta::default());
     }
 
     #[test]

@@ -1473,8 +1473,7 @@ impl Drop for QueryService {
 
 /// FNV-1a over the request identity; stable routing keeps cache affinity.
 ///
-/// Public so workload tooling (the skewed-workload experiment, stress tests)
-/// can *construct* skew — query sets that all hash to one shard — without
+/// Public so workload tooling (stress tests) can *construct* skew — query sets that all hash to one shard — without
 /// depending on the hash's internals.
 pub fn route_shard(source: VertexId, target: VertexId, k: usize, num_shards: usize) -> usize {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -1626,7 +1625,6 @@ fn run_batch(
             }
         };
         let service_time = started.elapsed();
-        metrics.shards[executing_shard].record(service_time);
         // Feed the admission controller's estimator: this service time
         // (cache lookup + engine work, no queue wait) is exactly the
         // per-request cost its queueing-delay prediction multiplies by.

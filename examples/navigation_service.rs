@@ -3,7 +3,7 @@
 //! `QueryService` — sharded workers over epoch snapshots — while traffic keeps
 //! changing underneath.
 //!
-//! Closed-loop clients replay a query workload against the service; an updater
+//! Client threads replay a query workload against the service; an updater
 //! thread publishes a traffic epoch every few milliseconds. Every answer is
 //! exact for the epoch it reports, repeated requests within an epoch hit the
 //! result cache, and the run ends with the latency/throughput/cache summary a
@@ -14,7 +14,7 @@
 //! delta-log replay) instead of paying the full index build again — run the
 //! example twice and compare the reported cold-start times.
 //!
-//! It is also **network-ready**: after the closed-loop run the example binds
+//! It is also **network-ready**: after the concurrent run the example binds
 //! the same service to a loopback TCP port behind the epoll `EventLoopServer`
 //! and talks to it through `KspClient` — version handshake, pipelined
 //! queries, a metrics scrape and a checkpoint request over the typed wire
@@ -28,15 +28,14 @@
 
 use ksp_dg::core::dtlp::DtlpConfig;
 use ksp_dg::proto::{KspClient, QueryKey};
-use ksp_dg::serve::{
-    run_closed_loop, EventLoopServer, LoadDriverConfig, QueryService, ServiceConfig,
-};
+use ksp_dg::serve::{EventLoopServer, QueryService, ServiceConfig, ServiceError};
 use ksp_dg::store::{Store, StoreConfig};
 use ksp_dg::workload::datasets::DatasetScale;
 use ksp_dg::workload::{
     DatasetPreset, QueryWorkload, QueryWorkloadConfig, TrafficConfig, TrafficModel,
 };
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -116,61 +115,81 @@ fn main() {
     );
 
     // Traffic evolves with the paper's default parameters (α = 35 %, τ = 30 %)
-    // while closed-loop clients replay top-3 route requests.
+    // while client threads replay top-3 route requests.
+    const CLIENTS: usize = 8;
+    const REQUESTS_PER_CLIENT: usize = 150;
     let update_cadence = Duration::from_millis(20);
     let mut traffic = TrafficModel::new(&graph, TrafficConfig::default(), 99);
     let workload = QueryWorkload::generate(&graph, QueryWorkloadConfig::new(60, 3), 7);
-    let driver = LoadDriverConfig::new(8, 150).with_updates_every(update_cadence);
     println!(
-        "closed-loop run: {} clients x {} requests, traffic epoch every {:?}",
-        driver.num_clients, driver.requests_per_client, update_cadence,
+        "concurrent run: {CLIENTS} clients x {REQUESTS_PER_CLIENT} requests, \
+         traffic epoch every {update_cadence:?}"
     );
 
-    let report = run_closed_loop(&service, &workload, Some(&mut traffic), driver);
+    let (completed, rejected) = (AtomicUsize::new(0), AtomicUsize::new(0));
+    let clients_done = AtomicBool::new(false);
+    let started = Instant::now();
+    std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|client| {
+                let (service, workload) = (&service, &workload);
+                let (completed, rejected) = (&completed, &rejected);
+                scope.spawn(move || {
+                    for q in workload.cycle_from(client * 7).take(REQUESTS_PER_CLIENT) {
+                        match service.query(q.source, q.target, q.k) {
+                            Ok(_) => completed.fetch_add(1, Ordering::Relaxed),
+                            Err(ServiceError::Overloaded { .. }) => {
+                                rejected.fetch_add(1, Ordering::Relaxed)
+                            }
+                            Err(e) => panic!("query failed: {e}"),
+                        };
+                    }
+                })
+            })
+            .collect();
+        let (service, clients_done) = (&service, &clients_done);
+        scope.spawn(move || {
+            while !clients_done.load(Ordering::Relaxed) {
+                std::thread::sleep(update_cadence);
+                service.apply_batch(&traffic.next_snapshot()).expect("publish");
+            }
+        });
+        for client in clients {
+            client.join().expect("client thread");
+        }
+        clients_done.store(true, Ordering::Relaxed);
+    });
+    let elapsed = started.elapsed();
+    let (completed, rejected) = (completed.into_inner(), rejected.into_inner());
+    let metrics = service.metrics();
 
     println!();
-    println!("== closed-loop serving report ==");
-    println!(
-        "requests: {} completed, {} rejected by admission control",
-        report.completed, report.rejected
-    );
+    println!("== concurrent serving report ==");
+    println!("requests: {completed} completed, {rejected} rejected by admission control");
     println!(
         "throughput: {:.0} queries/s over {:.2} s",
-        report.throughput_qps(),
-        report.elapsed.as_secs_f64()
+        completed as f64 / elapsed.as_secs_f64(),
+        elapsed.as_secs_f64()
     );
     println!(
         "latency: p50 {:.3} ms, p95 {:.3} ms, p99 {:.3} ms (mean {:.3} ms, max {:.3} ms)",
-        report.metrics.p50.as_secs_f64() * 1e3,
-        report.metrics.p95.as_secs_f64() * 1e3,
-        report.metrics.p99.as_secs_f64() * 1e3,
-        report.metrics.mean.as_secs_f64() * 1e3,
-        report.metrics.max.as_secs_f64() * 1e3,
+        metrics.p50.as_secs_f64() * 1e3,
+        metrics.p95.as_secs_f64() * 1e3,
+        metrics.p99.as_secs_f64() * 1e3,
+        metrics.mean.as_secs_f64() * 1e3,
+        metrics.max.as_secs_f64() * 1e3,
     );
     println!(
         "cache: {:.1} % hit rate ({} hits, {} misses)",
-        report.metrics.cache_hit_rate() * 100.0,
-        report.metrics.cache_hits,
-        report.metrics.cache_misses
+        metrics.cache_hit_rate() * 100.0,
+        metrics.cache_hits,
+        metrics.cache_misses
     );
     println!(
-        "epochs: {} published during the run (service now at epoch {}), all logged durably",
-        report.epochs_published,
+        "epochs: {} published since the service started (now at epoch {}), all logged durably",
+        metrics.epochs_published,
         service.current_epoch()
     );
-    println!(
-        "shard balance: busy spread {:.1} % over {} shards (simulated makespan {:.1} ms)",
-        report.metrics.load_balance.busy_spread * 100.0,
-        report.metrics.load_balance.num_servers,
-        report.metrics.load_balance.simulated_makespan().as_secs_f64() * 1e3,
-    );
-    for (i, shard) in report.metrics.per_shard.iter().enumerate() {
-        println!(
-            "    shard {i}: {} requests, {:.1} ms busy",
-            shard.items_processed,
-            shard.busy_time.as_secs_f64() * 1e3
-        );
-    }
 
     // The same service, this time across a socket: bind a loopback TCP
     // endpoint and drive it through the typed wire protocol — the path a

@@ -56,8 +56,7 @@ fn fsync_fault_degrades_to_read_only_then_recovers_and_survives_restart() {
     let service =
         Arc::new(QueryService::start_with_store_io(graph.clone(), sconfig, &dir, st, io).unwrap());
     let mut server = EventLoopServer::bind(service.clone(), "127.0.0.1:0").unwrap();
-    let config =
-        ClientConfig { io_timeout: Some(Duration::from_secs(10)), ..ClientConfig::default() };
+    let config = ClientConfig { io_timeout: Some(Duration::from_secs(10)) };
     let (mut client, _hello) = KspClient::connect_with_config(server.local_addr(), config).unwrap();
 
     let mut traffic = TrafficModel::new(&graph, TrafficConfig::new(0.5, 0.5), 31);

@@ -103,9 +103,12 @@ fn follower_replays_to_byte_identity_over_a_real_socket() {
     let (mut client, hello) = KspClient::connect(server.local_addr()).unwrap();
     assert_eq!(hello.negotiated_version, 2, "handshake must negotiate protocol v2");
     let text = client.scrape_text().unwrap();
-    for family in
-        ["ksp_repl_ship_records_total", "ksp_repl_ship_bytes_total", "ksp_repl_acks_total"]
-    {
+    for family in [
+        "ksp_repl_ship_records_total",
+        "ksp_repl_ship_bytes_total",
+        "ksp_repl_snapshot_fallbacks_total",
+        "ksp_repl_acks_total",
+    ] {
         assert!(text.contains(family), "leader scrape must carry {family}");
     }
     assert!(text.contains("ksp_repl_lag_epochs{follower=\"r1\"}"));
@@ -246,8 +249,8 @@ fn staleness_bound_and_warm_failover_promotion() {
     let cold_started = Instant::now();
     let (cold, _report) = QueryService::open(&leader_dir, sconfig, store_config()).unwrap();
     let cold_duration = cold_started.elapsed();
-    // The magnitude gap is the `repl` experiment's measurement; here just
-    // surface both numbers when running with --nocapture.
+    // The magnitude gap is the ledger's measurement; here just surface both
+    // numbers when running with --nocapture.
     eprintln!("cold recovery {cold_duration:?}");
 
     replica.run().unwrap();

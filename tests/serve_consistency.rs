@@ -7,13 +7,13 @@
 use ksp_dg::algo::yen_ksp;
 use ksp_dg::core::dtlp::DtlpConfig;
 use ksp_dg::graph::DynamicGraph;
-use ksp_dg::serve::{run_closed_loop, LoadDriverConfig, QueryService, ServiceConfig, ServiceError};
+use ksp_dg::serve::{QueryService, ServiceConfig, ServiceError};
 use ksp_dg::workload::{
     QueryWorkload, QueryWorkloadConfig, RoadNetworkConfig, RoadNetworkGenerator, TrafficConfig,
     TrafficModel,
 };
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
 
 fn network(n: usize, seed: u64) -> DynamicGraph {
     RoadNetworkGenerator::new(RoadNetworkConfig::with_vertices(n)).generate(seed).unwrap().graph
@@ -21,7 +21,8 @@ fn network(n: usize, seed: u64) -> DynamicGraph {
 
 /// The central guarantee: under concurrent queries and epoch publishes, every
 /// returned path set exactly matches `yen_ksp` recomputed on that response's
-/// epoch graph.
+/// epoch graph. Every request is answered or explicitly rejected, and the
+/// service's own accounting agrees with what the clients saw.
 #[test]
 fn concurrent_queries_are_exact_for_their_epoch() {
     const CLIENTS: usize = 4;
@@ -45,19 +46,25 @@ fn concurrent_queries_are_exact_for_their_epoch() {
     }
 
     let torn = AtomicUsize::new(0);
+    let answered = AtomicUsize::new(0);
+    let overloaded = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         for client in 0..CLIENTS {
             let service = &service;
             let workload = &workload;
             let per_epoch = &per_epoch;
-            let torn = &torn;
+            let (torn, answered, overloaded) = (&torn, &answered, &overloaded);
             scope.spawn(move || {
                 for q in workload.cycle_from(client * 7).take(REQUESTS_PER_CLIENT) {
                     let response = match service.query(q.source, q.target, q.k) {
                         Ok(r) => r,
-                        Err(ServiceError::Overloaded { .. }) => continue,
+                        Err(ServiceError::Overloaded { .. }) => {
+                            overloaded.fetch_add(1, Ordering::Relaxed);
+                            continue;
+                        }
                         Err(other) => panic!("unexpected error: {other}"),
                     };
+                    answered.fetch_add(1, Ordering::Relaxed);
                     let epoch_graph = &per_epoch[response.epoch as usize];
                     let expected = yen_ksp(epoch_graph, q.source, q.target, q.k);
                     if response.paths.len() != expected.len() {
@@ -97,7 +104,12 @@ fn concurrent_queries_are_exact_for_their_epoch() {
     assert_eq!(torn.load(Ordering::Relaxed), 0, "torn or stale reads detected");
     assert_eq!(service.current_epoch(), EPOCHS as u64);
     let report = service.metrics();
-    assert!(report.completed > 0);
+    let answered = answered.load(Ordering::Relaxed) as u64;
+    assert!(answered > 0);
+    assert_eq!(report.completed, answered);
+    assert_eq!(report.rejected, overloaded.load(Ordering::Relaxed) as u64);
+    assert_eq!(report.cache_hits + report.cache_misses, report.completed);
+    assert!(report.p50 <= report.p95 && report.p95 <= report.p99);
     assert_eq!(report.epochs_published, EPOCHS as u64);
 }
 
@@ -128,30 +140,65 @@ fn cache_hit_equals_cold_miss() {
     assert!((report.cache_hit_rate() - 0.5).abs() < 1e-9);
 }
 
-/// The closed-loop driver against a live service with traffic updates: every
-/// request completes or is explicitly rejected, and the metrics add up.
+/// A closed loop of client threads against a live service with traffic
+/// updates: every request completes or is explicitly rejected, and the
+/// metrics add up.
 #[test]
 fn closed_loop_driver_accounts_for_every_request() {
+    const CLIENTS: usize = 4;
+    const REQUESTS_PER_CLIENT: usize = 30;
+
     let graph = network(200, 41);
     let service =
         QueryService::start(graph.clone(), ServiceConfig::new(3, DtlpConfig::new(18, 2))).unwrap();
     let workload = QueryWorkload::generate(&graph, QueryWorkloadConfig::new(24, 2), 9);
     let mut traffic = TrafficModel::new(&graph, TrafficConfig::new(0.35, 0.3), 17);
 
-    let report = run_closed_loop(
-        &service,
-        &workload,
-        Some(&mut traffic),
-        LoadDriverConfig::new(4, 30).with_updates_every(Duration::from_millis(4)),
-    );
+    let (completed, rejected) = (AtomicUsize::new(0), AtomicUsize::new(0));
+    let (clients_done, published) = (AtomicBool::new(false), AtomicUsize::new(0));
+    let started = Instant::now();
+    std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|client| {
+                let (service, workload) = (&service, &workload);
+                let (completed, rejected) = (&completed, &rejected);
+                scope.spawn(move || {
+                    for q in workload.cycle_from(client * 7).take(REQUESTS_PER_CLIENT) {
+                        match service.query(q.source, q.target, q.k) {
+                            Ok(_) => completed.fetch_add(1, Ordering::Relaxed),
+                            Err(ServiceError::Overloaded { .. }) => {
+                                rejected.fetch_add(1, Ordering::Relaxed)
+                            }
+                            Err(other) => panic!("unexpected error: {other}"),
+                        };
+                    }
+                })
+            })
+            .collect();
+        let (service, clients_done, published) = (&service, &clients_done, &published);
+        scope.spawn(move || {
+            while !clients_done.load(Ordering::Relaxed) {
+                std::thread::sleep(Duration::from_millis(4));
+                service.apply_batch(&traffic.next_snapshot()).unwrap();
+                published.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        for client in clients {
+            client.join().unwrap();
+        }
+        clients_done.store(true, Ordering::Relaxed);
+    });
+    let elapsed = started.elapsed();
+    let (completed, rejected) = (completed.into_inner(), rejected.into_inner());
 
-    assert_eq!(report.completed + report.rejected, 4 * 30);
-    assert_eq!(report.metrics.completed, report.completed as u64);
-    assert_eq!(report.metrics.cache_hits + report.metrics.cache_misses, report.completed as u64);
-    assert!(report.throughput_qps() > 0.0);
-    assert!(report.metrics.p50 <= report.metrics.p95);
-    assert!(report.metrics.p95 <= report.metrics.p99);
-    // Shard accounting flows through the cluster crate's ServerLoad.
-    let items: usize = report.metrics.per_shard.iter().map(|l| l.items_processed).sum();
-    assert_eq!(items, report.completed);
+    assert_eq!(completed + rejected, CLIENTS * REQUESTS_PER_CLIENT);
+    let report = service.metrics();
+    assert_eq!(report.completed, completed as u64);
+    assert_eq!(report.rejected, rejected as u64);
+    assert_eq!(report.cache_hits + report.cache_misses, completed as u64);
+    assert!(completed as f64 / elapsed.as_secs_f64() > 0.0);
+    assert!(report.p50 <= report.p95);
+    assert!(report.p95 <= report.p99);
+    assert_eq!(report.epochs_published, published.into_inner() as u64);
+    assert_eq!(service.current_epoch(), report.epochs_published);
 }
