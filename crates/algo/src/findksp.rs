@@ -9,290 +9,190 @@
 //! The asymptotics and, more importantly for Figure 39, the growth with `k` are
 //! substantially better than plain Yen while the result set is identical.
 
+use crate::dijkstra::SearchArena;
 use crate::path::Path;
-use crate::yen::yen_ksp;
+use crate::yen::{yen_ksp, Deviations};
 use ksp_graph::{DynamicGraph, GraphView, VertexId, Weight};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::BinaryHeap;
 
 /// Enumerator of k shortest simple paths using SPT-guided deviations.
 pub struct FindKsp<'a> {
     graph: &'a DynamicGraph,
     source: VertexId,
     target: VertexId,
-    /// Exact distance from every vertex to the target (the reverse SPT).
-    dist_to_target: HashMap<VertexId, Weight>,
-    produced: Vec<Path>,
-    candidates: BinaryHeap<Reverse<Candidate>>,
-    seen_routes: HashSet<Vec<VertexId>>,
-    exhausted: bool,
-    /// Number of vertices settled across all spur searches (cost accounting).
-    settled_vertices: usize,
-}
-
-#[derive(PartialEq, Eq)]
-struct Candidate {
-    distance: Weight,
-    vertices: Vec<VertexId>,
-}
-
-impl Ord for Candidate {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.distance.cmp(&other.distance).then_with(|| self.vertices.cmp(&other.vertices))
-    }
-}
-
-impl PartialOrd for Candidate {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
+    /// Exact distance from every vertex to the target (the reverse SPT), by vertex id.
+    dist_to_target: Vec<Weight>,
+    lists: Deviations,
+    search: AStar,
 }
 
 impl<'a> FindKsp<'a> {
     /// Creates the enumerator, building the reverse shortest path tree from `target`.
     pub fn new(graph: &'a DynamicGraph, source: VertexId, target: VertexId) -> Self {
-        let dist_to_target = reverse_distances(graph, target);
-        FindKsp {
-            graph,
-            source,
-            target,
-            dist_to_target,
-            produced: Vec::new(),
-            candidates: BinaryHeap::new(),
-            seen_routes: HashSet::new(),
-            exhausted: false,
-            settled_vertices: 0,
-        }
+        let mut search = AStar::default();
+        let dist_to_target = reverse_distances(graph, target, &mut search.arena);
+        FindKsp { graph, source, target, dist_to_target, lists: Deviations::default(), search }
     }
 
     /// Number of vertices settled across all A* spur searches so far.
     pub fn settled_vertices(&self) -> usize {
-        self.settled_vertices
+        self.search.settled_vertices
     }
 
     /// The paths produced so far, ascending by distance.
     pub fn produced(&self) -> &[Path] {
-        &self.produced
+        &self.lists.produced
     }
 
     /// Produces the next shortest simple path, or `None` if exhausted.
     pub fn next_path(&mut self) -> Option<Path> {
-        if self.exhausted {
-            return None;
-        }
-        if self.produced.is_empty() {
-            let first = if self.source == self.target {
-                Some(Path::trivial(self.source))
-            } else {
-                self.astar(self.source, &HashSet::new(), &HashSet::new())
-            };
-            return match first {
-                Some(p) => {
-                    self.seen_routes.insert(p.vertices().to_vec());
-                    self.produced.push(p.clone());
-                    Some(p)
-                }
-                None => {
-                    self.exhausted = true;
-                    None
-                }
-            };
-        }
-
-        let prev = self.produced.last().expect("non-empty").clone();
-        if prev.num_edges() > 0 {
-            self.generate_deviations(&prev);
-        }
-        match self.candidates.pop() {
-            Some(Reverse(c)) => {
-                let p = Path::new(c.vertices, c.distance);
-                self.produced.push(p.clone());
-                Some(p)
-            }
-            None => {
-                self.exhausted = true;
-                None
-            }
-        }
+        let FindKsp { graph, source, target, dist_to_target, lists, search } = self;
+        let spur = |from, banned_vertices: &[VertexId], banned_edges: &[(VertexId, VertexId)]| {
+            search.run(graph, *target, dist_to_target, from, banned_vertices, banned_edges)
+        };
+        lists
+            .advance(*graph, *source, *target, spur)
+            .then(|| lists.produced.last().expect("just produced").clone())
     }
 
     /// Produces up to `k` paths.
     pub fn take_up_to(&mut self, k: usize) -> Vec<Path> {
-        while self.produced.len() < k {
+        while self.lists.produced.len() < k {
             if self.next_path().is_none() {
                 break;
             }
         }
-        self.produced.iter().take(k).cloned().collect()
+        self.lists.produced.iter().take(k).cloned().collect()
     }
+}
 
-    fn generate_deviations(&mut self, prev: &Path) {
-        let prev_vertices = prev.vertices();
-        for i in 0..prev.num_edges() {
-            let spur_node = prev_vertices[i];
-            let root_vertices = &prev_vertices[..=i];
+#[derive(PartialEq, Eq)]
+struct Entry {
+    f: Weight,
+    g: Weight,
+    vertex: VertexId,
+}
 
-            let mut banned_edges: HashSet<(VertexId, VertexId)> = HashSet::new();
-            for p in &self.produced {
-                let pv = p.vertices();
-                if pv.len() > i + 1 && &pv[..=i] == root_vertices {
-                    banned_edges.insert((pv[i], pv[i + 1]));
-                    banned_edges.insert((pv[i + 1], pv[i]));
-                }
-            }
-            let banned_vertices: HashSet<VertexId> = root_vertices[..i].iter().copied().collect();
-
-            let Some(spur_path) = self.astar(spur_node, &banned_vertices, &banned_edges) else {
-                continue;
-            };
-
-            let mut vertices = root_vertices.to_vec();
-            vertices.extend_from_slice(&spur_path.vertices()[1..]);
-            if !Path::is_simple(&vertices) || self.seen_routes.contains(&vertices) {
-                continue;
-            }
-            let root_distance: Weight = root_vertices
-                .windows(2)
-                .map(|w| self.graph.edge_weight(w[0], w[1]).expect("root edge exists"))
-                .sum();
-            let distance = root_distance + spur_path.distance();
-            self.seen_routes.insert(vertices.clone());
-            self.candidates.push(Reverse(Candidate { distance, vertices }));
-        }
+impl Ord for Entry {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.f
+            .cmp(&other.f)
+            .then_with(|| self.g.cmp(&other.g))
+            .then_with(|| self.vertex.cmp(&other.vertex))
     }
+}
 
-    /// Goal-directed A* from `from` to the target using the exact distance-to-target
-    /// heuristic from the reverse SPT. The heuristic is admissible and consistent on
+impl PartialOrd for Entry {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// The A* spur search: per-vertex state on a [`SearchArena`], an open list ordered by
+/// (f, g, vertex), both reused across spurs.
+#[derive(Default)]
+struct AStar {
+    arena: SearchArena,
+    open: BinaryHeap<Reverse<Entry>>,
+    /// Number of vertices settled across all spur searches (cost accounting).
+    settled_vertices: usize,
+}
+
+impl AStar {
+    /// Goal-directed A* from `from` to `target` using the exact distance-to-target
+    /// heuristic `h` from the reverse SPT. The heuristic is admissible and consistent on
     /// the unbanned graph; banning edges/vertices only removes paths, so it remains
-    /// admissible and the search stays correct.
-    fn astar(
+    /// admissible and the search stays correct. Banned edges are checked only when
+    /// their tail is expanded.
+    fn run(
         &mut self,
+        graph: &DynamicGraph,
+        target: VertexId,
+        h: &[Weight],
         from: VertexId,
-        banned_vertices: &HashSet<VertexId>,
-        banned_edges: &HashSet<(VertexId, VertexId)>,
+        banned_vertices: &[VertexId],
+        banned_edges: &[(VertexId, VertexId)],
     ) -> Option<Path> {
-        if banned_vertices.contains(&from) {
+        if banned_vertices.contains(&from) || !h[from.index()].is_finite() {
+            // Banned, or the target is unreachable from here even without bans.
             return None;
         }
-        let h = |v: VertexId, map: &HashMap<VertexId, Weight>| {
-            map.get(&v).copied().unwrap_or(Weight::INFINITY)
-        };
-        if !h(from, &self.dist_to_target).is_finite() {
-            // Target unreachable from here even without bans.
-            return None;
+        let AStar { arena, open, settled_vertices } = self;
+        arena.begin(graph.num_vertices());
+        for &v in banned_vertices {
+            arena.ban(v);
         }
-
-        #[derive(PartialEq, Eq)]
-        struct Entry {
-            f: Weight,
-            g: Weight,
-            vertex: VertexId,
-        }
-        impl Ord for Entry {
-            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-                self.f
-                    .cmp(&other.f)
-                    .then_with(|| self.g.cmp(&other.g))
-                    .then_with(|| self.vertex.cmp(&other.vertex))
-            }
-        }
-        impl PartialOrd for Entry {
-            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-
-        let mut open: BinaryHeap<Reverse<Entry>> = BinaryHeap::new();
-        let mut g_score: HashMap<VertexId, Weight> = HashMap::new();
-        let mut parent: HashMap<VertexId, VertexId> = HashMap::new();
-        let mut closed: HashSet<VertexId> = HashSet::new();
-        g_score.insert(from, Weight::ZERO);
-        open.push(Reverse(Entry {
-            f: h(from, &self.dist_to_target),
-            g: Weight::ZERO,
-            vertex: from,
-        }));
+        arena.start(from);
+        open.clear();
+        open.push(Reverse(Entry { f: h[from.index()], g: Weight::ZERO, vertex: from }));
 
         while let Some(Reverse(Entry { g, vertex, .. })) = open.pop() {
-            if closed.contains(&vertex) {
+            if arena.is_settled(vertex) {
                 continue;
             }
-            closed.insert(vertex);
-            self.settled_vertices += 1;
-            if vertex == self.target {
-                // Reconstruct.
-                let mut vertices = vec![vertex];
-                let mut cur = vertex;
-                while cur != from {
-                    cur = parent[&cur];
-                    vertices.push(cur);
-                }
-                vertices.reverse();
-                return Some(Path::new(vertices, g));
+            arena.settle(vertex);
+            *settled_vertices += 1;
+            if vertex == target {
+                return arena.path_to(vertex);
             }
-            let dist_map = &self.dist_to_target;
-            let mut neighbors: Vec<(VertexId, Weight)> = Vec::new();
-            self.graph.for_each_neighbor(vertex, |to, w| neighbors.push((to, w)));
-            for (to, w) in neighbors {
-                if closed.contains(&to)
-                    || banned_vertices.contains(&to)
-                    || banned_edges.contains(&(vertex, to))
-                {
-                    continue;
+            let edge_bans = banned_edges.iter().any(|&(tail, _)| tail == vertex);
+            graph.for_each_neighbor(vertex, |to, w| {
+                if edge_bans && banned_edges.contains(&(vertex, to)) {
+                    return;
                 }
                 let tentative = g + w;
-                let better = match g_score.get(&to) {
-                    Some(&existing) => tentative < existing,
-                    None => true,
-                };
-                if better {
-                    g_score.insert(to, tentative);
-                    parent.insert(to, vertex);
-                    open.push(Reverse(Entry {
-                        f: tentative + h(to, dist_map),
-                        g: tentative,
-                        vertex: to,
-                    }));
+                if arena.improve(vertex, to, tentative) {
+                    let f = tentative + h[to.index()];
+                    open.push(Reverse(Entry { f, g: tentative, vertex: to }));
                 }
-            }
+            });
         }
         None
     }
 }
 
-/// Exact distances from every vertex to `target`, i.e. a shortest path tree rooted at
-/// the destination. For directed graphs this searches the reversed graph.
-fn reverse_distances(graph: &DynamicGraph, target: VertexId) -> HashMap<VertexId, Weight> {
+/// Exact distances from every vertex to `target`, by vertex id ([`Weight::INFINITY`]
+/// where unreachable), i.e. a shortest path tree rooted at the destination. For
+/// directed graphs this searches the reversed graph.
+fn reverse_distances(
+    graph: &DynamicGraph,
+    target: VertexId,
+    arena: &mut SearchArena,
+) -> Vec<Weight> {
+    let n = graph.num_vertices();
     if !graph.is_directed() {
-        let map = crate::dijkstra::dijkstra_all(graph, target);
-        return map.iter().collect();
-    }
-    // Build reverse adjacency once and run Dijkstra over it.
-    let mut radj: Vec<Vec<(VertexId, Weight)>> = vec![Vec::new(); graph.num_vertices()];
-    for (_, e) in graph.edges() {
-        radj[e.v.index()].push((e.u, e.current_weight));
-    }
-    struct Reversed<'g> {
-        radj: &'g [Vec<(VertexId, Weight)>],
-    }
-    impl GraphView for Reversed<'_> {
-        fn num_vertices(&self) -> usize {
-            self.radj.len()
+        arena.search_from(graph, target);
+    } else {
+        // Build reverse adjacency once and run Dijkstra over it.
+        let mut radj: Vec<Vec<(VertexId, Weight)>> = vec![Vec::new(); n];
+        for (_, e) in graph.edges() {
+            radj[e.v.index()].push((e.u, e.current_weight));
         }
-        fn contains_vertex(&self, v: VertexId) -> bool {
-            v.index() < self.radj.len()
-        }
-        fn for_each_neighbor(&self, v: VertexId, mut f: impl FnMut(VertexId, Weight)) {
-            for &(to, w) in &self.radj[v.index()] {
-                f(to, w);
-            }
-        }
-        fn edge_weight(&self, u: VertexId, v: VertexId) -> Option<Weight> {
-            self.radj[u.index()].iter().find(|&&(to, _)| to == v).map(|&(_, w)| w)
+        arena.search_from(&Reversed { radj: &radj }, target);
+    }
+    (0..n as u32).map(|i| arena.distance(VertexId(i))).collect()
+}
+
+struct Reversed<'g> {
+    radj: &'g [Vec<(VertexId, Weight)>],
+}
+
+impl GraphView for Reversed<'_> {
+    fn num_vertices(&self) -> usize {
+        self.radj.len()
+    }
+    fn contains_vertex(&self, v: VertexId) -> bool {
+        v.index() < self.radj.len()
+    }
+    fn for_each_neighbor(&self, v: VertexId, mut f: impl FnMut(VertexId, Weight)) {
+        for &(to, w) in &self.radj[v.index()] {
+            f(to, w);
         }
     }
-    let reversed = Reversed { radj: &radj };
-    crate::dijkstra::dijkstra_all(&reversed, target).iter().collect()
+    fn edge_weight(&self, u: VertexId, v: VertexId) -> Option<Weight> {
+        self.radj[u.index()].iter().find(|&&(to, _)| to == v).map(|&(_, w)| w)
+    }
 }
 
 /// Convenience wrapper: the `k` shortest simple paths from `source` to `target`.

@@ -6,9 +6,10 @@
 //!
 //! * [`path`] — the simple-path representation shared across the system, including the
 //!   loop-free concatenation used when joining partial paths (Algorithm 4, line 9).
-//! * [`dijkstra`] — binary-heap Dijkstra: point-to-point, single-source, and a variant
-//!   with banned vertices/edges that serves as the spur-path search inside Yen's
-//!   algorithm.
+//! * [`dijkstra`] — binary-heap Dijkstra on a caller-owned, generation-stamped dense
+//!   [`SearchArena`]: point-to-point, single-source, a bounded sweep, and the
+//!   banned-vertex/edge spur search inside Yen's algorithm. Every search in this crate
+//!   runs on an arena.
 //! * [`yen`] — Yen's k-shortest-simple-paths algorithm [27], exposed both as a lazy
 //!   enumerator (used by KSP-DG to produce reference paths one at a time) and as a
 //!   convenience function.
@@ -25,10 +26,8 @@ pub mod path;
 pub mod vfrag;
 pub mod yen;
 
-pub use dijkstra::{
-    dijkstra_all, dijkstra_path, dijkstra_path_with_bans, dijkstra_settled_within, DistanceMap,
-};
+pub use dijkstra::{dijkstra_path, SearchArena};
 pub use findksp::{find_ksp, FindKsp};
 pub use path::Path;
 pub use vfrag::{fewest_vfrag_paths, VfragView};
-pub use yen::{yen_ksp, KspEnumerator};
+pub use yen::{yen_ksp, yen_ksp_in, KspEnumerator};

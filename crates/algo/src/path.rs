@@ -1,8 +1,11 @@
 //! Simple paths and their manipulation (Definition 3 of the paper).
 
 use ksp_graph::{GraphView, VertexId, Weight};
-use std::collections::HashSet;
 use std::fmt;
+
+/// Up to this many vertices, simplicity is checked by a quadratic scan of the
+/// sequence, which allocates nothing; longer sequences sort a copy.
+const SCAN_LIMIT: usize = 64;
 
 /// A simple (loop-free) path through the graph, together with its distance.
 ///
@@ -91,8 +94,12 @@ impl Path {
 
     /// Whether a vertex sequence is simple (contains no repeated vertex).
     pub fn is_simple(vertices: &[VertexId]) -> bool {
-        let mut seen = HashSet::with_capacity(vertices.len());
-        vertices.iter().all(|v| seen.insert(*v))
+        if vertices.len() <= SCAN_LIMIT {
+            return (1..vertices.len()).all(|i| !vertices[..i].contains(&vertices[i]));
+        }
+        let mut sorted = vertices.to_vec();
+        sorted.sort_unstable();
+        sorted.windows(2).all(|w| w[0] != w[1])
     }
 
     /// Iterates over the consecutive edges of the path as vertex pairs.
@@ -116,14 +123,20 @@ impl Path {
         if self.target() != other.source() {
             return None;
         }
-        let mut seen: HashSet<VertexId> = self.vertices.iter().copied().collect();
-        for v in &other.vertices[1..] {
-            if !seen.insert(*v) {
-                return None;
-            }
+        let tail = &other.vertices[1..];
+        let len = self.vertices.len() + tail.len();
+        if len <= SCAN_LIMIT
+            && (0..tail.len())
+                .any(|i| self.vertices.contains(&tail[i]) || tail[..i].contains(&tail[i]))
+        {
+            return None;
         }
-        let mut vertices = self.vertices.clone();
-        vertices.extend_from_slice(&other.vertices[1..]);
+        let mut vertices = Vec::with_capacity(len);
+        vertices.extend_from_slice(&self.vertices);
+        vertices.extend_from_slice(tail);
+        if len > SCAN_LIMIT && !Self::is_simple(&vertices) {
+            return None;
+        }
         Some(Path { vertices, distance: self.distance + other.distance })
     }
 
@@ -236,6 +249,38 @@ mod tests {
         let a = Path::from_vertices(&g, vec![v(0), v(1), v(2)]).unwrap();
         let b = Path::from_vertices(&g, vec![v(2), v(1)]).unwrap();
         assert!(a.concat(&b).is_none(), "concatenation revisiting v1 must be rejected");
+    }
+
+    #[test]
+    fn concat_rejects_a_vertex_repeated_within_other_at_any_length() {
+        // `other` is built directly: `Path::new` refuses non-simple sequences.
+        for len in [3u32, SCAN_LIMIT as u32 + 10] {
+            let a = Path { vertices: vec![v(1000), v(0)], distance: Weight::new(1.0) };
+            let mut looped: Vec<VertexId> = (0..len).map(v).collect();
+            looped.push(v(len / 2));
+            let b = Path { vertices: looped.clone(), distance: Weight::new(1.0) };
+            assert!(a.concat(&b).is_none(), "len {len}: repeat inside other must be rejected");
+            looped.pop();
+            let b = Path { vertices: looped, distance: Weight::new(1.0) };
+            assert_eq!(a.concat(&b).unwrap().num_vertices(), len as usize + 1);
+            // A repeat across the join is rejected too.
+            let mut crossing: Vec<VertexId> = (0..len).map(v).collect();
+            crossing.push(v(1000));
+            let b = Path { vertices: crossing, distance: Weight::new(1.0) };
+            assert!(a.concat(&b).is_none(), "len {len}: repeat across the join");
+        }
+    }
+
+    #[test]
+    fn is_simple_agrees_on_short_and_long_sequences() {
+        for len in [0u32, 1, 5, SCAN_LIMIT as u32, SCAN_LIMIT as u32 + 1, 200] {
+            let mut seq: Vec<VertexId> = (0..len).rev().map(v).collect();
+            assert!(Path::is_simple(&seq), "len {len}");
+            if len > 1 {
+                seq.push(v(len - 1));
+                assert!(!Path::is_simple(&seq), "len {len} with a repeat");
+            }
+        }
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //!
 //! [`VfragView`] presents a subgraph with vfrag counts as edge weights so the generic
 //! KSP machinery can enumerate paths in non-decreasing vfrag order, and
-//! [`fewest_vfrag_paths`] extracts one representative path per distinct vfrag count —
-//! the bounding-path set `B_{i,j}` of the paper.
+//! [`fewest_vfrag_paths`] extracts the paths with the `ξ` smallest vfrag counts — the
+//! bounding-path set `B_{i,j}` of the paper.
 
 use crate::path::Path;
 use crate::yen::KspEnumerator;
@@ -61,14 +61,21 @@ pub struct VfragPath {
 }
 
 /// Enumerates paths between `source` and `target` inside `subgraph` in non-decreasing
-/// vfrag order and returns one representative per distinct vfrag count, up to `xi`
-/// distinct counts (the paper's `ξ`).
+/// vfrag order and returns every path with fewer vfrags than the `xi`-th smallest
+/// distinct count, followed by one path with that count (the paper's `ξ`).
 ///
-/// Enumeration also stops after `max_enumerated` paths have been examined. Truncating
-/// early is always *safe*: every path not examined has a vfrag count at least as large
-/// as the largest returned count (the enumeration is ordered), so the lower-bound
-/// property of the resulting bound distances is preserved — the bounds merely become
-/// looser, costing extra KSP-DG iterations rather than correctness.
+/// Keeping the ties below the last count is what makes the lower bound of
+/// Theorem 1 valid: every path *not* returned has at least as many vfrags as the last
+/// one returned, so its distance is at least the last path's bound distance. Dropping
+/// a tie instead would leave a path that may be shorter than every returned one yet
+/// has fewer vfrags than the last.
+///
+/// Enumeration also stops after `max_enumerated` paths have been examined, returning
+/// every path examined. Truncating early is always *safe*: every path not examined
+/// has a vfrag count at least as large as the largest returned count (the enumeration
+/// is ordered), so the lower-bound property of the resulting bound distances is
+/// preserved — the bounds merely become looser, costing extra KSP-DG iterations rather
+/// than correctness.
 pub fn fewest_vfrag_paths(
     subgraph: &Subgraph,
     source: VertexId,
@@ -80,15 +87,14 @@ pub fn fewest_vfrag_paths(
     let view = VfragView::new(subgraph);
     let mut enumerator = KspEnumerator::new(&view, source, target);
     let mut result: Vec<VfragPath> = Vec::with_capacity(xi);
-    let mut examined = 0usize;
-    while result.len() < xi && examined < max_enumerated {
+    let mut distinct = 0;
+    while distinct < xi && result.len() < max_enumerated {
         let Some(path) = enumerator.next_path() else { break };
-        examined += 1;
         let vfrags = path.distance().value().round() as u64;
-        if result.last().map(|p| p.vfrags) == Some(vfrags) {
-            continue; // same count as the previous representative: skip duplicates
+        debug_assert!(result.last().is_none_or(|p| p.vfrags <= vfrags));
+        if result.last().map(|p| p.vfrags) != Some(vfrags) {
+            distinct += 1;
         }
-        debug_assert!(result.last().map(|p| p.vfrags < vfrags).unwrap_or(true));
         result.push(VfragPath { vertices: path.vertices().to_vec(), vfrags });
     }
     result
@@ -164,9 +170,11 @@ mod tests {
     }
 
     #[test]
-    fn counts_are_strictly_increasing_and_deduplicated() {
-        // A 2x3 grid with unit initial weights has several equal-hop paths; the
-        // representatives must have strictly increasing vfrag counts.
+    fn ties_below_the_last_count_are_kept_and_counts_never_decrease() {
+        // A 2x3 grid with unit initial weights: three 3-vfrag routes from 0 to 5 and
+        // one 5-vfrag route. With ξ = 2 every 3-vfrag route is kept (any one left out
+        // could turn out shorter than all kept ones) and one 5-vfrag route closes the
+        // set; with ξ = 1 the first route is the last count and stands alone.
         let mut b = GraphBuilder::undirected(6);
         b.edge(0, 1, 1).edge(1, 2, 1).edge(3, 4, 1).edge(4, 5, 1);
         b.edge(0, 3, 1).edge(1, 4, 1).edge(2, 5, 1);
@@ -176,12 +184,11 @@ mod tests {
             .unwrap()
             .into_subgraphs()
             .remove(0);
-        let paths = fewest_vfrag_paths(&sg, v(0), v(5), 5, 128);
-        assert!(!paths.is_empty());
-        for w in paths.windows(2) {
-            assert!(w[0].vfrags < w[1].vfrags);
-        }
-        assert_eq!(paths[0].vfrags, 3);
+        let counts = |xi| -> Vec<u64> {
+            fewest_vfrag_paths(&sg, v(0), v(5), xi, 128).iter().map(|p| p.vfrags).collect()
+        };
+        assert_eq!(counts(2), vec![3, 3, 3, 5]);
+        assert_eq!(counts(1), vec![3]);
     }
 
     #[test]

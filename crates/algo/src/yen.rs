@@ -6,19 +6,87 @@
 //! enumerator also powers the plain Yen baseline and the partial-KSP computation inside
 //! each subgraph (Algorithm 4, line 6).
 
-use crate::dijkstra::{dijkstra_path, dijkstra_path_with_bans};
+use crate::dijkstra::SearchArena;
 use crate::path::Path;
 use ksp_graph::{GraphView, VertexId, Weight};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
 
 /// Lazy enumerator of the successive shortest simple paths between two vertices.
+///
+/// Spur searches run on a [`SearchArena`]: [`KspEnumerator::next_path`] uses one the
+/// enumerator owns, [`KspEnumerator::next_path_in`] one the caller passes, so a caller
+/// running several searches per unit of work (a KSP-DG query) keeps them all on one.
 pub struct KspEnumerator<'a, G: GraphView> {
     view: &'a G,
     source: VertexId,
     target: VertexId,
+    lists: Deviations,
+    /// The arena [`KspEnumerator::next_path`] searches on.
+    arena: SearchArena,
+}
+
+impl<'a, G: GraphView> KspEnumerator<'a, G> {
+    /// Creates an enumerator for paths from `source` to `target` in `view`.
+    pub fn new(view: &'a G, source: VertexId, target: VertexId) -> Self {
+        KspEnumerator {
+            view,
+            source,
+            target,
+            lists: Deviations::default(),
+            arena: SearchArena::new(),
+        }
+    }
+
+    /// The paths produced so far, in ascending distance order.
+    pub fn produced(&self) -> &[Path] {
+        &self.lists.produced
+    }
+
+    /// Number of spur-path searches performed so far (a proxy for the computation cost
+    /// of the enumeration, reported by the cost-model benchmarks).
+    pub fn spur_searches(&self) -> usize {
+        self.lists.spur_searches
+    }
+
+    /// Produces the next shortest simple path, or `None` when no further simple path
+    /// exists.
+    pub fn next_path(&mut self) -> Option<Path> {
+        let mut arena = std::mem::take(&mut self.arena);
+        let next = self.next_path_in(&mut arena);
+        self.arena = arena;
+        next
+    }
+
+    /// [`KspEnumerator::next_path`], searching on the caller's `arena`.
+    pub fn next_path_in(&mut self, arena: &mut SearchArena) -> Option<Path> {
+        self.advance(arena).then(|| self.lists.produced.last().expect("just produced").clone())
+    }
+
+    /// Produces up to `k` paths (including any already produced).
+    pub fn take_up_to(&mut self, k: usize) -> Vec<Path> {
+        while self.lists.produced.len() < k {
+            if self.next_path().is_none() {
+                break;
+            }
+        }
+        self.lists.produced.iter().take(k).cloned().collect()
+    }
+
+    fn advance(&mut self, arena: &mut SearchArena) -> bool {
+        let KspEnumerator { view, source, target, lists, .. } = self;
+        lists.advance(*view, *source, *target, |from, banned_vertices, banned_edges| {
+            arena.shortest_path(*view, from, *target, banned_vertices, banned_edges)
+        })
+    }
+}
+
+/// Yen's two lists and the deviation step, shared by [`KspEnumerator`] and FindKSP,
+/// which differ only in how they search a spur path.
+#[derive(Default)]
+pub(crate) struct Deviations {
     /// Paths already produced, in ascending distance order (Yen's list `A`).
-    produced: Vec<Path>,
+    pub(crate) produced: Vec<Path>,
     /// Candidate paths not yet produced (Yen's list `B`), keyed by distance.
     candidates: BinaryHeap<Reverse<Candidate>>,
     /// Routes already present in `produced` or `candidates`, to avoid duplicates.
@@ -26,6 +94,8 @@ pub struct KspEnumerator<'a, G: GraphView> {
     exhausted: bool,
     /// Number of spur searches performed; exposed for cost accounting in benchmarks.
     spur_searches: usize,
+    /// Scratch for one spur's banned edges, reused across spurs.
+    banned_edges: Vec<(VertexId, VertexId)>,
 }
 
 #[derive(PartialEq, Eq)]
@@ -46,134 +116,87 @@ impl PartialOrd for Candidate {
     }
 }
 
-impl<'a, G: GraphView> KspEnumerator<'a, G> {
-    /// Creates an enumerator for paths from `source` to `target` in `view`.
-    pub fn new(view: &'a G, source: VertexId, target: VertexId) -> Self {
-        KspEnumerator {
-            view,
-            source,
-            target,
-            produced: Vec::new(),
-            candidates: BinaryHeap::new(),
-            seen_routes: HashSet::new(),
-            exhausted: false,
-            spur_searches: 0,
-        }
-    }
-
-    /// The paths produced so far, in ascending distance order.
-    pub fn produced(&self) -> &[Path] {
-        &self.produced
-    }
-
-    /// Number of spur-path searches performed so far (a proxy for the computation cost
-    /// of the enumeration, reported by the cost-model benchmarks).
-    pub fn spur_searches(&self) -> usize {
-        self.spur_searches
-    }
-
-    /// Produces the next shortest simple path, or `None` when no further simple path
-    /// exists.
-    pub fn next_path(&mut self) -> Option<Path> {
+impl Deviations {
+    /// Appends the next shortest simple path from `source` to `target` to `produced`;
+    /// `false` once no further path exists.
+    ///
+    /// `spur(from, banned_vertices, banned_edges)` searches a shortest path from `from`
+    /// to `target` that avoids the bans; the first path is `spur(source, &[], &[])`.
+    pub(crate) fn advance<G: GraphView>(
+        &mut self,
+        view: &G,
+        source: VertexId,
+        target: VertexId,
+        mut spur: impl FnMut(VertexId, &[VertexId], &[(VertexId, VertexId)]) -> Option<Path>,
+    ) -> bool {
         if self.exhausted {
-            return None;
+            return false;
         }
-        if self.produced.is_empty() {
-            // First path: plain Dijkstra.
-            let first = if self.source == self.target {
-                Some(Path::trivial(self.source))
-            } else {
-                dijkstra_path(self.view, self.source, self.target)
-            };
-            return match first {
-                Some(p) => {
-                    self.seen_routes.insert(p.vertices().to_vec());
-                    self.produced.push(p.clone());
-                    Some(p)
-                }
-                None => {
-                    self.exhausted = true;
-                    None
-                }
-            };
-        }
-
-        // Generate deviations of the most recently produced path.
-        let prev = self.produced.last().expect("produced is non-empty").clone();
-        if prev.num_edges() > 0 {
-            self.generate_deviations(&prev);
-        }
-
-        match self.candidates.pop() {
-            Some(Reverse(c)) => {
-                let path = Path::new(c.vertices, c.distance);
-                self.produced.push(path.clone());
-                Some(path)
+        let next = if self.produced.is_empty() {
+            let first =
+                if source == target { Some(Path::trivial(source)) } else { spur(source, &[], &[]) };
+            if let Some(p) = &first {
+                self.seen_routes.insert(p.vertices().to_vec());
             }
-            None => {
-                self.exhausted = true;
-                None
-            }
+            first
+        } else {
+            self.generate_deviations(view, &mut spur);
+            self.candidates.pop().map(|Reverse(c)| Path::new(c.vertices, c.distance))
+        };
+        match next {
+            Some(path) => self.produced.push(path),
+            None => self.exhausted = true,
         }
+        !self.exhausted
     }
 
-    /// Produces up to `k` paths (including any already produced).
-    pub fn take_up_to(&mut self, k: usize) -> Vec<Path> {
-        while self.produced.len() < k {
-            if self.next_path().is_none() {
-                break;
-            }
-        }
-        self.produced.iter().take(k).cloned().collect()
-    }
-
-    fn generate_deviations(&mut self, prev: &Path) {
-        let prev_vertices = prev.vertices();
-        for i in 0..prev.num_edges() {
+    /// Pushes every deviation of the most recently produced path onto `candidates`.
+    fn generate_deviations<G: GraphView>(
+        &mut self,
+        view: &G,
+        spur: &mut impl FnMut(VertexId, &[VertexId], &[(VertexId, VertexId)]) -> Option<Path>,
+    ) {
+        let Deviations { produced, candidates, seen_routes, spur_searches, banned_edges, .. } =
+            self;
+        let prev_vertices = produced.last().expect("produced is non-empty").vertices();
+        let num_edges = prev_vertices.len() - 1;
+        // Distance of the root path `prev_vertices[..=i]`, summed edge by edge in path
+        // order as the spur node advances.
+        let mut root_distance = Weight::ZERO;
+        for i in 0..num_edges {
             let spur_node = prev_vertices[i];
             let root_vertices = &prev_vertices[..=i];
 
             // Ban the next edge of every already-produced path sharing this root, so
-            // the spur path deviates from all of them.
-            let mut banned_edges: HashSet<(VertexId, VertexId)> = HashSet::new();
-            for p in &self.produced {
+            // the spur path deviates from all of them. Only the edge leaving the spur
+            // node needs banning: the spur node is the search's source, so no
+            // relaxation ever enters it.
+            banned_edges.clear();
+            for p in produced.iter() {
                 let pv = p.vertices();
                 if pv.len() > i + 1 && &pv[..=i] == root_vertices {
-                    banned_edges.insert((pv[i], pv[i + 1]));
-                    banned_edges.insert((pv[i + 1], pv[i]));
+                    banned_edges.push((pv[i], pv[i + 1]));
                 }
             }
             // Ban the root path's vertices (except the spur node) so the total path
             // stays simple.
-            let banned_vertices: HashSet<VertexId> = root_vertices[..i].iter().copied().collect();
-
-            self.spur_searches += 1;
-            let Some(spur_path) = dijkstra_path_with_bans(
-                self.view,
-                spur_node,
-                self.target,
-                &banned_vertices,
-                &banned_edges,
-            ) else {
-                continue;
-            };
-
-            // Assemble root + spur.
-            let mut vertices = root_vertices.to_vec();
-            vertices.extend_from_slice(&spur_path.vertices()[1..]);
-            if !Path::is_simple(&vertices) {
-                continue;
+            *spur_searches += 1;
+            if let Some(spur_path) = spur(spur_node, &root_vertices[..i], banned_edges) {
+                // Assemble root + spur.
+                let mut vertices = Vec::with_capacity(i + spur_path.num_vertices());
+                vertices.extend_from_slice(&root_vertices[..i]);
+                vertices.extend_from_slice(spur_path.vertices());
+                if Path::is_simple(&vertices) && !seen_routes.contains(&vertices) {
+                    let distance = root_distance + spur_path.distance();
+                    seen_routes.insert(vertices.clone());
+                    candidates.push(Reverse(Candidate { distance, vertices }));
+                }
             }
-            if self.seen_routes.contains(&vertices) {
-                continue;
+            if i + 1 < num_edges {
+                root_distance += view
+                    .edge_weight(prev_vertices[i], prev_vertices[i + 1])
+                    .expect("root edges exist in the view");
             }
-            let root_distance: Weight = root_vertices
-                .windows(2)
-                .map(|w| self.view.edge_weight(w[0], w[1]).expect("root edges exist in the view"))
-                .sum();
-            let distance = root_distance + spur_path.distance();
-            self.seen_routes.insert(vertices.clone());
-            self.candidates.push(Reverse(Candidate { distance, vertices }));
         }
     }
 }
@@ -181,8 +204,20 @@ impl<'a, G: GraphView> KspEnumerator<'a, G> {
 /// Convenience wrapper: computes the `k` shortest simple paths from `source` to
 /// `target`, fewer if fewer exist.
 pub fn yen_ksp<G: GraphView>(view: &G, source: VertexId, target: VertexId, k: usize) -> Vec<Path> {
+    yen_ksp_in(view, source, target, k, &mut SearchArena::new())
+}
+
+/// [`yen_ksp`], searching on the caller's `arena`.
+pub fn yen_ksp_in<G: GraphView>(
+    view: &G,
+    source: VertexId,
+    target: VertexId,
+    k: usize,
+    arena: &mut SearchArena,
+) -> Vec<Path> {
     let mut enumerator = KspEnumerator::new(view, source, target);
-    enumerator.take_up_to(k)
+    while enumerator.lists.produced.len() < k && enumerator.advance(arena) {}
+    enumerator.lists.produced
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! The CANDS index: exact boundary-pair shortest paths per subgraph, and the overlay
 //! search that answers single-shortest-path queries against it.
 
-use ksp_algo::{dijkstra_all, dijkstra_path};
+use ksp_algo::SearchArena;
 use ksp_graph::{
     DynamicGraph, GraphError, GraphView, PartitionConfig, Partitioner, Subgraph, SubgraphId,
     UpdateBatch, VertexId, Weight,
@@ -134,8 +134,9 @@ impl CandsIndex {
     ) -> HashMap<(VertexId, VertexId), Weight> {
         let mut out = HashMap::new();
         let boundary = subgraph.boundary_vertices();
+        let mut arena = SearchArena::new();
         for &a in boundary {
-            let map = dijkstra_all(subgraph, a);
+            arena.search_from(subgraph, a);
             for &b in boundary {
                 if a == b {
                     continue;
@@ -143,7 +144,7 @@ impl CandsIndex {
                 if !directed && a > b {
                     continue; // store undirected pairs once, canonically (min, max)
                 }
-                let d = map.distance(b);
+                let d = arena.distance(b);
                 if d.is_finite() {
                     out.insert((a, b), d);
                 }
@@ -215,18 +216,19 @@ impl CandsIndex {
         }
         // Overlay view: indexed boundary edges plus query-local attachments.
         let mut extra: HashMap<VertexId, Vec<(VertexId, Weight)>> = HashMap::new();
+        let mut arena = SearchArena::new();
         for &sg in self.subgraphs_of_vertex(source) {
             let sgref = &self.subgraphs[sg.index()];
-            let map = dijkstra_all(sgref, source);
+            arena.search_from(&**sgref, source);
             for &b in sgref.boundary_vertices() {
-                let d = map.distance(b);
+                let d = arena.distance(b);
                 if d.is_finite() && b != source {
                     extra.entry(source).or_default().push((b, d));
                 }
             }
             // Direct connection if the target shares this subgraph.
             if sgref.contains_vertex(target) {
-                let d = map.distance(target);
+                let d = arena.distance(target);
                 if d.is_finite() {
                     extra.entry(source).or_default().push((target, d));
                 }
@@ -241,14 +243,14 @@ impl CandsIndex {
                     if b == target {
                         continue;
                     }
-                    if let Some(p) = dijkstra_path(sgref, b, target) {
+                    if let Some(p) = arena.shortest_path(&**sgref, b, target, &[], &[]) {
                         extra.entry(b).or_default().push((target, p.distance()));
                     }
                 }
             } else {
-                let map = dijkstra_all(sgref, target);
+                arena.search_from(&**sgref, target);
                 for &b in sgref.boundary_vertices() {
-                    let d = map.distance(b);
+                    let d = arena.distance(b);
                     if d.is_finite() && b != target {
                         extra.entry(b).or_default().push((target, d));
                     }
@@ -257,7 +259,7 @@ impl CandsIndex {
         }
 
         let view = CandsOverlayView { index: self, extra: &extra };
-        match dijkstra_path(&view, source, target) {
+        match arena.shortest_path(&view, source, target, &[], &[]) {
             Some(p) => CandsQueryResult {
                 distance: Some(p.distance()),
                 settled_vertices: p.num_vertices(),
@@ -283,12 +285,9 @@ struct CandsOverlayView<'a> {
 
 impl GraphView for CandsOverlayView<'_> {
     fn num_vertices(&self) -> usize {
-        self.index
-            .boundary
-            .last()
-            .map(|v| v.index() + 1)
-            .unwrap_or(0)
-            .max(self.extra.keys().map(|v| v.index() + 1).max().unwrap_or(0))
+        // The query target appears only as a neighbour in `extra`, so bound by the
+        // whole graph: `vertex_subgraphs` has an entry for every vertex.
+        self.index.vertex_subgraphs.len()
     }
 
     fn contains_vertex(&self, v: VertexId) -> bool {
@@ -324,6 +323,7 @@ impl GraphView for CandsOverlayView<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ksp_algo::dijkstra_path;
     use ksp_graph::EdgeId;
     use ksp_workload::{
         QueryWorkload, QueryWorkloadConfig, RoadNetworkConfig, RoadNetworkGenerator, TrafficConfig,

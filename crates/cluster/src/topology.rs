@@ -18,7 +18,7 @@
 use crate::metrics::balanced_assignment;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use ksp_algo::path::keep_k_shortest;
-use ksp_algo::{yen_ksp, KspEnumerator, Path};
+use ksp_algo::{yen_ksp_in, KspEnumerator, Path, SearchArena};
 use ksp_core::dtlp::{DtlpConfig, SkeletonGraph, SubgraphIndex};
 use ksp_graph::{
     DynamicGraph, EdgeId, GraphError, PartitionConfig, Partitioner, SubgraphId, UpdateBatch,
@@ -488,6 +488,8 @@ impl Drop for StormTopology {
 
 /// Worker thread main loop: serve requests against the owned subgraph indexes.
 fn worker_main(mut indexes: Vec<SubgraphIndex>, rx: Receiver<WorkerRequest>) {
+    // The worker's searches all run on one arena it owns.
+    let mut arena = SearchArena::new();
     while let Ok(request) = rx.recv() {
         match request {
             WorkerRequest::Shutdown => break,
@@ -515,7 +517,7 @@ fn worker_main(mut indexes: Vec<SubgraphIndex>, rx: Receiver<WorkerRequest>) {
                     for idx in &indexes {
                         let sg = idx.subgraph();
                         if sg.contains_vertex(u) && sg.contains_vertex(v) {
-                            let paths = yen_ksp(sg, u, v, k);
+                            let paths = yen_ksp_in(sg, u, v, k, &mut arena);
                             if !paths.is_empty() {
                                 out.entry((u, v)).or_default().extend(paths);
                             }
@@ -529,9 +531,9 @@ fn worker_main(mut indexes: Vec<SubgraphIndex>, rx: Receiver<WorkerRequest>) {
                 for idx in &indexes {
                     if idx.subgraph().contains_vertex(vertex) {
                         let dists = if reverse {
-                            idx.boundary_distances_to(vertex)
+                            idx.boundary_distances_to(vertex, &mut arena)
                         } else {
-                            idx.boundary_distances_from(vertex)
+                            idx.boundary_distances_from(vertex, &mut arena)
                         };
                         out.extend(dists);
                     }
@@ -543,7 +545,7 @@ fn worker_main(mut indexes: Vec<SubgraphIndex>, rx: Receiver<WorkerRequest>) {
                 for idx in &indexes {
                     let sg = idx.subgraph();
                     if sg.contains_vertex(source) && sg.contains_vertex(target) {
-                        if let Some(p) = ksp_algo::dijkstra_path(sg, source, target) {
+                        if let Some(p) = arena.shortest_path(sg, source, target, &[], &[]) {
                             let d = p.distance();
                             best = Some(best.map_or(d, |b| b.min(d)));
                         }

@@ -43,14 +43,15 @@ impl BoundingPath {
 }
 
 /// The set of bounding paths between one pair of boundary vertices in one subgraph,
-/// ordered by ascending vfrag count (equivalently ascending bound distance).
+/// ordered by non-decreasing vfrag count (equivalently bound distance): every path with
+/// fewer vfrags than the last one, and the last (see [`ksp_algo::fewest_vfrag_paths`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct BoundingPathSet {
     /// First endpoint (source for directed subgraphs).
     pub a: VertexId,
     /// Second endpoint (destination for directed subgraphs).
     pub b: VertexId,
-    /// The bounding paths, ascending by vfrag count; at most ξ entries.
+    /// The bounding paths, by non-decreasing vfrag count; ξ distinct counts at most.
     pub paths: Vec<BoundingPath>,
 }
 
@@ -58,8 +59,8 @@ impl BoundingPathSet {
     /// Creates the set, asserting the vfrag ordering invariant.
     pub fn new(a: VertexId, b: VertexId, paths: Vec<BoundingPath>) -> Self {
         debug_assert!(
-            paths.windows(2).all(|w| w[0].vfrags < w[1].vfrags),
-            "bounding paths must have strictly increasing vfrag counts"
+            paths.windows(2).all(|w| w[0].vfrags <= w[1].vfrags),
+            "bounding paths must have non-decreasing vfrag counts"
         );
         BoundingPathSet { a, b, paths }
     }
@@ -85,8 +86,11 @@ impl BoundingPathSet {
     ///   between `a` and `b` in the subgraph, so `LBD = D_u`;
     /// * otherwise (claim 2), `BD_r` is a valid lower bound, so `LBD = BD_r`.
     ///
-    /// Both cases reduce to `LBD = min(D_u, BD_r)`, which is what this returns.
-    /// Returns [`Weight::INFINITY`] for an empty set (unconnected pair).
+    /// Both cases reduce to `LBD = min(D_u, BD_r)`, which is what this returns. Both
+    /// claims rest on the set holding every path with fewer vfrags than the last one:
+    /// a path outside it then has at least the last path's vfrags, hence a distance of
+    /// at least `BD_r`. Returns [`Weight::INFINITY`] for an empty set (unconnected
+    /// pair).
     pub fn lower_bound_distance(&self, multiset: &UnitWeightMultiset) -> Weight {
         if self.paths.is_empty() {
             return Weight::INFINITY;

@@ -17,7 +17,8 @@ pub use crate::dtlp::subgraph_index::BackendKind as PathStorageBackend;
 pub struct DtlpConfig {
     /// Maximum number of vertices per subgraph (the paper's `z`).
     pub max_subgraph_vertices: usize,
-    /// Maximum number of bounding paths per boundary pair (the paper's `ξ`).
+    /// Number of distinct vfrag counts among the bounding paths of a boundary pair
+    /// (the paper's `ξ`); paths tied below the largest count are all kept.
     pub xi: usize,
     /// Cap on the number of paths enumerated per pair while searching for bounding
     /// paths; truncation trades bound tightness for build time, never correctness.

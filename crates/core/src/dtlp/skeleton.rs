@@ -50,14 +50,74 @@ impl SkeletonEdge {
     }
 }
 
+/// Adjacency lists over a sparse set of vertex ids: an id → position map and one list
+/// per position, each in insertion order. Lookups are two array reads; ids beyond the
+/// map, and ids never inserted, have no list.
+#[derive(Debug, Clone)]
+struct Adjacency<T> {
+    /// By vertex id: the vertex's position in `lists`, or [`Adjacency::ABSENT`].
+    position: Vec<u32>,
+    lists: Vec<Vec<(VertexId, T)>>,
+}
+
+impl<T> Adjacency<T> {
+    const ABSENT: u32 = u32::MAX;
+
+    fn new() -> Self {
+        Adjacency { position: Vec::new(), lists: Vec::new() }
+    }
+
+    /// Number of vertices with a list.
+    fn len(&self) -> usize {
+        self.lists.len()
+    }
+
+    /// One more than the largest id inserted (0 if none).
+    fn id_bound(&self) -> usize {
+        self.position.len()
+    }
+
+    fn contains(&self, v: VertexId) -> bool {
+        self.position.get(v.index()).is_some_and(|&p| p != Self::ABSENT)
+    }
+
+    fn list(&self, v: VertexId) -> &[(VertexId, T)] {
+        match self.position.get(v.index()) {
+            Some(&p) if p != Self::ABSENT => &self.lists[p as usize],
+            _ => &[],
+        }
+    }
+
+    /// The list of `v`, inserting `v` with an empty list if it has none.
+    fn list_mut(&mut self, v: VertexId) -> &mut Vec<(VertexId, T)> {
+        if v.index() >= self.position.len() {
+            self.position.resize(v.index() + 1, Self::ABSENT);
+        }
+        if self.position[v.index()] == Self::ABSENT {
+            self.position[v.index()] = self.lists.len() as u32;
+            self.lists.push(Vec::new());
+        }
+        &mut self.lists[self.position[v.index()] as usize]
+    }
+
+    fn num_entries(&self) -> usize {
+        self.lists.iter().map(Vec::len).sum()
+    }
+
+    /// The ids with a list, ascending.
+    fn ids(&self) -> impl Iterator<Item = VertexId> + '_ {
+        (0..self.position.len() as u32).map(VertexId).filter(|&v| self.contains(v))
+    }
+}
+
 /// The skeleton graph `Gλ`.
 #[derive(Debug, Clone)]
 pub struct SkeletonGraph {
     directed: bool,
     edges: Vec<SkeletonEdge>,
     edge_lookup: HashMap<(VertexId, VertexId), u32>,
-    adj: HashMap<VertexId, Vec<(VertexId, u32)>>,
-    max_vertex_id: usize,
+    /// Outgoing edges as (neighbour, index into `edges`).
+    adj: Adjacency<u32>,
 }
 
 impl SkeletonGraph {
@@ -67,8 +127,7 @@ impl SkeletonGraph {
             directed,
             edges: Vec::new(),
             edge_lookup: HashMap::new(),
-            adj: HashMap::new(),
-            max_vertex_id: 0,
+            adj: Adjacency::new(),
         }
     }
 
@@ -89,12 +148,12 @@ impl SkeletonGraph {
 
     /// Whether the skeleton contains the vertex.
     pub fn contains(&self, v: VertexId) -> bool {
-        self.adj.contains_key(&v)
+        self.adj.contains(v)
     }
 
-    /// All skeleton vertices (unsorted).
+    /// All skeleton vertices, ascending.
     pub fn vertices(&self) -> impl Iterator<Item = VertexId> + '_ {
-        self.adj.keys().copied()
+        self.adj.ids()
     }
 
     /// Iterates over all skeleton edges.
@@ -124,14 +183,11 @@ impl SkeletonGraph {
                     weight: lbd,
                 });
                 self.edge_lookup.insert(key, idx);
-                self.adj.entry(key.0).or_default().push((key.1, idx));
+                self.adj.list_mut(key.0).push((key.1, idx));
+                let back = self.adj.list_mut(key.1);
                 if !self.directed {
-                    self.adj.entry(key.1).or_default().push((key.0, idx));
-                } else {
-                    self.adj.entry(key.1).or_default();
+                    back.push((key.0, idx));
                 }
-                self.max_vertex_id =
-                    self.max_vertex_id.max(key.0.index() + 1).max(key.1.index() + 1);
                 true
             }
         }
@@ -152,18 +208,14 @@ impl SkeletonGraph {
                 .map(|e| e.contributions.len() * std::mem::size_of::<(SubgraphId, Weight)>())
                 .sum::<usize>()
             + self.edge_lookup.len() * (std::mem::size_of::<(VertexId, VertexId)>() + 4)
-            + self
-                .adj
-                .values()
-                .map(|v| v.len() * std::mem::size_of::<(VertexId, u32)>())
-                .sum::<usize>()
-            + self.adj.len() * std::mem::size_of::<VertexId>()
+            + self.adj.num_entries() * std::mem::size_of::<(VertexId, u32)>()
+            + self.adj.id_bound() * std::mem::size_of::<u32>()
     }
 
     /// Builds an overlay view that adds temporary vertices/edges (query endpoints that
     /// are not boundary vertices) on top of this skeleton.
     pub fn overlay(&self) -> OverlayView<'_> {
-        OverlayView { skeleton: self, extra: HashMap::new(), max_extra_id: 0 }
+        OverlayView { skeleton: self, extra: Adjacency::new() }
     }
 
     #[inline]
@@ -178,18 +230,16 @@ impl SkeletonGraph {
 
 impl GraphView for SkeletonGraph {
     fn num_vertices(&self) -> usize {
-        self.max_vertex_id
+        self.adj.id_bound()
     }
 
     fn contains_vertex(&self, v: VertexId) -> bool {
-        self.adj.contains_key(&v)
+        self.adj.contains(v)
     }
 
     fn for_each_neighbor(&self, v: VertexId, mut f: impl FnMut(VertexId, Weight)) {
-        if let Some(list) = self.adj.get(&v) {
-            for &(to, idx) in list {
-                f(to, self.edges[idx as usize].weight());
-            }
+        for &(to, idx) in self.adj.list(v) {
+            f(to, self.edges[idx as usize].weight());
         }
     }
 
@@ -212,16 +262,14 @@ pub struct OverlayView<'a> {
     skeleton: &'a SkeletonGraph,
     /// Extra adjacency: vertex → (neighbour, weight). Entries are directional; the
     /// caller adds both directions for undirected graphs.
-    extra: HashMap<VertexId, Vec<(VertexId, Weight)>>,
-    max_extra_id: usize,
+    extra: Adjacency<Weight>,
 }
 
 impl OverlayView<'_> {
     /// Adds a one-directional overlay edge from `u` to `v` with the given weight.
     pub fn add_edge(&mut self, u: VertexId, v: VertexId, w: Weight) {
-        self.extra.entry(u).or_default().push((v, w));
-        self.extra.entry(v).or_default();
-        self.max_extra_id = self.max_extra_id.max(u.index() + 1).max(v.index() + 1);
+        self.extra.list_mut(u).push((v, w));
+        self.extra.list_mut(v);
     }
 
     /// Adds overlay edges in both directions between `u` and `v`.
@@ -232,34 +280,29 @@ impl OverlayView<'_> {
 
     /// Number of extra (overlay) directed edge entries.
     pub fn num_overlay_edges(&self) -> usize {
-        self.extra.values().map(|v| v.len()).sum()
+        self.extra.num_entries()
     }
 }
 
 impl GraphView for OverlayView<'_> {
     fn num_vertices(&self) -> usize {
-        self.skeleton.num_vertices().max(self.max_extra_id)
+        self.skeleton.num_vertices().max(self.extra.id_bound())
     }
 
     fn contains_vertex(&self, v: VertexId) -> bool {
-        self.skeleton.contains_vertex(v) || self.extra.contains_key(&v)
+        self.skeleton.contains_vertex(v) || self.extra.contains(v)
     }
 
     fn for_each_neighbor(&self, v: VertexId, mut f: impl FnMut(VertexId, Weight)) {
         self.skeleton.for_each_neighbor(v, &mut f);
-        if let Some(list) = self.extra.get(&v) {
-            for &(to, w) in list {
-                f(to, w);
-            }
+        for &(to, w) in self.extra.list(v) {
+            f(to, w);
         }
     }
 
     fn edge_weight(&self, u: VertexId, v: VertexId) -> Option<Weight> {
         let base = self.skeleton.edge_weight(u, v);
-        let extra = self
-            .extra
-            .get(&u)
-            .and_then(|list| list.iter().find(|&&(to, _)| to == v).map(|&(_, w)| w));
+        let extra = self.extra.list(u).iter().find(|&&(to, _)| to == v).map(|&(_, w)| w);
         match (base, extra) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
@@ -342,6 +385,28 @@ mod tests {
         assert_eq!(p.distance(), Weight::new(10.0));
         // The underlying skeleton is untouched.
         assert!(!sk.contains(v(50)));
+    }
+
+    #[test]
+    fn one_arena_serves_a_high_id_graph_then_the_skeleton() {
+        // A query's arena first searches a subgraph whose ids sit high, then the
+        // skeleton overlay over low ids; the overlay answer must match a fresh arena.
+        let mut b = ksp_graph::GraphBuilder::undirected(100);
+        b.edge(90, 91, 1).edge(91, 92, 1).edge(90, 92, 5);
+        let high = b.build().unwrap();
+        let sk = sample_skeleton();
+        let mut overlay = sk.overlay();
+        overlay.add_undirected_edge(v(50), v(1), Weight::new(1.0));
+        let mut arena = ksp_algo::SearchArena::new();
+        let p = arena.shortest_path(&high, v(90), v(92), &[], &[]).unwrap();
+        assert_eq!(p.distance(), Weight::new(2.0));
+        let shared = arena.shortest_path(&overlay, v(50), v(3), &[v(2)], &[]);
+        assert_eq!(
+            shared,
+            ksp_algo::SearchArena::new().shortest_path(&overlay, v(50), v(3), &[v(2)], &[])
+        );
+        assert_eq!(shared.unwrap().vertices(), &[v(50), v(1), v(3)]);
+        assert_eq!(sk.vertices().collect::<Vec<_>>(), vec![v(1), v(2), v(3)]);
     }
 
     #[test]

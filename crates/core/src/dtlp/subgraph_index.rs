@@ -11,7 +11,7 @@ use crate::dtlp::bounding::{BoundingPath, BoundingPathSet};
 use crate::dtlp::ep_index::{EpIndex, PathRef};
 use crate::dtlp::mfp::MfpForest;
 use crate::dtlp::unit_weights::UnitWeightMultiset;
-use ksp_algo::{fewest_vfrag_paths, Path};
+use ksp_algo::{fewest_vfrag_paths, Path, SearchArena};
 use ksp_graph::{EdgeId, GraphError, Subgraph, SubgraphId, VertexId, Weight, WeightUpdate};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -83,9 +83,10 @@ pub struct SubgraphIndex {
 impl SubgraphIndex {
     /// Builds the index for one subgraph.
     ///
-    /// `xi` is the maximum number of bounding paths per boundary pair (the paper's ξ);
-    /// `max_enumerated` caps the path enumeration per pair (see
-    /// [`ksp_algo::fewest_vfrag_paths`] for why truncation is safe).
+    /// `xi` is the number of distinct vfrag counts among a pair's bounding paths (the
+    /// paper's ξ) and `max_enumerated` caps the path enumeration per pair; see
+    /// [`ksp_algo::fewest_vfrag_paths`] for which paths are kept and why truncation is
+    /// safe.
     pub fn build(
         subgraph: impl Into<Arc<Subgraph>>,
         xi: usize,
@@ -250,34 +251,40 @@ impl SubgraphIndex {
     }
 
     /// Shortest distances from `v` to every boundary vertex of this subgraph, computed
-    /// on the current weights. Used to attach a non-boundary query endpoint to the
-    /// skeleton graph (Section 5.3 / Step 1 of the Storm deployment).
-    pub fn boundary_distances_from(&self, v: VertexId) -> Vec<(VertexId, Weight)> {
-        let map = ksp_algo::dijkstra_all(&self.subgraph, v);
-        self.subgraph
-            .boundary_vertices()
-            .iter()
-            .filter_map(|&b| {
-                let d = map.distance(b);
-                d.is_finite().then_some((b, d))
-            })
-            .collect()
+    /// on the current weights with one search on `arena`. Used to attach a
+    /// non-boundary query endpoint to the skeleton graph (Section 5.3 / Step 1 of the
+    /// Storm deployment).
+    pub fn boundary_distances_from(
+        &self,
+        v: VertexId,
+        arena: &mut SearchArena,
+    ) -> Vec<(VertexId, Weight)> {
+        arena.search_from(&*self.subgraph, v);
+        self.boundary_distances(arena)
     }
 
     /// Shortest distances from every boundary vertex of this subgraph *to* `v`.
     /// Identical to [`Self::boundary_distances_from`] for undirected subgraphs; for
     /// directed subgraphs it searches the reversed subgraph.
-    pub fn boundary_distances_to(&self, v: VertexId) -> Vec<(VertexId, Weight)> {
+    pub fn boundary_distances_to(
+        &self,
+        v: VertexId,
+        arena: &mut SearchArena,
+    ) -> Vec<(VertexId, Weight)> {
         if !self.subgraph.is_directed() {
-            return self.boundary_distances_from(v);
+            return self.boundary_distances_from(v, arena);
         }
-        let reversed = ReversedSubgraph::new(&self.subgraph);
-        let map = ksp_algo::dijkstra_all(&reversed, v);
+        arena.search_from(&ReversedSubgraph::new(&self.subgraph), v);
+        self.boundary_distances(arena)
+    }
+
+    /// The finite distances `arena`'s last search found to this subgraph's boundary.
+    fn boundary_distances(&self, arena: &SearchArena) -> Vec<(VertexId, Weight)> {
         self.subgraph
             .boundary_vertices()
             .iter()
             .filter_map(|&b| {
-                let d = map.distance(b);
+                let d = arena.distance(b);
                 d.is_finite().then_some((b, d))
             })
             .collect()
@@ -515,6 +522,44 @@ mod tests {
     }
 
     #[test]
+    fn tied_vfrag_counts_keep_the_lower_bound_valid() {
+        // Between boundary vertices 0 and 3, routes 0-1-3 and 0-2-3 both have two
+        // vfrags and 0-4-5-3 has three. With ξ = 2 the bound must track both tied
+        // routes: once 0-2-3 becomes the shortest, a bound built from 0-1-3 alone
+        // (2.6) would exceed it (1.4).
+        let mut b = GraphBuilder::undirected(6);
+        b.edge(0, 1, 1).edge(1, 3, 1).edge(0, 2, 1).edge(2, 3, 1);
+        b.edge(0, 4, 1).edge(4, 5, 1).edge(5, 3, 1);
+        let g = b.build().unwrap();
+        let sg = Partitioner::new(PartitionConfig::with_max_vertices(100))
+            .partition(&g)
+            .unwrap()
+            .into_subgraphs()
+            .remove(0);
+        let v = VertexId;
+        let sg = Subgraph::restore(
+            sg.id(),
+            false,
+            sg.vertices().to_vec(),
+            sg.edges().to_vec(),
+            vec![v(0), v(3)],
+        );
+        let mut idx = SubgraphIndex::build(sg, 2, 64, BackendKind::EpIndex);
+        assert_eq!(idx.pairs()[0].len(), 3, "both tied routes and the 3-vfrag one");
+        let factors = [1.3, 1.3, 0.7, 0.7, 1.3, 1.3, 1.3];
+        let updates: Vec<WeightUpdate> = factors
+            .iter()
+            .enumerate()
+            .map(|(e, &f)| WeightUpdate::new(EdgeId(e as u32), Weight::new(f)))
+            .collect();
+        idx.apply_updates(&updates).unwrap();
+        let lb = idx.lower_bounds().next().unwrap();
+        let shortest = dijkstra_path(idx.subgraph(), v(0), v(3)).unwrap().distance();
+        assert!(shortest.approx_eq(Weight::new(1.4)));
+        assert!(lb.new_lbd <= shortest, "LBD {} exceeds shortest {shortest}", lb.new_lbd);
+    }
+
+    #[test]
     fn ep_and_mfp_backends_agree_after_updates() {
         let (_, partitioning) = paper_partitioning();
         let mut ep = build_indexes(&partitioning, 2, BackendKind::EpIndex);
@@ -582,7 +627,7 @@ mod tests {
         let indexes = build_indexes(&partitioning, 1, BackendKind::EpIndex);
         for idx in &indexes {
             let Some(&start) = idx.subgraph().vertices().first() else { continue };
-            let dists = idx.boundary_distances_from(start);
+            let dists = idx.boundary_distances_from(start, &mut SearchArena::new());
             for (b, d) in dists {
                 let expected = dijkstra_path(idx.subgraph(), start, b).unwrap().distance();
                 assert!(d.approx_eq(expected));
@@ -602,8 +647,9 @@ mod tests {
             let idx = SubgraphIndex::build(sg.clone(), 1, 16, BackendKind::EpIndex);
             for &bv in idx.subgraph().boundary_vertices() {
                 // distances *to* bv from bv must be zero in both helper directions.
-                let from = idx.boundary_distances_from(bv);
-                let to = idx.boundary_distances_to(bv);
+                let mut arena = SearchArena::new();
+                let from = idx.boundary_distances_from(bv, &mut arena);
+                let to = idx.boundary_distances_to(bv, &mut arena);
                 assert!(from.iter().any(|&(x, d)| x == bv && d == Weight::ZERO));
                 assert!(to.iter().any(|&(x, d)| x == bv && d == Weight::ZERO));
             }

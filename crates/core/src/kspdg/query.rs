@@ -3,7 +3,7 @@
 use crate::dtlp::{DtlpIndex, OverlayView};
 use crate::kspdg::refine::{candidate_ksp, PartialPathCache};
 use ksp_algo::path::keep_k_shortest;
-use ksp_algo::{dijkstra_settled_within, KspEnumerator, Path};
+use ksp_algo::{KspEnumerator, Path, SearchArena};
 use ksp_graph::{SubgraphSet, VertexId, Weight};
 
 /// Configuration of the query engine.
@@ -163,16 +163,20 @@ impl<'a> KspDgEngine<'a> {
             };
         }
 
+        // Every search of this query — endpoint attachment, reference enumeration,
+        // partial Yen and the survival sweep — runs on this one arena.
+        let mut arena = SearchArena::new();
+
         // Filter-step search structure: the skeleton graph with the query endpoints
         // attached (Section 5.3 / Step 1 of the Storm deployment).
-        let overlay = self.build_overlay(source, target, &mut trace.subgraphs);
+        let overlay = self.build_overlay(source, target, &mut arena, &mut trace.subgraphs);
 
         let mut reference_paths = KspEnumerator::new(&overlay, source, target);
         let mut cache = PartialPathCache::new(k);
         let mut results: Vec<Path> = Vec::new();
         let mut capped = false;
 
-        let mut next_reference = reference_paths.next_path();
+        let mut next_reference = reference_paths.next_path_in(&mut arena);
         while let Some(reference) = next_reference {
             if stats.iterations >= self.config.max_iterations {
                 capped = true;
@@ -186,10 +190,9 @@ impl<'a> KspDgEngine<'a> {
                 candidate_ksp(
                     self.index,
                     reference.vertices(),
-                    k,
                     &mut cache,
-                    &mut stats.vertices_transferred,
-                    &mut stats.subgraphs_examined,
+                    &mut arena,
+                    &mut stats,
                     &mut trace.subgraphs,
                 )
             } else {
@@ -197,10 +200,9 @@ impl<'a> KspDgEngine<'a> {
                 let out = candidate_ksp(
                     self.index,
                     reference.vertices(),
-                    k,
                     &mut fresh,
-                    &mut stats.vertices_transferred,
-                    &mut stats.subgraphs_examined,
+                    &mut arena,
+                    &mut stats,
                     &mut trace.subgraphs,
                 );
                 stats.partial_computations += fresh.misses();
@@ -212,7 +214,7 @@ impl<'a> KspDgEngine<'a> {
 
             // Termination (Theorem 3): stop when the k-th best complete path found so
             // far is no longer than the next reference path.
-            next_reference = reference_paths.next_path();
+            next_reference = reference_paths.next_path_in(&mut arena);
             if results.len() >= k {
                 let kth = results[k - 1].distance();
                 match &next_reference {
@@ -240,9 +242,9 @@ impl<'a> KspDgEngine<'a> {
             if results.len() >= k {
                 let sweep_started = std::time::Instant::now();
                 let bound = results[k - 1].distance();
-                for v in dijkstra_settled_within(&overlay, source, bound) {
+                arena.settled_within(&overlay, source, bound, |v| {
                     trace.subgraphs.extend(self.index.subgraphs_of_vertex(v).iter().copied());
-                }
+                });
                 sweep_time = sweep_started.elapsed();
             }
             trace.complete = true;
@@ -257,6 +259,7 @@ impl<'a> KspDgEngine<'a> {
         &self,
         source: VertexId,
         target: VertexId,
+        arena: &mut SearchArena,
         trace: &mut SubgraphSet,
     ) -> OverlayView<'_> {
         trace.extend(self.index.subgraphs_of_vertex(source).iter().copied());
@@ -267,7 +270,7 @@ impl<'a> KspDgEngine<'a> {
 
         if !self.index.is_boundary(source) {
             for &sg in self.index.subgraphs_of_vertex(source) {
-                for (b, d) in self.index.subgraph_index(sg).boundary_distances_from(source) {
+                for (b, d) in self.index.subgraph_index(sg).boundary_distances_from(source, arena) {
                     if b == source {
                         continue;
                     }
@@ -281,7 +284,7 @@ impl<'a> KspDgEngine<'a> {
         }
         if !self.index.is_boundary(target) {
             for &sg in self.index.subgraphs_of_vertex(target) {
-                for (b, d) in self.index.subgraph_index(sg).boundary_distances_to(target) {
+                for (b, d) in self.index.subgraph_index(sg).boundary_distances_to(target, arena) {
                     if b == target {
                         continue;
                     }
@@ -304,12 +307,8 @@ impl<'a> KspDgEngine<'a> {
             let best = shared
                 .iter()
                 .filter_map(|&sg| {
-                    ksp_algo::dijkstra_path(
-                        self.index.subgraph_index(sg).subgraph(),
-                        source,
-                        target,
-                    )
-                    .map(|p| p.distance())
+                    let subgraph = self.index.subgraph_index(sg).subgraph();
+                    arena.shortest_path(subgraph, source, target, &[], &[]).map(|p| p.distance())
                 })
                 .min();
             if let Some(d) = best {
@@ -507,6 +506,27 @@ mod tests {
         for q in workload.iter() {
             assert_matches_yen(&net.graph, &index, q.source, q.target, q.k);
         }
+    }
+
+    #[test]
+    fn tied_bounding_paths_keep_post_update_answers_exact() {
+        // The benchmark's network (1 200 vertices, z = 50, ξ = 2) after four global
+        // batches of seed 301: between boundary vertices v652 and v694 two routes tie
+        // at 23 vfrags, and once the untracked one became the shorter, a bound built
+        // from the other made the skeleton overestimate it and the query stop early
+        // with a wrong shortest path.
+        let mut graph = RoadNetworkGenerator::new(RoadNetworkConfig::with_vertices(1200))
+            .generate(2020)
+            .unwrap()
+            .graph;
+        let mut index = DtlpIndex::build(&graph, DtlpConfig::new(50, 2)).unwrap();
+        let mut traffic = TrafficModel::new(&graph, TrafficConfig::default(), 301);
+        for _ in 0..4 {
+            let batch = traffic.next_snapshot();
+            graph.apply_batch(&batch).unwrap();
+            index.apply_batch(&batch).unwrap();
+        }
+        assert_matches_yen(&graph, &index, v(652), v(1052), 3);
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! The refine step of KSP-DG: partial k shortest paths and their join (Algorithm 4).
 
 use crate::dtlp::DtlpIndex;
+use crate::kspdg::QueryStats;
 use ksp_algo::path::keep_k_shortest;
-use ksp_algo::{yen_ksp, Path};
+use ksp_algo::{yen_ksp_in, Path, SearchArena};
 use ksp_graph::{SubgraphSet, VertexId};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// Cache of partial k-shortest-path computations, keyed by the (ordered) vertex pair.
@@ -42,44 +44,47 @@ impl PartialPathCache {
     }
 
     /// Returns the partial k shortest paths from `u` to `v`, computing (and caching)
-    /// them if necessary.
+    /// them if necessary. The paths are lent from the cache, not copied.
     ///
     /// The computation examines every subgraph containing both endpoints, runs Yen's
-    /// algorithm inside each (Algorithm 4, line 6), merges the results and keeps the
-    /// `k` shortest (line 8). Appends the number of newly computed path-vertices to
-    /// `transferred_vertices`, modelling the tuples a SubgraphBolt would send back to
-    /// the QueryBolt, and records every examined subgraph in `trace` — the
-    /// level-one half of the query's dependency set.
+    /// algorithm inside each on `arena` (Algorithm 4, line 6), merges the results and
+    /// keeps the `k` shortest (line 8). Adds the number of newly computed path-vertices
+    /// to `stats.vertices_transferred`, modelling the tuples a SubgraphBolt would send
+    /// back to the QueryBolt, counts every examined subgraph in
+    /// `stats.subgraphs_examined` and records it in `trace` — the level-one half of the
+    /// query's dependency set.
     pub fn partial_ksp(
         &mut self,
         index: &DtlpIndex,
         u: VertexId,
         v: VertexId,
-        transferred_vertices: &mut usize,
-        subgraphs_examined: &mut usize,
+        arena: &mut SearchArena,
+        stats: &mut QueryStats,
         trace: &mut SubgraphSet,
-    ) -> Vec<Path> {
-        if let Some(cached) = self.entries.get(&(u, v)) {
-            self.hits += 1;
-            return cached.clone();
-        }
+    ) -> &[Path] {
+        let slot = match self.entries.entry((u, v)) {
+            Entry::Occupied(cached) => {
+                self.hits += 1;
+                return cached.into_mut();
+            }
+            Entry::Vacant(slot) => slot,
+        };
         self.misses += 1;
         let mut merged: Vec<Path> = Vec::new();
         for sg_id in index.subgraphs_containing_pair(u, v) {
-            *subgraphs_examined += 1;
+            stats.subgraphs_examined += 1;
             trace.insert(sg_id);
             let sg = index.subgraph_index(sg_id).subgraph();
-            let paths = yen_ksp(sg, u, v, self.k);
-            merged.extend(paths);
+            merged.extend(yen_ksp_in(sg, u, v, self.k, arena));
         }
         keep_k_shortest(&mut merged, self.k);
-        *transferred_vertices += merged.iter().map(|p| p.num_vertices()).sum::<usize>();
-        self.entries.insert((u, v), merged.clone());
-        merged
+        stats.vertices_transferred += merged.iter().map(|p| p.num_vertices()).sum::<usize>();
+        slot.insert(merged)
     }
 }
 
-/// Computes the candidate KSPs for one reference path (Algorithm 4).
+/// Computes the candidate KSPs for one reference path (Algorithm 4), with the `k` of
+/// `cache`.
 ///
 /// `reference` is the vertex sequence of the reference path in the (overlaid) skeleton
 /// graph; adjacent vertices always share at least one subgraph. The function joins the
@@ -89,30 +94,23 @@ impl PartialPathCache {
 pub fn candidate_ksp(
     index: &DtlpIndex,
     reference: &[VertexId],
-    k: usize,
     cache: &mut PartialPathCache,
-    transferred_vertices: &mut usize,
-    subgraphs_examined: &mut usize,
+    arena: &mut SearchArena,
+    stats: &mut QueryStats,
     trace: &mut SubgraphSet,
 ) -> Vec<Path> {
-    assert!(k >= 1, "k must be at least 1");
     assert!(!reference.is_empty(), "reference path must contain at least one vertex");
+    let k = cache.k();
+    assert!(k >= 1, "k must be at least 1");
     let mut combined: Vec<Path> = vec![Path::trivial(reference[0])];
     for pair in reference.windows(2) {
-        let partials = cache.partial_ksp(
-            index,
-            pair[0],
-            pair[1],
-            transferred_vertices,
-            subgraphs_examined,
-            trace,
-        );
+        let partials = cache.partial_ksp(index, pair[0], pair[1], arena, stats, trace);
         if partials.is_empty() {
             return Vec::new();
         }
         let mut next: Vec<Path> = Vec::with_capacity(combined.len() * partials.len());
         for left in &combined {
-            for right in &partials {
+            for right in partials {
                 if let Some(joined) = left.concat(right) {
                     next.push(joined);
                 }
@@ -133,6 +131,11 @@ mod tests {
     use crate::dtlp::{DtlpConfig, DtlpIndex};
     use ksp_algo::dijkstra_path;
     use ksp_graph::GraphBuilder;
+
+    /// Accounting sinks for one refine call.
+    fn sinks() -> (SearchArena, QueryStats, SubgraphSet) {
+        (SearchArena::new(), QueryStats::default(), SubgraphSet::new())
+    }
 
     fn v(i: u32) -> VertexId {
         VertexId(i)
@@ -180,9 +183,7 @@ mod tests {
     fn partial_ksp_matches_subgraph_shortest_paths() {
         let index = paper_index();
         let mut cache = PartialPathCache::new(2);
-        let mut transferred = 0;
-        let mut examined = 0;
-        let mut trace = SubgraphSet::new();
+        let (mut arena, mut stats, mut trace) = sinks();
         // Pick two boundary vertices that share a subgraph.
         let pair = index
             .boundary_vertices()
@@ -191,7 +192,7 @@ mod tests {
             .find(|&(a, b)| a != b && !index.subgraphs_containing_pair(a, b).is_empty())
             .expect("some boundary pair shares a subgraph");
         let partials =
-            cache.partial_ksp(&index, pair.0, pair.1, &mut transferred, &mut examined, &mut trace);
+            cache.partial_ksp(&index, pair.0, pair.1, &mut arena, &mut stats, &mut trace);
         assert!(!partials.is_empty());
         // The best partial equals the best single-subgraph shortest path.
         let best_direct = index
@@ -202,25 +203,26 @@ mod tests {
             .min()
             .unwrap();
         assert!(partials[0].distance().approx_eq(best_direct));
-        assert!(examined >= 1);
-        assert!(transferred > 0);
+        assert!(stats.subgraphs_examined >= 1);
+        assert!(stats.vertices_transferred > 0);
     }
 
     #[test]
     fn partial_cache_avoids_recomputation() {
         let index = paper_index();
         let mut cache = PartialPathCache::new(2);
-        let mut transferred = 0;
-        let mut examined = 0;
-        let mut trace = SubgraphSet::new();
+        let (mut arena, mut stats, mut trace) = sinks();
         let (a, b) = (index.boundary_vertices()[0], index.boundary_vertices()[1]);
-        let first = cache.partial_ksp(&index, a, b, &mut transferred, &mut examined, &mut trace);
-        let t_after_first = transferred;
-        let second = cache.partial_ksp(&index, a, b, &mut transferred, &mut examined, &mut trace);
-        assert_eq!(first.len(), second.len());
+        let first = cache.partial_ksp(&index, a, b, &mut arena, &mut stats, &mut trace).to_vec();
+        let t_after_first = stats.vertices_transferred;
+        let second = cache.partial_ksp(&index, a, b, &mut arena, &mut stats, &mut trace);
+        assert_eq!(first, second);
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
-        assert_eq!(transferred, t_after_first, "cache hits must not re-transfer paths");
+        assert_eq!(
+            stats.vertices_transferred, t_after_first,
+            "cache hits must not re-transfer paths"
+        );
         assert_eq!(cache.k(), 2);
     }
 
@@ -234,19 +236,10 @@ mod tests {
         // path of the full graph.
         let index = paper_index();
         let mut cache = PartialPathCache::new(2);
-        let mut transferred = 0;
-        let mut examined = 0;
-        let mut trace = SubgraphSet::new();
+        let (mut arena, mut stats, mut trace) = sinks();
         let reference = [v(3), v(5), v(8), v(12)]; // v4, v6, v9, v13 (0-based ids)
-        let candidates = candidate_ksp(
-            &index,
-            &reference,
-            2,
-            &mut cache,
-            &mut transferred,
-            &mut examined,
-            &mut trace,
-        );
+        let candidates =
+            candidate_ksp(&index, &reference, &mut cache, &mut arena, &mut stats, &mut trace);
         assert_eq!(candidates.len(), 2);
         assert!(candidates[0].distance() <= candidates[1].distance());
         for c in &candidates {
@@ -271,19 +264,10 @@ mod tests {
     fn candidate_ksp_returns_simple_paths_following_the_reference_sequence() {
         let index = paper_index();
         let mut cache = PartialPathCache::new(3);
-        let mut transferred = 0;
-        let mut examined = 0;
-        let mut trace = SubgraphSet::new();
+        let (mut arena, mut stats, mut trace) = sinks();
         let reference = [v(3), v(5), v(8), v(12)];
-        let candidates = candidate_ksp(
-            &index,
-            &reference,
-            3,
-            &mut cache,
-            &mut transferred,
-            &mut examined,
-            &mut trace,
-        );
+        let candidates =
+            candidate_ksp(&index, &reference, &mut cache, &mut arena, &mut stats, &mut trace);
         for c in &candidates {
             assert!(Path::is_simple(c.vertices()));
             assert_eq!(c.source(), v(3));
@@ -308,19 +292,16 @@ mod tests {
     fn disconnected_pair_produces_no_candidates() {
         let index = paper_index();
         let mut cache = PartialPathCache::new(2);
-        let mut transferred = 0;
-        let mut examined = 0;
-        let mut trace = SubgraphSet::new();
+        let (mut arena, mut stats, mut trace) = sinks();
         // v1 (id 0) and v19 (id 18) never share a subgraph in this partitioning, so the
         // partial computation finds no subgraph and yields nothing.
         if index.subgraphs_containing_pair(v(0), v(18)).is_empty() {
             let candidates = candidate_ksp(
                 &index,
                 &[v(0), v(18)],
-                2,
                 &mut cache,
-                &mut transferred,
-                &mut examined,
+                &mut arena,
+                &mut stats,
                 &mut trace,
             );
             assert!(candidates.is_empty());
@@ -331,18 +312,9 @@ mod tests {
     fn single_vertex_reference_path_yields_the_trivial_path() {
         let index = paper_index();
         let mut cache = PartialPathCache::new(2);
-        let mut transferred = 0;
-        let mut examined = 0;
-        let mut trace = SubgraphSet::new();
-        let candidates = candidate_ksp(
-            &index,
-            &[v(3)],
-            2,
-            &mut cache,
-            &mut transferred,
-            &mut examined,
-            &mut trace,
-        );
+        let (mut arena, mut stats, mut trace) = sinks();
+        let candidates =
+            candidate_ksp(&index, &[v(3)], &mut cache, &mut arena, &mut stats, &mut trace);
         assert_eq!(candidates.len(), 1);
         assert_eq!(candidates[0].num_edges(), 0);
     }
