@@ -183,14 +183,13 @@ impl StormTopology {
         });
         built.sort_by_key(|(w, _)| *w);
 
-        let mut skeleton = SkeletonGraph::new(graph.is_directed());
-        for (_, indexes) in &built {
-            for idx in indexes {
-                for lb in idx.lower_bounds() {
-                    skeleton.set_contribution(lb.a, lb.b, idx.id(), lb.new_lbd);
-                }
-            }
-        }
+        let skeleton = SkeletonGraph::assemble(
+            graph.is_directed(),
+            built
+                .iter()
+                .flat_map(|(_, indexes)| indexes)
+                .flat_map(|idx| idx.lower_bounds().map(|lb| (idx.id(), lb))),
+        );
 
         // Spawn the long-lived worker threads, each owning its indexes.
         let mut workers = Vec::with_capacity(config.num_workers);

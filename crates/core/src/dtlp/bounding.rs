@@ -1,13 +1,20 @@
 //! Bounding paths, lower bounding paths and lower bound distances (Sections 3.4–3.5).
+//!
+//! The *structure* of a bounding path (its vertex sequence and vfrag count) never
+//! changes as edge weights evolve; only its distance is maintained. A subgraph's paths
+//! are therefore stored as a `BoundingPathTable` — structure only, built once and
+//! shared by every epoch — beside a flat distance vector that maintenance updates, one
+//! entry per path in table order. [`PairPaths`] reads one boundary pair's paths from
+//! the two and computes its lower bound distance (Theorem 1).
+//!
+//! [`BoundingPath`] and [`BoundingPathSet`] are the owned form in which paths enter a
+//! table (at build and restore) and are read back from storage.
 
 use crate::dtlp::unit_weights::UnitWeightMultiset;
 use ksp_graph::{VertexId, Weight};
+use std::ops::Range;
 
-/// One bounding path between a pair of boundary vertices in a subgraph.
-///
-/// The *structure* of a bounding path (its vertex sequence and vfrag count) never
-/// changes as edge weights evolve; only `current_distance` is maintained, via the
-/// EP-Index / MFP-tree backend, as weight updates arrive.
+/// One bounding path between a pair of boundary vertices in a subgraph (owned form).
 #[derive(Debug, Clone, PartialEq)]
 pub struct BoundingPath {
     /// The vertex sequence of the path, in global vertex ids.
@@ -24,27 +31,12 @@ impl BoundingPath {
         debug_assert!(vertices.len() >= 2, "a bounding path joins two distinct vertices");
         BoundingPath { vertices, vfrags, current_distance }
     }
-
-    /// Number of edges on the path.
-    pub fn num_edges(&self) -> usize {
-        self.vertices.len() - 1
-    }
-
-    /// The bound distance of this path given the subgraph's unit-weight multiset: the
-    /// sum of the `vfrags` smallest unit weights (Section 3.4).
-    pub fn bound_distance(&self, multiset: &UnitWeightMultiset) -> Weight {
-        multiset.bound_distance(self.vfrags)
-    }
-
-    /// Estimated memory footprint in bytes.
-    pub fn memory_bytes(&self) -> usize {
-        self.vertices.len() * std::mem::size_of::<VertexId>() + 24
-    }
 }
 
-/// The set of bounding paths between one pair of boundary vertices in one subgraph,
-/// ordered by non-decreasing vfrag count (equivalently bound distance): every path with
-/// fewer vfrags than the last one, and the last (see [`ksp_algo::fewest_vfrag_paths`]).
+/// The bounding paths between one pair of boundary vertices in one subgraph (owned
+/// form), ordered by non-decreasing vfrag count (equivalently bound distance): every
+/// path with fewer vfrags than the last one, and the last (see
+/// [`ksp_algo::fewest_vfrag_paths`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct BoundingPathSet {
     /// First endpoint (source for directed subgraphs).
@@ -74,13 +66,136 @@ impl BoundingPathSet {
     pub fn len(&self) -> usize {
         self.paths.len()
     }
+}
+
+/// The structure of every bounding path of one subgraph, pair-major: each pair's
+/// endpoints and path range, each path's vertex range and vfrag count. Paths are
+/// numbered from 0 in this order; distances live outside the table, in a slice
+/// indexed by that number.
+#[derive(Debug)]
+pub(crate) struct BoundingPathTable {
+    /// Endpoints of each boundary pair.
+    ends: Vec<(VertexId, VertexId)>,
+    /// Pair `i`'s paths are `pair_start[i]..pair_start[i + 1]`.
+    pair_start: Vec<u32>,
+    /// Path `j`'s vertices are `vertices[vertex_start[j]..vertex_start[j + 1]]`.
+    vertex_start: Vec<u32>,
+    vertices: Vec<VertexId>,
+    /// Vfrag count (φ) of each path.
+    vfrags: Vec<u64>,
+}
+
+impl BoundingPathTable {
+    /// Flattens owned sets into a table, returning it with the paths' distances in
+    /// table order.
+    pub fn from_sets(sets: &[BoundingPathSet]) -> (Self, Vec<Weight>) {
+        let num_paths: usize = sets.iter().map(BoundingPathSet::len).sum();
+        let mut table = BoundingPathTable {
+            ends: Vec::with_capacity(sets.len()),
+            pair_start: Vec::with_capacity(sets.len() + 1),
+            vertex_start: Vec::with_capacity(num_paths + 1),
+            vertices: Vec::new(),
+            vfrags: Vec::with_capacity(num_paths),
+        };
+        let mut distances = Vec::with_capacity(num_paths);
+        table.pair_start.push(0);
+        table.vertex_start.push(0);
+        for set in sets {
+            table.ends.push((set.a, set.b));
+            for p in &set.paths {
+                table.vertices.extend_from_slice(&p.vertices);
+                table.vertex_start.push(table.vertices.len() as u32);
+                table.vfrags.push(p.vfrags);
+                distances.push(p.current_distance);
+            }
+            table.pair_start.push(table.vfrags.len() as u32);
+        }
+        (table, distances)
+    }
+
+    /// Number of boundary pairs.
+    pub fn num_pairs(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// The numbers of pair `pair`'s paths.
+    pub fn paths_of(&self, pair: usize) -> Range<usize> {
+        self.pair_start[pair] as usize..self.pair_start[pair + 1] as usize
+    }
+
+    /// The vertex sequence of path `path`.
+    pub fn vertices(&self, path: usize) -> &[VertexId] {
+        &self.vertices[self.vertex_start[path] as usize..self.vertex_start[path + 1] as usize]
+    }
+
+    /// Pair `pair` read against `distances` (one per path, in table order).
+    pub fn pair<'a>(&'a self, pair: usize, distances: &'a [Weight]) -> PairPaths<'a> {
+        let (a, b) = self.ends[pair];
+        let paths = self.paths_of(pair);
+        PairPaths { a, b, table: self, first: paths.start, distances: &distances[paths] }
+    }
+
+    /// Estimated memory footprint in bytes.
+    pub fn memory_bytes(&self) -> usize {
+        self.ends.len() * std::mem::size_of::<(VertexId, VertexId)>()
+            + (self.pair_start.len() + self.vertex_start.len()) * std::mem::size_of::<u32>()
+            + self.vertices.len() * std::mem::size_of::<VertexId>()
+            + self.vfrags.len() * std::mem::size_of::<u64>()
+    }
+}
+
+/// One boundary pair's bounding paths, read from a `BoundingPathTable` and its
+/// distances. Paths are numbered `0..len()` within the pair.
+#[derive(Debug, Clone, Copy)]
+pub struct PairPaths<'a> {
+    /// First endpoint (source for directed subgraphs).
+    pub a: VertexId,
+    /// Second endpoint (destination for directed subgraphs).
+    pub b: VertexId,
+    table: &'a BoundingPathTable,
+    /// The number of the pair's first path in `table`.
+    first: usize,
+    /// The pair's distances, one per path.
+    distances: &'a [Weight],
+}
+
+impl<'a> PairPaths<'a> {
+    /// Number of bounding paths.
+    pub fn len(&self) -> usize {
+        self.distances.len()
+    }
+
+    /// Whether the pair has no bounding path (it is not connected within the subgraph).
+    pub fn is_empty(&self) -> bool {
+        self.distances.is_empty()
+    }
+
+    /// The vertex sequence of path `i`.
+    pub fn vertices(&self, i: usize) -> &'a [VertexId] {
+        self.table.vertices(self.first + i)
+    }
+
+    /// The vfrag count of path `i`.
+    pub fn vfrags(&self, i: usize) -> u64 {
+        self.table.vfrags[self.first + i]
+    }
+
+    /// The actual distance of path `i` at the current weights.
+    pub fn distance(&self, i: usize) -> Weight {
+        self.distances[i]
+    }
+
+    /// Theorem 1's two quantities: `D_u`, the smallest *actual* distance among the
+    /// bounding paths, and `BD_r`, the largest *bound* distance — the sum of the last
+    /// path's vfrag count's smallest unit weights (Section 3.4), the largest since
+    /// bound distance is monotone in vfrag count. `None` for an empty set.
+    fn theorem1(&self, multiset: &UnitWeightMultiset) -> Option<(Weight, Weight)> {
+        let d_u = self.distances.iter().copied().min()?;
+        Some((d_u, multiset.bound_distance(self.vfrags(self.len() - 1))))
+    }
 
     /// The lower bound distance `LBD(a, b)` for this subgraph (Definitions 6–7,
-    /// computed via Theorem 1).
-    ///
-    /// Writing `D_u` for the smallest *actual* distance among the bounding paths and
-    /// `BD_r` for the largest *bound* distance (the last path's, since bound distance
-    /// is monotone in vfrag count), Theorem 1 gives:
+    /// computed via Theorem 1):
     ///
     /// * if `BD_r ≥ D_u` (claim 1), the path achieving `D_u` is the true shortest path
     ///   between `a` and `b` in the subgraph, so `LBD = D_u`;
@@ -92,53 +207,21 @@ impl BoundingPathSet {
     /// at least `BD_r`. Returns [`Weight::INFINITY`] for an empty set (unconnected
     /// pair).
     pub fn lower_bound_distance(&self, multiset: &UnitWeightMultiset) -> Weight {
-        if self.paths.is_empty() {
-            return Weight::INFINITY;
-        }
-        let d_u = self.paths.iter().map(|p| p.current_distance).min().expect("non-empty path set");
-        let bd_r = self.paths.last().expect("non-empty path set").bound_distance(multiset);
-        d_u.min(bd_r)
+        self.theorem1(multiset).map_or(Weight::INFINITY, |(d_u, bd_r)| d_u.min(bd_r))
     }
 
     /// Whether Theorem 1's claim 1 applies, i.e. the lower bound distance is exactly
     /// the shortest distance between the pair within the subgraph. Exposed so tests
     /// and diagnostics can distinguish tight from loose bounds.
     pub fn bound_is_exact(&self, multiset: &UnitWeightMultiset) -> bool {
-        if self.paths.is_empty() {
-            return false;
-        }
-        let d_u = self.paths.iter().map(|p| p.current_distance).min().unwrap();
-        let bd_r = self.paths.last().unwrap().bound_distance(multiset);
-        bd_r >= d_u
-    }
-
-    /// Applies a weight delta to every path in this set that traverses edge `(u, v)`
-    /// (in either orientation). Returns the number of paths touched. Used by the
-    /// simple (non-indexed) maintenance path and by tests; the EP-Index backend
-    /// locates affected paths without scanning.
-    pub fn apply_edge_delta(&mut self, u: VertexId, v: VertexId, delta: f64) -> usize {
-        let mut touched = 0;
-        for p in &mut self.paths {
-            let on_path =
-                p.vertices.windows(2).any(|w| (w[0] == u && w[1] == v) || (w[0] == v && w[1] == u));
-            if on_path {
-                let new = (p.current_distance.value() + delta).max(0.0);
-                p.current_distance = Weight::new(new);
-                touched += 1;
-            }
-        }
-        touched
-    }
-
-    /// Estimated memory footprint in bytes.
-    pub fn memory_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.paths.iter().map(|p| p.memory_bytes()).sum::<usize>()
+        self.theorem1(multiset).is_some_and(|(d_u, bd_r)| bd_r >= d_u)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dtlp::subgraph_index::{BackendKind, SubgraphIndex};
     use ksp_graph::{GraphBuilder, PartitionConfig, Partitioner, Subgraph, WeightUpdate};
 
     fn v(i: u32) -> VertexId {
@@ -176,6 +259,21 @@ mod tests {
         ]
     }
 
+    /// The Figure 6b/6c weights of the three routes.
+    fn fig6b_weights() -> Vec<(u32, u32, f64)> {
+        vec![
+            (0, 1, 8.0),
+            (1, 7, 8.0),
+            (0, 2, 4.0),
+            (2, 3, 4.0),
+            (3, 7, 4.0),
+            (0, 4, 2.0),
+            (4, 5, 2.0),
+            (5, 6, 2.0),
+            (6, 7, 2.0),
+        ]
+    }
+
     fn fig6_bounding_paths(sg: &Subgraph) -> BoundingPathSet {
         // The three bounding paths of Example 5 (ξ = 3).
         let routes: Vec<Vec<VertexId>> = vec![
@@ -186,6 +284,7 @@ mod tests {
         let paths = routes
             .into_iter()
             .map(|r| {
+                let path = ksp_algo::Path::from_vertices(sg, r.clone()).unwrap();
                 let vfrags: u64 = r
                     .windows(2)
                     .map(|w| {
@@ -196,119 +295,72 @@ mod tests {
                             .unwrap()
                     })
                     .sum();
-                let dist: f64 = r
-                    .windows(2)
-                    .map(|w| {
-                        sg.edges()
-                            .iter()
-                            .find(|e| (e.u == w[0] && e.v == w[1]) || (e.u == w[1] && e.v == w[0]))
-                            .map(|e| e.current_weight.value())
-                            .unwrap()
-                    })
-                    .sum();
-                BoundingPath::new(r, vfrags, Weight::new(dist))
+                BoundingPath::new(r, vfrags, path.distance())
             })
             .collect();
         BoundingPathSet::new(v(0), v(7), paths)
+    }
+
+    /// An index over `sg` holding exactly `set`, maintained by the real update path.
+    fn index_of(sg: Subgraph, set: BoundingPathSet) -> SubgraphIndex {
+        SubgraphIndex::restore(sg, vec![set], vec![Weight::INFINITY], BackendKind::EpIndex)
+    }
+
+    /// Moves every listed edge of `idx`'s subgraph to its new weight.
+    fn reweigh(idx: &mut SubgraphIndex, weights: &[(u32, u32, f64)]) -> usize {
+        let updates: Vec<WeightUpdate> = weights
+            .iter()
+            .map(|&(u, w, nw)| {
+                let e = idx
+                    .subgraph()
+                    .edges()
+                    .iter()
+                    .find(|e| (e.u == v(u) && e.v == v(w)) || (e.u == v(w) && e.v == v(u)))
+                    .unwrap()
+                    .global_id;
+                WeightUpdate::new(e, Weight::new(nw))
+            })
+            .collect();
+        idx.apply_updates(&updates).unwrap().1
     }
 
     #[test]
     fn example5_case1_bound_equals_shortest_distance() {
         // Figure 6b: weights become 8,8 / 4,4,4 / 2,2,2,2. The 4-edge route is now the
         // shortest (distance 8) and Theorem 1 claim 1 applies: LBD = 8.
-        let weights = vec![
-            (0, 1, 1),
-            (1, 7, 1),
-            (0, 2, 1),
-            (2, 3, 1),
-            (3, 7, 1),
-            (0, 4, 1),
-            (4, 5, 1),
-            (5, 6, 1),
-            (6, 7, 1),
-        ];
-        let mut sg = figure6_subgraph(&weights);
-        // Update current weights to the Figure 6b values.
-        let new_weights: Vec<(u32, u32, f64)> = vec![
-            (0, 1, 8.0),
-            (1, 7, 8.0),
-            (0, 2, 4.0),
-            (2, 3, 4.0),
-            (3, 7, 4.0),
-            (0, 4, 2.0),
-            (4, 5, 2.0),
-            (5, 6, 2.0),
-            (6, 7, 2.0),
-        ];
-        for (u, w, nw) in new_weights {
-            let e = sg
-                .edges()
-                .iter()
-                .find(|e| (e.u == v(u) && e.v == v(w)) || (e.u == v(w) && e.v == v(u)))
-                .unwrap()
-                .global_id;
-            sg.apply_update(&WeightUpdate::new(e, Weight::new(nw))).unwrap();
-        }
-        let mut set = fig6_bounding_paths(&figure6_subgraph(&weights));
-        // Propagate the weight deltas into the bounding-path distances.
-        set.apply_edge_delta(v(0), v(1), 7.0);
-        set.apply_edge_delta(v(1), v(7), 7.0);
-        set.apply_edge_delta(v(0), v(2), 3.0);
-        set.apply_edge_delta(v(2), v(3), 3.0);
-        set.apply_edge_delta(v(3), v(7), 3.0);
-        set.apply_edge_delta(v(0), v(4), 1.0);
-        set.apply_edge_delta(v(4), v(5), 1.0);
-        set.apply_edge_delta(v(5), v(6), 1.0);
-        set.apply_edge_delta(v(6), v(7), 1.0);
+        let sg = figure6_subgraph(&fig6a_edges());
+        let set = fig6_bounding_paths(&sg);
+        let mut idx = index_of(sg, set);
+        reweigh(&mut idx, &fig6b_weights());
 
-        let ms = UnitWeightMultiset::from_subgraph(&sg);
+        let ms = UnitWeightMultiset::from_subgraph(idx.subgraph());
+        let pair = idx.pair(0);
         // Paper: BD(P1)=4, BD(P2)=6, BD(P3)=8 and D(P3)=8 -> exact.
-        assert!(set.paths[0].bound_distance(&ms).approx_eq(Weight::new(4.0)));
-        assert!(set.paths[1].bound_distance(&ms).approx_eq(Weight::new(6.0)));
-        assert!(set.paths[2].bound_distance(&ms).approx_eq(Weight::new(8.0)));
-        assert!(set.bound_is_exact(&ms));
-        assert!(set.lower_bound_distance(&ms).approx_eq(Weight::new(8.0)));
+        assert!(ms.bound_distance(pair.vfrags(0)).approx_eq(Weight::new(4.0)));
+        assert!(ms.bound_distance(pair.vfrags(1)).approx_eq(Weight::new(6.0)));
+        assert!(ms.bound_distance(pair.vfrags(2)).approx_eq(Weight::new(8.0)));
+        assert!(pair.bound_is_exact(&ms));
+        assert!(pair.lower_bound_distance(&ms).approx_eq(Weight::new(8.0)));
     }
 
     #[test]
     fn example5_case2_bound_is_loose_but_valid() {
-        // Figure 6c/6d: an extra chain 0-8-9-10-... of unit edges (five extra vfrags of
-        // unit weight 1) keeps small unit weights in the subgraph, so BD(P3) = 4 while
-        // D(P3) = 8: claim 2 applies and LBD = BD_r = 4.
+        // Figure 6c/6d: extra unit-weight edges keep small unit weights in the
+        // subgraph, so BD(P3) = 4 while D(P3) = 8: claim 2 applies and LBD = BD_r = 4.
         let mut weights = fig6a_edges();
         weights.extend_from_slice(&[(1, 2, 1), (3, 4, 1), (5, 2, 1), (6, 2, 1), (1, 4, 1)]);
-        let sg0 = figure6_subgraph(&weights);
-        let mut sg = sg0.clone();
-        let new_weights: Vec<(u32, u32, f64)> = vec![
-            (0, 1, 8.0),
-            (1, 7, 8.0),
-            (0, 2, 4.0),
-            (2, 3, 4.0),
-            (3, 7, 4.0),
-            (0, 4, 2.0),
-            (4, 5, 2.0),
-            (5, 6, 2.0),
-            (6, 7, 2.0),
-        ];
-        for (u, w, nw) in &new_weights {
-            let e = sg
-                .edges()
-                .iter()
-                .find(|e| (e.u == v(*u) && e.v == v(*w)) || (e.u == v(*w) && e.v == v(*u)))
-                .unwrap()
-                .global_id;
-            sg.apply_update(&WeightUpdate::new(e, Weight::new(*nw))).unwrap();
-        }
-        let mut set = fig6_bounding_paths(&sg0);
-        for (u, w, nw) in &new_weights {
-            set.apply_edge_delta(v(*u), v(*w), nw - 1.0);
-        }
-        let ms = UnitWeightMultiset::from_subgraph(&sg);
-        let bd_r = set.paths[2].bound_distance(&ms);
-        let d_u = set.paths.iter().map(|p| p.current_distance).min().unwrap();
+        let sg = figure6_subgraph(&weights);
+        let set = fig6_bounding_paths(&sg);
+        let mut idx = index_of(sg, set);
+        reweigh(&mut idx, &fig6b_weights());
+
+        let ms = UnitWeightMultiset::from_subgraph(idx.subgraph());
+        let pair = idx.pair(0);
+        let bd_r = ms.bound_distance(pair.vfrags(2));
+        let d_u = (0..pair.len()).map(|i| pair.distance(i)).min().unwrap();
         assert!(bd_r < d_u, "claim 2 scenario requires BD_r < D_u");
-        assert_eq!(set.lower_bound_distance(&ms), bd_r);
-        assert!(!set.bound_is_exact(&ms));
+        assert_eq!(pair.lower_bound_distance(&ms), bd_r);
+        assert!(!pair.bound_is_exact(&ms));
     }
 
     #[test]
@@ -320,23 +372,19 @@ mod tests {
             let weights: Vec<(u32, u32, u32)> =
                 base.iter().map(|&(u, w, _)| (u, w, 1 + (u + w + scale) % 7)).collect();
             let sg = figure6_subgraph(&weights);
-            let set = {
-                // Recompute bounding paths for this weighting via the vfrag search.
-                let paths = ksp_algo::fewest_vfrag_paths(&sg, v(0), v(7), 3, 64);
-                let bps: Vec<BoundingPath> = paths
-                    .into_iter()
-                    .map(|p| {
-                        let dist = ksp_algo::Path::from_vertices(&sg, p.vertices.clone())
-                            .unwrap()
-                            .distance();
-                        BoundingPath::new(p.vertices, p.vfrags, dist)
-                    })
-                    .collect();
-                BoundingPathSet::new(v(0), v(7), bps)
-            };
-            let ms = UnitWeightMultiset::from_subgraph(&sg);
-            let lbd = set.lower_bound_distance(&ms);
-            let true_shortest = dijkstra_path(&sg, v(0), v(7)).unwrap().distance();
+            // Recompute bounding paths for this weighting via the vfrag search.
+            let paths = ksp_algo::fewest_vfrag_paths(&sg, v(0), v(7), 3, 64)
+                .into_iter()
+                .map(|p| {
+                    let dist =
+                        ksp_algo::Path::from_vertices(&sg, p.vertices.clone()).unwrap().distance();
+                    BoundingPath::new(p.vertices, p.vfrags, dist)
+                })
+                .collect();
+            let idx = index_of(sg, BoundingPathSet::new(v(0), v(7), paths));
+            let ms = UnitWeightMultiset::from_subgraph(idx.subgraph());
+            let lbd = idx.pair(0).lower_bound_distance(&ms);
+            let true_shortest = dijkstra_path(idx.subgraph(), v(0), v(7)).unwrap().distance();
             assert!(
                 lbd <= true_shortest || lbd.approx_eq(true_shortest),
                 "LBD {lbd} exceeds shortest {true_shortest} at scale {scale}"
@@ -346,33 +394,35 @@ mod tests {
 
     #[test]
     fn empty_set_has_infinite_lower_bound() {
-        let set = BoundingPathSet::new(v(0), v(1), vec![]);
         let sg = figure6_subgraph(&fig6a_edges());
-        let ms = UnitWeightMultiset::from_subgraph(&sg);
-        assert_eq!(set.lower_bound_distance(&ms), Weight::INFINITY);
-        assert!(set.is_empty());
-        assert!(!set.bound_is_exact(&ms));
+        let idx = index_of(sg, BoundingPathSet::new(v(0), v(1), vec![]));
+        let ms = UnitWeightMultiset::from_subgraph(idx.subgraph());
+        let pair = idx.pair(0);
+        assert_eq!(pair.lower_bound_distance(&ms), Weight::INFINITY);
+        assert!(pair.is_empty());
+        assert!(!pair.bound_is_exact(&ms));
     }
 
     #[test]
     fn apply_edge_delta_only_touches_paths_containing_the_edge() {
         let sg = figure6_subgraph(&fig6a_edges());
-        let mut set = fig6_bounding_paths(&sg);
-        let touched = set.apply_edge_delta(v(0), v(1), 5.0);
-        assert_eq!(touched, 1);
-        assert_eq!(set.paths[0].current_distance, Weight::new(7.0));
-        assert_eq!(set.paths[1].current_distance, Weight::new(3.0));
+        let set = fig6_bounding_paths(&sg);
+        let mut idx = index_of(sg, set);
+        assert_eq!(reweigh(&mut idx, &[(0, 1, 6.0)]), 1);
+        assert_eq!(idx.pair(0).distance(0), Weight::new(7.0));
+        assert_eq!(idx.pair(0).distance(1), Weight::new(3.0));
         // Reverse orientation also matches.
-        let touched = set.apply_edge_delta(v(7), v(1), 1.0);
-        assert_eq!(touched, 1);
-        assert_eq!(set.paths[0].current_distance, Weight::new(8.0));
+        assert_eq!(reweigh(&mut idx, &[(7, 1, 2.0)]), 1);
+        assert_eq!(idx.pair(0).distance(0), Weight::new(8.0));
     }
 
     #[test]
     fn memory_accounting_is_positive() {
         let sg = figure6_subgraph(&fig6a_edges());
         let set = fig6_bounding_paths(&sg);
-        assert!(set.memory_bytes() > 0);
-        assert_eq!(set.len(), 3);
+        let (table, distances) = BoundingPathTable::from_sets(std::slice::from_ref(&set));
+        assert!(table.memory_bytes() > 0);
+        assert_eq!(table.pair(0, &distances).len(), 3);
+        assert_eq!(table.pair(0, &distances).vertices(2), &set.paths[2].vertices[..]);
     }
 }

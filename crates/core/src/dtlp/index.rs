@@ -97,12 +97,16 @@ pub struct MaintenanceStats {
 ///
 /// The index is a copy-on-write persistent structure: every per-subgraph index
 /// sits behind its own `Arc`, and the (immutable after build) membership,
-/// ownership and boundary tables behind shared ones. `clone()` is therefore a
-/// handle copy — O(#subgraphs) reference-count bumps — and
-/// [`DtlpIndex::apply_batch`] on the clone deep-copies *only* the subgraph
-/// indexes the batch routes updates into, leaving every other entry
-/// pointer-shared with the original. This is what makes epoch publication in
-/// the serving layer proportional to the update batch instead of the index.
+/// ownership and boundary tables and the skeleton graph behind shared ones.
+/// `clone()` is therefore a handle copy — O(#subgraphs) reference-count bumps.
+/// [`DtlpIndex::apply_batch`] on the clone unshares only the subgraph indexes
+/// the batch routes updates into, and the skeleton if a lower bound moved.
+/// Neither copy reaches structure: an unshared subgraph index copies its flat
+/// bounding-path distances and per-pair bounds (plus, on its first update, its
+/// subgraph's edge list) and shares its path shape; an unshared skeleton copies
+/// its per-contribution and per-edge weights and shares its topology. Every
+/// untouched entry stays pointer-shared with the original. Publishing an epoch
+/// thus costs the dirty subgraphs' weights, not the index's structure.
 #[derive(Debug, Clone)]
 pub struct DtlpIndex {
     config: DtlpConfig,
@@ -212,7 +216,10 @@ impl DtlpIndex {
         subgraph_indexes: &[Arc<SubgraphIndex>],
         boundary: &[VertexId],
     ) -> (SkeletonGraph, BuildStats) {
-        let mut skeleton = SkeletonGraph::new(directed);
+        let skeleton = SkeletonGraph::assemble(
+            directed,
+            subgraph_indexes.iter().flat_map(|idx| idx.lower_bounds().map(|lb| (idx.id(), lb))),
+        );
         let mut num_pairs = 0;
         let mut num_bounding_paths = 0;
         let mut level1_memory_bytes = 0;
@@ -220,9 +227,6 @@ impl DtlpIndex {
             num_pairs += idx.num_pairs();
             num_bounding_paths += idx.num_bounding_paths();
             level1_memory_bytes += idx.index_memory_bytes();
-            for lb in idx.lower_bounds() {
-                skeleton.set_contribution(lb.a, lb.b, idx.id(), lb.new_lbd);
-            }
         }
         let build_stats = BuildStats {
             num_subgraphs: subgraph_indexes.len(),
@@ -366,20 +370,28 @@ impl DtlpIndex {
     }
 
     /// Splits a batch of updates by owning subgraph, mirroring how the EntranceSpout
-    /// scatters an update stream to the SubgraphBolts.
+    /// scatters an update stream to the SubgraphBolts. Subgraphs come in ascending id
+    /// order, each with its updates in batch order, so maintenance visits them in an
+    /// order that does not vary between runs.
     pub fn route_batch(
         &self,
         batch: &UpdateBatch,
-    ) -> Result<HashMap<SubgraphId, Vec<ksp_graph::WeightUpdate>>, GraphError> {
-        let mut per_subgraph: HashMap<SubgraphId, Vec<ksp_graph::WeightUpdate>> = HashMap::new();
+    ) -> Result<Vec<(SubgraphId, Vec<ksp_graph::WeightUpdate>)>, GraphError> {
+        let mut per_subgraph: Vec<Vec<ksp_graph::WeightUpdate>> =
+            vec![Vec::new(); self.subgraph_indexes.len()];
         for u in batch.iter() {
             let owner = *self.edge_owner.get(u.edge.index()).ok_or(GraphError::EdgeOutOfRange {
                 edge: u.edge,
                 num_edges: self.edge_owner.len(),
             })?;
-            per_subgraph.entry(owner).or_default().push(*u);
+            per_subgraph[owner.index()].push(*u);
         }
-        Ok(per_subgraph)
+        Ok(per_subgraph
+            .into_iter()
+            .enumerate()
+            .filter(|(_, updates)| !updates.is_empty())
+            .map(|(id, updates)| (SubgraphId(id as u32), updates))
+            .collect())
     }
 
     /// Applies the updates destined for one subgraph (they must all belong to it) and
@@ -403,8 +415,8 @@ impl DtlpIndex {
             dirty_subgraphs: if updates.is_empty() { Vec::new() } else { vec![sg_id] },
         };
         for c in changes {
-            // The skeleton unshares lazily too: epochs whose batches move no
-            // lower bound keep sharing the previous skeleton allocation.
+            // The skeleton unshares lazily too (its weights only): epochs whose
+            // batches move no lower bound keep sharing the previous skeleton.
             if Arc::make_mut(&mut self.skeleton).set_contribution(c.a, c.b, sg_id, c.new_lbd) {
                 stats.skeleton_edges_changed += 1;
             }
@@ -426,7 +438,6 @@ impl DtlpIndex {
             stats.skeleton_edges_changed += part.skeleton_edges_changed;
             stats.dirty_subgraphs.extend(part.dirty_subgraphs);
         }
-        stats.dirty_subgraphs.sort_unstable();
         Ok(stats)
     }
 
@@ -654,6 +665,19 @@ mod tests {
     }
 
     #[test]
+    fn maintenance_stats_do_not_depend_on_the_fork() {
+        // Subgraphs sharing a skeleton edge patch it in routing order; that
+        // order must not change from one application of a batch to the next.
+        let g = road_network(600, 42);
+        let index = DtlpIndex::build(&g, DtlpConfig::new(30, 2)).unwrap();
+        let batch = TrafficModel::new(&g, TrafficConfig::new(0.35, 0.30), 42).next_snapshot();
+        let first = index.clone().apply_batch(&batch).unwrap();
+        for _ in 1..20 {
+            assert_eq!(index.clone().apply_batch(&batch).unwrap(), first);
+        }
+    }
+
+    #[test]
     fn cloned_index_shares_untouched_subgraphs_and_copies_dirty_ones() {
         let g = road_network(300, 17);
         let base = DtlpIndex::build(&g, DtlpConfig::new(20, 2)).unwrap();
@@ -676,7 +700,8 @@ mod tests {
             );
             if id == owner {
                 assert!(!shared, "the dirtied subgraph must be unshared");
-                // Even the unshared copy still shares its immutable backend.
+                // Even the unshared copy still shares its bounding-path shape.
+                assert!(next.subgraph_index(id).shares_structure_with(base.subgraph_index(id)));
                 assert_eq!(
                     next.subgraph_index(id).subgraph().edge(edge).unwrap().current_weight,
                     Weight::new(77.0)
@@ -690,8 +715,9 @@ mod tests {
             base.subgraph_index(owner).subgraph().edge(edge).unwrap().current_weight,
             g.weight(edge)
         );
-        // The auxiliary tables are shared wholesale.
+        // The auxiliary tables are shared wholesale, the skeleton's topology too.
         assert_eq!(base.boundary_vertices(), next.boundary_vertices());
+        assert!(next.skeleton().shares_structure_with(base.skeleton()));
     }
 
     #[test]
@@ -715,7 +741,7 @@ mod tests {
         assert_eq!(rebuilt.skeleton().num_skeleton_edges(), live.skeleton().num_skeleton_edges());
         for e in live.skeleton().edges() {
             let w = rebuilt.skeleton().skeleton_edge_weight(e.a, e.b).unwrap();
-            assert_eq!(w.value().to_bits(), e.weight().value().to_bits());
+            assert_eq!(w.value().to_bits(), e.weight.value().to_bits());
         }
         // A replacement whose id exceeds the target index's range is rejected.
         let coarse = DtlpIndex::build(&g, DtlpConfig::new(200, 1)).unwrap();

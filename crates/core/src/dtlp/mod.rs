@@ -20,7 +20,7 @@ pub mod skeleton;
 pub mod subgraph_index;
 pub mod unit_weights;
 
-pub use bounding::{BoundingPath, BoundingPathSet};
+pub use bounding::{BoundingPath, BoundingPathSet, PairPaths};
 pub use ep_index::EpIndex;
 pub use index::{BuildStats, DtlpConfig, DtlpIndex, MaintenanceStats, PathStorageBackend};
 pub use mfp::{MfpForest, MinHashLsh};

@@ -6,48 +6,31 @@
 //! each subgraph contributes its own lower bound, the skeleton keeps the per-subgraph
 //! contributions and recomputes the minimum whenever one of them changes.
 //!
+//! Which edges exist and which subgraphs contribute to each is fixed once the
+//! skeleton is assembled; only the contributed bounds move. The skeleton therefore
+//! keeps that topology behind one shared `Arc` and the numbers in flat vectors, so
+//! an epoch fork copies the numbers and shares the rest.
+//!
 //! Queries whose endpoints are not boundary vertices are handled with an
 //! [`OverlayView`]: the endpoints are attached to `Gλ` with temporary edges to the
 //! boundary vertices of their home subgraphs, without mutating the shared skeleton.
 
+use crate::dtlp::subgraph_index::LowerBoundChange;
 use ksp_graph::{GraphView, SubgraphId, VertexId, Weight};
 use std::collections::HashMap;
+use std::ops::Range;
+use std::sync::Arc;
 
-/// One edge of the skeleton graph, with per-subgraph lower-bound contributions.
-#[derive(Debug, Clone)]
+/// One edge of the skeleton graph and its current weight.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SkeletonEdge {
     /// First endpoint (source for directed skeletons).
     pub a: VertexId,
     /// Second endpoint (destination for directed skeletons).
     pub b: VertexId,
-    /// Lower bound distance contributed by each subgraph containing both endpoints.
-    contributions: Vec<(SubgraphId, Weight)>,
-    /// Cached minimum over the contributions (the paper's `MBD(a, b)`).
-    weight: Weight,
-}
-
-impl SkeletonEdge {
-    /// The current weight (minimum lower bound distance) of this edge.
-    pub fn weight(&self) -> Weight {
-        self.weight
-    }
-
-    /// The per-subgraph contributions.
-    pub fn contributions(&self) -> &[(SubgraphId, Weight)] {
-        &self.contributions
-    }
-
-    fn set_contribution(&mut self, sg: SubgraphId, w: Weight) -> bool {
-        match self.contributions.iter_mut().find(|(s, _)| *s == sg) {
-            Some(entry) => entry.1 = w,
-            None => self.contributions.push((sg, w)),
-        }
-        let new_weight =
-            self.contributions.iter().map(|&(_, w)| w).min().unwrap_or(Weight::INFINITY);
-        let changed = !new_weight.approx_eq(self.weight);
-        self.weight = new_weight;
-        changed
-    }
+    /// The minimum lower bound distance over the contributing subgraphs (the
+    /// paper's `MBD(a, b)`).
+    pub weight: Weight,
 }
 
 /// Adjacency lists over a sparse set of vertex ids: an id → position map and one list
@@ -111,113 +94,36 @@ impl<T> Adjacency<T> {
 }
 
 /// The skeleton graph `Gλ`.
+///
+/// Cloning copies the two weight vectors — one entry per contribution and one per
+/// edge — and shares the topology.
 #[derive(Debug, Clone)]
 pub struct SkeletonGraph {
-    directed: bool,
-    edges: Vec<SkeletonEdge>,
-    edge_lookup: HashMap<(VertexId, VertexId), u32>,
-    /// Outgoing edges as (neighbour, index into `edges`).
-    adj: Adjacency<u32>,
+    topology: Arc<SkeletonTopology>,
+    /// The lower bound distance of each contribution, parallel to
+    /// `topology.contributor`.
+    contribution: Vec<Weight>,
+    /// Each edge's weight: the minimum over its contributions.
+    weight: Vec<Weight>,
 }
 
-impl SkeletonGraph {
-    /// Creates an empty skeleton graph.
-    pub fn new(directed: bool) -> Self {
-        SkeletonGraph {
-            directed,
-            edges: Vec::new(),
-            edge_lookup: HashMap::new(),
-            adj: Adjacency::new(),
-        }
-    }
+/// The part of the skeleton fixed at assembly: edges, adjacency, and which subgraphs
+/// contribute to each edge.
+#[derive(Debug)]
+struct SkeletonTopology {
+    directed: bool,
+    /// Endpoints of each edge.
+    ends: Vec<(VertexId, VertexId)>,
+    edge_lookup: HashMap<(VertexId, VertexId), u32>,
+    /// Outgoing edges as (neighbour, edge index).
+    adj: Adjacency<u32>,
+    /// Edge `i`'s contributions are `contribution_start[i]..contribution_start[i + 1]`.
+    contribution_start: Vec<u32>,
+    /// The subgraph behind each contribution.
+    contributor: Vec<SubgraphId>,
+}
 
-    /// Whether the skeleton is directed.
-    pub fn is_directed(&self) -> bool {
-        self.directed
-    }
-
-    /// Number of (boundary) vertices in the skeleton.
-    pub fn num_skeleton_vertices(&self) -> usize {
-        self.adj.len()
-    }
-
-    /// Number of edges in the skeleton.
-    pub fn num_skeleton_edges(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// Whether the skeleton contains the vertex.
-    pub fn contains(&self, v: VertexId) -> bool {
-        self.adj.contains(v)
-    }
-
-    /// All skeleton vertices, ascending.
-    pub fn vertices(&self) -> impl Iterator<Item = VertexId> + '_ {
-        self.adj.ids()
-    }
-
-    /// Iterates over all skeleton edges.
-    pub fn edges(&self) -> impl Iterator<Item = &SkeletonEdge> {
-        self.edges.iter()
-    }
-
-    /// Records (or updates) the lower bound distance contributed by subgraph `sg` for
-    /// the boundary pair `(a, b)`. Returns `true` if the edge's effective weight (the
-    /// minimum over contributions) changed.
-    pub fn set_contribution(
-        &mut self,
-        a: VertexId,
-        b: VertexId,
-        sg: SubgraphId,
-        lbd: Weight,
-    ) -> bool {
-        let key = self.key(a, b);
-        match self.edge_lookup.get(&key) {
-            Some(&idx) => self.edges[idx as usize].set_contribution(sg, lbd),
-            None => {
-                let idx = self.edges.len() as u32;
-                self.edges.push(SkeletonEdge {
-                    a: key.0,
-                    b: key.1,
-                    contributions: vec![(sg, lbd)],
-                    weight: lbd,
-                });
-                self.edge_lookup.insert(key, idx);
-                self.adj.list_mut(key.0).push((key.1, idx));
-                let back = self.adj.list_mut(key.1);
-                if !self.directed {
-                    back.push((key.0, idx));
-                }
-                true
-            }
-        }
-    }
-
-    /// The current weight of the skeleton edge between `a` and `b`, if present.
-    pub fn skeleton_edge_weight(&self, a: VertexId, b: VertexId) -> Option<Weight> {
-        let key = self.key(a, b);
-        self.edge_lookup.get(&key).map(|&i| self.edges[i as usize].weight())
-    }
-
-    /// Estimated memory footprint in bytes.
-    pub fn memory_bytes(&self) -> usize {
-        self.edges.len() * std::mem::size_of::<SkeletonEdge>()
-            + self
-                .edges
-                .iter()
-                .map(|e| e.contributions.len() * std::mem::size_of::<(SubgraphId, Weight)>())
-                .sum::<usize>()
-            + self.edge_lookup.len() * (std::mem::size_of::<(VertexId, VertexId)>() + 4)
-            + self.adj.num_entries() * std::mem::size_of::<(VertexId, u32)>()
-            + self.adj.id_bound() * std::mem::size_of::<u32>()
-    }
-
-    /// Builds an overlay view that adds temporary vertices/edges (query endpoints that
-    /// are not boundary vertices) on top of this skeleton.
-    pub fn overlay(&self) -> OverlayView<'_> {
-        OverlayView { skeleton: self, extra: Adjacency::new() }
-    }
-
+impl SkeletonTopology {
     #[inline]
     fn key(&self, a: VertexId, b: VertexId) -> (VertexId, VertexId) {
         if self.directed || a <= b {
@@ -226,28 +132,193 @@ impl SkeletonGraph {
             (b, a)
         }
     }
+
+    fn edge(&self, a: VertexId, b: VertexId) -> Option<usize> {
+        self.edge_lookup.get(&self.key(a, b)).map(|&i| i as usize)
+    }
+
+    /// The edge between `a` and `b`, added if missing.
+    fn edge_or_insert(&mut self, a: VertexId, b: VertexId) -> u32 {
+        let key = self.key(a, b);
+        if let Some(&idx) = self.edge_lookup.get(&key) {
+            return idx;
+        }
+        let idx = self.ends.len() as u32;
+        self.ends.push(key);
+        self.edge_lookup.insert(key, idx);
+        self.adj.list_mut(key.0).push((key.1, idx));
+        let back = self.adj.list_mut(key.1);
+        if !self.directed {
+            back.push((key.0, idx));
+        }
+        idx
+    }
+
+    fn contributions_of(&self, edge: usize) -> Range<usize> {
+        self.contribution_start[edge] as usize..self.contribution_start[edge + 1] as usize
+    }
+}
+
+impl SkeletonGraph {
+    /// Assembles the skeleton from every subgraph's per-pair lower bounds (Algorithm
+    /// 1): one edge per boundary pair that some subgraph indexes, weighted by the
+    /// minimum bound over the subgraphs that index it. Edges are numbered, and each
+    /// edge's contributions ordered, by first appearance in `bounds`; a subgraph that
+    /// appears twice for one pair keeps its last bound.
+    pub fn assemble(
+        directed: bool,
+        bounds: impl IntoIterator<Item = (SubgraphId, LowerBoundChange)>,
+    ) -> Self {
+        let mut topology = SkeletonTopology {
+            directed,
+            ends: Vec::new(),
+            edge_lookup: HashMap::new(),
+            adj: Adjacency::new(),
+            contribution_start: vec![0],
+            contributor: Vec::new(),
+        };
+        let mut arrivals: Vec<(u32, SubgraphId, Weight)> = bounds
+            .into_iter()
+            .map(|(sg, lb)| (topology.edge_or_insert(lb.a, lb.b), sg, lb.new_lbd))
+            .collect();
+        // Group by edge; the sort is stable, so each group keeps arrival order.
+        arrivals.sort_by_key(|&(edge, _, _)| edge);
+        let mut contribution = Vec::with_capacity(arrivals.len());
+        let mut weight = Vec::with_capacity(topology.ends.len());
+        for group in arrivals.chunk_by(|x, y| x.0 == y.0) {
+            let start = contribution.len();
+            for &(_, sg, lbd) in group {
+                match topology.contributor[start..].iter().position(|&s| s == sg) {
+                    Some(i) => contribution[start + i] = lbd,
+                    None => {
+                        topology.contributor.push(sg);
+                        contribution.push(lbd);
+                    }
+                }
+            }
+            topology.contribution_start.push(contribution.len() as u32);
+            weight.push(min_weight(&contribution[start..]));
+        }
+        SkeletonGraph { topology: Arc::new(topology), contribution, weight }
+    }
+
+    /// Whether `self` and `other` share one topology allocation. Maintenance never
+    /// copies it, so every epoch descended from one assembly shares it.
+    pub fn shares_structure_with(&self, other: &SkeletonGraph) -> bool {
+        Arc::ptr_eq(&self.topology, &other.topology)
+    }
+
+    /// Whether the skeleton is directed.
+    pub fn is_directed(&self) -> bool {
+        self.topology.directed
+    }
+
+    /// Number of (boundary) vertices in the skeleton.
+    pub fn num_skeleton_vertices(&self) -> usize {
+        self.topology.adj.len()
+    }
+
+    /// Number of edges in the skeleton.
+    pub fn num_skeleton_edges(&self) -> usize {
+        self.weight.len()
+    }
+
+    /// Whether the skeleton contains the vertex.
+    pub fn contains(&self, v: VertexId) -> bool {
+        self.topology.adj.contains(v)
+    }
+
+    /// All skeleton vertices, ascending.
+    pub fn vertices(&self) -> impl Iterator<Item = VertexId> + '_ {
+        self.topology.adj.ids()
+    }
+
+    /// Iterates over all skeleton edges.
+    pub fn edges(&self) -> impl Iterator<Item = SkeletonEdge> + '_ {
+        self.topology.ends.iter().zip(&self.weight).map(|(&(a, b), &weight)| SkeletonEdge {
+            a,
+            b,
+            weight,
+        })
+    }
+
+    /// Updates the lower bound distance subgraph `sg` contributes for the boundary
+    /// pair `(a, b)`. Returns `true` if the edge's effective weight (the minimum over
+    /// contributions) changed.
+    ///
+    /// # Panics
+    ///
+    /// If `sg` did not contribute to `(a, b)` at assembly. Every indexed pair of every
+    /// subgraph does, and maintenance never adds a pair.
+    pub fn set_contribution(
+        &mut self,
+        a: VertexId,
+        b: VertexId,
+        sg: SubgraphId,
+        lbd: Weight,
+    ) -> bool {
+        let topology = &*self.topology;
+        let contributor = topology.edge(a, b).and_then(|edge| {
+            let range = topology.contributions_of(edge);
+            let i = topology.contributor[range.clone()].iter().position(|&s| s == sg)?;
+            Some((edge, range, i))
+        });
+        let Some((edge, range, i)) = contributor else {
+            panic!("subgraph {sg} contributes no bound to skeleton edge ({a}, {b})");
+        };
+        self.contribution[range.start + i] = lbd;
+        let new_weight = min_weight(&self.contribution[range]);
+        let changed = !new_weight.approx_eq(self.weight[edge]);
+        self.weight[edge] = new_weight;
+        changed
+    }
+
+    /// The current weight of the skeleton edge between `a` and `b`, if present.
+    pub fn skeleton_edge_weight(&self, a: VertexId, b: VertexId) -> Option<Weight> {
+        self.topology.edge(a, b).map(|i| self.weight[i])
+    }
+
+    /// Estimated memory footprint in bytes: the topology, counted once, plus this
+    /// epoch's weights.
+    pub fn memory_bytes(&self) -> usize {
+        let t = &*self.topology;
+        t.ends.len() * std::mem::size_of::<(VertexId, VertexId)>()
+            + t.edge_lookup.len() * (std::mem::size_of::<(VertexId, VertexId)>() + 4)
+            + t.adj.num_entries() * std::mem::size_of::<(VertexId, u32)>()
+            + t.adj.id_bound() * std::mem::size_of::<u32>()
+            + t.contribution_start.len() * std::mem::size_of::<u32>()
+            + t.contributor.len() * std::mem::size_of::<SubgraphId>()
+            + (self.contribution.len() + self.weight.len()) * std::mem::size_of::<Weight>()
+    }
+
+    /// Builds an overlay view that adds temporary vertices/edges (query endpoints that
+    /// are not boundary vertices) on top of this skeleton.
+    pub fn overlay(&self) -> OverlayView<'_> {
+        OverlayView { skeleton: self, extra: Adjacency::new() }
+    }
+}
+
+/// The minimum of `weights` (the first of equals), or infinity if empty.
+fn min_weight(weights: &[Weight]) -> Weight {
+    weights.iter().copied().min().unwrap_or(Weight::INFINITY)
 }
 
 impl GraphView for SkeletonGraph {
     fn num_vertices(&self) -> usize {
-        self.adj.id_bound()
+        self.topology.adj.id_bound()
     }
 
     fn contains_vertex(&self, v: VertexId) -> bool {
-        self.adj.contains(v)
+        self.topology.adj.contains(v)
     }
 
     fn for_each_neighbor(&self, v: VertexId, mut f: impl FnMut(VertexId, Weight)) {
-        for &(to, idx) in self.adj.list(v) {
-            f(to, self.edges[idx as usize].weight());
+        for &(to, idx) in self.topology.adj.list(v) {
+            f(to, self.weight[idx as usize]);
         }
     }
 
     fn edge_weight(&self, u: VertexId, v: VertexId) -> Option<Weight> {
-        if self.directed {
-            let key = (u, v);
-            return self.edge_lookup.get(&key).map(|&i| self.edges[i as usize].weight());
-        }
         self.skeleton_edge_weight(u, v)
     }
 }
@@ -319,19 +390,26 @@ mod tests {
         VertexId(i)
     }
 
+    /// A skeleton assembled from `(a, b, subgraph, bound)` contributions.
+    fn skeleton(directed: bool, bounds: &[(u32, u32, u32, f64)]) -> SkeletonGraph {
+        SkeletonGraph::assemble(
+            directed,
+            bounds.iter().map(|&(a, b, sg, w)| {
+                (SubgraphId(sg), LowerBoundChange { a: v(a), b: v(b), new_lbd: Weight::new(w) })
+            }),
+        )
+    }
+
     fn sample_skeleton() -> SkeletonGraph {
-        let mut sk = SkeletonGraph::new(false);
-        sk.set_contribution(v(1), v(2), SubgraphId(0), Weight::new(5.0));
-        sk.set_contribution(v(2), v(3), SubgraphId(1), Weight::new(4.0));
-        sk.set_contribution(v(1), v(3), SubgraphId(2), Weight::new(20.0));
-        sk
+        skeleton(false, &[(1, 2, 0, 5.0), (2, 3, 1, 4.0), (1, 3, 2, 20.0)])
     }
 
     #[test]
     fn contributions_take_the_minimum() {
-        let mut sk = sample_skeleton();
+        // Subgraphs 0 and 5 both index the pair (1, 2).
+        let mut sk = skeleton(false, &[(1, 2, 0, 5.0), (2, 3, 1, 4.0), (2, 1, 5, 9.0)]);
         assert_eq!(sk.skeleton_edge_weight(v(1), v(2)), Some(Weight::new(5.0)));
-        // A second subgraph contributes a smaller bound: the weight drops.
+        // The second subgraph's bound drops below the first: the weight drops.
         assert!(sk.set_contribution(v(2), v(1), SubgraphId(5), Weight::new(3.0)));
         assert_eq!(sk.skeleton_edge_weight(v(1), v(2)), Some(Weight::new(3.0)));
         // Raising the non-minimal contribution does not change the weight.
@@ -340,6 +418,26 @@ mod tests {
         // Raising the minimal contribution re-evaluates the minimum.
         assert!(sk.set_contribution(v(1), v(2), SubgraphId(5), Weight::new(50.0)));
         assert_eq!(sk.skeleton_edge_weight(v(1), v(2)), Some(Weight::new(50.0)));
+        // At assembly, a subgraph repeated for one pair keeps its last bound.
+        let repeated = skeleton(false, &[(1, 2, 0, 5.0), (2, 1, 0, 7.0)]);
+        assert_eq!(repeated.skeleton_edge_weight(v(1), v(2)), Some(Weight::new(7.0)));
+    }
+
+    #[test]
+    #[should_panic(expected = "contributes no bound")]
+    fn maintenance_cannot_add_a_contribution() {
+        sample_skeleton().set_contribution(v(1), v(2), SubgraphId(1), Weight::new(1.0));
+    }
+
+    #[test]
+    fn clones_share_the_topology_and_own_their_weights() {
+        let sk = sample_skeleton();
+        let mut next = sk.clone();
+        assert!(next.set_contribution(v(1), v(3), SubgraphId(2), Weight::new(2.0)));
+        assert!(next.shares_structure_with(&sk));
+        assert_eq!(sk.skeleton_edge_weight(v(1), v(3)), Some(Weight::new(20.0)));
+        assert_eq!(next.skeleton_edge_weight(v(3), v(1)), Some(Weight::new(2.0)));
+        assert!(!sample_skeleton().shares_structure_with(&sk));
     }
 
     #[test]
@@ -354,9 +452,7 @@ mod tests {
 
     #[test]
     fn directed_skeleton_keeps_directions_apart() {
-        let mut sk = SkeletonGraph::new(true);
-        sk.set_contribution(v(1), v(2), SubgraphId(0), Weight::new(5.0));
-        sk.set_contribution(v(2), v(1), SubgraphId(0), Weight::new(8.0));
+        let sk = skeleton(true, &[(1, 2, 0, 5.0), (2, 1, 0, 8.0)]);
         assert_eq!(sk.edge_weight(v(1), v(2)), Some(Weight::new(5.0)));
         assert_eq!(sk.edge_weight(v(2), v(1)), Some(Weight::new(8.0)));
         assert_eq!(sk.neighbors(v(1)).len(), 1);

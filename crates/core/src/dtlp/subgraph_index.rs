@@ -1,13 +1,13 @@
 //! The per-subgraph (level-one) part of DTLP.
 //!
 //! A [`SubgraphIndex`] is what a worker keeps for each subgraph it owns: the subgraph
-//! itself (with live weights), the bounding paths between its boundary-vertex pairs,
-//! the unit-weight multiset, and a storage backend (EP-Index or MFP forest) that maps
-//! an edge to the bounding paths covering it. It receives the weight updates routed to
-//! this subgraph and reports which pairs' lower bound distances changed, so the
-//! skeleton graph can be patched incrementally.
+//! itself (with live weights), the bounding paths between its boundary-vertex pairs
+//! and a storage backend (EP-Index or MFP forest) that maps an edge to the bounding
+//! paths covering it. It receives the weight updates routed to this subgraph and
+//! reports which pairs' lower bound distances changed, so the skeleton graph can be
+//! patched incrementally.
 
-use crate::dtlp::bounding::{BoundingPath, BoundingPathSet};
+use crate::dtlp::bounding::{BoundingPath, BoundingPathSet, BoundingPathTable, PairPaths};
 use crate::dtlp::ep_index::{EpIndex, PathRef};
 use crate::dtlp::mfp::MfpForest;
 use crate::dtlp::unit_weights::UnitWeightMultiset;
@@ -26,7 +26,7 @@ pub enum BackendKind {
     MfpTree,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum BackendStore {
     Ep(EpIndex),
     Mfp(MfpForest),
@@ -59,25 +59,34 @@ pub struct LowerBoundChange {
     pub new_lbd: Weight,
 }
 
+/// What never changes after a subgraph index is built: the bounding paths'
+/// structure and the edge → paths backend over it (which maps edges to path
+/// *numbers*, not distances).
+#[derive(Debug)]
+struct PathShape {
+    table: BoundingPathTable,
+    backend: BackendStore,
+}
+
 /// The level-one DTLP index of a single subgraph.
 ///
-/// The subgraph and the edge → bounding-paths backend are held behind `Arc`s:
-/// the subgraph so that the partitioner's allocation is referenced rather than
-/// copied at build time, and the backend because it is immutable after
-/// construction (it maps edges to path *slots*, not distances). Cloning a
-/// `SubgraphIndex` therefore copies only the mutable bound state (`pairs`,
-/// `last_lbd`, the unit-weight multiset); a clone that is then mutated
-/// unshares its subgraph copy-on-write via `Arc::make_mut`.
+/// Structure and numbers are held apart. The subgraph sits behind an `Arc` so
+/// the partitioner's allocation is referenced rather than copied, and the
+/// bounding-path shape behind another because maintenance never changes it.
+/// What maintenance does change is flat: one distance per bounding path and one
+/// last-reported lower bound per pair. Cloning a `SubgraphIndex` (as the
+/// copy-on-write fork of an epoch does) therefore copies those two vectors and
+/// bumps two reference counts; the first update then unshares the subgraph via
+/// `Arc::make_mut`. The shape is never copied: every epoch descended from one
+/// build shares it ([`SubgraphIndex::shares_structure_with`]).
 #[derive(Debug, Clone)]
 pub struct SubgraphIndex {
     subgraph: Arc<Subgraph>,
-    pairs: Vec<BoundingPathSet>,
+    shape: Arc<PathShape>,
+    /// Current distance of every bounding path, in `shape.table` order.
+    distance: Vec<Weight>,
     /// Last lower bound distance reported for each pair, to detect changes.
     last_lbd: Vec<Weight>,
-    backend: Arc<BackendStore>,
-    unit_weights: UnitWeightMultiset,
-    /// Total number of bounding paths across all pairs.
-    num_bounding_paths: usize,
 }
 
 impl SubgraphIndex {
@@ -118,11 +127,10 @@ impl SubgraphIndex {
             }
         }
 
-        let backend = Arc::new(build_backend(&subgraph, &pairs, backend));
-        let unit_weights = UnitWeightMultiset::from_subgraph(&subgraph);
-        let num_bounding_paths = pairs.iter().map(|p| p.len()).sum();
-        let last_lbd = pairs.iter().map(|p| p.lower_bound_distance(&unit_weights)).collect();
-        SubgraphIndex { subgraph, pairs, last_lbd, backend, unit_weights, num_bounding_paths }
+        let mut index = Self::with_paths(subgraph, &pairs, backend);
+        let unit_weights = UnitWeightMultiset::from_subgraph(&index.subgraph);
+        index.last_lbd = index.pairs().map(|p| p.lower_bound_distance(&unit_weights)).collect();
+        index
     }
 
     /// Reassembles an index from persisted parts, skipping the expensive
@@ -131,21 +139,25 @@ impl SubgraphIndex {
     /// `pairs` carries the accumulated `current_distance` of every bounding
     /// path and `last_lbd` the exact lower bounds last reported to the
     /// skeleton, so the restored index continues maintenance bit-identically
-    /// to the instance that was checkpointed. The edge → paths backend and the
-    /// unit-weight multiset are derived data and are rebuilt here (both are
-    /// deterministic functions of `subgraph` and `pairs`).
+    /// to the instance that was checkpointed. The edge → paths backend is
+    /// derived data and is rebuilt here (a deterministic function of
+    /// `subgraph` and `pairs`).
     pub fn restore(
         subgraph: impl Into<Arc<Subgraph>>,
         pairs: Vec<BoundingPathSet>,
         last_lbd: Vec<Weight>,
         backend: BackendKind,
     ) -> Self {
-        let subgraph: Arc<Subgraph> = subgraph.into();
         assert_eq!(pairs.len(), last_lbd.len(), "one stored lower bound per boundary pair");
-        let backend = Arc::new(build_backend(&subgraph, &pairs, backend));
-        let unit_weights = UnitWeightMultiset::from_subgraph(&subgraph);
-        let num_bounding_paths = pairs.iter().map(|p| p.len()).sum();
-        SubgraphIndex { subgraph, pairs, last_lbd, backend, unit_weights, num_bounding_paths }
+        SubgraphIndex { last_lbd, ..Self::with_paths(subgraph.into(), &pairs, backend) }
+    }
+
+    /// Flattens `pairs` into a new shape; no lower bound is reported yet.
+    fn with_paths(subgraph: Arc<Subgraph>, pairs: &[BoundingPathSet], kind: BackendKind) -> Self {
+        let (table, distance) = BoundingPathTable::from_sets(pairs);
+        let backend = build_backend(&subgraph, &table, kind);
+        let shape = Arc::new(PathShape { table, backend });
+        SubgraphIndex { subgraph, shape, distance, last_lbd: Vec::new() }
     }
 
     /// The subgraph this index covers (with live weights).
@@ -159,9 +171,21 @@ impl SubgraphIndex {
         &self.subgraph
     }
 
-    /// The bounding-path sets, one per indexed boundary pair.
-    pub fn pairs(&self) -> &[BoundingPathSet] {
-        &self.pairs
+    /// Whether `self` and `other` share one bounding-path shape allocation.
+    /// Maintenance never copies the shape, so every epoch descended from one
+    /// build (or restore) shares it, dirty or not.
+    pub fn shares_structure_with(&self, other: &SubgraphIndex) -> bool {
+        Arc::ptr_eq(&self.shape, &other.shape)
+    }
+
+    /// The bounding paths of indexed pair `i`, with their current distances.
+    pub fn pair(&self, i: usize) -> PairPaths<'_> {
+        self.shape.table.pair(i, &self.distance)
+    }
+
+    /// The bounding paths of every indexed pair, in pair order.
+    pub fn pairs(&self) -> impl Iterator<Item = PairPaths<'_>> + '_ {
+        (0..self.num_pairs()).map(|i| self.pair(i))
     }
 
     /// The lower bound distance last reported for each pair (parallel to
@@ -173,7 +197,7 @@ impl SubgraphIndex {
 
     /// Which backend kind stores the edge → bounding-paths mapping.
     pub fn backend_kind(&self) -> BackendKind {
-        match *self.backend {
+        match self.shape.backend {
             BackendStore::Ep(_) => BackendKind::EpIndex,
             BackendStore::Mfp(_) => BackendKind::MfpTree,
         }
@@ -186,19 +210,19 @@ impl SubgraphIndex {
 
     /// Number of boundary pairs indexed.
     pub fn num_pairs(&self) -> usize {
-        self.pairs.len()
+        self.shape.table.num_pairs()
     }
 
     /// Total number of bounding paths stored.
     pub fn num_bounding_paths(&self) -> usize {
-        self.num_bounding_paths
+        self.distance.len()
     }
 
     /// Iterates over the current lower bound distances of every indexed pair.
     pub fn lower_bounds(&self) -> impl Iterator<Item = LowerBoundChange> + '_ {
-        self.pairs.iter().zip(self.last_lbd.iter()).map(|(set, &lbd)| LowerBoundChange {
-            a: set.a,
-            b: set.b,
+        self.pairs().zip(&self.last_lbd).map(|(pair, &lbd)| LowerBoundChange {
+            a: pair.a,
+            b: pair.b,
             new_lbd: lbd,
         })
     }
@@ -215,6 +239,7 @@ impl SubgraphIndex {
         if updates.is_empty() {
             return Ok((Vec::new(), 0));
         }
+        let table = &self.shape.table;
         let mut paths_touched = 0usize;
         let mut refs: Vec<PathRef> = Vec::new();
         // Copy-on-write: the first update of a batch unshares the subgraph if
@@ -225,26 +250,25 @@ impl SubgraphIndex {
                 continue;
             }
             refs.clear();
-            self.backend.collect_paths_through(update.edge, &mut refs);
+            self.shape.backend.collect_paths_through(update.edge, &mut refs);
             for r in &refs {
-                let set = &mut self.pairs[r.pair as usize];
-                let p = &mut set.paths[r.path as usize];
-                let new = (p.current_distance.value() + delta).max(0.0);
-                p.current_distance = Weight::new(new);
+                let d = &mut self.distance[table.paths_of(r.pair as usize).start + r.path as usize];
+                *d = Weight::new((d.value() + delta).max(0.0));
                 paths_touched += 1;
             }
         }
 
-        // The unit-weight multiset depends on every weight in the subgraph, so rebuild
+        // The unit-weight multiset depends on every weight in the subgraph, so build
         // it once per batch, then refresh every pair's lower bound (each refresh is
         // O(ξ log |E_sg|)). Only pairs whose bound actually moved are reported.
-        self.unit_weights = UnitWeightMultiset::from_subgraph(&self.subgraph);
+        let unit_weights = UnitWeightMultiset::from_subgraph(&self.subgraph);
         let mut changed = Vec::new();
-        for (i, set) in self.pairs.iter().enumerate() {
-            let lbd = set.lower_bound_distance(&self.unit_weights);
-            if !lbd.approx_eq(self.last_lbd[i]) {
-                self.last_lbd[i] = lbd;
-                changed.push(LowerBoundChange { a: set.a, b: set.b, new_lbd: lbd });
+        for (i, last) in self.last_lbd.iter_mut().enumerate() {
+            let pair = table.pair(i, &self.distance);
+            let lbd = pair.lower_bound_distance(&unit_weights);
+            if !lbd.approx_eq(*last) {
+                *last = lbd;
+                changed.push(LowerBoundChange { a: pair.a, b: pair.b, new_lbd: lbd });
             }
         }
         Ok((changed, paths_touched))
@@ -291,12 +315,13 @@ impl SubgraphIndex {
     }
 
     /// Estimated memory footprint of the level-one index structures in bytes
-    /// (excluding the subgraph itself).
+    /// (excluding the subgraph itself): the shape, counted once, plus this
+    /// epoch's distances and lower bounds. Epochs that share the shape
+    /// ([`SubgraphIndex::shares_structure_with`]) each count it in full.
     pub fn index_memory_bytes(&self) -> usize {
-        self.backend.memory_bytes()
-            + self.pairs.iter().map(|p| p.memory_bytes()).sum::<usize>()
-            + self.unit_weights.memory_bytes()
-            + self.last_lbd.len() * std::mem::size_of::<Weight>()
+        self.shape.table.memory_bytes()
+            + self.shape.backend.memory_bytes()
+            + (self.distance.len() + self.last_lbd.len()) * std::mem::size_of::<Weight>()
     }
 
     /// Memory footprint of the subgraph structure itself in bytes.
@@ -305,12 +330,12 @@ impl SubgraphIndex {
     }
 }
 
-/// Builds the edge → bounding-paths backend for `pairs` over `subgraph`.
+/// Builds the edge → bounding-paths backend for `table` over `subgraph`.
 /// Shared by [`SubgraphIndex::build`] and [`SubgraphIndex::restore`]: the
 /// backend is fully derived from the paths, so it is never persisted.
 fn build_backend(
     subgraph: &Subgraph,
-    pairs: &[BoundingPathSet],
+    table: &BoundingPathTable,
     kind: BackendKind,
 ) -> BackendStore {
     // Edge lookup (endpoint pair -> global edge id) for registering paths.
@@ -322,9 +347,9 @@ fn build_backend(
         }
     }
     let mut edge_paths: HashMap<EdgeId, Vec<PathRef>> = HashMap::new();
-    for (pi, set) in pairs.iter().enumerate() {
-        for (qi, p) in set.paths.iter().enumerate() {
-            for w in p.vertices.windows(2) {
+    for pi in 0..table.num_pairs() {
+        for (qi, path) in table.paths_of(pi).enumerate() {
+            for w in table.vertices(path).windows(2) {
                 let Some(&e) = edge_of.get(&(w[0], w[1])) else { continue };
                 edge_paths.entry(e).or_default().push(PathRef { pair: pi as u32, path: qi as u32 });
             }
@@ -545,7 +570,7 @@ mod tests {
             vec![v(0), v(3)],
         );
         let mut idx = SubgraphIndex::build(sg, 2, 64, BackendKind::EpIndex);
-        assert_eq!(idx.pairs()[0].len(), 3, "both tied routes and the 3-vfrag one");
+        assert_eq!(idx.pair(0).len(), 3, "both tied routes and the 3-vfrag one");
         let factors = [1.3, 1.3, 0.7, 0.7, 1.3, 1.3, 1.3];
         let updates: Vec<WeightUpdate> = factors
             .iter()

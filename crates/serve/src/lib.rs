@@ -10,8 +10,9 @@
 //!   behind a swap-on-publish generation pointer. Queries never block updates
 //!   and never observe a torn graph/index combination. Publication is
 //!   **copy-on-write**: consecutive epochs share the graph topology, every
-//!   untouched per-subgraph index and the auxiliary tables, so staging an
-//!   epoch costs O(batch) rather than O(index).
+//!   untouched per-subgraph index, the bounding-path shapes of the touched
+//!   ones, the skeleton's topology and the auxiliary tables, so staging an
+//!   epoch copies the weights the batch reaches, never structure.
 //! * [`service`] — the [`QueryService`]: a sharded pool of worker threads with
 //!   per-shard **bounded queues** (reject-with-backpressure admission control),
 //!   request **batching** (one epoch load per drained batch), and **work

@@ -812,14 +812,16 @@ impl QueryService {
     /// The update is staged on copy-on-write forks and committed only when
     /// both the graph and the index accepted the whole batch: a failing batch
     /// (e.g. an out-of-range edge id) leaves the masters — and therefore every
-    /// future epoch — exactly as they were. Staging is proportional to the
-    /// *batch*, not the index: the graph fork shares its topology allocation
-    /// with the previous epoch, and the index fork deep-copies only the
-    /// subgraph indexes the batch routes updates into (everything else stays
-    /// pointer-shared across epochs). For a persistent service the batch is
-    /// additionally appended to the delta log (fsync-on-commit) *before* the
-    /// epoch becomes visible: an epoch a reader can observe is always an
-    /// epoch recovery can reproduce.
+    /// future epoch — exactly as they were. Staging copies weights, never
+    /// structure: the graph fork copies its weight table and shares its
+    /// topology; the index fork unshares only the subgraph indexes the batch
+    /// routes updates into, each copying its bounding-path distances, pair
+    /// bounds and subgraph edge list while sharing its path shape, and the
+    /// skeleton copies its weights while sharing its topology (everything
+    /// else stays pointer-shared across epochs). For a persistent service
+    /// the batch is additionally appended to the delta log (fsync-on-commit)
+    /// *before* the epoch becomes visible: an epoch a reader can observe is
+    /// always an epoch recovery can reproduce.
     pub fn apply_batch(&self, batch: &UpdateBatch) -> Result<u64, PublishError> {
         // Fast-fail while degraded: the log is known-broken, so staging a
         // fork just to throw it away would waste the write path's budget.

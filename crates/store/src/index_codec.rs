@@ -4,9 +4,9 @@
 //! subgraphs (with live weights), the bounding-path sets with their
 //! accumulated `current_distance` values, the last lower bound reported per
 //! pair, the vertex/edge ownership tables and the configuration. Everything
-//! else — the edge → paths backend, the unit-weight multisets, the skeleton
-//! graph — is a deterministic function of that state and is rebuilt on decode
-//! via [`SubgraphIndex::restore`] and [`DtlpIndex::assemble`]. Persisting the
+//! else — the edge → paths backend, the skeleton graph — is a deterministic
+//! function of that state and is rebuilt on decode via
+//! [`SubgraphIndex::restore`] and [`DtlpIndex::assemble`]. Persisting the
 //! accumulated floats (rather than recomputing distances from weights) is what
 //! makes a recovered index answer queries bit-identically to the one that was
 //! checkpointed: incremental maintenance applies deltas, and replaying those
@@ -15,7 +15,7 @@
 use crate::codec::{encode_slice, Reader, StoreCodec, Writer};
 use crate::error::CodecError;
 use ksp_core::dtlp::{
-    BackendKind, BoundingPath, BoundingPathSet, DtlpConfig, DtlpIndex, SubgraphIndex,
+    BackendKind, BoundingPath, BoundingPathSet, DtlpConfig, DtlpIndex, PairPaths, SubgraphIndex,
 };
 use ksp_graph::{Subgraph, SubgraphId, VertexId, Weight};
 use std::collections::HashMap;
@@ -65,48 +65,52 @@ impl StoreCodec for DtlpConfig {
     }
 }
 
-impl StoreCodec for BoundingPath {
-    fn encode(&self, w: &mut Writer) {
-        self.vertices.encode(w);
-        w.put_u64(self.vfrags);
-        self.current_distance.encode(w);
+/// One boundary pair's bounding paths: the endpoints, then a count-prefixed list
+/// of paths, each its count-prefixed vertices, vfrag count and accumulated
+/// distance. Written from the index's flat layout, read back into the owned form
+/// [`SubgraphIndex::restore`] takes.
+fn encode_pair(pair: PairPaths<'_>, w: &mut Writer) {
+    pair.a.encode(w);
+    pair.b.encode(w);
+    w.put_u64(pair.len() as u64);
+    for i in 0..pair.len() {
+        encode_slice(pair.vertices(i), w);
+        w.put_u64(pair.vfrags(i));
+        pair.distance(i).encode(w);
     }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+}
+
+fn decode_pair(r: &mut Reader<'_>) -> Result<BoundingPathSet, CodecError> {
+    let a = VertexId::decode(r)?;
+    let b = VertexId::decode(r)?;
+    let count = r.get_count(1)?;
+    let mut paths = Vec::with_capacity(count);
+    for _ in 0..count {
         let vertices = Vec::<VertexId>::decode(r)?;
         if vertices.len() < 2 {
             return Err(CodecError::InvalidValue("a bounding path joins two distinct vertices"));
         }
         let vfrags = r.get_u64()?;
         let current_distance = Weight::decode(r)?;
-        Ok(BoundingPath { vertices, vfrags, current_distance })
+        paths.push(BoundingPath { vertices, vfrags, current_distance });
     }
-}
-
-impl StoreCodec for BoundingPathSet {
-    fn encode(&self, w: &mut Writer) {
-        self.a.encode(w);
-        self.b.encode(w);
-        self.paths.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(BoundingPathSet {
-            a: VertexId::decode(r)?,
-            b: VertexId::decode(r)?,
-            paths: Vec::decode(r)?,
-        })
-    }
+    Ok(BoundingPathSet { a, b, paths })
 }
 
 impl StoreCodec for SubgraphIndex {
     fn encode(&self, w: &mut Writer) {
         self.subgraph().encode(w);
-        encode_slice(self.pairs(), w);
+        w.put_u64(self.num_pairs() as u64);
+        for pair in self.pairs() {
+            encode_pair(pair, w);
+        }
         encode_slice(self.last_lower_bounds(), w);
         self.backend_kind().encode(w);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         let subgraph = Subgraph::decode(r)?;
-        let pairs = Vec::<BoundingPathSet>::decode(r)?;
+        let num_pairs = r.get_count(1)?;
+        let pairs = (0..num_pairs).map(|_| decode_pair(r)).collect::<Result<Vec<_>, _>>()?;
         let last_lbd = Vec::<Weight>::decode(r)?;
         let backend = BackendKind::decode(r)?;
         if pairs.len() != last_lbd.len() {
@@ -219,7 +223,7 @@ mod tests {
         // Skeleton weights agree exactly (not just within epsilon).
         for e in index.skeleton().edges() {
             let restored = decoded.skeleton().skeleton_edge_weight(e.a, e.b).unwrap();
-            assert_eq!(restored.value().to_bits(), e.weight().value().to_bits());
+            assert_eq!(restored.value().to_bits(), e.weight.value().to_bits());
         }
     }
 

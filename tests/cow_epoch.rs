@@ -12,8 +12,10 @@
 //! 2. **Structural sharing.** Publication copies exactly the subgraph indexes
 //!    the batch dirtied: across any two consecutive epochs, every subgraph id
 //!    not in the batch's dirty set is pointer-equal (`Arc::ptr_eq`) between
-//!    the epochs — no silent deep copies — and the graph's topology
-//!    allocation is shared across the whole epoch chain.
+//!    the epochs — no silent deep copies. What it copies is weights only: a
+//!    dirty subgraph index shares its bounding-path shape with the previous
+//!    epoch, and the graph's and the skeleton's topology allocations are
+//!    shared across the whole epoch chain.
 
 use ksp_dg::core::dtlp::{DtlpConfig, DtlpIndex};
 use ksp_dg::core::kspdg::KspDgEngine;
@@ -104,7 +106,8 @@ proptest! {
         let initial_graph = network(seed);
         let config = DtlpConfig::new(z, 2);
         let mut graph = initial_graph.clone();
-        let mut index = DtlpIndex::build(&graph, config).unwrap();
+        let initial_index = DtlpIndex::build(&graph, config).unwrap();
+        let mut index = initial_index.clone();
 
         for round in 0..rounds {
             let prev_index = index.clone();
@@ -127,12 +130,17 @@ proptest! {
                 );
                 if stats.dirty_subgraphs.contains(&id) {
                     prop_assert!(!shared, "dirty subgraph {} must be unshared", id.0);
+                    prop_assert!(
+                        index.subgraph_index(id).shares_structure_with(prev_index.subgraph_index(id)),
+                        "dirty subgraph {} copied its bounding-path shape", id.0
+                    );
                 } else {
                     prop_assert!(shared, "untouched subgraph {} was deep-copied", id.0);
                 }
             }
         }
-        // Weight-only maintenance never copies graph structure.
+        // Weight-only maintenance never copies graph or skeleton structure.
         prop_assert!(graph.shares_topology_with(&initial_graph));
+        prop_assert!(index.skeleton().shares_structure_with(initial_index.skeleton()));
     }
 }
