@@ -1,4 +1,4 @@
-//! The FindKSP baseline [21]: deviation-based KSP guided by a shortest path tree.
+//! The FindKSP baseline \[21\]: deviation-based KSP guided by a shortest path tree.
 //!
 //! FindKSP (Liu et al., *Finding top-k shortest paths with diversity*, TKDE 2018)
 //! improves on Yen's algorithm by maintaining a shortest path tree (SPT) rooted at the

@@ -10,10 +10,10 @@
 //!   [`SearchArena`]: point-to-point, single-source, a bounded sweep, and the
 //!   banned-vertex/edge spur search inside Yen's algorithm. Every search in this crate
 //!   runs on an arena.
-//! * [`yen`] — Yen's k-shortest-simple-paths algorithm [27], exposed both as a lazy
+//! * [`yen`] — Yen's k-shortest-simple-paths algorithm \[27\], exposed both as a lazy
 //!   enumerator (used by KSP-DG to produce reference paths one at a time) and as a
 //!   convenience function.
-//! * [`findksp`] — the FindKSP baseline [21]: deviation-based KSP guided by a shortest
+//! * [`findksp`] — the FindKSP baseline \[21\]: deviation-based KSP guided by a shortest
 //!   path tree rooted at the destination, so spur searches are goal-directed.
 //! * [`vfrag`] — enumeration of paths by *virtual-fragment count* (fewest-vfrag paths),
 //!   the primitive DTLP uses to select bounding paths (Section 3.4).

@@ -1,4 +1,4 @@
-//! Yen's k-shortest-simple-paths algorithm [27], as a lazy enumerator.
+//! Yen's k-shortest-simple-paths algorithm \[27\], as a lazy enumerator.
 //!
 //! The enumerator form matters for KSP-DG: Algorithm 3 consumes *reference paths* from
 //! the skeleton graph one at a time and stops as soon as the termination condition of

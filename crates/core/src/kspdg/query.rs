@@ -323,8 +323,9 @@ impl<'a> KspDgEngine<'a> {
     }
 }
 
-/// A query engine that owns its index behind an [`Arc`], so it can be moved into
-/// `'static` worker threads (the serving subsystem's shards) and shared freely.
+/// A query engine that owns its index behind an [`Arc`](std::sync::Arc), so it can be
+/// moved into `'static` worker threads (the serving subsystem's shards) and shared
+/// freely.
 ///
 /// Queries are read-only, so any number of `SharedEngine`s (or clones of one) can
 /// answer queries against the same index concurrently.

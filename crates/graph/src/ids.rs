@@ -4,24 +4,23 @@
 //! global vertex ids, edge ids and partition ids that would otherwise only be caught
 //! at runtime (if at all).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a vertex in the *global* graph.
 ///
 /// Vertex ids are dense: a graph with `n` vertices uses ids `0..n`.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VertexId(pub u32);
 
 /// Identifier of an edge in the *global* graph.
 ///
 /// Edge ids are dense: a graph with `m` edges uses ids `0..m`. For undirected graphs a
 /// single id covers both directions of travel.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EdgeId(pub u32);
 
 /// Identifier of a subgraph produced by [`crate::partition::Partitioner`].
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SubgraphId(pub u32);
 
 impl VertexId {

@@ -6,10 +6,9 @@
 
 use crate::ids::EdgeId;
 use crate::weight::Weight;
-use serde::{Deserialize, Serialize};
 
 /// A single edge-weight change: the edge now has weight `new_weight`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WeightUpdate {
     /// The edge whose weight changed.
     pub edge: EdgeId,
@@ -29,7 +28,7 @@ impl WeightUpdate {
 /// The paper applies updates snapshot-by-snapshot: at each snapshot a fraction `α` of
 /// edges change weight within a relative range `[-τ, +τ]`. A batch corresponds to one
 /// such snapshot.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct UpdateBatch {
     /// Updates in this batch. At most one update per edge is expected; if an edge
     /// appears multiple times the last update wins.

@@ -5,7 +5,6 @@
 //! of *virtual fragments* (Section 3.4), so [`Weight`] keeps track of both the current
 //! floating-point value and utilities for comparing distances robustly.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 use std::iter::Sum;
@@ -23,7 +22,7 @@ pub const DISTANCE_EPSILON: f64 = 1e-9;
 /// `Weight` wraps an `f64` and orders it with [`f64::total_cmp`], which makes it usable
 /// as a key in binary heaps and ordered maps. Construction via [`Weight::new`] rejects
 /// NaN and negative values, which are never meaningful as travel times.
-#[derive(Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq)]
 pub struct Weight(f64);
 
 impl Weight {

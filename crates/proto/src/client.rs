@@ -49,16 +49,10 @@ pub struct LatencyBreakdown {
 /// What the server reported during the `Ping` handshake.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HandshakeInfo {
-    /// The protocol version the server speaks (equals
-    /// [`PROTOCOL_VERSION`] — a mismatch fails the handshake instead).
-    pub protocol_version: u32,
     /// The epoch the server was publishing at handshake time.
     pub epoch: u64,
     /// Number of shard workers behind the endpoint.
     pub num_shards: u64,
-    /// The protocol version negotiated from this client's announced range;
-    /// `0` when the server predates negotiation (treat as v1).
-    pub negotiated_version: u32,
 }
 
 /// Client-side connection knobs. An [`ErrorReply::Overloaded`] rejection is
@@ -139,8 +133,10 @@ impl From<TransportError> for ClientError {
 /// id plus the client-clock origin — wrapped in a `Request::Traced` envelope.
 /// The server echoes the context on its response and records the trace id in
 /// any flight-recorder dump the request triggers, so a client can resolve its
-/// own trace ids to server-side span chains. Call
-/// [`KspClient::set_tracing`]`(false)` to send bare requests instead.
+/// own trace ids to server-side span chains. A reply whose envelope carries
+/// another request's trace id fails with [`ClientError::UnexpectedResponse`];
+/// a reply with no envelope (from a transport that answers bare) is taken as
+/// the answer to the request it arrived for.
 pub struct KspClient<T: Transport> {
     transport: T,
     /// Origin of this client's trace clock; `origin_micros` stamps are
@@ -148,23 +144,22 @@ pub struct KspClient<T: Transport> {
     origin: Instant,
     client_id: u64,
     requests_sent: u64,
-    tracing: bool,
     last_trace_id: u64,
     total_micros: u64,
     server_micros: u64,
 }
 
 impl KspClient<TcpTransport> {
-    /// Connects over TCP and performs the `Ping` version handshake.
+    /// Connects over TCP and performs the `Ping` handshake.
     ///
-    /// A version disagreement always fails typed, through one of two shapes:
-    /// when the server rejects the *announced* version it answers
-    /// [`ErrorReply::UnsupportedVersion`] (surfaced as
-    /// [`ClientError::Server`]); when the peers' *frame-level* versions
-    /// differ, each side detects the foreign header locally as a
+    /// A peer built at another protocol version fails the handshake typed at
+    /// the frame header: the server answers the foreign header with
+    /// [`ErrorReply::UnsupportedVersion`] and closes, and this client reads
+    /// that reply's header as a
     /// [`FrameError::VersionMismatch`](crate::FrameError::VersionMismatch)
-    /// before touching the payload — the frozen header layout is what makes
-    /// that possible without decoding bytes of an unknown format.
+    /// (surfaced as [`ClientError::Transport`]) before touching the payload —
+    /// the frozen header layout is what makes that possible without decoding
+    /// bytes of an unknown format.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<(Self, HandshakeInfo), ClientError> {
         Self::connect_with_config(addr, ClientConfig::default())
     }
@@ -192,28 +187,22 @@ impl<T: Transport> KspClient<T> {
             origin: Instant::now(),
             client_id: NEXT_CLIENT_ID.fetch_add(1, Ordering::Relaxed),
             requests_sent: 0,
-            tracing: true,
             last_trace_id: 0,
             total_micros: 0,
             server_micros: 0,
         }
     }
 
-    /// Wraps a transport and performs the `Ping` version handshake.
+    /// Wraps a transport and performs the `Ping` handshake.
     pub fn handshake(transport: T) -> Result<(Self, HandshakeInfo), ClientError> {
         let mut client = KspClient::new(transport);
         let info = client.ping()?;
         Ok((client, info))
     }
 
-    /// Enables or disables trace-context stamping (on by default).
-    pub fn set_tracing(&mut self, tracing: bool) {
-        self.tracing = tracing;
-    }
-
-    /// The trace id stamped on the most recent traced request, or zero if no
-    /// traced request has been sent. Matches the `trace_id` a server-side
-    /// flight dump records when that request trips an anomaly trigger.
+    /// The trace id stamped on the most recent request, or zero if none has
+    /// been sent. Matches the `trace_id` a server-side flight dump records
+    /// when that request trips an anomaly trigger.
     pub fn last_trace_id(&self) -> u64 {
         self.last_trace_id
     }
@@ -232,33 +221,16 @@ impl<T: Transport> KspClient<T> {
         }
     }
 
-    /// Mints the next trace context: the id is `client_id << 32 | sequence`,
-    /// unique across every client in this process.
-    fn next_trace(&mut self) -> TraceContext {
-        self.requests_sent += 1;
-        TraceContext {
-            trace_id: (self.client_id << 32) | (self.requests_sent & 0xFFFF_FFFF),
-            origin_micros: self.origin.elapsed().as_micros().min(u64::MAX as u128) as u64,
-        }
-    }
-
-    /// Sends a `Ping` announcing the full `[PROTOCOL_VERSION,
-    /// PROTOCOL_VERSION_MAX]` range this build can speak, returning the
-    /// server's version, negotiated version and current epoch. A server that
-    /// predates negotiation reports `negotiated_version` 0 — callers treat
-    /// that as v1.
+    /// Sends a `Ping`, returning the server's current epoch and shard count.
     pub fn ping(&mut self) -> Result<HandshakeInfo, ClientError> {
-        match self.call(Request::ping())? {
-            Response::Pong { protocol_version, epoch, num_shards, negotiated_version } => {
-                Ok(HandshakeInfo { protocol_version, epoch, num_shards, negotiated_version })
-            }
+        match self.call(Request::Ping)? {
+            Response::Pong { epoch, num_shards } => Ok(HandshakeInfo { epoch, num_shards }),
             _ => Err(ClientError::UnexpectedResponse { expected: "Pong" }),
         }
     }
 
-    /// Requests WAL records from `from_epoch` (replication surface;
-    /// negotiate protocol version `>= 2` first). `max_records`/`max_bytes`
-    /// of `0` accept the server's caps.
+    /// Requests WAL records from `from_epoch` (the replication surface).
+    /// `max_records`/`max_bytes` of `0` accept the server's caps.
     pub fn ship_segment(
         &mut self,
         from_epoch: u64,
@@ -327,37 +299,29 @@ impl<T: Transport> KspClient<T> {
 
     /// Issues many single-query requests *pipelined*: every request frame is
     /// written before the first response is read, so the batch costs one
-    /// round trip of latency instead of one per query.
+    /// round trip of latency instead of one per query. Each reply is matched
+    /// to its request by trace id, so a reordered or missing reply fails with
+    /// [`ClientError::UnexpectedResponse`] instead of answering the wrong
+    /// query.
     pub fn query_pipelined(
         &mut self,
         keys: &[QueryKey],
     ) -> Result<Vec<Result<QueryAnswer, ErrorReply>>, ClientError> {
         let started = Instant::now();
-        let requests = keys
-            .iter()
-            .map(|&key| {
-                let request = Request::Query(key);
-                if self.tracing {
-                    let trace = self.next_trace();
-                    self.last_trace_id = trace.trace_id;
-                    Request::Traced { trace, inner: Box::new(request) }
-                } else {
-                    request
-                }
-            })
-            .collect();
+        let (traces, requests): (Vec<_>, Vec<_>) =
+            keys.iter().map(|&key| self.stamp(Request::Query(key))).unzip();
         let responses = self.transport.pipeline(requests)?;
         self.total_micros += started.elapsed().as_micros().min(u64::MAX as u128) as u64;
-        responses
+        if responses.len() != keys.len() {
+            return Err(ClientError::UnexpectedResponse { expected: "one reply per request" });
+        }
+        traces
             .into_iter()
-            .map(|response| {
-                let (_trace, response) = response.into_parts();
-                self.absorb_server_micros(&response);
-                match response {
-                    Response::Query(answer) => Ok(Ok(answer)),
-                    Response::Error(e) => Ok(Err(e)),
-                    _ => Err(ClientError::UnexpectedResponse { expected: "Query" }),
-                }
+            .zip(responses)
+            .map(|(sent, response)| match self.verify(sent, response)? {
+                Response::Query(answer) => Ok(Ok(answer)),
+                Response::Error(e) => Ok(Err(e)),
+                _ => Err(ClientError::UnexpectedResponse { expected: "Query" }),
             })
             .collect()
     }
@@ -414,30 +378,41 @@ impl<T: Transport> KspClient<T> {
 
     fn call(&mut self, request: Request) -> Result<Response, ClientError> {
         let started = Instant::now();
-        let (sent_trace, request) = if self.tracing {
-            let trace = self.next_trace();
-            self.last_trace_id = trace.trace_id;
-            (Some(trace), Request::Traced { trace, inner: Box::new(request) })
-        } else {
-            (None, request)
-        };
+        let (sent, request) = self.stamp(request);
         let response = self.transport.roundtrip(request)?;
         self.total_micros += started.elapsed().as_micros().min(u64::MAX as u128) as u64;
-        // Unwrap the trace envelope *before* the error check: the server
-        // echoes `Traced` around typed error replies too.
-        let (echoed, response) = response.into_parts();
-        if let (Some(sent), Some(echo)) = (sent_trace, echoed) {
-            if echo.trace_id != sent.trace_id {
-                return Err(ClientError::UnexpectedResponse {
-                    expected: "the request's own trace id echoed back",
-                });
-            }
-        }
-        self.absorb_server_micros(&response);
-        match response {
+        match self.verify(sent, response)? {
             Response::Error(e) => Err(ClientError::Server(e)),
             response => Ok(response),
         }
+    }
+
+    /// Wraps `request` in the next trace context. The id is
+    /// `client_id << 32 | sequence`, unique across every client in this
+    /// process.
+    fn stamp(&mut self, request: Request) -> (TraceContext, Request) {
+        self.requests_sent += 1;
+        let trace = TraceContext {
+            trace_id: (self.client_id << 32) | (self.requests_sent & 0xFFFF_FFFF),
+            origin_micros: self.origin.elapsed().as_micros().min(u64::MAX as u128) as u64,
+        };
+        self.last_trace_id = trace.trace_id;
+        (trace, Request::Traced { trace, inner: Box::new(request) })
+    }
+
+    /// Unwraps the reply to the request stamped `sent`. The envelope comes
+    /// off *before* any error check, since the server echoes it around typed
+    /// error replies too; an envelope echoing another trace id is a mispaired
+    /// reply.
+    fn verify(&mut self, sent: TraceContext, response: Response) -> Result<Response, ClientError> {
+        let (echoed, response) = response.into_parts();
+        if echoed.is_some_and(|echo| echo.trace_id != sent.trace_id) {
+            return Err(ClientError::UnexpectedResponse {
+                expected: "the request's own trace id echoed back",
+            });
+        }
+        self.absorb_server_micros(&response);
+        Ok(response)
     }
 
     /// Accumulates the server-reported latency carried by query answers, the
@@ -454,5 +429,70 @@ impl<T: Transport> KspClient<T> {
             }
             _ => {}
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::message::WireQueryStats;
+
+    /// Answers every query with its own source vertex as the epoch, echoing
+    /// the request's envelope; `pipeline` can hand the replies back reversed.
+    struct Echo {
+        reverse: bool,
+    }
+
+    impl Transport for Echo {
+        fn roundtrip(&mut self, request: Request) -> Result<Response, TransportError> {
+            let (trace, request) = request.into_parts();
+            let Request::Query(key) = request else { panic!("only queries are sent") };
+            let answer = Response::Query(QueryAnswer {
+                paths: Vec::new(),
+                epoch: u64::from(key.source.0),
+                cache_hit: false,
+                latency_micros: 0,
+                stats: WireQueryStats::default(),
+            });
+            Ok(match trace {
+                Some(trace) => Response::Traced { trace, inner: Box::new(answer) },
+                None => answer,
+            })
+        }
+
+        fn pipeline(&mut self, requests: Vec<Request>) -> Result<Vec<Response>, TransportError> {
+            let mut replies =
+                requests.into_iter().map(|r| self.roundtrip(r)).collect::<Result<Vec<_>, _>>()?;
+            if self.reverse {
+                replies.reverse();
+            }
+            Ok(replies)
+        }
+
+        fn stats(&self) -> TransportStats {
+            TransportStats::default()
+        }
+    }
+
+    fn keys() -> Vec<QueryKey> {
+        (0..3).map(|i| QueryKey::new(VertexId(i), VertexId(9), 1)).collect()
+    }
+
+    #[test]
+    fn pipelined_replies_are_matched_to_their_requests() {
+        let mut client = KspClient::new(Echo { reverse: false });
+        let epochs: Vec<u64> = client
+            .query_pipelined(&keys())
+            .unwrap()
+            .into_iter()
+            .map(|answer| answer.unwrap().epoch)
+            .collect();
+        assert_eq!(epochs, [0, 1, 2]);
+
+        let mut client = KspClient::new(Echo { reverse: true });
+        assert!(matches!(
+            client.query_pipelined(&keys()),
+            Err(ClientError::UnexpectedResponse { .. })
+        ));
     }
 }

@@ -154,12 +154,7 @@ mod tests {
     impl Transport for CountingTransport {
         fn roundtrip(&mut self, _request: Request) -> Result<Response, TransportError> {
             self.calls += 1;
-            Ok(Response::Pong {
-                protocol_version: crate::message::PROTOCOL_VERSION,
-                epoch: self.calls,
-                num_shards: 1,
-                negotiated_version: crate::message::PROTOCOL_VERSION_MAX,
-            })
+            Ok(Response::Pong { epoch: self.calls, num_shards: 1 })
         }
 
         fn stats(&self) -> TransportStats {
@@ -179,11 +174,11 @@ mod tests {
         let plan = FaultPlan::new(7);
         plan.arm(FaultPoint::NetRecv, Schedule::Nth(2), FaultAction::DropReply);
         let mut t = FaultTransport::new(CountingTransport { calls: 0 }, plan);
-        assert_eq!(pong_epoch(&t.roundtrip(Request::ping()).unwrap()), 1);
-        assert!(matches!(t.roundtrip(Request::ping()), Err(TransportError::TimedOut)));
+        assert_eq!(pong_epoch(&t.roundtrip(Request::Ping).unwrap()), 1);
+        assert!(matches!(t.roundtrip(Request::Ping), Err(TransportError::TimedOut)));
         // The server side did process the dropped exchange.
         assert_eq!(t.inner().calls, 2);
-        assert_eq!(pong_epoch(&t.roundtrip(Request::ping()).unwrap()), 3);
+        assert_eq!(pong_epoch(&t.roundtrip(Request::Ping).unwrap()), 3);
     }
 
     #[test]
@@ -191,11 +186,11 @@ mod tests {
         let plan = FaultPlan::new(7);
         plan.arm(FaultPoint::NetRecv, Schedule::Nth(1), FaultAction::DuplicateReply);
         let mut t = FaultTransport::new(CountingTransport { calls: 0 }, plan);
-        assert_eq!(pong_epoch(&t.roundtrip(Request::ping()).unwrap()), 1);
+        assert_eq!(pong_epoch(&t.roundtrip(Request::Ping).unwrap()), 1);
         // The duplicate answers without reaching the server.
-        assert_eq!(pong_epoch(&t.roundtrip(Request::ping()).unwrap()), 1);
+        assert_eq!(pong_epoch(&t.roundtrip(Request::Ping).unwrap()), 1);
         assert_eq!(t.inner().calls, 1);
-        assert_eq!(pong_epoch(&t.roundtrip(Request::ping()).unwrap()), 2);
+        assert_eq!(pong_epoch(&t.roundtrip(Request::Ping).unwrap()), 2);
     }
 
     #[test]
@@ -203,9 +198,9 @@ mod tests {
         let plan = FaultPlan::new(7);
         plan.arm(FaultPoint::NetSend, Schedule::Nth(2), FaultAction::Sever);
         let mut t = FaultTransport::new(CountingTransport { calls: 0 }, plan);
-        assert!(t.roundtrip(Request::ping()).is_ok());
+        assert!(t.roundtrip(Request::Ping).is_ok());
         for _ in 0..3 {
-            assert!(matches!(t.roundtrip(Request::ping()), Err(TransportError::Disconnected)));
+            assert!(matches!(t.roundtrip(Request::Ping), Err(TransportError::Disconnected)));
         }
         assert_eq!(t.inner().calls, 1, "nothing reaches a severed connection");
     }
@@ -216,8 +211,7 @@ mod tests {
             let plan = FaultPlan::new(seed);
             plan.arm(FaultPoint::NetRecv, Schedule::PerMille(300), FaultAction::DropReply);
             let mut t = FaultTransport::new(CountingTransport { calls: 0 }, plan);
-            let outcomes: Vec<bool> =
-                (0..64).map(|_| t.roundtrip(Request::ping()).is_ok()).collect();
+            let outcomes: Vec<bool> = (0..64).map(|_| t.roundtrip(Request::Ping).is_ok()).collect();
             (outcomes, t.plan().fingerprint())
         };
         assert_eq!(run(42), run(42));

@@ -9,8 +9,8 @@
 //!   enums covering single queries, pipelined multi-query batches, epoch
 //!   publication (`ApplyBatch`), metrics scraping, observability snapshots
 //!   (`ObsSnapshot`, with [`obs`] carrying the wire mirrors of `ksp-obs`'s
-//!   per-stage histograms and flight dumps), checkpointing and the
-//!   `Ping` version handshake. Payloads are encoded with the same
+//!   per-stage histograms and flight dumps), checkpointing, log shipping to
+//!   replicas and the `Ping` handshake. Payloads are encoded with the same
 //!   [`StoreCodec`](ksp_store::StoreCodec) discipline as the on-disk
 //!   checkpoint format: little-endian, length-validated counts, floats as raw
 //!   IEEE-754 bits so a path distance survives the wire bit-for-bit.
@@ -39,17 +39,19 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic "KSPF"
-//! 4       4     protocol version (u32 LE, currently 1)
+//! 4       4     protocol version (u32 LE, currently 2)
 //! 8       1     frame kind (0 = request, 1 = response)
 //! 9       4     payload length in bytes (u32 LE)
 //! 13      4     CRC-32 (ISO-HDLC) of the payload
 //! 17      n     payload: one StoreCodec-encoded Request or Response
 //! ```
 //!
-//! The header layout is frozen across protocol versions: a server can always
-//! parse the header of a newer client's frame, reject it with a typed
+//! The header is the only place a version is checked, and its layout is
+//! frozen across protocol versions: a server can always parse the header of
+//! a foreign client's frame, reject it with a typed
 //! [`ErrorReply::UnsupportedVersion`] response and close the connection
-//! cleanly instead of reading garbage.
+//! cleanly instead of reading garbage. Every message has exactly one
+//! payload encoding; any tag or payload change bumps [`PROTOCOL_VERSION`].
 
 #![warn(missing_docs)]
 
@@ -68,7 +70,6 @@ pub use message::{
     ErrorReply, QueryAnswer, QueryKey, QueryOutcome, Request, Response, TraceContext, WireMetrics,
     WirePath, WireQueryStats, WireQueueGauge, WireSegmentBatch, WireShippedRecord,
     WireSnapshotChunk, WireSnapshotFile, WireSnapshotManifest, PROTOCOL_VERSION,
-    PROTOCOL_VERSION_MAX,
 };
 pub use obs::{
     WireCounter, WireFlightDump, WireGauge, WireHistogram, WireObsEvent, WireObsSnapshot,

@@ -6,28 +6,21 @@
 //! wire bit-identically to the in-process path, and a hostile payload fails
 //! with a typed [`CodecError`] before it can allocate unbounded memory.
 //!
-//! Enum variants carry a leading `u8` tag. Tags are part of the protocol
-//! version: removing or renumbering one requires bumping
-//! [`PROTOCOL_VERSION`]; appending new tags is backwards-compatible because an
-//! old server answers an unknown tag with a typed
-//! [`ErrorReply::Malformed`] instead of panicking.
+//! Enum variants carry a leading `u8` tag, and every message has exactly one
+//! encoding: each decoder reads every field unconditionally, so no strict
+//! prefix of a message decodes. Any tag or payload change bumps
+//! [`PROTOCOL_VERSION`]; the frame header carries it, and that is the one
+//! place a version is checked.
 
 use ksp_algo::Path;
 use ksp_core::kspdg::QueryStats;
 use ksp_graph::{UpdateBatch, VertexId, Weight};
 use ksp_store::{CodecError, Reader, StoreCodec, Writer};
 
-/// The protocol version this build speaks. Carried in every frame header and
-/// echoed through the [`Request::Ping`] handshake.
-pub const PROTOCOL_VERSION: u32 = 1;
-
-/// The newest protocol version this build can negotiate up to. Version 2 is
-/// the replication surface ([`Request::ShipSegment`] and friends): its tags
-/// are appended (so v1 frames still parse), but a peer must negotiate `>= 2`
-/// through the [`Request::Ping`] version range before relying on them —
-/// that is what lets a future version *change* a payload shape without
-/// breaking rollouts.
-pub const PROTOCOL_VERSION_MAX: u32 = 2;
+/// The protocol version this build speaks, carried in every frame header. A
+/// frame stamped with any other version is rejected before its payload is
+/// read.
+pub const PROTOCOL_VERSION: u32 = 2;
 
 fn encode_str(s: &str, w: &mut Writer) {
     w.put_u64(s.len() as u64);
@@ -42,7 +35,7 @@ fn decode_string(r: &mut Reader<'_>) -> Result<String, CodecError> {
 }
 
 /// A client-originated trace context, carried in a [`Request::Traced`] /
-/// [`Response::Traced`] envelope (tags appended under [`PROTOCOL_VERSION`] 1).
+/// [`Response::Traced`] envelope.
 ///
 /// `trace_id` names one client-side operation; the server echoes it verbatim
 /// in the response envelope and pins it to any flight dump the request
@@ -53,10 +46,7 @@ fn decode_string(r: &mut Reader<'_>) -> Result<String, CodecError> {
 /// without any cross-host clock agreement.
 ///
 /// Wire layout: 16 bytes, `trace_id` (u64 LE) then `origin_micros` (u64 LE),
-/// inside the envelope tag. The envelope is a *tagged* variant rather than a
-/// tolerant payload tail because several response payloads (`WireMetrics`,
-/// `WireObsSnapshot`) already own their trailing bytes for appended-field
-/// decoding — a bare suffix would be ambiguous.
+/// between the envelope tag and the wrapped message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TraceContext {
     /// Client-chosen id of the traced operation; `0` means untraced.
@@ -113,26 +103,9 @@ impl StoreCodec for QueryKey {
 /// serving shard.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
-    /// Version handshake and liveness probe. The server answers
-    /// [`Response::Pong`] when the versions agree and
-    /// [`ErrorReply::UnsupportedVersion`] otherwise.
-    ///
-    /// A v2-aware client also announces the *range* of versions it can speak
-    /// as a tolerant payload tail (`min_version`/`max_version`, appended
-    /// after the legacy field; the Ping body is always the final bytes of
-    /// its message, so "no bytes left" is unambiguous). A legacy payload
-    /// decodes with both at `0`, meaning "no range announced" — the server
-    /// then applies the strict v1 equality check unchanged.
-    Ping {
-        /// The protocol version the client speaks (the legacy v1 field).
-        protocol_version: u32,
-        /// Oldest protocol version the client accepts; `0` when the client
-        /// predates negotiation.
-        min_version: u32,
-        /// Newest protocol version the client accepts; `0` when the client
-        /// predates negotiation.
-        max_version: u32,
-    },
+    /// Handshake and liveness probe, answered with [`Response::Pong`]. It
+    /// carries no version: the frame header already did.
+    Ping,
     /// One KSP query.
     Query(QueryKey),
     /// A batch of queries answered in order with one frame round trip.
@@ -144,22 +117,18 @@ pub enum Request {
     /// Synchronously checkpoint the current epoch (persistent services only).
     CheckpointNow,
     /// A full observability snapshot: per-stage latency histograms, counters,
-    /// gauges and the latest flight-recorder dump (appended under
-    /// `PROTOCOL_VERSION` 1; an older server answers with a typed
-    /// [`ErrorReply::Malformed`] for the unknown tag).
+    /// gauges and the latest flight-recorder dump.
     ObsSnapshot,
-    /// Any request wrapped in a client [`TraceContext`] (appended under
-    /// `PROTOCOL_VERSION` 1). The server answers with the same envelope
-    /// around its response; envelopes never nest — a nested `Traced` tag
-    /// fails the decode typed.
+    /// Any request wrapped in a client [`TraceContext`]. The server answers
+    /// with the same envelope around its response; envelopes never nest — a
+    /// nested `Traced` tag fails the decode typed.
     Traced {
         /// The client's trace context, echoed back verbatim.
         trace: TraceContext,
         /// The wrapped request.
         inner: Box<Request>,
     },
-    /// Ship WAL records starting at `from_epoch` (appended under protocol
-    /// version 2 — negotiate `>= 2` first). The server answers
+    /// Ship WAL records starting at `from_epoch`. The server answers
     /// [`Response::SegmentBatch`]: either a run of contiguous records, or a
     /// snapshot-fallback manifest when `from_epoch` predates the retained
     /// log window.
@@ -172,8 +141,7 @@ pub enum Request {
         /// means the server's cap. Keeps the reply under the frame limit.
         max_bytes: u64,
     },
-    /// Fetch one chunk of a snapshot file named by a fallback manifest
-    /// (appended under protocol version 2).
+    /// Fetch one chunk of a snapshot file named by a fallback manifest.
     SnapshotChunk {
         /// File name exactly as listed in the manifest (no path components).
         name: String,
@@ -183,8 +151,8 @@ pub enum Request {
         max_len: u64,
     },
     /// Acknowledge that a follower has durably applied (published) every
-    /// epoch up to and including `applied_epoch` (appended under protocol
-    /// version 2). Feeds the leader's per-follower lag gauges.
+    /// epoch up to and including `applied_epoch`. Feeds the leader's
+    /// per-follower lag gauges.
     ReplAck {
         /// Stable identity of the follower (chosen by the follower).
         follower: String,
@@ -202,22 +170,6 @@ impl Request {
             other => (None, other),
         }
     }
-
-    /// The handshake a current client sends: legacy field at
-    /// [`PROTOCOL_VERSION`] plus the full negotiable range.
-    pub fn ping() -> Request {
-        Request::Ping {
-            protocol_version: PROTOCOL_VERSION,
-            min_version: PROTOCOL_VERSION,
-            max_version: PROTOCOL_VERSION_MAX,
-        }
-    }
-
-    /// The handshake a pre-negotiation client sends: just the legacy
-    /// version field, no range tail on the wire.
-    pub fn ping_legacy(protocol_version: u32) -> Request {
-        Request::Ping { protocol_version, min_version: 0, max_version: 0 }
-    }
 }
 
 const REQ_PING: u8 = 0;
@@ -228,9 +180,6 @@ const REQ_METRICS: u8 = 4;
 const REQ_CHECKPOINT_NOW: u8 = 5;
 const REQ_OBS_SNAPSHOT: u8 = 6;
 const REQ_TRACED: u8 = 7;
-// The replication surface, appended under protocol version 2. A v1 server
-// answers these tags with a typed `Malformed`/`InvalidTag` error, which is
-// why a replica must negotiate the version range before shipping.
 const REQ_SHIP_SEGMENT: u8 = 8;
 const REQ_SNAPSHOT_CHUNK: u8 = 9;
 const REQ_REPL_ACK: u8 = 10;
@@ -241,18 +190,7 @@ impl Request {
     /// nested one fails typed here instead of recursing on hostile input.
     fn decode_body(tag: u8, r: &mut Reader<'_>) -> Result<Self, CodecError> {
         match tag {
-            REQ_PING => {
-                let protocol_version = r.get_u32()?;
-                // Tolerant tail appended under protocol version 2: a legacy
-                // payload simply ends after the version field, and the
-                // missing range reads as (0, 0) — "no range announced".
-                let (mut min_version, mut max_version) = (0, 0);
-                if !r.is_exhausted() {
-                    min_version = r.get_u32()?;
-                    max_version = r.get_u32()?;
-                }
-                Ok(Request::Ping { protocol_version, min_version, max_version })
-            }
+            REQ_PING => Ok(Request::Ping),
             REQ_QUERY => Ok(Request::Query(QueryKey::decode(r)?)),
             REQ_QUERY_BATCH => Ok(Request::QueryBatch(Vec::decode(r)?)),
             REQ_APPLY_BATCH => Ok(Request::ApplyBatch(UpdateBatch::decode(r)?)),
@@ -280,17 +218,7 @@ impl Request {
 impl StoreCodec for Request {
     fn encode(&self, w: &mut Writer) {
         match self {
-            Request::Ping { protocol_version, min_version, max_version } => {
-                w.put_u8(REQ_PING);
-                w.put_u32(*protocol_version);
-                // Emit the range tail only when there is a range to carry:
-                // a (0, 0) range encodes to the byte-identical legacy
-                // payload, so pre-negotiation servers keep decoding it.
-                if *min_version != 0 || *max_version != 0 {
-                    w.put_u32(*min_version);
-                    w.put_u32(*max_version);
-                }
-            }
+            Request::Ping => w.put_u8(REQ_PING),
             Request::Query(key) => {
                 w.put_u8(REQ_QUERY);
                 key.encode(w);
@@ -493,8 +421,7 @@ pub enum ErrorReply {
         /// The queue depth observed at rejection time.
         depth: u64,
         /// Suggested client backoff in milliseconds before retrying; `0`
-        /// means the server offered no hint (static-cap rejection from a
-        /// server that predates the adaptive controller).
+        /// means the server offered no hint.
         retry_after_ms: u64,
     },
     /// The service is shutting down.
@@ -515,7 +442,7 @@ pub enum ErrorReply {
     UnsupportedVersion {
         /// The version the server speaks.
         server: u32,
-        /// The version the client announced.
+        /// The version the peer's frame header carried.
         client: u32,
     },
     /// The peer sent bytes that do not parse as a frame or message; the
@@ -585,25 +512,13 @@ const ERR_STORAGE: u8 = 5;
 const ERR_UNSUPPORTED: u8 = 6;
 const ERR_UNSUPPORTED_VERSION: u8 = 7;
 const ERR_MALFORMED: u8 = 8;
-// Appended under PROTOCOL_VERSION 1: `Overloaded` with a retry hint. Encoders
-// emit the legacy tag 0 when the hint is zero so pre-hint decoders keep
-// understanding static-cap rejections; tag 9 is only on the wire when there is
-// a hint to carry. `ErrorReply` nests mid-stream inside `QueryOutcome` lists,
-// so the hint must live under its own tag rather than a tolerant payload tail.
-const ERR_OVERLOADED_RETRY: u8 = 9;
-// Appended for read-only degraded mode (fault-tolerance work): a WAL append
-// failure flips the service read-only and `ApplyBatch` answers with this.
-const ERR_DEGRADED: u8 = 10;
+const ERR_DEGRADED: u8 = 9;
 
 impl StoreCodec for ErrorReply {
     fn encode(&self, w: &mut Writer) {
         match self {
-            ErrorReply::Overloaded { depth, retry_after_ms: 0 } => {
-                w.put_u8(ERR_OVERLOADED);
-                w.put_u64(*depth);
-            }
             ErrorReply::Overloaded { depth, retry_after_ms } => {
-                w.put_u8(ERR_OVERLOADED_RETRY);
+                w.put_u8(ERR_OVERLOADED);
                 w.put_u64(*depth);
                 w.put_u64(*retry_after_ms);
             }
@@ -642,8 +557,7 @@ impl StoreCodec for ErrorReply {
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         match r.get_u8()? {
-            ERR_OVERLOADED => Ok(ErrorReply::Overloaded { depth: r.get_u64()?, retry_after_ms: 0 }),
-            ERR_OVERLOADED_RETRY => {
+            ERR_OVERLOADED => {
                 Ok(ErrorReply::Overloaded { depth: r.get_u64()?, retry_after_ms: r.get_u64()? })
             }
             ERR_SHUTTING_DOWN => Ok(ErrorReply::ShuttingDown),
@@ -763,18 +677,14 @@ pub struct WireMetrics {
     /// Per-shard queue backlog gauges.
     pub queue_gauges: Vec<WireQueueGauge>,
     /// Requests answered by a worker that stole them from another shard's
-    /// queue (appended under `PROTOCOL_VERSION` 1; encoded after
-    /// `queue_gauges`, append-only — see the decode note below).
+    /// queue.
     pub steals: u64,
-    /// Cache entries that survived epoch publishes via dirty-set retention
-    /// (appended under `PROTOCOL_VERSION` 1).
+    /// Cache entries that survived epoch publishes via dirty-set retention.
     pub cache_retained: u64,
-    /// Cache entries dropped at epoch publishes (appended under
-    /// `PROTOCOL_VERSION` 1).
+    /// Cache entries dropped at epoch publishes.
     pub cache_evicted: u64,
     /// Milliseconds since the last epoch publish when the snapshot was taken
-    /// — the staleness gauge a freshness SLO watches (appended under
-    /// `PROTOCOL_VERSION` 1, after `cache_evicted`).
+    /// — the staleness gauge a freshness SLO watches.
     pub epoch_age_ms: u64,
 }
 
@@ -807,15 +717,13 @@ impl StoreCodec for WireMetrics {
             w.put_u64(v);
         }
         self.queue_gauges.encode(w);
-        // Fields appended under PROTOCOL_VERSION 1: encode strictly after
-        // everything the version shipped with, never in the middle.
         w.put_u64(self.steals);
         w.put_u64(self.cache_retained);
         w.put_u64(self.cache_evicted);
         w.put_u64(self.epoch_age_ms);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let mut metrics = WireMetrics {
+        Ok(WireMetrics {
             completed: r.get_u64()?,
             rejected: r.get_u64()?,
             cache_hits: r.get_u64()?,
@@ -827,31 +735,11 @@ impl StoreCodec for WireMetrics {
             mean_micros: r.get_u64()?,
             max_micros: r.get_u64()?,
             queue_gauges: Vec::decode(r)?,
-            steals: 0,
-            cache_retained: 0,
-            cache_evicted: 0,
-            epoch_age_ms: 0,
-        };
-        // Tolerant-tail decode of the appended fields: each one is guarded
-        // individually, so a payload from a v1 build that predates *any*
-        // suffix of them simply ends there, and the missing fields read as
-        // zero. (WireMetrics is always the final value of its enclosing
-        // message, so "no bytes left" is unambiguous.) The reverse direction
-        // — an old decoder rejecting the longer payload as trailing bytes —
-        // is what the v2 negotiation item on the roadmap exists for.
-        if !r.is_exhausted() {
-            metrics.steals = r.get_u64()?;
-        }
-        if !r.is_exhausted() {
-            metrics.cache_retained = r.get_u64()?;
-        }
-        if !r.is_exhausted() {
-            metrics.cache_evicted = r.get_u64()?;
-        }
-        if !r.is_exhausted() {
-            metrics.epoch_age_ms = r.get_u64()?;
-        }
-        Ok(metrics)
+            steals: r.get_u64()?,
+            cache_retained: r.get_u64()?,
+            cache_evicted: r.get_u64()?,
+            epoch_age_ms: r.get_u64()?,
+        })
     }
 }
 
@@ -1000,17 +888,10 @@ impl StoreCodec for WireSnapshotChunk {
 pub enum Response {
     /// Successful handshake.
     Pong {
-        /// The protocol version the server speaks.
-        protocol_version: u32,
         /// The epoch the server is currently publishing.
         epoch: u64,
         /// Number of shard workers behind this endpoint.
         num_shards: u64,
-        /// The version the server negotiated from the client's announced
-        /// range; `0` when the client announced none (a legacy Ping — the
-        /// tail is then omitted on the wire, so legacy clients keep
-        /// decoding the payload they expect).
-        negotiated_version: u32,
     },
     /// The answer to a [`Request::Query`].
     Query(QueryAnswer),
@@ -1029,14 +910,12 @@ pub enum Response {
         /// The checkpointed epoch, when the service persists one.
         epoch: Option<u64>,
     },
-    /// The observability snapshot answering a [`Request::ObsSnapshot`]
-    /// (appended under `PROTOCOL_VERSION` 1).
+    /// The observability snapshot answering a [`Request::ObsSnapshot`].
     ObsSnapshot(crate::obs::WireObsSnapshot),
     /// The request failed; see the carried [`ErrorReply`].
     Error(ErrorReply),
     /// Any response wrapped in the [`TraceContext`] echoed from a
-    /// [`Request::Traced`] (appended under `PROTOCOL_VERSION` 1). The
-    /// envelope wraps *whatever* the server answered — including
+    /// [`Request::Traced`]. The envelope wraps *whatever* the server answered — including
     /// [`Response::Error`] — so clients must unwrap it before matching.
     /// Envelopes never nest.
     Traced {
@@ -1046,13 +925,11 @@ pub enum Response {
         inner: Box<Response>,
     },
     /// The record run (or snapshot fallback) answering a
-    /// [`Request::ShipSegment`] (appended under protocol version 2).
+    /// [`Request::ShipSegment`].
     SegmentBatch(WireSegmentBatch),
-    /// The file chunk answering a [`Request::SnapshotChunk`] (appended under
-    /// protocol version 2).
+    /// The file chunk answering a [`Request::SnapshotChunk`].
     SnapshotChunk(WireSnapshotChunk),
-    /// Acknowledges a [`Request::ReplAck`] (appended under protocol
-    /// version 2).
+    /// Acknowledges a [`Request::ReplAck`].
     ReplAck {
         /// The epoch the leader was publishing when the ack landed — lets
         /// the follower compute its lag from the ack round trip alone.
@@ -1080,7 +957,6 @@ const RESP_CHECKPOINT_NOW: u8 = 5;
 const RESP_ERROR: u8 = 6;
 const RESP_OBS_SNAPSHOT: u8 = 7;
 const RESP_TRACED: u8 = 8;
-// The replication surface, appended under protocol version 2.
 const RESP_SEGMENT_BATCH: u8 = 9;
 const RESP_SNAPSHOT_CHUNK: u8 = 10;
 const RESP_REPL_ACK: u8 = 11;
@@ -1091,16 +967,7 @@ impl Response {
     /// instead of recursing.
     fn decode_body(tag: u8, r: &mut Reader<'_>) -> Result<Self, CodecError> {
         match tag {
-            RESP_PONG => {
-                let protocol_version = r.get_u32()?;
-                let epoch = r.get_u64()?;
-                let num_shards = r.get_u64()?;
-                // Tolerant tail appended under protocol version 2, emitted
-                // only in answer to a range-announcing Ping (the Pong body
-                // is always the final bytes of its message).
-                let negotiated_version = if r.is_exhausted() { 0 } else { r.get_u32()? };
-                Ok(Response::Pong { protocol_version, epoch, num_shards, negotiated_version })
-            }
+            RESP_PONG => Ok(Response::Pong { epoch: r.get_u64()?, num_shards: r.get_u64()? }),
             RESP_QUERY => Ok(Response::Query(QueryAnswer::decode(r)?)),
             RESP_QUERY_BATCH => Ok(Response::QueryBatch(Vec::decode(r)?)),
             RESP_APPLY_BATCH => Ok(Response::ApplyBatch { epoch: r.get_u64()? }),
@@ -1126,16 +993,10 @@ impl Response {
 impl StoreCodec for Response {
     fn encode(&self, w: &mut Writer) {
         match self {
-            Response::Pong { protocol_version, epoch, num_shards, negotiated_version } => {
+            Response::Pong { epoch, num_shards } => {
                 w.put_u8(RESP_PONG);
-                w.put_u32(*protocol_version);
                 w.put_u64(*epoch);
                 w.put_u64(*num_shards);
-                // A zero negotiation (legacy peer) encodes to the
-                // byte-identical legacy payload.
-                if *negotiated_version != 0 {
-                    w.put_u32(*negotiated_version);
-                }
             }
             Response::Query(answer) => {
                 w.put_u8(RESP_QUERY);
@@ -1211,11 +1072,9 @@ mod tests {
         VertexId(i)
     }
 
-    #[test]
-    fn requests_round_trip() {
-        let requests = vec![
-            Request::ping(),
-            Request::ping_legacy(PROTOCOL_VERSION),
+    fn sample_requests() -> Vec<Request> {
+        vec![
+            Request::Ping,
             Request::ShipSegment { from_epoch: 41, max_records: 128, max_bytes: 1 << 20 },
             Request::SnapshotChunk {
                 name: "checkpoint-00000000000000000007.ckpt".to_string(),
@@ -1236,72 +1095,23 @@ mod tests {
                 trace: TraceContext { trace_id: 0xABCD_0001, origin_micros: 987_654 },
                 inner: Box::new(Request::Query(QueryKey::new(v(3), v(9), 4))),
             },
-        ];
-        for request in requests {
-            let decoded = Request::from_bytes(&request.to_bytes()).unwrap();
-            assert_eq!(decoded, request);
-        }
+        ]
     }
 
-    #[test]
-    fn trace_envelopes_round_trip_and_split() {
-        let trace = TraceContext { trace_id: 7, origin_micros: 13 };
-        let traced =
-            Response::Traced { trace, inner: Box::new(Response::Error(ErrorReply::InvalidK)) };
-        let decoded = Response::from_bytes(&traced.to_bytes()).unwrap();
-        assert_eq!(decoded, traced);
-        let (got_trace, inner) = decoded.into_parts();
-        assert_eq!(got_trace, Some(trace));
-        assert_eq!(inner, Response::Error(ErrorReply::InvalidK));
-        // An untraced message splits into (None, itself).
-        let (none, inner) = Request::Metrics.into_parts();
-        assert_eq!(none, None);
-        assert_eq!(inner, Request::Metrics);
+    fn sample_path() -> Path {
+        Path::new(vec![v(1), v(4), v(2)], Weight::new(0.1 + 0.2))
     }
 
-    #[test]
-    fn nested_trace_envelopes_fail_typed_without_recursing() {
-        // Hand-encode Traced(Traced(...)) nesting — a hostile peer could
-        // nest thousands deep; the decoder must reject at depth one with a
-        // typed error rather than recurse.
-        for depth in [2usize, 10_000] {
-            let mut w = Writer::new();
-            for _ in 0..depth {
-                w.put_u8(7); // REQ_TRACED
-                TraceContext::default().encode(&mut w);
-            }
-            w.put_u8(4); // REQ_METRICS
-            assert!(matches!(
-                Request::from_bytes(&w.into_bytes()),
-                Err(CodecError::InvalidTag { what: "Request", tag: 7 })
-            ));
-            let mut w = Writer::new();
-            for _ in 0..depth {
-                w.put_u8(8); // RESP_TRACED
-                TraceContext::default().encode(&mut w);
-            }
-            w.put_u8(3); // RESP_APPLY_BATCH
-            w.put_u64(1);
-            assert!(matches!(
-                Response::from_bytes(&w.into_bytes()),
-                Err(CodecError::InvalidTag { what: "Response", tag: 8 })
-            ));
-        }
-    }
-
-    #[test]
-    fn responses_round_trip_bit_exactly() {
-        let path = Path::new(vec![v(1), v(4), v(2)], Weight::new(0.1 + 0.2));
+    fn sample_responses() -> Vec<Response> {
         let answer = QueryAnswer {
-            paths: vec![path.clone()],
+            paths: vec![sample_path()],
             epoch: 42,
             cache_hit: true,
             latency_micros: 1234,
             stats: WireQueryStats { iterations: 3, ..Default::default() },
         };
-        let responses = vec![
-            Response::Pong { protocol_version: 1, epoch: 7, num_shards: 4, negotiated_version: 0 },
-            Response::Pong { protocol_version: 1, epoch: 7, num_shards: 4, negotiated_version: 2 },
+        vec![
+            Response::Pong { epoch: 7, num_shards: 4 },
             Response::SegmentBatch(WireSegmentBatch {
                 leader_epoch: 19,
                 records: vec![WireShippedRecord {
@@ -1361,12 +1171,87 @@ mod tests {
                 ..Default::default()
             }),
             Response::Error(ErrorReply::UnsupportedVersion { server: 1, client: 99 }),
-        ];
-        for response in responses {
+        ]
+    }
+
+    fn sample_errors() -> Vec<ErrorReply> {
+        vec![
+            ErrorReply::Overloaded { depth: 64, retry_after_ms: 0 },
+            ErrorReply::Overloaded { depth: 2048, retry_after_ms: 125 },
+            ErrorReply::ShuttingDown,
+            ErrorReply::InvalidQuery("vertex v99 out of range".to_string()),
+            ErrorReply::InvalidK,
+            ErrorReply::InvalidBatch("edge e7 out of range".to_string()),
+            ErrorReply::Storage("disk full".to_string()),
+            ErrorReply::Unsupported("no store attached".to_string()),
+            ErrorReply::UnsupportedVersion { server: 1, client: 2 },
+            ErrorReply::Malformed("bad magic".to_string()),
+            ErrorReply::Degraded("log append failed".to_string()),
+        ]
+    }
+
+    #[test]
+    fn requests_round_trip() {
+        for request in sample_requests() {
+            let decoded = Request::from_bytes(&request.to_bytes()).unwrap();
+            assert_eq!(decoded, request);
+        }
+    }
+
+    #[test]
+    fn trace_envelopes_round_trip_and_split() {
+        let trace = TraceContext { trace_id: 7, origin_micros: 13 };
+        let traced =
+            Response::Traced { trace, inner: Box::new(Response::Error(ErrorReply::InvalidK)) };
+        let decoded = Response::from_bytes(&traced.to_bytes()).unwrap();
+        assert_eq!(decoded, traced);
+        let (got_trace, inner) = decoded.into_parts();
+        assert_eq!(got_trace, Some(trace));
+        assert_eq!(inner, Response::Error(ErrorReply::InvalidK));
+        // An untraced message splits into (None, itself).
+        let (none, inner) = Request::Metrics.into_parts();
+        assert_eq!(none, None);
+        assert_eq!(inner, Request::Metrics);
+    }
+
+    #[test]
+    fn nested_trace_envelopes_fail_typed_without_recursing() {
+        // Hand-encode Traced(Traced(...)) nesting — a hostile peer could
+        // nest thousands deep; the decoder must reject at depth one with a
+        // typed error rather than recurse.
+        for depth in [2usize, 10_000] {
+            let mut w = Writer::new();
+            for _ in 0..depth {
+                w.put_u8(7); // REQ_TRACED
+                TraceContext::default().encode(&mut w);
+            }
+            w.put_u8(4); // REQ_METRICS
+            assert!(matches!(
+                Request::from_bytes(&w.into_bytes()),
+                Err(CodecError::InvalidTag { what: "Request", tag: 7 })
+            ));
+            let mut w = Writer::new();
+            for _ in 0..depth {
+                w.put_u8(8); // RESP_TRACED
+                TraceContext::default().encode(&mut w);
+            }
+            w.put_u8(3); // RESP_APPLY_BATCH
+            w.put_u64(1);
+            assert!(matches!(
+                Response::from_bytes(&w.into_bytes()),
+                Err(CodecError::InvalidTag { what: "Response", tag: 8 })
+            ));
+        }
+    }
+
+    #[test]
+    fn responses_round_trip_bit_exactly() {
+        for response in sample_responses() {
             let decoded = Response::from_bytes(&response.to_bytes()).unwrap();
             assert_eq!(decoded, response);
         }
         // Distances survive bit-for-bit, not merely approximately.
+        let path = sample_path();
         let encoded = Response::Query(QueryAnswer {
             paths: vec![path.clone()],
             epoch: 0,
@@ -1386,109 +1271,21 @@ mod tests {
 
     #[test]
     fn error_replies_round_trip() {
-        let errors = vec![
-            ErrorReply::Overloaded { depth: 64, retry_after_ms: 0 },
-            ErrorReply::Overloaded { depth: 2048, retry_after_ms: 125 },
-            ErrorReply::ShuttingDown,
-            ErrorReply::InvalidQuery("vertex v99 out of range".to_string()),
-            ErrorReply::InvalidK,
-            ErrorReply::InvalidBatch("edge e7 out of range".to_string()),
-            ErrorReply::Storage("disk full".to_string()),
-            ErrorReply::Unsupported("no store attached".to_string()),
-            ErrorReply::UnsupportedVersion { server: 1, client: 2 },
-            ErrorReply::Malformed("bad magic".to_string()),
-        ];
-        for e in errors {
+        for e in sample_errors() {
             assert_eq!(ErrorReply::from_bytes(&e.to_bytes()).unwrap(), e);
         }
-    }
-
-    #[test]
-    fn overloaded_wire_compat_across_the_retry_hint() {
-        // A hint-free rejection must still travel under the legacy tag 0 so
-        // pre-hint decoders understand it...
-        let legacy = ErrorReply::Overloaded { depth: 7, retry_after_ms: 0 };
-        let bytes = legacy.to_bytes();
-        assert_eq!(bytes[0], ERR_OVERLOADED);
-
-        // ...and a hand-built legacy payload (tag 0 + depth, from a server
-        // that predates the adaptive controller) must decode with a zero hint.
-        let mut w = Writer::new();
-        w.put_u8(ERR_OVERLOADED);
-        w.put_u64(42);
+        // A zero hint is carried on the wire but reads as "no hint".
         assert_eq!(
-            ErrorReply::from_bytes(&w.into_bytes()).unwrap(),
-            ErrorReply::Overloaded { depth: 42, retry_after_ms: 0 }
+            ErrorReply::Overloaded { depth: 9, retry_after_ms: 250 }.retry_after_ms(),
+            Some(250)
         );
-
-        // The hinted form rides its own appended tag and exposes the hint.
-        let hinted = ErrorReply::Overloaded { depth: 9, retry_after_ms: 250 };
-        assert_eq!(hinted.to_bytes()[0], ERR_OVERLOADED_RETRY);
-        assert_eq!(hinted.retry_after_ms(), Some(250));
-        assert_eq!(legacy.retry_after_ms(), None);
-    }
-
-    #[test]
-    fn legacy_ping_and_pong_payloads_keep_decoding() {
-        // A v1 client's Ping is tag + one u32 and nothing else. The new
-        // decoder must read it with an empty version range...
-        let mut w = Writer::new();
-        w.put_u8(REQ_PING);
-        w.put_u32(PROTOCOL_VERSION);
-        assert_eq!(
-            Request::from_bytes(&w.into_bytes()).unwrap(),
-            Request::Ping { protocol_version: PROTOCOL_VERSION, min_version: 0, max_version: 0 }
-        );
-
-        // ...and the legacy constructor must emit that byte-identical
-        // payload, so a pre-negotiation *server* keeps decoding our Ping.
-        let mut w = Writer::new();
-        w.put_u8(REQ_PING);
-        w.put_u32(PROTOCOL_VERSION);
-        assert_eq!(Request::ping_legacy(PROTOCOL_VERSION).to_bytes(), w.into_bytes());
-
-        // Same both ways for Pong: a legacy server's payload ends after
-        // num_shards and decodes with negotiated_version 0...
-        let mut w = Writer::new();
-        w.put_u8(RESP_PONG);
-        w.put_u32(PROTOCOL_VERSION);
-        w.put_u64(7);
-        w.put_u64(4);
-        let legacy_pong = w.into_bytes();
-        assert_eq!(
-            Response::from_bytes(&legacy_pong).unwrap(),
-            Response::Pong {
-                protocol_version: PROTOCOL_VERSION,
-                epoch: 7,
-                num_shards: 4,
-                negotiated_version: 0,
-            }
-        );
-        // ...and a zero negotiation encodes to that byte-identical payload,
-        // so answering a legacy client never grows the Pong.
-        let unnegotiated = Response::Pong {
-            protocol_version: PROTOCOL_VERSION,
-            epoch: 7,
-            num_shards: 4,
-            negotiated_version: 0,
-        };
-        assert_eq!(unnegotiated.to_bytes(), legacy_pong);
-
-        // The range-announcing Ping carries the tail and round-trips.
-        let Request::Ping { min_version, max_version, .. } =
-            Request::from_bytes(&Request::ping().to_bytes()).unwrap()
-        else {
-            panic!("wrong variant");
-        };
-        assert_eq!((min_version, max_version), (PROTOCOL_VERSION, PROTOCOL_VERSION_MAX));
+        assert_eq!(ErrorReply::Overloaded { depth: 9, retry_after_ms: 0 }.retry_after_ms(), None);
     }
 
     #[test]
     fn appended_metrics_counters_round_trip() {
-        // The steal/retention counters and the epoch-age gauge were appended
-        // under PROTOCOL_VERSION 1 (after `queue_gauges`, append-only): they
-        // must survive the wire exactly, including at the extremes and
-        // alongside populated gauges.
+        // The counters after `queue_gauges` survive the wire exactly,
+        // including at the extremes and alongside populated gauges.
         for (steals, retained, evicted, age) in
             [(0u64, 0u64, 0u64, 0u64), (1, 2, 3, 4), (u64::MAX, 7, u64::MAX, 12_000)]
         {
@@ -1506,28 +1303,7 @@ mod tests {
                 epoch_age_ms: age,
                 ..Default::default()
             };
-            let decoded = WireMetrics::from_bytes(&metrics.to_bytes()).unwrap();
-            assert_eq!(decoded, metrics);
-            assert_eq!(decoded.steals, steals);
-            assert_eq!(decoded.cache_retained, retained);
-            assert_eq!(decoded.cache_evicted, evicted);
-            assert_eq!(decoded.epoch_age_ms, age);
-
-            // Each appended field is guarded individually: a payload cut
-            // after any prefix of the tail still decodes, with the missing
-            // fields reading as zero. 0 fields cut = full tail; 4 = a payload
-            // from a v1 build that predates all of them.
-            let bytes = metrics.to_bytes();
-            for fields_cut in 0..=4usize {
-                let cut = bytes.len() - 8 * fields_cut;
-                let legacy = WireMetrics::from_bytes(&bytes[..cut]).unwrap();
-                assert_eq!(legacy.completed, metrics.completed);
-                assert_eq!(legacy.queue_gauges, metrics.queue_gauges);
-                assert_eq!(legacy.steals, if fields_cut >= 4 { 0 } else { steals });
-                assert_eq!(legacy.cache_retained, if fields_cut >= 3 { 0 } else { retained });
-                assert_eq!(legacy.cache_evicted, if fields_cut >= 2 { 0 } else { evicted });
-                assert_eq!(legacy.epoch_age_ms, if fields_cut >= 1 { 0 } else { age });
-            }
+            assert_eq!(WireMetrics::from_bytes(&metrics.to_bytes()).unwrap(), metrics);
         }
     }
 
@@ -1551,14 +1327,33 @@ mod tests {
         ));
     }
 
+    /// Asserts that no strict prefix of `bytes` decodes as a `T`.
+    fn assert_no_prefix_decodes<T: StoreCodec + std::fmt::Debug>(bytes: &[u8]) {
+        for cut in 0..bytes.len() {
+            if let Ok(value) = T::from_bytes(&bytes[..cut]) {
+                panic!("a {cut}-byte prefix of {} bytes decoded as {value:?}", bytes.len());
+            }
+        }
+    }
+
     #[test]
     fn truncated_messages_fail_typed() {
-        let bytes = Request::Query(QueryKey::new(v(1), v(2), 3)).to_bytes();
-        for cut in 0..bytes.len() {
-            assert!(
-                Request::from_bytes(&bytes[..cut]).is_err(),
-                "a {cut}-byte prefix must not decode"
-            );
+        let trace = TraceContext { trace_id: 0x1234_0005, origin_micros: 77 };
+        for request in sample_requests() {
+            assert_no_prefix_decodes::<Request>(&request.to_bytes());
+            if !matches!(request, Request::Traced { .. }) {
+                let traced = Request::Traced { trace, inner: Box::new(request) };
+                assert_no_prefix_decodes::<Request>(&traced.to_bytes());
+            }
+        }
+        let errors = sample_errors().into_iter().map(Response::Error);
+        for response in sample_responses().into_iter().chain(errors) {
+            assert_no_prefix_decodes::<Response>(&response.to_bytes());
+            let traced = Response::Traced { trace, inner: Box::new(response) };
+            assert_no_prefix_decodes::<Response>(&traced.to_bytes());
+        }
+        for error in sample_errors() {
+            assert_no_prefix_decodes::<ErrorReply>(&error.to_bytes());
         }
     }
 

@@ -261,6 +261,9 @@ pub struct WireFlightDump {
     pub span: Option<WireSpanChain>,
     /// The ring contents at dump time, oldest first.
     pub events: Vec<WireObsEvent>,
+    /// The trace id of the request that triggered the dump (zero when
+    /// untraced).
+    pub trace_id: u64,
 }
 
 impl From<&FlightDump> for WireFlightDump {
@@ -270,6 +273,7 @@ impl From<&FlightDump> for WireFlightDump {
             cause: WireObsEvent::from(&d.cause),
             span: d.span.as_ref().map(WireSpanChain::from),
             events: d.events.iter().map(WireObsEvent::from).collect(),
+            trace_id: d.trace_id,
         }
     }
 }
@@ -277,12 +281,6 @@ impl From<&FlightDump> for WireFlightDump {
 impl WireFlightDump {
     /// Validates every carried code and converts back into the `ksp-obs`
     /// type.
-    ///
-    /// The dump's `trace_id` does not travel inside this struct — it rides as
-    /// [`WireObsSnapshot::dump_trace_id`], an appended outer-level field (a
-    /// nested struct cannot grow its own tolerant tail when the enclosing one
-    /// appends fields after it) — so it decodes to zero here and
-    /// [`WireObsSnapshot::into_snapshot`] restores it.
     pub fn into_dump(self) -> Result<FlightDump, CodecError> {
         Ok(FlightDump {
             at_micros: self.at_micros,
@@ -293,7 +291,7 @@ impl WireFlightDump {
                 .into_iter()
                 .map(WireObsEvent::into_event)
                 .collect::<Result<_, _>>()?,
-            trace_id: 0,
+            trace_id: self.trace_id,
         })
     }
 }
@@ -310,6 +308,7 @@ impl StoreCodec for WireFlightDump {
             None => w.put_u8(0),
         }
         self.events.encode(w);
+        w.put_u64(self.trace_id);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(WireFlightDump {
@@ -321,6 +320,7 @@ impl StoreCodec for WireFlightDump {
                 tag => return Err(CodecError::InvalidTag { what: "Option<WireSpanChain>", tag }),
             },
             events: Vec::decode(r)?,
+            trace_id: r.get_u64()?,
         })
     }
 }
@@ -385,15 +385,10 @@ pub struct WireObsSnapshot {
     pub gauges: Vec<WireGauge>,
     /// The latest flight-recorder dump, when an anomaly has triggered one.
     pub dump: Option<WireFlightDump>,
-    /// Per-write-path-stage latency histograms (appended in protocol
-    /// generation two; empty when a legacy peer omitted the tail).
+    /// Per-write-path-stage latency histograms.
     pub publish_stages: Vec<WirePublishStageHistogram>,
     /// The end-to-end publish histogram the write-path stages telescope to.
     pub publish_end_to_end: WireHistogram,
-    /// The trace id of the request that triggered `dump` (zero when untraced
-    /// or absent). Travels at this level, not inside [`WireFlightDump`],
-    /// because only the outermost message value can grow a tolerant tail.
-    pub dump_trace_id: u64,
 }
 
 impl From<&ObsSnapshot> for WireObsSnapshot {
@@ -422,7 +417,6 @@ impl From<&ObsSnapshot> for WireObsSnapshot {
             dump: s.dump.as_ref().map(WireFlightDump::from),
             publish_stages: s.publish_stages.iter().map(WirePublishStageHistogram::from).collect(),
             publish_end_to_end: WireHistogram::from(&s.publish_end_to_end),
-            dump_trace_id: s.dump.as_ref().map(|d| d.trace_id).unwrap_or(0),
         }
     }
 }
@@ -431,10 +425,6 @@ impl WireObsSnapshot {
     /// Validates every carried code and converts back into the `ksp-obs`
     /// snapshot, ready for [`ksp_obs::render_prometheus`].
     pub fn into_snapshot(self) -> Result<ObsSnapshot, CodecError> {
-        let mut dump = self.dump.map(WireFlightDump::into_dump).transpose()?;
-        if let Some(dump) = dump.as_mut() {
-            dump.trace_id = self.dump_trace_id;
-        }
         Ok(ObsSnapshot {
             stages: self
                 .stages
@@ -458,7 +448,7 @@ impl WireObsSnapshot {
                 .into_iter()
                 .map(|g| Gauge { name: g.name, labels: g.labels, value: g.value })
                 .collect(),
-            dump,
+            dump: self.dump.map(WireFlightDump::into_dump).transpose()?,
         })
     }
 }
@@ -476,16 +466,11 @@ impl StoreCodec for WireObsSnapshot {
             }
             None => w.put_u8(0),
         }
-        // Write-path tracing tail, appended after the generation-one layout.
-        // A legacy decoder stops at the dump; a current decoder reads on only
-        // when bytes remain — `WireObsSnapshot` is always the final value of
-        // its enclosing message, so "no bytes left" is unambiguous.
         self.publish_stages.encode(w);
         self.publish_end_to_end.encode(w);
-        w.put_u64(self.dump_trace_id);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let mut snapshot = WireObsSnapshot {
+        Ok(WireObsSnapshot {
             stages: Vec::decode(r)?,
             end_to_end: WireHistogram::decode(r)?,
             counters: Vec::decode(r)?,
@@ -495,14 +480,9 @@ impl StoreCodec for WireObsSnapshot {
                 1 => Some(WireFlightDump::decode(r)?),
                 tag => return Err(CodecError::InvalidTag { what: "Option<WireFlightDump>", tag }),
             },
-            ..WireObsSnapshot::default()
-        };
-        if !r.is_exhausted() {
-            snapshot.publish_stages = Vec::decode(r)?;
-            snapshot.publish_end_to_end = WireHistogram::decode(r)?;
-            snapshot.dump_trace_id = r.get_u64()?;
-        }
-        Ok(snapshot)
+            publish_stages: Vec::decode(r)?,
+            publish_end_to_end: WireHistogram::decode(r)?,
+        })
     }
 }
 
@@ -579,38 +559,19 @@ mod tests {
         assert_eq!(back.counters, snapshot.counters);
         assert_eq!(back.gauges, snapshot.gauges);
         assert_eq!(back.dump, snapshot.dump);
+        assert_eq!(back.publish_stages, snapshot.publish_stages);
+        assert_eq!(back.publish_end_to_end, snapshot.publish_end_to_end);
         // The remote render matches the local one byte for byte.
         assert_eq!(ksp_obs::render_prometheus(&back), ksp_obs::render_prometheus(&snapshot));
     }
 
     #[test]
-    fn legacy_snapshots_without_the_publish_tail_still_decode() {
-        // Hand-encode the generation-one layout — stages through dump, no
-        // publish tail — and decode with the current reader: the appended
-        // fields default instead of failing.
+    fn flight_dumps_carry_their_trace_id_over_the_wire() {
         let wire = WireObsSnapshot::from(&sample_snapshot());
-        let mut w = Writer::new();
-        wire.stages.encode(&mut w);
-        wire.end_to_end.encode(&mut w);
-        wire.counters.encode(&mut w);
-        wire.gauges.encode(&mut w);
-        w.put_u8(1);
-        wire.dump.as_ref().unwrap().encode(&mut w);
-        let decoded = WireObsSnapshot::from_bytes(&w.into_bytes()).unwrap();
-        assert_eq!(decoded.stages, wire.stages);
-        assert_eq!(decoded.dump, wire.dump);
-        assert!(decoded.publish_stages.is_empty());
-        assert_eq!(decoded.publish_end_to_end, WireHistogram::default());
-        assert_eq!(decoded.dump_trace_id, 0);
-        // The untagged trace id degrades to zero, not garbage.
-        assert_eq!(decoded.into_snapshot().unwrap().dump.unwrap().trace_id, 0);
-    }
-
-    #[test]
-    fn dump_trace_ids_ride_the_outer_tail() {
-        let snapshot = sample_snapshot();
-        let wire = WireObsSnapshot::from(&snapshot);
-        assert_eq!(wire.dump_trace_id, 0xBEEF_0007);
+        let dump = wire.dump.as_ref().expect("the sample carries a dump");
+        assert_eq!(dump.trace_id, 0xBEEF_0007);
+        let decoded = WireFlightDump::from_bytes(&dump.to_bytes()).unwrap();
+        assert_eq!(decoded.into_dump().unwrap().trace_id, 0xBEEF_0007);
         let back = WireObsSnapshot::from_bytes(&wire.to_bytes()).unwrap().into_snapshot().unwrap();
         assert_eq!(back.dump.unwrap().trace_id, 0xBEEF_0007);
     }
@@ -658,9 +619,15 @@ mod tests {
 
     #[test]
     fn truncated_snapshots_fail_typed() {
+        // No strict prefix of a populated snapshot decodes, wherever the cut
+        // falls: inside a histogram, a string, the dump or the publish stages.
         let bytes = WireObsSnapshot::from(&sample_snapshot()).to_bytes();
-        for cut in [0, 1, bytes.len() / 2, bytes.len() - 1] {
-            assert!(WireObsSnapshot::from_bytes(&bytes[..cut]).is_err());
+        for cut in 0..bytes.len() {
+            assert!(
+                WireObsSnapshot::from_bytes(&bytes[..cut]).is_err(),
+                "a {cut}-byte prefix of {} bytes must not decode",
+                bytes.len()
+            );
         }
     }
 }

@@ -181,7 +181,7 @@ impl TcpTransport {
     /// Connects to a serving endpoint.
     ///
     /// This performs no handshake; [`crate::KspClient::connect`] layers the
-    /// `Ping` version negotiation on top.
+    /// `Ping` handshake on top.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Self> {
         Self::connect_timeout(addr, None)
     }
@@ -338,7 +338,7 @@ mod tests {
         // Drain the socket so buffered frames never block the sender.
         let drain = std::thread::spawn(move || io::copy(&mut peer, &mut io::sink()));
         for _ in 0..10_000 {
-            transport.send(&Request::ping()).unwrap();
+            transport.send(&Request::Ping).unwrap();
         }
         let stats = transport.stats();
         assert_eq!(stats.requests, 10_000);

@@ -6,7 +6,7 @@
 //! replication stream:
 //!
 //! * [`ReplicationSource`] plugs into a **leader** service (via
-//!   [`ksp_serve::ReplicationHook`]) and answers the protocol-v2 replication
+//!   [`ksp_serve::ReplicationHook`]) and answers the protocol's replication
 //!   surface — `ShipSegment` streams contiguous, CRC-revalidated WAL records
 //!   from a requested epoch; when the follower's position has fallen out of
 //!   the retained log window (or it is joining fresh — epoch 0 lives in the
@@ -32,9 +32,9 @@
 //!   decode plus replay. The ledger's `repl.promote_us` and
 //!   `store.recovery_ms` rows measure the gap.
 //!
-//! The wire surface is versioned: replication requests ride protocol
-//! version 2, negotiated through the extended `Ping` handshake, and a v1-only
-//! peer keeps decoding every legacy frame untouched.
+//! Replication speaks the one `ksp-proto` wire format: a peer built at
+//! another protocol version is refused at the frame header, before any
+//! replication request is decoded.
 
 #![warn(missing_docs)]
 
@@ -62,7 +62,7 @@ pub enum ReplError {
     /// Local filesystem I/O failed (snapshot transfer, directory setup).
     Io(std::io::Error),
     /// The peer violated the replication protocol (non-contiguous records,
-    /// a mid-transfer manifest change, a pre-v2 leader).
+    /// a mid-transfer manifest change).
     Protocol(String),
     /// A manual sync was requested while the background replication thread
     /// owns the connection.

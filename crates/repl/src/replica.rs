@@ -15,8 +15,7 @@ use ksp_graph::VertexId;
 use ksp_obs::{Counter, Gauge};
 use ksp_proto::message::{ErrorReply, Request, Response};
 use ksp_proto::{
-    ClientError, FaultTransport, HandshakeInfo, KspClient, TcpTransport, Transport,
-    WireSnapshotManifest,
+    ClientError, FaultTransport, KspClient, TcpTransport, Transport, WireSnapshotManifest,
 };
 use ksp_serve::{QueryResponse, QueryService, ReplicationHook, ServiceConfig};
 use ksp_store::StoreConfig;
@@ -201,18 +200,18 @@ struct Core {
 }
 
 /// Opens one leader connection, wrapping it in a [`FaultTransport`] when the
-/// configuration carries a fault plan, and performs the version handshake.
+/// configuration carries a fault plan, and performs the `Ping` handshake.
 fn connect_leader(
     addr: SocketAddr,
     config: &ReplicaConfig,
-) -> Result<(KspClient<Box<dyn Transport>>, HandshakeInfo), ClientError> {
+) -> Result<KspClient<Box<dyn Transport>>, ClientError> {
     let tcp = TcpTransport::connect(addr)
         .map_err(|e| ClientError::from(ksp_proto::TransportError::from(e)))?;
     let transport: Box<dyn Transport> = match &config.fault_plan {
         Some(plan) => Box::new(FaultTransport::new(tcp, plan.clone())),
         None => Box::new(tcp),
     };
-    KspClient::handshake(transport)
+    Ok(KspClient::handshake(transport)?.0)
 }
 
 /// A log-shipping read replica of a persistent leader service.
@@ -230,9 +229,9 @@ pub struct Replica {
 }
 
 impl Replica {
-    /// Connects to the leader at `addr`, negotiates protocol v2, transfers
-    /// the leader's snapshot image set into a fresh generation directory
-    /// under `root` and opens the replica's own persistent service over it.
+    /// Connects to the leader at `addr`, transfers the leader's snapshot
+    /// image set into a fresh generation directory under `root` and opens the
+    /// replica's own persistent service over it.
     pub fn bootstrap(
         addr: SocketAddr,
         root: impl Into<PathBuf>,
@@ -240,13 +239,7 @@ impl Replica {
     ) -> Result<Self, ReplError> {
         let root = root.into();
         std::fs::create_dir_all(&root)?;
-        let (mut client, hello) = connect_leader(addr, &config)?;
-        if hello.negotiated_version < 2 {
-            return Err(ReplError::Protocol(format!(
-                "leader negotiated protocol version {}; replication needs >= 2",
-                hello.negotiated_version
-            )));
-        }
+        let mut client = connect_leader(addr, &config)?;
         // Epoch 0 lives in the initial checkpoint, never in the log, so a
         // fresh join always receives the snapshot fallback.
         let batch = client.ship_segment(0, config.max_records, config.max_bytes)?;
@@ -563,10 +556,8 @@ fn run_loop(ctx: &Arc<SyncCtx>, mut core: Core, stop: &Arc<AtomicBool>) -> Core 
                 if stop.load(Ordering::SeqCst) {
                     break;
                 }
-                if let Ok((client, hello)) = connect_leader(ctx.addr, &ctx.config) {
-                    if hello.negotiated_version >= 2 {
-                        core.client = client;
-                    }
+                if let Ok(client) = connect_leader(ctx.addr, &ctx.config) {
+                    core.client = client;
                 }
             }
         }

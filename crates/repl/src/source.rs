@@ -1,5 +1,5 @@
 //! The leader side of log-shipping replication: a [`ReplicationSource`]
-//! registered on a persistent [`QueryService`] answers the protocol-v2
+//! registered on a persistent [`QueryService`] answers the protocol's
 //! replication requests out of the service's own durable store.
 //!
 //! The source never copies the log: `ShipSegment` reads records straight out

@@ -391,8 +391,8 @@ impl AdmissionController {
 
     /// Backoff hint for a *static-cap* rejection (the queue hit
     /// `max_queue_depth`): the predicted time to drain the full backlog, in
-    /// milliseconds. Zero when no request has completed yet — the hint-free
-    /// legacy wire form.
+    /// milliseconds. Zero when no request has completed yet, which the wire
+    /// reads as "no hint".
     pub fn queue_full_hint_ms(&self, depth: usize) -> u64 {
         let per_item = self.estimator.blended_nanos();
         if per_item == 0 {

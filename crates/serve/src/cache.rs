@@ -164,7 +164,7 @@ impl ResultCache {
     /// `epoch` carrying dependency set `trace`, evicting a victim if the
     /// cache is full.
     ///
-    /// Victim choice is trace-size-weighted LRU: among the [`EVICTION_SCAN`]
+    /// Victim choice is trace-size-weighted LRU: among the `EVICTION_SCAN`
     /// least recently used entries, evict the one with an incomplete trace
     /// (it cannot survive any publish) or, failing that, the largest trace —
     /// a huge dependency set intersects almost any batch's dirty set, so the

@@ -348,9 +348,6 @@ struct Job {
 struct Completion {
     token: u64,
     bytes: Vec<u8>,
-    /// Close the connection after this response flushes (the
-    /// `UnsupportedVersion` handshake contract).
-    disconnect: bool,
 }
 
 struct DispatchState {
@@ -564,10 +561,8 @@ fn worker_main(shared: &Arc<LoopShared>) {
         }
         stamp_loop_latency(&mut response, job.admitted);
         append_eventloop_metrics(shared, &mut response);
-        // A failed version handshake is answered, then disconnected.
-        let disconnect = matches!(response, Response::Error(ErrorReply::UnsupportedVersion { .. }));
         let bytes = encode_response(&response);
-        shared.complete(Completion { token: job.token, bytes, disconnect });
+        shared.complete(Completion { token: job.token, bytes });
     }
 }
 
@@ -750,7 +745,7 @@ struct Conn {
     /// The final typed error frame of a hostile-frame incident, sent after
     /// every earlier request is answered, then the connection closes.
     tail: Option<Vec<u8>>,
-    /// No more bytes will be read (EOF, framing lost, or handshake failure).
+    /// No more bytes will be read (EOF or a hostile frame).
     read_dead: bool,
     /// Reading paused for backpressure (`PENDING_CAP` decoded requests wait).
     paused: bool,
@@ -993,17 +988,10 @@ impl Poller {
             };
             conn.inflight = false;
             conn.queue_reply(&completion.bytes, &self.shared.metrics);
-            if completion.disconnect {
-                conn.pending.clear();
-                conn.tail = None;
-                conn.read_dead = true;
-                conn.close_after_flush = true;
-            } else {
-                // Full parse, not just dispatch: the freed slot may unblock
-                // requests already buffered in `read_buf` past PENDING_CAP,
-                // which no future EPOLLIN will announce.
-                parse_frames(conn, &self.shared);
-            }
+            // Full parse, not just dispatch: the freed slot may unblock
+            // requests already buffered in `read_buf` past PENDING_CAP, which
+            // no future EPOLLIN will announce.
+            parse_frames(conn, &self.shared);
             self.service_conn(completion.token);
         }
     }

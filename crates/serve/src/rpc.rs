@@ -20,7 +20,6 @@ use crate::metrics::MetricsReport;
 use crate::service::{PublishError, QueryResponse, QueryService, ServiceError};
 use ksp_proto::message::{
     ErrorReply, QueryAnswer, QueryOutcome, Request, Response, WireMetrics, WireQueueGauge,
-    PROTOCOL_VERSION, PROTOCOL_VERSION_MAX,
 };
 use ksp_proto::obs::WireObsSnapshot;
 use ksp_proto::transport::{Transport, TransportError, TransportStats};
@@ -119,7 +118,8 @@ impl QueryService {
     /// A `Request::Traced` envelope is unwrapped first and its context echoed
     /// back around the response — around typed error replies too — and the
     /// trace id is threaded into the query path so any flight dump the
-    /// request triggers carries it.
+    /// request triggers carries it. A bare request gets a bare reply: every
+    /// `KspClient` request is traced, but raw-frame peers need not be.
     pub fn handle(&self, request: Request) -> Response {
         let (trace, request) = request.into_parts();
         let trace_id = trace.map(|t| t.trace_id).unwrap_or(0);
@@ -138,41 +138,8 @@ impl QueryService {
             Request::Traced { .. } => Response::Error(ErrorReply::Malformed(
                 "nested trace envelopes are not supported".to_string(),
             )),
-            Request::Ping { protocol_version, min_version, max_version } => {
-                if min_version == 0 && max_version == 0 {
-                    // Legacy handshake: the client speaks exactly one version.
-                    // `negotiated_version: 0` keeps the Pong wire-identical to
-                    // the pre-negotiation encoding, so old clients decode it.
-                    if protocol_version != PROTOCOL_VERSION {
-                        Response::Error(ErrorReply::UnsupportedVersion {
-                            server: PROTOCOL_VERSION,
-                            client: protocol_version,
-                        })
-                    } else {
-                        Response::Pong {
-                            protocol_version: PROTOCOL_VERSION,
-                            epoch: self.current_epoch(),
-                            num_shards: self.num_shards() as u64,
-                            negotiated_version: 0,
-                        }
-                    }
-                } else if min_version > PROTOCOL_VERSION_MAX
-                    || max_version < PROTOCOL_VERSION
-                    || min_version > max_version
-                {
-                    // The announced range and ours are disjoint (or nonsense).
-                    Response::Error(ErrorReply::UnsupportedVersion {
-                        server: PROTOCOL_VERSION_MAX,
-                        client: max_version,
-                    })
-                } else {
-                    Response::Pong {
-                        protocol_version: PROTOCOL_VERSION,
-                        epoch: self.current_epoch(),
-                        num_shards: self.num_shards() as u64,
-                        negotiated_version: max_version.min(PROTOCOL_VERSION_MAX),
-                    }
-                }
+            Request::Ping => {
+                Response::Pong { epoch: self.current_epoch(), num_shards: self.num_shards() as u64 }
             }
             Request::Query(key) => match self.query_traced(key.source, key.target, key.k, trace_id)
             {
@@ -247,7 +214,7 @@ mod tests {
     use ksp_core::dtlp::DtlpConfig;
     use ksp_graph::{VertexId, WeightUpdate};
     use ksp_proto::message::QueryKey;
-    use ksp_proto::KspClient;
+    use ksp_proto::{HandshakeInfo, KspClient};
     use ksp_workload::{RoadNetworkConfig, RoadNetworkGenerator, TrafficConfig, TrafficModel};
 
     fn service(n: usize, shards: usize, seed: u64) -> (Arc<QueryService>, ksp_graph::DynamicGraph) {
@@ -265,37 +232,7 @@ mod tests {
         let (service, graph) = service(150, 2, 3);
         let last = VertexId(graph.num_vertices() as u32 - 1);
 
-        // Legacy Ping: agreeing versions get a wire-identical legacy Pong
-        // (negotiated_version 0), foreign versions a typed error.
-        let pong = service.handle(Request::ping_legacy(PROTOCOL_VERSION));
-        assert_eq!(
-            pong,
-            Response::Pong {
-                protocol_version: PROTOCOL_VERSION,
-                epoch: 0,
-                num_shards: 2,
-                negotiated_version: 0,
-            }
-        );
-        assert!(matches!(
-            service.handle(Request::ping_legacy(999)),
-            Response::Error(ErrorReply::UnsupportedVersion { client: 999, .. })
-        ));
-
-        // Range Ping: the server picks the highest mutually supported
-        // version; a disjoint range is rejected with its own ceiling.
-        assert!(matches!(
-            service.handle(Request::ping()),
-            Response::Pong { negotiated_version: PROTOCOL_VERSION_MAX, .. }
-        ));
-        assert!(matches!(
-            service.handle(Request::Ping {
-                protocol_version: PROTOCOL_VERSION,
-                min_version: PROTOCOL_VERSION_MAX + 1,
-                max_version: PROTOCOL_VERSION_MAX + 5,
-            }),
-            Response::Error(ErrorReply::UnsupportedVersion { server: PROTOCOL_VERSION_MAX, .. })
-        ));
+        assert_eq!(service.handle(Request::Ping), Response::Pong { epoch: 0, num_shards: 2 });
 
         // Replication requests are typed-unsupported until a hook registers.
         assert!(matches!(
@@ -380,8 +317,7 @@ mod tests {
         let last = VertexId(graph.num_vertices() as u32 - 1);
         let (mut client, info) =
             KspClient::handshake(InProcTransport::new(service.clone())).unwrap();
-        assert_eq!(info.protocol_version, PROTOCOL_VERSION);
-        assert_eq!(info.num_shards, 1);
+        assert_eq!(info, HandshakeInfo { epoch: 0, num_shards: 1 });
         let answer = client.query(VertexId(0), last, 2).unwrap();
         assert_eq!(answer.epoch, 0);
         assert!(!answer.paths.is_empty());

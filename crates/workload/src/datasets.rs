@@ -9,10 +9,9 @@
 
 use crate::synthetic::{GeneratedNetwork, RoadNetworkConfig, RoadNetworkGenerator};
 use ksp_graph::GraphError;
-use serde::{Deserialize, Serialize};
 
 /// The four datasets of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DatasetPreset {
     /// New York City road network (smallest).
     NewYork,
@@ -90,7 +89,7 @@ impl DatasetPreset {
 }
 
 /// How large the generated instance of a preset should be.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DatasetScale {
     /// Tiny instances for unit/integration tests (hundreds of vertices).
     Tiny,

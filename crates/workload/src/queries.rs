@@ -2,10 +2,9 @@
 
 use crate::rng::Xoshiro256;
 use ksp_graph::{DynamicGraph, VertexId};
-use serde::{Deserialize, Serialize};
 
 /// A single k-shortest-path query `q(vs, vt)` with its `k`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct KspQuery {
     /// Source vertex.
     pub source: VertexId,
@@ -23,7 +22,7 @@ impl KspQuery {
 }
 
 /// Configuration of the query workload generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueryWorkloadConfig {
     /// Number of queries in the batch (the paper's `Nq`).
     pub num_queries: usize,
@@ -48,7 +47,7 @@ impl QueryWorkloadConfig {
 }
 
 /// A generated batch of queries.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryWorkload {
     /// The queries, in arrival order.
     pub queries: Vec<KspQuery>,

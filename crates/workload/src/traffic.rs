@@ -1,6 +1,6 @@
 //! Traffic evolution model (Section 6.2 of the paper).
 //!
-//! The paper uses the time-varying travel-time model of Fleischmann et al. [5] to
+//! The paper uses the time-varying travel-time model of Fleischmann et al. \[5\] to
 //! synthesise traffic: at each snapshot a fraction `α` of the edges change weight, and
 //! the change stays within a relative range `[-τ, +τ]` of the *initial* weight. All
 //! roads follow a similar trend (e.g. a morning rush hour raises travel times across

@@ -27,7 +27,7 @@
 //! ```
 
 use ksp_dg::core::dtlp::DtlpConfig;
-use ksp_dg::proto::{KspClient, QueryKey};
+use ksp_dg::proto::{KspClient, QueryKey, PROTOCOL_VERSION};
 use ksp_dg::serve::{EventLoopServer, QueryService, ServiceConfig, ServiceError};
 use ksp_dg::store::{Store, StoreConfig};
 use ksp_dg::workload::datasets::DatasetScale;
@@ -199,9 +199,8 @@ fn main() {
     let server = EventLoopServer::bind(service.clone(), "127.0.0.1:0").expect("bind loopback");
     let (mut client, hello) = KspClient::connect(server.local_addr()).expect("connect");
     println!(
-        "connected to {} — protocol v{}, epoch {}, {} shards",
+        "connected to {} — protocol v{PROTOCOL_VERSION}, epoch {}, {} shards",
         server.local_addr(),
-        hello.protocol_version,
         hello.epoch,
         hello.num_shards
     );

@@ -22,14 +22,13 @@
 //!   ([`ksp_obs`]); `serve` threads it through the query pipeline and
 //!   `proto` carries its snapshots over the wire.
 //! * [`fault`] — seeded deterministic fault injection ([`ksp_fault`]): the
-//!   fault plans the chaos tests drive the storage backend
-//!   ([`store::FaultyIo`](ksp_store::FaultyIo)) and network wrapper
-//!   ([`proto::FaultTransport`](ksp_proto::FaultTransport)) with.
+//!   fault plans the chaos tests drive the storage backend ([`store::FaultyIo`])
+//!   and network wrapper ([`proto::FaultTransport`]) with.
 //! * [`proto`] — the typed request/response wire protocol (CRC-guarded,
 //!   versioned frames) and the pluggable [`Transport`](ksp_proto::Transport)
 //!   with its TCP implementation and [`KspClient`](ksp_proto::KspClient)
 //!   handle ([`ksp_proto`]); the matching server lives in
-//!   [`serve::rpc`](ksp_serve::rpc).
+//!   [`serve::rpc`].
 //!
 //! # Quickstart
 //!

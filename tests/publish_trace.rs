@@ -219,29 +219,3 @@ fn slo_breach_dump_resolves_to_the_clients_own_trace_id() {
         "the breakdown must attribute the whole perceived latency"
     );
 }
-
-#[test]
-fn untraced_clients_still_get_untraced_replies() {
-    // Turning tracing off restores the exact pre-trace wire exchange: no
-    // envelope on the request, none on the reply, and no trace id in dumps.
-    let mut config = ServiceConfig::new(1, DtlpConfig::new(16, 2));
-    config.observability.slo_p99 = Duration::from_nanos(1);
-    let graph = RoadNetworkGenerator::new(RoadNetworkConfig::with_vertices(140))
-        .generate(0x9003)
-        .unwrap()
-        .graph;
-    let service = Arc::new(QueryService::start(graph.clone(), config).unwrap());
-    let server = EventLoopServer::bind(service.clone(), "127.0.0.1:0").unwrap();
-    let (mut client, _) = KspClient::connect(server.local_addr()).unwrap();
-    client.set_tracing(false);
-
-    // The connect handshake ran traced before tracing was turned off; no
-    // *new* trace id may be minted after that.
-    let handshake_trace = client.last_trace_id();
-    let last = VertexId(graph.num_vertices() as u32 - 1);
-    client.query(VertexId(0), last, 2).unwrap();
-    assert_eq!(client.last_trace_id(), handshake_trace, "no new trace was stamped");
-    let snap = client.obs_snapshot().unwrap();
-    let dump = snap.dump.expect("the breach still dumps");
-    assert_eq!(dump.trace_id, 0, "an untraced request pins no trace id");
-}
