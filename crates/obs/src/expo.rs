@@ -67,12 +67,13 @@ pub fn render_prometheus(snapshot: &ObsSnapshot) -> String {
 
 /// Renders one histogram's `_bucket`/`_sum`/`_count` series. Buckets above
 /// the largest non-empty one are elided (they would repeat the same
-/// cumulative count the `+Inf` bucket already carries).
+/// cumulative count the `+Inf` bucket already carries). Cumulative counts
+/// saturate: a snapshot decoded from a peer may carry any bucket values.
 fn render_histogram(out: &mut String, family: &str, labels: &str, h: &HistogramSnapshot) {
     let last_used = h.buckets.iter().rposition(|&c| c > 0).map_or(0, |i| i + 1);
     let mut cumulative = 0u64;
     for (i, count) in h.buckets.iter().take(last_used).enumerate() {
-        cumulative += count;
+        cumulative = cumulative.saturating_add(*count);
         let le = bucket_upper_micros(i) as f64 / 1e6;
         let _ = writeln!(
             out,
@@ -192,6 +193,20 @@ mod tests {
             );
         }
         assert!(text.contains("ksp_publish_duration_seconds_count 1"));
+    }
+
+    #[test]
+    fn overflowing_bucket_counts_render_saturated() {
+        // Bucket counts whose sum overflows a u64, as a hostile peer can send.
+        let h = HistogramSnapshot {
+            buckets: vec![u64::MAX, u64::MAX],
+            count: u64::MAX,
+            total_micros: 0,
+            max_micros: 0,
+        };
+        let text = render_prometheus(&ObsSnapshot { end_to_end: h, ..ObsSnapshot::default() });
+        let max = format!("ksp_request_duration_seconds_bucket{{le=\"0.000004\"}} {}", u64::MAX);
+        assert!(text.contains(&max), "the second bucket saturates:\n{text}");
     }
 
     #[test]

@@ -21,9 +21,10 @@ use std::time::Instant;
 /// # Stable wire codes
 ///
 /// The `u8` discriminants below travel verbatim in flight events, dumps and
-/// `ObsSnapshot` payloads; they are append-only under `PROTOCOL_VERSION` 1.
-/// A decoder receiving a code it does not know (from a newer peer) skips the
-/// event rather than failing the payload — see [`EventKind::from_code`].
+/// `ObsSnapshot` payloads. Changing or adding one is a wire change that bumps
+/// `ksp-proto`'s `PROTOCOL_VERSION`. A decoder that meets a code it does not
+/// know fails the whole payload with a typed error (see
+/// [`EventKind::from_code`]).
 ///
 /// | code | variant                 |
 /// |-----:|-------------------------|
@@ -140,7 +141,7 @@ impl EventKind {
         }
     }
 
-    /// Inverse of `self as u8`; `None` for codes from a newer peer.
+    /// Inverse of `self as u8`; `None` for an unknown code.
     pub fn from_code(code: u8) -> Option<EventKind> {
         EventKind::ALL.get(code as usize).copied()
     }

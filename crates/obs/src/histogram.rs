@@ -121,7 +121,9 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// Same quantile estimate as [`LatencyHistogram::quantile`].
+    /// Same quantile estimate as [`LatencyHistogram::quantile`]. The running
+    /// count saturates, so a snapshot decoded from a peer with overflowing
+    /// bucket counts cannot panic here.
     pub fn quantile(&self, q: f64) -> Duration {
         if self.count == 0 {
             return Duration::ZERO;
@@ -129,7 +131,7 @@ impl HistogramSnapshot {
         let rank = ((self.count as f64) * q.clamp(0.0, 1.0)).ceil().max(1.0) as u64;
         let mut seen = 0u64;
         for (i, bucket) in self.buckets.iter().enumerate() {
-            seen += bucket;
+            seen = seen.saturating_add(*bucket);
             if seen >= rank {
                 return Duration::from_micros(bucket_upper_micros(i));
             }
@@ -169,6 +171,19 @@ mod tests {
         let h = LatencyHistogram::default();
         assert_eq!(h.quantile(0.99), Duration::ZERO);
         assert_eq!(h.mean(), Duration::ZERO);
+    }
+
+    #[test]
+    fn quantiles_of_overflowing_bucket_counts_saturate() {
+        // Bucket counts whose sum overflows a u64, as a hostile peer can send:
+        // the rank of q = 1 lies past the first bucket.
+        let h = HistogramSnapshot {
+            buckets: vec![u64::MAX - 1, 2],
+            count: u64::MAX,
+            total_micros: 0,
+            max_micros: 0,
+        };
+        assert_eq!(h.quantile(1.0), Duration::from_micros(bucket_upper_micros(1)));
     }
 
     #[test]

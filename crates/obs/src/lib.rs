@@ -31,8 +31,9 @@
 //!   renderable as Prometheus text exposition format so any scraper can read
 //!   a service over the existing wire protocol.
 //!
-//! The crate is dependency-free (std only) and sits below `ksp-proto` and
-//! `ksp-serve`: proto mirrors the snapshot types on the wire, serve owns the
+//! The crate is dependency-free (std only) and sits below `ksp-store`,
+//! `ksp-proto` and `ksp-serve`: the store's codec encodes [`ObsSnapshot`],
+//! proto carries it as the `ObsSnapshot` response, serve owns the
 //! instrumentation points.
 
 #![warn(missing_docs)]

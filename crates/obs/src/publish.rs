@@ -92,8 +92,7 @@ impl PublishStage {
         self as usize
     }
 
-    /// Inverse of [`PublishStage::index`]; `None` for out-of-range values
-    /// (e.g. a stage added by a newer peer and decoded from the wire).
+    /// Inverse of [`PublishStage::index`]; `None` for out-of-range values.
     pub fn from_index(index: usize) -> Option<PublishStage> {
         PublishStage::ALL.get(index).copied()
     }

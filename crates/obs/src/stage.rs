@@ -71,8 +71,7 @@ impl Stage {
         self as usize
     }
 
-    /// Inverse of [`Stage::index`]; `None` for out-of-range values (e.g. a
-    /// stage added by a newer peer and decoded from the wire).
+    /// Inverse of [`Stage::index`]; `None` for out-of-range values.
     pub fn from_index(index: usize) -> Option<Stage> {
         Stage::ALL.get(index).copied()
     }

@@ -3,13 +3,13 @@
 //! A client wraps any [`Transport`] — the TCP transport for a remote shard,
 //! `ksp-serve`'s `InProcTransport` for the same-process path — behind the
 //! operations the protocol offers: single queries, pipelined multi-query
-//! batches, epoch publication, metrics and checkpointing. Server-side
-//! failures arrive as typed [`ErrorReply`] values inside
+//! batches, epoch publication, observability snapshots and checkpointing.
+//! Server-side failures arrive as typed [`ErrorReply`] values inside
 //! [`ClientError::Server`]; a client never needs to parse error strings to
 //! tell backpressure from a bad request.
 
 use crate::message::{
-    ErrorReply, QueryAnswer, QueryKey, QueryOutcome, Request, Response, TraceContext, WireMetrics,
+    ErrorReply, QueryAnswer, QueryKey, QueryOutcome, Request, Response, TraceContext,
     WireSegmentBatch, WireSnapshotChunk,
 };
 use crate::transport::{TcpTransport, Transport, TransportError, TransportStats};
@@ -334,14 +334,6 @@ impl<T: Transport> KspClient<T> {
         }
     }
 
-    /// Fetches a point-in-time metrics snapshot.
-    pub fn metrics(&mut self) -> Result<WireMetrics, ClientError> {
-        match self.call(Request::Metrics)? {
-            Response::Metrics(metrics) => Ok(metrics),
-            _ => Err(ClientError::UnexpectedResponse { expected: "Metrics" }),
-        }
-    }
-
     /// Synchronously checkpoints the current epoch. `Ok(None)` means the
     /// service has no store attached.
     pub fn checkpoint_now(&mut self) -> Result<Option<u64>, ClientError> {
@@ -351,14 +343,13 @@ impl<T: Transport> KspClient<T> {
         }
     }
 
-    /// Fetches a full observability snapshot — per-stage latency histograms,
-    /// the end-to-end histogram, counters/gauges and the latest
-    /// flight-recorder dump — validated back into the `ksp-obs` types.
+    /// Fetches a full observability snapshot: every counter and gauge
+    /// (completed and rejected requests, per-shard queue depths, epoch age,
+    /// ...), the per-stage and end-to-end latency histograms and the latest
+    /// flight-recorder dump.
     pub fn obs_snapshot(&mut self) -> Result<ksp_obs::ObsSnapshot, ClientError> {
         match self.call(Request::ObsSnapshot)? {
-            Response::ObsSnapshot(wire) => wire.into_snapshot().map_err(|_| {
-                ClientError::UnexpectedResponse { expected: "a well-formed ObsSnapshot" }
-            }),
+            Response::ObsSnapshot(snapshot) => Ok(*snapshot),
             _ => Err(ClientError::UnexpectedResponse { expected: "ObsSnapshot" }),
         }
     }

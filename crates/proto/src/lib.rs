@@ -7,10 +7,11 @@
 //!
 //! * [`message`] — the **operator surface** as data: [`Request`] / [`Response`]
 //!   enums covering single queries, pipelined multi-query batches, epoch
-//!   publication (`ApplyBatch`), metrics scraping, observability snapshots
-//!   (`ObsSnapshot`, with [`obs`] carrying the wire mirrors of `ksp-obs`'s
-//!   per-stage histograms and flight dumps), checkpointing, log shipping to
-//!   replicas and the `Ping` handshake. Payloads are encoded with the same
+//!   publication (`ApplyBatch`), observability snapshots (`ObsSnapshot`,
+//!   carrying `ksp-obs`'s [`ObsSnapshot`](ksp_obs::ObsSnapshot) itself: every
+//!   counter, gauge, per-stage histogram and the latest flight dump),
+//!   checkpointing, log shipping to replicas and the `Ping` handshake.
+//!   Payloads are encoded with the same
 //!   [`StoreCodec`](ksp_store::StoreCodec) discipline as the on-disk
 //!   checkpoint format: little-endian, length-validated counts, floats as raw
 //!   IEEE-754 bits so a path distance survives the wire bit-for-bit.
@@ -39,7 +40,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic "KSPF"
-//! 4       4     protocol version (u32 LE, currently 2)
+//! 4       4     protocol version (u32 LE, currently 3)
 //! 8       1     frame kind (0 = request, 1 = response)
 //! 9       4     payload length in bytes (u32 LE)
 //! 13      4     CRC-32 (ISO-HDLC) of the payload
@@ -59,7 +60,6 @@ pub mod client;
 pub mod fault;
 pub mod frame;
 pub mod message;
-pub mod obs;
 pub mod shard;
 pub mod transport;
 
@@ -67,13 +67,9 @@ pub use client::{ClientConfig, ClientError, HandshakeInfo, KspClient, LatencyBre
 pub use fault::FaultTransport;
 pub use frame::{FrameError, FrameKind, FRAME_HEADER_LEN, FRAME_MAGIC, MAX_FRAME_PAYLOAD};
 pub use message::{
-    ErrorReply, QueryAnswer, QueryKey, QueryOutcome, Request, Response, TraceContext, WireMetrics,
-    WirePath, WireQueryStats, WireQueueGauge, WireSegmentBatch, WireShippedRecord,
-    WireSnapshotChunk, WireSnapshotFile, WireSnapshotManifest, PROTOCOL_VERSION,
-};
-pub use obs::{
-    WireCounter, WireFlightDump, WireGauge, WireHistogram, WireObsEvent, WireObsSnapshot,
-    WirePublishStageHistogram, WireSpanChain, WireStageHistogram,
+    ErrorReply, QueryAnswer, QueryKey, QueryOutcome, Request, Response, TraceContext, WirePath,
+    WireQueryStats, WireSegmentBatch, WireShippedRecord, WireSnapshotChunk, WireSnapshotFile,
+    WireSnapshotManifest, PROTOCOL_VERSION,
 };
 pub use shard::{LowerBoundDelta, PairPaths, ShardTuple};
 pub use transport::{TcpTransport, Transport, TransportError, TransportStats};

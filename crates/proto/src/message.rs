@@ -15,24 +15,13 @@
 use ksp_algo::Path;
 use ksp_core::kspdg::QueryStats;
 use ksp_graph::{UpdateBatch, VertexId, Weight};
+use ksp_obs::ObsSnapshot;
 use ksp_store::{CodecError, Reader, StoreCodec, Writer};
 
 /// The protocol version this build speaks, carried in every frame header. A
 /// frame stamped with any other version is rejected before its payload is
 /// read.
-pub const PROTOCOL_VERSION: u32 = 2;
-
-fn encode_str(s: &str, w: &mut Writer) {
-    w.put_u64(s.len() as u64);
-    w.put_bytes(s.as_bytes());
-}
-
-fn decode_string(r: &mut Reader<'_>) -> Result<String, CodecError> {
-    let len = r.get_count(1)?;
-    let bytes = r.get_bytes(len)?;
-    String::from_utf8(bytes.to_vec())
-        .map_err(|_| CodecError::InvalidValue("string payload is not valid UTF-8"))
-}
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// A client-originated trace context, carried in a [`Request::Traced`] /
 /// [`Response::Traced`] envelope.
@@ -112,12 +101,10 @@ pub enum Request {
     QueryBatch(Vec<QueryKey>),
     /// Apply one weight-update batch and publish the next epoch.
     ApplyBatch(UpdateBatch),
-    /// A point-in-time metrics snapshot.
-    Metrics,
     /// Synchronously checkpoint the current epoch (persistent services only).
     CheckpointNow,
-    /// A full observability snapshot: per-stage latency histograms, counters,
-    /// gauges and the latest flight-recorder dump.
+    /// A full observability snapshot: per-stage latency histograms, every
+    /// counter and gauge, and the latest flight-recorder dump.
     ObsSnapshot,
     /// Any request wrapped in a client [`TraceContext`]. The server answers
     /// with the same envelope around its response; envelopes never nest — a
@@ -176,7 +163,6 @@ const REQ_PING: u8 = 0;
 const REQ_QUERY: u8 = 1;
 const REQ_QUERY_BATCH: u8 = 2;
 const REQ_APPLY_BATCH: u8 = 3;
-const REQ_METRICS: u8 = 4;
 const REQ_CHECKPOINT_NOW: u8 = 5;
 const REQ_OBS_SNAPSHOT: u8 = 6;
 const REQ_TRACED: u8 = 7;
@@ -194,7 +180,6 @@ impl Request {
             REQ_QUERY => Ok(Request::Query(QueryKey::decode(r)?)),
             REQ_QUERY_BATCH => Ok(Request::QueryBatch(Vec::decode(r)?)),
             REQ_APPLY_BATCH => Ok(Request::ApplyBatch(UpdateBatch::decode(r)?)),
-            REQ_METRICS => Ok(Request::Metrics),
             REQ_CHECKPOINT_NOW => Ok(Request::CheckpointNow),
             REQ_OBS_SNAPSHOT => Ok(Request::ObsSnapshot),
             REQ_SHIP_SEGMENT => Ok(Request::ShipSegment {
@@ -203,12 +188,12 @@ impl Request {
                 max_bytes: r.get_u64()?,
             }),
             REQ_SNAPSHOT_CHUNK => Ok(Request::SnapshotChunk {
-                name: decode_string(r)?,
+                name: String::decode(r)?,
                 offset: r.get_u64()?,
                 max_len: r.get_u64()?,
             }),
             REQ_REPL_ACK => {
-                Ok(Request::ReplAck { follower: decode_string(r)?, applied_epoch: r.get_u64()? })
+                Ok(Request::ReplAck { follower: String::decode(r)?, applied_epoch: r.get_u64()? })
             }
             tag => Err(CodecError::InvalidTag { what: "Request", tag }),
         }
@@ -231,7 +216,6 @@ impl StoreCodec for Request {
                 w.put_u8(REQ_APPLY_BATCH);
                 batch.encode(w);
             }
-            Request::Metrics => w.put_u8(REQ_METRICS),
             Request::CheckpointNow => w.put_u8(REQ_CHECKPOINT_NOW),
             Request::ObsSnapshot => w.put_u8(REQ_OBS_SNAPSHOT),
             Request::Traced { trace, inner } => {
@@ -247,13 +231,13 @@ impl StoreCodec for Request {
             }
             Request::SnapshotChunk { name, offset, max_len } => {
                 w.put_u8(REQ_SNAPSHOT_CHUNK);
-                encode_str(name, w);
+                name.encode(w);
                 w.put_u64(*offset);
                 w.put_u64(*max_len);
             }
             Request::ReplAck { follower, applied_epoch } => {
                 w.put_u8(REQ_REPL_ACK);
-                encode_str(follower, w);
+                follower.encode(w);
                 w.put_u64(*applied_epoch);
             }
         }
@@ -525,20 +509,20 @@ impl StoreCodec for ErrorReply {
             ErrorReply::ShuttingDown => w.put_u8(ERR_SHUTTING_DOWN),
             ErrorReply::InvalidQuery(detail) => {
                 w.put_u8(ERR_INVALID_QUERY);
-                encode_str(detail, w);
+                detail.encode(w);
             }
             ErrorReply::InvalidK => w.put_u8(ERR_INVALID_K),
             ErrorReply::InvalidBatch(detail) => {
                 w.put_u8(ERR_INVALID_BATCH);
-                encode_str(detail, w);
+                detail.encode(w);
             }
             ErrorReply::Storage(detail) => {
                 w.put_u8(ERR_STORAGE);
-                encode_str(detail, w);
+                detail.encode(w);
             }
             ErrorReply::Unsupported(detail) => {
                 w.put_u8(ERR_UNSUPPORTED);
-                encode_str(detail, w);
+                detail.encode(w);
             }
             ErrorReply::UnsupportedVersion { server, client } => {
                 w.put_u8(ERR_UNSUPPORTED_VERSION);
@@ -547,11 +531,11 @@ impl StoreCodec for ErrorReply {
             }
             ErrorReply::Malformed(detail) => {
                 w.put_u8(ERR_MALFORMED);
-                encode_str(detail, w);
+                detail.encode(w);
             }
             ErrorReply::Degraded(detail) => {
                 w.put_u8(ERR_DEGRADED);
-                encode_str(detail, w);
+                detail.encode(w);
             }
         }
     }
@@ -561,16 +545,16 @@ impl StoreCodec for ErrorReply {
                 Ok(ErrorReply::Overloaded { depth: r.get_u64()?, retry_after_ms: r.get_u64()? })
             }
             ERR_SHUTTING_DOWN => Ok(ErrorReply::ShuttingDown),
-            ERR_INVALID_QUERY => Ok(ErrorReply::InvalidQuery(decode_string(r)?)),
+            ERR_INVALID_QUERY => Ok(ErrorReply::InvalidQuery(String::decode(r)?)),
             ERR_INVALID_K => Ok(ErrorReply::InvalidK),
-            ERR_INVALID_BATCH => Ok(ErrorReply::InvalidBatch(decode_string(r)?)),
-            ERR_STORAGE => Ok(ErrorReply::Storage(decode_string(r)?)),
-            ERR_UNSUPPORTED => Ok(ErrorReply::Unsupported(decode_string(r)?)),
+            ERR_INVALID_BATCH => Ok(ErrorReply::InvalidBatch(String::decode(r)?)),
+            ERR_STORAGE => Ok(ErrorReply::Storage(String::decode(r)?)),
+            ERR_UNSUPPORTED => Ok(ErrorReply::Unsupported(String::decode(r)?)),
             ERR_UNSUPPORTED_VERSION => {
                 Ok(ErrorReply::UnsupportedVersion { server: r.get_u32()?, client: r.get_u32()? })
             }
-            ERR_MALFORMED => Ok(ErrorReply::Malformed(decode_string(r)?)),
-            ERR_DEGRADED => Ok(ErrorReply::Degraded(decode_string(r)?)),
+            ERR_MALFORMED => Ok(ErrorReply::Malformed(String::decode(r)?)),
+            ERR_DEGRADED => Ok(ErrorReply::Degraded(String::decode(r)?)),
             tag => Err(CodecError::InvalidTag { what: "ErrorReply", tag }),
         }
     }
@@ -619,130 +603,6 @@ impl StoreCodec for QueryOutcome {
     }
 }
 
-/// Point-in-time backlog gauges of one shard queue, as carried on the wire.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WireQueueGauge {
-    /// Requests admitted and waiting right now.
-    pub depth: u64,
-    /// Deepest the queue has ever been.
-    pub high_water: u64,
-    /// The configured depth at which submissions are rejected.
-    pub max_depth: u64,
-}
-
-impl StoreCodec for WireQueueGauge {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u64(self.depth);
-        w.put_u64(self.high_water);
-        w.put_u64(self.max_depth);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(WireQueueGauge {
-            depth: r.get_u64()?,
-            high_water: r.get_u64()?,
-            max_depth: r.get_u64()?,
-        })
-    }
-}
-
-/// A service metrics snapshot, flattened for the wire. Latency quantiles are
-/// carried in microseconds.
-///
-/// This is the full overload-observability surface: `rejected` counts every
-/// request turned away by admission control, and `queue_gauges` carries each
-/// shard's current depth and high-water mark so a remote operator sees
-/// backpressure building before requests start failing.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct WireMetrics {
-    /// Requests answered.
-    pub completed: u64,
-    /// Requests rejected by admission control.
-    pub rejected: u64,
-    /// Requests served from the result cache.
-    pub cache_hits: u64,
-    /// Requests that ran the engine.
-    pub cache_misses: u64,
-    /// Epochs published since the service started.
-    pub epochs_published: u64,
-    /// Median end-to-end latency, microseconds.
-    pub p50_micros: u64,
-    /// 95th-percentile end-to-end latency, microseconds.
-    pub p95_micros: u64,
-    /// 99th-percentile end-to-end latency, microseconds.
-    pub p99_micros: u64,
-    /// Mean end-to-end latency, microseconds.
-    pub mean_micros: u64,
-    /// Worst observed end-to-end latency, microseconds.
-    pub max_micros: u64,
-    /// Per-shard queue backlog gauges.
-    pub queue_gauges: Vec<WireQueueGauge>,
-    /// Requests answered by a worker that stole them from another shard's
-    /// queue.
-    pub steals: u64,
-    /// Cache entries that survived epoch publishes via dirty-set retention.
-    pub cache_retained: u64,
-    /// Cache entries dropped at epoch publishes.
-    pub cache_evicted: u64,
-    /// Milliseconds since the last epoch publish when the snapshot was taken
-    /// — the staleness gauge a freshness SLO watches.
-    pub epoch_age_ms: u64,
-}
-
-impl WireMetrics {
-    /// Fraction of completed requests answered from the cache, in `[0, 1]`.
-    pub fn cache_hit_rate(&self) -> f64 {
-        let denom = self.cache_hits + self.cache_misses;
-        if denom == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / denom as f64
-        }
-    }
-}
-
-impl StoreCodec for WireMetrics {
-    fn encode(&self, w: &mut Writer) {
-        for v in [
-            self.completed,
-            self.rejected,
-            self.cache_hits,
-            self.cache_misses,
-            self.epochs_published,
-            self.p50_micros,
-            self.p95_micros,
-            self.p99_micros,
-            self.mean_micros,
-            self.max_micros,
-        ] {
-            w.put_u64(v);
-        }
-        self.queue_gauges.encode(w);
-        w.put_u64(self.steals);
-        w.put_u64(self.cache_retained);
-        w.put_u64(self.cache_evicted);
-        w.put_u64(self.epoch_age_ms);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(WireMetrics {
-            completed: r.get_u64()?,
-            rejected: r.get_u64()?,
-            cache_hits: r.get_u64()?,
-            cache_misses: r.get_u64()?,
-            epochs_published: r.get_u64()?,
-            p50_micros: r.get_u64()?,
-            p95_micros: r.get_u64()?,
-            p99_micros: r.get_u64()?,
-            mean_micros: r.get_u64()?,
-            max_micros: r.get_u64()?,
-            queue_gauges: Vec::decode(r)?,
-            steals: r.get_u64()?,
-            cache_retained: r.get_u64()?,
-            cache_evicted: r.get_u64()?,
-            epoch_age_ms: r.get_u64()?,
-        })
-    }
-}
-
 /// One WAL record as shipped to a follower: the epoch it published and the
 /// update batch that produced it. CRC integrity is re-established by the
 /// carrying frame; the leader only ships records its own CRC-checked log
@@ -778,11 +638,11 @@ pub struct WireSnapshotFile {
 
 impl StoreCodec for WireSnapshotFile {
     fn encode(&self, w: &mut Writer) {
-        encode_str(&self.name, w);
+        self.name.encode(w);
         w.put_u64(self.len);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(WireSnapshotFile { name: decode_string(r)?, len: r.get_u64()? })
+        Ok(WireSnapshotFile { name: String::decode(r)?, len: r.get_u64()? })
     }
 }
 
@@ -830,25 +690,14 @@ impl StoreCodec for WireSegmentBatch {
     fn encode(&self, w: &mut Writer) {
         w.put_u64(self.leader_epoch);
         self.records.encode(w);
-        match &self.fallback {
-            Some(manifest) => {
-                w.put_u8(1);
-                manifest.encode(w);
-            }
-            None => w.put_u8(0),
-        }
+        self.fallback.encode(w);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let leader_epoch = r.get_u64()?;
-        let records = Vec::decode(r)?;
-        let fallback = match r.get_u8()? {
-            0 => None,
-            1 => Some(WireSnapshotManifest::decode(r)?),
-            tag => {
-                return Err(CodecError::InvalidTag { what: "Option<WireSnapshotManifest>", tag })
-            }
-        };
-        Ok(WireSegmentBatch { leader_epoch, records, fallback })
+        Ok(WireSegmentBatch {
+            leader_epoch: r.get_u64()?,
+            records: Vec::decode(r)?,
+            fallback: Option::decode(r)?,
+        })
     }
 }
 
@@ -867,14 +716,14 @@ pub struct WireSnapshotChunk {
 
 impl StoreCodec for WireSnapshotChunk {
     fn encode(&self, w: &mut Writer) {
-        encode_str(&self.name, w);
+        self.name.encode(w);
         w.put_u64(self.offset);
         w.put_u64(self.total_len);
         w.put_u64(self.bytes.len() as u64);
         w.put_bytes(&self.bytes);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let name = decode_string(r)?;
+        let name = String::decode(r)?;
         let offset = r.get_u64()?;
         let total_len = r.get_u64()?;
         let len = r.get_count(1)?;
@@ -902,8 +751,6 @@ pub enum Response {
         /// The epoch id the batch produced.
         epoch: u64,
     },
-    /// The metrics snapshot answering a [`Request::Metrics`].
-    Metrics(WireMetrics),
     /// Outcome of a [`Request::CheckpointNow`]: `Some(epoch)` after a
     /// successful checkpoint, `None` for an in-memory service.
     CheckpointNow {
@@ -911,7 +758,7 @@ pub enum Response {
         epoch: Option<u64>,
     },
     /// The observability snapshot answering a [`Request::ObsSnapshot`].
-    ObsSnapshot(crate::obs::WireObsSnapshot),
+    ObsSnapshot(Box<ObsSnapshot>),
     /// The request failed; see the carried [`ErrorReply`].
     Error(ErrorReply),
     /// Any response wrapped in the [`TraceContext`] echoed from a
@@ -952,7 +799,6 @@ const RESP_PONG: u8 = 0;
 const RESP_QUERY: u8 = 1;
 const RESP_QUERY_BATCH: u8 = 2;
 const RESP_APPLY_BATCH: u8 = 3;
-const RESP_METRICS: u8 = 4;
 const RESP_CHECKPOINT_NOW: u8 = 5;
 const RESP_ERROR: u8 = 6;
 const RESP_OBS_SNAPSHOT: u8 = 7;
@@ -971,16 +817,8 @@ impl Response {
             RESP_QUERY => Ok(Response::Query(QueryAnswer::decode(r)?)),
             RESP_QUERY_BATCH => Ok(Response::QueryBatch(Vec::decode(r)?)),
             RESP_APPLY_BATCH => Ok(Response::ApplyBatch { epoch: r.get_u64()? }),
-            RESP_METRICS => Ok(Response::Metrics(WireMetrics::decode(r)?)),
-            RESP_CHECKPOINT_NOW => {
-                let epoch = match r.get_u8()? {
-                    0 => None,
-                    1 => Some(r.get_u64()?),
-                    tag => return Err(CodecError::InvalidTag { what: "Option<u64>", tag }),
-                };
-                Ok(Response::CheckpointNow { epoch })
-            }
-            RESP_OBS_SNAPSHOT => Ok(Response::ObsSnapshot(crate::obs::WireObsSnapshot::decode(r)?)),
+            RESP_CHECKPOINT_NOW => Ok(Response::CheckpointNow { epoch: Option::decode(r)? }),
+            RESP_OBS_SNAPSHOT => Ok(Response::ObsSnapshot(Box::new(ObsSnapshot::decode(r)?))),
             RESP_ERROR => Ok(Response::Error(ErrorReply::decode(r)?)),
             RESP_SEGMENT_BATCH => Ok(Response::SegmentBatch(WireSegmentBatch::decode(r)?)),
             RESP_SNAPSHOT_CHUNK => Ok(Response::SnapshotChunk(WireSnapshotChunk::decode(r)?)),
@@ -1010,19 +848,9 @@ impl StoreCodec for Response {
                 w.put_u8(RESP_APPLY_BATCH);
                 w.put_u64(*epoch);
             }
-            Response::Metrics(metrics) => {
-                w.put_u8(RESP_METRICS);
-                metrics.encode(w);
-            }
             Response::CheckpointNow { epoch } => {
                 w.put_u8(RESP_CHECKPOINT_NOW);
-                match epoch {
-                    Some(e) => {
-                        w.put_u8(1);
-                        w.put_u64(*e);
-                    }
-                    None => w.put_u8(0),
-                }
+                epoch.encode(w);
             }
             Response::ObsSnapshot(snapshot) => {
                 w.put_u8(RESP_OBS_SNAPSHOT);
@@ -1088,7 +916,6 @@ mod tests {
                 WeightUpdate::new(EdgeId(7), Weight::new(2.5)),
                 WeightUpdate::new(EdgeId(0), Weight::new(0.125)),
             ])),
-            Request::Metrics,
             Request::CheckpointNow,
             Request::ObsSnapshot,
             Request::Traced {
@@ -1150,26 +977,16 @@ mod tests {
                 QueryOutcome::Error(ErrorReply::InvalidK),
             ]),
             Response::ApplyBatch { epoch: 9 },
-            Response::Metrics(WireMetrics {
-                completed: 10,
-                rejected: 3,
-                queue_gauges: vec![WireQueueGauge { depth: 1, high_water: 5, max_depth: 64 }],
-                steals: 7,
-                cache_retained: 21,
-                cache_evicted: 4,
-                epoch_age_ms: 350,
-                ..Default::default()
-            }),
             Response::CheckpointNow { epoch: Some(12) },
             Response::CheckpointNow { epoch: None },
-            Response::ObsSnapshot(crate::obs::WireObsSnapshot {
-                counters: vec![crate::obs::WireCounter {
+            Response::ObsSnapshot(Box::new(ObsSnapshot {
+                counters: vec![ksp_obs::Counter {
                     name: "ksp_requests_completed_total".to_string(),
                     labels: String::new(),
                     value: 11,
                 }],
                 ..Default::default()
-            }),
+            })),
             Response::Error(ErrorReply::UnsupportedVersion { server: 1, client: 99 }),
         ]
     }
@@ -1209,9 +1026,9 @@ mod tests {
         assert_eq!(got_trace, Some(trace));
         assert_eq!(inner, Response::Error(ErrorReply::InvalidK));
         // An untraced message splits into (None, itself).
-        let (none, inner) = Request::Metrics.into_parts();
+        let (none, inner) = Request::ObsSnapshot.into_parts();
         assert_eq!(none, None);
-        assert_eq!(inner, Request::Metrics);
+        assert_eq!(inner, Request::ObsSnapshot);
     }
 
     #[test]
@@ -1225,7 +1042,7 @@ mod tests {
                 w.put_u8(7); // REQ_TRACED
                 TraceContext::default().encode(&mut w);
             }
-            w.put_u8(4); // REQ_METRICS
+            w.put_u8(6); // REQ_OBS_SNAPSHOT
             assert!(matches!(
                 Request::from_bytes(&w.into_bytes()),
                 Err(CodecError::InvalidTag { what: "Request", tag: 7 })
@@ -1283,31 +1100,6 @@ mod tests {
     }
 
     #[test]
-    fn appended_metrics_counters_round_trip() {
-        // The counters after `queue_gauges` survive the wire exactly,
-        // including at the extremes and alongside populated gauges.
-        for (steals, retained, evicted, age) in
-            [(0u64, 0u64, 0u64, 0u64), (1, 2, 3, 4), (u64::MAX, 7, u64::MAX, 12_000)]
-        {
-            let metrics = WireMetrics {
-                completed: 100,
-                cache_hits: 40,
-                cache_misses: 60,
-                queue_gauges: vec![
-                    WireQueueGauge { depth: 2, high_water: 9, max_depth: 64 },
-                    WireQueueGauge { depth: 0, high_water: 1, max_depth: 64 },
-                ],
-                steals,
-                cache_retained: retained,
-                cache_evicted: evicted,
-                epoch_age_ms: age,
-                ..Default::default()
-            };
-            assert_eq!(WireMetrics::from_bytes(&metrics.to_bytes()).unwrap(), metrics);
-        }
-    }
-
-    #[test]
     fn non_simple_wire_paths_are_rejected() {
         let looping = WirePath { vertices: vec![v(1), v(2), v(1)], distance: Weight::new(3.0) };
         assert!(looping.into_path().is_err());
@@ -1317,14 +1109,17 @@ mod tests {
 
     #[test]
     fn unknown_tags_fail_typed() {
-        assert!(matches!(
-            Request::from_bytes(&[200]),
-            Err(CodecError::InvalidTag { what: "Request", tag: 200 })
-        ));
-        assert!(matches!(
-            Response::from_bytes(&[200]),
-            Err(CodecError::InvalidTag { what: "Response", tag: 200 })
-        ));
+        // Tag 4 is unassigned in both directions; 200 was never assigned.
+        for tag in [4, 200] {
+            assert!(matches!(
+                Request::from_bytes(&[tag]),
+                Err(CodecError::InvalidTag { what: "Request", tag: t }) if t == tag
+            ));
+            assert!(matches!(
+                Response::from_bytes(&[tag]),
+                Err(CodecError::InvalidTag { what: "Response", tag: t }) if t == tag
+            ));
+        }
     }
 
     /// Asserts that no strict prefix of `bytes` decodes as a `T`.

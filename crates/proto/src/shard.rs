@@ -185,13 +185,7 @@ impl StoreCodec for ShardTuple {
             }
             ShardTuple::WithinSubgraphReply { distance } => {
                 w.put_u8(SHARD_WITHIN_REPLY);
-                match distance {
-                    Some(d) => {
-                        w.put_u8(1);
-                        d.encode(w);
-                    }
-                    None => w.put_u8(0),
-                }
+                distance.encode(w);
             }
             ShardTuple::Shutdown => w.put_u8(SHARD_SHUTDOWN),
         }
@@ -218,12 +212,7 @@ impl StoreCodec for ShardTuple {
                 target: VertexId::decode(r)?,
             }),
             SHARD_WITHIN_REPLY => {
-                let distance = match r.get_u8()? {
-                    0 => None,
-                    1 => Some(Weight::decode(r)?),
-                    tag => return Err(CodecError::InvalidTag { what: "Option<Weight>", tag }),
-                };
-                Ok(ShardTuple::WithinSubgraphReply { distance })
+                Ok(ShardTuple::WithinSubgraphReply { distance: Option::decode(r)? })
             }
             SHARD_SHUTDOWN => Ok(ShardTuple::Shutdown),
             tag => Err(CodecError::InvalidTag { what: "ShardTuple", tag }),

@@ -53,12 +53,11 @@
 
 use crate::admission::{AdmissionVerdict, CostClass};
 use crate::service::{route_shard, QueryService};
-use ksp_obs::EventKind;
+use ksp_obs::{Counter, EventKind, Gauge};
 use ksp_proto::frame::{
     frame_len, write_frame, FrameError, FrameKind, FRAME_HEADER_LEN, FRAME_MAGIC, MAX_FRAME_PAYLOAD,
 };
 use ksp_proto::message::{ErrorReply, QueryOutcome, Request, Response, PROTOCOL_VERSION};
-use ksp_proto::obs::{WireCounter, WireGauge};
 use ksp_store::{crc32, StoreCodec};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read as _, Write as _};
@@ -656,11 +655,7 @@ fn append_eventloop_metrics(shared: &LoopShared, response: &mut Response) {
         ("ksp_eventloop_handle_micros_total", handle_micros),
     ];
     for (name, value) in counters {
-        snapshot.counters.push(WireCounter {
-            name: name.to_string(),
-            labels: String::new(),
-            value,
-        });
+        snapshot.counters.push(Counter { name: name.to_string(), labels: String::new(), value });
     }
     let gauges = [
         ("ksp_eventloop_open_connections", stats.open_connections as f64),
@@ -669,7 +664,7 @@ fn append_eventloop_metrics(shared: &LoopShared, response: &mut Response) {
         ("ksp_eventloop_threads", shared.threads as f64),
     ];
     for (name, value) in gauges {
-        snapshot.gauges.push(WireGauge { name: name.to_string(), labels: String::new(), value });
+        snapshot.gauges.push(Gauge { name: name.to_string(), labels: String::new(), value });
     }
 }
 

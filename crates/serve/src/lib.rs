@@ -112,7 +112,7 @@ pub use cache::{CacheKey, CacheRetention, ResultCache};
 pub use epoch::{EpochPointer, EpochSnapshot};
 pub use event_loop::{EventLoopConfig, EventLoopServer, EventLoopStats};
 pub use metrics::{LatencyHistogram, MetricsReport, ServiceMetrics, ShardQueueGauge};
-pub use rpc::{wire_metrics, InProcTransport, ReplicationHook};
+pub use rpc::{InProcTransport, ReplicationHook};
 pub use service::{
     route_shard, Observability, PublishError, QueryResponse, QueryService, ServiceConfig,
     ServiceError, RECOVERY_STEP_COMPLETED,

@@ -199,6 +199,13 @@ impl ShardQueueGauge {
 
 /// A point-in-time summary of a service's metrics. All `u64` counters are
 /// cumulative-monotonic (see the module docs).
+///
+/// This is the in-process view ([`QueryService::metrics`]). Remote callers
+/// read the same numbers as counters and gauges of the `ObsSnapshot` wire
+/// response, which [`QueryService::obs_snapshot`] builds from this report.
+///
+/// [`QueryService::metrics`]: crate::QueryService::metrics
+/// [`QueryService::obs_snapshot`]: crate::QueryService::obs_snapshot
 #[derive(Debug, Clone)]
 pub struct MetricsReport {
     /// Requests answered.
@@ -283,7 +290,7 @@ mod tests {
     fn report_surfaces_the_rejected_admission_counter() {
         // Regression guard: overload must stay observable — the `rejected`
         // counter the admission path increments has to reach the report (and
-        // from there the wire `Metrics` response) unchanged.
+        // from there the wire `ObsSnapshot` response) unchanged.
         let m = ServiceMetrics::new(1);
         m.rejected.fetch_add(5, Ordering::Relaxed);
         m.completed.fetch_add(2, Ordering::Relaxed);
@@ -312,7 +319,7 @@ mod tests {
     fn report_surfaces_steal_and_retention_counters() {
         // Regression guard for the work-stealing + cache-survival telemetry:
         // thief-side steal counts and publish-time retention totals must
-        // reach the report (and from there the wire `Metrics` response).
+        // reach the report (and from there the wire `ObsSnapshot` response).
         let m = ServiceMetrics::new(3);
         m.shards[2].record_steals(4);
         m.shards[0].record_steals(1);

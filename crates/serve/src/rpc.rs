@@ -16,12 +16,8 @@
 //!   corrupt or foreign-version frames with a typed [`ErrorReply`] and a
 //!   clean disconnect.
 
-use crate::metrics::MetricsReport;
 use crate::service::{PublishError, QueryResponse, QueryService, ServiceError};
-use ksp_proto::message::{
-    ErrorReply, QueryAnswer, QueryOutcome, Request, Response, WireMetrics, WireQueueGauge,
-};
-use ksp_proto::obs::WireObsSnapshot;
+use ksp_proto::message::{ErrorReply, QueryAnswer, QueryOutcome, Request, Response};
 use ksp_proto::transport::{Transport, TransportError, TransportStats};
 use std::sync::Arc;
 
@@ -76,39 +72,6 @@ fn answer_from(response: QueryResponse) -> QueryAnswer {
     }
 }
 
-/// Flattens a [`MetricsReport`] into its wire form — including the
-/// `rejected` admission counter and the per-shard queue gauges, so overload
-/// is observable through a remote `Metrics` request exactly as it is in
-/// process.
-pub fn wire_metrics(report: &MetricsReport) -> WireMetrics {
-    let micros = |d: std::time::Duration| d.as_micros().min(u64::MAX as u128) as u64;
-    WireMetrics {
-        completed: report.completed,
-        rejected: report.rejected,
-        cache_hits: report.cache_hits,
-        cache_misses: report.cache_misses,
-        epochs_published: report.epochs_published,
-        p50_micros: micros(report.p50),
-        p95_micros: micros(report.p95),
-        p99_micros: micros(report.p99),
-        mean_micros: micros(report.mean),
-        max_micros: micros(report.max),
-        queue_gauges: report
-            .queue_gauges
-            .iter()
-            .map(|g| WireQueueGauge {
-                depth: g.depth as u64,
-                high_water: g.high_water as u64,
-                max_depth: g.max_depth as u64,
-            })
-            .collect(),
-        steals: report.steals,
-        cache_retained: report.cache_retained,
-        cache_evicted: report.cache_evicted,
-        epoch_age_ms: report.epoch_age.as_millis().min(u64::MAX as u128) as u64,
-    }
-}
-
 impl QueryService {
     /// Answers one protocol request. This is the generic dispatch every
     /// transport calls into; [`QueryService::query`] and
@@ -158,14 +121,11 @@ impl QueryService {
                 Ok(epoch) => Response::ApplyBatch { epoch },
                 Err(e) => Response::Error(e.into()),
             },
-            Request::Metrics => Response::Metrics(wire_metrics(&self.metrics())),
             Request::CheckpointNow => match self.checkpoint_now() {
                 Ok(epoch) => Response::CheckpointNow { epoch },
                 Err(e) => Response::Error(e.into()),
             },
-            Request::ObsSnapshot => {
-                Response::ObsSnapshot(WireObsSnapshot::from(&self.obs_snapshot()))
-            }
+            Request::ObsSnapshot => Response::ObsSnapshot(Box::new(self.obs_snapshot())),
             request @ (Request::ShipSegment { .. }
             | Request::SnapshotChunk { .. }
             | Request::ReplAck { .. }) => match self.replication_hook() {
@@ -289,26 +249,19 @@ mod tests {
         ));
         assert_eq!(service.current_epoch(), 1);
 
-        // Metrics carries the rejected counter and per-shard gauges.
-        let Response::Metrics(metrics) = service.handle(Request::Metrics) else {
-            panic!("expected a Metrics response");
-        };
-        assert_eq!(metrics.epochs_published, 1);
-        assert_eq!(metrics.rejected, 0);
-        assert_eq!(metrics.queue_gauges.len(), 2);
-
         // CheckpointNow on an in-memory service is a typed no-op.
         assert_eq!(service.handle(Request::CheckpointNow), Response::CheckpointNow { epoch: None });
 
-        // ObsSnapshot mirrors the in-process snapshot through the wire types
-        // losslessly.
-        let Response::ObsSnapshot(wire) = service.handle(Request::ObsSnapshot) else {
+        // ObsSnapshot carries the rejected counter and per-shard gauges.
+        let Response::ObsSnapshot(snap) = service.handle(Request::ObsSnapshot) else {
             panic!("expected an ObsSnapshot response");
         };
-        let snap = wire.into_snapshot().unwrap();
-        assert_eq!(snap.counter("ksp_requests_completed_total"), metrics.completed);
         assert_eq!(snap.counter("ksp_epochs_published_total"), 1);
-        assert_eq!(snap.end_to_end.count, metrics.completed);
+        assert_eq!(snap.counter("ksp_requests_rejected_total"), 0);
+        assert_eq!(snap.gauges.iter().filter(|g| g.name == "ksp_queue_depth").count(), 2);
+        let completed = service.metrics().completed;
+        assert_eq!(snap.counter("ksp_requests_completed_total"), completed);
+        assert_eq!(snap.end_to_end.count, completed);
     }
 
     #[test]

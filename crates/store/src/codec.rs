@@ -275,6 +275,39 @@ impl<T: StoreCodec> StoreCodec for Vec<T> {
     }
 }
 
+impl StoreCodec for String {
+    fn encode(&self, w: &mut Writer) {
+        w.put_u64(self.len() as u64);
+        w.put_bytes(self.as_bytes());
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let len = r.get_count(1)?;
+        String::from_utf8(r.get_bytes(len)?.to_vec())
+            .map_err(|_| CodecError::InvalidValue("string payload is not valid UTF-8"))
+    }
+}
+
+/// A `u8` tag — 0 for `None`, 1 for `Some` — followed by the value when
+/// present.
+impl<T: StoreCodec> StoreCodec for Option<T> {
+    fn encode(&self, w: &mut Writer) {
+        match self {
+            Some(value) => {
+                w.put_u8(1);
+                value.encode(w);
+            }
+            None => w.put_u8(0),
+        }
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        match r.get_u8()? {
+            0 => Ok(None),
+            1 => Ok(Some(T::decode(r)?)),
+            tag => Err(CodecError::InvalidTag { what: "Option", tag }),
+        }
+    }
+}
+
 impl<A: StoreCodec, B: StoreCodec> StoreCodec for (A, B) {
     fn encode(&self, w: &mut Writer) {
         self.0.encode(w);
@@ -320,6 +353,22 @@ mod tests {
         let value: Vec<(u32, f64)> = vec![(1, 0.5), (2, f64::INFINITY), (7, 1e-300)];
         let decoded = Vec::<(u32, f64)>::from_bytes(&value.to_bytes()).unwrap();
         assert_eq!(decoded, value);
+    }
+
+    #[test]
+    fn strings_and_options_round_trip() {
+        let value: Vec<(String, Option<u64>)> =
+            vec![(String::new(), None), ("shard=\"1\" ü".to_string(), Some(u64::MAX))];
+        let decoded = Vec::<(String, Option<u64>)>::from_bytes(&value.to_bytes()).unwrap();
+        assert_eq!(decoded, value);
+        assert!(matches!(
+            Option::<u64>::from_bytes(&[2]),
+            Err(CodecError::InvalidTag { what: "Option", tag: 2 })
+        ));
+        let mut w = Writer::new();
+        w.put_u64(2);
+        w.put_bytes(&[0xC3, 0x28]);
+        assert!(matches!(String::from_bytes(&w.into_bytes()), Err(CodecError::InvalidValue(_))));
     }
 
     #[test]

@@ -13,6 +13,9 @@
 //!   their accumulated distances, subgraph weights, ownership tables) while
 //!   derived structures (EP-Index/MFP backends, unit-weight multisets, the
 //!   skeleton graph) are rebuilt deterministically on load.
+//!   [`graph_codec`], [`index_codec`] and [`obs_codec`] implement it for the
+//!   `ksp-graph`, `ksp-core` and `ksp-obs` types; the last is the payload of
+//!   the wire `ObsSnapshot` response.
 //! * [`checkpoint`] — atomic whole-pair snapshots (`checkpoint-<epoch>.ckpt`)
 //!   and *incremental* images (`partial-<epoch>.pckpt`) carrying only the
 //!   subgraphs dirtied since the previous image, with a periodic full rebase
@@ -76,6 +79,7 @@ pub mod error;
 pub mod graph_codec;
 pub mod index_codec;
 pub mod io;
+pub mod obs_codec;
 pub mod store;
 pub mod wal;
 

@@ -209,21 +209,22 @@ fn main() {
     let answers = client.query_pipelined(&keys).expect("pipelined queries");
     let answered = answers.iter().filter(|a| a.is_ok()).count();
     println!("pipelined {} queries in one round trip: {answered} answered", keys.len());
-    let remote_metrics = client.metrics().expect("metrics over the wire");
+    // The observability surface, over the same socket: a typed `ObsSnapshot`
+    // carries every counter and gauge, decomposes every served request into
+    // its pipeline stages (the stage totals sum to the end-to-end total — an
+    // exact attribution), and `scrape_text` renders the whole thing in the
+    // Prometheus text format a monitoring stack would poll.
+    let snap = client.obs_snapshot().expect("obs snapshot over the wire");
+    let (hits, misses) =
+        (snap.counter("ksp_cache_hits_total"), snap.counter("ksp_cache_misses_total"));
     println!(
         "remote metrics: {} completed, {} rejected by admission control, {:.1} % cache hits",
-        remote_metrics.completed,
-        remote_metrics.rejected,
-        remote_metrics.cache_hit_rate() * 100.0
+        snap.counter("ksp_requests_completed_total"),
+        snap.counter("ksp_requests_rejected_total"),
+        hits as f64 * 100.0 / (hits + misses).max(1) as f64
     );
-    // The observability surface, over the same socket: a typed `ObsSnapshot`
-    // decomposes every served request into its pipeline stages (the stage
-    // totals sum to the end-to-end total — an exact attribution), and
-    // `scrape_text` renders the whole thing in the Prometheus text format a
-    // monitoring stack would poll.
     println!();
     println!("== observability showcase (over the same TCP connection) ==");
-    let snap = client.obs_snapshot().expect("obs snapshot over the wire");
     println!(
         "where a request's time goes ({} requests, epoch age {:.3} s):",
         snap.end_to_end.count,

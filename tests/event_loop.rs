@@ -170,10 +170,10 @@ fn event_loop_answers_are_byte_identical_to_in_proc() {
     // The metrics surface (including the rejected counter) is visible over
     // the wire.
     let (mut client, _) = KspClient::connect(addr).unwrap();
-    let metrics = client.metrics().unwrap();
-    assert!(metrics.completed >= 3 * workload.len() as u64);
-    assert_eq!(metrics.rejected, 0);
-    assert_eq!(metrics.queue_gauges.len(), 3);
+    let snap = client.obs_snapshot().unwrap();
+    assert!(snap.counter("ksp_requests_completed_total") >= 3 * workload.len() as u64);
+    assert_eq!(snap.counter("ksp_requests_rejected_total"), 0);
+    assert_eq!(snap.gauges.iter().filter(|g| g.name == "ksp_queue_depth").count(), 3);
 
     let stats = server.stats();
     assert!(stats.accepted >= 3);
@@ -384,7 +384,7 @@ fn hostile_frames_fail_typed_and_the_event_loop_survives() {
     // (d) Oversized declared length: rejected on the header alone.
     {
         let mut frame = Vec::new();
-        write_frame(&mut frame, FrameKind::Request, &Request::Metrics.to_bytes()).unwrap();
+        write_frame(&mut frame, FrameKind::Request, &Request::ObsSnapshot.to_bytes()).unwrap();
         frame[9..13].copy_from_slice(&(MAX_FRAME_PAYLOAD + 1).to_le_bytes());
         let mut conn = raw_conn(addr);
         conn.write_all(&frame).unwrap();
@@ -417,7 +417,7 @@ fn hostile_frames_fail_typed_and_the_event_loop_survives() {
     // (f) A response-kind frame sent to the server.
     {
         let mut frame = Vec::new();
-        write_frame(&mut frame, FrameKind::Response, &Request::Metrics.to_bytes()).unwrap();
+        write_frame(&mut frame, FrameKind::Response, &Request::ObsSnapshot.to_bytes()).unwrap();
         let mut conn = raw_conn(addr);
         conn.write_all(&frame).unwrap();
         conn.flush().unwrap();

@@ -129,18 +129,13 @@ fn epoch_age_gauge_travels_the_wire_and_resets_on_publish() {
     let (mut client, _) = KspClient::connect(server.local_addr()).unwrap();
 
     std::thread::sleep(Duration::from_millis(80));
-    let aged = client.metrics().unwrap().epoch_age_ms;
-    assert!(aged >= 50, "epoch age must accumulate while nothing publishes (got {aged} ms)");
+    let aged = client.obs_snapshot().unwrap().gauge("ksp_epoch_age_seconds").unwrap();
+    assert!(aged >= 0.05, "epoch age must accumulate while nothing publishes (got {aged} s)");
 
     let mut traffic = TrafficModel::new(&graph, TrafficConfig::default(), 9);
     client.apply_batch(&traffic.next_snapshot()).unwrap();
-    let fresh = client.metrics().unwrap().epoch_age_ms;
-    assert!(fresh < aged, "a publish must reset the age ({fresh} ms !< {aged} ms)");
-
-    // The same freshness signal, as a gauge in the observability snapshot.
-    let snap = client.obs_snapshot().unwrap();
-    let gauge = snap.gauge("ksp_epoch_age_seconds").expect("epoch age gauge");
-    assert!(gauge < aged as f64 / 1e3);
+    let fresh = client.obs_snapshot().unwrap().gauge("ksp_epoch_age_seconds").unwrap();
+    assert!(fresh < aged, "a publish must reset the age ({fresh} s !< {aged} s)");
 }
 
 /// Splits one exposition sample line into `(metric name, labels, value)`,
