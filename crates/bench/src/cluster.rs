@@ -1,14 +1,21 @@
-//! The measurement-oriented cluster harness.
+//! The simulated cluster behind the Section 6 scaling figures.
+//!
+//! The paper deploys KSP-DG on Apache Storm over 10–20 servers: an EntranceSpout
+//! routes updates and queries, SubgraphBolts own the partitioned subgraphs and their
+//! level-one DTLP indexes, and QueryBolts run the filter-and-refine loop of each query.
+//! This harness reproduces the cost model of that deployment on one machine, running
+//! the real engine ([`KspDgEngine`]) rather than a copy of it.
 //!
 //! Subgraphs are assigned to `Ns` *logical servers* with the same load-balancing rule
 //! the paper uses ("allocated to workers on a many-to-one basis based on their load").
 //! Work items — per-subgraph index builds, per-subgraph maintenance, per-query
-//! executions — run on a bounded pool of OS threads and each item's duration is
-//! measured individually, then attributed to the logical server that owns it. The
-//! reports expose both the wall-clock time of the parallel run and the *simulated
-//! makespan* (maximum per-server busy time), which is the quantity that scales with
-//! `Ns` the way a real cluster's batch latency does, independent of how many physical
-//! cores this machine happens to have.
+//! executions — run on a pool of OS threads sized to the machine and each item's
+//! duration is measured individually, then attributed to the logical server that owns
+//! it. The reports expose both the wall-clock time of the parallel run and the
+//! *simulated makespan* (maximum per-server busy time), which is the quantity that
+//! scales with `Ns` the way a real cluster's batch latency does, independent of how
+//! many physical cores this machine happens to have. The `fig42`–`fig46` and `loadbal`
+//! experiments read these reports; per-server accounting lives in [`crate::metrics`].
 
 use crate::metrics::{balanced_assignment, LoadBalanceReport, ServerLoad};
 use ksp_core::dtlp::{DtlpConfig, DtlpIndex, SubgraphIndex};
@@ -29,21 +36,20 @@ pub struct ClusterConfig {
     pub num_servers: usize,
     /// DTLP configuration used to build the distributed index.
     pub dtlp: DtlpConfig,
-    /// Maximum number of OS threads used to execute work items concurrently. Defaults
-    /// to the machine's available parallelism when `None`.
-    pub max_threads: Option<usize>,
 }
 
 impl ClusterConfig {
     /// Creates a configuration with the given server count and DTLP settings.
     pub fn new(num_servers: usize, dtlp: DtlpConfig) -> Self {
-        ClusterConfig { num_servers, dtlp, max_threads: None }
+        ClusterConfig { num_servers, dtlp }
     }
+}
 
-    fn worker_threads(&self, items: usize) -> usize {
-        let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
-        self.max_threads.unwrap_or(hw).min(items.max(1)).max(1)
-    }
+/// OS threads used to execute `items` work items: the machine's available
+/// parallelism, but never more threads than items.
+fn worker_threads(items: usize) -> usize {
+    let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
+    hw.min(items.max(1))
 }
 
 /// A single KSP query submitted to the cluster.
@@ -84,8 +90,8 @@ pub struct DistributedMaintenanceReport {
 }
 
 /// Report of a distributed query batch (the query-scaling Figures 43–46 and the
-/// Section 6.6 load-balance report; the engine-level query figures 28–34 come from
-/// `ksp-bench` directly).
+/// Section 6.6 load-balance report; the engine-level query figures 28–34 time the
+/// engine directly).
 #[derive(Debug, Clone)]
 pub struct DistributedQueryReport {
     /// Wall-clock time of the parallel batch on this machine.
@@ -159,7 +165,7 @@ impl Cluster {
         let subgraph_server = balanced_assignment(&load_estimates, config.num_servers);
 
         // Build every subgraph index on a bounded worker pool, measuring each build.
-        let threads = config.worker_threads(subgraphs.len());
+        let threads = worker_threads(subgraphs.len());
         let next = AtomicUsize::new(0);
         let results: Mutex<Vec<Option<(SubgraphIndex, Duration)>>> =
             Mutex::new((0..subgraphs.len()).map(|_| None).collect());
@@ -271,7 +277,7 @@ impl Cluster {
     /// handled by a single QueryBolt in the deployed system).
     pub fn process_queries(&self, queries: &[QuerySpec]) -> DistributedQueryReport {
         let start = Instant::now();
-        let threads = self.config.worker_threads(queries.len());
+        let threads = worker_threads(queries.len());
         let next = AtomicUsize::new(0);
         let results: Mutex<Vec<Option<(Duration, QueryStats)>>> =
             Mutex::new((0..queries.len()).map(|_| None).collect());

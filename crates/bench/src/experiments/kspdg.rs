@@ -1,9 +1,9 @@
 //! Experiments on KSP-DG query processing (Figures 24–34).
 
+use crate::cluster::{Cluster, ClusterConfig, QuerySpec};
 use crate::experiments::datasets_for;
 use crate::report::{f2, ms, Table};
 use crate::Scale;
-use ksp_cluster::cluster::{Cluster, ClusterConfig, QuerySpec};
 use ksp_core::dtlp::{DtlpConfig, DtlpIndex};
 use ksp_core::kspdg::KspDgEngine;
 use ksp_workload::{

@@ -1,9 +1,9 @@
 //! Scaling-out experiments (Figures 42–46) and the load-balance report of Section 6.6.
 
+use crate::cluster::{Cluster, ClusterConfig, QuerySpec};
 use crate::report::{f2, ms, Table};
 use crate::Scale;
 use ksp_algo::{find_ksp, yen_ksp};
-use ksp_cluster::cluster::{Cluster, ClusterConfig, QuerySpec};
 use ksp_core::dtlp::DtlpConfig;
 use ksp_workload::{DatasetPreset, QueryWorkload, QueryWorkloadConfig};
 use std::time::{Duration, Instant};

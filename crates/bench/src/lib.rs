@@ -2,9 +2,10 @@
 //!
 //! Every table and figure of the paper's evaluation (Section 6) has a corresponding
 //! experiment in [`experiments`]; the `experiments` binary runs one (or all) of them
-//! and prints the same series/rows the paper reports. The Criterion benches under
-//! `benches/` time the individual operations (index build, index update, query,
-//! baselines) on the same datasets.
+//! and prints the same series/rows the paper reports. The scaling figures run on
+//! [`cluster`], which assigns subgraphs and queries to simulated servers and reports
+//! per-server load ([`metrics`]) and the simulated makespan. The `ledger` binary is
+//! the repository's benchmark; it uses none of this library.
 //!
 //! Experiments run on synthetic road networks generated by `ksp-workload` at a
 //! configurable [`Scale`] (see `DESIGN.md` for the dataset-substitution rationale).
@@ -14,7 +15,9 @@
 
 #![warn(missing_docs)]
 
+pub mod cluster;
 pub mod experiments;
+pub mod metrics;
 pub mod report;
 
 use ksp_workload::datasets::DatasetScale;

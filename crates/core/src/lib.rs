@@ -23,8 +23,8 @@
 //!   (Theorem 3), which guarantees the exact answer.
 //!
 //! The crate is deliberately independent of any particular execution environment: the
-//! distributed runtime in `ksp-cluster` drives the same types from worker threads,
-//! while the examples and tests drive them single-threaded.
+//! query service and the simulated cluster in `ksp-bench` drive the same types from
+//! worker threads, while the examples and tests drive them single-threaded.
 //!
 //! # Quick example
 //!

@@ -1,9 +1,8 @@
 //! `ksp-proto`: the typed wire protocol and transport abstraction for KSP-DG
 //! serving.
 //!
-//! The paper's deployment (Section 6.1) puts clients, the query coordinator
-//! and the subgraph workers on opposite sides of a network; this crate is the
-//! contract they speak. It has three layers, each usable on its own:
+//! Clients and the query service sit on opposite sides of a network; this
+//! crate is the contract they speak. It has three layers, each usable on its own:
 //!
 //! * [`message`] — the **operator surface** as data: [`Request`] / [`Response`]
 //!   enums covering single queries, pipelined multi-query batches, epoch
@@ -27,13 +26,6 @@
 //!   [`KspClient`] is the typed handle applications hold. The in-process
 //!   zero-copy implementation lives in `ksp-serve` (`InProcTransport`), next
 //!   to the service it short-circuits into.
-//!
-//! [`shard`] carries the frame types reserved for *shard-to-shard* traffic —
-//! the tuples the Storm-style topology in `ksp-cluster` exchanges between the
-//! entrance spout and the subgraph workers — so the communication-cost
-//! accounting of the distributed experiments can price tuples in physical
-//! wire bytes today, and a future multi-process topology can reuse the exact
-//! same encoding.
 //!
 //! # Wire format
 //!
@@ -60,7 +52,6 @@ pub mod client;
 pub mod fault;
 pub mod frame;
 pub mod message;
-pub mod shard;
 pub mod transport;
 
 pub use client::{ClientConfig, ClientError, HandshakeInfo, KspClient, LatencyBreakdown};
@@ -71,5 +62,4 @@ pub use message::{
     WireQueryStats, WireSegmentBatch, WireShippedRecord, WireSnapshotChunk, WireSnapshotFile,
     WireSnapshotManifest, PROTOCOL_VERSION,
 };
-pub use shard::{LowerBoundDelta, PairPaths, ShardTuple};
 pub use transport::{TcpTransport, Transport, TransportError, TransportStats};

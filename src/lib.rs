@@ -8,7 +8,6 @@
 //! * [`algo`] — Dijkstra, Yen's algorithm, FindKSP and path utilities ([`ksp_algo`]).
 //! * [`core`] — the DTLP index and the KSP-DG query engine ([`ksp_core`]).
 //! * [`cands`] — the CANDS single-shortest-path baseline ([`ksp_cands`]).
-//! * [`cluster`] — the simulated distributed runtime ([`ksp_cluster`]).
 //! * [`workload`] — dataset generators, the traffic model and query workloads
 //!   ([`ksp_workload`]).
 //! * [`serve`] — the concurrent query-serving subsystem: epoch snapshots,
@@ -51,7 +50,6 @@
 
 pub use ksp_algo as algo;
 pub use ksp_cands as cands;
-pub use ksp_cluster as cluster;
 pub use ksp_core as core;
 pub use ksp_fault as fault;
 pub use ksp_graph as graph;
