@@ -354,11 +354,6 @@ impl AdmissionController {
         &self.estimator
     }
 
-    /// Whether adaptive admission is active (a non-zero budget was given).
-    pub fn is_adaptive(&self) -> bool {
-        self.budget_nanos > 0
-    }
-
     /// Decides one arriving request: `depth` is the target shard's live queue
     /// depth, `predicted` the request's cost class (from a trace-checked peek
     /// at the home shard's cache).
@@ -542,7 +537,6 @@ mod tests {
     #[test]
     fn controller_admits_blind_and_rejects_on_predicted_breach() {
         let c = AdmissionController::new(Duration::from_millis(10));
-        assert!(c.is_adaptive());
         // No completed request yet: no signal, admit anything.
         assert_eq!(c.assess(10_000, CostClass::EngineRun), AdmissionVerdict::Admit);
         // 1ms per queued item: depth 5 predicts ~6ms, within the 10ms budget.
@@ -599,7 +593,6 @@ mod tests {
     #[test]
     fn disabled_controller_admits_everything_but_still_hints() {
         let c = AdmissionController::new(Duration::ZERO);
-        assert!(!c.is_adaptive());
         c.estimator().observe(CostClass::EngineRun, Duration::from_millis(2));
         assert_eq!(c.assess(1_000_000, CostClass::EngineRun), AdmissionVerdict::Admit);
         // The static-cap hint still works off the estimator: 64 × 2ms = 128ms.

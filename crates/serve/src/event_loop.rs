@@ -1,24 +1,27 @@
-//! Readiness-polled TCP serving: one epoll-driven poller thread and a small
-//! fixed pool of dispatch workers.
+//! Readiness-polled TCP serving: one epoll-driven poller thread and one
+//! control thread.
 //!
 //! A thread per connection would spend one OS thread (and its stack) per
 //! client; at a thousand mostly-idle clients that is a thousand blocked
 //! threads the scheduler has to care about. [`EventLoopServer`] serves the
 //! wire protocol — CRC-guarded frames, typed errors, a typed reply and a
-//! clean disconnect for every hostile frame — on a *bounded* thread count:
+//! clean disconnect for every hostile frame — on two threads, however many
+//! connections are open:
 //!
 //! ```text
 //!              ┌────────────────────────────────────────────┐
 //!   accept ──▶ │ poller thread (epoll: listener + N socks)  │
 //!              │  · non-blocking read → reassemble frames   │
-//!              │  · admission (backlog cap + SLO predictor) │
 //!              │  · non-blocking write of queued responses  │
-//!              └───────┬───────────────────────▲────────────┘
-//!                 jobs │                       │ completions (self-pipe wake)
-//!              ┌───────▼───────────────────────┴────────────┐
-//!              │ dispatch workers (fixed pool)              │
-//!              │  · decode-free: QueryService::handle       │
-//!              └────────────────────────────────────────────┘
+//!              └───┬─────────────▲───────────────┬──────▲───┘
+//!         Query:   │ completions │ every other   │      │ completions
+//!   submit (the    │ (self-pipe  │ request       │      │ (self-pipe
+//!   service admits)│  wake)      │ (mpsc)        │      │  wake)
+//!              ┌───▼─────────────┴───┐      ┌────▼──────┴───┐
+//!              │ home shard's queue  │      │ control thread│
+//!              │ → shard worker runs │      │ · handle()    │
+//!              │   the reply callback│      └───────────────┘
+//!              └─────────────────────┘
 //! ```
 //!
 //! The poller owns every socket. Incoming bytes accumulate in a
@@ -27,32 +30,27 @@
 //! one segment; both decode to exactly what the blocking
 //! [`read_frame`](ksp_proto::frame::read_frame) would have produced, in the
 //! same validation order (magic → version → kind → length cap → payload →
-//! CRC). Responses are framed by the worker and handed back through a
-//! completion queue; a self-pipe wakes the poller to write them out.
+//! CRC).
 //!
-//! Requests of one connection are dispatched strictly in arrival order, one
+//! A single `Query` (bare or in one trace envelope) goes straight to the
+//! service's own admission, which queues it on its home shard without
+//! blocking; the shard worker that answers it runs the reply callback,
+//! which frames the response and hands it back through a completion queue.
+//! A rejected query is answered through the same callback, so the service
+//! counts every rejection once, and the connection stays healthy. Every
+//! other request goes to the control thread, which runs
+//! [`QueryService::handle`]. A self-pipe wakes the poller to write
+//! completions out.
+//!
+//! Requests of one connection are handed on strictly in arrival order, one
 //! at a time — a pipelined client gets its responses in request order.
-//!
-//! # Admission at the socket
-//!
-//! The dispatch queue in the sketch above is the queue a request actually
-//! waits in, so admission control runs *here*, at arrival, before a request
-//! ever occupies queue memory: the outstanding-job backlog is capped
-//! (`max_backlog`, the static cap), and when the service has an SLO budget
-//! the shared [`AdmissionController`](crate::admission::AdmissionController)
-//! predicts the request's end-to-end latency (backlog × blended service-time
-//! EWMA + its own cost class, trace-check-peeked from the home shard's
-//! cache) and rejects with a typed
-//! [`ErrorReply::Overloaded`]`{ retry_after_ms }` when the prediction would
-//! breach the budget. A rejected request is *answered*, never dropped: the
-//! connection stays healthy.
 //!
 //! Aggregate `ksp_eventloop_*` counters/gauges are appended to every
 //! `ObsSnapshot` response served through the loop, next to the service's own
 //! exposition.
 
-use crate::admission::{AdmissionVerdict, CostClass};
-use crate::service::{route_shard, QueryService};
+use crate::rpc::{echo_trace, query_response};
+use crate::service::{QueryService, Reply};
 use ksp_obs::{Counter, EventKind, Gauge};
 use ksp_proto::frame::{
     frame_len, write_frame, FrameError, FrameKind, FRAME_HEADER_LEN, FRAME_MAGIC, MAX_FRAME_PAYLOAD,
@@ -64,9 +62,9 @@ use std::io::{self, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Raw, dependency-free bindings to the handful of kernel calls the loop
 /// needs: epoll for readiness, a pipe for cross-thread wakeup. `std` already
@@ -179,8 +177,8 @@ mod sys {
         }
     }
 
-    /// A non-blocking self-pipe: workers write a byte to wake the poller out
-    /// of `epoll_wait`; the poller drains it on wakeup.
+    /// A non-blocking self-pipe: completing threads write a byte to wake the
+    /// poller out of `epoll_wait`; the poller drains it on wakeup.
     pub struct WakePipe {
         read_fd: c_int,
         write_fd: c_int,
@@ -199,8 +197,13 @@ mod sys {
             self.read_fd
         }
 
-        pub fn write_fd(&self) -> c_int {
-            self.write_fd
+        /// Writes one wake byte. Failure (pipe full) means a wake is already
+        /// pending — exactly as good.
+        pub fn wake(&self) {
+            let byte = [1u8];
+            // SAFETY: `write_fd` is this pipe's write end, open until `self`
+            // drops, and `byte` is one readable byte.
+            let _ = unsafe { write(self.write_fd, byte.as_ptr() as *const c_void, 1) };
         }
 
         /// Empties the pipe. A full pipe means a wake is already pending, so
@@ -224,13 +227,6 @@ mod sys {
             }
         }
     }
-
-    /// Writes one wake byte. Failure (pipe full) means a wake is already
-    /// pending — exactly as good.
-    pub fn wake(write_fd: c_int) {
-        let byte = [1u8];
-        let _ = unsafe { write(write_fd, byte.as_ptr() as *const c_void, 1) };
-    }
 }
 
 /// Token the listener registers under; connection tokens count up from zero
@@ -245,6 +241,8 @@ const PENDING_CAP: usize = 64;
 /// How long `epoll_wait` may sleep with nothing to do; bounds shutdown
 /// latency if a wake byte is ever lost.
 const IDLE_POLL_MS: i32 = 500;
+/// Serving threads of one server: the poller and the control thread.
+const LOOP_THREADS: usize = 2;
 
 /// Hostile-frame reason codes carried in the [`EventKind::HostileFrame`]
 /// flight events (payload word `a`).
@@ -259,34 +257,6 @@ pub mod hostile_frame {
     /// Framing was lost: bad magic, CRC mismatch, truncation or an oversized
     /// length.
     pub const FRAMING_LOST: u64 = 3;
-}
-
-/// Tuning for an [`EventLoopServer`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EventLoopConfig {
-    /// Dispatch workers decoding nothing and calling
-    /// [`QueryService::handle`]; the server's only per-request threads. The
-    /// total thread count is `dispatch_workers + 1` regardless of how many
-    /// connections are open.
-    pub dispatch_workers: usize,
-    /// Static cap on outstanding dispatched-but-unanswered requests across
-    /// all connections; query requests beyond it are rejected with a typed
-    /// `Overloaded` carrying a drain-time hint.
-    pub max_backlog: usize,
-}
-
-impl Default for EventLoopConfig {
-    fn default() -> Self {
-        EventLoopConfig { dispatch_workers: 2, max_backlog: 1024 }
-    }
-}
-
-impl EventLoopConfig {
-    /// Validates the configuration.
-    pub fn validate(&self) {
-        assert!(self.dispatch_workers >= 1, "dispatch_workers must be at least 1");
-        assert!(self.max_backlog >= 1, "max_backlog must be at least 1");
-    }
 }
 
 /// Point-in-time view of the loop's aggregate transport accounting.
@@ -306,18 +276,20 @@ pub struct EventLoopStats {
     pub bytes_in: u64,
     /// Wire bytes of queued response frames.
     pub bytes_out: u64,
-    /// `Overloaded` rejections sent through the loop — by loop-level
-    /// admission (backlog cap or SLO predictor) or by the service's own
-    /// per-shard assessment after dispatch. Always answered, never dropped.
+    /// `Overloaded` replies sent through the loop, one per rejected query
+    /// (a batch counts each rejected element). The service made every one
+    /// of these decisions and counted it too. Always answered, never
+    /// dropped.
     pub rejected: u64,
     /// Hostile frames answered with a typed error and a disconnect.
     pub hostile_frames: u64,
-    /// Requests dispatched and not yet answered.
+    /// Requests in flight through the loop: handed on, not yet answered.
     pub dispatch_backlog: u64,
 }
 
 /// Aggregate counters, shared between the poller (which drives most of them)
-/// and the workers (which stamp handle time and read them for `ObsSnapshot`).
+/// and the completing threads (which stamp handle time and read them for
+/// `ObsSnapshot`).
 #[derive(Debug, Default)]
 struct LoopMetrics {
     accepted: AtomicU64,
@@ -333,14 +305,11 @@ struct LoopMetrics {
     outstanding: AtomicU64,
 }
 
-/// One decoded request on its way to a dispatch worker.
-struct Job {
+/// One non-query request on its way to the control thread.
+struct ControlJob {
     token: u64,
     request: Request,
-    /// When loop admission accepted the request — the echoed per-query
-    /// latency is restamped to `admitted → reply ready` so it covers the
-    /// dispatch-queue wait, the queue this server actually queues in.
-    admitted: Instant,
+    submitted: Instant,
 }
 
 /// One framed response on its way back to the poller.
@@ -349,75 +318,39 @@ struct Completion {
     bytes: Vec<u8>,
 }
 
-struct DispatchState {
-    jobs: VecDeque<Job>,
-    closed: bool,
-}
-
-/// The unbounded-by-type, admission-bounded-in-practice job queue between the
-/// poller and the worker pool. Depth is bounded by loop admission
-/// (`max_backlog`), not by this structure.
-struct DispatchQueue {
-    state: Mutex<DispatchState>,
-    ready: Condvar,
-}
-
-impl DispatchQueue {
-    fn new() -> Self {
-        DispatchQueue {
-            state: Mutex::new(DispatchState { jobs: VecDeque::new(), closed: false }),
-            ready: Condvar::new(),
-        }
-    }
-
-    fn push(&self, job: Job) {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        if state.closed {
-            return; // shutting down; the connection is about to die anyway
-        }
-        state.jobs.push_back(job);
-        drop(state);
-        self.ready.notify_one();
-    }
-
-    /// Blocks for the next job; `None` once closed and drained.
-    fn pop(&self) -> Option<Job> {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(job) = state.jobs.pop_front() {
-                return Some(job);
-            }
-            if state.closed {
-                return None;
-            }
-            state = self.ready.wait(state).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    fn close(&self) {
-        self.state.lock().unwrap_or_else(|e| e.into_inner()).closed = true;
-        self.ready.notify_all();
-    }
-}
-
-/// State shared by the poller, the workers and the server handle.
+/// State shared by the poller, the control thread, the server handle and
+/// every reply callback a shard worker holds. It owns no service handle: a
+/// callback may outlive the server, and the last service handle must never
+/// be dropped on a shard worker.
 struct LoopShared {
-    service: Arc<QueryService>,
     shutting_down: AtomicBool,
-    dispatch: DispatchQueue,
     completions: Mutex<Vec<Completion>>,
-    /// Write end of the self-pipe; valid for the server's whole lifetime
-    /// (the poller owns the pipe and outlives every writer).
-    wake_fd: std::os::raw::c_int,
+    /// The self-pipe, owned here rather than by the poller so that a reply
+    /// completing after the poller exited still writes into this pipe, never
+    /// into a closed (and possibly reused) descriptor.
+    wake: sys::WakePipe,
     metrics: LoopMetrics,
-    threads: usize,
-    max_backlog: usize,
 }
 
 impl LoopShared {
-    fn complete(&self, completion: Completion) {
-        self.completions.lock().unwrap_or_else(|e| e.into_inner()).push(completion);
-        sys::wake(self.wake_fd);
+    /// Frames `response` for connection `token`, queues it for the poller and
+    /// wakes it. Never blocks: it runs on shard workers too.
+    fn complete(&self, token: u64, submitted: Instant, response: &Response) {
+        let m = &self.metrics;
+        m.handle_micros.fetch_add(
+            submitted.elapsed().as_micros().min(u64::MAX as u128) as u64,
+            Ordering::Relaxed,
+        );
+        let overloaded = count_overloaded(response);
+        if overloaded > 0 {
+            m.rejected.fetch_add(overloaded, Ordering::Relaxed);
+        }
+        let bytes = encode_response(response);
+        self.completions
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .push(Completion { token, bytes });
+        self.wake.wake();
     }
 
     fn stats(&self) -> EventLoopStats {
@@ -439,65 +372,49 @@ impl LoopShared {
 }
 
 /// A readiness-polled TCP serving endpoint over a [`QueryService`]: one
-/// epoll poller thread plus a fixed dispatch pool, graceful shutdown on drop.
+/// epoll poller thread plus one control thread, graceful shutdown on drop.
 /// Speaks the wire protocol a [`KspClient`](ksp_proto::KspClient) expects on
 /// a thread count independent of the connection count.
 pub struct EventLoopServer {
     local_addr: SocketAddr,
     shared: Arc<LoopShared>,
     poller: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    control: Option<JoinHandle<()>>,
 }
 
 impl EventLoopServer {
-    /// Binds `addr` (port 0 for ephemeral) with the default configuration.
+    /// Binds `addr` (port 0 for ephemeral) and starts the poller and the
+    /// control thread.
     pub fn bind(service: Arc<QueryService>, addr: impl ToSocketAddrs) -> io::Result<Self> {
-        Self::bind_with(service, addr, EventLoopConfig::default())
-    }
-
-    /// Binds `addr` and starts the poller and `config.dispatch_workers`
-    /// workers.
-    pub fn bind_with(
-        service: Arc<QueryService>,
-        addr: impl ToSocketAddrs,
-        config: EventLoopConfig,
-    ) -> io::Result<Self> {
-        config.validate();
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let epoll = sys::Epoll::new()?;
-        let wake = sys::WakePipe::new()?;
-        epoll.add(listener.as_raw_fd(), LISTENER_TOKEN, sys::EPOLLIN)?;
-        epoll.add(wake.read_fd(), WAKE_TOKEN, sys::EPOLLIN)?;
         let shared = Arc::new(LoopShared {
-            service,
             shutting_down: AtomicBool::new(false),
-            dispatch: DispatchQueue::new(),
             completions: Mutex::new(Vec::new()),
-            wake_fd: wake.write_fd(),
+            wake: sys::WakePipe::new()?,
             metrics: LoopMetrics::default(),
-            threads: config.dispatch_workers + 1,
-            max_backlog: config.max_backlog,
         });
-        let mut workers = Vec::with_capacity(config.dispatch_workers);
-        for i in 0..config.dispatch_workers {
-            let shared = shared.clone();
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("ksp-evloop-worker-{i}"))
-                    .spawn(move || worker_main(&shared))
-                    .expect("failed to spawn dispatch worker"),
-            );
-        }
+        epoll.add(listener.as_raw_fd(), LISTENER_TOKEN, sys::EPOLLIN)?;
+        epoll.add(shared.wake.read_fd(), WAKE_TOKEN, sys::EPOLLIN)?;
+        let (control_tx, control_rx) = mpsc::channel();
+        let control = std::thread::Builder::new()
+            .name("ksp-evloop-control".to_string())
+            .spawn({
+                let service = service.clone();
+                let shared = shared.clone();
+                move || control_main(&service, &shared, &control_rx)
+            })
+            .expect("failed to spawn control thread");
         let poller = std::thread::Builder::new()
             .name("ksp-evloop-poll".to_string())
             .spawn({
-                let shared = shared.clone();
-                move || Poller::new(listener, epoll, wake, shared).run()
+                let handoff = Handoff { service, shared: shared.clone(), control: control_tx };
+                move || Poller::new(listener, epoll, handoff).run()
             })
             .expect("failed to spawn poller");
-        Ok(EventLoopServer { local_addr, shared, poller: Some(poller), workers })
+        Ok(EventLoopServer { local_addr, shared, poller: Some(poller), control: Some(control) })
     }
 
     /// The address the server is listening on.
@@ -505,10 +422,10 @@ impl EventLoopServer {
         self.local_addr
     }
 
-    /// Total serving threads (poller + dispatch workers). Constant for the
+    /// Total serving threads (poller + control thread). Constant for the
     /// server's lifetime — the property the event loop exists for.
     pub fn thread_count(&self) -> usize {
-        self.shared.threads
+        LOOP_THREADS
     }
 
     /// Snapshot of the loop's aggregate transport accounting.
@@ -516,21 +433,18 @@ impl EventLoopServer {
         self.shared.stats()
     }
 
-    /// Stops accepting, disconnects every live connection and joins all
-    /// threads. Idempotent; also runs on drop.
+    /// Stops accepting, disconnects every live connection and joins both
+    /// threads. Idempotent; also runs on drop. Queries still queued on a
+    /// shard are answered into the void.
     pub fn shutdown(&mut self) {
         if self.shared.shutting_down.swap(true, Ordering::SeqCst) {
             return;
         }
-        // Workers first: they may still be finishing requests, and their
-        // completions need the poller (and the wake pipe) alive.
-        self.shared.dispatch.close();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-        sys::wake(self.shared.wake_fd);
-        if let Some(poller) = self.poller.take() {
-            let _ = poller.join();
+        self.shared.wake.wake();
+        // The poller owns the control channel's sender: once it is gone, the
+        // control thread finishes the jobs already sent and exits.
+        for thread in [self.poller.take(), self.control.take()].into_iter().flatten() {
+            let _ = thread.join();
         }
     }
 }
@@ -541,27 +455,13 @@ impl Drop for EventLoopServer {
     }
 }
 
-fn worker_main(shared: &Arc<LoopShared>) {
-    while let Some(job) = shared.dispatch.pop() {
-        let started = Instant::now();
-        let mut response = shared.service.handle(job.request);
-        shared.metrics.handle_micros.fetch_add(
-            started.elapsed().as_micros().min(u64::MAX as u128) as u64,
-            Ordering::Relaxed,
-        );
-        // Loop admission runs on the aggregate dispatch backlog; the service
-        // re-assesses on the sharper per-shard queue signal and may still
-        // reject an admitted request. Fold those verdicts into the loop's
-        // counter so `ksp_eventloop_rejected_total` covers every Overloaded
-        // reply sent through the loop, wherever the verdict was made.
-        let overloaded = count_overloaded(&response);
-        if overloaded > 0 {
-            shared.metrics.rejected.fetch_add(overloaded, Ordering::Relaxed);
-        }
-        stamp_loop_latency(&mut response, job.admitted);
+/// The control thread: every request that is not a single query, one at a
+/// time, through [`QueryService::handle`].
+fn control_main(service: &QueryService, shared: &LoopShared, jobs: &mpsc::Receiver<ControlJob>) {
+    for job in jobs {
+        let mut response = service.handle(job.request);
         append_eventloop_metrics(shared, &mut response);
-        let bytes = encode_response(&response);
-        shared.complete(Completion { token: job.token, bytes });
+        shared.complete(job.token, job.submitted, &response);
     }
 }
 
@@ -580,31 +480,6 @@ fn count_overloaded(response: &Response) -> u64 {
             .filter(|o| matches!(o, QueryOutcome::Error(ErrorReply::Overloaded { .. })))
             .count() as u64,
         _ => 0,
-    }
-}
-
-/// Restamps the echoed per-query latency to `admitted → reply ready`. The
-/// service measures a query from *its* submission, but over the event loop a
-/// request spends its queueing life in the dispatch queue before
-/// [`QueryService::handle`] ever sees it — the very wait the loop's
-/// admission control predicts and bounds. Without the restamp the echoed
-/// number understates exactly the component an overload inflates.
-fn stamp_loop_latency(response: &mut Response, admitted: Instant) {
-    let micros = admitted.elapsed().as_micros().min(u64::MAX as u128) as u64;
-    let inner = match response {
-        Response::Traced { inner, .. } => inner.as_mut(),
-        other => other,
-    };
-    match inner {
-        Response::Query(answer) => answer.latency_micros = micros,
-        Response::QueryBatch(outcomes) => {
-            for outcome in outcomes.iter_mut() {
-                if let QueryOutcome::Answer(answer) = outcome {
-                    answer.latency_micros = micros;
-                }
-            }
-        }
-        _ => {}
     }
 }
 
@@ -661,7 +536,7 @@ fn append_eventloop_metrics(shared: &LoopShared, response: &mut Response) {
         ("ksp_eventloop_open_connections", stats.open_connections as f64),
         ("ksp_eventloop_peak_connections", stats.peak_connections as f64),
         ("ksp_eventloop_dispatch_backlog", stats.dispatch_backlog as f64),
-        ("ksp_eventloop_threads", shared.threads as f64),
+        ("ksp_eventloop_threads", LOOP_THREADS as f64),
     ];
     for (name, value) in gauges {
         snapshot.gauges.push(Gauge { name: name.to_string(), labels: String::new(), value });
@@ -732,7 +607,7 @@ struct Conn {
     /// already-written prefix.
     write_buf: Vec<u8>,
     write_pos: usize,
-    /// Decoded requests waiting for their in-order dispatch slot.
+    /// Decoded requests waiting for their in-order hand-off.
     pending: VecDeque<Request>,
     /// Whether a request of this connection is dispatched and unanswered
     /// (at most one — that is what keeps pipelined responses in order).
@@ -794,107 +669,29 @@ impl Conn {
     }
 }
 
-/// Verdict of loop-level admission for one decoded request.
-enum AdmissionOutcome {
-    /// Dispatch it.
-    Admitted(Request),
-    /// Answer with this pre-framed `Overloaded` reply instead.
-    Rejected(Vec<u8>),
+/// Where the poller hands decoded requests: single queries to the service,
+/// everything else to the control thread.
+struct Handoff {
+    service: Arc<QueryService>,
+    shared: Arc<LoopShared>,
+    /// Dropped with the poller, which ends the control thread.
+    control: mpsc::Sender<ControlJob>,
 }
 
-/// Admission at the socket, for query-bearing requests only (control-plane
-/// requests — ping, metrics, publish, checkpoint, snapshot — always pass).
-/// Mirrors the service-side policy and bookkeeping: static backlog cap
-/// first, then the SLO predictor with a cost-class peek, with `Rejection`
-/// events and one `AdmissionBreach` flight dump per episode.
-fn loop_admission(shared: &LoopShared, request: Request) -> AdmissionOutcome {
-    let probe = match &request {
-        Request::Traced { inner, .. } => query_probe(inner),
-        other => query_probe(other),
-    };
-    let Some(key) = probe else {
-        return AdmissionOutcome::Admitted(request);
-    };
-    let controller = shared.service.admission_controller();
-    let backlog = shared.metrics.outstanding.load(Ordering::Relaxed) as usize;
-    let verdict = if backlog >= shared.max_backlog {
-        Some((controller.queue_full_hint_ms(backlog), None))
-    } else if controller.is_adaptive() {
-        let class = match key {
-            Some((source, target, k)) => shared.service.predict_cost(source, target, k),
-            // A batch mixes identities; predict conservatively.
-            None => CostClass::EngineRun,
-        };
-        match controller.assess(backlog, class) {
-            AdmissionVerdict::Admit => None,
-            AdmissionVerdict::Reject(r) => Some((r.retry_after_ms, Some(r))),
-        }
-    } else {
-        None
-    };
-    let Some((retry_after_ms, rejection)) = verdict else {
-        return AdmissionOutcome::Admitted(request);
-    };
-    let shard_id =
-        key.map(|(s, t, k)| route_shard(s, t, k, shared.service.num_shards()) as u64).unwrap_or(0);
-    let (trace, _) = request.into_parts();
-    let trace_id = trace.as_ref().map(|t| t.trace_id).unwrap_or(0);
-    let obs = shared.service.observability();
-    obs.record(EventKind::Rejection, shard_id, backlog as u64, retry_after_ms);
-    if let Some(r) = rejection {
-        if r.entered_breach {
-            let micros = |d: Duration| d.as_micros().min(u64::MAX as u128) as u64;
-            obs.trigger_traced(
-                EventKind::AdmissionBreach,
-                shard_id,
-                micros(r.estimated_wait),
-                micros(r.budget),
-                None,
-                trace_id,
-            );
-        }
-    }
-    let inner = Response::Error(ErrorReply::Overloaded { depth: backlog as u64, retry_after_ms });
-    let response = match trace {
-        Some(trace) => Response::Traced { trace, inner: Box::new(inner) },
-        None => inner,
-    };
-    AdmissionOutcome::Rejected(encode_response(&response))
-}
-
-/// `Some(identity)` when `request` is admission-controlled: a single query's
-/// `(source, target, k)`, or `Some(None)` for a batch (no single identity).
-#[allow(clippy::type_complexity)]
-fn query_probe(
-    request: &Request,
-) -> Option<Option<(ksp_graph::VertexId, ksp_graph::VertexId, usize)>> {
-    match request {
-        Request::Query(key) => Some(Some((key.source, key.target, key.k))),
-        Request::QueryBatch(_) => Some(None),
-        _ => None,
-    }
-}
-
-/// The poller: owns the listener, the epoll instance, the wake pipe and
-/// every connection. Single-threaded by construction — no connection state
-/// is ever touched off this thread.
+/// The poller: owns the listener, the epoll instance and every connection.
+/// Single-threaded by construction — no connection state is ever touched off
+/// this thread.
 struct Poller {
     listener: TcpListener,
     epoll: sys::Epoll,
-    wake: sys::WakePipe,
-    shared: Arc<LoopShared>,
+    handoff: Handoff,
     conns: HashMap<u64, Conn>,
     next_token: u64,
 }
 
 impl Poller {
-    fn new(
-        listener: TcpListener,
-        epoll: sys::Epoll,
-        wake: sys::WakePipe,
-        shared: Arc<LoopShared>,
-    ) -> Self {
-        Poller { listener, epoll, wake, shared, conns: HashMap::new(), next_token: 0 }
+    fn new(listener: TcpListener, epoll: sys::Epoll, handoff: Handoff) -> Self {
+        Poller { listener, epoll, handoff, conns: HashMap::new(), next_token: 0 }
     }
 
     fn run(mut self) {
@@ -911,23 +708,23 @@ impl Poller {
                 let ev = *event;
                 let (bits, token) = (ev.events, ev.data);
                 match token {
-                    WAKE_TOKEN => self.wake.drain(),
+                    WAKE_TOKEN => self.handoff.shared.wake.drain(),
                     LISTENER_TOKEN => self.accept_ready(),
                     token => self.conn_ready(token, bits),
                 }
             }
-            // Completions are applied every cycle — a worker's wake byte may
+            // Completions are applied every cycle — a wake byte may
             // coalesce with socket readiness, so this must not depend on
             // having seen WAKE_TOKEN.
             self.apply_completions();
-            if self.shared.shutting_down.load(Ordering::SeqCst) {
+            if self.handoff.shared.shutting_down.load(Ordering::SeqCst) {
                 break;
             }
         }
         for (_, conn) in self.conns.drain() {
             let _ = conn.stream.shutdown(std::net::Shutdown::Both);
         }
-        self.shared.metrics.open.store(0, Ordering::Relaxed);
+        self.handoff.shared.metrics.open.store(0, Ordering::Relaxed);
     }
 
     fn accept_ready(&mut self) {
@@ -951,7 +748,7 @@ impl Poller {
                 continue;
             }
             self.conns.insert(token, Conn::new(stream, token));
-            let metrics = &self.shared.metrics;
+            let metrics = &self.handoff.shared.metrics;
             metrics.accepted.fetch_add(1, Ordering::Relaxed);
             let open = metrics.open.fetch_add(1, Ordering::Relaxed) + 1;
             metrics.peak.fetch_max(open, Ordering::Relaxed);
@@ -964,7 +761,7 @@ impl Poller {
             conn.io_dead = true;
         } else {
             if bits & sys::EPOLLIN != 0 {
-                on_readable(conn, &self.shared);
+                on_readable(conn, &self.handoff);
             }
             if bits & sys::EPOLLOUT != 0 {
                 flush_writes(conn);
@@ -974,19 +771,20 @@ impl Poller {
     }
 
     fn apply_completions(&mut self) {
-        let completions =
-            std::mem::take(&mut *self.shared.completions.lock().unwrap_or_else(|e| e.into_inner()));
+        let completions = std::mem::take(
+            &mut *self.handoff.shared.completions.lock().unwrap_or_else(|e| e.into_inner()),
+        );
         for completion in completions {
-            self.shared.metrics.outstanding.fetch_sub(1, Ordering::Relaxed);
+            self.handoff.shared.metrics.outstanding.fetch_sub(1, Ordering::Relaxed);
             let Some(conn) = self.conns.get_mut(&completion.token) else {
                 continue; // the connection died while its request was served
             };
             conn.inflight = false;
-            conn.queue_reply(&completion.bytes, &self.shared.metrics);
-            // Full parse, not just dispatch: the freed slot may unblock
+            conn.queue_reply(&completion.bytes, &self.handoff.shared.metrics);
+            // Full parse, not just a hand-off: the freed slot may unblock
             // requests already buffered in `read_buf` past PENDING_CAP, which
             // no future EPOLLIN will announce.
-            parse_frames(conn, &self.shared);
+            parse_frames(conn, &self.handoff);
             self.service_conn(completion.token);
         }
     }
@@ -999,7 +797,7 @@ impl Poller {
         let Some(conn) = self.conns.get_mut(&token) else { return };
         if conn.tail.is_some() && !conn.inflight && conn.pending.is_empty() {
             let bytes = conn.tail.take().expect("checked is_some");
-            conn.queue_reply(&bytes, &self.shared.metrics);
+            conn.queue_reply(&bytes, &self.handoff.shared.metrics);
             conn.close_after_flush = true;
         }
         if conn.read_dead && conn.tail.is_none() && !conn.inflight && conn.pending.is_empty() {
@@ -1021,14 +819,14 @@ impl Poller {
         if let Some(conn) = self.conns.remove(&token) {
             self.epoll.delete(conn.stream.as_raw_fd());
             let _ = conn.stream.shutdown(std::net::Shutdown::Both);
-            self.shared.metrics.open.fetch_sub(1, Ordering::Relaxed);
+            self.handoff.shared.metrics.open.fetch_sub(1, Ordering::Relaxed);
         }
     }
 }
 
 /// Pumps the socket into the connection's read buffer until it would block,
 /// then cuts and handles as many complete frames as arrived.
-fn on_readable(conn: &mut Conn, shared: &LoopShared) {
+fn on_readable(conn: &mut Conn, handoff: &Handoff) {
     if conn.read_dead {
         return;
     }
@@ -1049,39 +847,30 @@ fn on_readable(conn: &mut Conn, shared: &LoopShared) {
             }
         }
     }
-    parse_frames(conn, shared);
+    parse_frames(conn, handoff);
 }
 
-/// Cuts complete frames off `read_buf`, dispatching well-formed requests and
+/// Cuts complete frames off `read_buf`, handing well-formed requests on and
 /// converting the first protocol violation into a typed reply-then-close,
 /// deferred behind any earlier requests still in flight so responses keep
 /// arrival order.
 ///
-/// Decoding and dispatch alternate until neither can advance. The loop
-/// matters: a pipelined burst larger than `PENDING_CAP` sits fully buffered
-/// in `read_buf` with no further `EPOLLIN` coming, so every slot that
-/// dispatch frees (inline rejections free them without any completion) must
-/// be refilled *here* — stopping after one decode pass would strand the
-/// remainder of the buffer forever.
-fn parse_frames(conn: &mut Conn, shared: &LoopShared) {
-    loop {
-        decode_frames(conn, shared);
-        let stalled_at_cap = conn.paused;
-        admit_and_dispatch(conn, shared);
-        // Re-decode only when the pass above stopped at PENDING_CAP and
-        // dispatch just freed slots; otherwise the buffer holds no complete
-        // frame (or the connection is condemned) and the loop must not spin.
-        if !(stalled_at_cap && !conn.paused && conn.tail.is_none()) {
-            break;
-        }
-    }
+/// The second decode pass matters: a pipelined burst larger than
+/// `PENDING_CAP` sits fully buffered in `read_buf` with no further `EPOLLIN`
+/// coming, so the slot a hand-off frees must be refilled *here* — stopping
+/// after one pass would strand the remainder of the buffer forever.
+fn parse_frames(conn: &mut Conn, handoff: &Handoff) {
+    decode_frames(conn, handoff);
+    hand_off_next(conn, handoff);
+    decode_frames(conn, handoff);
 }
 
 /// One decode pass of [`parse_frames`]: cuts frames until the buffer runs
 /// out of complete ones, `pending` reaches `PENDING_CAP`, or a protocol
 /// violation condemns the connection.
-fn decode_frames(conn: &mut Conn, shared: &LoopShared) {
-    let obs = shared.service.observability();
+fn decode_frames(conn: &mut Conn, handoff: &Handoff) {
+    let obs = handoff.service.observability();
+    let metrics = &handoff.shared.metrics;
     while conn.tail.is_none() {
         if conn.pending.len() >= PENDING_CAP {
             conn.paused = true;
@@ -1091,13 +880,12 @@ fn decode_frames(conn: &mut Conn, shared: &LoopShared) {
         match try_decode(&mut conn.read_buf) {
             Decoded::NeedMore => break,
             Decoded::Frame(FrameKind::Request, payload) => {
-                let metrics = &shared.metrics;
                 metrics.frames_in.fetch_add(1, Ordering::Relaxed);
                 metrics.bytes_in.fetch_add(frame_len(payload.len()) as u64, Ordering::Relaxed);
                 match Request::from_bytes(&payload) {
                     Ok(request) => conn.pending.push_back(request),
                     Err(e) => {
-                        shared.metrics.hostile.fetch_add(1, Ordering::Relaxed);
+                        metrics.hostile.fetch_add(1, Ordering::Relaxed);
                         obs.trigger(
                             EventKind::HostileFrame,
                             hostile_frame::UNDECODABLE_PAYLOAD,
@@ -1113,7 +901,7 @@ fn decode_frames(conn: &mut Conn, shared: &LoopShared) {
                 }
             }
             Decoded::Frame(FrameKind::Response, _) => {
-                shared.metrics.hostile.fetch_add(1, Ordering::Relaxed);
+                metrics.hostile.fetch_add(1, Ordering::Relaxed);
                 obs.trigger(
                     EventKind::HostileFrame,
                     hostile_frame::RESPONSE_KIND_FRAME,
@@ -1127,7 +915,7 @@ fn decode_frames(conn: &mut Conn, shared: &LoopShared) {
                 conn.tail = Some(encode_response(&reply));
             }
             Decoded::Fail(FrameError::VersionMismatch { ours, theirs }) => {
-                shared.metrics.hostile.fetch_add(1, Ordering::Relaxed);
+                metrics.hostile.fetch_add(1, Ordering::Relaxed);
                 obs.trigger(
                     EventKind::HostileFrame,
                     hostile_frame::VERSION_MISMATCH,
@@ -1144,7 +932,7 @@ fn decode_frames(conn: &mut Conn, shared: &LoopShared) {
             Decoded::Fail(e) => {
                 // BadMagic / CRC mismatch / oversized length / bad kind:
                 // framing is lost, answer typed and close.
-                shared.metrics.hostile.fetch_add(1, Ordering::Relaxed);
+                metrics.hostile.fetch_add(1, Ordering::Relaxed);
                 obs.trigger(EventKind::HostileFrame, hostile_frame::FRAMING_LOST, 0, 0, None);
                 let reply = Response::Error(ErrorReply::Malformed(e.to_string()));
                 conn.tail = Some(encode_response(&reply));
@@ -1159,7 +947,7 @@ fn decode_frames(conn: &mut Conn, shared: &LoopShared) {
         // typed exactly as it would be.
         let while_reading =
             if conn.read_buf.len() < FRAME_HEADER_LEN { "frame header" } else { "frame payload" };
-        shared.metrics.hostile.fetch_add(1, Ordering::Relaxed);
+        metrics.hostile.fetch_add(1, Ordering::Relaxed);
         obs.trigger(EventKind::HostileFrame, hostile_frame::FRAMING_LOST, 0, 0, None);
         let reply = Response::Error(ErrorReply::Malformed(
             FrameError::Truncated { while_reading }.to_string(),
@@ -1169,27 +957,42 @@ fn decode_frames(conn: &mut Conn, shared: &LoopShared) {
     }
 }
 
-/// Moves decoded requests toward the workers: at most one in flight per
-/// connection (in-order responses), loop admission deciding each one.
-/// Rejections are answered inline, preserving their position in the response
-/// order.
-fn admit_and_dispatch(conn: &mut Conn, shared: &LoopShared) {
-    while !conn.inflight {
-        let Some(request) = conn.pending.pop_front() else { break };
-        match loop_admission(shared, request) {
-            AdmissionOutcome::Admitted(request) => {
-                conn.inflight = true;
-                shared.metrics.outstanding.fetch_add(1, Ordering::Relaxed);
-                shared.dispatch.push(Job { token: conn.token, request, admitted: Instant::now() });
-            }
-            AdmissionOutcome::Rejected(bytes) => {
-                shared.metrics.rejected.fetch_add(1, Ordering::Relaxed);
-                conn.queue_reply(&bytes, &shared.metrics);
-            }
-        }
+/// Hands the connection's next request on, unless one is already in flight
+/// (one at a time keeps responses in arrival order). A single query goes
+/// straight to the service, which admits it and queues it on its home shard;
+/// its reply callback frames the response on whichever thread answers it.
+/// Every other request goes to the control thread.
+fn hand_off_next(conn: &mut Conn, handoff: &Handoff) {
+    if conn.inflight {
+        return;
     }
-    if conn.pending.len() < PENDING_CAP {
-        conn.paused = false;
+    let Some(request) = conn.pending.pop_front() else { return };
+    conn.inflight = true;
+    let shared = &handoff.shared;
+    shared.metrics.outstanding.fetch_add(1, Ordering::Relaxed);
+    let (token, submitted) = (conn.token, Instant::now());
+    let query = match &request {
+        Request::Query(key) => Some((None, *key)),
+        Request::Traced { trace, inner } => match inner.as_ref() {
+            Request::Query(key) => Some((Some(*trace), *key)),
+            _ => None,
+        },
+        _ => None,
+    };
+    match query {
+        Some((trace, key)) => {
+            let shared = Arc::clone(shared);
+            let reply = Reply::new(move |result| {
+                shared.complete(token, submitted, &echo_trace(trace, query_response(result)))
+            });
+            let trace_id = trace.map_or(0, |t| t.trace_id);
+            handoff.service.submit(key.source, key.target, key.k, trace_id, reply);
+        }
+        // The control thread outlives the poller; the send fails only if it
+        // died.
+        None => {
+            let _ = handoff.control.send(ControlJob { token, request, submitted });
+        }
     }
 }
 
@@ -1307,13 +1110,5 @@ mod tests {
             };
             assert_eq!((kind, incremental), blocking);
         }
-    }
-
-    #[test]
-    fn config_defaults_are_validated_and_bounded() {
-        let config = EventLoopConfig::default();
-        config.validate();
-        assert!(config.dispatch_workers >= 1);
-        assert!(config.max_backlog >= 1);
     }
 }

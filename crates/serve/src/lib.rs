@@ -51,14 +51,15 @@
 //! * [`rpc`] — the **protocol endpoint**: [`QueryService::handle`] dispatches
 //!   `ksp-proto`'s typed [`Request`](ksp_proto::Request)s, and the zero-copy
 //!   [`InProcTransport`] serves same-process clients.
-//! * [`event_loop`] — the **TCP server**, on a fixed thread count: one poller
-//!   thread drives a level-triggered `epoll` set with non-blocking sockets,
-//!   per-connection buffers and partial-frame reassembly, a small dispatch
-//!   pool runs the service, and the adaptive admission controller is applied
-//!   at the socket — floods are answered with typed rejections instead of
-//!   occupying threads, malformed or foreign-version frames with a typed
-//!   error and a disconnect, and a thousand idle connections cost file
-//!   descriptors, not stacks. `epoll` makes this crate Linux-only.
+//! * [`event_loop`] — the **TCP server**, on two threads: one poller thread
+//!   drives a level-triggered `epoll` set with non-blocking sockets,
+//!   per-connection buffers and partial-frame reassembly and submits each
+//!   query straight to its home shard, whose worker frames the reply; one
+//!   control thread runs every other request. Floods are answered with the
+//!   service's typed rejections instead of occupying threads, malformed or
+//!   foreign-version frames with a typed error and a disconnect, and a
+//!   thousand idle connections cost file descriptors, not stacks. `epoll`
+//!   makes this crate Linux-only.
 //!
 //! A service can also be **persistent**: started with
 //! [`QueryService::start_with_store`], every published batch is appended to
@@ -110,7 +111,7 @@ pub mod service;
 pub use admission::{AdmissionConfig, QueueFull, TimedPop};
 pub use cache::{CacheKey, CacheRetention, ResultCache};
 pub use epoch::{EpochPointer, EpochSnapshot};
-pub use event_loop::{EventLoopConfig, EventLoopServer, EventLoopStats};
+pub use event_loop::{EventLoopServer, EventLoopStats};
 pub use metrics::{LatencyHistogram, MetricsReport, ServiceMetrics, ShardQueueGauge};
 pub use rpc::{InProcTransport, ReplicationHook};
 pub use service::{

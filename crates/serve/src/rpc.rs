@@ -2,22 +2,24 @@
 //! in-process transport.
 //!
 //! [`QueryService::handle`] turns any protocol [`Request`] into a
-//! [`Response`] — it is the single dispatch every transport funnels into, so
-//! a query answered over a socket runs exactly the code path (and produces
-//! the bit-identical answer) of a query answered in process:
+//! [`Response`], and every transport funnels into the service's one query
+//! path, so a query answered over a socket runs exactly the code (and
+//! produces the bit-identical answer) of a query answered in process:
 //!
 //! * [`InProcTransport`] hands the request straight to `handle` — nothing is
 //!   serialised, paths move by pointer, and the transport's byte counters
 //!   stay at zero (the baseline the communication-cost experiments compare
 //!   the wire against).
-//! * [`EventLoopServer`](crate::EventLoopServer) puts `handle` behind a
-//!   socket: it reads length-prefixed CRC-guarded frames, decodes, dispatches
-//!   and writes the response frame back, answering malformed, truncated,
-//!   corrupt or foreign-version frames with a typed [`ErrorReply`] and a
-//!   clean disconnect.
+//! * [`EventLoopServer`](crate::EventLoopServer) puts the service behind a
+//!   socket: it reads length-prefixed CRC-guarded frames and submits a
+//!   single query straight to its home shard, whose worker builds the reply
+//!   with `query_response` and `echo_trace` — the same two steps `handle`
+//!   takes. Every other request goes through `handle` on the server's
+//!   control thread. Malformed, truncated, corrupt or foreign-version frames
+//!   are answered with a typed [`ErrorReply`] and a clean disconnect.
 
 use crate::service::{PublishError, QueryResponse, QueryService, ServiceError};
-use ksp_proto::message::{ErrorReply, QueryAnswer, QueryOutcome, Request, Response};
+use ksp_proto::message::{ErrorReply, QueryAnswer, QueryOutcome, Request, Response, TraceContext};
 use ksp_proto::transport::{Transport, TransportError, TransportStats};
 use std::sync::Arc;
 
@@ -72,6 +74,22 @@ fn answer_from(response: QueryResponse) -> QueryAnswer {
     }
 }
 
+/// The reply to one query's outcome.
+pub(crate) fn query_response(result: Result<QueryResponse, ServiceError>) -> Response {
+    match result {
+        Ok(response) => Response::Query(answer_from(response)),
+        Err(e) => Response::Error(e.into()),
+    }
+}
+
+/// Wraps `response` in the trace envelope its request arrived in, if any.
+pub(crate) fn echo_trace(trace: Option<TraceContext>, response: Response) -> Response {
+    match trace {
+        Some(trace) => Response::Traced { trace, inner: Box::new(response) },
+        None => response,
+    }
+}
+
 impl QueryService {
     /// Answers one protocol request. This is the generic dispatch every
     /// transport calls into; [`QueryService::query`] and
@@ -86,11 +104,7 @@ impl QueryService {
     pub fn handle(&self, request: Request) -> Response {
         let (trace, request) = request.into_parts();
         let trace_id = trace.map(|t| t.trace_id).unwrap_or(0);
-        let response = self.handle_inner(request, trace_id);
-        match trace {
-            Some(trace) => Response::Traced { trace, inner: Box::new(response) },
-            None => response,
-        }
+        echo_trace(trace, self.handle_inner(request, trace_id))
     }
 
     fn handle_inner(&self, request: Request, trace_id: u64) -> Response {
@@ -104,11 +118,9 @@ impl QueryService {
             Request::Ping => {
                 Response::Pong { epoch: self.current_epoch(), num_shards: self.num_shards() as u64 }
             }
-            Request::Query(key) => match self.query_traced(key.source, key.target, key.k, trace_id)
-            {
-                Ok(response) => Response::Query(answer_from(response)),
-                Err(e) => Response::Error(e.into()),
-            },
+            Request::Query(key) => {
+                query_response(self.query_traced(key.source, key.target, key.k, trace_id))
+            }
             Request::QueryBatch(keys) => Response::QueryBatch(
                 keys.into_iter()
                     .map(|key| match self.query_traced(key.source, key.target, key.k, trace_id) {

@@ -211,7 +211,39 @@ struct Request {
     /// dump this request triggers so a remote client can resolve its own
     /// trace ids to server-side span chains.
     trace_id: u64,
-    reply: mpsc::Sender<Result<QueryResponse, ServiceError>>,
+    reply: Reply,
+}
+
+/// Where one query's outcome goes: a callback run exactly once — inline by
+/// [`QueryService::submit`] for a rejected or invalid query, by the shard
+/// worker that answered it otherwise, and with
+/// [`ServiceError::ShuttingDown`] if it is dropped uncalled (a dead shard's
+/// drained queue). It usually runs on a shard worker, so it must never block
+/// and never own the service: the last service handle dropped there would
+/// join the very thread it runs on.
+pub(crate) struct Reply(Option<Box<dyn FnOnce(Outcome) + Send>>);
+
+/// What a [`Reply`] receives.
+type Outcome = Result<QueryResponse, ServiceError>;
+
+impl Reply {
+    pub(crate) fn new(f: impl FnOnce(Outcome) + Send + 'static) -> Self {
+        Reply(Some(Box::new(f)))
+    }
+
+    fn send(mut self, outcome: Outcome) {
+        if let Some(f) = self.0.take() {
+            f(outcome);
+        }
+    }
+}
+
+impl Drop for Reply {
+    fn drop(&mut self) {
+        if let Some(f) = self.0.take() {
+            f(Err(ServiceError::ShuttingDown));
+        }
+    }
 }
 
 /// Step code the recovery-completed flight event uses, extending the per-step
@@ -723,6 +755,32 @@ impl QueryService {
         k: usize,
         trace_id: u64,
     ) -> Result<QueryResponse, ServiceError> {
+        let (sender, receiver) = mpsc::channel();
+        self.submit(
+            source,
+            target,
+            k,
+            trace_id,
+            Reply::new(move |result| {
+                let _ = sender.send(result);
+            }),
+        );
+        receiver.recv().unwrap_or(Err(ServiceError::ShuttingDown))
+    }
+
+    /// Admits one query and queues it on its home shard without blocking;
+    /// `reply` receives the outcome. This is the service's one admission
+    /// point: [`QueryService::query_traced`] blocks on the reply through a
+    /// channel, and the event loop's reply frames the response for its
+    /// connection.
+    pub(crate) fn submit(
+        &self,
+        source: VertexId,
+        target: VertexId,
+        k: usize,
+        trace_id: u64,
+        reply: Reply,
+    ) {
         // The span clock starts before validation so the admission stage
         // covers the full submit path (validate + route + enqueue attempt);
         // `submitted` shares the origin, so end-to-end latency and the stage
@@ -730,13 +788,16 @@ impl QueryService {
         let submitted = Instant::now();
         let mut span = RequestSpan::begin_at(submitted, self.obs.config.enabled);
         if k == 0 {
-            return Err(ServiceError::InvalidK);
+            return reply.send(Err(ServiceError::InvalidK));
         }
         // Validate endpoints against the current structure (the vertex set is
         // immutable across epochs, only weights change).
         let snapshot = self.epoch.load();
-        snapshot.graph().check_vertex(source).map_err(ServiceError::InvalidQuery)?;
-        snapshot.graph().check_vertex(target).map_err(ServiceError::InvalidQuery)?;
+        for vertex in [source, target] {
+            if let Err(e) = snapshot.graph().check_vertex(vertex) {
+                return reply.send(Err(ServiceError::InvalidQuery(e)));
+            }
+        }
         let epoch_now = snapshot.epoch();
         drop(snapshot);
 
@@ -781,24 +842,22 @@ impl QueryService {
                     trace_id,
                 );
             }
-            return Err(ServiceError::Overloaded {
+            return reply.send(Err(ServiceError::Overloaded {
                 depth: depth_now,
                 retry_after_ms: r.retry_after_ms,
-            });
+            }));
         }
-        let (reply, receiver) = mpsc::channel();
         span.mark_enqueued();
         let request = Request { source, target, k, submitted, span, trace_id, reply };
-        if shard.resources.queue.submit(request).is_err() {
+        if let Err((request, _)) = shard.resources.queue.submit(request) {
             self.metrics.rejected.fetch_add(1, Relaxed);
             self.metrics.admission_rejected_queue_full.fetch_add(1, Relaxed);
             let depth = self.config.admission.max_queue_depth;
             let retry_after_ms = self.admission.queue_full_hint_ms(depth);
             self.obs.record(EventKind::Rejection, shard_id as u64, depth as u64, retry_after_ms);
-            return Err(ServiceError::Overloaded { depth, retry_after_ms });
+            return request.reply.send(Err(ServiceError::Overloaded { depth, retry_after_ms }));
         }
         self.metrics.admission_accepted.fetch_add(1, Relaxed);
-        receiver.recv().map_err(|_| ServiceError::ShuttingDown)?
     }
 
     /// Applies one weight-update batch and publishes the next epoch.
@@ -1033,28 +1092,6 @@ impl QueryService {
     /// The observability runtime: configuration and flight recorder.
     pub fn observability(&self) -> &Observability {
         &self.obs
-    }
-
-    /// The adaptive admission controller (its estimator is live even when no
-    /// SLO is set, so static-cap rejections can still carry a backoff hint).
-    pub fn admission_controller(&self) -> &AdmissionController {
-        &self.admission
-    }
-
-    /// Predicts a query's [`CostClass`] without queueing it: a trace-checked,
-    /// non-bumping peek at the home shard's cache for the current epoch —
-    /// the same peek the internal admission path makes. This is what lets an
-    /// external admission point (the event-loop server) make the same
-    /// cost-aware decision the service itself would.
-    pub fn predict_cost(&self, source: VertexId, target: VertexId, k: usize) -> CostClass {
-        let epoch_now = self.current_epoch();
-        let shard_id = route_shard(source, target, k, self.shards.len());
-        let key = CacheKey { source, target, k };
-        if self.shards[shard_id].resources.cache.lock().peek_fresh(&key, epoch_now) {
-            CostClass::CacheHit
-        } else {
-            CostClass::EngineRun
-        }
     }
 
     /// A full observability snapshot: per-stage latency histograms, the
@@ -1487,9 +1524,9 @@ pub fn route_shard(source: VertexId, target: VertexId, k: usize, num_shards: usi
 }
 
 /// Closes and drains the shard queue when the worker exits — including by
-/// panic. Dropping the drained requests drops their reply senders, so blocked
-/// clients observe [`ServiceError::ShuttingDown`] instead of hanging forever
-/// on a dead shard.
+/// panic. Dropping the drained requests drops their [`Reply`]s, which answer
+/// [`ServiceError::ShuttingDown`], so no caller waits forever on a dead
+/// shard.
 struct CloseQueueOnExit<'a>(&'a BoundedQueue<Request>);
 
 impl Drop for CloseQueueOnExit<'_> {
@@ -1662,8 +1699,7 @@ fn run_batch(
             }
         }
         let response = QueryResponse { paths, stats, epoch: snapshot.epoch(), cache_hit, latency };
-        // The client may have given up; a dropped receiver is not an error.
-        let _ = request.reply.send(Ok(response));
+        request.reply.send(Ok(response));
     }
 }
 

@@ -359,6 +359,6 @@ fn main() {
         wire.bytes_per_request()
     );
     drop(client);
-    drop(server); // graceful: stops the poller and joins the dispatch workers
+    drop(server); // graceful: stops the poller and joins it and the control thread
     println!("navigation service example finished");
 }

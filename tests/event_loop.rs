@@ -1,8 +1,8 @@
 //! Integration tests for the epoll event-loop server: the typed wire
-//! protocol over real loopback TCP, on a bounded thread count, with
-//! SLO-driven admission at the socket.
+//! protocol over real loopback TCP, on a bounded thread count, with the
+//! service's SLO-driven admission deciding every query.
 //!
-//! Five contracts are proven here:
+//! Six contracts are proven here:
 //!
 //! 1. **Bit-exactness** — answers served through the event loop equal the
 //!    in-process answers byte for byte, for sequential, batched and
@@ -21,7 +21,11 @@
 //! 5. **Admission under burst** — property-tested: whatever mix of idle
 //!    connection storms, hot-shard floods and epoch publishes arrives, every
 //!    accepted request is answered byte-identically to in-proc and every
-//!    rejection is a typed `Overloaded` — never a dropped connection.
+//!    rejection is a typed `Overloaded` — never a dropped connection — that
+//!    the service counts exactly once.
+//! 6. **Lifetimes** — replies run on shard workers, so dropping the server
+//!    and the last service handle with queries still queued neither hangs
+//!    nor panics.
 
 use ksp_dg::core::dtlp::DtlpConfig;
 use ksp_dg::graph::{DynamicGraph, VertexId};
@@ -30,7 +34,7 @@ use ksp_dg::proto::frame::{read_frame, write_frame, FrameKind, MAX_FRAME_PAYLOAD
 use ksp_dg::proto::message::{ErrorReply, QueryKey, Request, Response, PROTOCOL_VERSION};
 use ksp_dg::proto::{ClientError, KspClient};
 use ksp_dg::serve::event_loop::hostile_frame;
-use ksp_dg::serve::{route_shard, EventLoopConfig, EventLoopServer, QueryService, ServiceConfig};
+use ksp_dg::serve::{route_shard, EventLoopServer, QueryService, ServiceConfig};
 use ksp_dg::store::StoreCodec;
 use ksp_dg::workload::{
     QueryWorkload, QueryWorkloadConfig, RoadNetworkConfig, RoadNetworkGenerator, TrafficConfig,
@@ -46,14 +50,13 @@ fn start_server(
     n: usize,
     config: ServiceConfig,
     seed: u64,
-    loop_config: EventLoopConfig,
 ) -> (EventLoopServer, Arc<QueryService>, DynamicGraph) {
     let graph = RoadNetworkGenerator::new(RoadNetworkConfig::with_vertices(n))
         .generate(seed)
         .unwrap()
         .graph;
     let service = Arc::new(QueryService::start(graph.clone(), config).unwrap());
-    let server = EventLoopServer::bind_with(service.clone(), "127.0.0.1:0", loop_config).unwrap();
+    let server = EventLoopServer::bind(service.clone(), "127.0.0.1:0").unwrap();
     (server, service, graph)
 }
 
@@ -63,7 +66,7 @@ fn default_server(
     seed: u64,
 ) -> (EventLoopServer, Arc<QueryService>, DynamicGraph) {
     let config = ServiceConfig::new(shards, DtlpConfig::new(16, 2));
-    start_server(n, config, seed, EventLoopConfig::default())
+    start_server(n, config, seed)
 }
 
 fn raw_conn(addr: SocketAddr) -> TcpStream {
@@ -446,7 +449,7 @@ fn a_thousand_connections_are_served_on_a_bounded_thread_count() {
     let reference = service.query(VertexId(0), last, 2).unwrap();
 
     let threads_before = process_threads();
-    assert_eq!(server.thread_count(), EventLoopConfig::default().dispatch_workers + 1);
+    assert_eq!(server.thread_count(), 2, "the poller and the control thread");
 
     // 1024 idle connections held open at once...
     let mut idle = Vec::with_capacity(1024);
@@ -485,7 +488,7 @@ fn slo_breaching_requests_are_rejected_typed_with_retry_hints() {
     // prediction breaches the budget and must be rejected with a hint.
     let mut config = ServiceConfig::new(2, DtlpConfig::new(16, 2));
     config.observability.slo_p99 = Duration::from_micros(50);
-    let (server, _service, graph) = start_server(140, config, 61, EventLoopConfig::default());
+    let (server, _service, graph) = start_server(140, config, 61);
     let last = VertexId(graph.num_vertices() as u32 - 1);
 
     let (mut client, _) = KspClient::connect(server.local_addr()).unwrap();
@@ -514,6 +517,117 @@ fn slo_breaching_requests_are_rejected_typed_with_retry_hints() {
     assert!(text.contains("ksp_eventloop_rejected_total"), "missing eventloop counters");
     assert!(text.contains("ksp_eventloop_open_connections"), "missing eventloop gauges");
     assert!(text.contains("ksp_admission_rejected_total"), "missing admission counters");
+}
+
+#[test]
+fn tcp_rejections_are_counted_once_by_the_service() {
+    // The same 50µs budget: after the blind first query, every cold query
+    // is predicted to breach it. Each rejection must be one decision, made
+    // and counted by the service, and mirrored by the loop's reply count.
+    let mut config = ServiceConfig::new(2, DtlpConfig::new(16, 2));
+    config.observability.slo_p99 = Duration::from_micros(50);
+    let (server, service, graph) = start_server(140, config, 61);
+    let last = VertexId(graph.num_vertices() as u32 - 1);
+
+    let (mut client, _) = KspClient::connect(server.local_addr()).unwrap();
+    let mut rejected = 0u64;
+    for s in 0..12 {
+        if let Err(e) = client.query(VertexId(s), last, 2) {
+            assert!(e.is_overloaded(), "rejections must be typed Overloaded: {e}");
+            rejected += 1;
+        }
+    }
+    assert!(rejected >= 1, "a 50µs SLO must reject cold queries");
+
+    let snap = client.obs_snapshot().unwrap();
+    let counts = [
+        snap.counter("ksp_eventloop_rejected_total"),
+        snap.counter("ksp_requests_rejected_total"),
+        // Summed over its `reason` labels.
+        snap.counter("ksp_admission_rejected_total"),
+        service.metrics().rejected,
+    ];
+    assert_eq!(counts, [rejected; 4], "loop, exposition, admission reasons, MetricsReport");
+}
+
+#[test]
+fn queries_and_control_requests_share_one_connections_order() {
+    let (server, service, graph) = default_server(160, 2, 29);
+    let last = VertexId(graph.num_vertices() as u32 - 1);
+    let key = QueryKey::new(VertexId(0), last, 3);
+    let at_epoch_0 = service.query(key.source, key.target, key.k).unwrap();
+    let batch = TrafficModel::new(&graph, TrafficConfig::new(0.5, 0.4), 3).next_snapshot();
+
+    // Shard-worker replies (queries) and control-thread replies (the rest),
+    // pipelined in one write.
+    let mut burst = Vec::new();
+    for request in [
+        Request::Query(key),
+        Request::ApplyBatch(batch),
+        Request::Query(key),
+        Request::ObsSnapshot,
+        Request::Ping,
+    ] {
+        write_frame(&mut burst, FrameKind::Request, &request.to_bytes()).unwrap();
+    }
+    let mut conn = raw_conn(server.local_addr());
+    conn.write_all(&burst).unwrap();
+
+    let Some(Response::Query(first)) = read_response(&mut conn) else {
+        panic!("first reply must answer the first query")
+    };
+    assert_answers_match(&first.paths, &at_epoch_0.paths, first.epoch, at_epoch_0.epoch);
+    assert_eq!(read_response(&mut conn), Some(Response::ApplyBatch { epoch: 1 }));
+    let Some(Response::Query(second)) = read_response(&mut conn) else {
+        panic!("third reply must answer the second query")
+    };
+    let at_epoch_1 = service.query(key.source, key.target, key.k).unwrap();
+    assert_eq!(second.epoch, 1, "the query behind the publish sees its epoch");
+    assert_answers_match(&second.paths, &at_epoch_1.paths, second.epoch, at_epoch_1.epoch);
+    assert!(matches!(read_response(&mut conn), Some(Response::ObsSnapshot(_))));
+    assert_eq!(read_response(&mut conn), Some(Response::Pong { epoch: 1, num_shards: 2 }));
+}
+
+#[test]
+fn dropping_the_server_and_service_with_queued_misses_neither_hangs_nor_panics() {
+    // One shard, so the cold misses queue behind each other; their replies
+    // run on that shard's worker after the server is gone.
+    let graph = RoadNetworkGenerator::new(RoadNetworkConfig::with_vertices(400))
+        .generate(37)
+        .unwrap()
+        .graph;
+    let service = Arc::new(
+        QueryService::start(graph.clone(), ServiceConfig::new(1, DtlpConfig::new(16, 2))).unwrap(),
+    );
+    let server = EventLoopServer::bind(service.clone(), "127.0.0.1:0").unwrap();
+    let last = graph.num_vertices() as u32 - 1;
+    let conns: Vec<TcpStream> = (0..8u32)
+        .map(|i| {
+            let mut frame = Vec::new();
+            let request = Request::Query(QueryKey::new(VertexId(i), VertexId(last - i), 4));
+            write_frame(&mut frame, FrameKind::Request, &request.to_bytes()).unwrap();
+            let mut conn = raw_conn(server.local_addr());
+            conn.write_all(&frame).unwrap();
+            conn
+        })
+        .collect();
+    // A decoded query is handed to its shard in the same poller pass.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while server.stats().frames_in < 8 {
+        assert!(std::time::Instant::now() < deadline, "the loop never decoded the queries");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        drop(server);
+        drop(service); // the last handle: joins the shard worker
+        done.send(()).unwrap();
+    });
+    finished
+        .recv_timeout(Duration::from_secs(10))
+        .expect("teardown must finish, without a panic, within seconds");
+    drop(conns);
 }
 
 #[test]
@@ -546,16 +660,12 @@ fn burst_scenario(seed: u64, idle_conns: usize, flood_threads: usize) {
         .unwrap()
         .graph;
     let mut config = ServiceConfig::new(2, DtlpConfig::new(16, 2));
-    // A real but tight budget plus a tiny backlog cap: floods must trip one
+    // A real but tight budget plus a tiny queue cap: floods must trip one
     // of the two rejection paths without making steady-state unservable.
     config.observability.slo_p99 = Duration::from_millis(250);
+    config.admission.max_queue_depth = 4;
     let service = Arc::new(QueryService::start(graph.clone(), config).unwrap());
-    let server = EventLoopServer::bind_with(
-        service.clone(),
-        "127.0.0.1:0",
-        EventLoopConfig { dispatch_workers: 2, max_backlog: 4 },
-    )
-    .unwrap();
+    let server = EventLoopServer::bind(service.clone(), "127.0.0.1:0").unwrap();
     let addr = server.local_addr();
 
     // Idle-connection storm: sockets that connect and say nothing.
