@@ -1,4 +1,5 @@
-//! The FindKSP baseline \[21\]: deviation-based KSP guided by a shortest path tree.
+//! FindKSP \[21\]: deviation-based KSP guided by a shortest path tree, over any
+//! [`GraphView`].
 //!
 //! FindKSP (Liu et al., *Finding top-k shortest paths with diversity*, TKDE 2018)
 //! improves on Yen's algorithm by maintaining a shortest path tree (SPT) rooted at the
@@ -6,8 +7,11 @@
 //! destination. We reproduce the performance-relevant core of that idea: every spur
 //! search is an A* search whose heuristic is the exact distance-to-destination taken
 //! from the SPT, so it settles only a small neighbourhood instead of a Dijkstra ball.
-//! The asymptotics and, more importantly for Figure 39, the growth with `k` are
-//! substantially better than plain Yen while the result set is identical.
+//! The result set is the same as Yen's, and the growth with `k` is much better.
+//!
+//! It serves twice: as the whole-graph FindKSP baseline of the paper's experiments
+//! ([`find_ksp`]), and as the enumerator of KSP-DG's reference paths over the skeleton
+//! overlay (Algorithm 3), where it replaces plain Yen.
 
 use crate::dijkstra::SearchArena;
 use crate::path::Path;
@@ -16,54 +20,69 @@ use ksp_graph::{DynamicGraph, GraphView, VertexId, Weight};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Enumerator of k shortest simple paths using SPT-guided deviations.
-pub struct FindKsp<'a> {
-    graph: &'a DynamicGraph,
+/// Lazy enumerator of k shortest simple paths using SPT-guided deviations. Its
+/// searches run on the caller's [`SearchArena`], passed to [`FindKsp::new`] and
+/// [`FindKsp::next_path_in`].
+pub struct FindKsp<'a, G: GraphView> {
+    view: &'a G,
     source: VertexId,
     target: VertexId,
-    /// Exact distance from every vertex to the target (the reverse SPT), by vertex id.
+    /// Exact distance from every vertex to the target (the reverse SPT), by vertex id;
+    /// ids at or beyond its length cannot reach the target.
     dist_to_target: Vec<Weight>,
     lists: Deviations,
-    search: AStar,
+    /// The A* open list, ordered by (f, g, vertex) and reused across spurs.
+    open: BinaryHeap<Reverse<Entry>>,
+    /// Number of vertices settled across all spur searches (cost accounting).
+    settled_vertices: usize,
 }
 
-impl<'a> FindKsp<'a> {
-    /// Creates the enumerator, building the reverse shortest path tree from `target`.
-    pub fn new(graph: &'a DynamicGraph, source: VertexId, target: VertexId) -> Self {
-        let mut search = AStar::default();
-        let dist_to_target = reverse_distances(graph, target, &mut search.arena);
-        FindKsp { graph, source, target, dist_to_target, lists: Deviations::default(), search }
+impl<'a, G: GraphView> FindKsp<'a, G> {
+    /// Creates the enumerator for paths from `source` to `target` in `view`, building
+    /// the reverse shortest path tree with one search from `target` over `reverse` on
+    /// `arena`.
+    ///
+    /// `reverse` must be `view` with every edge turned around (`view` itself when it
+    /// is undirected); [`Transpose`] builds one for a view that keeps no in-adjacency.
+    pub fn new<R: GraphView>(
+        view: &'a G,
+        reverse: &R,
+        source: VertexId,
+        target: VertexId,
+        arena: &mut SearchArena,
+    ) -> Self {
+        arena.search_from(reverse, target);
+        let dist_to_target =
+            (0..view.num_vertices() as u32).map(|i| arena.distance(VertexId(i))).collect();
+        FindKsp {
+            view,
+            source,
+            target,
+            dist_to_target,
+            lists: Deviations::default(),
+            open: BinaryHeap::new(),
+            settled_vertices: 0,
+        }
     }
 
     /// Number of vertices settled across all A* spur searches so far.
     pub fn settled_vertices(&self) -> usize {
-        self.search.settled_vertices
+        self.settled_vertices
     }
 
-    /// The paths produced so far, ascending by distance.
-    pub fn produced(&self) -> &[Path] {
-        &self.lists.produced
+    /// Produces the next shortest simple path, searching on `arena`, or `None` once
+    /// no further simple path exists.
+    pub fn next_path_in(&mut self, arena: &mut SearchArena) -> Option<Path> {
+        self.advance(arena).then(|| self.lists.produced.last().expect("just produced").clone())
     }
 
-    /// Produces the next shortest simple path, or `None` if exhausted.
-    pub fn next_path(&mut self) -> Option<Path> {
-        let FindKsp { graph, source, target, dist_to_target, lists, search } = self;
-        let spur = |from, banned_vertices: &[VertexId], banned_edges: &[(VertexId, VertexId)]| {
-            search.run(graph, *target, dist_to_target, from, banned_vertices, banned_edges)
-        };
-        lists
-            .advance(*graph, *source, *target, spur)
-            .then(|| lists.produced.last().expect("just produced").clone())
-    }
-
-    /// Produces up to `k` paths.
-    pub fn take_up_to(&mut self, k: usize) -> Vec<Path> {
-        while self.lists.produced.len() < k {
-            if self.next_path().is_none() {
-                break;
-            }
-        }
-        self.lists.produced.iter().take(k).cloned().collect()
+    fn advance(&mut self, arena: &mut SearchArena) -> bool {
+        let FindKsp { view, source, target, dist_to_target, lists, open, settled_vertices, .. } =
+            self;
+        let mut search = AStar { arena, open, settled_vertices, h: dist_to_target };
+        lists.advance(*view, *source, *target, |from, banned_vertices, banned_edges| {
+            search.run(*view, *target, from, banned_vertices, banned_edges)
+        })
     }
 }
 
@@ -89,62 +108,75 @@ impl PartialOrd for Entry {
     }
 }
 
-/// The A* spur search: per-vertex state on a [`SearchArena`], an open list ordered by
-/// (f, g, vertex), both reused across spurs.
-#[derive(Default)]
-struct AStar {
-    arena: SearchArena,
-    open: BinaryHeap<Reverse<Entry>>,
-    /// Number of vertices settled across all spur searches (cost accounting).
-    settled_vertices: usize,
+/// One A* spur search: per-vertex state on a [`SearchArena`] and the enumerator's
+/// open list.
+struct AStar<'s> {
+    arena: &'s mut SearchArena,
+    open: &'s mut BinaryHeap<Reverse<Entry>>,
+    settled_vertices: &'s mut usize,
+    /// The exact distance-to-target heuristic from the reverse SPT.
+    h: &'s [Weight],
 }
 
-impl AStar {
+impl AStar<'_> {
+    /// The heuristic at `v`: infinite for ids the reverse search did not cover.
+    #[inline]
+    fn h(&self, v: VertexId) -> Weight {
+        self.h.get(v.index()).copied().unwrap_or(Weight::INFINITY)
+    }
+
     /// Goal-directed A* from `from` to `target` using the exact distance-to-target
     /// heuristic `h` from the reverse SPT. The heuristic is admissible and consistent on
     /// the unbanned graph; banning edges/vertices only removes paths, so it remains
-    /// admissible and the search stays correct. Banned edges are checked only when
-    /// their tail is expanded.
-    fn run(
+    /// admissible and the search stays correct. A vertex with an infinite heuristic
+    /// cannot reach the target even without bans, so it is never queued. Banned edges
+    /// are checked only when their tail is expanded.
+    fn run<G: GraphView>(
         &mut self,
-        graph: &DynamicGraph,
+        view: &G,
         target: VertexId,
-        h: &[Weight],
         from: VertexId,
         banned_vertices: &[VertexId],
         banned_edges: &[(VertexId, VertexId)],
     ) -> Option<Path> {
-        if banned_vertices.contains(&from) || !h[from.index()].is_finite() {
+        let h_from = self.h(from);
+        if banned_vertices.contains(&from) || !h_from.is_finite() {
             // Banned, or the target is unreachable from here even without bans.
             return None;
         }
-        let AStar { arena, open, settled_vertices } = self;
-        arena.begin(graph.num_vertices());
+        self.arena.begin(view.num_vertices());
         for &v in banned_vertices {
-            arena.ban(v);
+            self.arena.ban(v);
         }
-        arena.start(from);
-        open.clear();
-        open.push(Reverse(Entry { f: h[from.index()], g: Weight::ZERO, vertex: from }));
+        self.arena.start(from);
+        self.open.clear();
+        self.open.push(Reverse(Entry { f: h_from, g: Weight::ZERO, vertex: from }));
 
-        while let Some(Reverse(Entry { g, vertex, .. })) = open.pop() {
-            if arena.is_settled(vertex) {
+        while let Some(Reverse(Entry { g, vertex, .. })) = self.open.pop() {
+            if self.arena.is_settled(vertex) {
                 continue;
             }
-            arena.settle(vertex);
-            *settled_vertices += 1;
+            self.arena.settle(vertex);
+            *self.settled_vertices += 1;
             if vertex == target {
-                return arena.path_to(vertex);
+                return self.arena.path_to(vertex);
             }
             let edge_bans = banned_edges.iter().any(|&(tail, _)| tail == vertex);
-            graph.for_each_neighbor(vertex, |to, w| {
+            view.for_each_neighbor(vertex, |to, w| {
                 if edge_bans && banned_edges.contains(&(vertex, to)) {
                     return;
                 }
+                let h_to = self.h(to);
+                if !h_to.is_finite() {
+                    return;
+                }
                 let tentative = g + w;
-                if arena.improve(vertex, to, tentative) {
-                    let f = tentative + h[to.index()];
-                    open.push(Reverse(Entry { f, g: tentative, vertex: to }));
+                if self.arena.improve(vertex, to, tentative) {
+                    self.open.push(Reverse(Entry {
+                        f: tentative + h_to,
+                        g: tentative,
+                        vertex: to,
+                    }));
                 }
             });
         }
@@ -152,33 +184,28 @@ impl AStar {
     }
 }
 
-/// Exact distances from every vertex to `target`, by vertex id ([`Weight::INFINITY`]
-/// where unreachable), i.e. a shortest path tree rooted at the destination. For
-/// directed graphs this searches the reversed graph.
-fn reverse_distances(
-    graph: &DynamicGraph,
-    target: VertexId,
-    arena: &mut SearchArena,
-) -> Vec<Weight> {
-    let n = graph.num_vertices();
-    if !graph.is_directed() {
-        arena.search_from(graph, target);
-    } else {
-        // Build reverse adjacency once and run Dijkstra over it.
+/// A view with every edge of another view turned around, built once by walking every
+/// vertex's out-neighbours: the reverse FindKSP searches for its heuristic when the
+/// view keeps no in-adjacency of its own.
+#[derive(Debug, Clone)]
+pub struct Transpose {
+    /// By vertex id: (in-neighbour, weight) of every edge entering it.
+    radj: Vec<Vec<(VertexId, Weight)>>,
+}
+
+impl Transpose {
+    /// The transpose of `view`, with its current weights.
+    pub fn of<G: GraphView>(view: &G) -> Self {
+        let n = view.num_vertices();
         let mut radj: Vec<Vec<(VertexId, Weight)>> = vec![Vec::new(); n];
-        for (_, e) in graph.edges() {
-            radj[e.v.index()].push((e.u, e.current_weight));
+        for u in (0..n as u32).map(VertexId).filter(|&u| view.contains_vertex(u)) {
+            view.for_each_neighbor(u, |to, w| radj[to.index()].push((u, w)));
         }
-        arena.search_from(&Reversed { radj: &radj }, target);
+        Transpose { radj }
     }
-    (0..n as u32).map(|i| arena.distance(VertexId(i))).collect()
 }
 
-struct Reversed<'g> {
-    radj: &'g [Vec<(VertexId, Weight)>],
-}
-
-impl GraphView for Reversed<'_> {
+impl GraphView for Transpose {
     fn num_vertices(&self) -> usize {
         self.radj.len()
     }
@@ -186,18 +213,26 @@ impl GraphView for Reversed<'_> {
         v.index() < self.radj.len()
     }
     fn for_each_neighbor(&self, v: VertexId, mut f: impl FnMut(VertexId, Weight)) {
-        for &(to, w) in &self.radj[v.index()] {
+        for &(to, w) in self.radj.get(v.index()).map_or(&[][..], Vec::as_slice) {
             f(to, w);
         }
     }
     fn edge_weight(&self, u: VertexId, v: VertexId) -> Option<Weight> {
-        self.radj[u.index()].iter().find(|&&(to, _)| to == v).map(|&(_, w)| w)
+        self.radj.get(u.index())?.iter().find(|&&(to, _)| to == v).map(|&(_, w)| w)
     }
 }
 
-/// Convenience wrapper: the `k` shortest simple paths from `source` to `target`.
+/// The FindKSP baseline over a whole graph: the `k` shortest simple paths from
+/// `source` to `target`. A directed graph's reverse is built per call.
 pub fn find_ksp(graph: &DynamicGraph, source: VertexId, target: VertexId, k: usize) -> Vec<Path> {
-    FindKsp::new(graph, source, target).take_up_to(k)
+    let mut arena = SearchArena::new();
+    let mut enumerator = if graph.is_directed() {
+        FindKsp::new(graph, &Transpose::of(graph), source, target, &mut arena)
+    } else {
+        FindKsp::new(graph, graph, source, target, &mut arena)
+    };
+    while enumerator.lists.produced.len() < k && enumerator.advance(&mut arena) {}
+    enumerator.lists.produced
 }
 
 /// Debug helper used by tests and benchmarks: checks FindKSP and Yen agree on the
@@ -260,6 +295,36 @@ mod tests {
     }
 
     #[test]
+    fn endpoints_beyond_the_views_id_range_are_unreachable() {
+        // The view covers ids 0..4; an endpoint at id 9 has no heuristic entry and must
+        // count as unreachable, in either role, rather than index past the table.
+        let mut b = GraphBuilder::undirected(4);
+        b.edge(0, 1, 1).edge(1, 2, 1).edge(2, 3, 1);
+        let g = b.build().unwrap();
+        let mut arena = SearchArena::new();
+        for (s, t) in [(v(0), v(9)), (v(9), v(0))] {
+            let mut f = FindKsp::new(&g, &g, s, t, &mut arena);
+            assert!(f.next_path_in(&mut arena).is_none(), "{s}->{t}");
+            assert_eq!(f.settled_vertices(), 0);
+        }
+    }
+
+    #[test]
+    fn transpose_turns_every_edge_around() {
+        let g = yen_wikipedia_graph();
+        let t = Transpose::of(&g);
+        assert_eq!(t.num_vertices(), g.num_vertices());
+        for u in 0..6 {
+            for (to, w) in g.neighbors(v(u)) {
+                assert_eq!(t.edge_weight(to, v(u)), Some(w));
+            }
+            let in_degree = (0..6).filter(|&x| g.edge_weight(v(x), v(u)).is_some()).count();
+            assert_eq!(t.neighbors(v(u)).len(), in_degree);
+        }
+        assert!(t.neighbors(v(9)).is_empty());
+    }
+
+    #[test]
     fn trivial_query_returns_single_vertex_path() {
         let g = yen_wikipedia_graph();
         let paths = find_ksp(&g, v(1), v(1), 2);
@@ -290,9 +355,10 @@ mod tests {
         b.edge(0, n + 1, 1);
         b.edge(n + 1, 2, 1);
         let g = b.build().unwrap();
-        let mut f = FindKsp::new(&g, v(0), v(n));
-        let paths = f.take_up_to(2);
-        assert_eq!(paths.len(), 2);
+        let mut arena = SearchArena::new();
+        let mut f = FindKsp::new(&g, &g, v(0), v(n), &mut arena);
+        assert!(f.next_path_in(&mut arena).is_some());
+        assert!(f.next_path_in(&mut arena).is_some());
         // The A* searches should settle on the order of the corridor length per search,
         // not corridor length × number of spur positions.
         assert!(

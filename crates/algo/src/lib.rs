@@ -11,10 +11,12 @@
 //!   banned-vertex/edge spur search inside Yen's algorithm. Every search in this crate
 //!   runs on an arena.
 //! * [`yen`] — Yen's k-shortest-simple-paths algorithm \[27\], exposed both as a lazy
-//!   enumerator (used by KSP-DG to produce reference paths one at a time) and as a
+//!   enumerator (used by KSP-DG for partial paths inside subgraphs) and as a
 //!   convenience function.
-//! * [`findksp`] — the FindKSP baseline \[21\]: deviation-based KSP guided by a shortest
-//!   path tree rooted at the destination, so spur searches are goal-directed.
+//! * [`findksp`] — FindKSP \[21\]: deviation-based KSP guided by a shortest path tree
+//!   rooted at the destination, so spur searches are goal-directed. It is the FindKSP
+//!   baseline over a whole graph and KSP-DG's lazy enumerator of reference paths over
+//!   the skeleton overlay.
 //! * [`vfrag`] — enumeration of paths by *virtual-fragment count* (fewest-vfrag paths),
 //!   the primitive DTLP uses to select bounding paths (Section 3.4).
 
@@ -27,7 +29,7 @@ pub mod vfrag;
 pub mod yen;
 
 pub use dijkstra::{dijkstra_path, SearchArena};
-pub use findksp::{find_ksp, FindKsp};
+pub use findksp::{find_ksp, FindKsp, Transpose};
 pub use path::Path;
 pub use vfrag::{fewest_vfrag_paths, VfragView};
 pub use yen::{yen_ksp, yen_ksp_in, KspEnumerator};

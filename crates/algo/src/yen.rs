@@ -1,10 +1,10 @@
 //! Yen's k-shortest-simple-paths algorithm \[27\], as a lazy enumerator.
 //!
-//! The enumerator form matters for KSP-DG: Algorithm 3 consumes *reference paths* from
-//! the skeleton graph one at a time and stops as soon as the termination condition of
-//! Theorem 3 holds, so eagerly computing `k` paths up front would waste work. The same
-//! enumerator also powers the plain Yen baseline and the partial-KSP computation inside
-//! each subgraph (Algorithm 4, line 6).
+//! The enumerator powers the plain Yen baseline and the partial-KSP computation inside
+//! each subgraph (Algorithm 4, line 6), where it is consumed lazily as the join needs
+//! more partials. KSP-DG's reference paths over the skeleton come from
+//! [`crate::FindKsp`], which shares this module's deviation step and differs only in
+//! searching each spur path with A*.
 
 use crate::dijkstra::SearchArena;
 use crate::path::Path;

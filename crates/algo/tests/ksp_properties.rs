@@ -1,8 +1,14 @@
 //! Property-based tests of the KSP algorithms: Yen and FindKSP must agree with each
-//! other and with a brute-force enumeration of all simple paths on small graphs.
+//! other and with a brute-force enumeration of all simple paths on small graphs, and
+//! with each other on the views KSP-DG runs them over (a subgraph, the skeleton
+//! overlay).
 
-use ksp_algo::{find_ksp, yen_ksp, Path};
-use ksp_graph::{DynamicGraph, GraphBuilder, GraphView, VertexId, Weight};
+use ksp_algo::{find_ksp, yen_ksp, FindKsp, KspEnumerator, Path, SearchArena, Transpose};
+use ksp_core::dtlp::{DtlpConfig, DtlpIndex};
+use ksp_graph::{DynamicGraph, GraphBuilder, GraphView, SubgraphId, VertexId, Weight};
+use ksp_workload::{
+    RoadNetworkConfig, RoadNetworkGenerator, TrafficConfig, TrafficModel, Xoshiro256,
+};
 use proptest::prelude::*;
 
 fn arbitrary_graph() -> impl Strategy<Value = DynamicGraph> {
@@ -53,6 +59,41 @@ fn brute_force_distances(graph: &DynamicGraph, s: VertexId, t: VertexId) -> Vec<
     out
 }
 
+/// The distance bits of the first `k` paths FindKSP (guided by one search over
+/// `reverse`) and Yen produce from `s` to `t` over `view`.
+fn guided_and_plain_bits<G: GraphView, R: GraphView>(
+    view: &G,
+    reverse: &R,
+    s: VertexId,
+    t: VertexId,
+    k: usize,
+) -> (Vec<u64>, Vec<u64>) {
+    let bits = |p: Path| p.distance().value().to_bits();
+    let mut arena = SearchArena::new();
+    let mut guided = FindKsp::new(view, reverse, s, t, &mut arena);
+    let guided = (0..k).map_while(|_| guided.next_path_in(&mut arena)).map(bits).collect();
+    let mut plain = KspEnumerator::new(view, s, t);
+    let plain = (0..k).map_while(|_| plain.next_path_in(&mut arena)).map(bits).collect();
+    (guided, plain)
+}
+
+/// A 150-vertex road network, directed or not, and its DTLP index at z = 15, ξ = 2,
+/// after two traffic batches (which change a directed road's two directions
+/// independently, so a directed skeleton is not symmetric).
+fn network_and_index(seed: u64, directed: bool) -> (DynamicGraph, DtlpIndex) {
+    let mut config = RoadNetworkConfig::with_vertices(150);
+    config.directed = directed;
+    let mut graph = RoadNetworkGenerator::new(config).generate(seed).expect("valid network").graph;
+    let mut index = DtlpIndex::build(&graph, DtlpConfig::new(15, 2)).expect("index build");
+    let mut traffic = TrafficModel::new(&graph, TrafficConfig::new(0.5, 0.9), seed);
+    for _ in 0..2 {
+        let batch = traffic.next_snapshot();
+        graph.apply_batch(&batch).expect("valid batch");
+        index.apply_batch(&batch).expect("valid batch");
+    }
+    (graph, index)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
 
@@ -98,5 +139,57 @@ proptest! {
             let recomputed = p.recompute_distance(&graph).expect("edges exist");
             prop_assert!(recomputed.approx_eq(p.distance()));
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    /// FindKSP and Yen produce the same sequence of distance bits for k ≤ 6 over a
+    /// partitioned `Subgraph` and over the skeleton `OverlayView` KSP-DG enumerates its
+    /// reference paths on, both undirected and directed. Only distances are compared:
+    /// where two routes tie, A*'s (f, g, vertex) queue order and Dijkstra's
+    /// (distance, vertex) order may settle different ones.
+    #[test]
+    fn findksp_matches_yen_bits_on_subgraphs_and_overlays(
+        seed in 0u64..10_000,
+        directed in 0u32..2,
+        k in 1usize..7,
+    ) {
+        let (graph, index) = network_and_index(seed, directed == 1);
+        let mut rng = Xoshiro256::seed_from_u64(seed);
+        let mut pick = |n: usize| rng.next_bounded(n as u64) as usize;
+
+        // A subgraph: its own transpose guides a directed one.
+        let sg = index.subgraph_index(SubgraphId(pick(index.num_subgraphs()) as u32)).subgraph();
+        let (s, t) = (sg.vertices()[pick(sg.vertices().len())], sg.vertices()[pick(sg.vertices().len())]);
+        let (guided, plain) = if sg.is_directed() {
+            guided_and_plain_bits(sg, &Transpose::of(sg), s, t, k)
+        } else {
+            guided_and_plain_bits(sg, sg, s, t, k)
+        };
+        prop_assert_eq!(guided, plain, "subgraph {}->{}", s, t);
+
+        // The skeleton overlay, with a non-boundary source attached to its subgraph's
+        // boundary as the engine attaches it.
+        let s = VertexId(pick(graph.num_vertices()) as u32);
+        let boundary = index.boundary_vertices();
+        let t = boundary[pick(boundary.len())];
+        let mut overlay = index.skeleton().overlay();
+        let mut arena = SearchArena::new();
+        if !index.is_boundary(s) {
+            for &sg in index.subgraphs_of_vertex(s) {
+                for (b, d) in index.subgraph_index(sg).boundary_distances_from(s, &mut arena) {
+                    if graph.is_directed() {
+                        overlay.add_edge(s, b, d);
+                    } else {
+                        overlay.add_undirected_edge(s, b, d);
+                    }
+                }
+            }
+        }
+        let (guided, plain) = guided_and_plain_bits(&overlay, &overlay.reversed(), s, t, k);
+        prop_assert_eq!(guided.len(), plain.len());
+        prop_assert_eq!(guided, plain, "overlay {}->{}", s, t);
     }
 }

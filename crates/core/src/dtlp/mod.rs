@@ -24,6 +24,6 @@ pub use bounding::{BoundingPath, BoundingPathSet, PairPaths};
 pub use ep_index::EpIndex;
 pub use index::{BuildStats, DtlpConfig, DtlpIndex, MaintenanceStats, PathStorageBackend};
 pub use mfp::{MfpForest, MinHashLsh};
-pub use skeleton::{OverlayView, SkeletonGraph};
+pub use skeleton::{OverlayView, ReversedOverlay, SkeletonGraph};
 pub use subgraph_index::{BackendKind, LowerBoundChange, SubgraphIndex};
 pub use unit_weights::UnitWeightMultiset;

@@ -117,6 +117,10 @@ struct SkeletonTopology {
     edge_lookup: HashMap<(VertexId, VertexId), u32>,
     /// Outgoing edges as (neighbour, edge index).
     adj: Adjacency<u32>,
+    /// For a directed skeleton, incoming edges as (neighbour, edge index): the
+    /// transpose of `adj`, which the guided reference search walks backwards from
+    /// the target. `None` when undirected, where `adj` serves both directions.
+    in_adj: Option<Adjacency<u32>>,
     /// Edge `i`'s contributions are `contribution_start[i]..contribution_start[i + 1]`.
     contribution_start: Vec<u32>,
     /// The subgraph behind each contribution.
@@ -148,8 +152,9 @@ impl SkeletonTopology {
         self.edge_lookup.insert(key, idx);
         self.adj.list_mut(key.0).push((key.1, idx));
         let back = self.adj.list_mut(key.1);
-        if !self.directed {
-            back.push((key.0, idx));
+        match &mut self.in_adj {
+            Some(in_adj) => in_adj.list_mut(key.1).push((key.0, idx)),
+            None => back.push((key.0, idx)),
         }
         idx
     }
@@ -174,6 +179,7 @@ impl SkeletonGraph {
             ends: Vec::new(),
             edge_lookup: HashMap::new(),
             adj: Adjacency::new(),
+            in_adj: directed.then(Adjacency::new),
             contribution_start: vec![0],
             contributor: Vec::new(),
         };
@@ -286,15 +292,27 @@ impl SkeletonGraph {
             + t.edge_lookup.len() * (std::mem::size_of::<(VertexId, VertexId)>() + 4)
             + t.adj.num_entries() * std::mem::size_of::<(VertexId, u32)>()
             + t.adj.id_bound() * std::mem::size_of::<u32>()
+            + t.in_adj.as_ref().map_or(0, |a| {
+                a.num_entries() * std::mem::size_of::<(VertexId, u32)>()
+                    + a.id_bound() * std::mem::size_of::<u32>()
+            })
             + t.contribution_start.len() * std::mem::size_of::<u32>()
             + t.contributor.len() * std::mem::size_of::<SubgraphId>()
             + (self.contribution.len() + self.weight.len()) * std::mem::size_of::<Weight>()
     }
 
+    /// Calls `f` once per edge entering `v`, with the edge's tail and current weight.
+    fn for_each_in_neighbor(&self, v: VertexId, mut f: impl FnMut(VertexId, Weight)) {
+        let t = &*self.topology;
+        for &(from, idx) in t.in_adj.as_ref().unwrap_or(&t.adj).list(v) {
+            f(from, self.weight[idx as usize]);
+        }
+    }
+
     /// Builds an overlay view that adds temporary vertices/edges (query endpoints that
     /// are not boundary vertices) on top of this skeleton.
     pub fn overlay(&self) -> OverlayView<'_> {
-        OverlayView { skeleton: self, extra: Adjacency::new() }
+        OverlayView { skeleton: self, extra: Adjacency::new(), extra_in: Adjacency::new() }
     }
 }
 
@@ -334,13 +352,23 @@ pub struct OverlayView<'a> {
     /// Extra adjacency: vertex → (neighbour, weight). Entries are directional; the
     /// caller adds both directions for undirected graphs.
     extra: Adjacency<Weight>,
+    /// Over a directed skeleton, the transpose of `extra`: vertex → (tail, weight).
+    /// Empty over an undirected one, whose extra edges come in both directions.
+    extra_in: Adjacency<Weight>,
 }
 
-impl OverlayView<'_> {
+impl<'a> OverlayView<'a> {
     /// Adds a one-directional overlay edge from `u` to `v` with the given weight.
+    ///
+    /// Over an undirected skeleton, add extra edges in both directions
+    /// ([`OverlayView::add_undirected_edge`]): [`OverlayView::reversed`] reads an
+    /// undirected overlay's forward lists as its reverse.
     pub fn add_edge(&mut self, u: VertexId, v: VertexId, w: Weight) {
         self.extra.list_mut(u).push((v, w));
         self.extra.list_mut(v);
+        if self.skeleton.is_directed() {
+            self.extra_in.list_mut(v).push((u, w));
+        }
     }
 
     /// Adds overlay edges in both directions between `u` and `v`.
@@ -352,6 +380,13 @@ impl OverlayView<'_> {
     /// Number of extra (overlay) directed edge entries.
     pub fn num_overlay_edges(&self) -> usize {
         self.extra.num_entries()
+    }
+
+    /// This overlay with every edge turned around: the view FindKSP's reverse
+    /// shortest-path search runs on. It reads the skeleton's in-adjacency, built once
+    /// at assembly, and the extra edges' recorded reverses, so it allocates nothing.
+    pub fn reversed(&self) -> ReversedOverlay<'_, 'a> {
+        ReversedOverlay { overlay: self }
     }
 }
 
@@ -378,6 +413,35 @@ impl GraphView for OverlayView<'_> {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         }
+    }
+}
+
+/// An [`OverlayView`] with every edge turned around; see [`OverlayView::reversed`].
+#[derive(Debug, Clone, Copy)]
+pub struct ReversedOverlay<'o, 'a> {
+    overlay: &'o OverlayView<'a>,
+}
+
+impl GraphView for ReversedOverlay<'_, '_> {
+    fn num_vertices(&self) -> usize {
+        self.overlay.num_vertices()
+    }
+
+    fn contains_vertex(&self, v: VertexId) -> bool {
+        self.overlay.contains_vertex(v)
+    }
+
+    fn for_each_neighbor(&self, v: VertexId, mut f: impl FnMut(VertexId, Weight)) {
+        let OverlayView { skeleton, extra, extra_in } = self.overlay;
+        skeleton.for_each_in_neighbor(v, &mut f);
+        let extra = if skeleton.is_directed() { extra_in } else { extra };
+        for &(from, w) in extra.list(v) {
+            f(from, w);
+        }
+    }
+
+    fn edge_weight(&self, u: VertexId, v: VertexId) -> Option<Weight> {
+        self.overlay.edge_weight(v, u)
     }
 }
 
@@ -457,6 +521,79 @@ mod tests {
         assert_eq!(sk.edge_weight(v(2), v(1)), Some(Weight::new(8.0)));
         assert_eq!(sk.neighbors(v(1)).len(), 1);
         assert_eq!(sk.num_skeleton_edges(), 2);
+    }
+
+    /// Every (tail, head, edge) entry of `adj`, sorted.
+    fn entries(adj: &Adjacency<u32>, reversed: bool) -> Vec<(VertexId, VertexId, u32)> {
+        let mut out: Vec<_> = adj
+            .ids()
+            .flat_map(|x| {
+                adj.list(x).iter().map(move |&(y, e)| if reversed { (y, x, e) } else { (x, y, e) })
+            })
+            .collect();
+        out.sort();
+        out
+    }
+
+    #[test]
+    fn directed_in_adjacency_is_the_shared_transpose_of_adj() {
+        let sk = skeleton(
+            true,
+            &[(1, 2, 0, 5.0), (2, 1, 0, 8.0), (2, 3, 1, 4.0), (7, 3, 2, 2.0), (1, 7, 2, 6.0)],
+        );
+        let t = &*sk.topology;
+        let in_adj = t.in_adj.as_ref().expect("a directed skeleton keeps its in-adjacency");
+        assert_eq!(entries(in_adj, true), entries(&t.adj, false));
+        assert_eq!(in_adj.num_entries(), sk.num_skeleton_edges());
+        // Vertex 3 has no outgoing edge and two incoming ones.
+        assert!(sk.neighbors(v(3)).is_empty());
+        let mut into_3 = Vec::new();
+        sk.for_each_in_neighbor(v(3), |from, w| into_3.push((from, w)));
+        into_3.sort();
+        assert_eq!(into_3, vec![(v(2), Weight::new(4.0)), (v(7), Weight::new(2.0))]);
+        // A clone, and a clone whose weights moved, share the same in-adjacency.
+        let mut next = sk.clone();
+        assert!(next.set_contribution(v(2), v(3), SubgraphId(1), Weight::new(1.0)));
+        assert!(next.shares_structure_with(&sk));
+        assert!(std::ptr::eq(next.topology.in_adj.as_ref().unwrap(), in_adj));
+        let mut moved = Vec::new();
+        next.for_each_in_neighbor(v(3), |from, w| moved.push((from, w)));
+        moved.sort();
+        assert_eq!(moved, vec![(v(2), Weight::new(1.0)), (v(7), Weight::new(2.0))]);
+        // An undirected skeleton keeps none: `adj` already lists both directions.
+        assert!(sample_skeleton().topology.in_adj.is_none());
+    }
+
+    #[test]
+    fn reversed_overlay_turns_skeleton_and_extra_edges_around() {
+        let sk = skeleton(true, &[(1, 2, 0, 5.0), (2, 3, 1, 4.0), (3, 1, 2, 1.0)]);
+        let mut overlay = sk.overlay();
+        overlay.add_edge(v(50), v(1), Weight::new(2.0));
+        overlay.add_edge(v(3), v(60), Weight::new(3.0));
+        let reversed = overlay.reversed();
+        assert_eq!(reversed.num_vertices(), overlay.num_vertices());
+        for x in [1, 2, 3, 50, 60] {
+            for (y, w) in overlay.neighbors(v(x)) {
+                assert_eq!(reversed.edge_weight(y, v(x)), Some(w));
+                assert!(reversed.neighbors(y).contains(&(v(x), w)), "{y} <- {x}");
+            }
+        }
+        let total: usize = [1, 2, 3, 50, 60].iter().map(|&x| reversed.neighbors(v(x)).len()).sum();
+        assert_eq!(total, 5);
+        // The reverse search from 60 reaches 50 at the forward distance 50 -> 60.
+        let mut arena = ksp_algo::SearchArena::new();
+        arena.search_from(&reversed, v(60));
+        assert_eq!(
+            arena.distance(v(50)),
+            dijkstra_path(&overlay, v(50), v(60)).unwrap().distance()
+        );
+        // Over an undirected skeleton the reverse is the overlay itself.
+        let undirected = sample_skeleton();
+        let mut overlay = undirected.overlay();
+        overlay.add_undirected_edge(v(50), v(1), Weight::new(1.0));
+        for x in [1, 2, 3, 50] {
+            assert_eq!(overlay.reversed().neighbors(v(x)), overlay.neighbors(v(x)));
+        }
     }
 
     #[test]

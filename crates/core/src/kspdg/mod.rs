@@ -8,14 +8,9 @@
 //!   termination condition of Theorem 3, support for non-boundary endpoints
 //!   (Section 5.3) and per-query statistics matching the paper's cost model
 //!   (Section 5.6).
-//! * [`variants`] — the constrained (via-waypoints) and diversity-limited KSP query
-//!   variants the paper proposes as future work (Section 8), composed on top of the
-//!   engine.
 
 pub mod query;
 pub mod refine;
-pub mod variants;
 
 pub use query::{KspDgConfig, KspDgEngine, QueryResult, QueryStats, QueryTrace, SharedEngine};
 pub use refine::{candidate_ksp, PartialPathCache};
-pub use variants::path_similarity;

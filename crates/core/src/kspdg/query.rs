@@ -3,7 +3,7 @@
 use crate::dtlp::{DtlpIndex, OverlayView};
 use crate::kspdg::refine::{candidate_ksp, PartialPathCache};
 use ksp_algo::path::keep_k_shortest;
-use ksp_algo::{KspEnumerator, Path, SearchArena};
+use ksp_algo::{FindKsp, Path, SearchArena};
 use ksp_graph::{SubgraphSet, VertexId, Weight};
 
 /// Configuration of the query engine.
@@ -171,7 +171,13 @@ impl<'a> KspDgEngine<'a> {
         // attached (Section 5.3 / Step 1 of the Storm deployment).
         let overlay = self.build_overlay(source, target, &mut arena, &mut trace.subgraphs);
 
-        let mut reference_paths = KspEnumerator::new(&overlay, source, target);
+        // Reference paths come from FindKSP over the overlay: every spur search is an A*
+        // guided by exact overlay distances to the target. Those distances are taken
+        // without bans, and a spur's bans only remove paths, so the heuristic stays
+        // admissible and each spur path is still a shortest one: the reference
+        // distances, and so Theorem 3's stopping test, are the ones Yen would produce.
+        let mut reference_paths =
+            FindKsp::new(&overlay, &overlay.reversed(), source, target, &mut arena);
         let mut cache = PartialPathCache::new(k);
         let mut results: Vec<Path> = Vec::new();
         let mut capped = false;
@@ -569,6 +575,54 @@ mod tests {
         let engine = KspDgEngine::new(&index);
         let result = engine.query(v(0), v(5), 2);
         assert!(result.paths.is_empty());
+    }
+
+    #[test]
+    fn endpoints_with_no_overlay_attachment_return_no_paths() {
+        // Vertex 7 is isolated: its subgraph has no boundary vertex, so the overlay
+        // attaches it to nothing, and its id lies above every skeleton id. The guided
+        // reference search must treat it as unreachable, as source and as target.
+        let mut b = GraphBuilder::undirected(8);
+        b.edge(0, 1, 2).edge(1, 2, 2).edge(2, 3, 2).edge(3, 4, 2).edge(4, 5, 2).edge(5, 6, 2);
+        let g = b.build().unwrap();
+        let index = DtlpIndex::build(&g, DtlpConfig::new(3, 1)).unwrap();
+        assert!(!index.is_boundary(v(7)));
+        assert!(index.skeleton().vertices().all(|x| x < v(7)));
+        let engine = KspDgEngine::with_config(&index, KspDgConfig::default().with_trace());
+        for (s, t) in [(v(0), v(7)), (v(7), v(0)), (v(7), v(3))] {
+            let result = engine.query(s, t, 3);
+            assert!(result.paths.is_empty(), "{s}->{t}");
+            assert_eq!(result.stats.iterations, 0);
+            assert!(result.trace.complete);
+        }
+    }
+
+    #[test]
+    fn directed_networks_match_yen_after_traffic_updates() {
+        // The only directed index the other suites query is at epoch 0; this one runs
+        // the guided reference search over a directed skeleton's in-adjacency after
+        // three traffic batches, for k = 1..5. The batches change a road's two
+        // directions independently and widely (τ = 0.9), so a reverse search that read
+        // out-edges for in-edges would misguide the search and fail here.
+        let mut net = RoadNetworkGenerator::new(RoadNetworkConfig::with_vertices(200).directed())
+            .generate(29)
+            .unwrap();
+        assert!(net.graph.is_directed());
+        let mut index = DtlpIndex::build(&net.graph, DtlpConfig::new(15, 2)).unwrap();
+        assert!(index.is_directed());
+        let mut traffic = TrafficModel::new(&net.graph, TrafficConfig::new(0.5, 0.9), 13);
+        for _ in 0..3 {
+            let batch = traffic.next_snapshot();
+            net.graph.apply_batch(&batch).unwrap();
+            index.apply_batch(&batch).unwrap();
+        }
+        for k in 1..=5 {
+            let workload =
+                QueryWorkload::generate(&net.graph, QueryWorkloadConfig::new(6, k), 31 + k as u64);
+            for q in workload.iter() {
+                assert_matches_yen(&net.graph, &index, q.source, q.target, q.k);
+            }
+        }
     }
 
     #[test]
