@@ -179,12 +179,7 @@ impl Cluster {
                     }
                     let sg = subgraphs[i].clone();
                     let t0 = Instant::now();
-                    let built = SubgraphIndex::build(
-                        sg,
-                        dtlp_cfg.xi,
-                        dtlp_cfg.max_enumerated_per_pair,
-                        dtlp_cfg.backend,
-                    );
+                    let built = SubgraphIndex::build(sg, dtlp_cfg.xi);
                     let elapsed = t0.elapsed();
                     results.lock()[i] = Some((built, elapsed));
                 });

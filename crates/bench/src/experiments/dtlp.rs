@@ -79,7 +79,15 @@ pub fn fig15_18(scale: Scale) -> Vec<Table> {
     let xi = default_xi(scale);
     let mut table = Table::new(
         format!("Figures 15-18: DTLP construction cost vs z (xi = {xi})"),
-        &["dataset", "z", "build time (ms)", "EP-Index (MiB)", "skeleton (MiB)", "#bounding paths"],
+        &[
+            "dataset",
+            "z",
+            "build time (ms)",
+            "EP-Index (MiB)",
+            "MFP-tree (MiB)",
+            "skeleton (MiB)",
+            "#bounding paths",
+        ],
     );
     for preset in datasets_for(scale) {
         let spec = preset.spec(scale.dataset_scale());
@@ -93,6 +101,7 @@ pub fn fig15_18(scale: Scale) -> Vec<Table> {
                 z.to_string(),
                 ms(elapsed),
                 mib(index.level1_memory_bytes()),
+                mib(index.mfp_level1_memory_bytes()),
                 mib(index.skeleton_memory_bytes()),
                 index.build_stats().num_bounding_paths.to_string(),
             ]);
@@ -232,7 +241,7 @@ pub fn fig22(scale: Scale) -> Vec<Table> {
     };
     let mut table = Table::new(
         "Figure 22: DTLP maintenance time vs xi (alpha=50%, tau=50%)",
-        &["dataset", "xi", "maintenance time (ms)", "paths touched"],
+        &["dataset", "xi", "maintenance time (ms)", "paths touched", "level-one (MiB)"],
     );
     for preset in datasets_for(scale) {
         if preset == DatasetPreset::CentralUsa {
@@ -252,6 +261,7 @@ pub fn fig22(scale: Scale) -> Vec<Table> {
                 xi.to_string(),
                 ms(t0.elapsed()),
                 stats.paths_touched.to_string(),
+                mib(index.level1_memory_bytes()),
             ]);
         }
     }

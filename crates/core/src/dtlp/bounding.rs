@@ -221,7 +221,7 @@ impl<'a> PairPaths<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dtlp::subgraph_index::{BackendKind, SubgraphIndex};
+    use crate::dtlp::subgraph_index::SubgraphIndex;
     use ksp_graph::{GraphBuilder, PartitionConfig, Partitioner, Subgraph, WeightUpdate};
 
     fn v(i: u32) -> VertexId {
@@ -303,7 +303,7 @@ mod tests {
 
     /// An index over `sg` holding exactly `set`, maintained by the real update path.
     fn index_of(sg: Subgraph, set: BoundingPathSet) -> SubgraphIndex {
-        SubgraphIndex::restore(sg, vec![set], vec![Weight::INFINITY], BackendKind::EpIndex)
+        SubgraphIndex::restore(sg, vec![set], vec![Weight::INFINITY])
     }
 
     /// Moves every listed edge of `idx`'s subgraph to its new weight.

@@ -42,6 +42,15 @@ impl EpIndex {
         self.entries.get(&edge).map(|v| v.as_slice()).unwrap_or(&[])
     }
 
+    /// The whole map as `(edge, paths)` pairs in ascending edge order, each edge's
+    /// paths in insertion order: the input of the MFP-tree forest.
+    pub(crate) fn edge_paths(&self) -> Vec<(EdgeId, Vec<PathRef>)> {
+        let mut list: Vec<(EdgeId, Vec<PathRef>)> =
+            self.entries.iter().map(|(&e, refs)| (e, refs.clone())).collect();
+        list.sort_unstable_by_key(|(e, _)| e.0);
+        list
+    }
+
     /// Number of edges that have at least one bounding path through them.
     pub fn num_edges(&self) -> usize {
         self.entries.len()

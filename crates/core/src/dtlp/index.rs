@@ -1,7 +1,7 @@
 //! The assembled DTLP index (Algorithms 1 and 2 of the paper).
 
 use crate::dtlp::skeleton::SkeletonGraph;
-use crate::dtlp::subgraph_index::{BackendKind, SubgraphIndex};
+use crate::dtlp::subgraph_index::SubgraphIndex;
 use ksp_graph::{
     DynamicGraph, EdgeId, GraphError, PartitionConfig, Partitioner, SubgraphId, UpdateBatch,
     VertexId,
@@ -9,8 +9,6 @@ use ksp_graph::{
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-pub use crate::dtlp::subgraph_index::BackendKind as PathStorageBackend;
 
 /// Configuration of the DTLP index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -20,28 +18,12 @@ pub struct DtlpConfig {
     /// Number of distinct vfrag counts among the bounding paths of a boundary pair
     /// (the paper's `ξ`); paths tied below the largest count are all kept.
     pub xi: usize,
-    /// Cap on the number of paths enumerated per pair while searching for bounding
-    /// paths; truncation trades bound tightness for build time, never correctness.
-    pub max_enumerated_per_pair: usize,
-    /// Which storage backend maintains the edge → bounding-paths mapping.
-    pub backend: PathStorageBackend,
 }
 
 impl DtlpConfig {
-    /// Creates a configuration with the given `z` and `ξ` and default remaining fields.
+    /// Creates a configuration with the given `z` and `ξ`.
     pub fn new(z: usize, xi: usize) -> Self {
-        DtlpConfig {
-            max_subgraph_vertices: z,
-            xi,
-            max_enumerated_per_pair: 48,
-            backend: BackendKind::EpIndex,
-        }
-    }
-
-    /// Returns a copy using the MFP-tree backend.
-    pub fn with_mfp_backend(mut self) -> Self {
-        self.backend = BackendKind::MfpTree;
-        self
+        DtlpConfig { max_subgraph_vertices: z, xi }
     }
 }
 
@@ -142,9 +124,7 @@ impl DtlpIndex {
         let subgraph_indexes: Vec<SubgraphIndex> = partitioning
             .into_subgraphs()
             .into_iter()
-            .map(|sg| {
-                SubgraphIndex::build(sg, config.xi, config.max_enumerated_per_pair, config.backend)
-            })
+            .map(|sg| SubgraphIndex::build(sg, config.xi))
             .collect();
 
         let mut index = Self::assemble(
@@ -444,6 +424,13 @@ impl DtlpIndex {
     /// Total memory of the level-one index structures across all subgraphs, in bytes.
     pub fn level1_memory_bytes(&self) -> usize {
         self.subgraph_indexes.iter().map(|i| i.index_memory_bytes()).sum()
+    }
+
+    /// What [`DtlpIndex::level1_memory_bytes`] would be with every EP-Index
+    /// compressed into the MFP-tree forest of Section 4 (built here, on each call,
+    /// from the EP-Index content; the index itself never stores one).
+    pub fn mfp_level1_memory_bytes(&self) -> usize {
+        self.subgraph_indexes.iter().map(|i| i.mfp_index_memory_bytes()).sum()
     }
 
     /// Memory of the skeleton graph in bytes.

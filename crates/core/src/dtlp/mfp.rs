@@ -1,4 +1,4 @@
-//! The compressed bounding-path storage: MinHash/LSH grouping and MFP-trees (Section 4).
+//! The compressed bounding-path storage of Section 4: MinHash/LSH grouping and MFP-trees.
 //!
 //! The EP-Index duplicates every bounding path once per edge it covers, which the paper
 //! observes can dwarf the subgraph itself. Section 4 compresses it in two steps:
@@ -13,9 +13,10 @@
 //!    node of every insertion records the edge and the length of its path list, so the
 //!    list can be recovered by walking up that many ancestors.
 //!
-//! The forest exposes the same lookup operation as the EP-Index — "which bounding
-//! paths pass through this edge" — so the two are interchangeable maintenance backends
-//! (see [`crate::dtlp::PathStorageBackend`]).
+//! Maintenance always reads the EP-Index. The forest is built from the EP-Index
+//! content only to report what the compressed form would cost
+//! ([`crate::dtlp::DtlpIndex::mfp_level1_memory_bytes`], the MFP-tree column of
+//! Figures 15–18); it recovers every edge's path set exactly.
 
 use crate::dtlp::ep_index::PathRef;
 use ksp_graph::EdgeId;
@@ -39,15 +40,14 @@ fn hash_path(p: PathRef, salt: u64) -> u64 {
 }
 
 /// MinHash + LSH grouping of edges by path-set similarity.
-#[derive(Debug, Clone, Default)]
-pub struct MinHashLsh;
+pub(crate) struct MinHashLsh;
 
 impl MinHashLsh {
     /// Groups edges so that edges with similar path sets share a group.
     ///
     /// The input is the EP-Index content as (edge, path list) pairs; the output is a
     /// partition of the edges (every edge appears in exactly one group).
-    pub fn group_edges(edge_paths: &[(EdgeId, Vec<PathRef>)]) -> Vec<Vec<usize>> {
+    pub(crate) fn group_edges(edge_paths: &[(EdgeId, Vec<PathRef>)]) -> Vec<Vec<usize>> {
         let n = edge_paths.len();
         if n == 0 {
             return Vec::new();
@@ -110,7 +110,8 @@ impl MinHashLsh {
     }
 
     /// Exact Jaccard similarity of two path sets; used by tests to validate grouping.
-    pub fn jaccard(a: &[PathRef], b: &[PathRef]) -> f64 {
+    #[cfg(test)]
+    fn jaccard(a: &[PathRef], b: &[PathRef]) -> f64 {
         if a.is_empty() && b.is_empty() {
             return 1.0;
         }
@@ -127,13 +128,15 @@ impl MinHashLsh {
 struct MfpNode {
     /// The bounding path this node represents; `None` for the root and for tail nodes.
     path: Option<PathRef>,
+    /// Read only by the lookup, which only tests call; the memory estimate still
+    /// prices it, since a tree without parent links could not recover any list.
+    #[cfg_attr(not(test), expect(dead_code))]
     parent: Option<u32>,
     children: Vec<u32>,
 }
 
 /// One MFP-tree: a prefix tree over path lists, with tail entries per edge.
-#[derive(Debug, Clone)]
-pub struct MfpTree {
+struct MfpTree {
     nodes: Vec<MfpNode>,
     /// edge → (node index of the last path node of its list, list length).
     tails: HashMap<EdgeId, (u32, u32)>,
@@ -174,6 +177,7 @@ impl MfpTree {
     }
 
     /// Recovers the path list of `edge` by walking up from its tail node.
+    #[cfg(test)]
     fn paths_of(&self, edge: EdgeId, out: &mut Vec<PathRef>) -> bool {
         let Some(&(mut node, count)) = self.tails.get(&edge) else { return false };
         let start = out.len();
@@ -187,7 +191,8 @@ impl MfpTree {
     }
 
     /// Number of nodes (excluding the root).
-    pub fn num_nodes(&self) -> usize {
+    #[cfg(test)]
+    fn num_nodes(&self) -> usize {
         self.nodes.len() - 1
     }
 
@@ -204,8 +209,7 @@ impl MfpTree {
 
 /// The forest of MFP-trees for one subgraph (one tree per LSH group), merged under a
 /// conceptual empty root as in Figure 13 of the paper.
-#[derive(Debug, Clone, Default)]
-pub struct MfpForest {
+pub(crate) struct MfpForest {
     trees: Vec<MfpTree>,
     /// edge → tree index (the tree holding its tail).
     edge_tree: HashMap<EdgeId, u32>,
@@ -213,7 +217,7 @@ pub struct MfpForest {
 
 impl MfpForest {
     /// Builds the forest from EP-Index content.
-    pub fn build(edge_paths: &[(EdgeId, Vec<PathRef>)]) -> Self {
+    pub(crate) fn build(edge_paths: &[(EdgeId, Vec<PathRef>)]) -> Self {
         let groups = MinHashLsh::group_edges(edge_paths);
         let mut trees = Vec::with_capacity(groups.len());
         let mut edge_tree = HashMap::with_capacity(edge_paths.len());
@@ -242,25 +246,28 @@ impl MfpForest {
     }
 
     /// Appends the bounding paths passing through `edge` to `out`.
-    pub fn collect_paths_through(&self, edge: EdgeId, out: &mut Vec<PathRef>) {
+    #[cfg(test)]
+    pub(crate) fn collect_paths_through(&self, edge: EdgeId, out: &mut Vec<PathRef>) {
         if let Some(&t) = self.edge_tree.get(&edge) {
             self.trees[t as usize].paths_of(edge, out);
         }
     }
 
     /// Number of trees in the forest (LSH groups).
-    pub fn num_trees(&self) -> usize {
+    #[cfg(test)]
+    fn num_trees(&self) -> usize {
         self.trees.len()
     }
 
     /// Total number of path nodes stored; with effective prefix sharing this is smaller
     /// than the EP-Index entry count.
-    pub fn num_nodes(&self) -> usize {
+    #[cfg(test)]
+    fn num_nodes(&self) -> usize {
         self.trees.iter().map(|t| t.num_nodes()).sum()
     }
 
     /// Estimated memory footprint in bytes.
-    pub fn memory_bytes(&self) -> usize {
+    pub(crate) fn memory_bytes(&self) -> usize {
         self.trees.iter().map(|t| t.memory_bytes()).sum::<usize>()
             + self.edge_tree.len() * (std::mem::size_of::<EdgeId>() + 4)
     }

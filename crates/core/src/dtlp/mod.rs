@@ -2,9 +2,11 @@
 //!
 //! Level one ([`subgraph_index`]) lives with each subgraph (on its owning worker in the
 //! distributed deployment): the bounding paths between boundary-vertex pairs, the
-//! unit-weight multiset used to compute bound distances, and a storage backend
-//! ([`ep_index`] or the compressed [`mfp`]) that maps an edge to the bounding paths
-//! passing through it so that weight updates touch only what they must.
+//! unit-weight multiset used to compute bound distances, and the EP-Index
+//! ([`ep_index`]) that maps an edge to the bounding paths passing through it so that
+//! weight updates touch only what they must. Section 4's MFP-tree compression of the
+//! EP-Index is reported as a size ([`DtlpIndex::mfp_level1_memory_bytes`]), not kept
+//! as a second store.
 //!
 //! Level two ([`skeleton`]) is the skeleton graph `Gλ` over all boundary vertices; its
 //! edge weights are *minimum lower bound distances* and it is small enough to be
@@ -15,15 +17,14 @@
 pub mod bounding;
 pub mod ep_index;
 pub mod index;
-pub mod mfp;
+mod mfp;
 pub mod skeleton;
 pub mod subgraph_index;
 pub mod unit_weights;
 
 pub use bounding::{BoundingPath, BoundingPathSet, PairPaths};
 pub use ep_index::EpIndex;
-pub use index::{BuildStats, DtlpConfig, DtlpIndex, MaintenanceStats, PathStorageBackend};
-pub use mfp::{MfpForest, MinHashLsh};
+pub use index::{BuildStats, DtlpConfig, DtlpIndex, MaintenanceStats};
 pub use skeleton::{OverlayView, ReversedOverlay, SkeletonGraph};
-pub use subgraph_index::{BackendKind, LowerBoundChange, SubgraphIndex};
+pub use subgraph_index::{LowerBoundChange, SubgraphIndex};
 pub use unit_weights::UnitWeightMultiset;

@@ -2,10 +2,9 @@
 //!
 //! A [`SubgraphIndex`] is what a worker keeps for each subgraph it owns: the subgraph
 //! itself (with live weights), the bounding paths between its boundary-vertex pairs
-//! and a storage backend (EP-Index or MFP forest) that maps an edge to the bounding
-//! paths covering it. It receives the weight updates routed to this subgraph and
-//! reports which pairs' lower bound distances changed, so the skeleton graph can be
-//! patched incrementally.
+//! and the EP-Index that maps an edge to the bounding paths covering it. It receives
+//! the weight updates routed to this subgraph and reports which pairs' lower bound
+//! distances changed, so the skeleton graph can be patched incrementally.
 
 use crate::dtlp::bounding::{BoundingPath, BoundingPathSet, BoundingPathTable, PairPaths};
 use crate::dtlp::ep_index::{EpIndex, PathRef};
@@ -16,37 +15,10 @@ use ksp_graph::{EdgeId, GraphError, Subgraph, SubgraphId, VertexId, Weight, Weig
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Which structure stores the edge → bounding-paths mapping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BackendKind {
-    /// The plain EP-Index map of Section 3.7 (larger, slightly faster lookups).
-    #[default]
-    EpIndex,
-    /// The LSH-grouped MFP-tree forest of Section 4 (compressed).
-    MfpTree,
-}
-
-#[derive(Debug)]
-enum BackendStore {
-    Ep(EpIndex),
-    Mfp(MfpForest),
-}
-
-impl BackendStore {
-    fn collect_paths_through(&self, edge: EdgeId, out: &mut Vec<PathRef>) {
-        match self {
-            BackendStore::Ep(ep) => out.extend_from_slice(ep.paths_through(edge)),
-            BackendStore::Mfp(mfp) => mfp.collect_paths_through(edge, out),
-        }
-    }
-
-    fn memory_bytes(&self) -> usize {
-        match self {
-            BackendStore::Ep(ep) => ep.memory_bytes(),
-            BackendStore::Mfp(mfp) => mfp.memory_bytes(),
-        }
-    }
-}
+/// How many paths [`SubgraphIndex::build`] enumerates per boundary pair at most
+/// while searching for bounding paths; see [`ksp_algo::fewest_vfrag_paths`] for why
+/// truncation trades bound tightness for build time, never correctness.
+const MAX_PATHS_ENUMERATED: usize = 48;
 
 /// Per-pair change reported after applying a batch of weight updates.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -60,12 +32,12 @@ pub struct LowerBoundChange {
 }
 
 /// What never changes after a subgraph index is built: the bounding paths'
-/// structure and the edge → paths backend over it (which maps edges to path
-/// *numbers*, not distances).
+/// structure and the EP-Index over it (which maps edges to path *numbers*, not
+/// distances).
 #[derive(Debug)]
 struct PathShape {
     table: BoundingPathTable,
-    backend: BackendStore,
+    ep: EpIndex,
 }
 
 /// The level-one DTLP index of a single subgraph.
@@ -93,15 +65,8 @@ impl SubgraphIndex {
     /// Builds the index for one subgraph.
     ///
     /// `xi` is the number of distinct vfrag counts among a pair's bounding paths (the
-    /// paper's ξ) and `max_enumerated` caps the path enumeration per pair; see
-    /// [`ksp_algo::fewest_vfrag_paths`] for which paths are kept and why truncation is
-    /// safe.
-    pub fn build(
-        subgraph: impl Into<Arc<Subgraph>>,
-        xi: usize,
-        max_enumerated: usize,
-        backend: BackendKind,
-    ) -> Self {
+    /// paper's ξ); see [`ksp_algo::fewest_vfrag_paths`] for which paths are kept.
+    pub fn build(subgraph: impl Into<Arc<Subgraph>>, xi: usize) -> Self {
         let subgraph: Arc<Subgraph> = subgraph.into();
         let directed = subgraph.is_directed();
         let boundary: Vec<VertexId> = subgraph.boundary_vertices().to_vec();
@@ -113,7 +78,7 @@ impl SubgraphIndex {
                 if !take {
                     continue;
                 }
-                let candidates = fewest_vfrag_paths(&subgraph, a, b, xi, max_enumerated);
+                let candidates = fewest_vfrag_paths(&subgraph, a, b, xi, MAX_PATHS_ENUMERATED);
                 let paths: Vec<BoundingPath> = candidates
                     .into_iter()
                     .filter_map(|c| {
@@ -127,7 +92,7 @@ impl SubgraphIndex {
             }
         }
 
-        let mut index = Self::with_paths(subgraph, &pairs, backend);
+        let mut index = Self::with_paths(subgraph, &pairs);
         let unit_weights = UnitWeightMultiset::from_subgraph(&index.subgraph);
         index.last_lbd = index.pairs().map(|p| p.lower_bound_distance(&unit_weights)).collect();
         index
@@ -139,24 +104,23 @@ impl SubgraphIndex {
     /// `pairs` carries the accumulated `current_distance` of every bounding
     /// path and `last_lbd` the exact lower bounds last reported to the
     /// skeleton, so the restored index continues maintenance bit-identically
-    /// to the instance that was checkpointed. The edge → paths backend is
-    /// derived data and is rebuilt here (a deterministic function of
-    /// `subgraph` and `pairs`).
+    /// to the instance that was checkpointed. The EP-Index is derived data
+    /// and is rebuilt here (a deterministic function of `subgraph` and
+    /// `pairs`).
     pub fn restore(
         subgraph: impl Into<Arc<Subgraph>>,
         pairs: Vec<BoundingPathSet>,
         last_lbd: Vec<Weight>,
-        backend: BackendKind,
     ) -> Self {
         assert_eq!(pairs.len(), last_lbd.len(), "one stored lower bound per boundary pair");
-        SubgraphIndex { last_lbd, ..Self::with_paths(subgraph.into(), &pairs, backend) }
+        SubgraphIndex { last_lbd, ..Self::with_paths(subgraph.into(), &pairs) }
     }
 
     /// Flattens `pairs` into a new shape; no lower bound is reported yet.
-    fn with_paths(subgraph: Arc<Subgraph>, pairs: &[BoundingPathSet], kind: BackendKind) -> Self {
+    fn with_paths(subgraph: Arc<Subgraph>, pairs: &[BoundingPathSet]) -> Self {
         let (table, distance) = BoundingPathTable::from_sets(pairs);
-        let backend = build_backend(&subgraph, &table, kind);
-        let shape = Arc::new(PathShape { table, backend });
+        let ep = build_ep_index(&subgraph, &table);
+        let shape = Arc::new(PathShape { table, ep });
         SubgraphIndex { subgraph, shape, distance, last_lbd: Vec::new() }
     }
 
@@ -193,14 +157,6 @@ impl SubgraphIndex {
     /// detects future bound changes against the same baseline.
     pub fn last_lower_bounds(&self) -> &[Weight] {
         &self.last_lbd
-    }
-
-    /// Which backend kind stores the edge → bounding-paths mapping.
-    pub fn backend_kind(&self) -> BackendKind {
-        match self.shape.backend {
-            BackendStore::Ep(_) => BackendKind::EpIndex,
-            BackendStore::Mfp(_) => BackendKind::MfpTree,
-        }
     }
 
     /// Identifier of the underlying subgraph.
@@ -241,7 +197,6 @@ impl SubgraphIndex {
         }
         let table = &self.shape.table;
         let mut paths_touched = 0usize;
-        let mut refs: Vec<PathRef> = Vec::new();
         // Copy-on-write: the first update of a batch unshares the subgraph if
         // a previous epoch still holds it; later updates mutate in place.
         for update in updates {
@@ -249,9 +204,7 @@ impl SubgraphIndex {
             if delta == 0.0 {
                 continue;
             }
-            refs.clear();
-            self.shape.backend.collect_paths_through(update.edge, &mut refs);
-            for r in &refs {
+            for r in self.shape.ep.paths_through(update.edge) {
                 let d = &mut self.distance[table.paths_of(r.pair as usize).start + r.path as usize];
                 *d = Weight::new((d.value() + delta).max(0.0));
                 paths_touched += 1;
@@ -319,8 +272,18 @@ impl SubgraphIndex {
     /// epoch's distances and lower bounds. Epochs that share the shape
     /// ([`SubgraphIndex::shares_structure_with`]) each count it in full.
     pub fn index_memory_bytes(&self) -> usize {
+        self.index_memory_bytes_with(self.shape.ep.memory_bytes())
+    }
+
+    /// [`Self::index_memory_bytes`] with the EP-Index replaced by the Section 4
+    /// MFP-tree forest built from its content.
+    pub(crate) fn mfp_index_memory_bytes(&self) -> usize {
+        self.index_memory_bytes_with(MfpForest::build(&self.shape.ep.edge_paths()).memory_bytes())
+    }
+
+    fn index_memory_bytes_with(&self, edge_map_bytes: usize) -> usize {
         self.shape.table.memory_bytes()
-            + self.shape.backend.memory_bytes()
+            + edge_map_bytes
             + (self.distance.len() + self.last_lbd.len()) * std::mem::size_of::<Weight>()
     }
 
@@ -330,14 +293,10 @@ impl SubgraphIndex {
     }
 }
 
-/// Builds the edge → bounding-paths backend for `table` over `subgraph`.
-/// Shared by [`SubgraphIndex::build`] and [`SubgraphIndex::restore`]: the
-/// backend is fully derived from the paths, so it is never persisted.
-fn build_backend(
-    subgraph: &Subgraph,
-    table: &BoundingPathTable,
-    kind: BackendKind,
-) -> BackendStore {
+/// Builds the EP-Index for `table` over `subgraph`. Shared by
+/// [`SubgraphIndex::build`] and [`SubgraphIndex::restore`]: the EP-Index is
+/// fully derived from the paths, so it is never persisted.
+fn build_ep_index(subgraph: &Subgraph, table: &BoundingPathTable) -> EpIndex {
     // Edge lookup (endpoint pair -> global edge id) for registering paths.
     let mut edge_of: HashMap<(VertexId, VertexId), EdgeId> = HashMap::new();
     for e in subgraph.edges() {
@@ -346,32 +305,16 @@ fn build_backend(
             edge_of.insert((e.v, e.u), e.global_id);
         }
     }
-    let mut edge_paths: HashMap<EdgeId, Vec<PathRef>> = HashMap::new();
+    let mut ep = EpIndex::new();
     for pi in 0..table.num_pairs() {
         for (qi, path) in table.paths_of(pi).enumerate() {
             for w in table.vertices(path).windows(2) {
                 let Some(&e) = edge_of.get(&(w[0], w[1])) else { continue };
-                edge_paths.entry(e).or_default().push(PathRef { pair: pi as u32, path: qi as u32 });
+                ep.insert(e, PathRef { pair: pi as u32, path: qi as u32 });
             }
         }
     }
-    match kind {
-        BackendKind::EpIndex => {
-            let mut ep = EpIndex::new();
-            for (e, refs) in &edge_paths {
-                for &r in refs {
-                    ep.insert(*e, r);
-                }
-            }
-            BackendStore::Ep(ep)
-        }
-        BackendKind::MfpTree => {
-            let mut list: Vec<(EdgeId, Vec<PathRef>)> =
-                edge_paths.iter().map(|(e, v)| (*e, v.clone())).collect();
-            list.sort_by_key(|(e, _)| e.0);
-            BackendStore::Mfp(MfpForest::build(&list))
-        }
-    }
+    ep
 }
 
 /// A reversed view of a directed subgraph (in-edges become out-edges).
@@ -455,22 +398,14 @@ mod tests {
         (g, p)
     }
 
-    fn build_indexes(
-        partitioning: &ksp_graph::Partitioning,
-        xi: usize,
-        backend: BackendKind,
-    ) -> Vec<SubgraphIndex> {
-        partitioning
-            .subgraphs()
-            .iter()
-            .map(|sg| SubgraphIndex::build(sg.clone(), xi, 64, backend))
-            .collect()
+    fn build_indexes(partitioning: &ksp_graph::Partitioning, xi: usize) -> Vec<SubgraphIndex> {
+        partitioning.subgraphs().iter().map(|sg| SubgraphIndex::build(sg.clone(), xi)).collect()
     }
 
     #[test]
     fn lower_bounds_never_exceed_subgraph_shortest_distances() {
         let (_, partitioning) = paper_partitioning();
-        for idx in build_indexes(&partitioning, 3, BackendKind::EpIndex) {
+        for idx in build_indexes(&partitioning, 3) {
             for lb in idx.lower_bounds() {
                 let shortest = dijkstra_path(idx.subgraph(), lb.a, lb.b)
                     .map(|p| p.distance())
@@ -491,7 +426,7 @@ mod tests {
         // Section 5.5: at construction time all unit weights equal 1 and the lower
         // bound distance equals the true shortest distance within every subgraph.
         let (_, partitioning) = paper_partitioning();
-        for idx in build_indexes(&partitioning, 3, BackendKind::EpIndex) {
+        for idx in build_indexes(&partitioning, 3) {
             for lb in idx.lower_bounds() {
                 if !lb.new_lbd.is_finite() {
                     continue;
@@ -511,7 +446,7 @@ mod tests {
     #[test]
     fn updates_keep_lower_bound_property() {
         let (_, partitioning) = paper_partitioning();
-        let mut indexes = build_indexes(&partitioning, 2, BackendKind::EpIndex);
+        let mut indexes = build_indexes(&partitioning, 2);
         // Repeatedly perturb each subgraph's edges and re-check the bound property.
         for round in 1..5u32 {
             for idx in &mut indexes {
@@ -569,7 +504,7 @@ mod tests {
             sg.edges().to_vec(),
             vec![v(0), v(3)],
         );
-        let mut idx = SubgraphIndex::build(sg, 2, 64, BackendKind::EpIndex);
+        let mut idx = SubgraphIndex::build(sg, 2);
         assert_eq!(idx.pair(0).len(), 3, "both tied routes and the 3-vfrag one");
         let factors = [1.3, 1.3, 0.7, 0.7, 1.3, 1.3, 1.3];
         let updates: Vec<WeightUpdate> = factors
@@ -585,38 +520,34 @@ mod tests {
     }
 
     #[test]
-    fn ep_and_mfp_backends_agree_after_updates() {
-        let (_, partitioning) = paper_partitioning();
-        let mut ep = build_indexes(&partitioning, 2, BackendKind::EpIndex);
-        let mut mfp = build_indexes(&partitioning, 2, BackendKind::MfpTree);
-        for (a, b) in ep.iter_mut().zip(mfp.iter_mut()) {
-            let updates: Vec<WeightUpdate> = a
-                .subgraph()
-                .edges()
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| i % 2 == 0)
-                .map(|(i, e)| {
-                    WeightUpdate::new(e.global_id, Weight::new(e.initial_weight as f64 + i as f64))
-                })
-                .collect();
-            a.apply_updates(&updates).unwrap();
-            b.apply_updates(&updates).unwrap();
-            let la: Vec<_> = a.lower_bounds().collect();
-            let lb: Vec<_> = b.lower_bounds().collect();
-            assert_eq!(la.len(), lb.len());
-            for (x, y) in la.iter().zip(lb.iter()) {
-                assert_eq!(x.a, y.a);
-                assert_eq!(x.b, y.b);
-                assert!(x.new_lbd.approx_eq(y.new_lbd), "{} vs {}", x.new_lbd, y.new_lbd);
+    fn mfp_forest_returns_the_ep_index_path_sets() {
+        // What makes the MFP-tree memory figure honest: for every subgraph of the
+        // Figure 3 partitioning, the forest built from the EP-Index content answers
+        // "which bounding paths cross this edge" exactly as the EP-Index does.
+        let (graph, partitioning) = paper_partitioning();
+        let mut nonempty = 0;
+        for xi in [1, 2, 3] {
+            for idx in build_indexes(&partitioning, xi) {
+                let ep = &idx.shape.ep;
+                let forest = MfpForest::build(&ep.edge_paths());
+                for edge in graph.edge_ids() {
+                    let mut expected = ep.paths_through(edge).to_vec();
+                    let mut actual = Vec::new();
+                    forest.collect_paths_through(edge, &mut actual);
+                    expected.sort_by_key(|r| (r.pair, r.path));
+                    actual.sort_by_key(|r| (r.pair, r.path));
+                    assert_eq!(actual, expected, "subgraph {} edge {edge} (xi {xi})", idx.id());
+                    nonempty += usize::from(!expected.is_empty());
+                }
             }
         }
+        assert!(nonempty > 0, "no edge carries a bounding path");
     }
 
     #[test]
     fn apply_updates_reports_touched_paths_and_changes() {
         let (_, partitioning) = paper_partitioning();
-        let mut indexes = build_indexes(&partitioning, 2, BackendKind::EpIndex);
+        let mut indexes = build_indexes(&partitioning, 2);
         let idx = indexes
             .iter_mut()
             .find(|i| i.num_pairs() > 0 && i.subgraph().num_edges() > 2)
@@ -639,7 +570,7 @@ mod tests {
     #[test]
     fn updates_for_foreign_edges_are_rejected() {
         let (_, partitioning) = paper_partitioning();
-        let mut indexes = build_indexes(&partitioning, 1, BackendKind::EpIndex);
+        let mut indexes = build_indexes(&partitioning, 1);
         let foreign = EdgeId(10_000);
         let err =
             indexes[0].apply_updates(&[WeightUpdate::new(foreign, Weight::new(1.0))]).unwrap_err();
@@ -649,7 +580,7 @@ mod tests {
     #[test]
     fn boundary_distances_from_cover_reachable_boundary_vertices() {
         let (_, partitioning) = paper_partitioning();
-        let indexes = build_indexes(&partitioning, 1, BackendKind::EpIndex);
+        let indexes = build_indexes(&partitioning, 1);
         for idx in &indexes {
             let Some(&start) = idx.subgraph().vertices().first() else { continue };
             let dists = idx.boundary_distances_from(start, &mut SearchArena::new());
@@ -669,7 +600,7 @@ mod tests {
         let partitioning =
             Partitioner::new(PartitionConfig::with_max_vertices(3)).partition(&g).unwrap();
         for sg in partitioning.subgraphs() {
-            let idx = SubgraphIndex::build(sg.clone(), 1, 16, BackendKind::EpIndex);
+            let idx = SubgraphIndex::build(sg.clone(), 1);
             for &bv in idx.subgraph().boundary_vertices() {
                 // distances *to* bv from bv must be zero in both helper directions.
                 let mut arena = SearchArena::new();
@@ -684,7 +615,7 @@ mod tests {
     #[test]
     fn memory_accounting_is_positive_for_nonempty_indexes() {
         let (_, partitioning) = paper_partitioning();
-        let indexes = build_indexes(&partitioning, 2, BackendKind::EpIndex);
+        let indexes = build_indexes(&partitioning, 2);
         let with_pairs = indexes.iter().filter(|i| i.num_pairs() > 0).count();
         assert!(with_pairs > 0);
         for idx in indexes.iter().filter(|i| i.num_pairs() > 0) {

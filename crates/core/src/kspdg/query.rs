@@ -13,10 +13,6 @@ pub struct KspDgConfig {
     /// the number of iterations stays near `k` in practice (Section 5.5); the cap only
     /// guards against pathological inputs.
     pub max_iterations: usize,
-    /// Whether partial k-shortest-path results are cached across iterations of the same
-    /// query (the `candidateKSP` optimisation of Section 5.2). Disabling it is only
-    /// useful for the ablation benchmarks.
-    pub cache_partials: bool,
     /// Whether queries produce a *certified* [`QueryTrace`] — i.e. run the
     /// survival sweep after the answer is found. Off by default: the sweep
     /// costs one extra bounded Dijkstra over the skeleton overlay, which only
@@ -30,7 +26,7 @@ pub struct KspDgConfig {
 
 impl Default for KspDgConfig {
     fn default() -> Self {
-        KspDgConfig { max_iterations: 10_000, cache_partials: true, collect_trace: false }
+        KspDgConfig { max_iterations: 10_000, collect_trace: false }
     }
 }
 
@@ -192,28 +188,14 @@ impl<'a> KspDgEngine<'a> {
             // Broadcasting the reference path to the workers costs O(|Pλ|) vertices.
             stats.vertices_transferred += reference.num_vertices();
 
-            let candidates = if self.config.cache_partials {
-                candidate_ksp(
-                    self.index,
-                    reference.vertices(),
-                    &mut cache,
-                    &mut arena,
-                    &mut stats,
-                    &mut trace.subgraphs,
-                )
-            } else {
-                let mut fresh = PartialPathCache::new(k);
-                let out = candidate_ksp(
-                    self.index,
-                    reference.vertices(),
-                    &mut fresh,
-                    &mut arena,
-                    &mut stats,
-                    &mut trace.subgraphs,
-                );
-                stats.partial_computations += fresh.misses();
-                out
-            };
+            let candidates = candidate_ksp(
+                self.index,
+                reference.vertices(),
+                &mut cache,
+                &mut arena,
+                &mut stats,
+                &mut trace.subgraphs,
+            );
             stats.candidates_generated += candidates.len();
             results.extend(candidates);
             keep_k_shortest(&mut results, k);
@@ -230,10 +212,8 @@ impl<'a> KspDgEngine<'a> {
                 }
             }
         }
-        if self.config.cache_partials {
-            stats.partial_computations = cache.misses();
-            stats.partial_cache_hits = cache.hits();
-        }
+        stats.partial_computations = cache.misses();
+        stats.partial_cache_hits = cache.hits();
 
         let mut sweep_time = std::time::Duration::ZERO;
         if self.config.collect_trace && !capped {
@@ -651,27 +631,6 @@ mod tests {
             iters_hi <= iters_lo,
             "ξ=6 used more iterations ({iters_hi}) than ξ=1 ({iters_lo})"
         );
-    }
-
-    #[test]
-    fn cache_disabled_still_produces_correct_results() {
-        let net =
-            RoadNetworkGenerator::new(RoadNetworkConfig::with_vertices(180)).generate(73).unwrap();
-        let index = DtlpIndex::build(&net.graph, DtlpConfig::new(15, 2)).unwrap();
-        let cached = KspDgEngine::new(&index);
-        let uncached = KspDgEngine::with_config(
-            &index,
-            KspDgConfig { cache_partials: false, ..Default::default() },
-        );
-        let workload = QueryWorkload::generate(&net.graph, QueryWorkloadConfig::new(6, 3), 77);
-        for q in workload.iter() {
-            let a = cached.query(q.source, q.target, q.k);
-            let b = uncached.query(q.source, q.target, q.k);
-            assert_eq!(a.paths.len(), b.paths.len());
-            for (x, y) in a.paths.iter().zip(b.paths.iter()) {
-                assert!(x.distance().approx_eq(y.distance()));
-            }
-        }
     }
 
     #[test]

@@ -53,5 +53,5 @@
 pub mod dtlp;
 pub mod kspdg;
 
-pub use dtlp::{DtlpConfig, DtlpIndex, PathStorageBackend};
+pub use dtlp::{DtlpConfig, DtlpIndex};
 pub use kspdg::{KspDgEngine, QueryResult, QueryStats, QueryTrace, SharedEngine};

@@ -6,7 +6,7 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic "KSPCKPT1"
-//! 8       4     format version (currently 1)
+//! 8       4     format version (currently 2)
 //! 12      8     epoch the pair is exact for
 //! 20      8     payload length in bytes
 //! 28      n     payload: DynamicGraph then DtlpIndex (StoreCodec encoding)
@@ -18,7 +18,7 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic "KSPPART1"
-//! 8       4     format version (currently 1)
+//! 8       4     format version (currently 2)
 //! 12      8     epoch the image advances the chain to
 //! 20      8     base epoch: the image (full or partial) this one extends
 //! 28      8     payload length in bytes
@@ -53,13 +53,13 @@ use std::sync::Arc;
 /// Magic bytes identifying a (full) checkpoint file.
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"KSPCKPT1";
 /// Current checkpoint format version.
-pub const CHECKPOINT_VERSION: u32 = 1;
+pub const CHECKPOINT_VERSION: u32 = 2;
 /// Extension of completed (full) checkpoint files.
 pub const CHECKPOINT_EXT: &str = "ckpt";
 /// Magic bytes identifying a partial (incremental) image file.
 pub const PARTIAL_MAGIC: [u8; 8] = *b"KSPPART1";
 /// Current partial image format version.
-pub const PARTIAL_VERSION: u32 = 1;
+pub const PARTIAL_VERSION: u32 = 2;
 /// Extension of completed partial image files.
 pub const PARTIAL_EXT: &str = "pckpt";
 
@@ -589,6 +589,36 @@ mod tests {
         let inverted = encode_partial_checkpoint(1, 1, &graph, &index, &[]);
         let path = write_checkpoint(&dir, &inverted).unwrap();
         assert!(matches!(read_partial_checkpoint(&path), Err(StoreError::Corrupt { .. })));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn images_of_another_format_version_are_refused_not_decoded() {
+        // Version 1 images carried a storage-backend tag and an enumeration cap
+        // this encoding no longer has. An otherwise valid image (its CRC covers the
+        // payload only) with version 1 in the header must be refused by the version
+        // check, never handed to the decoder.
+        let dir = temp_dir("ckpt-version");
+        let (graph, index) = sample_pair();
+        let images = [
+            encode_checkpoint(4, &graph, &index),
+            encode_partial_checkpoint(5, 4, &graph, &index, &[ksp_graph::SubgraphId(0)]),
+        ];
+        for encoded in &images {
+            let path = write_checkpoint(&dir, encoded).unwrap();
+            let mut bytes = fs::read(&path).unwrap();
+            bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+            fs::write(&path, &bytes).unwrap();
+            let refused = match encoded.kind {
+                ImageKind::Full => read_checkpoint(&path).err(),
+                ImageKind::Partial { .. } => read_partial_checkpoint(&path).err(),
+            };
+            assert!(
+                matches!(&refused, Some(StoreError::Corrupt { .. })),
+                "a version-1 {:?} image was not refused as corrupt: {refused:?}",
+                encoded.kind
+            );
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -4,7 +4,7 @@
 //! subgraphs (with live weights), the bounding-path sets with their
 //! accumulated `current_distance` values, the last lower bound reported per
 //! pair, the vertex/edge ownership tables and the configuration. Everything
-//! else — the edge → paths backend, the skeleton graph — is a deterministic
+//! else — the EP-Index, the skeleton graph — is a deterministic
 //! function of that state and is rebuilt on decode via
 //! [`SubgraphIndex::restore`] and [`DtlpIndex::assemble`]. Persisting the
 //! accumulated floats (rather than recomputing distances from weights) is what
@@ -15,7 +15,7 @@
 use crate::codec::{encode_slice, Reader, StoreCodec, Writer};
 use crate::error::CodecError;
 use ksp_core::dtlp::{
-    BackendKind, BoundingPath, BoundingPathSet, DtlpConfig, DtlpIndex, PairPaths, SubgraphIndex,
+    BoundingPath, BoundingPathSet, DtlpConfig, DtlpIndex, PairPaths, SubgraphIndex,
 };
 use ksp_graph::{Subgraph, SubgraphId, VertexId, Weight};
 use std::collections::HashMap;
@@ -32,36 +32,13 @@ impl StoreCodec for Arc<SubgraphIndex> {
     }
 }
 
-impl StoreCodec for BackendKind {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u8(match self {
-            BackendKind::EpIndex => 0,
-            BackendKind::MfpTree => 1,
-        });
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        match r.get_u8()? {
-            0 => Ok(BackendKind::EpIndex),
-            1 => Ok(BackendKind::MfpTree),
-            tag => Err(CodecError::InvalidTag { what: "BackendKind", tag }),
-        }
-    }
-}
-
 impl StoreCodec for DtlpConfig {
     fn encode(&self, w: &mut Writer) {
         w.put_u64(self.max_subgraph_vertices as u64);
         w.put_u64(self.xi as u64);
-        w.put_u64(self.max_enumerated_per_pair as u64);
-        self.backend.encode(w);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(DtlpConfig {
-            max_subgraph_vertices: r.get_u64()? as usize,
-            xi: r.get_u64()? as usize,
-            max_enumerated_per_pair: r.get_u64()? as usize,
-            backend: BackendKind::decode(r)?,
-        })
+        Ok(DtlpConfig { max_subgraph_vertices: r.get_u64()? as usize, xi: r.get_u64()? as usize })
     }
 }
 
@@ -105,18 +82,16 @@ impl StoreCodec for SubgraphIndex {
             encode_pair(pair, w);
         }
         encode_slice(self.last_lower_bounds(), w);
-        self.backend_kind().encode(w);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         let subgraph = Subgraph::decode(r)?;
         let num_pairs = r.get_count(1)?;
         let pairs = (0..num_pairs).map(|_| decode_pair(r)).collect::<Result<Vec<_>, _>>()?;
         let last_lbd = Vec::<Weight>::decode(r)?;
-        let backend = BackendKind::decode(r)?;
         if pairs.len() != last_lbd.len() {
             return Err(CodecError::InvalidValue("pair table and lower-bound table disagree"));
         }
-        Ok(SubgraphIndex::restore(subgraph, pairs, last_lbd, backend))
+        Ok(SubgraphIndex::restore(subgraph, pairs, last_lbd))
     }
 }
 
@@ -240,15 +215,6 @@ mod tests {
         perturb(&mut graph, &mut index, 2);
         perturb(&mut graph2, &mut restored, 2);
         assert_eq!(restored.to_bytes(), index.to_bytes());
-    }
-
-    #[test]
-    fn mfp_backend_round_trips_too() {
-        let graph = grid_graph(5);
-        let index = DtlpIndex::build(&graph, DtlpConfig::new(8, 2).with_mfp_backend()).unwrap();
-        let decoded = DtlpIndex::from_bytes(&index.to_bytes()).unwrap();
-        assert_eq!(decoded.config().backend, BackendKind::MfpTree);
-        assert_eq!(decoded.to_bytes(), index.to_bytes());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   serialises the graph and the index *exactly*: floats travel as raw
 //!   IEEE-754 bits, and only primary state is persisted (bounding paths with
 //!   their accumulated distances, subgraph weights, ownership tables) while
-//!   derived structures (EP-Index/MFP backends, unit-weight multisets, the
+//!   derived structures (the EP-Index, unit-weight multisets, the
 //!   skeleton graph) are rebuilt deterministically on load.
 //!   [`graph_codec`], [`index_codec`] and [`obs_codec`] implement it for the
 //!   `ksp-graph`, `ksp-core` and `ksp-obs` types; the last is the payload of
