@@ -195,6 +195,26 @@ mod tests {
         assert!(text.contains("ksp_publish_duration_seconds_count 1"));
     }
 
+    /// CRC-32 (IEEE), enough to pin a rendered text without a dependency.
+    fn crc32(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = if crc & 1 == 1 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn exposition_text_matches_the_pinned_render() {
+        // Every byte a scraper reads: family order, label order, bucket
+        // elision and number formatting. Changing any of it means re-pinning.
+        let text = render_prometheus(&sample_snapshot());
+        assert_eq!((text.len(), crc32(text.as_bytes())), (8227, 0xc68b_6040), "{text}");
+    }
+
     #[test]
     fn overflowing_bucket_counts_render_saturated() {
         // Bucket counts whose sum overflows a u64, as a hostile peer can send.
