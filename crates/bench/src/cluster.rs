@@ -23,9 +23,9 @@ use ksp_core::kspdg::{KspDgEngine, QueryStats};
 use ksp_graph::{
     DynamicGraph, GraphError, PartitionConfig, Partitioner, SubgraphId, UpdateBatch, VertexId,
 };
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Configuration of the simulated cluster.
@@ -181,13 +181,16 @@ impl Cluster {
                     let t0 = Instant::now();
                     let built = SubgraphIndex::build(sg, dtlp_cfg.xi);
                     let elapsed = t0.elapsed();
-                    results.lock()[i] = Some((built, elapsed));
+                    results.lock().unwrap_or_else(PoisonError::into_inner)[i] =
+                        Some((built, elapsed));
                 });
             }
         });
         let mut per_server = vec![ServerLoad::default(); config.num_servers];
         let mut indexes: Vec<SubgraphIndex> = Vec::with_capacity(subgraphs.len());
-        for (i, slot) in results.into_inner().into_iter().enumerate() {
+        for (i, slot) in
+            results.into_inner().unwrap_or_else(PoisonError::into_inner).into_iter().enumerate()
+        {
             let (idx, elapsed) = slot.expect("every subgraph index was built");
             per_server[subgraph_server[i]].record(elapsed);
             per_server[subgraph_server[i]].memory_bytes +=
@@ -289,7 +292,8 @@ impl Cluster {
                         let t0 = Instant::now();
                         let result = engine.query(q.source, q.target, q.k);
                         let elapsed = t0.elapsed();
-                        results.lock()[i] = Some((elapsed, result.stats));
+                        results.lock().unwrap_or_else(PoisonError::into_inner)[i] =
+                            Some((elapsed, result.stats));
                     }
                 });
             }
@@ -299,7 +303,9 @@ impl Cluster {
         let mut total_iterations = 0;
         let mut total_vertices_transferred = 0;
         let mut total_candidates = 0;
-        for (i, slot) in results.into_inner().into_iter().enumerate() {
+        for (i, slot) in
+            results.into_inner().unwrap_or_else(PoisonError::into_inner).into_iter().enumerate()
+        {
             let (elapsed, stats) = slot.expect("every query was answered");
             per_server[i % self.config.num_servers].record(elapsed);
             total_iterations += stats.iterations;

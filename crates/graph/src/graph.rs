@@ -2,7 +2,6 @@
 
 use crate::error::GraphError;
 use crate::ids::{EdgeId, VertexId};
-use crate::snapshot::GraphSnapshot;
 use crate::update::{UpdateBatch, WeightUpdate};
 use crate::view::GraphView;
 use crate::weight::Weight;
@@ -255,11 +254,6 @@ impl DynamicGraph {
         }
         self.version += 1;
         Ok(self.version)
-    }
-
-    /// Takes a consistent snapshot of the current weights (the `Gcurr` buffer of §2).
-    pub fn snapshot(&self) -> GraphSnapshot {
-        GraphSnapshot::capture(self)
     }
 
     /// Rebuilds a graph from its persisted parts: the edge records (in edge-id

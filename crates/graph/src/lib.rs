@@ -7,7 +7,9 @@
 //! * [`DynamicGraph`] — an in-memory undirected or directed weighted graph whose edge
 //!   weights evolve over time (Definition 1 in the paper). Weight updates are applied
 //!   in batches and bump a version counter so that query answers can be stamped with
-//!   the snapshot they were computed against (the `Gcurr` buffer of Section 2).
+//!   the snapshot they were computed against. Clones share the topology and copy only
+//!   the weights, so a published epoch is an immutable clone; the serving layer's
+//!   `EpochSnapshot` over such a clone is the paper's `Gcurr` buffer (Section 2).
 //! * [`partition`] — the BFS edge-partitioning scheme of Section 3.3, producing
 //!   [`Subgraph`]s of at most `z` vertices that share *boundary vertices* but no edges.
 //! * [`GraphView`] — a lightweight read-only abstraction over "something with weighted
@@ -24,7 +26,6 @@ pub mod error;
 pub mod graph;
 pub mod ids;
 pub mod partition;
-pub mod snapshot;
 pub mod subgraph;
 pub mod subgraph_set;
 pub mod update;
@@ -36,7 +37,6 @@ pub use error::GraphError;
 pub use graph::{DynamicGraph, EdgeRecord};
 pub use ids::{EdgeId, SubgraphId, VertexId};
 pub use partition::{PartitionConfig, Partitioner, Partitioning};
-pub use snapshot::GraphSnapshot;
 pub use subgraph::Subgraph;
 pub use subgraph_set::SubgraphSet;
 pub use update::{UpdateBatch, WeightUpdate};

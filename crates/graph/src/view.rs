@@ -5,9 +5,9 @@ use crate::weight::Weight;
 
 /// A read-only view of a weighted graph.
 ///
-/// The trait is implemented by [`crate::DynamicGraph`], [`crate::Subgraph`],
-/// snapshot views and (in `ksp-core`) the skeleton graph, so the algorithms in
-/// `ksp-algo` are written once and reused everywhere.
+/// The trait is implemented by [`crate::DynamicGraph`], [`crate::Subgraph`]
+/// and (in `ksp-core`) the skeleton graph, so the algorithms in `ksp-algo` are
+/// written once and reused everywhere.
 ///
 /// Vertex ids are *global*: a subgraph reports the ids its vertices carry in the full
 /// graph, not local indices. Views over a sparse vertex set simply return no neighbours

@@ -3,7 +3,8 @@
 use std::time::Duration;
 
 /// Knobs for the observability layer; lives inside the service configuration
-/// (and therefore stays `Copy`).
+/// (and therefore stays `Copy`). The flight-recorder capacity and the
+/// publish, log-append and fsync stall bounds are fixed by the service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObsConfig {
     /// Record per-request span chains and per-stage histograms. When `false`,
@@ -12,35 +13,15 @@ pub struct ObsConfig {
     /// (publishes, checkpoints, recovery), which are far off the per-request
     /// hot path.
     pub enabled: bool,
-    /// Capacity of the flight-recorder ring, in events. Memory is bounded by
-    /// `capacity` fixed-size slots regardless of event volume.
-    pub flight_capacity: usize,
     /// Per-request latency SLO: a completed request slower than this triggers
     /// a flight dump carrying the offending request's span chain.
     /// [`Duration::ZERO`] disables the trigger.
     pub slo_p99: Duration,
-    /// An epoch publish slower than this triggers a flight dump.
-    /// [`Duration::ZERO`] disables the trigger.
-    pub publish_stall: Duration,
-    /// A delta-log append (record encode + write, excluding the fsync)
-    /// slower than this triggers a flight dump. [`Duration::ZERO`] disables
-    /// the trigger.
-    pub wal_append_stall: Duration,
-    /// A delta-log fsync slower than this triggers a flight dump.
-    /// [`Duration::ZERO`] disables the trigger.
-    pub fsync_stall: Duration,
 }
 
 impl Default for ObsConfig {
     fn default() -> Self {
-        ObsConfig {
-            enabled: true,
-            flight_capacity: 256,
-            slo_p99: Duration::ZERO,
-            publish_stall: Duration::from_millis(250),
-            wal_append_stall: Duration::from_millis(50),
-            fsync_stall: Duration::from_millis(100),
-        }
+        ObsConfig { enabled: true, slo_p99: Duration::ZERO }
     }
 }
 

@@ -7,7 +7,8 @@
 //! converted to seconds for the `le` bounds.
 
 use crate::histogram::bucket_upper_micros;
-use crate::snapshot::ObsSnapshot;
+use crate::snapshot::{ObsSnapshot, StageSnapshot};
+use crate::stage::StageSet;
 use crate::HistogramSnapshot;
 use std::fmt::Write;
 
@@ -46,23 +47,30 @@ pub fn render_prometheus(snapshot: &ObsSnapshot) -> String {
         let _ = writeln!(out, "{}{} {}", g.name, braced(&g.labels), fmt_f64(g.value));
     }
 
-    let _ = writeln!(out, "# TYPE {STAGE_FAMILY} histogram");
-    for s in &snapshot.stages {
-        let label = format!("stage=\"{}\"", s.stage.name());
-        render_histogram(&mut out, STAGE_FAMILY, &label, &s.histogram);
-    }
-    let _ = writeln!(out, "# TYPE {E2E_FAMILY} histogram");
-    render_histogram(&mut out, E2E_FAMILY, "", &snapshot.end_to_end);
-
-    let _ = writeln!(out, "# TYPE {PUBLISH_STAGE_FAMILY} histogram");
-    for s in &snapshot.publish_stages {
-        let label = format!("stage=\"{}\"", s.stage.name());
-        render_histogram(&mut out, PUBLISH_STAGE_FAMILY, &label, &s.histogram);
-    }
-    let _ = writeln!(out, "# TYPE {PUBLISH_E2E_FAMILY} histogram");
-    render_histogram(&mut out, PUBLISH_E2E_FAMILY, "", &snapshot.publish_end_to_end);
+    let (stages, e2e) = (&snapshot.stages, &snapshot.end_to_end);
+    render_stage_family(&mut out, STAGE_FAMILY, stages, E2E_FAMILY, e2e);
+    let (stages, e2e) = (&snapshot.publish_stages, &snapshot.publish_end_to_end);
+    render_stage_family(&mut out, PUBLISH_STAGE_FAMILY, stages, PUBLISH_E2E_FAMILY, e2e);
 
     out
+}
+
+/// Renders one histogram per stage under `family`, labelled `stage="..."`,
+/// then the end-to-end histogram they telescope to under `e2e_family`.
+fn render_stage_family<S: StageSet>(
+    out: &mut String,
+    family: &str,
+    stages: &[StageSnapshot<S>],
+    e2e_family: &str,
+    e2e: &HistogramSnapshot,
+) {
+    let _ = writeln!(out, "# TYPE {family} histogram");
+    for s in stages {
+        let label = format!("stage=\"{}\"", s.stage.name());
+        render_histogram(out, family, &label, &s.histogram);
+    }
+    let _ = writeln!(out, "# TYPE {e2e_family} histogram");
+    render_histogram(out, e2e_family, "", e2e);
 }
 
 /// Renders one histogram's `_bucket`/`_sum`/`_count` series. Buckets above
@@ -117,35 +125,26 @@ fn fmt_f64(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::publish::{PublishChain, PublishStage, PublishStageHistograms};
-    use crate::snapshot::{Counter, Gauge, PublishStageSnapshot, StageSnapshot};
+    use crate::publish::PublishStage;
+    use crate::snapshot::{Counter, Gauge};
     use crate::span::{SpanChain, StageHistograms};
     use crate::Stage;
 
     fn sample_snapshot() -> ObsSnapshot {
-        let stages = StageHistograms::new();
-        stages.record_chain(&SpanChain { micros: [1, 5, 0, 2, 900, 40, 1], stolen: false });
-        stages.record_chain(&SpanChain { micros: [2, 0, 9, 1, 0, 0, 1], stolen: true });
+        let stages = StageHistograms::<Stage>::default();
+        stages.record_chain(&SpanChain { micros: [1, 5, 0, 2, 900, 40, 1], branched: false });
+        stages.record_chain(&SpanChain { micros: [2, 0, 9, 1, 0, 0, 1], branched: true });
         let e2e = crate::LatencyHistogram::default();
         e2e.record_micros(949);
         e2e.record_micros(13);
-        let publish = PublishStageHistograms::new();
-        publish
-            .record_chain(&PublishChain { micros: [40, 10, 200, 3, 8, 0, 2], checkpointed: false });
+        let publish = StageHistograms::<PublishStage>::default();
+        publish.record_chain(&SpanChain { micros: [40, 10, 200, 3, 8, 0, 2], branched: false });
         let publish_e2e = crate::LatencyHistogram::default();
         publish_e2e.record_micros(263);
         ObsSnapshot {
-            stages: stages
-                .snapshot()
-                .into_iter()
-                .map(|(stage, histogram)| StageSnapshot { stage, histogram })
-                .collect(),
+            stages: stages.snapshot(),
             end_to_end: e2e.snapshot(),
-            publish_stages: publish
-                .snapshot()
-                .into_iter()
-                .map(|(stage, histogram)| PublishStageSnapshot { stage, histogram })
-                .collect(),
+            publish_stages: publish.snapshot(),
             publish_end_to_end: publish_e2e.snapshot(),
             counters: vec![
                 Counter {

@@ -11,6 +11,7 @@
 //! events storm through it.
 
 use crate::span::SpanChain;
+use crate::stage::Stage;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -174,7 +175,7 @@ pub struct FlightDump {
     pub cause: ObsEvent,
     /// Span chain of the offending request, when the trigger was per-request
     /// (SLO breach).
-    pub span: Option<SpanChain>,
+    pub span: Option<SpanChain<Stage>>,
     /// The client trace id of the offending request, when the trigger was
     /// per-request and the request carried a wire trace context; `0` when
     /// untraced. Lets a client resolve its own trace id to the server's span
@@ -318,7 +319,7 @@ impl FlightRecorder {
     /// cause, and (for per-request triggers) the offending span chain. The
     /// latest dump replaces the previous one, so anomaly storms keep memory
     /// bounded and the operator always sees the most recent incident.
-    pub fn trigger(&self, kind: EventKind, a: u64, b: u64, c: u64, span: Option<SpanChain>) {
+    pub fn trigger(&self, kind: EventKind, a: u64, b: u64, c: u64, span: Option<SpanChain<Stage>>) {
         self.trigger_traced(kind, a, b, c, span, 0);
     }
 
@@ -331,7 +332,7 @@ impl FlightRecorder {
         a: u64,
         b: u64,
         c: u64,
-        span: Option<SpanChain>,
+        span: Option<SpanChain<Stage>>,
         trace_id: u64,
     ) {
         let cause = self.record(kind, a, b, c);

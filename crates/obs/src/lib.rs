@@ -7,18 +7,16 @@
 //! This crate is the missing layer between "the benchmarks say so" and "the
 //! operator can see it":
 //!
-//! * **[`Stage`] / [`RequestSpan`] / [`StageHistograms`]** — every request is
-//!   decorated with a span chain of monotonic-clock stamps covering
-//!   admission → queue → (steal?) → cache → engine → trace-sweep → reply.
-//!   Stage durations are derived from *one* set of cumulative stamps, so they
-//!   telescope: per-stage totals sum exactly to the end-to-end latency the
-//!   service records. Disabled spans cost one branch per stage mark.
-//! * **[`PublishStage`] / [`PublishSpan`] / [`PublishStageHistograms`]** —
-//!   the same discipline for the *write* path: every epoch publish is
-//!   decomposed into stage_index → wal_append → fsync → swap → retention →
-//!   checkpoint_encode → checkpoint_commit, with the span travelling into the
-//!   background checkpointer for checkpoint epochs, so the paper's central
-//!   cost (epoch maintenance) is exactly attributable too.
+//! * **[`StageSpan`] / [`SpanChain`] / [`StageHistograms`]**: one stage
+//!   clock, generic over a [`StageSet`], for both paths. Every request is
+//!   stamped through the [`Stage`]s admission → queue | steal → cache →
+//!   engine → trace-sweep → reply; every epoch publish through the
+//!   [`PublishStage`]s stage_index → wal_append → fsync → swap → retention →
+//!   checkpoint_encode → checkpoint_commit, the span travelling into the
+//!   background checkpointer for checkpoint epochs. Stage durations are
+//!   derived from *one* set of cumulative stamps, so they telescope:
+//!   per-stage totals sum exactly to the end-to-end latency the service
+//!   records. Disabled spans cost one branch per stage mark.
 //! * **[`FlightRecorder`]** — a fixed-size, lock-free ring of recent
 //!   structured [`ObsEvent`]s (epoch publishes with dirty-set sizes,
 //!   checkpoint commits, cache retention outcomes, steals, rejections,
@@ -53,7 +51,7 @@ pub use expo::{
 };
 pub use flight::{EventKind, FlightDump, FlightRecorder, ObsEvent};
 pub use histogram::{bucket_upper_micros, HistogramSnapshot, LatencyHistogram, BUCKETS};
-pub use publish::{PublishChain, PublishSpan, PublishStage, PublishStageHistograms};
-pub use snapshot::{Counter, Gauge, ObsSnapshot, PublishStageSnapshot, StageSnapshot};
-pub use span::{RequestSpan, SpanChain, StageHistograms};
-pub use stage::Stage;
+pub use publish::PublishStage;
+pub use snapshot::{Counter, Gauge, ObsSnapshot, StageSnapshot};
+pub use span::{SpanChain, StageHistograms, StageSpan};
+pub use stage::{Stage, StageSet};

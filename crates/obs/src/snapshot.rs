@@ -3,7 +3,7 @@
 use crate::flight::FlightDump;
 use crate::histogram::HistogramSnapshot;
 use crate::publish::PublishStage;
-use crate::stage::Stage;
+use crate::stage::{Stage, StageSet};
 
 /// A cumulative-monotonic counter sample, optionally labelled
 /// (e.g. `shard="2"`). Labels are pre-rendered `key="value"` pairs.
@@ -30,18 +30,9 @@ pub struct Gauge {
 
 /// One stage's latency histogram.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StageSnapshot {
+pub struct StageSnapshot<S: StageSet> {
     /// Which stage.
-    pub stage: Stage,
-    /// Its histogram.
-    pub histogram: HistogramSnapshot,
-}
-
-/// One write-path stage's latency histogram.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PublishStageSnapshot {
-    /// Which publish stage.
-    pub stage: PublishStage,
+    pub stage: S,
     /// Its histogram.
     pub histogram: HistogramSnapshot,
 }
@@ -53,12 +44,12 @@ pub struct PublishStageSnapshot {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ObsSnapshot {
     /// Per-stage latency histograms, in [`Stage::ALL`] order.
-    pub stages: Vec<StageSnapshot>,
+    pub stages: Vec<StageSnapshot<Stage>>,
     /// The end-to-end latency histogram.
     pub end_to_end: HistogramSnapshot,
     /// Per-write-path-stage publish histograms, in [`PublishStage::ALL`]
     /// order. Their totals telescope to `publish_end_to_end.total_micros`.
-    pub publish_stages: Vec<PublishStageSnapshot>,
+    pub publish_stages: Vec<StageSnapshot<PublishStage>>,
     /// The end-to-end epoch-publish latency histogram.
     pub publish_end_to_end: HistogramSnapshot,
     /// Cumulative counters.
@@ -70,14 +61,9 @@ pub struct ObsSnapshot {
 }
 
 impl ObsSnapshot {
-    /// The histogram of one stage, if present.
-    pub fn stage(&self, stage: Stage) -> Option<&HistogramSnapshot> {
-        self.stages.iter().find(|s| s.stage == stage).map(|s| &s.histogram)
-    }
-
-    /// The histogram of one write-path publish stage, if present.
-    pub fn publish_stage(&self, stage: PublishStage) -> Option<&HistogramSnapshot> {
-        self.publish_stages.iter().find(|s| s.stage == stage).map(|s| &s.histogram)
+    /// The histogram of one read-path or write-path stage, if present.
+    pub fn stage<S: StageSet>(&self, stage: S) -> Option<&HistogramSnapshot> {
+        S::in_snapshot(self).iter().find(|s| s.stage == stage).map(|s| &s.histogram)
     }
 
     /// The value of an (unlabelled or labelled) counter by family name,

@@ -1,224 +1,201 @@
-//! Per-request span chains and their per-stage aggregation.
+//! Span chains and their per-stage aggregation, for any [`StageSet`].
 //!
-//! A [`RequestSpan`] rides inside the service's request object and is stamped
-//! at each stage boundary with microseconds-since-submission from one
-//! monotonic origin. [`RequestSpan::finish`] turns the cumulative stamps into
-//! per-stage durations by differencing, so the durations *telescope*: their
-//! sum is exactly the final stamp, which the service also records as the
-//! request's end-to-end latency. Per-stage histogram totals therefore sum to
-//! the end-to-end histogram total to the microsecond.
+//! A [`StageSpan`] rides with one request or one epoch publish and is stamped
+//! at each stage boundary with microseconds since one monotonic origin.
+//! [`StageSpan::finish`] turns the cumulative stamps into per-stage durations
+//! by differencing, so the durations *telescope*: their sum is exactly the
+//! final stamp, which the service also records as the end-to-end latency.
+//! Per-stage histogram totals therefore sum to the end-to-end histogram
+//! total to the microsecond.
 //!
-//! A disabled span is `None` inside: every mark is one branch, no clock
+//! A disabled span has no origin: every mark is one branch, no clock
 //! reads, no allocation.
 
-use crate::histogram::{HistogramSnapshot, LatencyHistogram};
-use crate::stage::Stage;
+use crate::histogram::LatencyHistogram;
+use crate::snapshot::StageSnapshot;
+use crate::stage::StageSet;
 use std::time::{Duration, Instant};
 
-/// Live stamp state of an enabled span. Stamps are cumulative microseconds
-/// since `origin`.
+/// The stage clock of one request or publish. Create one with
+/// [`StageSpan::begin_at`], mark the end of each stage as the work moves on,
+/// and [`finish`](StageSpan::finish) to get the [`SpanChain`].
+///
+/// A stage whose end is never marked clamps to the previous boundary and
+/// reads as zero-width (the home queue of a stolen request, the checkpoint
+/// stages of an epoch without a checkpoint). The last stage ends at
+/// `finish`.
 #[derive(Debug, Clone, Copy)]
-struct SpanState {
-    origin: Instant,
-    enqueued: u64,
-    dequeued: u64,
-    cache_done: u64,
-    engine_done: u64,
-    sweep_micros: u64,
-    stolen: bool,
+pub struct StageSpan<S: StageSet> {
+    /// The instant stamps count from; `None` for a disabled span.
+    origin: Option<Instant>,
+    /// Per stage, the microseconds since `origin` at which it ended; zero
+    /// while unmarked.
+    ends: S::PerStage<u64>,
+    /// Whether [`StageSet::BRANCH`] was marked.
+    branched: bool,
 }
 
-/// The per-request stage clock. Create one per request with
-/// [`RequestSpan::begin_at`]; mark stage boundaries as the request moves
-/// through the service; [`finish`](RequestSpan::finish) yields the
-/// [`SpanChain`].
-#[derive(Debug, Clone, Copy)]
-pub struct RequestSpan {
-    inner: Option<SpanState>,
+fn micros(d: Duration) -> u64 {
+    d.as_micros().min(u64::MAX as u128) as u64
 }
 
-impl RequestSpan {
+impl<S: StageSet> StageSpan<S> {
     /// A span that records nothing; every mark is a single branch.
-    pub fn disabled() -> RequestSpan {
-        RequestSpan { inner: None }
+    pub fn disabled() -> Self {
+        StageSpan { origin: None, ends: S::per_stage(|_| 0), branched: false }
     }
 
-    /// Starts a span whose stamps are measured from `origin` — pass the same
-    /// instant used for the request's end-to-end latency so the stage
-    /// durations telescope to it.
-    pub fn begin_at(origin: Instant, enabled: bool) -> RequestSpan {
-        RequestSpan {
-            inner: enabled.then_some(SpanState {
-                origin,
-                enqueued: 0,
-                dequeued: 0,
-                cache_done: 0,
-                engine_done: 0,
-                sweep_micros: 0,
-                stolen: false,
-            }),
-        }
+    /// Starts a span whose stamps are measured from `origin`: pass the same
+    /// instant used for the end-to-end latency so the stage durations
+    /// telescope to it.
+    pub fn begin_at(origin: Instant, enabled: bool) -> Self {
+        StageSpan { origin: enabled.then_some(origin), ..Self::disabled() }
     }
 
     /// Whether this span is recording.
     pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
+        self.origin.is_some()
     }
 
-    fn stamp(origin: Instant) -> u64 {
-        origin.elapsed().as_micros().min(u64::MAX as u128) as u64
+    /// Marks the end of `stage`.
+    pub fn mark(&mut self, stage: S) {
+        self.mark_with_tail(stage, Duration::ZERO);
     }
 
-    /// Marks the end of admission: the request is about to enter its home
-    /// queue.
-    pub fn mark_enqueued(&mut self) {
-        if let Some(s) = &mut self.inner {
-            s.enqueued = Self::stamp(s.origin);
+    /// Marks the end of `stage`, whose last `tail` was measured as work of
+    /// the stage after it (the survival sweep closing an engine run, the
+    /// fsync closing a log append): `tail` moves into that stage, so `stage`
+    /// must not be the last. A `tail` longer than the stage is clamped to it.
+    pub fn mark_with_tail(&mut self, stage: S, tail: Duration) {
+        if let Some(origin) = self.origin {
+            let now = micros(origin.elapsed());
+            let ends = self.ends.as_mut();
+            let i = stage.index();
+            ends[i] = now.saturating_sub(micros(tail));
+            if !tail.is_zero() {
+                ends[i + 1] = now;
+            }
+            self.branched |= stage == S::BRANCH;
         }
     }
 
-    /// Marks the start of processing by a worker; `stolen` says whether the
-    /// executing worker drained it from another shard's queue.
-    pub fn mark_dequeued(&mut self, stolen: bool) {
-        if let Some(s) = &mut self.inner {
-            s.dequeued = Self::stamp(s.origin);
-            s.stolen = stolen;
+    /// Takes the final stamp and converts the stamps into per-stage
+    /// durations. Returns the chain plus the end-to-end duration
+    /// (`== chain.total_micros()`), or `None` for a disabled span.
+    pub fn finish(&self) -> Option<(SpanChain<S>, Duration)> {
+        let end = micros(self.origin?.elapsed());
+        let mut micros = S::per_stage(|_| 0);
+        // Clamp each boundary to be monotone, then difference: the sum of
+        // the differences telescopes to `end` exactly.
+        let mut start = 0;
+        let last = S::COUNT - 1;
+        for (i, (width, &mark)) in micros.as_mut().iter_mut().zip(self.ends.as_ref()).enumerate() {
+            let stop = if i == last { end } else { mark.clamp(start, end) };
+            *width = stop - start;
+            start = stop;
         }
-    }
-
-    /// Marks the end of the result-cache lookup.
-    pub fn mark_cache_done(&mut self) {
-        if let Some(s) = &mut self.inner {
-            s.cache_done = Self::stamp(s.origin);
-        }
-    }
-
-    /// Marks the end of the engine run; `sweep` is the portion the engine
-    /// spent in the survival sweep (zero on a cache hit).
-    pub fn mark_engine_done(&mut self, sweep: Duration) {
-        if let Some(s) = &mut self.inner {
-            s.engine_done = Self::stamp(s.origin);
-            s.sweep_micros = sweep.as_micros().min(u64::MAX as u128) as u64;
-        }
-    }
-
-    /// Takes the final stamp and converts the chain into per-stage durations.
-    /// Returns the chain plus the end-to-end duration (`== chain.total()`),
-    /// or `None` for a disabled span.
-    pub fn finish(&self) -> Option<(SpanChain, Duration)> {
-        let s = self.inner.as_ref()?;
-        let end = Self::stamp(s.origin);
-        // Clamp each boundary to be monotone, then difference. The sum of
-        // differences telescopes to `end` exactly.
-        let enqueued = s.enqueued.min(end);
-        let dequeued = s.dequeued.clamp(enqueued, end);
-        let cache_done = s.cache_done.clamp(dequeued, end);
-        let engine_done = s.engine_done.clamp(cache_done, end);
-        let mut micros = [0u64; Stage::COUNT];
-        micros[Stage::Admission.index()] = enqueued;
-        let wait = dequeued - enqueued;
-        if s.stolen {
-            micros[Stage::Steal.index()] = wait;
-        } else {
-            micros[Stage::Queue.index()] = wait;
-        }
-        micros[Stage::Cache.index()] = cache_done - dequeued;
-        let engine = engine_done - cache_done;
-        let sweep = s.sweep_micros.min(engine);
-        micros[Stage::Engine.index()] = engine - sweep;
-        micros[Stage::TraceSweep.index()] = sweep;
-        micros[Stage::Reply.index()] = end - engine_done;
-        Some((SpanChain { micros, stolen: s.stolen }, Duration::from_micros(end)))
+        Some((SpanChain { micros, branched: self.branched }, Duration::from_micros(end)))
     }
 }
 
-/// A finished request's per-stage durations, in microseconds, indexed by
-/// [`Stage::index`].
+/// A finished span's per-stage durations, in microseconds, indexed by
+/// [`StageSet::index`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpanChain {
+pub struct SpanChain<S: StageSet> {
     /// Duration of each stage, microseconds.
-    pub micros: [u64; Stage::COUNT],
-    /// Whether the request was served by a thief worker.
-    pub stolen: bool,
+    pub micros: S::PerStage<u64>,
+    /// Whether the span marked [`StageSet::BRANCH`]: the request was served
+    /// by a thief worker, the publish produced a checkpoint image.
+    pub branched: bool,
 }
 
-impl SpanChain {
-    /// Total duration across all stages — the request's end-to-end latency in
+impl<S: StageSet> SpanChain<S> {
+    /// Total duration across all stages: the end-to-end latency in
     /// microseconds.
     pub fn total_micros(&self) -> u64 {
-        self.micros.iter().sum()
+        self.micros.as_ref().iter().sum()
     }
 
     /// Duration of one stage.
-    pub fn stage(&self, stage: Stage) -> Duration {
-        Duration::from_micros(self.micros[stage.index()])
+    pub fn stage(&self, stage: S) -> Duration {
+        Duration::from_micros(self.micros.as_ref()[stage.index()])
+    }
+
+    /// The stage this chain did not pass through, which histograms leave
+    /// unrecorded (see [`StageSet::REPLACED_BY_BRANCH`]).
+    fn skipped(&self) -> Option<S> {
+        let replaced = S::REPLACED_BY_BRANCH?;
+        Some(if self.branched { replaced } else { S::BRANCH })
     }
 }
 
 /// One [`LatencyHistogram`] per stage; the aggregation target of finished
 /// span chains.
-#[derive(Debug, Default)]
-pub struct StageHistograms {
-    hists: [LatencyHistogram; Stage::COUNT],
+#[derive(Debug)]
+pub struct StageHistograms<S: StageSet> {
+    hists: S::PerStage<LatencyHistogram>,
 }
 
-impl StageHistograms {
-    /// Creates empty per-stage histograms.
-    pub fn new() -> Self {
-        StageHistograms::default()
+impl<S: StageSet> Default for StageHistograms<S> {
+    fn default() -> Self {
+        StageHistograms { hists: S::per_stage(|_| LatencyHistogram::default()) }
     }
+}
 
-    /// Folds one finished chain in. Every stage of the chain is recorded
-    /// except the unused member of the Queue/Steal pair, so
-    /// `count(queue) + count(steal) == count(admission)` and the steal
-    /// histogram's count equals the number of stolen requests.
-    pub fn record_chain(&self, chain: &SpanChain) {
-        for stage in Stage::ALL {
-            match stage {
-                Stage::Steal if !chain.stolen => continue,
-                Stage::Queue if chain.stolen => continue,
-                _ => {}
+impl<S: StageSet> StageHistograms<S> {
+    /// Folds one finished chain in. Every stage is recorded, zero-width
+    /// stages too, except the one the chain did not pass through (see
+    /// [`StageSet::REPLACED_BY_BRANCH`]).
+    pub fn record_chain(&self, chain: &SpanChain<S>) {
+        let skipped = chain.skipped();
+        for &stage in S::ALL.as_ref() {
+            if Some(stage) != skipped {
+                self.stage(stage).record_micros(chain.micros.as_ref()[stage.index()]);
             }
-            self.hists[stage.index()].record_micros(chain.micros[stage.index()]);
         }
     }
 
     /// The live histogram of one stage.
-    pub fn stage(&self, stage: Stage) -> &LatencyHistogram {
-        &self.hists[stage.index()]
+    pub fn stage(&self, stage: S) -> &LatencyHistogram {
+        &self.hists.as_ref()[stage.index()]
     }
 
-    /// Snapshots every stage histogram, in [`Stage::ALL`] order.
-    pub fn snapshot(&self) -> Vec<(Stage, HistogramSnapshot)> {
-        Stage::ALL.iter().map(|&s| (s, self.hists[s.index()].snapshot())).collect()
+    /// Snapshots every stage histogram, in [`StageSet::ALL`] order.
+    pub fn snapshot(&self) -> Vec<StageSnapshot<S>> {
+        S::ALL
+            .as_ref()
+            .iter()
+            .map(|&stage| StageSnapshot { stage, histogram: self.stage(stage).snapshot() })
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Stage;
 
     #[test]
     fn disabled_span_is_inert() {
-        let mut span = RequestSpan::disabled();
+        let mut span = StageSpan::<Stage>::disabled();
         assert!(!span.is_enabled());
-        span.mark_enqueued();
-        span.mark_dequeued(false);
-        span.mark_cache_done();
-        span.mark_engine_done(Duration::from_micros(5));
+        span.mark(Stage::Admission);
+        span.mark(Stage::Queue);
+        span.mark(Stage::Cache);
+        span.mark_with_tail(Stage::Engine, Duration::from_micros(5));
         assert!(span.finish().is_none());
     }
 
     #[test]
     fn chain_telescopes_to_the_end_to_end_latency() {
         let origin = Instant::now();
-        let mut span = RequestSpan::begin_at(origin, true);
-        span.mark_enqueued();
+        let mut span = StageSpan::begin_at(origin, true);
+        span.mark(Stage::Admission);
         std::thread::sleep(Duration::from_millis(2));
-        span.mark_dequeued(false);
-        span.mark_cache_done();
+        span.mark(Stage::Queue);
+        span.mark(Stage::Cache);
         std::thread::sleep(Duration::from_millis(1));
-        span.mark_engine_done(Duration::from_micros(200));
+        span.mark_with_tail(Stage::Engine, Duration::from_micros(200));
         let (chain, total) = span.finish().expect("enabled span finishes");
         assert_eq!(chain.total_micros(), total.as_micros() as u64);
         assert!(chain.stage(Stage::Queue) >= Duration::from_millis(2));
@@ -230,23 +207,23 @@ mod tests {
     #[test]
     fn stolen_wait_lands_in_the_steal_stage() {
         let origin = Instant::now();
-        let mut span = RequestSpan::begin_at(origin, true);
-        span.mark_enqueued();
+        let mut span = StageSpan::begin_at(origin, true);
+        span.mark(Stage::Admission);
         std::thread::sleep(Duration::from_millis(1));
-        span.mark_dequeued(true);
-        span.mark_cache_done();
-        span.mark_engine_done(Duration::ZERO);
+        span.mark(Stage::Steal);
+        span.mark(Stage::Cache);
+        span.mark_with_tail(Stage::Engine, Duration::ZERO);
         let (chain, _) = span.finish().unwrap();
-        assert!(chain.stolen);
+        assert!(chain.branched);
         assert_eq!(chain.micros[Stage::Queue.index()], 0);
         assert!(chain.stage(Stage::Steal) >= Duration::from_millis(1));
     }
 
     #[test]
     fn stage_histograms_partition_queue_and_steal_counts() {
-        let hists = StageHistograms::new();
-        let stolen = SpanChain { micros: [1, 0, 7, 2, 100, 10, 1], stolen: true };
-        let queued = SpanChain { micros: [1, 5, 0, 2, 100, 10, 1], stolen: false };
+        let hists = StageHistograms::<Stage>::default();
+        let stolen = SpanChain::<Stage> { micros: [1, 0, 7, 2, 100, 10, 1], branched: true };
+        let queued = SpanChain::<Stage> { micros: [1, 5, 0, 2, 100, 10, 1], branched: false };
         hists.record_chain(&stolen);
         hists.record_chain(&queued);
         hists.record_chain(&queued);
@@ -255,7 +232,7 @@ mod tests {
         assert_eq!(hists.stage(Stage::Steal).count(), 1);
         let snap = hists.snapshot();
         assert_eq!(snap.len(), Stage::COUNT);
-        let total: u64 = snap.iter().map(|(_, h)| h.total_micros).sum();
+        let total: u64 = snap.iter().map(|s| s.histogram.total_micros).sum();
         assert_eq!(total, stolen.total_micros() + 2 * queued.total_micros());
     }
 }

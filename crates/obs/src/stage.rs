@@ -1,4 +1,59 @@
-//! The span stage taxonomy: where a request can spend its lifetime.
+//! Stage taxonomies: where a request, or an epoch publish, spends its
+//! lifetime.
+//!
+//! [`StageSet`] is what the span machinery needs to know about a taxonomy;
+//! [`Stage`] (the read path) and [`PublishStage`](crate::PublishStage) (the
+//! write path) are its two implementations.
+
+use std::fmt::Debug;
+
+/// An ordered set of stages that partition one span's lifetime. The
+/// generic [`StageSpan`](crate::StageSpan), [`SpanChain`](crate::SpanChain),
+/// [`StageHistograms`](crate::StageHistograms) and
+/// [`StageSnapshot`](crate::StageSnapshot) are parameterised by it.
+pub trait StageSet: Copy + Eq + Debug + 'static {
+    /// One `T` per stage, indexed by [`index`](StageSet::index):
+    /// `[T; COUNT]`.
+    type PerStage<T>: AsRef<[T]> + AsMut<[T]>;
+
+    /// Number of stages.
+    const COUNT: usize;
+
+    /// Every stage, in the order a span passes through them.
+    const ALL: Self::PerStage<Self>;
+
+    /// The stage only some spans mark (a steal, a checkpoint encode). A
+    /// chain's `branched` flag says whether its span marked it.
+    const BRANCH: Self;
+
+    /// The stage a branched span does not pass through (the home queue of a
+    /// stolen request), if branching replaces a stage rather than adding
+    /// one. When set, histograms record this stage only for unbranched
+    /// chains and [`BRANCH`](StageSet::BRANCH) only for branched ones, so the
+    /// two counts partition the span count; otherwise every stage of every
+    /// chain is recorded.
+    const REPLACED_BY_BRANCH: Option<Self>;
+
+    /// Stable metric-label name of this stage.
+    fn name(self) -> &'static str;
+
+    /// Dense index of this stage in [`ALL`](StageSet::ALL); also its wire
+    /// code.
+    fn index(self) -> usize;
+
+    /// Builds a per-stage array from one value per stage.
+    fn per_stage<T>(f: impl FnMut(Self) -> T) -> Self::PerStage<T>;
+
+    /// Where an [`ObsSnapshot`](crate::ObsSnapshot) keeps this set's
+    /// histograms.
+    fn in_snapshot(snapshot: &crate::ObsSnapshot) -> &[crate::StageSnapshot<Self>];
+
+    /// Inverse of [`index`](StageSet::index); `None` for out-of-range
+    /// values.
+    fn from_index(index: usize) -> Option<Self> {
+        Self::ALL.as_ref().get(index).copied()
+    }
+}
 
 /// One stage of a request's lifetime inside the query service.
 ///
@@ -38,12 +93,10 @@ pub enum Stage {
     Reply,
 }
 
-impl Stage {
-    /// Number of stages.
-    pub const COUNT: usize = 7;
-
-    /// All stages in lifetime order.
-    pub const ALL: [Stage; Stage::COUNT] = [
+impl StageSet for Stage {
+    type PerStage<T> = [T; 7];
+    const COUNT: usize = 7;
+    const ALL: [Stage; 7] = [
         Stage::Admission,
         Stage::Queue,
         Stage::Steal,
@@ -52,9 +105,10 @@ impl Stage {
         Stage::TraceSweep,
         Stage::Reply,
     ];
+    const BRANCH: Stage = Stage::Steal;
+    const REPLACED_BY_BRANCH: Option<Stage> = Some(Stage::Queue);
 
-    /// Stable metric-label name of this stage.
-    pub fn name(self) -> &'static str {
+    fn name(self) -> &'static str {
         match self {
             Stage::Admission => "admission",
             Stage::Queue => "queue",
@@ -66,14 +120,16 @@ impl Stage {
         }
     }
 
-    /// Dense index of this stage in [`Stage::ALL`].
-    pub fn index(self) -> usize {
+    fn index(self) -> usize {
         self as usize
     }
 
-    /// Inverse of [`Stage::index`]; `None` for out-of-range values.
-    pub fn from_index(index: usize) -> Option<Stage> {
-        Stage::ALL.get(index).copied()
+    fn per_stage<T>(f: impl FnMut(Stage) -> T) -> [T; 7] {
+        Stage::ALL.map(f)
+    }
+
+    fn in_snapshot(snapshot: &crate::ObsSnapshot) -> &[crate::StageSnapshot<Stage>] {
+        &snapshot.stages
     }
 }
 

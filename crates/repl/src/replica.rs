@@ -19,12 +19,11 @@ use ksp_proto::{
 };
 use ksp_serve::{QueryResponse, QueryService, ReplicationHook, ServiceConfig};
 use ksp_store::StoreConfig;
-use parking_lot::RwLock;
 use std::io::Write as _;
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -271,7 +270,7 @@ impl Replica {
     /// snapshot re-sync (it keeps serving the pre-re-sync epoch); call again
     /// for the freshest one.
     pub fn service(&self) -> Arc<QueryService> {
-        self.ctx.service.read().clone()
+        self.ctx.service.read().unwrap_or_else(PoisonError::into_inner).clone()
     }
 
     /// One replication round: ship from the next needed epoch, replay, ack.
@@ -444,7 +443,7 @@ fn fetch_and_open(
 
 /// One ship → replay → ack round over an established connection.
 fn sync_round(ctx: &SyncCtx, core: &mut Core) -> Result<SyncOutcome, ReplError> {
-    let service = ctx.service.read().clone();
+    let service = ctx.service.read().unwrap_or_else(PoisonError::into_inner).clone();
     let from = service.current_epoch() + 1;
     let batch = core.client.ship_segment(from, ctx.config.max_records, ctx.config.max_bytes)?;
     ctx.shared.leader_epoch.store(batch.leader_epoch, Ordering::Relaxed);
@@ -492,7 +491,7 @@ fn full_resync(
     let fresh = fetch_and_open(core, &ctx.root, &ctx.config, manifest)?;
     fresh.set_replication_hook(Arc::new(FollowerHook { shared: ctx.shared.clone() }));
     let applied = fresh.current_epoch();
-    *ctx.service.write() = fresh;
+    *ctx.service.write().unwrap_or_else(PoisonError::into_inner) = fresh;
     ctx.shared.applied.store(applied, Ordering::Relaxed);
     ctx.shared.resyncs.fetch_add(1, Ordering::Relaxed);
     let _ = std::fs::remove_dir_all(ctx.root.join(format!("gen-{old_generation:06}")));

@@ -18,10 +18,9 @@ use ksp_proto::{
 };
 use ksp_serve::{QueryService, ReplicationHook};
 use ksp_store::{SnapshotManifest, Store};
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, Mutex, PoisonError, Weak};
 
 use crate::ReplError;
 
@@ -98,6 +97,7 @@ impl ReplicationSource {
         let leader_epoch = self.leader_epoch();
         self.followers
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .map(|(follower, &applied_epoch)| FollowerLag {
                 follower: follower.clone(),
@@ -137,7 +137,7 @@ impl ReplicationSource {
             n => n.min(MAX_SHIP_BYTES),
         };
         let leader_epoch = self.leader_epoch();
-        let store = self.store.lock();
+        let store = self.store.lock().unwrap_or_else(PoisonError::into_inner);
         if from_epoch < store.oldest_retained_epoch() {
             // The requested position predates the retained log window: the
             // log cannot serve it, but the image set always can — pruning is
@@ -177,7 +177,12 @@ impl ReplicationSource {
             0 => DEFAULT_CHUNK_BYTES,
             n => n.min(MAX_CHUNK_BYTES),
         };
-        match self.store.lock().read_image_chunk(name, offset, max_len) {
+        match self
+            .store
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .read_image_chunk(name, offset, max_len)
+        {
             Ok((total_len, bytes)) => {
                 self.snapshot_bytes.fetch_add(bytes.len() as u64, Ordering::Relaxed);
                 Response::SnapshotChunk(WireSnapshotChunk {
@@ -192,7 +197,10 @@ impl ReplicationSource {
     }
 
     fn ack(&self, follower: &str, applied_epoch: u64) -> Response {
-        self.followers.lock().insert(follower.to_string(), applied_epoch);
+        self.followers
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(follower.to_string(), applied_epoch);
         self.acks.fetch_add(1, Ordering::Relaxed);
         Response::ReplAck { leader_epoch: self.leader_epoch() }
     }

@@ -3,9 +3,8 @@
 //! Each shard owns one [`BoundedQueue`]. Producers (`submit`) are rejected with
 //! [`QueueFull`] once the queue holds `max_depth` requests — backpressure the
 //! client observes immediately instead of unbounded queueing delay. The shard's
-//! worker drains requests in batches of up to `max_batch`, which lets it load
-//! the current epoch once (and take its cache lock once) per batch instead of
-//! per request.
+//! worker drains requests in batches, which lets it load the current epoch
+//! once (and take its cache lock once) per batch instead of per request.
 //!
 //! For the work-stealing scheduler the queue additionally supports a timed
 //! drain ([`BoundedQueue::pop_batch_timeout`]) — an idle worker wakes after
@@ -40,13 +39,11 @@ pub struct AdmissionConfig {
     /// Maximum number of queued (admitted but not yet executing) requests per
     /// shard; submissions beyond this are rejected.
     pub max_queue_depth: usize,
-    /// Maximum number of requests a worker drains per batch.
-    pub max_batch: usize,
 }
 
 impl Default for AdmissionConfig {
     fn default() -> Self {
-        AdmissionConfig { max_queue_depth: 1024, max_batch: 32 }
+        AdmissionConfig { max_queue_depth: 1024 }
     }
 }
 
@@ -54,7 +51,6 @@ impl AdmissionConfig {
     /// Validates the configuration.
     pub fn validate(&self) {
         assert!(self.max_queue_depth >= 1, "max_queue_depth must be at least 1");
-        assert!(self.max_batch >= 1, "max_batch must be at least 1");
     }
 }
 

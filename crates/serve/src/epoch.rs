@@ -13,8 +13,7 @@
 
 use ksp_core::dtlp::DtlpIndex;
 use ksp_graph::DynamicGraph;
-use parking_lot::RwLock;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// One immutable epoch: a consistent graph/index pair plus its sequence number.
 #[derive(Debug)]
@@ -61,12 +60,12 @@ impl EpochPointer {
     /// Returns the current epoch. The returned `Arc` keeps the whole epoch alive
     /// for as long as the caller works with it, even across later publishes.
     pub fn load(&self) -> Arc<EpochSnapshot> {
-        self.current.read().clone()
+        self.current.read().unwrap_or_else(PoisonError::into_inner).clone()
     }
 
     /// Atomically replaces the current epoch, returning the one it displaced.
     pub fn publish(&self, next: EpochSnapshot) -> Arc<EpochSnapshot> {
-        let mut slot = self.current.write();
+        let mut slot = self.current.write().unwrap_or_else(PoisonError::into_inner);
         std::mem::replace(&mut *slot, Arc::new(next))
     }
 }

@@ -37,11 +37,13 @@
 //! * [`metrics`] — lock-free latency histograms (p50/p95/p99), cache hit rate,
 //!   retention/steal counters and per-shard queue gauges. All counters are
 //!   cumulative-monotonic.
-//! * **observability** (via `ksp-obs`) — every request carries a
-//!   [`RequestSpan`](ksp_obs::RequestSpan) stamped at each stage boundary
-//!   (admission → queue/steal → cache → engine → trace-sweep → reply); the
-//!   finished chains aggregate into per-stage histograms that sum exactly to
-//!   the end-to-end one. A lock-free flight recorder
+//! * **observability** (via `ksp-obs`) — every request and every epoch
+//!   publish carries a [`StageSpan`](ksp_obs::StageSpan) stamped at each
+//!   stage boundary (admission → queue/steal → cache → engine → trace-sweep
+//!   → reply; stage_index → wal_append → fsync → swap → retention →
+//!   checkpoint_encode → checkpoint_commit); the finished chains aggregate
+//!   into per-stage histograms that sum exactly to the end-to-end ones. A
+//!   lock-free flight recorder
 //!   ([`FlightRecorder`](ksp_obs::FlightRecorder)) keeps the last N
 //!   structured events (publishes, checkpoints, steals, rejections, hostile
 //!   frames, recovery steps) and dumps itself on anomalies (SLO breach,

@@ -8,7 +8,7 @@
 //!
 //! The histogram type itself lives in `ksp-obs` (re-exported here), which also
 //! supplies the per-stage histograms ([`StageHistograms`]) that span chains
-//! aggregate into alongside the end-to-end one.
+//! of both paths aggregate into alongside the end-to-end ones.
 //!
 //! **Counter semantics.** Every `u64` counter in [`MetricsReport`] —
 //! `completed`, `rejected`, `cache_hits`, `cache_misses`, `epochs_published`,
@@ -18,7 +18,7 @@
 //! difference of two reports, never a counter reset.
 
 pub use ksp_obs::LatencyHistogram;
-use ksp_obs::{PublishStageHistograms, StageHistograms};
+use ksp_obs::{PublishStage, Stage, StageHistograms};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -48,18 +48,16 @@ pub struct ServiceMetrics {
     pub latency: LatencyHistogram,
     /// Per-stage latency histograms, populated from finished request span
     /// chains when observability is enabled.
-    pub stages: StageHistograms,
+    pub stages: StageHistograms<Stage>,
     /// Per-write-path-stage latency histograms, populated from finished
     /// publish span chains when observability is enabled.
-    pub publish_stages: PublishStageHistograms,
+    pub publish_stages: StageHistograms<PublishStage>,
     /// End-to-end publish latency (batch submission through retention, plus
     /// checkpoint encode/commit for checkpoint epochs). The write-path stage
     /// histograms telescope to exactly this distribution.
     pub publish_latency: LatencyHistogram,
     /// Completed requests.
     pub completed: AtomicU64,
-    /// Requests rejected by admission control (static cap + adaptive, total).
-    pub rejected: AtomicU64,
     /// Requests the admission path accepted into a shard queue.
     pub admission_accepted: AtomicU64,
     /// Rejections from the static queue cap (the queue held `max_queue_depth`
@@ -102,11 +100,10 @@ impl ServiceMetrics {
     pub fn new(num_shards: usize) -> Self {
         ServiceMetrics {
             latency: LatencyHistogram::default(),
-            stages: StageHistograms::new(),
-            publish_stages: PublishStageHistograms::new(),
+            stages: StageHistograms::default(),
+            publish_stages: StageHistograms::default(),
             publish_latency: LatencyHistogram::default(),
             completed: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
             admission_accepted: AtomicU64::new(0),
             admission_rejected_queue_full: AtomicU64::new(0),
             admission_rejected_predicted: AtomicU64::new(0),
@@ -141,14 +138,14 @@ impl ServiceMetrics {
         let completed = self.completed.load(Ordering::Relaxed);
         let hits = self.cache_hits.load(Ordering::Relaxed);
         let misses = self.cache_misses.load(Ordering::Relaxed);
+        let queue_full = self.admission_rejected_queue_full.load(Ordering::Relaxed);
+        let predicted = self.admission_rejected_predicted.load(Ordering::Relaxed);
         MetricsReport {
             completed,
-            rejected: self.rejected.load(Ordering::Relaxed),
+            rejected: queue_full + predicted,
             admission_accepted: self.admission_accepted.load(Ordering::Relaxed),
-            admission_rejected_queue_full: self
-                .admission_rejected_queue_full
-                .load(Ordering::Relaxed),
-            admission_rejected_predicted: self.admission_rejected_predicted.load(Ordering::Relaxed),
+            admission_rejected_queue_full: queue_full,
+            admission_rejected_predicted: predicted,
             cache_hits: hits,
             cache_misses: misses,
             epochs_published: self.epochs_published.load(Ordering::Relaxed),
@@ -287,27 +284,16 @@ mod tests {
     }
 
     #[test]
-    fn report_surfaces_the_rejected_admission_counter() {
-        // Regression guard: overload must stay observable — the `rejected`
-        // counter the admission path increments has to reach the report (and
-        // from there the wire `ObsSnapshot` response) unchanged.
-        let m = ServiceMetrics::new(1);
-        m.rejected.fetch_add(5, Ordering::Relaxed);
-        m.completed.fetch_add(2, Ordering::Relaxed);
-        assert_eq!(m.report().rejected, 5);
-    }
-
-    #[test]
     fn report_splits_admission_counters_by_cause() {
-        // The total `rejected` stays the compatibility counter; the split —
-        // static cap vs adaptive SLO-budget prediction — plus the accepted
-        // count must each reach the report for the `ksp_admission_*`
-        // exposition families.
+        // The split (static cap vs adaptive SLO-budget prediction) plus the
+        // accepted count must each reach the report for the `ksp_admission_*`
+        // exposition families, and the total `rejected` is their sum, so
+        // overload stays observable on the wire.
         let m = ServiceMetrics::new(1);
         m.admission_accepted.fetch_add(10, Ordering::Relaxed);
         m.admission_rejected_queue_full.fetch_add(3, Ordering::Relaxed);
         m.admission_rejected_predicted.fetch_add(4, Ordering::Relaxed);
-        m.rejected.fetch_add(7, Ordering::Relaxed);
+        m.completed.fetch_add(2, Ordering::Relaxed);
         let report = m.report();
         assert_eq!(report.admission_accepted, 10);
         assert_eq!(report.admission_rejected_queue_full, 3);

@@ -35,16 +35,15 @@ use ksp_core::dtlp::{DtlpConfig, DtlpIndex};
 use ksp_core::kspdg::{KspDgConfig, QueryStats, SharedEngine};
 use ksp_graph::{DynamicGraph, GraphError, SubgraphId, SubgraphSet, UpdateBatch, VertexId};
 use ksp_obs::{
-    Counter, EventKind, FlightRecorder, Gauge, ObsConfig, ObsSnapshot, PublishSpan,
-    PublishStageSnapshot, RequestSpan, SpanChain, StageSnapshot,
+    Counter, EventKind, FlightRecorder, Gauge, ObsConfig, ObsSnapshot, PublishStage, SpanChain,
+    Stage, StageSpan,
 };
 use ksp_store::{AppendTimings, RecoveryReport, StorageIo, Store, StoreConfig, StoreError};
-use parking_lot::Mutex;
 use std::collections::HashSet;
 use std::path::Path as FsPath;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -61,8 +60,8 @@ pub struct ServiceConfig {
     pub admission: AdmissionConfig,
     /// DTLP index configuration (subgraph size `z`, bounding paths `ξ`).
     pub dtlp: DtlpConfig,
-    /// Observability: per-request span recording, flight-recorder sizing and
-    /// anomaly triggers. Per-request instrumentation can be switched off
+    /// Observability: per-request span recording and the SLO trigger.
+    /// Per-request instrumentation can be switched off
     /// ([`ObsConfig::disabled`]) for a benchmark baseline; service-level
     /// events (publishes, checkpoints, recovery) are always recorded.
     pub observability: ObsConfig,
@@ -206,7 +205,7 @@ struct Request {
     submitted: Instant,
     /// Stage clock of this request; shares `submitted` as its origin so the
     /// per-stage durations telescope to the recorded end-to-end latency.
-    span: RequestSpan,
+    span: StageSpan<Stage>,
     /// The caller's trace id (zero when untraced); stamped into any flight
     /// dump this request triggers so a remote client can resolve its own
     /// trace ids to server-side span chains.
@@ -251,6 +250,23 @@ impl Drop for Reply {
 /// in microseconds).
 pub const RECOVERY_STEP_COMPLETED: u64 = 5;
 
+/// Capacity of the flight-recorder ring, in events.
+const FLIGHT_CAPACITY: usize = 256;
+
+/// An epoch publish slower than this triggers a flight dump.
+const PUBLISH_STALL: Duration = Duration::from_millis(250);
+
+/// A delta-log append (record encode + write, excluding the fsync) slower
+/// than this triggers a flight dump.
+const WAL_APPEND_STALL: Duration = Duration::from_millis(50);
+
+/// A delta-log fsync slower than this triggers a flight dump.
+const FSYNC_STALL: Duration = Duration::from_millis(100);
+
+/// Most requests a worker drains from a queue, or steals, per batch: one
+/// epoch load and one cache-lock round per batch instead of per request.
+const MAX_BATCH: usize = 32;
+
 /// The shared observability runtime of one service: the configuration plus
 /// the flight recorder every instrumentation point records into.
 #[derive(Debug)]
@@ -261,7 +277,7 @@ pub struct Observability {
 
 impl Observability {
     fn new(config: ObsConfig) -> Self {
-        Observability { config, flight: FlightRecorder::new(config.flight_capacity) }
+        Observability { config, flight: FlightRecorder::new(FLIGHT_CAPACITY) }
     }
 
     /// The observability configuration the service was started with.
@@ -284,7 +300,7 @@ impl Observability {
 
     /// Records an anomaly cause and captures a flight dump; a no-op when
     /// observability is disabled.
-    pub fn trigger(&self, kind: EventKind, a: u64, b: u64, c: u64, span: Option<SpanChain>) {
+    pub fn trigger(&self, kind: EventKind, a: u64, b: u64, c: u64, span: Option<SpanChain<Stage>>) {
         self.trigger_traced(kind, a, b, c, span, 0);
     }
 
@@ -296,7 +312,7 @@ impl Observability {
         a: u64,
         b: u64,
         c: u64,
-        span: Option<SpanChain>,
+        span: Option<SpanChain<Stage>>,
         trace_id: u64,
     ) {
         if self.config.enabled {
@@ -342,7 +358,7 @@ struct CheckpointJob {
     /// into the checkpointer so the checkpoint encode/commit stages land in
     /// the same telescoped chain as the synchronous write-path stages (the
     /// channel wait is absorbed into `checkpoint_encode`).
-    span: PublishSpan,
+    span: StageSpan<PublishStage>,
 }
 
 /// Shared read-only-degraded state of a persistent service.
@@ -379,7 +395,7 @@ impl DegradedHealth {
     }
 
     fn reason(&self) -> String {
-        self.reason.lock().clone()
+        self.reason.lock().unwrap_or_else(PoisonError::into_inner).clone()
     }
 }
 
@@ -424,7 +440,7 @@ pub struct QueryService {
     /// after construction via [`QueryService::set_replication_hook`]. Behind
     /// an `RwLock` because every request dispatch reads it and registration
     /// writes it exactly once.
-    replication: parking_lot::RwLock<Option<Arc<dyn crate::rpc::ReplicationHook>>>,
+    replication: RwLock<Option<Arc<dyn crate::rpc::ReplicationHook>>>,
 }
 
 impl QueryService {
@@ -589,7 +605,6 @@ impl QueryService {
                     let metrics = metrics.clone();
                     let obs = obs.clone();
                     let admission = admission.clone();
-                    let max_batch = config.admission.max_batch;
                     move || {
                         let ctx = WorkerContext {
                             shards: &resources,
@@ -598,7 +613,7 @@ impl QueryService {
                             obs: &obs,
                             admission: &admission,
                         };
-                        shard_main(shard_id, &ctx, max_batch)
+                        shard_main(shard_id, &ctx)
                     }
                 })
                 .expect("failed to spawn shard worker");
@@ -659,7 +674,7 @@ impl QueryService {
             masters: Mutex::new(Masters { graph, index, dirty_since_job }),
             persistence,
             degraded,
-            replication: parking_lot::RwLock::new(None),
+            replication: RwLock::new(None),
         }
     }
 
@@ -667,12 +682,12 @@ impl QueryService {
     /// `ReplAck` requests are delegated to. Every transport routes through
     /// [`QueryService::handle`], so one registration covers them all.
     pub fn set_replication_hook(&self, hook: Arc<dyn crate::rpc::ReplicationHook>) {
-        *self.replication.write() = Some(hook);
+        *self.replication.write().unwrap_or_else(PoisonError::into_inner) = Some(hook);
     }
 
     /// The registered replication endpoint, if any.
     pub(crate) fn replication_hook(&self) -> Option<Arc<dyn crate::rpc::ReplicationHook>> {
-        self.replication.read().clone()
+        self.replication.read().unwrap_or_else(PoisonError::into_inner).clone()
     }
 
     /// The shared durable-store handle, when this service was started with a
@@ -786,7 +801,7 @@ impl QueryService {
         // `submitted` shares the origin, so end-to-end latency and the stage
         // chain telescope to the same total.
         let submitted = Instant::now();
-        let mut span = RequestSpan::begin_at(submitted, self.obs.config.enabled);
+        let mut span = StageSpan::begin_at(submitted, self.obs.config.enabled);
         if k == 0 {
             return reply.send(Err(ServiceError::InvalidK));
         }
@@ -814,14 +829,19 @@ impl QueryService {
         let depth_now = shard.resources.queue.depth();
         let predicted = {
             let key = CacheKey { source, target, k };
-            if shard.resources.cache.lock().peek_fresh(&key, epoch_now) {
+            if shard
+                .resources
+                .cache
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .peek_fresh(&key, epoch_now)
+            {
                 CostClass::CacheHit
             } else {
                 CostClass::EngineRun
             }
         };
         if let AdmissionVerdict::Reject(r) = self.admission.assess(depth_now, predicted) {
-            self.metrics.rejected.fetch_add(1, Relaxed);
             self.metrics.admission_rejected_predicted.fetch_add(1, Relaxed);
             self.obs.record(
                 EventKind::Rejection,
@@ -847,10 +867,9 @@ impl QueryService {
                 retry_after_ms: r.retry_after_ms,
             }));
         }
-        span.mark_enqueued();
+        span.mark(Stage::Admission);
         let request = Request { source, target, k, submitted, span, trace_id, reply };
         if let Err((request, _)) = shard.resources.queue.submit(request) {
-            self.metrics.rejected.fetch_add(1, Relaxed);
             self.metrics.admission_rejected_queue_full.fetch_add(1, Relaxed);
             let depth = self.config.admission.max_queue_depth;
             let retry_after_ms = self.admission.queue_full_hint_ms(depth);
@@ -891,8 +910,8 @@ impl QueryService {
         // The publish span shares `publish_started` as its origin, so the
         // per-stage durations telescope to exactly the end-to-end publish
         // latency recorded into `metrics.publish_latency`.
-        let mut span = PublishSpan::begin_at(publish_started, self.obs.config.enabled);
-        let mut masters = self.masters.lock();
+        let mut span = StageSpan::begin_at(publish_started, self.obs.config.enabled);
+        let mut masters = self.masters.lock().unwrap_or_else(PoisonError::into_inner);
         let prev_epoch = masters.graph.version();
         let next_graph = Arc::new(masters.graph.with_batch(batch)?);
         let mut staged_index = (*masters.index).clone();
@@ -900,12 +919,12 @@ impl QueryService {
         let dirty_set: SubgraphSet = maintenance.dirty_subgraphs.iter().copied().collect();
         let next_index = Arc::new(staged_index);
         let epoch = next_graph.version();
-        span.mark_staged();
+        span.mark(PublishStage::StageIndex);
         // Durability before visibility: a batch that cannot be logged
         // publishes nothing.
         let mut append_timings = AppendTimings::default();
         if let Some(p) = &self.persistence {
-            match p.store.lock().log_batch(epoch, batch) {
+            match p.store.lock().unwrap_or_else(PoisonError::into_inner).log_batch(epoch, batch) {
                 Ok(timings) => append_timings = timings,
                 Err(e) => {
                     // The append failed, so this epoch never becomes visible;
@@ -917,7 +936,7 @@ impl QueryService {
                 }
             }
         }
-        span.mark_logged(append_timings.fsync);
+        span.mark_with_tail(PublishStage::WalAppend, append_timings.fsync);
         masters.dirty_since_job.extend(maintenance.dirty_subgraphs);
         // The published snapshot and the masters share one (graph, index)
         // `Arc` pair; the only extra handles taken here are for a checkpoint
@@ -928,7 +947,7 @@ impl QueryService {
                 graph: Arc::clone(&next_graph),
                 index: Arc::clone(&next_index),
                 dirty: std::mem::take(&mut masters.dirty_since_job),
-                span: PublishSpan::disabled(),
+                span: StageSpan::disabled(),
             })
         });
         // Publish before releasing the masters lock so epochs appear in order.
@@ -939,7 +958,7 @@ impl QueryService {
         ));
         masters.graph = next_graph;
         masters.index = next_index;
-        span.mark_swapped();
+        span.mark(PublishStage::Swap);
         // Selective invalidation: drop only the entries whose trace the batch
         // dirtied; re-stamp the rest to the new epoch. Running under the
         // masters lock keeps publishes (and therefore retention passes)
@@ -950,14 +969,18 @@ impl QueryService {
         let mut ring_retained = 0u64;
         let mut weighted_evicted = 0u64;
         for shard in &self.shards {
-            let outcome =
-                shard.resources.cache.lock().retain_for_publish(prev_epoch, epoch, &dirty_set);
+            let outcome = shard
+                .resources
+                .cache
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .retain_for_publish(prev_epoch, epoch, &dirty_set);
             retained += outcome.retained as u64;
             evicted += outcome.evicted as u64;
             ring_retained += outcome.ring_retained as u64;
             weighted_evicted += outcome.weighted_evicted as u64;
         }
-        span.mark_retained();
+        span.mark(PublishStage::Retention);
         drop(masters);
         use std::sync::atomic::Ordering::Relaxed;
         self.metrics.cache_retained.fetch_add(retained, Relaxed);
@@ -970,28 +993,25 @@ impl QueryService {
         let publish_micros = publish_time.as_micros().min(u64::MAX as u128) as u64;
         self.obs.record(EventKind::EpochPublished, epoch, dirty_set.len() as u64, publish_micros);
         self.obs.record(EventKind::CacheRetention, epoch, retained, evicted);
-        let stall = self.obs.config.publish_stall;
-        if !stall.is_zero() && publish_time > stall {
+        if publish_time > PUBLISH_STALL {
             self.obs.trigger(EventKind::PublishStall, epoch, publish_micros, 0, None);
         }
         let micros = |d: Duration| d.as_micros().min(u64::MAX as u128) as u64;
-        let wal_bound = self.obs.config.wal_append_stall;
-        if !wal_bound.is_zero() && append_timings.write > wal_bound {
+        if append_timings.write > WAL_APPEND_STALL {
             self.obs.trigger(
                 EventKind::WalAppendStall,
                 epoch,
                 micros(append_timings.write),
-                micros(wal_bound),
+                micros(WAL_APPEND_STALL),
                 None,
             );
         }
-        let fsync_bound = self.obs.config.fsync_stall;
-        if !fsync_bound.is_zero() && append_timings.fsync > fsync_bound {
+        if append_timings.fsync > FSYNC_STALL {
             self.obs.trigger(
                 EventKind::FsyncStall,
                 epoch,
                 micros(append_timings.fsync),
-                micros(fsync_bound),
+                micros(FSYNC_STALL),
                 None,
             );
         }
@@ -1028,8 +1048,9 @@ impl QueryService {
     fn enter_degraded(&self, epoch: u64, cause: &StoreError, p: &Persistence) -> PublishError {
         let reason = format!("delta-log append failed at epoch {epoch}: {cause}");
         if !self.degraded.degraded.swap(true, Ordering::AcqRel) {
-            *self.degraded.reason.lock() = reason.clone();
-            *self.degraded.entered_at.lock() = Some(Instant::now());
+            *self.degraded.reason.lock().unwrap_or_else(PoisonError::into_inner) = reason.clone();
+            *self.degraded.entered_at.lock().unwrap_or_else(PoisonError::into_inner) =
+                Some(Instant::now());
             self.degraded.entered_total.fetch_add(1, Ordering::Relaxed);
             // Entering degradation is an anomaly: capture the flight ring
             // around the failed append, then wake the probe so recovery
@@ -1071,7 +1092,7 @@ impl QueryService {
     pub fn checkpoint_now(&self) -> Result<Option<u64>, PublishError> {
         let Some(p) = &self.persistence else { return Ok(None) };
         let (epoch, graph, index) = {
-            let masters = self.masters.lock();
+            let masters = self.masters.lock().unwrap_or_else(PoisonError::into_inner);
             (masters.graph.version(), masters.graph.clone(), masters.index.clone())
         };
         // Encode and stage (write + fsync) without the store lock — the slow
@@ -1079,7 +1100,7 @@ impl QueryService {
         let checkpoint_started = Instant::now();
         let encoded = Store::encode_checkpoint(epoch, &graph, &index);
         let staged = Store::stage_checkpoint_with_io(&p.dir, &encoded, &p.io)?;
-        p.store.lock().commit_staged_checkpoint(staged)?;
+        p.store.lock().unwrap_or_else(PoisonError::into_inner).commit_staged_checkpoint(staged)?;
         self.obs.record(
             EventKind::CheckpointCommitted,
             epoch,
@@ -1205,21 +1226,9 @@ impl QueryService {
             gauges.extend(repl_gauges);
         }
         ObsSnapshot {
-            stages: self
-                .metrics
-                .stages
-                .snapshot()
-                .into_iter()
-                .map(|(stage, histogram)| StageSnapshot { stage, histogram })
-                .collect(),
+            stages: self.metrics.stages.snapshot(),
             end_to_end: self.metrics.latency.snapshot(),
-            publish_stages: self
-                .metrics
-                .publish_stages
-                .snapshot()
-                .into_iter()
-                .map(|(stage, histogram)| PublishStageSnapshot { stage, histogram })
-                .collect(),
+            publish_stages: self.metrics.publish_stages.snapshot(),
             publish_end_to_end: self.metrics.publish_latency.snapshot(),
             counters,
             gauges,
@@ -1235,7 +1244,9 @@ impl QueryService {
 
     /// Epoch of the newest committed checkpoint, for a persistent service.
     pub fn last_checkpoint_epoch(&self) -> Option<u64> {
-        self.persistence.as_ref().map(|p| p.store.lock().last_checkpoint_epoch())
+        self.persistence
+            .as_ref()
+            .map(|p| p.store.lock().unwrap_or_else(PoisonError::into_inner).last_checkpoint_epoch())
     }
 }
 
@@ -1312,7 +1323,7 @@ fn checkpointer_main(
         pending_dirty.extend(job.dirty.drain());
 
         let (base_epoch, must_be_full) = {
-            let store = store.lock();
+            let store = store.lock().unwrap_or_else(PoisonError::into_inner);
             (store.last_image_epoch(), store.next_image_must_be_full())
         };
         let full = must_be_full || base_epoch >= job.epoch;
@@ -1324,9 +1335,10 @@ fn checkpointer_main(
             dirty.sort_unstable();
             Store::encode_partial_checkpoint(job.epoch, base_epoch, &job.graph, &job.index, &dirty)
         };
-        job.span.mark_encoded();
-        let result = Store::stage_checkpoint_with_io(store_dir, &encoded, io)
-            .and_then(|staged| store.lock().commit_staged_checkpoint(staged));
+        job.span.mark(PublishStage::CheckpointEncode);
+        let result = Store::stage_checkpoint_with_io(store_dir, &encoded, io).and_then(|staged| {
+            store.lock().unwrap_or_else(PoisonError::into_inner).commit_staged_checkpoint(staged)
+        });
         // The epoch was published either way, so the publish span always
         // finishes: exactly one publish chain records per published epoch,
         // which is what lets the per-stage totals telescope to the end-to-end
@@ -1360,7 +1372,7 @@ fn checkpointer_main(
                         job.epoch
                     );
                 }
-                job.span = PublishSpan::disabled();
+                job.span = StageSpan::disabled();
                 carry = Some(job);
                 backoff = (backoff * 2).min(RETRY_CAP);
             }
@@ -1422,16 +1434,17 @@ fn degraded_probe_main(
         let mut attempts = 0u64;
         while health.is_degraded() {
             attempts += 1;
-            let probed = store.lock().probe_log();
+            let probed = store.lock().unwrap_or_else(PoisonError::into_inner).probe_log();
             match probed {
                 Ok(()) => {
                     let degraded_for = health
                         .entered_at
                         .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
                         .take()
                         .map(|t| t.elapsed())
                         .unwrap_or(Duration::ZERO);
-                    health.reason.lock().clear();
+                    health.reason.lock().unwrap_or_else(PoisonError::into_inner).clear();
                     health.recovered_total.fetch_add(1, Ordering::Relaxed);
                     // Release-store after the repair so an apply_batch that
                     // sees "healthy" sees the repaired log.
@@ -1473,7 +1486,7 @@ fn degraded_probe_main(
 /// the write-path histograms. Called exactly once per published epoch —
 /// synchronously for non-checkpoint epochs, from the checkpointer (after the
 /// image commit, or at coalesce time for superseded jobs) otherwise.
-fn finish_publish_span(metrics: &ServiceMetrics, span: &PublishSpan) {
+fn finish_publish_span(metrics: &ServiceMetrics, span: &StageSpan<PublishStage>) {
     if let Some((chain, total)) = span.finish() {
         metrics.publish_stages.record_chain(&chain);
         metrics.publish_latency.record_micros(chain.total_micros());
@@ -1561,19 +1574,19 @@ struct WorkerContext<'a> {
     admission: &'a AdmissionController,
 }
 
-fn shard_main(shard_id: usize, ctx: &WorkerContext<'_>, max_batch: usize) {
+fn shard_main(shard_id: usize, ctx: &WorkerContext<'_>) {
     let own = &ctx.shards[shard_id].queue;
     let _guard = CloseQueueOnExit(own);
     let mut poll = STEAL_POLL;
     loop {
-        match own.pop_batch_timeout(max_batch, poll) {
+        match own.pop_batch_timeout(MAX_BATCH, poll) {
             TimedPop::Items(batch) => {
                 poll = STEAL_POLL;
                 run_batch(shard_id, shard_id, batch, ctx)
             }
             TimedPop::Closed => return,
             TimedPop::TimedOut => {
-                if let Some((victim, batch)) = steal_from_deepest(ctx.shards, shard_id, max_batch) {
+                if let Some((victim, batch)) = steal_from_deepest(ctx.shards, shard_id) {
                     poll = STEAL_POLL;
                     ctx.metrics.shards[shard_id].record_steals(batch.len());
                     ctx.obs.record(
@@ -1599,7 +1612,6 @@ fn shard_main(shard_id: usize, ctx: &WorkerContext<'_>, max_batch: usize) {
 fn steal_from_deepest(
     shards: &[Arc<ShardResources>],
     thief: usize,
-    max_batch: usize,
 ) -> Option<(usize, Vec<Request>)> {
     let (victim, depth) = shards
         .iter()
@@ -1610,7 +1622,7 @@ fn steal_from_deepest(
     if depth == 0 {
         return None;
     }
-    let take = depth.div_ceil(2).min(max_batch.max(1));
+    let take = depth.div_ceil(2).min(MAX_BATCH);
     let batch = shards[victim].queue.steal_batch(take)?;
     Some((victim, batch))
 }
@@ -1620,7 +1632,7 @@ fn steal_from_deepest(
 /// worker doing the computing — they differ exactly when the batch was
 /// stolen, and busy time is attributed to the worker that actually ran it.
 ///
-/// Span discipline: each request's [`RequestSpan`] is stamped at every stage
+/// Span discipline: each request's [`StageSpan`] is stamped at every stage
 /// boundary, and when observability is on the end-to-end latency recorded
 /// into `metrics.latency` is the span's own telescoped total — so the
 /// per-stage histograms sum exactly to the end-to-end histogram.
@@ -1640,25 +1652,25 @@ fn run_batch(
         SharedEngine::with_config(snapshot.index().clone(), KspDgConfig::default().with_trace());
     let cache = &shards[home_shard].cache;
     for mut request in batch {
-        request.span.mark_dequeued(executing_shard != home_shard);
+        request.span.mark(if executing_shard == home_shard { Stage::Queue } else { Stage::Steal });
         let started = Instant::now();
         let key = CacheKey { source: request.source, target: request.target, k: request.k };
         let cached = {
-            let mut cache = cache.lock();
+            let mut cache = cache.lock().unwrap_or_else(PoisonError::into_inner);
             cache.get(&key, snapshot.epoch()).map(<[Path]>::to_vec)
         };
-        request.span.mark_cache_done();
+        request.span.mark(Stage::Cache);
         let (paths, stats, cache_hit) = match cached {
             Some(paths) => {
-                request.span.mark_engine_done(Duration::ZERO);
+                request.span.mark(Stage::Engine);
                 (paths, QueryStats::default(), true)
             }
             None => {
                 let result = engine.query(request.source, request.target, request.k);
-                request.span.mark_engine_done(result.sweep_time);
+                request.span.mark_with_tail(Stage::Engine, result.sweep_time);
                 // The insert is post-engine bookkeeping: it lands in the
                 // span's reply stage, not the cache-lookup stage.
-                let mut cache = cache.lock();
+                let mut cache = cache.lock().unwrap_or_else(PoisonError::into_inner);
                 cache.insert(key, snapshot.epoch(), result.trace, result.paths.clone());
                 (result.paths, result.stats, false)
             }
@@ -1707,6 +1719,7 @@ fn run_batch(
 mod tests {
     use super::*;
     use ksp_algo::yen_ksp;
+    use ksp_obs::StageSet;
     use ksp_workload::{
         QueryWorkload, QueryWorkloadConfig, RoadNetworkConfig, RoadNetworkGenerator, TrafficConfig,
         TrafficModel,

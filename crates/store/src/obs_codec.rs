@@ -4,16 +4,16 @@
 //! Histograms carry only their bucket occupancy (the log₂-microsecond bucket
 //! bounds are fixed by `ksp-obs`), stages and event kinds travel as their
 //! `u8` codes, and gauge values as raw IEEE-754 bits. Decoding is
-//! hostile-input safe: a stage, publish-stage or event-kind code outside the
-//! known range, and a span chain without exactly one value per stage, fail
-//! with a typed [`CodecError`]. Whatever decodes renders exactly as the
-//! sender's snapshot does.
+//! hostile-input safe: a stage or event-kind code outside the known range,
+//! and a span chain without exactly one value per stage, fail with a typed
+//! [`CodecError`]. Whatever decodes renders exactly as the sender's snapshot
+//! does.
 
 use crate::codec::{encode_slice, Reader, StoreCodec, Writer};
 use crate::error::CodecError;
 use ksp_obs::{
-    Counter, EventKind, FlightDump, Gauge, HistogramSnapshot, ObsEvent, ObsSnapshot, PublishStage,
-    PublishStageSnapshot, SpanChain, Stage, StageSnapshot,
+    Counter, EventKind, FlightDump, Gauge, HistogramSnapshot, ObsEvent, ObsSnapshot, SpanChain,
+    StageSet, StageSnapshot,
 };
 
 impl StoreCodec for HistogramSnapshot {
@@ -33,27 +33,15 @@ impl StoreCodec for HistogramSnapshot {
     }
 }
 
-impl StoreCodec for StageSnapshot {
+impl<S: StageSet> StoreCodec for StageSnapshot<S> {
     fn encode(&self, w: &mut Writer) {
         w.put_u8(self.stage.index() as u8);
         self.histogram.encode(w);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let stage = Stage::from_index(r.get_u8()? as usize)
+        let stage = S::from_index(r.get_u8()? as usize)
             .ok_or(CodecError::InvalidValue("stage code out of range"))?;
         Ok(StageSnapshot { stage, histogram: HistogramSnapshot::decode(r)? })
-    }
-}
-
-impl StoreCodec for PublishStageSnapshot {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u8(self.stage.index() as u8);
-        self.histogram.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let stage = PublishStage::from_index(r.get_u8()? as usize)
-            .ok_or(CodecError::InvalidValue("publish stage code out of range"))?;
-        Ok(PublishStageSnapshot { stage, histogram: HistogramSnapshot::decode(r)? })
     }
 }
 
@@ -73,19 +61,19 @@ impl StoreCodec for ObsEvent {
     }
 }
 
-/// Stage durations as a length-prefixed list in [`Stage::ALL`] order, then the
-/// stolen flag.
-impl StoreCodec for SpanChain {
+/// Stage durations as a length-prefixed list in [`StageSet::ALL`] order, then
+/// the branched flag.
+impl<S: StageSet> StoreCodec for SpanChain<S> {
     fn encode(&self, w: &mut Writer) {
-        encode_slice(&self.micros, w);
-        self.stolen.encode(w);
+        encode_slice(self.micros.as_ref(), w);
+        self.branched.encode(w);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         let micros: Vec<u64> = Vec::decode(r)?;
-        let micros = micros
-            .try_into()
-            .map_err(|_| CodecError::InvalidValue("span chain must carry one value per stage"))?;
-        Ok(SpanChain { micros, stolen: bool::decode(r)? })
+        if micros.len() != S::COUNT {
+            return Err(CodecError::InvalidValue("span chain must carry one value per stage"));
+        }
+        Ok(SpanChain { micros: S::per_stage(|s| micros[s.index()]), branched: bool::decode(r)? })
     }
 }
 
@@ -157,6 +145,7 @@ impl StoreCodec for ObsSnapshot {
 mod tests {
     use super::*;
     use crate::codec::crc32;
+    use ksp_obs::{PublishStage, Stage};
 
     fn sample_snapshot() -> ObsSnapshot {
         let hist = |seed: u64| {
@@ -180,7 +169,7 @@ mod tests {
             publish_stages: PublishStage::ALL
                 .iter()
                 .enumerate()
-                .map(|(i, &stage)| PublishStageSnapshot { stage, histogram: hist(i as u64 + 20) })
+                .map(|(i, &stage)| StageSnapshot { stage, histogram: hist(i as u64 + 20) })
                 .collect(),
             publish_end_to_end: hist(60),
             counters: vec![
@@ -205,7 +194,7 @@ mod tests {
                     b: 10,
                     c: 0,
                 },
-                span: Some(SpanChain { micros: [1, 2, 0, 3, 4, 5, 6], stolen: false }),
+                span: Some(SpanChain { micros: [1, 2, 0, 3, 4, 5, 6], branched: false }),
                 events: vec![
                     ObsEvent { at_micros: 1, kind: EventKind::EpochPublished, a: 1, b: 4, c: 900 },
                     ObsEvent { at_micros: 2, kind: EventKind::Steal, a: 0, b: 1, c: 8 },
@@ -262,7 +251,7 @@ mod tests {
         let histogram = HistogramSnapshot::default();
         let stage = StageSnapshot { stage: Stage::Engine, histogram: histogram.clone() };
         assert!(matches!(decode_with(&stage, 0, 200), Err(CodecError::InvalidValue(_))));
-        let publish = PublishStageSnapshot { stage: PublishStage::Fsync, histogram };
+        let publish = StageSnapshot { stage: PublishStage::Fsync, histogram };
         assert!(matches!(decode_with(&publish, 0, 200), Err(CodecError::InvalidValue(_))));
         let event = ObsEvent { at_micros: 0, kind: EventKind::Steal, a: 0, b: 0, c: 0 };
         assert!(matches!(decode_with(&event, 8, 99), Err(CodecError::InvalidValue(_))));
@@ -270,7 +259,10 @@ mod tests {
         let mut w = Writer::new();
         vec![1u64, 2, 3].encode(&mut w);
         false.encode(&mut w);
-        assert!(matches!(SpanChain::from_bytes(&w.into_bytes()), Err(CodecError::InvalidValue(_))));
+        assert!(matches!(
+            SpanChain::<Stage>::from_bytes(&w.into_bytes()),
+            Err(CodecError::InvalidValue(_))
+        ));
 
         // A dump option tag outside {0, 1} is rejected.
         let mut w = Writer::new();

@@ -27,6 +27,7 @@
 //! ```
 
 use ksp_dg::core::dtlp::DtlpConfig;
+use ksp_dg::obs::StageSet;
 use ksp_dg::proto::{KspClient, QueryKey, PROTOCOL_VERSION};
 use ksp_dg::serve::{EventLoopServer, QueryService, ServiceConfig, ServiceError};
 use ksp_dg::store::{Store, StoreConfig};

@@ -16,7 +16,7 @@
 //!    (property test) or many (concurrent storm with live readers).
 
 use ksp_dg::core::dtlp::DtlpConfig;
-use ksp_dg::obs::{EventKind, FlightRecorder, Stage};
+use ksp_dg::obs::{EventKind, FlightRecorder, Stage, StageSet};
 use ksp_dg::proto::KspClient;
 use ksp_dg::serve::{EventLoopServer, QueryService, ServiceConfig};
 use ksp_dg::workload::{

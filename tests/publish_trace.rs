@@ -20,7 +20,7 @@
 
 use ksp_dg::core::dtlp::DtlpConfig;
 use ksp_dg::graph::VertexId;
-use ksp_dg::obs::{EventKind, ObsSnapshot, PublishStage};
+use ksp_dg::obs::{EventKind, ObsSnapshot, PublishStage, StageSet};
 use ksp_dg::proto::KspClient;
 use ksp_dg::serve::{EventLoopServer, QueryService, ServiceConfig};
 use ksp_dg::store::{StoreConfig, SyncPolicy};
@@ -42,18 +42,15 @@ fn temp_dir(tag: &str) -> PathBuf {
 /// epoch passed through every stage exactly once.
 fn assert_publish_stages_telescope(snap: &ObsSnapshot, epochs: u64) {
     assert_eq!(snap.publish_end_to_end.count, epochs);
-    let stage_total: u64 = PublishStage::ALL
-        .iter()
-        .filter_map(|&s| snap.publish_stage(s))
-        .map(|h| h.total_micros)
-        .sum();
+    let stage_total: u64 =
+        PublishStage::ALL.iter().filter_map(|&s| snap.stage(s)).map(|h| h.total_micros).sum();
     assert_eq!(
         stage_total, snap.publish_end_to_end.total_micros,
         "write-path stage totals must sum exactly to the end-to-end publish total"
     );
     for stage in PublishStage::ALL {
         assert_eq!(
-            snap.publish_stage(stage).expect("every stage is present").count,
+            snap.stage(stage).expect("every stage is present").count,
             epochs,
             "stage {} must see every epoch",
             stage.name()
@@ -105,8 +102,8 @@ fn persistent_publishes_decompose_exactly_over_the_wire() {
     assert_publish_stages_telescope(&snap, epochs);
     assert_eq!(snap.counter("ksp_epochs_published_total"), epochs);
     // With a real fsync per append, the log stages cannot all be zero-width.
-    let logged = snap.publish_stage(PublishStage::WalAppend).unwrap().total_micros
-        + snap.publish_stage(PublishStage::Fsync).unwrap().total_micros;
+    let logged = snap.stage(PublishStage::WalAppend).unwrap().total_micros
+        + snap.stage(PublishStage::Fsync).unwrap().total_micros;
     assert!(logged > 0, "durable appends must take measurable time");
 
     // The scrape renders the write-path families, one series per stage.
@@ -159,19 +156,19 @@ proptest! {
         prop_assert_eq!(snap.publish_end_to_end.count, batches);
         let stage_total: u64 = PublishStage::ALL
             .iter()
-            .filter_map(|&s| snap.publish_stage(s))
+            .filter_map(|&s| snap.stage(s))
             .map(|h| h.total_micros)
             .sum();
         prop_assert_eq!(stage_total, snap.publish_end_to_end.total_micros);
         for stage in PublishStage::ALL {
-            prop_assert_eq!(snap.publish_stage(stage).unwrap().count, batches);
+            prop_assert_eq!(snap.stage(stage).unwrap().count, batches);
         }
         // A non-persistent service never fsyncs: that sub-stage is marked
         // with an explicit zero duration, so it stays exactly zero-width.
         // (The neighbouring unmarked stages clamp to their predecessor and
         // the *final* stage absorbs the tail up to the end stamp, so only
         // fsync is guaranteed empty.)
-        prop_assert_eq!(snap.publish_stage(PublishStage::Fsync).unwrap().total_micros, 0);
+        prop_assert_eq!(snap.stage(PublishStage::Fsync).unwrap().total_micros, 0);
     }
 }
 
