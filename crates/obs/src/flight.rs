@@ -75,15 +75,15 @@ pub enum EventKind {
     /// A completed request breached the configured latency SLO.
     /// `a` = latency in microseconds, `b` = the SLO bound in microseconds.
     SloBreach = 8,
-    /// An epoch publish exceeded the configured stall bound.
+    /// An epoch publish exceeded the service's stall bound.
     /// `a` = epoch, `b` = publish duration in microseconds.
     PublishStall = 9,
     /// A delta-log append (record encode + write, excluding the fsync)
-    /// exceeded the configured stall bound. `a` = epoch, `b` = append
-    /// duration in microseconds, `c` = the configured bound in microseconds.
+    /// exceeded the service's stall bound. `a` = epoch, `b` = append
+    /// duration in microseconds, `c` = the bound in microseconds.
     WalAppendStall = 10,
-    /// A delta-log fsync exceeded the configured stall bound. `a` = epoch,
-    /// `b` = fsync duration in microseconds, `c` = the configured bound in
+    /// A delta-log fsync exceeded the service's stall bound.
+    /// `a` = epoch, `b` = fsync duration in microseconds, `c` = the bound in
     /// microseconds.
     FsyncStall = 11,
     /// The adaptive admission controller started rejecting: its estimated

@@ -7,7 +7,7 @@
 //! This crate is the missing layer between "the benchmarks say so" and "the
 //! operator can see it":
 //!
-//! * **[`StageSpan`] / [`SpanChain`] / [`StageHistograms`]**: one stage
+//! * **[`StageSpan`] / [`SpanChain`] / [`StageHistograms`]** — one stage
 //!   clock, generic over a [`StageSet`], for both paths. Every request is
 //!   stamped through the [`Stage`]s admission → queue | steal → cache →
 //!   engine → trace-sweep → reply; every epoch publish through the
