@@ -284,6 +284,20 @@ mod tests {
     }
 
     #[test]
+    fn report_surfaces_the_rejected_admission_counter() {
+        // Regression guard: overload must stay observable — every rejection
+        // the admission path counts, whatever its cause, has to reach the
+        // report's `rejected` total (and from there the wire `ObsSnapshot`
+        // response) unchanged.
+        let m = ServiceMetrics::new(1);
+        m.admission_rejected_queue_full.fetch_add(5, Ordering::Relaxed);
+        m.completed.fetch_add(2, Ordering::Relaxed);
+        assert_eq!(m.report().rejected, 5);
+        m.admission_rejected_predicted.fetch_add(1, Ordering::Relaxed);
+        assert_eq!(m.report().rejected, 6);
+    }
+
+    #[test]
     fn report_splits_admission_counters_by_cause() {
         // The split (static cap vs adaptive SLO-budget prediction) plus the
         // accepted count must each reach the report for the `ksp_admission_*`
