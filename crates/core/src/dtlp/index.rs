@@ -70,8 +70,8 @@ pub struct MaintenanceStats {
     /// The subgraphs that received at least one update from this batch —
     /// exactly the per-subgraph indexes the copy-on-write maintenance path
     /// unshared. Sorted ascending. Everything *not* listed here still shares
-    /// its allocation with the pre-batch index, and the storage layer writes
-    /// incremental checkpoints covering only these ids.
+    /// its allocation with the pre-batch index, and the serving layer's
+    /// result cache evicts only entries whose trace touches these ids.
     pub dirty_subgraphs: Vec<SubgraphId>,
 }
 
@@ -163,7 +163,7 @@ impl DtlpIndex {
 
     /// Like [`DtlpIndex::assemble`], but takes already-shared per-subgraph
     /// handles so callers that hold `Arc`s (the storage layer's checkpoint
-    /// decode, the incremental-image apply path) assemble without copying.
+    /// decode) assemble without copying.
     pub fn assemble_shared(
         config: DtlpConfig,
         directed: bool,
@@ -189,8 +189,9 @@ impl DtlpIndex {
     /// Rebuilds the skeleton graph and the assembly-time statistics from the
     /// per-subgraph indexes. The skeleton is a deterministic function of the
     /// `last_lbd` state every [`SubgraphIndex`] carries, so assembling it from
-    /// a mixture of retained and replaced subgraph indexes (the incremental
-    /// checkpoint recovery path) reproduces the live skeleton exactly.
+    /// a mixture of retained and replaced subgraph indexes
+    /// ([`DtlpIndex::with_replaced_subgraphs`]) reproduces the live skeleton
+    /// exactly.
     fn derive_from_parts(
         directed: bool,
         subgraph_indexes: &[Arc<SubgraphIndex>],
@@ -224,9 +225,9 @@ impl DtlpIndex {
 
     /// A new index sharing everything with `self` except the given per-subgraph
     /// indexes, which replace the entries with matching ids; the skeleton graph
-    /// and assembly statistics are re-derived. This is the apply primitive for
-    /// incremental checkpoints: recovery slots the dirty subgraph images from a
-    /// partial image into the index recovered so far.
+    /// and assembly statistics are re-derived. This is the swap primitive for
+    /// per-subgraph indexes rebuilt off to the side (background repair): the
+    /// repaired images slot into the current epoch without touching the rest.
     ///
     /// Fails if a replacement's id is outside the index's subgraph range.
     pub fn with_replaced_subgraphs(

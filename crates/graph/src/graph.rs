@@ -276,27 +276,6 @@ impl DynamicGraph {
         Ok(graph)
     }
 
-    /// Overwrites the current weights of the given edges and jumps the version
-    /// counter to `version`, without advancing it per batch.
-    ///
-    /// This is a storage-layer restore primitive, not an update path: applying
-    /// an incremental checkpoint patches exactly the edges whose owning
-    /// subgraphs were dirtied since the base image and then fast-forwards the
-    /// version to the epoch the image captured. Weights are absolute (the
-    /// checkpointed bits), so the result is bit-identical to the graph that
-    /// was imaged regardless of how many epochs the patch spans.
-    pub fn restore_weights(
-        &mut self,
-        weights: impl IntoIterator<Item = (EdgeId, Weight)>,
-        version: u64,
-    ) -> Result<(), GraphError> {
-        for (e, w) in weights {
-            self.set_weight(e, w)?;
-        }
-        self.version = version;
-        Ok(())
-    }
-
     /// Copy-on-write batch application: returns a new graph with `batch` applied and
     /// the version advanced, leaving `self` untouched.
     ///
@@ -510,18 +489,5 @@ mod tests {
         assert!(!mutated.shares_topology_with(&wider), "add_edge must unshare");
         assert_eq!(wider.num_edges(), 1);
         assert_eq!(wider.degree(VertexId(2)), 0, "the shared parent is untouched");
-    }
-
-    #[test]
-    fn restore_weights_sets_absolute_weights_and_version() {
-        let mut g = triangle();
-        let e0 = g.edge_between(VertexId(0), VertexId(1)).unwrap();
-        let e1 = g.edge_between(VertexId(1), VertexId(2)).unwrap();
-        g.restore_weights([(e0, Weight::new(9.5)), (e1, Weight::new(0.25))], 7).unwrap();
-        assert_eq!(g.version(), 7);
-        assert_eq!(g.weight(e0), Weight::new(9.5));
-        assert_eq!(g.weight(e1), Weight::new(0.25));
-        // An out-of-range edge is rejected.
-        assert!(g.restore_weights([(EdgeId(99), Weight::new(1.0))], 8).is_err());
     }
 }

@@ -50,8 +50,8 @@ pub enum EventKind {
     /// An epoch publish. `a` = epoch, `b` = dirty-subgraph count,
     /// `c` = publish duration in microseconds.
     EpochPublished = 0,
-    /// A checkpoint commit. `a` = epoch, `b` = 1 for a full image / 0 for a
-    /// partial, `c` = duration in microseconds.
+    /// A checkpoint commit. `a` = epoch, `b` = 1 (every checkpoint is a
+    /// whole-pair image), `c` = duration in microseconds.
     CheckpointCommitted = 1,
     /// A failed checkpoint attempt. `a` = epoch.
     CheckpointFailed = 2,
@@ -67,10 +67,10 @@ pub enum EventKind {
     /// (see the serve layer's frame handling).
     HostileFrame = 6,
     /// One step of store recovery. `a` = step code (0 checkpoint loaded,
-    /// 1 partial images applied, 2 batches replayed, 3 torn bytes dropped,
-    /// 4 corrupt checkpoints skipped, 5 recovery completed), `b` = the step's
-    /// value (the recovered epoch, a count, or — for code 5 — the recovery
-    /// duration in microseconds).
+    /// 2 batches replayed, 3 torn bytes dropped, 4 corrupt checkpoints
+    /// skipped, 5 recovery completed, 6 empty segment files skipped; 1 is
+    /// reserved), `b` = the step's value (the recovered epoch, a count, or —
+    /// for code 5 — the recovery duration in microseconds).
     RecoveryStep = 7,
     /// A completed request breached the configured latency SLO.
     /// `a` = latency in microseconds, `b` = the SLO bound in microseconds.

@@ -628,8 +628,8 @@ impl StoreCodec for WireShippedRecord {
 /// One file of a snapshot-fallback manifest.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireSnapshotFile {
-    /// Bare file name (`checkpoint-*.ckpt` / `partial-*.pckpt`), no path
-    /// components — the chunk server rejects anything else.
+    /// Bare checkpoint file name (`checkpoint-*.ckpt`), no path components —
+    /// the chunk server rejects anything else.
     pub name: String,
     /// Total file length in bytes, so the follower knows when a transfer is
     /// complete.
@@ -647,15 +647,15 @@ impl StoreCodec for WireSnapshotFile {
 }
 
 /// The snapshot fallback a leader answers when the requested epoch predates
-/// its retained log window: the newest full checkpoint plus its partial
-/// chain, fetched file by file via [`Request::SnapshotChunk`]. After
-/// recovering from these images the follower resumes shipping from
-/// `snapshot_epoch + 1`.
+/// its retained log window: the newest checkpoint, fetched chunk by chunk via
+/// [`Request::SnapshotChunk`]. After recovering from it the follower resumes
+/// shipping from `snapshot_epoch + 1`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireSnapshotManifest {
-    /// The epoch the manifest's images recover to.
+    /// The epoch the manifest's checkpoint recovers to.
     pub snapshot_epoch: u64,
-    /// The files to fetch, in recovery order (full image first).
+    /// The files to fetch: one entry, the checkpoint. A list, so the wire
+    /// shape does not depend on the number of image files.
     pub files: Vec<WireSnapshotFile>,
 }
 
@@ -682,7 +682,7 @@ pub struct WireSegmentBatch {
     /// the request's `max_records`/`max_bytes` caps; ship again to continue).
     pub records: Vec<WireShippedRecord>,
     /// Present when the requested epoch predates the retained log window:
-    /// bootstrap from these images instead.
+    /// bootstrap from this checkpoint instead.
     pub fallback: Option<WireSnapshotManifest>,
 }
 
@@ -952,16 +952,10 @@ mod tests {
                 records: vec![],
                 fallback: Some(WireSnapshotManifest {
                     snapshot_epoch: 16,
-                    files: vec![
-                        WireSnapshotFile {
-                            name: "checkpoint-00000000000000000010.ckpt".to_string(),
-                            len: 1024,
-                        },
-                        WireSnapshotFile {
-                            name: "partial-00000000000000000016.pckpt".to_string(),
-                            len: 128,
-                        },
-                    ],
+                    files: vec![WireSnapshotFile {
+                        name: "checkpoint-00000000000000000016.ckpt".to_string(),
+                        len: 1024,
+                    }],
                 }),
             }),
             Response::SnapshotChunk(WireSnapshotChunk {

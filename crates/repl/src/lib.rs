@@ -11,8 +11,8 @@
 //!   from a requested epoch; when the follower's position has fallen out of
 //!   the retained log window (or it is joining fresh — epoch 0 lives in the
 //!   initial checkpoint, never in the log), the reply downgrades to a
-//!   **snapshot fallback**: a manifest of the newest full checkpoint plus its
-//!   partial-image chain, fetched file by file with `SnapshotChunk` requests.
+//!   **snapshot fallback**: a manifest naming the newest checkpoint, fetched
+//!   chunk by chunk with `SnapshotChunk` requests.
 //!   `ReplAck` reports follower positions back, so the leader exports
 //!   per-follower lag (`ksp_repl_lag_epochs{follower="..."}`) alongside
 //!   shipping throughput counters in its observability snapshot.

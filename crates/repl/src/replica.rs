@@ -6,7 +6,7 @@
 //! A replica is a full persistent [`QueryService`] of its own: every shipped
 //! record is re-logged to the replica's WAL and folded into its checkpoints,
 //! so a follower restart recovers locally instead of re-downloading the
-//! leader's image set. Replay goes through the same `apply_batch` path the
+//! leader's checkpoint. Replay goes through the same `apply_batch` path the
 //! leader ran — deterministic, so a caught-up replica holds a byte-identical
 //! `(graph, index)` pair and answers queries bit-for-bit the same.
 
@@ -41,13 +41,9 @@ pub struct ReplicaConfig {
     /// Store configuration for the replica's own durable directory.
     pub store: StoreConfig,
     /// Records per `ShipSegment` request (`0` = the leader's default cap).
+    /// Record bytes per request and bytes per bootstrap `SnapshotChunk` are
+    /// always left to the leader's caps.
     pub max_records: u64,
-    /// Estimated record bytes per `ShipSegment` request (`0` = leader's
-    /// default cap).
-    pub max_bytes: u64,
-    /// Bytes per `SnapshotChunk` request during bootstrap (`0` = leader's
-    /// default cap).
-    pub chunk_bytes: u64,
     /// When set, [`Replica::query`] refuses reads once the replica has
     /// fallen more than this many epochs behind the leader's last reported
     /// position — the observable-staleness bound. `None` serves reads at any
@@ -82,8 +78,6 @@ impl ReplicaConfig {
             service,
             store,
             max_records: 0,
-            max_bytes: 0,
-            chunk_bytes: 0,
             max_read_lag: None,
             poll_interval: Duration::from_millis(20),
             backoff_base: Duration::from_millis(10),
@@ -228,8 +222,8 @@ pub struct Replica {
 }
 
 impl Replica {
-    /// Connects to the leader at `addr`, transfers the leader's snapshot
-    /// image set into a fresh generation directory under `root` and opens the
+    /// Connects to the leader at `addr`, transfers the leader's newest
+    /// checkpoint into a fresh generation directory under `root` and opens the
     /// replica's own persistent service over it.
     pub fn bootstrap(
         addr: SocketAddr,
@@ -241,7 +235,7 @@ impl Replica {
         let mut client = connect_leader(addr, &config)?;
         // Epoch 0 lives in the initial checkpoint, never in the log, so a
         // fresh join always receives the snapshot fallback.
-        let batch = client.ship_segment(0, config.max_records, config.max_bytes)?;
+        let batch = client.ship_segment(0, config.max_records, 0)?;
         let manifest = batch.fallback.ok_or_else(|| {
             ReplError::Protocol("leader did not offer a snapshot to a fresh follower".to_string())
         })?;
@@ -409,7 +403,7 @@ fn fetch_and_open(
         let mut out = std::fs::File::create(dir.join(&file.name))?;
         let mut offset = 0u64;
         while offset < file.len {
-            let chunk = core.client.snapshot_chunk(&file.name, offset, config.chunk_bytes)?;
+            let chunk = core.client.snapshot_chunk(&file.name, offset, 0)?;
             if chunk.total_len != file.len {
                 // The file changed size under us — the leader pruned or
                 // replaced it mid-transfer. The caller re-ships for a fresh
@@ -445,7 +439,7 @@ fn fetch_and_open(
 fn sync_round(ctx: &SyncCtx, core: &mut Core) -> Result<SyncOutcome, ReplError> {
     let service = ctx.service.read().unwrap_or_else(PoisonError::into_inner).clone();
     let from = service.current_epoch() + 1;
-    let batch = core.client.ship_segment(from, ctx.config.max_records, ctx.config.max_bytes)?;
+    let batch = core.client.ship_segment(from, ctx.config.max_records, 0)?;
     ctx.shared.leader_epoch.store(batch.leader_epoch, Ordering::Relaxed);
     if let Some(manifest) = batch.fallback {
         // The leader pruned past our position: full re-sync into the next
@@ -458,7 +452,7 @@ fn sync_round(ctx: &SyncCtx, core: &mut Core) -> Result<SyncOutcome, ReplError> 
         if record.epoch != expected {
             // A duplicated, re-ordered or otherwise damaged shipment broke
             // the contiguous epoch chain. The shipped records can no longer
-            // be trusted against our position, but the leader's image set
+            // be trusted against our position, but the leader's checkpoint
             // can: salvage with a full snapshot re-sync instead of killing
             // the sync loop over one bad payload.
             eprintln!(
@@ -504,7 +498,7 @@ fn full_resync(
 /// outright: epoch 0 lives in the leader's initial checkpoint, never in its
 /// log, so shipping from 0 always answers with a manifest.
 fn salvage_resync(ctx: &SyncCtx, core: &mut Core) -> Result<SyncOutcome, ReplError> {
-    let batch = core.client.ship_segment(0, ctx.config.max_records, ctx.config.max_bytes)?;
+    let batch = core.client.ship_segment(0, ctx.config.max_records, 0)?;
     ctx.shared.leader_epoch.store(batch.leader_epoch, Ordering::Relaxed);
     let manifest = batch.fallback.ok_or_else(|| {
         ReplError::Protocol("leader did not offer a snapshot for a salvage re-sync".to_string())

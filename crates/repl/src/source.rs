@@ -140,8 +140,8 @@ impl ReplicationSource {
         let store = self.store.lock().unwrap_or_else(PoisonError::into_inner);
         if from_epoch < store.oldest_retained_epoch() {
             // The requested position predates the retained log window: the
-            // log cannot serve it, but the image set always can — pruning is
-            // bounded by retained full checkpoints.
+            // log cannot serve it, but the newest checkpoint always can — pruning is
+            // bounded by the oldest retained checkpoint.
             return match store.snapshot_manifest() {
                 Ok(manifest) => {
                     self.snapshot_fallbacks.fetch_add(1, Ordering::Relaxed);

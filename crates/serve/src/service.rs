@@ -33,13 +33,12 @@ use crate::metrics::{MetricsReport, ServiceMetrics, ShardQueueGauge};
 use ksp_algo::Path;
 use ksp_core::dtlp::{DtlpConfig, DtlpIndex};
 use ksp_core::kspdg::{KspDgConfig, QueryStats, SharedEngine};
-use ksp_graph::{DynamicGraph, GraphError, SubgraphId, SubgraphSet, UpdateBatch, VertexId};
+use ksp_graph::{DynamicGraph, GraphError, SubgraphSet, UpdateBatch, VertexId};
 use ksp_obs::{
     Counter, EventKind, FlightRecorder, Gauge, ObsConfig, ObsSnapshot, PublishStage, SpanChain,
     Stage, StageSpan,
 };
 use ksp_store::{AppendTimings, RecoveryReport, StorageIo, Store, StoreConfig, StoreError};
-use std::collections::HashSet;
 use std::path::Path as FsPath;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -340,20 +339,14 @@ struct Shard {
 struct Masters {
     graph: Arc<DynamicGraph>,
     index: Arc<DtlpIndex>,
-    /// Subgraphs dirtied by batches published since the last checkpoint job
-    /// was handed to the checkpointer. The next job takes the set, so an
-    /// incremental checkpoint covers exactly the epochs between two images.
-    dirty_since_job: HashSet<SubgraphId>,
 }
 
 /// One background-checkpoint request: `Arc`'d snapshots of a just-published
-/// epoch, encoded off the publish path, plus the subgraphs dirtied since the
-/// previous job (the candidate payload of an incremental image).
+/// epoch, encoded off the publish path.
 struct CheckpointJob {
     epoch: u64,
     graph: Arc<DynamicGraph>,
     index: Arc<DtlpIndex>,
-    dirty: HashSet<SubgraphId>,
     /// The publish span of the epoch that requested this checkpoint: it rides
     /// into the checkpointer so the checkpoint encode/commit stages land in
     /// the same telescoped chain as the synchronous write-path stages (the
@@ -531,12 +524,7 @@ impl QueryService {
         let report = recovered.report;
         let graph = Arc::new(recovered.graph);
         let index = Arc::new(recovered.index);
-        // Epochs replayed from the log are durable but not covered by any
-        // on-disk image: their dirty subgraphs must ride into the next
-        // incremental image, or a post-restart chain would silently
-        // under-cover them and a later recovery would lose their updates.
-        let replayed_dirty: HashSet<SubgraphId> = recovered.replayed_dirty.into_iter().collect();
-        let service = Self::boot_with_dirty(graph, index, config, Some(store), replayed_dirty);
+        let service = Self::boot(graph, index, config, Some(store));
         // Recovery is an anomaly trigger: replay the trajectory into the
         // flight recorder and dump, so the first post-restart scrape shows
         // what recovery did even if nothing else ever goes wrong.
@@ -560,18 +548,6 @@ impl QueryService {
         index: Arc<DtlpIndex>,
         config: ServiceConfig,
         store: Option<Store>,
-    ) -> Self {
-        Self::boot_with_dirty(graph, index, config, store, HashSet::new())
-    }
-
-    /// [`QueryService::boot`] with an initial not-yet-imaged dirty set (the
-    /// subgraphs recovery replayed from the log past the newest image).
-    fn boot_with_dirty(
-        graph: Arc<DynamicGraph>,
-        index: Arc<DtlpIndex>,
-        config: ServiceConfig,
-        store: Option<Store>,
-        dirty_since_job: HashSet<SubgraphId>,
     ) -> Self {
         let initial = EpochSnapshot::new(graph.version(), graph.clone(), index.clone());
         let epoch = Arc::new(EpochPointer::new(initial));
@@ -671,7 +647,7 @@ impl QueryService {
             metrics,
             obs,
             admission,
-            masters: Mutex::new(Masters { graph, index, dirty_since_job }),
+            masters: Mutex::new(Masters { graph, index }),
             persistence,
             degraded,
             replication: RwLock::new(None),
@@ -937,7 +913,6 @@ impl QueryService {
             }
         }
         span.mark_with_tail(PublishStage::WalAppend, append_timings.fsync);
-        masters.dirty_since_job.extend(maintenance.dirty_subgraphs);
         // The published snapshot and the masters share one (graph, index)
         // `Arc` pair; the only extra handles taken here are for a checkpoint
         // job, when this epoch needs one.
@@ -946,7 +921,6 @@ impl QueryService {
                 epoch,
                 graph: Arc::clone(&next_graph),
                 index: Arc::clone(&next_index),
-                dirty: std::mem::take(&mut masters.dirty_since_job),
                 span: StageSpan::disabled(),
             })
         });
@@ -1022,9 +996,7 @@ impl QueryService {
                 // toward the checkpoint_encode stage.
                 job.span = span;
                 // A full or closed channel only delays the checkpoint; the
-                // log still holds every batch, and the dirty set rides along
-                // with the job so nothing is lost if it is coalesced with a
-                // later one.
+                // log still holds every batch.
                 match &self.persistence.as_ref().expect("job implies store").jobs {
                     Some(jobs) => {
                         if let Err(mpsc::SendError(job)) = jobs.send(job) {
@@ -1251,20 +1223,10 @@ impl QueryService {
 }
 
 /// Drains checkpoint jobs, always encoding only the newest pending epoch
-/// (checkpoints are cumulative — an older queued job is superseded, but its
-/// dirty set is folded in so an incremental image still covers every epoch
-/// since the previous image). The two slow halves — encoding the image and
-/// writing/fsyncing it to a temp file — run without any lock; the store is
-/// held only for the rename-and-prune commit, so epoch publishes never wait
-/// on checkpoint I/O.
-///
-/// Whether the image is a full checkpoint or an incremental one follows the
-/// store's rebase policy ([`ksp_store::StoreConfig::full_rebase_interval`]):
-/// runs of incremental images keep the interval cost proportional to the
-/// subgraphs dirtied since the last image, and the periodic full rebase
-/// bounds the chain recovery must walk. `pending_dirty` accumulates across
-/// failed or rejected commits, so a retried incremental image can only
-/// over-cover, never miss a dirtied subgraph.
+/// (checkpoints are whole-pair images, so an older queued job is simply
+/// superseded). The two slow halves — encoding the image and writing/fsyncing
+/// it to a temp file — run without any lock; the store is held only for the
+/// rename-and-prune commit, so epoch publishes never wait on checkpoint I/O.
 fn checkpointer_main(
     store: &Mutex<Store>,
     store_dir: &std::path::Path,
@@ -1279,7 +1241,6 @@ fn checkpointer_main(
     /// couple of times per second, cheap next to the image it would write.
     const RETRY_CAP: Duration = Duration::from_secs(2);
 
-    let mut pending_dirty: HashSet<SubgraphId> = HashSet::new();
     // A job whose image failed to stage or commit is carried into the next
     // iteration and retried with capped exponential backoff: a transient
     // storage fault only delays the checkpoint (the log still holds every
@@ -1293,13 +1254,11 @@ fn checkpointer_main(
     // publish span is finished here — its epoch was published, so its chain
     // still records (with the checkpoint stages covering only the wait before
     // coalescing).
-    let merge = |mut best: CheckpointJob, mut next: CheckpointJob| {
+    let merge = |best: CheckpointJob, next: CheckpointJob| {
         if next.epoch > best.epoch {
-            next.dirty.extend(best.dirty.drain());
             finish_publish_span(metrics, &best.span);
             next
         } else {
-            best.dirty.extend(next.dirty.drain());
             finish_publish_span(metrics, &next.span);
             best
         }
@@ -1320,21 +1279,9 @@ fn checkpointer_main(
             },
         };
         let mut job = jobs.try_iter().fold(first, &merge);
-        pending_dirty.extend(job.dirty.drain());
 
-        let (base_epoch, must_be_full) = {
-            let store = store.lock().unwrap_or_else(PoisonError::into_inner);
-            (store.last_image_epoch(), store.next_image_must_be_full())
-        };
-        let full = must_be_full || base_epoch >= job.epoch;
         let checkpoint_started = Instant::now();
-        let encoded = if full {
-            Store::encode_checkpoint(job.epoch, &job.graph, &job.index)
-        } else {
-            let mut dirty: Vec<SubgraphId> = pending_dirty.iter().copied().collect();
-            dirty.sort_unstable();
-            Store::encode_partial_checkpoint(job.epoch, base_epoch, &job.graph, &job.index, &dirty)
-        };
+        let encoded = Store::encode_checkpoint(job.epoch, &job.graph, &job.index);
         job.span.mark(PublishStage::CheckpointEncode);
         let result = Store::stage_checkpoint_with_io(store_dir, &encoded, io).and_then(|staged| {
             store.lock().unwrap_or_else(PoisonError::into_inner).commit_staged_checkpoint(staged)
@@ -1346,24 +1293,21 @@ fn checkpointer_main(
         // span, so finishing here stays once-per-epoch.)
         finish_publish_span(metrics, &job.span);
         match result {
-            // Any committed image (full or partial) covers everything dirtied
-            // up to its epoch.
             Ok(()) => {
-                pending_dirty.clear();
                 backoff = RETRY_BASE;
                 obs.record(
                     EventKind::CheckpointCommitted,
                     job.epoch,
-                    full as u64,
+                    1,
                     checkpoint_started.elapsed().as_micros().min(u64::MAX as u128) as u64,
                 );
             }
             Err(e) => {
                 // The log still holds every batch, so a failed checkpoint only
                 // costs recovery time. Quarantine the image bytes for
-                // post-mortem (best-effort), keep the dirty set, and retry
-                // after a backoff without stalling publishes.
-                obs.record(EventKind::CheckpointFailed, job.epoch, full as u64, 0);
+                // post-mortem (best-effort) and retry after a backoff without
+                // stalling publishes.
+                obs.record(EventKind::CheckpointFailed, job.epoch, 1, 0);
                 eprintln!("ksp-serve: background checkpoint at epoch {} failed: {e}", job.epoch);
                 quarantine_seq += 1;
                 if let Err(qe) = quarantine_image(store_dir, &encoded, quarantine_seq) {
@@ -2015,11 +1959,9 @@ mod tests {
 
         let (recovered, report) = QueryService::open(&dir, config, store_config).unwrap();
         assert_eq!(recovered.current_epoch(), 3);
-        // The background checkpointer imaged epoch 2 (an incremental image
-        // over the initial full checkpoint under the default rebase policy),
-        // so recovery must not replay all three batches from the log.
-        assert_eq!(report.checkpoint_epoch, 0);
-        assert_eq!(report.partial_images_applied, 1);
+        // The background checkpointer imaged epoch 2, so recovery must not
+        // replay all three batches from the log.
+        assert_eq!(report.checkpoint_epoch, 2);
         assert_eq!(report.batches_replayed, 1);
         for (q, before) in workload.iter().zip(live.iter()) {
             let after = recovered.query(q.source, q.target, q.k).unwrap();

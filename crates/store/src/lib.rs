@@ -16,22 +16,18 @@
 //!   [`graph_codec`], [`index_codec`] and [`obs_codec`] implement it for the
 //!   `ksp-graph`, `ksp-core` and `ksp-obs` types; the last is the payload of
 //!   the wire `ObsSnapshot` response.
-//! * [`checkpoint`] — atomic whole-pair snapshots (`checkpoint-<epoch>.ckpt`)
-//!   and *incremental* images (`partial-<epoch>.pckpt`) carrying only the
-//!   subgraphs dirtied since the previous image, with a periodic full rebase
-//!   ([`StoreConfig::full_rebase_interval`]) bounding the chain: write-temp,
-//!   fsync, rename, fsync-dir; a CRC-32 footer rejects half-written or
-//!   bit-rotted files.
+//! * [`checkpoint`] — atomic whole-pair snapshots (`checkpoint-<epoch>.ckpt`),
+//!   the only image kind: write-temp, fsync, rename, fsync-dir; a CRC-32
+//!   footer rejects half-written or bit-rotted files.
 //! * [`wal`] — the append-only epoch delta log (`wal-<start>.log`): one
 //!   length-prefixed, CRC-guarded record per published batch, fsync-on-commit,
 //!   segment rotation, and torn-tail truncation on recovery.
 //! * [`store`] — [`Store`] ties them together: `create` → `log_batch` per
 //!   publish → periodic image commits (rotating and pruning the log) →
-//!   [`Store::recover`], which loads the newest valid full checkpoint,
-//!   applies the partial-image chain rooted at it, replays the records after
-//!   the last applied image and hands back the exact state the service held.
-//!   A damaged partial image only ends the chain early — the log is pruned
-//!   against retained full checkpoints, so replay always reaches the tip.
+//!   [`Store::recover`], which loads the newest valid checkpoint, replays the
+//!   records after it and hands back the exact state the service held. The
+//!   log is pruned only against the oldest retained checkpoint, so falling
+//!   back past a damaged newest checkpoint still replays to the tip.
 //!   [`Store::verify`] is the read-only integrity check for operators.
 //!
 //! Recovery is *bit-exact*: the DTLP maintenance path applies floating-point
@@ -83,7 +79,7 @@ pub mod obs_codec;
 pub mod store;
 pub mod wal;
 
-pub use checkpoint::{Checkpoint, EncodedCheckpoint, ImageKind, PartialCheckpoint};
+pub use checkpoint::{Checkpoint, EncodedCheckpoint};
 pub use codec::{crc32, Reader, StoreCodec, Writer};
 pub use error::{CodecError, StoreError};
 pub use io::{apply_crash_damage, default_io, FaultyIo, IoClass, RealIo, StorageIo};

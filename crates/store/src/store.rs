@@ -16,9 +16,8 @@
 //!   without modifying anything — the operator's integrity check.
 
 use crate::checkpoint::{
-    encode_checkpoint, encode_partial_checkpoint, list_checkpoints, list_partials,
-    promote_checkpoint, read_checkpoint, read_partial_checkpoint, stage_checkpoint,
-    sweep_stale_tmp_files, write_checkpoint, EncodedCheckpoint, ImageKind, StagedCheckpoint,
+    encode_checkpoint, list_checkpoints, promote_checkpoint, read_checkpoint, stage_checkpoint,
+    sweep_stale_tmp_files, write_checkpoint, EncodedCheckpoint, StagedCheckpoint,
 };
 use crate::error::StoreError;
 use crate::io::{default_io, StorageIo};
@@ -47,15 +46,6 @@ pub struct StoreConfig {
     /// back to if the newest turns out corrupt; without retention the
     /// directory would grow by one full checkpoint per interval forever.
     pub retain_checkpoints: u32,
-    /// How many *incremental* (partial) images may be committed between two
-    /// full checkpoints — the rebase policy. With interval `n`, every image
-    /// chain is `full, partial × ≤n, full, …`: partials keep the periodic
-    /// checkpoint cost proportional to the subgraphs dirtied since the last
-    /// image, and the periodic full rebase bounds both chain length at
-    /// recovery and the lifetime of any single full image. `0` disables
-    /// incremental images (every checkpoint is full — the pre-incremental
-    /// behaviour).
-    pub full_rebase_interval: u32,
     /// Whether appends fsync before returning.
     pub sync: SyncPolicy,
 }
@@ -66,7 +56,6 @@ impl Default for StoreConfig {
             checkpoint_interval: 32,
             segment_max_records: 1024,
             retain_checkpoints: 2,
-            full_rebase_interval: 3,
             sync: SyncPolicy::Always,
         }
     }
@@ -84,26 +73,19 @@ impl StoreConfig {
 /// chunk via [`Store::read_image_chunk`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnapshotManifest {
-    /// The epoch the manifest's images recover to when the chain is intact.
+    /// The epoch the manifest's checkpoint recovers to.
     pub snapshot_epoch: u64,
-    /// `(bare file name, total length in bytes)`, in recovery order: the
-    /// full checkpoint first, then its partial chain ascending.
+    /// `(bare file name, total length in bytes)` of each file to fetch: the
+    /// newest committed checkpoint.
     pub files: Vec<(String, u64)>,
 }
 
-/// Whether `name` is the bare file name of a checkpoint or partial image —
-/// the only files [`Store::read_image_chunk`] serves.
+/// Whether `name` is the bare file name of a checkpoint — the only files
+/// [`Store::read_image_chunk`] serves.
 fn is_image_file_name(name: &str) -> bool {
-    let digits = |s: &str| !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit());
-    let full = name
-        .strip_prefix("checkpoint-")
+    name.strip_prefix("checkpoint-")
         .and_then(|rest| rest.strip_suffix(".ckpt"))
-        .is_some_and(digits);
-    let partial = name
-        .strip_prefix("partial-")
-        .and_then(|rest| rest.strip_suffix(".pckpt"))
-        .is_some_and(digits);
-    full || partial
+        .is_some_and(|digits| !digits.is_empty() && digits.bytes().all(|b| b.is_ascii_digit()))
 }
 
 /// One manifest row for the image file at `path`.
@@ -122,12 +104,13 @@ fn manifest_entry(path: &Path) -> Result<(String, u64), StoreError> {
 /// What [`Store::recover`] went through to produce its state.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// Epoch of the (full) checkpoint recovery started from.
+    /// Epoch of the checkpoint recovery started from.
     pub checkpoint_epoch: u64,
-    /// Number of partial images applied on top of the full checkpoint before
-    /// log replay took over.
+    /// Always 0: checkpoints are the only image kind, so recovery applies
+    /// no incremental images. Kept only because the benchmark ledger's
+    /// traced row `store.recover.partial_images` still reads it.
     pub partial_images_applied: usize,
-    /// Number of logged batches replayed on top of the newest applied image.
+    /// Number of logged batches replayed on top of the checkpoint.
     pub batches_replayed: usize,
     /// Bytes of torn log tail dropped (0 for a clean shutdown).
     pub torn_bytes_dropped: u64,
@@ -145,14 +128,13 @@ impl RecoveryReport {
     /// The recovery trajectory as ordered `(step-name, step-code, value)`
     /// triples, in the order recovery performed them — the shape event
     /// streams (e.g. the observability flight recorder) consume. The step
-    /// codes are stable: 0 checkpoint loaded (value = epoch), 1 partial
-    /// images applied, 2 batches replayed, 3 torn bytes dropped, 4 corrupt
-    /// checkpoints skipped, 6 empty segment files skipped (code 5 is
-    /// reserved by the serving layer for its recovery-completed marker).
+    /// codes are stable: 0 checkpoint loaded (value = epoch), 2 batches
+    /// replayed, 3 torn bytes dropped, 4 corrupt checkpoints skipped, 6 empty
+    /// segment files skipped. Code 1 is retired and never reused; code 5 is
+    /// reserved by the serving layer for its recovery-completed marker.
     pub fn steps(&self) -> Vec<(&'static str, u64, u64)> {
         vec![
             ("checkpoint_loaded", 0, self.checkpoint_epoch),
-            ("partial_images_applied", 1, self.partial_images_applied as u64),
             ("batches_replayed", 2, self.batches_replayed as u64),
             ("torn_bytes_dropped", 3, self.torn_bytes_dropped),
             ("corrupt_checkpoints_skipped", 4, self.corrupt_checkpoints_skipped as u64),
@@ -171,12 +153,6 @@ pub struct Recovered {
     pub index: DtlpIndex,
     /// The recovered epoch (== `graph.version()`).
     pub epoch: u64,
-    /// Subgraphs dirtied by the log batches replayed on top of the newest
-    /// applied image (sorted, deduplicated). These epochs are durable in the
-    /// log but *not* covered by any on-disk image, so the next incremental
-    /// image must include them — a resumed checkpointer that ignored them
-    /// would write a chain that silently under-covers the replayed epochs.
-    pub replayed_dirty: Vec<ksp_graph::SubgraphId>,
     /// How recovery got there.
     pub report: RecoveryReport,
 }
@@ -193,18 +169,12 @@ pub struct FileCheck {
 /// The integrity report of [`Store::verify`].
 #[derive(Debug, Clone, Default)]
 pub struct VerifyReport {
-    /// One entry per checkpoint, partial image and segment file examined.
+    /// One entry per checkpoint and segment file examined.
     pub files: Vec<FileCheck>,
-    /// Number of valid (full) checkpoints.
+    /// Number of valid checkpoints.
     pub valid_checkpoints: usize,
-    /// Number of corrupt (full) checkpoints.
+    /// Number of corrupt checkpoints.
     pub corrupt_checkpoints: usize,
-    /// Number of partial images that decode cleanly. (Whether each one's
-    /// chain applies depends on which base image recovery loads; a valid but
-    /// chain-broken partial only costs replay time, never recoverability.)
-    pub valid_partials: usize,
-    /// Number of corrupt partial images.
-    pub corrupt_partials: usize,
     /// Total intact log records across all segments.
     pub intact_records: u64,
     /// Total torn/corrupt bytes found in segment tails.
@@ -231,12 +201,9 @@ impl VerifyReport {
         }
         let _ = writeln!(
             out,
-            "{} valid / {} corrupt checkpoint(s), {} valid / {} corrupt partial image(s), \
-             {} intact log record(s), {} torn byte(s): {}",
+            "{} valid / {} corrupt checkpoint(s), {} intact log record(s), {} torn byte(s): {}",
             self.valid_checkpoints,
             self.corrupt_checkpoints,
-            self.valid_partials,
-            self.corrupt_partials,
             self.intact_records,
             self.torn_bytes,
             if self.recoverable { "RECOVERABLE" } else { "NOT RECOVERABLE" }
@@ -331,14 +298,8 @@ pub struct Store {
     dir: PathBuf,
     config: StoreConfig,
     log: DeltaLog,
-    /// Epoch of the newest on-disk *full* checkpoint (drives pruning).
+    /// Epoch of the newest on-disk checkpoint (drives pruning).
     last_checkpoint_epoch: u64,
-    /// Epoch of the newest on-disk image of any kind — the base the next
-    /// partial image must extend.
-    last_image_epoch: u64,
-    /// Length of the current partial chain (images since the last full
-    /// checkpoint); drives the rebase policy.
-    partials_since_full: u32,
     /// The I/O backend content writes/fsyncs go through (real files by
     /// default; a fault injector under test).
     io: Arc<dyn StorageIo>,
@@ -392,8 +353,6 @@ impl Store {
             config,
             log,
             last_checkpoint_epoch: epoch,
-            last_image_epoch: epoch,
-            partials_since_full: 0,
             io,
             _lock: lock,
         })
@@ -404,9 +363,7 @@ impl Store {
         if !dir.is_dir() {
             return Ok(false);
         }
-        Ok(!list_checkpoints(dir)?.is_empty()
-            || !list_partials(dir)?.is_empty()
-            || !list_segments(dir)?.is_empty())
+        Ok(!list_checkpoints(dir)?.is_empty() || !list_segments(dir)?.is_empty())
     }
 
     /// Recovers the newest consistent state from `dir`: loads the newest valid
@@ -467,72 +424,12 @@ impl Store {
         let mut index = checkpoint.index;
         let checkpoint_epoch = checkpoint.epoch;
 
-        // Walk the partial-image chain rooted at the loaded checkpoint. An
-        // image that does not extend the chain exactly — corrupt, based on an
-        // image recovery did not load (e.g. after falling back past a rotten
-        // full checkpoint), or decodable but inconsistent with the recovered
-        // pair (ids out of range) — ends the chain *without* failing
-        // recovery; the delta log, which is pruned only against retained full
-        // checkpoints, replays the rest. Nothing is applied per image: the
-        // walk only collects the newest replacement per subgraph id, so the
-        // single application below costs one skeleton derivation regardless
-        // of chain length, and a break mid-walk can never leave the graph or
-        // index half-patched.
-        let mut chain_epoch = checkpoint_epoch;
-        let mut chain_version = None;
-        let mut partial_images_applied = 0;
-        let mut replacements: std::collections::BTreeMap<ksp_graph::SubgraphId, _> =
-            std::collections::BTreeMap::new();
-        'chain: for (partial_epoch, path) in list_partials(dir)? {
-            if partial_epoch <= chain_epoch {
-                continue; // superseded by the chain so far
-            }
-            let Ok(partial) = read_partial_checkpoint(&path) else { break };
-            if partial.base_epoch != chain_epoch {
-                break;
-            }
-            for si in &partial.subgraph_indexes {
-                let subgraph_ok = si.id().index() < index.num_subgraphs();
-                let edges_ok =
-                    si.subgraph().edges().iter().all(|e| e.global_id.index() < graph.num_edges());
-                if !subgraph_ok || !edges_ok {
-                    break 'chain; // foreign or inconsistent image: replay instead
-                }
-            }
-            for si in partial.subgraph_indexes {
-                replacements.insert(si.id(), si);
-            }
-            chain_epoch = partial.epoch;
-            chain_version = Some(partial.graph_version);
-            partial_images_applied += 1;
-        }
-        if let Some(version) = chain_version {
-            // Later images supersede earlier ones per subgraph, and every
-            // edge belongs to exactly one subgraph, so the newest replacement
-            // set carries the final weight of every edge the chain touched.
-            let weights: Vec<_> = replacements
-                .values()
-                .flat_map(|si| {
-                    si.subgraph().edges().iter().map(|e| (e.global_id, e.current_weight))
-                })
-                .collect();
-            // Ids were validated image by image above, so these cannot fail
-            // on well-formed input; an error here is a real invariant breach
-            // and failing closed beats serving a half-applied chain.
-            graph.restore_weights(weights, version).map_err(|e| {
-                StoreError::corrupt(dir, format!("applying partial image chain: {e}"))
-            })?;
-            index = index.with_replaced_subgraphs(replacements.into_values().collect()).map_err(
-                |e| StoreError::corrupt(dir, format!("applying partial image chain: {e}")),
-            )?;
-        }
-
         let (log, records, torn_bytes) = if list_segments(dir)?.is_empty() {
             // A store that crashed between its first checkpoint and the log
-            // creation; start a fresh log after the newest applied image.
+            // creation; start a fresh log after the checkpoint.
             let log = DeltaLog::create_with_io(
                 dir,
-                chain_epoch + 1,
+                checkpoint_epoch + 1,
                 config.sync,
                 config.segment_max_records,
                 Arc::clone(&io),
@@ -548,10 +445,9 @@ impl Store {
         };
 
         let mut batches_replayed = 0;
-        let mut replayed_dirty: Vec<ksp_graph::SubgraphId> = Vec::new();
         for record in &records {
-            if record.epoch <= chain_epoch {
-                continue; // covered by an applied image; kept only until pruning
+            if record.epoch <= checkpoint_epoch {
+                continue; // covered by the checkpoint; kept only until pruning
             }
             if record.epoch != graph.version() + 1 {
                 return Err(StoreError::corrupt(
@@ -566,17 +462,14 @@ impl Store {
             graph.apply_batch(&record.batch).map_err(|e| {
                 StoreError::corrupt(dir, format!("replaying epoch {}: {e}", record.epoch))
             })?;
-            let stats = index.apply_batch(&record.batch).map_err(|e| {
+            index.apply_batch(&record.batch).map_err(|e| {
                 StoreError::corrupt(
                     dir,
                     format!("replaying epoch {} into index: {e}", record.epoch),
                 )
             })?;
-            replayed_dirty.extend(stats.dirty_subgraphs);
             batches_replayed += 1;
         }
-        replayed_dirty.sort_unstable();
-        replayed_dirty.dedup();
         let epoch = graph.version();
         // The log must resume exactly where the recovered state ends; a gap
         // means acknowledged batches are missing (e.g. the checkpoint they
@@ -595,7 +488,7 @@ impl Store {
         }
         let report = RecoveryReport {
             checkpoint_epoch,
-            partial_images_applied,
+            partial_images_applied: 0,
             batches_replayed,
             torn_bytes_dropped: torn_bytes + headerless_bytes,
             corrupt_checkpoints_skipped: corrupt_skipped,
@@ -607,12 +500,10 @@ impl Store {
             config,
             log,
             last_checkpoint_epoch: checkpoint_epoch,
-            last_image_epoch: chain_epoch,
-            partials_since_full: partial_images_applied as u32,
             io,
             _lock: lock,
         };
-        Ok((store, Recovered { graph, index, epoch, replayed_dirty, report }))
+        Ok((store, Recovered { graph, index, epoch, report }))
     }
 
     /// The directory this store lives in.
@@ -625,29 +516,9 @@ impl Store {
         &self.config
     }
 
-    /// Epoch of the newest committed *full* checkpoint.
+    /// Epoch of the newest committed checkpoint.
     pub fn last_checkpoint_epoch(&self) -> u64 {
         self.last_checkpoint_epoch
-    }
-
-    /// Epoch of the newest committed image of any kind — the base epoch the
-    /// next partial image must be encoded against.
-    pub fn last_image_epoch(&self) -> u64 {
-        self.last_image_epoch
-    }
-
-    /// Length of the current partial chain (images since the last full
-    /// checkpoint).
-    pub fn partials_since_full(&self) -> u32 {
-        self.partials_since_full
-    }
-
-    /// Whether the rebase policy requires the next image to be a full
-    /// checkpoint: incremental images are disabled, or the partial chain has
-    /// reached [`StoreConfig::full_rebase_interval`].
-    pub fn next_image_must_be_full(&self) -> bool {
-        self.config.full_rebase_interval == 0
-            || self.partials_since_full >= self.config.full_rebase_interval
     }
 
     /// The epoch the next logged batch must carry.
@@ -704,17 +575,12 @@ impl Store {
     }
 
     /// The file set a follower needs to bootstrap when its replay lag exceeds
-    /// the retained log window: the newest committed full checkpoint plus the
-    /// partial-image chain committed after it, in recovery order. The
-    /// returned epoch is what an intact chain recovers to
-    /// ([`Store::last_image_epoch`]); shipping resumes from the epoch after
-    /// it, which the pruning policy (bounded by retained *full* checkpoints)
-    /// guarantees is still in the log window even if part of the chain turns
-    /// out broken on the follower.
+    /// the retained log window: the newest committed checkpoint. Shipping
+    /// resumes from the epoch after it, which the pruning policy (bounded by
+    /// the oldest retained checkpoint) keeps in the log window.
     pub fn snapshot_manifest(&self) -> Result<SnapshotManifest, StoreError> {
-        let mut files = Vec::new();
         let checkpoints = list_checkpoints(&self.dir)?;
-        let Some((full_epoch, full_path)) = checkpoints
+        let Some((epoch, path)) = checkpoints
             .iter()
             .rev()
             .find(|(epoch, _)| *epoch == self.last_checkpoint_epoch)
@@ -722,21 +588,15 @@ impl Store {
         else {
             return Err(StoreError::NoCheckpoint { dir: self.dir.clone() });
         };
-        files.push(manifest_entry(full_path)?);
-        for (partial_epoch, path) in list_partials(&self.dir)? {
-            if partial_epoch > *full_epoch && partial_epoch <= self.last_image_epoch {
-                files.push(manifest_entry(&path)?);
-            }
-        }
-        Ok(SnapshotManifest { snapshot_epoch: self.last_image_epoch, files })
+        Ok(SnapshotManifest { snapshot_epoch: *epoch, files: vec![manifest_entry(path)?] })
     }
 
-    /// Reads up to `max_len` bytes at `offset` of one checkpoint or partial
-    /// image file, by its bare manifest name — the transfer half of the
-    /// snapshot fallback. Returns the file's total length and the bytes read
-    /// (empty at or past end of file). Only names of the two image shapes are
-    /// served, with no path components, so a hostile peer cannot read
-    /// anything else out of (or outside) the store directory.
+    /// Reads up to `max_len` bytes at `offset` of one checkpoint file, by its
+    /// bare manifest name — the transfer half of the snapshot fallback.
+    /// Returns the file's total length and the bytes read (empty at or past
+    /// end of file). Only checkpoint names are served, with no path
+    /// components, so a hostile peer cannot read anything else out of (or
+    /// outside) the store directory.
     pub fn read_image_chunk(
         &self,
         name: &str,
@@ -780,23 +640,6 @@ impl Store {
         encode_checkpoint(epoch, graph, index)
     }
 
-    /// Encodes an *incremental* image at `epoch`: only the subgraph indexes
-    /// named by `dirty` (those dirtied since the image at `base_epoch`), so
-    /// the encode cost is proportional to the delta rather than the index.
-    /// `base_epoch` must be the epoch of the newest committed image when the
-    /// result is committed; [`Store::commit_staged_checkpoint`] rejects a
-    /// stale base. `dirty` must cover every subgraph that received an update
-    /// in `(base_epoch, epoch]` — a superset is fine, a miss is not.
-    pub fn encode_partial_checkpoint(
-        epoch: u64,
-        base_epoch: u64,
-        graph: &DynamicGraph,
-        index: &DtlpIndex,
-        dirty: &[ksp_graph::SubgraphId],
-    ) -> EncodedCheckpoint {
-        encode_partial_checkpoint(epoch, base_epoch, graph, index, dirty)
-    }
-
     /// Stages an encoded checkpoint: writes and fsyncs it under a temp name.
     /// This is the slow half of a commit; it touches no store state, so a
     /// background checkpointer runs it without holding the store lock and
@@ -819,74 +662,25 @@ impl Store {
         crate::checkpoint::stage_checkpoint_with_io(dir, encoded, io)
     }
 
-    /// Commits a staged image: renames it into place, rotates the log and —
-    /// for a full checkpoint — drops checkpoints beyond the retention count,
-    /// prunes partial images the new full supersedes and prunes segments no
+    /// Commits a staged checkpoint: renames it into place, rotates the log,
+    /// drops checkpoints beyond the retention count and prunes segments no
     /// *retained* checkpoint needs. The fast half of a commit (rename + a few
     /// directory operations); safe to run under the store lock.
     ///
-    /// A partial image is accepted only if its base is the newest committed
-    /// image — committing it onto anything else would break the chain
-    /// recovery walks. A stale partial (e.g. staged concurrently with a
-    /// synchronous full checkpoint) is discarded with an error; the caller
-    /// keeps its dirty set and retries at the next checkpoint epoch.
-    ///
-    /// Log pruning is bounded by the **oldest retained full** checkpoint,
-    /// never by partial images: if any image in the newest chain turns out
-    /// corrupt, recovery falls back to a full checkpoint plus log replay and
-    /// still finds every record — no acknowledged epoch is ever unreachable.
+    /// Log pruning is bounded by the **oldest retained** checkpoint: if the
+    /// newest turns out corrupt, recovery falls back to an older one plus log
+    /// replay and still finds every record — no acknowledged epoch is ever
+    /// unreachable.
     pub fn commit_staged_checkpoint(&mut self, staged: StagedCheckpoint) -> Result<(), StoreError> {
         let epoch = staged.epoch;
-        match staged.kind {
-            ImageKind::Full => {
-                promote_checkpoint(&self.dir, staged)?;
-                self.last_checkpoint_epoch = self.last_checkpoint_epoch.max(epoch);
-                self.last_image_epoch = self.last_image_epoch.max(epoch);
-                self.log.rotate()?;
-                self.prune_checkpoints()?;
-                self.prune_partials_up_to(self.last_checkpoint_epoch)?;
-                self.partials_since_full =
-                    list_partials(&self.dir)?.len().try_into().unwrap_or(u32::MAX);
-                if let Some(&(oldest_retained, _)) = list_checkpoints(&self.dir)?.first() {
-                    self.log.prune_up_to(oldest_retained)?;
-                }
-            }
-            ImageKind::Partial { base_epoch } => {
-                if base_epoch != self.last_image_epoch || epoch <= base_epoch {
-                    let expected = self.last_image_epoch;
-                    staged.discard();
-                    return Err(StoreError::corrupt(
-                        &self.dir,
-                        format!(
-                            "partial image {epoch} extends base {base_epoch}, but the newest \
-                             committed image is {expected}"
-                        ),
-                    ));
-                }
-                promote_checkpoint(&self.dir, staged)?;
-                self.last_image_epoch = epoch;
-                self.partials_since_full += 1;
-                self.log.rotate()?;
-            }
+        promote_checkpoint(&self.dir, staged)?;
+        self.last_checkpoint_epoch = self.last_checkpoint_epoch.max(epoch);
+        self.log.rotate()?;
+        self.prune_checkpoints()?;
+        if let Some(&(oldest_retained, _)) = list_checkpoints(&self.dir)?.first() {
+            self.log.prune_up_to(oldest_retained)?;
         }
         Ok(())
-    }
-
-    /// Deletes partial images at or below `epoch` (those a full checkpoint at
-    /// `epoch` supersedes).
-    fn prune_partials_up_to(&self, epoch: u64) -> Result<usize, StoreError> {
-        let mut removed = 0;
-        for (partial_epoch, path) in list_partials(&self.dir)? {
-            if partial_epoch <= epoch {
-                fs::remove_file(&path)
-                    .map_err(|e| StoreError::io(format!("deleting {}", path.display()), e))?;
-                removed += 1;
-            }
-        }
-        if removed > 0 {
-            crate::checkpoint::sync_dir(&self.dir)?;
-        }
-        Ok(removed)
     }
 
     /// Commits an encoded checkpoint (stage + commit in one call).
@@ -959,38 +753,6 @@ impl Store {
                 }
                 Err(e) => {
                     report.corrupt_checkpoints += 1;
-                    report.files.push(FileCheck { path, status: Err(e.to_string()) });
-                }
-            }
-        }
-        // Partial images are replay accelerators: recovery survives losing
-        // any of them (the log is pruned only against full checkpoints), so
-        // they inform the report but never the recoverability verdict.
-        for (epoch, path) in list_partials(dir)? {
-            match read_partial_checkpoint(&path) {
-                Ok(p) if p.epoch != epoch => {
-                    report.corrupt_partials += 1;
-                    report.files.push(FileCheck {
-                        path,
-                        status: Err(format!(
-                            "partial image says epoch {} but file name says {epoch}",
-                            p.epoch
-                        )),
-                    });
-                }
-                Ok(p) => {
-                    report.valid_partials += 1;
-                    report.files.push(FileCheck {
-                        path,
-                        status: Ok(format!(
-                            "partial image epoch {epoch} over base {}: {} dirty subgraph(s)",
-                            p.base_epoch,
-                            p.subgraph_indexes.len()
-                        )),
-                    });
-                }
-                Err(e) => {
-                    report.corrupt_partials += 1;
                     report.files.push(FileCheck { path, status: Err(e.to_string()) });
                 }
             }
@@ -1137,29 +899,20 @@ mod tests {
         let m = graph.num_edges() as u32;
         let config = StoreConfig { checkpoint_interval: 0, ..StoreConfig::default() };
         let mut store = Store::create(&dir, config, 0, &graph, &index).unwrap();
-        // Build a full checkpoint + partial chain: epochs 1..=2 under a
-        // partial image, 3 logged only.
+        // Epochs 1..=2 under a checkpoint, 3 logged only.
         for seed in 1..=3u32 {
             let b = batch(seed, m);
             let epoch = graph.apply_batch(&b).unwrap();
-            let stats = index.apply_batch(&b).unwrap();
+            index.apply_batch(&b).unwrap();
             store.log_batch(epoch, &b).unwrap();
             if epoch == 2 {
-                let encoded = Store::encode_partial_checkpoint(
-                    epoch,
-                    store.last_image_epoch(),
-                    &graph,
-                    &index,
-                    &stats.dirty_subgraphs,
-                );
-                store.commit_checkpoint(&encoded).unwrap();
+                store.checkpoint(epoch, &graph, &index).unwrap();
             }
         }
         let manifest = store.snapshot_manifest().unwrap();
         assert_eq!(manifest.snapshot_epoch, 2);
-        assert_eq!(manifest.files.len(), 2, "full image + one partial: {:?}", manifest.files);
+        assert_eq!(manifest.files.len(), 1, "the newest checkpoint only: {:?}", manifest.files);
         assert!(manifest.files[0].0.starts_with("checkpoint-"));
-        assert!(manifest.files[1].0.starts_with("partial-"));
 
         // Every manifest file transfers chunk by chunk to identical bytes.
         for (name, len) in &manifest.files {
@@ -1175,10 +928,18 @@ mod tests {
             assert_eq!(fetched, fs::read(dir.join(name)).unwrap());
         }
 
-        // Only bare image names are served: traversal and foreign files fail.
-        for hostile in
-            ["../secret", "wal-00000000000000000001.log", "LOCK", "checkpoint-x.ckpt", ""]
-        {
+        // Only bare checkpoint names are served: traversal, foreign files and
+        // an incremental image left by an older store all fail.
+        let stray_partial = "partial-00000000000000000002.pckpt";
+        fs::write(dir.join(stray_partial), b"KSPPART1").unwrap();
+        for hostile in [
+            "../secret",
+            "wal-00000000000000000001.log",
+            "LOCK",
+            "checkpoint-x.ckpt",
+            stray_partial,
+            "",
+        ] {
             assert!(store.read_image_chunk(hostile, 0, 16).is_err(), "{hostile:?} must be refused");
         }
         let _ = fs::remove_dir_all(&dir);
@@ -1332,7 +1093,6 @@ mod tests {
             segment_max_records: 2,
             retain_checkpoints: 2,
             sync: SyncPolicy::Never,
-            ..StoreConfig::default()
         };
         let mut store = Store::create(&dir, config, 0, &graph, &index).unwrap();
         for seed in 1..=7u32 {
@@ -1464,7 +1224,7 @@ mod tests {
         // segment header was durable, and a checkpoint stage that died
         // mid-write.
         fs::write(dir.join(crate::wal::segment_file_name(3)), b"KSP").unwrap();
-        fs::write(dir.join("checkpoint-00000000000000000002.tmp7"), b"partial image").unwrap();
+        fs::write(dir.join("checkpoint-00000000000000000002.tmp7"), b"half-written image").unwrap();
 
         let (_store, recovered) = Store::recover(&dir, config).unwrap();
         assert_eq!(recovered.epoch, 2, "the remnant segment holds no records");
@@ -1572,216 +1332,39 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// Applies `b` to graph, index and log, returning the batch's dirty set.
-    fn publish(
-        graph: &mut DynamicGraph,
-        index: &mut DtlpIndex,
-        store: &mut Store,
-        b: &UpdateBatch,
-    ) -> Vec<ksp_graph::SubgraphId> {
-        let epoch = graph.apply_batch(b).unwrap();
-        let stats = index.apply_batch(b).unwrap();
-        store.log_batch(epoch, b).unwrap();
-        stats.dirty_subgraphs
-    }
-
     #[test]
-    fn incremental_image_chain_recovers_bit_exactly_without_replay() {
-        let dir = temp_dir("partial-chain");
+    fn stray_partial_image_from_an_older_store_is_ignored() {
+        // Stores written before checkpoints became the only image kind may
+        // hold incremental `partial-*.pckpt` images. The log is pruned only
+        // against checkpoints, so recovery ignores such a file and replays
+        // every logged epoch after the checkpoint instead.
+        let dir = temp_dir("stray-partial");
         let (mut graph, mut index) = pair();
         let m = graph.num_edges() as u32;
         let config = StoreConfig {
             checkpoint_interval: 0,
-            full_rebase_interval: 10,
-            sync: SyncPolicy::Never,
-            ..StoreConfig::default()
-        };
-        let mut store = Store::create(&dir, config, 0, &graph, &index).unwrap();
-        // Three images of two epochs each: full(0) <- P2 <- P4 <- P6.
-        for image in 0..3u32 {
-            let mut dirty = Vec::new();
-            for step in 1..=2u32 {
-                let b = batch(image * 2 + step, m);
-                dirty.extend(publish(&mut graph, &mut index, &mut store, &b));
-            }
-            let epoch = graph.version();
-            let base = store.last_image_epoch();
-            assert!(!store.next_image_must_be_full());
-            let encoded = Store::encode_partial_checkpoint(epoch, base, &graph, &index, &dirty);
-            store.commit_checkpoint(&encoded).unwrap();
-            assert_eq!(store.last_image_epoch(), epoch);
-        }
-        assert_eq!(store.partials_since_full(), 3);
-        assert_eq!(store.last_checkpoint_epoch(), 0, "no full image was written after create");
-        drop(store);
-
-        let (store, recovered) = Store::recover(&dir, config).unwrap();
-        assert_eq!(recovered.epoch, 6);
-        assert_eq!(recovered.report.checkpoint_epoch, 0);
-        assert_eq!(recovered.report.partial_images_applied, 3);
-        assert_eq!(recovered.report.batches_replayed, 0, "the chain covers every epoch");
-        assert_eq!(recovered.graph.to_bytes(), graph.to_bytes());
-        assert_eq!(recovered.index.to_bytes(), index.to_bytes());
-        // The recovered store continues the chain where it left off.
-        assert_eq!(store.last_image_epoch(), 6);
-        assert_eq!(store.partials_since_full(), 3);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn corrupt_partial_breaks_the_chain_but_log_replay_reaches_the_tip() {
-        let dir = temp_dir("partial-corrupt");
-        let (mut graph, mut index) = pair();
-        let m = graph.num_edges() as u32;
-        let config = StoreConfig {
-            checkpoint_interval: 0,
-            full_rebase_interval: 10,
             sync: SyncPolicy::Never,
             ..StoreConfig::default()
         };
         let mut store = Store::create(&dir, config, 0, &graph, &index).unwrap();
         for seed in 1..=3u32 {
             let b = batch(seed, m);
-            let dirty = publish(&mut graph, &mut index, &mut store, &b);
-            let epoch = graph.version();
-            let base = store.last_image_epoch();
-            store
-                .commit_checkpoint(&Store::encode_partial_checkpoint(
-                    epoch, base, &graph, &index, &dirty,
-                ))
-                .unwrap();
+            let epoch = graph.apply_batch(&b).unwrap();
+            index.apply_batch(&b).unwrap();
+            store.log_batch(epoch, &b).unwrap();
         }
         drop(store);
-        // Rot the middle image (epoch 2): P1 still applies, then the log
-        // takes over for epochs 2 and 3 — P3 is dead weight, never fatal.
-        let partials = list_partials(&dir).unwrap();
-        assert_eq!(partials.len(), 3);
-        let mut bytes = fs::read(&partials[1].1).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x08;
-        fs::write(&partials[1].1, &bytes).unwrap();
+        let stray = dir.join("partial-00000000000000000002.pckpt");
+        fs::write(&stray, b"KSPPART1 any body at all").unwrap();
 
         assert!(Store::verify(&dir).unwrap().recoverable);
         let (_store, recovered) = Store::recover(&dir, config).unwrap();
-        assert_eq!(recovered.epoch, 3);
-        assert_eq!(recovered.report.partial_images_applied, 1);
-        assert_eq!(recovered.report.batches_replayed, 2);
+        assert_eq!(recovered.epoch, 3, "recovery reaches the log tip");
+        assert_eq!(recovered.report.checkpoint_epoch, 0);
+        assert_eq!(recovered.report.batches_replayed, 3);
         assert_eq!(recovered.graph.to_bytes(), graph.to_bytes());
         assert_eq!(recovered.index.to_bytes(), index.to_bytes());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn full_rebase_prunes_the_partial_chain_and_resets_the_policy() {
-        let dir = temp_dir("rebase");
-        let (mut graph, mut index) = pair();
-        let m = graph.num_edges() as u32;
-        let config = StoreConfig {
-            checkpoint_interval: 0,
-            full_rebase_interval: 2,
-            sync: SyncPolicy::Never,
-            ..StoreConfig::default()
-        };
-        let mut store = Store::create(&dir, config, 0, &graph, &index).unwrap();
-        for seed in 1..=2u32 {
-            let b = batch(seed, m);
-            let dirty = publish(&mut graph, &mut index, &mut store, &b);
-            let epoch = graph.version();
-            let base = store.last_image_epoch();
-            store
-                .commit_checkpoint(&Store::encode_partial_checkpoint(
-                    epoch, base, &graph, &index, &dirty,
-                ))
-                .unwrap();
-        }
-        // The chain hit the rebase interval: the next image must be full.
-        assert!(store.next_image_must_be_full());
-        let b = batch(3, m);
-        publish(&mut graph, &mut index, &mut store, &b);
-        store.checkpoint(3, &graph, &index).unwrap();
-        assert_eq!(store.last_checkpoint_epoch(), 3);
-        assert_eq!(store.partials_since_full(), 0);
-        assert!(!store.next_image_must_be_full());
-        assert!(list_partials(&dir).unwrap().is_empty(), "the full image supersedes the chain");
-        drop(store);
-        let (_store, recovered) = Store::recover(&dir, config).unwrap();
-        assert_eq!(recovered.report.checkpoint_epoch, 3);
-        assert_eq!(recovered.report.partial_images_applied, 0);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn foreign_but_decodable_partial_ends_the_chain_instead_of_failing_recovery() {
-        use crate::checkpoint::{encode_partial_checkpoint, write_checkpoint};
-        let dir = temp_dir("foreign-partial");
-        let (mut graph, mut index) = pair();
-        let m = graph.num_edges() as u32;
-        let config = StoreConfig {
-            checkpoint_interval: 0,
-            full_rebase_interval: 10,
-            sync: SyncPolicy::Never,
-            ..StoreConfig::default()
-        };
-        let mut store = Store::create(&dir, config, 0, &graph, &index).unwrap();
-        for seed in 1..=2u32 {
-            let b = batch(seed, m);
-            publish(&mut graph, &mut index, &mut store, &b);
-        }
-        drop(store);
-        // Plant a CRC-valid partial from a *differently partitioned* index:
-        // it decodes fine but its subgraph ids are out of range for the
-        // checkpointed index. Recovery must treat it as a broken chain and
-        // fall back to log replay, not abort.
-        let finer = DtlpIndex::build(&graph, DtlpConfig::new(2, 1)).unwrap();
-        assert!(finer.num_subgraphs() > index.num_subgraphs());
-        let high_id = ksp_graph::SubgraphId(finer.num_subgraphs() as u32 - 1);
-        let foreign = encode_partial_checkpoint(1, 0, &graph, &finer, &[high_id]);
-        write_checkpoint(&dir, &foreign).unwrap();
-
-        let (_store, recovered) = Store::recover(&dir, config).unwrap();
-        assert_eq!(recovered.epoch, 2);
-        assert_eq!(recovered.report.partial_images_applied, 0);
-        assert_eq!(recovered.report.batches_replayed, 2);
-        assert_eq!(recovered.graph.to_bytes(), graph.to_bytes());
-        assert_eq!(recovered.index.to_bytes(), index.to_bytes());
-        // And the replayed-but-unimaged epochs are reported as dirty, so a
-        // resumed checkpointer's next incremental image covers them.
-        assert!(!recovered.replayed_dirty.is_empty());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn stale_base_partial_is_rejected_and_discarded() {
-        let dir = temp_dir("stale-base");
-        let (mut graph, mut index) = pair();
-        let m = graph.num_edges() as u32;
-        let config = StoreConfig {
-            checkpoint_interval: 0,
-            full_rebase_interval: 10,
-            sync: SyncPolicy::Never,
-            ..StoreConfig::default()
-        };
-        let mut store = Store::create(&dir, config, 0, &graph, &index).unwrap();
-        let b = batch(1, m);
-        let dirty = publish(&mut graph, &mut index, &mut store, &b);
-        // Encode a partial against base 0, but commit a full at epoch 1 first
-        // (the checkpoint_now race): the partial's base is now stale.
-        let stale = Store::encode_partial_checkpoint(1, 0, &graph, &index, &dirty);
-        let staged = Store::stage_checkpoint(&dir, &stale).unwrap();
-        store.checkpoint(1, &graph, &index).unwrap();
-        let err = store.commit_staged_checkpoint(staged).unwrap_err();
-        assert!(err.to_string().contains("newest committed image"), "got: {err}");
-        assert_eq!(store.last_image_epoch(), 1);
-        assert_eq!(store.partials_since_full(), 0);
-        assert!(list_partials(&dir).unwrap().is_empty());
-        // The discarded temp file is gone too.
-        let strays: Vec<_> = fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .map(|e| e.file_name().to_string_lossy().into_owned())
-            .filter(|n| n.contains("tmp"))
-            .collect();
-        assert!(strays.is_empty(), "stale staged image must be discarded: {strays:?}");
+        assert!(stray.exists(), "the stray image is left untouched");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -305,14 +305,10 @@ fn failed_background_checkpoint_is_quarantined_and_retried() {
     let dir = temp_dir("ckpt");
     let graph = road_network(160, 43);
     let sconfig = ServiceConfig::new(2, DtlpConfig::new(16, 2));
-    // Background images every 2 epochs, full images only (so the committed
-    // artefact is a `checkpoint-*.ckpt` we can watch for).
-    let st = StoreConfig {
-        checkpoint_interval: 2,
-        full_rebase_interval: 0,
-        sync: SyncPolicy::Never,
-        ..StoreConfig::default()
-    };
+    // Background checkpoints every 2 epochs (the committed artefact is a
+    // `checkpoint-*.ckpt` we can watch for).
+    let st =
+        StoreConfig { checkpoint_interval: 2, sync: SyncPolicy::Never, ..StoreConfig::default() };
     let plan = FaultPlan::new(7);
     let io: Arc<dyn StorageIo> = Arc::new(FaultyIo::new(plan.clone()));
     let service = QueryService::start_with_store_io(graph.clone(), sconfig, &dir, st, io).unwrap();

@@ -58,16 +58,15 @@ fn recovered_service_answers_byte_identically_to_a_never_persisted_one() {
 
     let (recovered, report) = QueryService::open(&dir, config, store_config(2)).unwrap();
     assert_eq!(recovered.current_epoch(), reference.current_epoch());
-    // The background checkpointer imaged epoch 2 — as an incremental image
-    // under the default rebase policy — so recovery is checkpoint(0) + one
-    // partial image (epochs 1-2) + one replayed batch (epoch 3).
-    assert!(
-        report.partial_images_applied > 0,
-        "the interval-2 checkpoint must be an incremental image (got {report:?})"
+    // The background checkpointer imaged epoch 2, so recovery is
+    // checkpoint(2) + one replayed batch (epoch 3).
+    assert_eq!(
+        report.checkpoint_epoch, 2,
+        "the interval-2 checkpoint must be the recovery base (got {report:?})"
     );
     assert_eq!(
         report.batches_replayed, 1,
-        "the image chain must cover every epoch before the last (got {report:?})"
+        "the checkpoint must cover every epoch before the last (got {report:?})"
     );
 
     let workload = QueryWorkload::generate(&graph, QueryWorkloadConfig::new(25, 3), 7);
@@ -151,22 +150,18 @@ fn torn_log_write_loses_only_the_tail() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// An incremental-image *chain* (full checkpoint + several partial images,
-/// then a full rebase) recovers byte-identically at every stage. This is the
-/// acceptance test for the incremental checkpoint format.
+/// A run of background checkpoints (one per epoch, retention pruning the
+/// older ones) recovers byte-identically at every stage and across several
+/// lives of the service.
 #[test]
 fn incremental_checkpoint_chain_recovers_byte_identically() {
     use ksp_dg::store::StoreCodec;
     let dir = temp_dir("chain");
     let graph = road_network(180, 91);
     let config = ServiceConfig::new(1, DtlpConfig::new(18, 2));
-    // Checkpoint every epoch; rebase to a full image after 3 partials.
-    let store_config = StoreConfig {
-        checkpoint_interval: 1,
-        full_rebase_interval: 3,
-        sync: SyncPolicy::Never,
-        ..StoreConfig::default()
-    };
+    // Checkpoint every epoch.
+    let store_config =
+        StoreConfig { checkpoint_interval: 1, sync: SyncPolicy::Never, ..StoreConfig::default() };
 
     let reference = QueryService::start(graph.clone(), config).unwrap();
     let mut traffic_a = TrafficModel::new(&graph, TrafficConfig::new(0.5, 0.5), 29);
@@ -174,7 +169,7 @@ fn incremental_checkpoint_chain_recovers_byte_identically() {
     {
         let persistent =
             QueryService::start_with_store(graph.clone(), config, &dir, store_config).unwrap();
-        // 5 epochs, each checkpointed: full(0) <- P1 <- P2 <- P3 <- full(4) <- P5.
+        // 5 epochs, each checkpointed.
         for _ in 0..5 {
             let batch = traffic_a.next_snapshot();
             reference.apply_batch(&batch).unwrap();
@@ -182,7 +177,7 @@ fn incremental_checkpoint_chain_recovers_byte_identically() {
         }
     }
     // Recover, compare answers bit-for-bit, publish one more epoch, crash
-    // again, recover again: the chain keeps extending across lives.
+    // again, recover again: checkpointing keeps going across lives.
     for life in 0..2u64 {
         let (recovered, _report) = QueryService::open(&dir, config, store_config).unwrap();
         assert_eq!(recovered.current_epoch(), reference.current_epoch());
@@ -215,23 +210,18 @@ fn incremental_checkpoint_chain_recovers_byte_identically() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Regression test: epochs replayed from the log during recovery are not
-/// covered by any on-disk image, so the *next* incremental image after a
-/// restart must include their dirty subgraphs. A resumed checkpointer that
-/// forgot them would commit a chain that silently drops those updates at the
-/// following recovery.
+/// Epochs replayed from the log during recovery are not covered by any
+/// on-disk checkpoint, so the *next* checkpoint after a restart must capture
+/// them too. A recovered service that imaged anything but its full recovered
+/// state would silently drop those updates at the following recovery.
 #[test]
 fn post_restart_incremental_image_covers_log_replayed_epochs() {
     use ksp_dg::graph::{UpdateBatch, Weight, WeightUpdate};
     let dir = temp_dir("replay-dirty");
     let graph = road_network(200, 57);
     let config = ServiceConfig::new(1, DtlpConfig::new(16, 2));
-    let store_config = StoreConfig {
-        checkpoint_interval: 2,
-        full_rebase_interval: 10,
-        sync: SyncPolicy::Never,
-        ..StoreConfig::default()
-    };
+    let store_config =
+        StoreConfig { checkpoint_interval: 2, sync: SyncPolicy::Never, ..StoreConfig::default() };
 
     // Three edges owned by three different subgraphs, so each single-edge
     // batch dirties a different subgraph.
@@ -255,7 +245,7 @@ fn post_restart_incremental_image_covers_log_replayed_epochs() {
 
     let reference = QueryService::start(graph.clone(), config).unwrap();
     {
-        // Life 1: epochs 1 and 2 (incremental image at 2 covers them), then
+        // Life 1: epochs 1 and 2 (the checkpoint at 2 covers them), then
         // epoch 3 — durable in the log only — and crash.
         let service =
             QueryService::start_with_store(graph.clone(), config, &dir, store_config).unwrap();
@@ -265,18 +255,18 @@ fn post_restart_incremental_image_covers_log_replayed_epochs() {
         }
     }
     {
-        // Life 2: recovery replays epoch 3 (dirtying a subgraph no image
-        // covers), then epoch 4 triggers the next incremental image, whose
-        // base is the epoch-2 image: it must carry epoch 3's subgraph too.
+        // Life 2: recovery replays epoch 3 (dirtying a subgraph no
+        // checkpoint covers), then epoch 4 triggers the next checkpoint: it
+        // must carry epoch 3's update too.
         let (service, report) = QueryService::open(&dir, config, store_config).unwrap();
         assert_eq!(report.batches_replayed, 1);
         reference.apply_batch(&batch_for(3)).unwrap();
         service.apply_batch(&batch_for(3)).unwrap();
     }
-    // Life 3: if the epoch-4 image under-covered, this recovery silently
+    // Life 3: if the epoch-4 checkpoint under-covered, this recovery silently
     // resurrects the pre-epoch-3 weight; byte equality catches it.
     let (final_service, report) = QueryService::open(&dir, config, store_config).unwrap();
-    assert_eq!(report.batches_replayed, 0, "the epoch-4 image must cover epochs 3 and 4");
+    assert_eq!(report.batches_replayed, 0, "the epoch-4 checkpoint must cover epochs 3 and 4");
     assert_eq!(final_service.current_epoch(), 4);
     use ksp_dg::store::StoreCodec;
     let got = final_service.snapshot();

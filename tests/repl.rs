@@ -128,13 +128,12 @@ fn pruned_log_falls_back_to_snapshot_for_laggards_and_late_joiners() {
     let late_root = temp_dir("prune-late");
     let graph = road_network(180, 29);
     let sconfig = ServiceConfig::new(2, DtlpConfig::new(18, 2));
-    // Tiny segments (rotation every 2 records), full images only, retain a
-    // single checkpoint: pruning bites as soon as a checkpoint commits.
+    // Tiny segments (rotation every 2 records), retain a single checkpoint:
+    // pruning bites as soon as a checkpoint commits.
     let st = StoreConfig {
         checkpoint_interval: 0,
         segment_max_records: 2,
         retain_checkpoints: 1,
-        full_rebase_interval: 0,
         sync: SyncPolicy::Never,
     };
     let leader =
