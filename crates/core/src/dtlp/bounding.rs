@@ -211,8 +211,9 @@ impl<'a> PairPaths<'a> {
     }
 
     /// Whether Theorem 1's claim 1 applies, i.e. the lower bound distance is exactly
-    /// the shortest distance between the pair within the subgraph. Exposed so tests
-    /// and diagnostics can distinguish tight from loose bounds.
+    /// the shortest distance between the pair within the subgraph. Maintenance that
+    /// repairs bounds ([`crate::dtlp::DtlpIndex::apply_batch`] on a local batch)
+    /// replaces exactly the bounds for which this is `false` with searched distances.
     pub fn bound_is_exact(&self, multiset: &UnitWeightMultiset) -> bool {
         self.theorem1(multiset).is_some_and(|(d_u, bd_r)| bd_r >= d_u)
     }
@@ -321,7 +322,7 @@ mod tests {
                 WeightUpdate::new(e, Weight::new(nw))
             })
             .collect();
-        idx.apply_updates(&updates).unwrap().1
+        idx.apply_updates(&updates, None).unwrap().paths_touched
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! itself (with live weights), the bounding paths between its boundary-vertex pairs
 //! and the EP-Index that maps an edge to the bounding paths covering it. It receives
 //! the weight updates routed to this subgraph and reports which pairs' lower bound
-//! distances changed, so the skeleton graph can be patched incrementally.
+//! distances changed, so the skeleton graph can be patched incrementally. On request
+//! it repairs the bounds Theorem 1 leaves loose with exact in-subgraph distances.
 
 use crate::dtlp::bounding::{BoundingPath, BoundingPathSet, BoundingPathTable, PairPaths};
 use crate::dtlp::ep_index::{EpIndex, PathRef};
@@ -29,6 +30,17 @@ pub struct LowerBoundChange {
     pub b: VertexId,
     /// The new lower bound distance for this subgraph.
     pub new_lbd: Weight,
+}
+
+/// What one [`SubgraphIndex::apply_updates`] call did.
+#[derive(Debug, Default)]
+pub(crate) struct BoundRefresh {
+    /// The pairs whose lower bound distance changed, each once, in pair order.
+    pub(crate) changes: Vec<LowerBoundChange>,
+    /// Number of bounding paths whose stored distance was adjusted (a cost metric).
+    pub(crate) paths_touched: usize,
+    /// Number of pairs whose Theorem 1 bound was replaced by a searched distance.
+    pub(crate) pairs_repaired: usize,
 }
 
 /// What never changes after a subgraph index is built: the bounding paths'
@@ -57,7 +69,8 @@ pub struct SubgraphIndex {
     shape: Arc<PathShape>,
     /// Current distance of every bounding path, in `shape.table` order.
     distance: Vec<Weight>,
-    /// Last lower bound distance reported for each pair, to detect changes.
+    /// Last lower bound distance reported for each pair, to detect changes:
+    /// Theorem 1's bound, or the exact distance a repair stored in its place.
     last_lbd: Vec<Weight>,
 }
 
@@ -185,18 +198,25 @@ impl SubgraphIndex {
 
     /// Applies a batch of weight updates belonging to this subgraph (Algorithm 2).
     ///
-    /// Returns the pairs whose lower bound distance changed, so the caller can patch
-    /// the skeleton graph. Also returns, via the second tuple element, the number of
-    /// bounding paths whose stored distance was adjusted (a cost metric).
-    pub fn apply_updates(
+    /// Every pair's lower bound is refreshed by Theorem 1. Given an arena (`repair`),
+    /// a pair whose bound claim 1 does not certify ([`PairPaths::bound_is_exact`])
+    /// gets its exact in-subgraph distance instead, stored bit for bit as the search
+    /// found it: one single-source search per first endpoint of such a pair. Pairs
+    /// are grouped by first endpoint, so the searches number at most the subgraph's
+    /// boundary vertices. Without an arena every bound is Theorem 1's.
+    ///
+    /// Returns what changed, each changed pair once, so the caller can patch the
+    /// skeleton graph.
+    pub(crate) fn apply_updates(
         &mut self,
         updates: &[WeightUpdate],
-    ) -> Result<(Vec<LowerBoundChange>, usize), GraphError> {
+        mut repair: Option<&mut SearchArena>,
+    ) -> Result<BoundRefresh, GraphError> {
+        let mut refresh = BoundRefresh::default();
         if updates.is_empty() {
-            return Ok((Vec::new(), 0));
+            return Ok(refresh);
         }
         let table = &self.shape.table;
-        let mut paths_touched = 0usize;
         // Copy-on-write: the first update of a batch unshares the subgraph if
         // a previous epoch still holds it; later updates mutate in place.
         for update in updates {
@@ -207,7 +227,7 @@ impl SubgraphIndex {
             for r in self.shape.ep.paths_through(update.edge) {
                 let d = &mut self.distance[table.paths_of(r.pair as usize).start + r.path as usize];
                 *d = Weight::new((d.value() + delta).max(0.0));
-                paths_touched += 1;
+                refresh.paths_touched += 1;
             }
         }
 
@@ -215,16 +235,34 @@ impl SubgraphIndex {
         // it once per batch, then refresh every pair's lower bound (each refresh is
         // O(ξ log |E_sg|)). Only pairs whose bound actually moved are reported.
         let unit_weights = UnitWeightMultiset::from_subgraph(&self.subgraph);
-        let mut changed = Vec::new();
+        let mut searched_from = None;
         for (i, last) in self.last_lbd.iter_mut().enumerate() {
             let pair = table.pair(i, &self.distance);
-            let lbd = pair.lower_bound_distance(&unit_weights);
-            if !lbd.approx_eq(*last) {
-                *last = lbd;
-                changed.push(LowerBoundChange { a: pair.a, b: pair.b, new_lbd: lbd });
-            }
+            let lbd = match repair.as_deref_mut() {
+                Some(arena) if !pair.bound_is_exact(&unit_weights) => {
+                    if searched_from != Some(pair.a) {
+                        arena.search_from(&*self.subgraph, pair.a);
+                        searched_from = Some(pair.a);
+                    }
+                    refresh.pairs_repaired += 1;
+                    let exact = arena.distance(pair.b);
+                    if exact.value().to_bits() == last.value().to_bits() {
+                        continue;
+                    }
+                    exact
+                }
+                _ => {
+                    let lbd = pair.lower_bound_distance(&unit_weights);
+                    if lbd.approx_eq(*last) {
+                        continue;
+                    }
+                    lbd
+                }
+            };
+            *last = lbd;
+            refresh.changes.push(LowerBoundChange { a: pair.a, b: pair.b, new_lbd: lbd });
         }
-        Ok((changed, paths_touched))
+        Ok(refresh)
     }
 
     /// Shortest distances from `v` to every boundary vertex of this subgraph, computed
@@ -464,7 +502,7 @@ mod tests {
                         )
                     })
                     .collect();
-                idx.apply_updates(&updates).unwrap();
+                idx.apply_updates(&updates, None).unwrap();
                 for lb in idx.lower_bounds() {
                     let shortest = dijkstra_path(idx.subgraph(), lb.a, lb.b)
                         .map(|p| p.distance())
@@ -512,11 +550,62 @@ mod tests {
             .enumerate()
             .map(|(e, &f)| WeightUpdate::new(EdgeId(e as u32), Weight::new(f)))
             .collect();
-        idx.apply_updates(&updates).unwrap();
+        idx.apply_updates(&updates, None).unwrap();
         let lb = idx.lower_bounds().next().unwrap();
         let shortest = dijkstra_path(idx.subgraph(), v(0), v(3)).unwrap().distance();
         assert!(shortest.approx_eq(Weight::new(1.4)));
         assert!(lb.new_lbd <= shortest, "LBD {} exceeds shortest {shortest}", lb.new_lbd);
+    }
+
+    #[test]
+    fn local_batches_repair_loose_bounds_and_global_batches_keep_theorem1() {
+        use crate::dtlp::index::tests::{incident, road_network};
+        use crate::dtlp::{DtlpConfig, DtlpIndex};
+        use ksp_workload::{TrafficConfig, TrafficModel, Xoshiro256};
+
+        let mut g = road_network(400, 19);
+        let mut index = DtlpIndex::build(&g, DtlpConfig::new(20, 2)).unwrap();
+        let mut traffic = TrafficModel::new(&g, TrafficConfig::new(0.35, 0.30), 19);
+        let mut rng = Xoshiro256::seed_from_u64(19);
+        let mut arena = SearchArena::new();
+        let mut repaired_total = 0;
+        for round in 0..8 {
+            let global = round % 4 == 0;
+            let batch = if global { traffic.next_snapshot() } else { incident(&g, &mut rng) };
+            g.apply_batch(&batch).unwrap();
+            let stats = index.apply_batch(&batch).unwrap();
+            let dirty = stats.dirty_subgraphs.len();
+            assert_eq!(global, 2 * dirty > index.num_subgraphs(), "round {round}: {dirty} dirty");
+            let mut loose = 0;
+            for &sg in &stats.dirty_subgraphs {
+                let idx = index.subgraph_index(sg);
+                let ms = UnitWeightMultiset::from_subgraph(idx.subgraph());
+                for (i, &lbd) in idx.last_lower_bounds().iter().enumerate() {
+                    let pair = idx.pair(i);
+                    let theorem1 = pair.lower_bound_distance(&ms);
+                    if global {
+                        // A global batch keeps Theorem 1's bounds.
+                        assert!(lbd.approx_eq(theorem1), "round {round}: {sg} pair {i}");
+                        continue;
+                    }
+                    arena.search_from(idx.subgraph(), pair.a);
+                    let exact = arena.distance(pair.b);
+                    if pair.bound_is_exact(&ms) {
+                        // Claim 1 certifies Theorem 1's bound: it is the distance.
+                        assert!(lbd.approx_eq(exact), "round {round}: {sg} pair {i}");
+                    } else {
+                        // A repaired bound is the searched distance, bit for bit ...
+                        assert_eq!(lbd.value().to_bits(), exact.value().to_bits());
+                        // ... and never below the bound it replaced.
+                        assert!(theorem1 <= lbd, "round {round}: {sg} pair {i}");
+                        loose += 1;
+                    }
+                }
+            }
+            assert_eq!(stats.pairs_repaired, loose, "round {round}");
+            repaired_total += loose;
+        }
+        assert!(repaired_total > 0, "the incidents must leave some bounds loose");
     }
 
     #[test]
@@ -559,12 +648,11 @@ mod tests {
             .iter()
             .map(|e| WeightUpdate::new(e.global_id, Weight::new(e.initial_weight as f64 * 10.0)))
             .collect();
-        let (changes, touched) = idx.apply_updates(&updates).unwrap();
-        assert!(touched > 0, "bounding paths must have been adjusted");
-        assert!(!changes.is_empty(), "lower bounds must change when all weights grow 10x");
+        let refresh = idx.apply_updates(&updates, None).unwrap();
+        assert!(refresh.paths_touched > 0, "bounding paths must have been adjusted");
+        assert!(!refresh.changes.is_empty(), "lower bounds must change when all weights grow 10x");
         // A second identical batch changes nothing.
-        let (changes2, _) = idx.apply_updates(&updates).unwrap();
-        assert!(changes2.is_empty());
+        assert!(idx.apply_updates(&updates, None).unwrap().changes.is_empty());
     }
 
     #[test]
@@ -572,8 +660,9 @@ mod tests {
         let (_, partitioning) = paper_partitioning();
         let mut indexes = build_indexes(&partitioning, 1);
         let foreign = EdgeId(10_000);
-        let err =
-            indexes[0].apply_updates(&[WeightUpdate::new(foreign, Weight::new(1.0))]).unwrap_err();
+        let err = indexes[0]
+            .apply_updates(&[WeightUpdate::new(foreign, Weight::new(1.0))], None)
+            .unwrap_err();
         assert!(matches!(err, GraphError::EdgeOutOfRange { .. }));
     }
 

@@ -286,13 +286,11 @@ impl<'a> KspDgEngine<'a> {
         // boundary vertex, the skeleton has no edge covering paths that stay entirely
         // inside that subgraph; add a direct overlay edge with the within-subgraph
         // shortest distance (a valid lower bound of any such path).
-        let shared = self.index.subgraphs_containing_pair(source, target);
-        if !shared.is_empty()
-            && (!self.index.is_boundary(source) || !self.index.is_boundary(target))
-        {
-            let best = shared
-                .iter()
-                .filter_map(|&sg| {
+        if !self.index.is_boundary(source) || !self.index.is_boundary(target) {
+            let best = self
+                .index
+                .subgraphs_containing_pair(source, target)
+                .filter_map(|sg| {
                     let subgraph = self.index.subgraph_index(sg).subgraph();
                     arena.shortest_path(subgraph, source, target, &[], &[]).map(|p| p.distance())
                 })
@@ -528,7 +526,7 @@ mod tests {
                 a != b
                     && !index.is_boundary(a)
                     && !index.is_boundary(b)
-                    && !index.subgraphs_containing_pair(a, b).is_empty()
+                    && index.subgraphs_containing_pair(a, b).next().is_some()
             });
         if let Some((a, b)) = pair {
             assert_matches_yen(&net.graph, &index, a, b, 2);

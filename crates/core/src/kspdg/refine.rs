@@ -189,7 +189,7 @@ mod tests {
             .boundary_vertices()
             .iter()
             .flat_map(|&a| index.boundary_vertices().iter().map(move |&b| (a, b)))
-            .find(|&(a, b)| a != b && !index.subgraphs_containing_pair(a, b).is_empty())
+            .find(|&(a, b)| a != b && index.subgraphs_containing_pair(a, b).next().is_some())
             .expect("some boundary pair shares a subgraph");
         let partials =
             cache.partial_ksp(&index, pair.0, pair.1, &mut arena, &mut stats, &mut trace);
@@ -197,7 +197,6 @@ mod tests {
         // The best partial equals the best single-subgraph shortest path.
         let best_direct = index
             .subgraphs_containing_pair(pair.0, pair.1)
-            .into_iter()
             .filter_map(|sg| dijkstra_path(index.subgraph_index(sg).subgraph(), pair.0, pair.1))
             .map(|p| p.distance())
             .min()
@@ -295,7 +294,7 @@ mod tests {
         let (mut arena, mut stats, mut trace) = sinks();
         // v1 (id 0) and v19 (id 18) never share a subgraph in this partitioning, so the
         // partial computation finds no subgraph and yields nothing.
-        if index.subgraphs_containing_pair(v(0), v(18)).is_empty() {
+        if index.subgraphs_containing_pair(v(0), v(18)).next().is_none() {
             let candidates = candidate_ksp(
                 &index,
                 &[v(0), v(18)],

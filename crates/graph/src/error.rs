@@ -1,6 +1,6 @@
 //! Error types shared by the graph substrate.
 
-use crate::ids::{EdgeId, SubgraphId, VertexId};
+use crate::ids::{EdgeId, VertexId};
 use std::fmt;
 
 /// Errors produced when constructing or mutating a [`crate::DynamicGraph`].
@@ -53,14 +53,6 @@ pub enum GraphError {
         /// The offending capacity.
         z: usize,
     },
-    /// A subgraph id referenced an index outside `0..num_subgraphs` (e.g. a
-    /// per-subgraph image applied to an index partitioned differently).
-    SubgraphOutOfRange {
-        /// The offending subgraph.
-        subgraph: SubgraphId,
-        /// Number of subgraphs in the partitioning.
-        num_subgraphs: usize,
-    },
 }
 
 impl fmt::Display for GraphError {
@@ -89,12 +81,6 @@ impl fmt::Display for GraphError {
             }
             GraphError::InvalidPartitionSize { z } => {
                 write!(f, "subgraph capacity z={z} is too small; z must be at least 2")
-            }
-            GraphError::SubgraphOutOfRange { subgraph, num_subgraphs } => {
-                write!(
-                    f,
-                    "subgraph {subgraph} out of range (partitioning has {num_subgraphs} subgraphs)"
-                )
             }
         }
     }

@@ -56,10 +56,10 @@ fn incident(graph: &DynamicGraph, rng: &mut Xoshiro256) -> UpdateBatch {
     UpdateBatch::new(updates)
 }
 
-/// Recorded when the index encoding dropped the storage-backend tags and the
-/// enumeration cap; the encoding that still wrote them, with only those three
-/// fields left out, hashes to the same value.
-const MAINTENANCE_GOLDEN: u64 = 0x9918_087e_a840_ecb1;
+/// Recorded when local batches began repairing loose bounds with exact
+/// in-subgraph distances (the incident rounds below are local). With the repair
+/// switched off, the same stream hashes to the previous pin, 0x9918_087e_a840_ecb1.
+const MAINTENANCE_GOLDEN: u64 = 0x69db_4c94_aa72_c6eb;
 
 /// Pins DTLP maintenance bit for bit: the encoded index after a seeded stream
 /// of global and local batches, and every batch's work counters and dirty set.

@@ -9,13 +9,19 @@
 //! snapshot manifest, never fed torn or skipped records. Plus warm failover:
 //! promotion is a flag flip on an already-running service, not a recovery.
 
-use ksp_dg::core::dtlp::DtlpConfig;
+mod common;
+
+use common::incident;
+use ksp_dg::core::dtlp::{DtlpConfig, DtlpIndex};
 use ksp_dg::graph::{DynamicGraph, VertexId};
 use ksp_dg::proto::KspClient;
 use ksp_dg::repl::{Replica, ReplicaConfig, ReplicationSource};
 use ksp_dg::serve::{EventLoopServer, QueryService, ServiceConfig};
 use ksp_dg::store::{StoreCodec, StoreConfig, SyncPolicy};
-use ksp_dg::workload::{RoadNetworkConfig, RoadNetworkGenerator, TrafficConfig, TrafficModel};
+use ksp_dg::workload::{
+    QueryWorkload, QueryWorkloadConfig, RoadNetworkConfig, RoadNetworkGenerator, TrafficConfig,
+    TrafficModel, Xoshiro256,
+};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -116,6 +122,61 @@ fn follower_replays_to_byte_identity_over_a_real_socket() {
     let follower_text = replica.service().render_exposition();
     assert!(follower_text.contains("ksp_repl_applied_epoch"));
     assert!(follower_text.contains("ksp_repl_records_applied_total"));
+
+    let _ = std::fs::remove_dir_all(&leader_dir);
+    let _ = std::fs::remove_dir_all(&replica_root);
+}
+
+/// Incidents repair loose bounds during maintenance. A follower that
+/// bootstraps from an image taken mid-stream and replays the rest of the
+/// stream from the log holds the leader's repaired index byte for byte and
+/// answers bit for bit the same.
+#[test]
+fn follower_matches_the_leader_over_an_incident_stream_across_a_checkpoint() {
+    let leader_dir = temp_dir("incident-leader");
+    let replica_root = temp_dir("incident-replica");
+    let graph = road_network(200, 72);
+    let sconfig = ServiceConfig::new(2, DtlpConfig::new(20, 2));
+    let leader = Arc::new(
+        QueryService::start_with_store(graph.clone(), sconfig, &leader_dir, store_config())
+            .unwrap(),
+    );
+    let _source = ReplicationSource::attach(&leader).unwrap();
+    let server = EventLoopServer::bind(leader.clone(), "127.0.0.1:0").unwrap();
+
+    let mut rng = Xoshiro256::seed_from_u64(72);
+    let mut probe = DtlpIndex::build(&graph, sconfig.dtlp).unwrap();
+    let mut repaired = Vec::new();
+    let mut publish = |leader: &QueryService| {
+        let batch = incident(&graph, &mut rng);
+        repaired.push(probe.apply_batch(&batch).unwrap().pairs_repaired);
+        leader.apply_batch(&batch).unwrap();
+    };
+    publish(&leader);
+    publish(&leader);
+    assert_eq!(leader.checkpoint_now().unwrap(), Some(2));
+    publish(&leader);
+    publish(&leader);
+    // Epochs 1–2 reach the follower inside the image, epochs 3–4 as records.
+    assert!(repaired[0] + repaired[1] > 0 && repaired[2] + repaired[3] > 0, "{repaired:?}");
+
+    let rconfig = ReplicaConfig::new("r1", sconfig, store_config());
+    let mut replica = Replica::bootstrap(server.local_addr(), &replica_root, rconfig).unwrap();
+    assert_eq!(replica.applied_epoch(), 2, "the follower must bootstrap from the epoch-2 image");
+    assert_eq!(replica.sync_to_caught_up(16).unwrap(), 4);
+    assert_byte_identical(&leader, &replica.service());
+
+    let workload = QueryWorkload::generate(&graph, QueryWorkloadConfig::new(20, 3), 72);
+    for q in workload.iter() {
+        let want = leader.query(q.source, q.target, q.k).unwrap();
+        let got = replica.query(q.source, q.target, q.k).unwrap();
+        assert_eq!(got.epoch, want.epoch);
+        assert_eq!(got.paths.len(), want.paths.len(), "{} -> {} k={}", q.source, q.target, q.k);
+        for (a, b) in got.paths.iter().zip(want.paths.iter()) {
+            assert_eq!(a.vertices(), b.vertices());
+            assert_eq!(a.distance().value().to_bits(), b.distance().value().to_bits());
+        }
+    }
 
     let _ = std::fs::remove_dir_all(&leader_dir);
     let _ = std::fs::remove_dir_all(&replica_root);
