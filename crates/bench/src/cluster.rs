@@ -23,7 +23,6 @@ use ksp_core::kspdg::{KspDgEngine, QueryStats};
 use ksp_graph::{
     DynamicGraph, GraphError, PartitionConfig, Partitioner, SubgraphId, UpdateBatch, VertexId,
 };
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -148,10 +147,8 @@ impl Cluster {
                 .partition(graph)?;
 
         let boundary = partitioning.boundary_vertices().to_vec();
-        let mut vertex_subgraphs = HashMap::new();
-        for v in graph.vertices() {
-            vertex_subgraphs.insert(v, partitioning.subgraphs_of_vertex(v).to_vec());
-        }
+        let vertex_subgraphs =
+            graph.vertices().map(|v| partitioning.subgraphs_of_vertex(v).to_vec()).collect();
         let edge_owner: Vec<SubgraphId> =
             graph.edge_ids().map(|e| partitioning.owner_of_edge(e)).collect();
         let subgraphs = partitioning.into_subgraphs();

@@ -7,7 +7,6 @@ use ksp_graph::{
     DynamicGraph, EdgeId, GraphError, PartitionConfig, Partitioner, SubgraphId, UpdateBatch,
     VertexId,
 };
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -95,8 +94,10 @@ pub struct MaintenanceStats {
 /// the batch routes updates into, and the skeleton if a lower bound moved.
 /// Neither copy reaches structure: an unshared subgraph index copies its flat
 /// bounding-path distances and per-pair bounds (plus, on its first update, its
-/// subgraph's edge list) and shares its path shape; an unshared skeleton copies
-/// its per-contribution and per-edge weights and shares its topology. Every
+/// subgraph's edge records, one weight each) and shares its path shape and its
+/// subgraph's shape; an unshared skeleton copies its per-contribution and
+/// per-edge weights and shares its topology, through which maintenance patches a
+/// changed bound by (subgraph, pair index) position. Every
 /// untouched entry stays pointer-shared with the original. Publishing an epoch
 /// thus costs the dirty subgraphs' weights, not the index's structure.
 #[derive(Debug, Clone)]
@@ -104,7 +105,9 @@ pub struct DtlpIndex {
     config: DtlpConfig,
     directed: bool,
     subgraph_indexes: Vec<Arc<SubgraphIndex>>,
-    vertex_subgraphs: Arc<HashMap<VertexId, Vec<SubgraphId>>>,
+    /// By vertex id: the subgraphs the vertex belongs to, in refine-step
+    /// candidate order.
+    vertex_subgraphs: Arc<Vec<Vec<SubgraphId>>>,
     edge_owner: Arc<Vec<SubgraphId>>,
     boundary: Arc<Vec<VertexId>>,
     skeleton: Arc<SkeletonGraph>,
@@ -123,11 +126,8 @@ impl DtlpIndex {
         let boundary = partitioning.boundary_vertices().to_vec();
         let num_subgraphs = partitioning.num_subgraphs();
         let num_subgraphs_boundary_over_5 = partitioning.subgraphs_with_boundary_over(5);
-        let mut vertex_subgraphs = HashMap::new();
-        for v in graph.vertices() {
-            let sgs = partitioning.subgraphs_of_vertex(v).to_vec();
-            vertex_subgraphs.insert(v, sgs);
-        }
+        let vertex_subgraphs =
+            graph.vertices().map(|v| partitioning.subgraphs_of_vertex(v).to_vec()).collect();
         let edge_owner: Vec<SubgraphId> =
             graph.edge_ids().map(|e| partitioning.owner_of_edge(e)).collect();
 
@@ -153,11 +153,14 @@ impl DtlpIndex {
 
     /// Assembles an index from per-subgraph indexes that may have been built elsewhere
     /// (e.g. in parallel on the workers of the distributed runtime).
+    /// `subgraph_indexes[s]` is the index of subgraph `s`, and `vertex_subgraphs[v]`
+    /// lists the subgraphs vertex `v` belongs to, in the refine step's candidate
+    /// order.
     pub fn assemble(
         config: DtlpConfig,
         directed: bool,
         subgraph_indexes: Vec<SubgraphIndex>,
-        vertex_subgraphs: HashMap<VertexId, Vec<SubgraphId>>,
+        vertex_subgraphs: Vec<Vec<SubgraphId>>,
         edge_owner: Vec<SubgraphId>,
         boundary: Vec<VertexId>,
     ) -> Self {
@@ -178,7 +181,7 @@ impl DtlpIndex {
         config: DtlpConfig,
         directed: bool,
         subgraph_indexes: Vec<Arc<SubgraphIndex>>,
-        vertex_subgraphs: HashMap<VertexId, Vec<SubgraphId>>,
+        vertex_subgraphs: Vec<Vec<SubgraphId>>,
         edge_owner: Vec<SubgraphId>,
         boundary: Vec<VertexId>,
     ) -> Self {
@@ -208,7 +211,7 @@ impl DtlpIndex {
     ) -> (SkeletonGraph, BuildStats) {
         let skeleton = SkeletonGraph::assemble(
             directed,
-            subgraph_indexes.iter().flat_map(|idx| idx.lower_bounds().map(|lb| (idx.id(), lb))),
+            subgraph_indexes.iter().map(|idx| idx.lower_bounds()),
         );
         let mut num_pairs = 0;
         let mut num_bounding_paths = 0;
@@ -293,14 +296,17 @@ impl DtlpIndex {
 
     /// The subgraphs a vertex belongs to.
     pub fn subgraphs_of_vertex(&self, v: VertexId) -> &[SubgraphId] {
-        self.vertex_subgraphs.get(&v).map(|s| s.as_slice()).unwrap_or(&[])
+        self.vertex_subgraphs.get(v.index()).map_or(&[], Vec::as_slice)
     }
 
-    /// Every vertex → subgraphs membership entry, in unspecified order.
-    /// Exposed so the storage layer can persist the table exactly as built
-    /// (per-vertex membership order matters to refine-step candidate order).
-    pub fn vertex_memberships(&self) -> impl Iterator<Item = (VertexId, &[SubgraphId])> {
-        self.vertex_subgraphs.iter().map(|(&v, sgs)| (v, sgs.as_slice()))
+    /// Every vertex → subgraphs membership entry the table covers, by ascending
+    /// vertex id. Exposed so the storage layer can persist the table exactly as
+    /// built (per-vertex membership order matters to refine-step candidate order).
+    pub fn vertex_memberships(
+        &self,
+    ) -> impl ExactSizeIterator<Item = (VertexId, &[SubgraphId])> + '_ {
+        let table = self.vertex_subgraphs.iter().enumerate();
+        table.map(|(v, sgs)| (VertexId(v as u32), sgs.as_slice()))
     }
 
     /// The subgraph owning an edge.
@@ -384,10 +390,10 @@ impl DtlpIndex {
             skeleton_edges_changed: 0,
             dirty_subgraphs: if updates.is_empty() { Vec::new() } else { vec![sg_id] },
         };
-        for c in refresh.changes {
+        for (pair, lbd) in refresh.changes {
             // The skeleton unshares lazily too (its weights only): epochs whose
             // batches move no lower bound keep sharing the previous skeleton.
-            if Arc::make_mut(&mut self.skeleton).set_contribution(c.a, c.b, sg_id, c.new_lbd) {
+            if Arc::make_mut(&mut self.skeleton).set_contribution(sg_id, pair, lbd) {
                 stats.skeleton_edges_changed += 1;
             }
         }
@@ -719,8 +725,12 @@ pub(crate) mod tests {
             );
             if id == owner {
                 assert!(!shared, "the dirtied subgraph must be unshared");
-                // Even the unshared copy still shares its bounding-path shape.
+                // Even the unshared copy still shares its bounding-path shape and
+                // its subgraph's shape.
                 assert!(next.subgraph_index(id).shares_structure_with(base.subgraph_index(id)));
+                let (sg, base_sg) =
+                    (next.subgraph_index(id).subgraph(), base.subgraph_index(id).subgraph());
+                assert!(sg.shares_shape_with(base_sg));
                 assert_eq!(
                     next.subgraph_index(id).subgraph().edge(edge).unwrap().current_weight,
                     Weight::new(77.0)
@@ -739,26 +749,30 @@ pub(crate) mod tests {
         assert!(next.skeleton().shares_structure_with(base.skeleton()));
     }
 
-    #[test]
-    fn assembled_parts_reproduce_incremental_maintenance_exactly() {
-        let mut g = road_network(250, 23);
+    /// Maintains an index of `g` over global batches interleaved with incidents,
+    /// then checks that reassembling it from its per-subgraph parts (as a restore
+    /// does) reproduces the slot-patched skeleton bit for bit. Returns the index.
+    fn assert_parts_reproduce_maintenance(mut g: DynamicGraph, seed: u64) -> DtlpIndex {
         let mut live = DtlpIndex::build(&g, DtlpConfig::new(18, 2)).unwrap();
-        let mut traffic = TrafficModel::new(&g, TrafficConfig::new(0.4, 0.5), 7);
-        let mut rng = Xoshiro256::seed_from_u64(7);
-        let mut repaired = 0;
+        let mut traffic = TrafficModel::new(&g, TrafficConfig::new(0.4, 0.5), seed);
+        let mut rng = Xoshiro256::seed_from_u64(seed);
+        let (mut repaired, mut patched) = (0, 0);
         for round in 0..6 {
             let batch =
                 if round % 2 == 0 { traffic.next_snapshot() } else { incident(&g, &mut rng) };
             g.apply_batch(&batch).unwrap();
-            repaired += live.apply_batch(&batch).unwrap().pairs_repaired;
+            let stats = live.apply_batch(&batch).unwrap();
+            repaired += stats.pairs_repaired;
+            patched += stats.skeleton_edges_changed;
         }
         assert!(repaired > 0, "the stream must leave repaired bounds behind");
+        assert!(patched > 0, "the stream must move skeleton weights");
         // Reassemble the way a restore does: from the per-subgraph parts alone.
         let rebuilt = DtlpIndex::assemble_shared(
             *live.config(),
             live.is_directed(),
             live.subgraph_indexes().to_vec(),
-            live.vertex_memberships().map(|(v, sgs)| (v, sgs.to_vec())).collect(),
+            live.vertex_memberships().map(|(_, sgs)| sgs.to_vec()).collect(),
             live.edge_owners().to_vec(),
             live.boundary_vertices().to_vec(),
         );
@@ -769,6 +783,29 @@ pub(crate) mod tests {
             let w = rebuilt.skeleton().skeleton_edge_weight(e.a, e.b).unwrap();
             assert_eq!(w.value().to_bits(), e.weight.value().to_bits());
         }
+        live
+    }
+
+    #[test]
+    fn assembled_parts_reproduce_incremental_maintenance_exactly() {
+        assert_parts_reproduce_maintenance(road_network(250, 23), 7);
+    }
+
+    #[test]
+    fn directed_assembled_parts_reproduce_incremental_maintenance_exactly() {
+        let cfg = RoadNetworkConfig::with_vertices(250).directed();
+        let g = RoadNetworkGenerator::new(cfg).generate(23).unwrap().graph;
+        let live = assert_parts_reproduce_maintenance(g, 7);
+        // The skeleton keys edges by ordered pair: some pair is maintained in
+        // both directions, with bounds that moved apart.
+        let sk = live.skeleton();
+        assert!(sk.is_directed());
+        assert!(
+            sk.edges().any(|e| sk
+                .skeleton_edge_weight(e.b, e.a)
+                .is_some_and(|back| back.value().to_bits() != e.weight.value().to_bits())),
+            "no ordered pair carries a weight of its own"
+        );
     }
 
     #[test]

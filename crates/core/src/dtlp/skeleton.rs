@@ -9,7 +9,9 @@
 //! Which edges exist and which subgraphs contribute to each is fixed once the
 //! skeleton is assembled; only the contributed bounds move. The skeleton therefore
 //! keeps that topology behind one shared `Arc` and the numbers in flat vectors, so
-//! an epoch fork copies the numbers and shares the rest.
+//! an epoch fork copies the numbers and shares the rest. The topology also maps
+//! every (subgraph, pair index) to the position of its contribution, so
+//! maintenance patches a changed bound by position, without a lookup by endpoints.
 //!
 //! Queries whose endpoints are not boundary vertices are handled with an
 //! [`OverlayView`]: the endpoints are attached to `Gλ` with temporary edges to the
@@ -107,8 +109,8 @@ pub struct SkeletonGraph {
     weight: Vec<Weight>,
 }
 
-/// The part of the skeleton fixed at assembly: edges, adjacency, and which subgraphs
-/// contribute to each edge.
+/// The part of the skeleton fixed at assembly: edges, adjacency, each edge's
+/// contributions, and where each subgraph's pair bounds land among them.
 #[derive(Debug)]
 struct SkeletonTopology {
     directed: bool,
@@ -123,8 +125,12 @@ struct SkeletonTopology {
     in_adj: Option<Adjacency<u32>>,
     /// Edge `i`'s contributions are `contribution_start[i]..contribution_start[i + 1]`.
     contribution_start: Vec<u32>,
-    /// The subgraph behind each contribution.
-    contributor: Vec<SubgraphId>,
+    /// The edge each contribution belongs to.
+    contribution_edge: Vec<u32>,
+    /// Subgraph `s`'s pair slots are `slot[slot_start[s]..slot_start[s + 1]]`.
+    slot_start: Vec<u32>,
+    /// For each (subgraph, pair index), in assembly order: its contribution.
+    slot: Vec<u32>,
 }
 
 impl SkeletonTopology {
@@ -167,12 +173,14 @@ impl SkeletonTopology {
 impl SkeletonGraph {
     /// Assembles the skeleton from every subgraph's per-pair lower bounds (Algorithm
     /// 1): one edge per boundary pair that some subgraph indexes, weighted by the
-    /// minimum bound over the subgraphs that index it. Edges are numbered, and each
-    /// edge's contributions ordered, by first appearance in `bounds`; a subgraph that
-    /// appears twice for one pair keeps its last bound.
-    pub fn assemble(
+    /// minimum bound over the subgraphs that index it. Part `s` holds the bounds of
+    /// subgraph `s`, in its pair order. Edges are numbered, and each edge's
+    /// contributions ordered, by first appearance; a subgraph that lists one pair
+    /// twice contributes once, with its last bound, and maintenance of either
+    /// entry patches that contribution.
+    pub fn assemble<P: IntoIterator<Item = LowerBoundChange>>(
         directed: bool,
-        bounds: impl IntoIterator<Item = (SubgraphId, LowerBoundChange)>,
+        parts: impl IntoIterator<Item = P>,
     ) -> Self {
         let mut topology = SkeletonTopology {
             directed,
@@ -181,26 +189,41 @@ impl SkeletonGraph {
             adj: Adjacency::new(),
             in_adj: directed.then(Adjacency::new),
             contribution_start: vec![0],
-            contributor: Vec::new(),
+            contribution_edge: Vec::new(),
+            slot_start: vec![0],
+            slot: Vec::new(),
         };
-        let mut arrivals: Vec<(u32, SubgraphId, Weight)> = bounds
-            .into_iter()
-            .map(|(sg, lb)| (topology.edge_or_insert(lb.a, lb.b), sg, lb.new_lbd))
-            .collect();
+        // One arrival per (subgraph, pair), in slot order.
+        let mut arrivals: Vec<(u32, SubgraphId, Weight)> = Vec::new();
+        for (s, part) in parts.into_iter().enumerate() {
+            let sg = SubgraphId(s as u32);
+            for lb in part {
+                arrivals.push((topology.edge_or_insert(lb.a, lb.b), sg, lb.new_lbd));
+            }
+            topology.slot_start.push(arrivals.len() as u32);
+        }
         // Group by edge; the sort is stable, so each group keeps arrival order.
-        arrivals.sort_by_key(|&(edge, _, _)| edge);
+        let mut order: Vec<u32> = (0..arrivals.len() as u32).collect();
+        order.sort_by_key(|&j| arrivals[j as usize].0);
+        topology.slot = vec![0; arrivals.len()];
+        let mut contributor: Vec<SubgraphId> = Vec::with_capacity(arrivals.len());
         let mut contribution = Vec::with_capacity(arrivals.len());
         let mut weight = Vec::with_capacity(topology.ends.len());
-        for group in arrivals.chunk_by(|x, y| x.0 == y.0) {
+        for group in order.chunk_by(|&x, &y| arrivals[x as usize].0 == arrivals[y as usize].0) {
             let start = contribution.len();
-            for &(_, sg, lbd) in group {
-                match topology.contributor[start..].iter().position(|&s| s == sg) {
-                    Some(i) => contribution[start + i] = lbd,
+            for &j in group {
+                let (edge, sg, lbd) = arrivals[j as usize];
+                let c = match contributor[start..].iter().position(|&s| s == sg) {
+                    Some(i) => start + i,
                     None => {
-                        topology.contributor.push(sg);
+                        contributor.push(sg);
                         contribution.push(lbd);
+                        topology.contribution_edge.push(edge);
+                        contribution.len() - 1
                     }
-                }
+                };
+                contribution[c] = lbd;
+                topology.slot[j as usize] = c as u32;
             }
             topology.contribution_start.push(contribution.len() as u32);
             weight.push(min_weight(&contribution[start..]));
@@ -248,32 +271,16 @@ impl SkeletonGraph {
         })
     }
 
-    /// Updates the lower bound distance subgraph `sg` contributes for the boundary
-    /// pair `(a, b)`. Returns `true` if the edge's effective weight (the minimum over
+    /// Updates the lower bound distance subgraph `sg` contributes for its indexed
+    /// pair number `pair`, the position the pair had in `sg`'s part at assembly.
+    /// Returns `true` if the edge's effective weight (the minimum over
     /// contributions) changed.
-    ///
-    /// # Panics
-    ///
-    /// If `sg` did not contribute to `(a, b)` at assembly. Every indexed pair of every
-    /// subgraph does, and maintenance never adds a pair.
-    pub fn set_contribution(
-        &mut self,
-        a: VertexId,
-        b: VertexId,
-        sg: SubgraphId,
-        lbd: Weight,
-    ) -> bool {
+    pub(crate) fn set_contribution(&mut self, sg: SubgraphId, pair: usize, lbd: Weight) -> bool {
         let topology = &*self.topology;
-        let contributor = topology.edge(a, b).and_then(|edge| {
-            let range = topology.contributions_of(edge);
-            let i = topology.contributor[range.clone()].iter().position(|&s| s == sg)?;
-            Some((edge, range, i))
-        });
-        let Some((edge, range, i)) = contributor else {
-            panic!("subgraph {sg} contributes no bound to skeleton edge ({a}, {b})");
-        };
-        self.contribution[range.start + i] = lbd;
-        let new_weight = min_weight(&self.contribution[range]);
+        let c = topology.slot[topology.slot_start[sg.index()] as usize + pair] as usize;
+        let edge = topology.contribution_edge[c] as usize;
+        self.contribution[c] = lbd;
+        let new_weight = min_weight(&self.contribution[topology.contributions_of(edge)]);
         let changed = !new_weight.approx_eq(self.weight[edge]);
         self.weight[edge] = new_weight;
         changed
@@ -296,8 +303,11 @@ impl SkeletonGraph {
                 a.num_entries() * std::mem::size_of::<(VertexId, u32)>()
                     + a.id_bound() * std::mem::size_of::<u32>()
             })
-            + t.contribution_start.len() * std::mem::size_of::<u32>()
-            + t.contributor.len() * std::mem::size_of::<SubgraphId>()
+            + (t.contribution_start.len()
+                + t.contribution_edge.len()
+                + t.slot_start.len()
+                + t.slot.len())
+                * std::mem::size_of::<u32>()
             + (self.contribution.len() + self.weight.len()) * std::mem::size_of::<Weight>()
     }
 
@@ -454,14 +464,15 @@ mod tests {
         VertexId(i)
     }
 
-    /// A skeleton assembled from `(a, b, subgraph, bound)` contributions.
+    /// A skeleton assembled from `(a, b, subgraph, bound)` contributions; each
+    /// subgraph's pairs are numbered in the order they are listed.
     fn skeleton(directed: bool, bounds: &[(u32, u32, u32, f64)]) -> SkeletonGraph {
-        SkeletonGraph::assemble(
-            directed,
-            bounds.iter().map(|&(a, b, sg, w)| {
-                (SubgraphId(sg), LowerBoundChange { a: v(a), b: v(b), new_lbd: Weight::new(w) })
-            }),
-        )
+        let num_parts = bounds.iter().map(|&(_, _, sg, _)| sg as usize + 1).max().unwrap_or(0);
+        let mut parts = vec![Vec::new(); num_parts];
+        for &(a, b, sg, w) in bounds {
+            parts[sg as usize].push(LowerBoundChange { a: v(a), b: v(b), new_lbd: Weight::new(w) });
+        }
+        SkeletonGraph::assemble(directed, parts)
     }
 
     fn sample_skeleton() -> SkeletonGraph {
@@ -474,30 +485,31 @@ mod tests {
         let mut sk = skeleton(false, &[(1, 2, 0, 5.0), (2, 3, 1, 4.0), (2, 1, 5, 9.0)]);
         assert_eq!(sk.skeleton_edge_weight(v(1), v(2)), Some(Weight::new(5.0)));
         // The second subgraph's bound drops below the first: the weight drops.
-        assert!(sk.set_contribution(v(2), v(1), SubgraphId(5), Weight::new(3.0)));
+        assert!(sk.set_contribution(SubgraphId(5), 0, Weight::new(3.0)));
         assert_eq!(sk.skeleton_edge_weight(v(1), v(2)), Some(Weight::new(3.0)));
         // Raising the non-minimal contribution does not change the weight.
-        assert!(!sk.set_contribution(v(1), v(2), SubgraphId(0), Weight::new(100.0)));
+        assert!(!sk.set_contribution(SubgraphId(0), 0, Weight::new(100.0)));
         assert_eq!(sk.skeleton_edge_weight(v(1), v(2)), Some(Weight::new(3.0)));
         // Raising the minimal contribution re-evaluates the minimum.
-        assert!(sk.set_contribution(v(1), v(2), SubgraphId(5), Weight::new(50.0)));
+        assert!(sk.set_contribution(SubgraphId(5), 0, Weight::new(50.0)));
         assert_eq!(sk.skeleton_edge_weight(v(1), v(2)), Some(Weight::new(50.0)));
-        // At assembly, a subgraph repeated for one pair keeps its last bound.
-        let repeated = skeleton(false, &[(1, 2, 0, 5.0), (2, 1, 0, 7.0)]);
-        assert_eq!(repeated.skeleton_edge_weight(v(1), v(2)), Some(Weight::new(7.0)));
-    }
-
-    #[test]
-    #[should_panic(expected = "contributes no bound")]
-    fn maintenance_cannot_add_a_contribution() {
-        sample_skeleton().set_contribution(v(1), v(2), SubgraphId(1), Weight::new(1.0));
+        // Patching one edge leaves the others alone.
+        assert_eq!(sk.skeleton_edge_weight(v(2), v(3)), Some(Weight::new(4.0)));
+        // At assembly, a subgraph repeated for one pair keeps its last bound, and
+        // both of its slots patch that one contribution.
+        let mut repeated = skeleton(false, &[(1, 2, 0, 5.0), (2, 1, 0, 7.0), (1, 2, 1, 6.0)]);
+        assert_eq!(repeated.skeleton_edge_weight(v(1), v(2)), Some(Weight::new(6.0)));
+        assert!(repeated.set_contribution(SubgraphId(0), 0, Weight::new(1.0)));
+        assert_eq!(repeated.skeleton_edge_weight(v(1), v(2)), Some(Weight::new(1.0)));
+        assert!(repeated.set_contribution(SubgraphId(0), 1, Weight::new(9.0)));
+        assert_eq!(repeated.skeleton_edge_weight(v(1), v(2)), Some(Weight::new(6.0)));
     }
 
     #[test]
     fn clones_share_the_topology_and_own_their_weights() {
         let sk = sample_skeleton();
         let mut next = sk.clone();
-        assert!(next.set_contribution(v(1), v(3), SubgraphId(2), Weight::new(2.0)));
+        assert!(next.set_contribution(SubgraphId(2), 0, Weight::new(2.0)));
         assert!(next.shares_structure_with(&sk));
         assert_eq!(sk.skeleton_edge_weight(v(1), v(3)), Some(Weight::new(20.0)));
         assert_eq!(next.skeleton_edge_weight(v(3), v(1)), Some(Weight::new(2.0)));
@@ -553,7 +565,7 @@ mod tests {
         assert_eq!(into_3, vec![(v(2), Weight::new(4.0)), (v(7), Weight::new(2.0))]);
         // A clone, and a clone whose weights moved, share the same in-adjacency.
         let mut next = sk.clone();
-        assert!(next.set_contribution(v(2), v(3), SubgraphId(1), Weight::new(1.0)));
+        assert!(next.set_contribution(SubgraphId(1), 0, Weight::new(1.0)));
         assert!(next.shares_structure_with(&sk));
         assert!(std::ptr::eq(next.topology.in_adj.as_ref().unwrap(), in_adj));
         let mut moved = Vec::new();

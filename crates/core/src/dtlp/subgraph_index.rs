@@ -35,8 +35,9 @@ pub struct LowerBoundChange {
 /// What one [`SubgraphIndex::apply_updates`] call did.
 #[derive(Debug, Default)]
 pub(crate) struct BoundRefresh {
-    /// The pairs whose lower bound distance changed, each once, in pair order.
-    pub(crate) changes: Vec<LowerBoundChange>,
+    /// The pairs whose lower bound distance changed, each once, in pair order:
+    /// (pair index, new lower bound distance).
+    pub(crate) changes: Vec<(usize, Weight)>,
     /// Number of bounding paths whose stored distance was adjusted (a cost metric).
     pub(crate) paths_touched: usize,
     /// Number of pairs whose Theorem 1 bound was replaced by a searched distance.
@@ -61,8 +62,10 @@ struct PathShape {
 /// last-reported lower bound per pair. Cloning a `SubgraphIndex` (as the
 /// copy-on-write fork of an epoch does) therefore copies those two vectors and
 /// bumps two reference counts; the first update then unshares the subgraph via
-/// `Arc::make_mut`. The shape is never copied: every epoch descended from one
-/// build shares it ([`SubgraphIndex::shares_structure_with`]).
+/// `Arc::make_mut`, which copies its edge records and shares its vertices,
+/// adjacency and lookups ([`Subgraph::shares_shape_with`]). The path shape is
+/// never copied: every epoch descended from one build shares it
+/// ([`SubgraphIndex::shares_structure_with`]).
 #[derive(Debug, Clone)]
 pub struct SubgraphIndex {
     subgraph: Arc<Subgraph>,
@@ -205,8 +208,8 @@ impl SubgraphIndex {
     /// are grouped by first endpoint, so the searches number at most the subgraph's
     /// boundary vertices. Without an arena every bound is Theorem 1's.
     ///
-    /// Returns what changed, each changed pair once, so the caller can patch the
-    /// skeleton graph.
+    /// Returns what changed, each changed pair once by its pair index, so the caller
+    /// can patch the skeleton graph by position.
     pub(crate) fn apply_updates(
         &mut self,
         updates: &[WeightUpdate],
@@ -217,8 +220,9 @@ impl SubgraphIndex {
             return Ok(refresh);
         }
         let table = &self.shape.table;
-        // Copy-on-write: the first update of a batch unshares the subgraph if
-        // a previous epoch still holds it; later updates mutate in place.
+        // Copy-on-write: the first update of a batch unshares the subgraph's
+        // edge records if a previous epoch still holds them (its shape stays
+        // shared); later updates mutate in place.
         for update in updates {
             let delta = Arc::make_mut(&mut self.subgraph).apply_update(update)?;
             if delta == 0.0 {
@@ -260,7 +264,7 @@ impl SubgraphIndex {
                 }
             };
             *last = lbd;
-            refresh.changes.push(LowerBoundChange { a: pair.a, b: pair.b, new_lbd: lbd });
+            refresh.changes.push((i, lbd));
         }
         Ok(refresh)
     }

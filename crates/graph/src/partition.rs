@@ -82,7 +82,9 @@ impl Partitioner {
         // Remaining unassigned incident edges per vertex, to pick good seeds cheaply.
         let mut remaining_degree: Vec<u32> =
             (0..n).map(|v| incident_count(graph, VertexId(v as u32))).collect();
-        let mut subgraphs: Vec<Subgraph> = Vec::new();
+        // Each subgraph's vertices and edges; the subgraphs are built once the
+        // boundary is known.
+        let mut parts: Vec<(Vec<VertexId>, Vec<SubgraphEdge>)> = Vec::new();
         let mut vertex_subgraphs: BTreeMap<VertexId, Vec<SubgraphId>> = BTreeMap::new();
 
         // Seeds are scanned in vertex order; a frontier of vertices that still have
@@ -113,7 +115,7 @@ impl Partitioner {
             };
             let Some(seed) = seed else { break };
 
-            let sg_id = SubgraphId(subgraphs.len() as u32);
+            let sg_id = SubgraphId(parts.len() as u32);
             let mut sg_vertices: BTreeSet<VertexId> = BTreeSet::new();
             sg_vertices.insert(seed);
             let mut sg_edges: Vec<SubgraphEdge> = Vec::new();
@@ -181,27 +183,27 @@ impl Partitioner {
             for &v in &vertices {
                 vertex_subgraphs.entry(v).or_default().push(sg_id);
             }
-            subgraphs.push(Subgraph::new(sg_id, graph.is_directed(), vertices, sg_edges));
+            parts.push((vertices, sg_edges));
         }
 
         // Isolated vertices (degree zero) still need a home so that the union of the
         // subgraph vertex sets equals V.
         for v in graph.vertices() {
             if !vertex_subgraphs.contains_key(&v) {
-                let sg_id = SubgraphId(subgraphs.len() as u32);
+                let sg_id = SubgraphId(parts.len() as u32);
                 vertex_subgraphs.entry(v).or_default().push(sg_id);
-                subgraphs.push(Subgraph::new(sg_id, graph.is_directed(), vec![v], Vec::new()));
+                parts.push((vec![v], Vec::new()));
             }
         }
 
         let boundary: Vec<VertexId> =
             vertex_subgraphs.iter().filter(|(_, sgs)| sgs.len() >= 2).map(|(&v, _)| v).collect();
-        for sg in &mut subgraphs {
-            sg.set_boundary(boundary.clone());
-        }
-
         // Freeze the finished subgraphs behind shared handles.
-        let subgraphs = subgraphs.into_iter().map(Arc::new).collect();
+        let directed = graph.is_directed();
+        let subgraphs = (0..).zip(parts).map(|(i, (vertices, edges))| {
+            Arc::new(Subgraph::restore(SubgraphId(i), directed, vertices, edges, boundary.clone()))
+        });
+        let subgraphs = subgraphs.collect();
         Ok(Partitioning { subgraphs, boundary, vertex_subgraphs, edge_owner })
     }
 }

@@ -7,7 +7,8 @@
 //!
 //! In the distributed deployment each subgraph lives on one worker and receives the
 //! weight updates for its own edges, so a [`Subgraph`] stores its own copy of the
-//! current weights rather than referencing the master copy of the graph.
+//! current weights rather than referencing the master copy of the graph. Its
+//! structure is shared: see [`Subgraph::shares_shape_with`].
 
 use crate::error::GraphError;
 use crate::ids::{EdgeId, SubgraphId, VertexId};
@@ -15,6 +16,7 @@ use crate::update::WeightUpdate;
 use crate::view::GraphView;
 use crate::weight::Weight;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// An edge owned by a subgraph, carrying its own copy of the evolving weight.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,99 +42,147 @@ impl SubgraphEdge {
 }
 
 /// One partition of the graph: at most `z` vertices, a disjoint set of edges.
+///
+/// Structure and weights are held apart. Everything fixed at partitioning — the
+/// vertex set, the adjacency, the edge lookup and the boundary — sits in a shared
+/// `SubgraphShape`; only the edge records, whose current weights the owning
+/// worker updates, belong to the value. Cloning a subgraph (as an epoch's
+/// copy-on-write fork of a dirty subgraph does) therefore copies the edge records
+/// and bumps one reference count ([`Subgraph::shares_shape_with`]).
 #[derive(Debug, Clone)]
 pub struct Subgraph {
+    shape: Arc<SubgraphShape>,
+    /// Edges owned by this subgraph, in construction order.
+    edges: Vec<SubgraphEdge>,
+}
+
+/// The part of a [`Subgraph`] that never changes after construction.
+#[derive(Debug)]
+struct SubgraphShape {
     id: SubgraphId,
     directed: bool,
-    /// Sorted list of the (global) vertices of this subgraph.
+    /// Sorted list of the (global) vertices of this subgraph; a vertex's position
+    /// here is its local index.
     vertices: Vec<VertexId>,
-    /// Maps a global vertex id to its index in `vertices` / `adj`.
-    vertex_index: HashMap<VertexId, u32>,
-    /// Edges owned by this subgraph.
-    edges: Vec<SubgraphEdge>,
-    /// Maps a global edge id to its index in `edges`.
+    /// Local vertex `i`'s adjacency is `adj[adj_start[i]..adj_start[i + 1]]`.
+    adj_start: Vec<u32>,
+    /// Adjacency entries (global neighbour id, local edge index), each vertex's in
+    /// edge order.
+    adj: Vec<(VertexId, u32)>,
+    /// Maps a global edge id to its index in the edge records.
     edge_index: HashMap<EdgeId, u32>,
-    /// Local adjacency, indexed by local vertex index; entries are
-    /// (global neighbour id, local edge index).
-    adj: Vec<Vec<(VertexId, u32)>>,
-    /// Boundary vertices of this subgraph (subset of `vertices`), set by the
-    /// partitioner once all subgraphs are known.
+    /// Boundary vertices of this subgraph (a sorted subset of `vertices`).
     boundary: Vec<VertexId>,
 }
 
+impl SubgraphShape {
+    #[inline]
+    fn local_index(&self, v: VertexId) -> Option<usize> {
+        self.vertices.binary_search(&v).ok()
+    }
+
+    /// The adjacency entries of `v`, empty if `v` is not in the subgraph.
+    #[inline]
+    fn adjacency(&self, v: VertexId) -> &[(VertexId, u32)] {
+        match self.local_index(v) {
+            Some(i) => &self.adj[self.adj_start[i] as usize..self.adj_start[i + 1] as usize],
+            None => &[],
+        }
+    }
+}
+
 impl Subgraph {
-    /// Creates a subgraph from its vertex set and owned edges.
+    /// Creates a subgraph from its vertex set and owned edges, with no boundary.
     ///
     /// The vertex set must contain every endpoint of every edge; this is checked.
     pub fn new(
         id: SubgraphId,
         directed: bool,
-        mut vertices: Vec<VertexId>,
+        vertices: Vec<VertexId>,
         edges: Vec<SubgraphEdge>,
     ) -> Self {
-        vertices.sort_unstable();
-        vertices.dedup();
-        let vertex_index: HashMap<VertexId, u32> =
-            vertices.iter().enumerate().map(|(i, &v)| (v, i as u32)).collect();
-        let mut adj = vec![Vec::new(); vertices.len()];
-        let mut edge_index = HashMap::with_capacity(edges.len());
-        for (i, e) in edges.iter().enumerate() {
-            let iu = *vertex_index
-                .get(&e.u)
-                .unwrap_or_else(|| panic!("edge endpoint {} missing from subgraph {}", e.u, id));
-            let iv = *vertex_index
-                .get(&e.v)
-                .unwrap_or_else(|| panic!("edge endpoint {} missing from subgraph {}", e.v, id));
-            adj[iu as usize].push((e.v, i as u32));
-            if !directed {
-                adj[iv as usize].push((e.u, i as u32));
-            }
-            edge_index.insert(e.global_id, i as u32);
-        }
-        Subgraph {
-            id,
-            directed,
-            vertices,
-            vertex_index,
-            edges,
-            edge_index,
-            adj,
-            boundary: Vec::new(),
-        }
+        Subgraph::restore(id, directed, vertices, edges, Vec::new())
     }
 
-    /// Rebuilds a subgraph from its persisted parts, including the boundary
-    /// vertex list the partitioner had assigned. The decode-side counterpart of
-    /// [`Subgraph::vertices`] / [`Subgraph::edges`] / [`Subgraph::boundary_vertices`],
-    /// used by `ksp-store` to reconstruct checkpointed subgraphs exactly.
+    /// Creates a subgraph with its boundary vertex list, as the partitioner
+    /// assigns it. The list is filtered to vertices of this subgraph and sorted.
+    /// Also the decode-side counterpart of [`Subgraph::vertices`] /
+    /// [`Subgraph::edges`] / [`Subgraph::boundary_vertices`], used by `ksp-store`
+    /// to reconstruct checkpointed subgraphs exactly.
+    ///
+    /// The vertex set must contain every endpoint of every edge; this is checked.
     pub fn restore(
         id: SubgraphId,
         directed: bool,
-        vertices: Vec<VertexId>,
+        mut vertices: Vec<VertexId>,
         edges: Vec<SubgraphEdge>,
-        boundary: Vec<VertexId>,
+        mut boundary: Vec<VertexId>,
     ) -> Self {
-        let mut subgraph = Subgraph::new(id, directed, vertices, edges);
-        subgraph.set_boundary(boundary);
-        subgraph
+        vertices.sort_unstable();
+        vertices.dedup();
+        let local = |v: VertexId| {
+            vertices
+                .binary_search(&v)
+                .unwrap_or_else(|_| panic!("edge endpoint {v} missing from subgraph {id}"))
+        };
+        // CSR by counting sort: entries are placed in edge order, so each vertex
+        // lists its edges in the order they were given (search tie-breaking
+        // depends on it).
+        let mut adj_start = vec![0u32; vertices.len() + 1];
+        for e in &edges {
+            let (iu, iv) = (local(e.u), local(e.v));
+            adj_start[iu + 1] += 1;
+            if !directed {
+                adj_start[iv + 1] += 1;
+            }
+        }
+        for i in 1..adj_start.len() {
+            adj_start[i] += adj_start[i - 1];
+        }
+        let mut fill = adj_start.clone();
+        let mut adj = vec![(VertexId(0), 0); adj_start[vertices.len()] as usize];
+        let mut edge_index = HashMap::with_capacity(edges.len());
+        for (i, e) in edges.iter().enumerate() {
+            let mut push = |from: VertexId, to: VertexId| {
+                let slot = &mut fill[local(from)];
+                adj[*slot as usize] = (to, i as u32);
+                *slot += 1;
+            };
+            push(e.u, e.v);
+            if !directed {
+                push(e.v, e.u);
+            }
+            edge_index.insert(e.global_id, i as u32);
+        }
+        boundary.retain(|v| vertices.binary_search(v).is_ok());
+        boundary.sort_unstable();
+        boundary.dedup();
+        let shape = SubgraphShape { id, directed, vertices, adj_start, adj, edge_index, boundary };
+        Subgraph { shape: Arc::new(shape), edges }
     }
 
     /// Identifier of this subgraph.
     #[inline]
     pub fn id(&self) -> SubgraphId {
-        self.id
+        self.shape.id
     }
 
     /// Whether the subgraph (and the graph it came from) is directed.
     #[inline]
     pub fn is_directed(&self) -> bool {
-        self.directed
+        self.shape.directed
+    }
+
+    /// Whether `self` and `other` share one shape allocation. Weight updates never
+    /// copy the shape, so every epoch descended from one construction shares it.
+    pub fn shares_shape_with(&self, other: &Subgraph) -> bool {
+        Arc::ptr_eq(&self.shape, &other.shape)
     }
 
     /// Number of vertices in this subgraph.
     #[inline]
     pub fn num_vertices(&self) -> usize {
-        self.vertices.len()
+        self.shape.vertices.len()
     }
 
     /// Number of edges owned by this subgraph.
@@ -144,7 +194,7 @@ impl Subgraph {
     /// The (sorted, global) vertices of this subgraph.
     #[inline]
     pub fn vertices(&self) -> &[VertexId] {
-        &self.vertices
+        &self.shape.vertices
     }
 
     /// The edges owned by this subgraph.
@@ -156,33 +206,24 @@ impl Subgraph {
     /// The boundary vertices of this subgraph (vertices shared with other subgraphs).
     #[inline]
     pub fn boundary_vertices(&self) -> &[VertexId] {
-        &self.boundary
-    }
-
-    /// Sets the boundary vertex list. Called by the partitioner; the list is filtered
-    /// to vertices actually present in this subgraph and sorted.
-    pub(crate) fn set_boundary(&mut self, mut boundary: Vec<VertexId>) {
-        boundary.retain(|v| self.contains_vertex(*v));
-        boundary.sort_unstable();
-        boundary.dedup();
-        self.boundary = boundary;
+        &self.shape.boundary
     }
 
     /// Whether `v` belongs to this subgraph.
     #[inline]
     pub fn contains_vertex(&self, v: VertexId) -> bool {
-        self.vertex_index.contains_key(&v)
+        self.shape.local_index(v).is_some()
     }
 
     /// Whether this subgraph owns the edge with the given global id.
     #[inline]
     pub fn owns_edge(&self, e: EdgeId) -> bool {
-        self.edge_index.contains_key(&e)
+        self.shape.edge_index.contains_key(&e)
     }
 
     /// Returns the locally stored edge with the given global id, if owned.
     pub fn edge(&self, e: EdgeId) -> Option<&SubgraphEdge> {
-        self.edge_index.get(&e).map(|&i| &self.edges[i as usize])
+        self.shape.edge_index.get(&e).map(|&i| &self.edges[i as usize])
     }
 
     /// Applies a weight update to an edge owned by this subgraph.
@@ -191,6 +232,7 @@ impl Subgraph {
     /// error if the edge is not owned here (the caller routed the update incorrectly).
     pub fn apply_update(&mut self, update: &WeightUpdate) -> Result<f64, GraphError> {
         let idx = *self
+            .shape
             .edge_index
             .get(&update.edge)
             .ok_or(GraphError::EdgeOutOfRange { edge: update.edge, num_edges: self.edges.len() })?;
@@ -217,30 +259,20 @@ impl Subgraph {
     /// weight (vfrag count) alongside the current weight, which the DTLP bounding-path
     /// search needs (it measures paths in vfrags, not current travel time).
     pub fn for_each_incident_edge(&self, v: VertexId, mut f: impl FnMut(VertexId, &SubgraphEdge)) {
-        if let Some(&i) = self.vertex_index.get(&v) {
-            for &(to, ei) in &self.adj[i as usize] {
-                f(to, &self.edges[ei as usize]);
-            }
+        for &(to, ei) in self.shape.adjacency(v) {
+            f(to, &self.edges[ei as usize]);
         }
     }
 
-    /// Local index of a vertex, if present. Exposed for dense per-vertex scratch
-    /// structures built by indexes over this subgraph.
-    pub fn local_index(&self, v: VertexId) -> Option<usize> {
-        self.vertex_index.get(&v).map(|&i| i as usize)
-    }
-
-    /// Estimated memory footprint of the subgraph structure in bytes.
+    /// Estimated memory footprint of the subgraph structure in bytes: the shape,
+    /// counted in full, plus the edge records.
     pub fn memory_bytes(&self) -> usize {
-        self.vertices.len() * std::mem::size_of::<VertexId>()
+        let s = &*self.shape;
+        (s.vertices.len() + s.boundary.len()) * std::mem::size_of::<VertexId>()
             + self.edges.len() * std::mem::size_of::<SubgraphEdge>()
-            + self
-                .adj
-                .iter()
-                .map(|a| a.len() * std::mem::size_of::<(VertexId, u32)>())
-                .sum::<usize>()
-            + self.vertex_index.len() * (std::mem::size_of::<VertexId>() + 4)
-            + self.edge_index.len() * (std::mem::size_of::<EdgeId>() + 4)
+            + s.adj.len() * std::mem::size_of::<(VertexId, u32)>()
+            + s.adj_start.len() * std::mem::size_of::<u32>()
+            + s.edge_index.len() * (std::mem::size_of::<EdgeId>() + 4)
     }
 }
 
@@ -248,7 +280,7 @@ impl GraphView for Subgraph {
     fn num_vertices(&self) -> usize {
         // Scratch tables in the algorithms are indexed by *global* vertex id, so report
         // an upper bound on the global id space covered by this subgraph.
-        self.vertices.last().map(|v| v.index() + 1).unwrap_or(0)
+        self.shape.vertices.last().map(|v| v.index() + 1).unwrap_or(0)
     }
 
     fn contains_vertex(&self, v: VertexId) -> bool {
@@ -256,16 +288,14 @@ impl GraphView for Subgraph {
     }
 
     fn for_each_neighbor(&self, v: VertexId, mut f: impl FnMut(VertexId, Weight)) {
-        if let Some(&i) = self.vertex_index.get(&v) {
-            for &(to, ei) in &self.adj[i as usize] {
-                f(to, self.edges[ei as usize].current_weight);
-            }
+        for &(to, ei) in self.shape.adjacency(v) {
+            f(to, self.edges[ei as usize].current_weight);
         }
     }
 
     fn edge_weight(&self, u: VertexId, v: VertexId) -> Option<Weight> {
-        let &iu = self.vertex_index.get(&u)?;
-        self.adj[iu as usize]
+        self.shape
+            .adjacency(u)
             .iter()
             .find(|&&(to, _)| to == v)
             .map(|&(_, ei)| self.edges[ei as usize].current_weight)
@@ -295,12 +325,14 @@ mod tests {
         let sg = sample_subgraph();
         assert_eq!(sg.num_vertices(), 4);
         assert_eq!(sg.num_edges(), 5);
-        let mut n = sg.neighbors(VertexId(10));
-        n.sort();
-        assert_eq!(n.len(), 3);
-        assert_eq!(n[0].0, VertexId(11));
-        assert_eq!(n[1].0, VertexId(12));
-        assert_eq!(n[2].0, VertexId(13));
+        // Each vertex lists its edges in the order they were given (10-11, 11-12,
+        // 12-13, 13-10, 10-12): search tie-breaking depends on it.
+        let order = |v: u32| -> Vec<u32> {
+            sg.neighbors(VertexId(v)).into_iter().map(|(u, _)| u.0).collect()
+        };
+        assert_eq!(order(10), vec![11, 13, 12]);
+        assert_eq!(order(12), vec![11, 13, 10]);
+        assert!(order(99).is_empty());
     }
 
     #[test]
@@ -314,13 +346,18 @@ mod tests {
 
     #[test]
     fn apply_update_changes_only_current_weight() {
-        let mut sg = sample_subgraph();
+        let base = sample_subgraph();
+        let mut sg = base.clone();
         let delta = sg.apply_update(&WeightUpdate::new(EdgeId(1), Weight::new(6.0))).unwrap();
         assert_eq!(delta, 4.0);
         let e = sg.edge(EdgeId(1)).unwrap();
         assert_eq!(e.current_weight, Weight::new(6.0));
         assert_eq!(e.initial_weight, 2);
         assert_eq!(e.unit_weight(), Weight::new(3.0));
+        // The clone owns its weights and shares the shape it was cloned from.
+        assert_eq!(base.edge(EdgeId(1)).unwrap().current_weight, Weight::new(2.0));
+        assert!(sg.shares_shape_with(&base));
+        assert!(!sample_subgraph().shares_shape_with(&base));
     }
 
     #[test]
@@ -371,8 +408,14 @@ mod tests {
 
     #[test]
     fn boundary_setter_filters_and_sorts() {
-        let mut sg = sample_subgraph();
-        sg.set_boundary(vec![VertexId(13), VertexId(10), VertexId(99), VertexId(13)]);
+        let base = sample_subgraph();
+        let sg = Subgraph::restore(
+            base.id(),
+            false,
+            base.vertices().to_vec(),
+            base.edges().to_vec(),
+            vec![VertexId(13), VertexId(10), VertexId(99), VertexId(13)],
+        );
         assert_eq!(sg.boundary_vertices(), &[VertexId(10), VertexId(13)]);
     }
 

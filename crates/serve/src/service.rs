@@ -870,8 +870,9 @@ impl QueryService {
     /// structure: the graph fork copies its weight table and shares its
     /// topology; the index fork unshares only the subgraph indexes the batch
     /// routes updates into, each copying its bounding-path distances, pair
-    /// bounds and subgraph edge list while sharing its path shape, and the
-    /// skeleton copies its weights while sharing its topology (everything
+    /// bounds and subgraph edge records while sharing its path shape and
+    /// subgraph shape, and the skeleton copies its weights while sharing its
+    /// topology (everything
     /// else stays pointer-shared across epochs). For a persistent service
     /// the batch is additionally appended to the delta log (fsync-on-commit)
     /// *before* the epoch becomes visible: an epoch a reader can observe is
@@ -2060,6 +2061,13 @@ mod tests {
             before.index().subgraph_index_handle(owner),
             after.index().subgraph_index_handle(owner)
         ));
+        // Even the dirtied subgraph copied only its weights: its edge records are
+        // its own, its shape (vertices, adjacency, lookups, boundary) is shared.
+        let (old, new) =
+            (before.index().subgraph_index(owner), after.index().subgraph_index(owner));
+        assert!(!Arc::ptr_eq(old.subgraph_handle(), new.subgraph_handle()));
+        assert!(new.subgraph().shares_shape_with(old.subgraph()), "the subgraph was deep-copied");
+        assert!(new.shares_structure_with(old), "the bounding-path shape was copied");
         // The published snapshot and the masters share one Arc pair: applying
         // the next batch forks off the published epoch, not a private copy.
         let masters_snapshot = service.snapshot();

@@ -18,7 +18,6 @@ use ksp_core::dtlp::{
     BoundingPath, BoundingPathSet, DtlpConfig, DtlpIndex, PairPaths, SubgraphIndex,
 };
 use ksp_graph::{Subgraph, SubgraphId, VertexId, Weight};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The index holds its per-subgraph entries as shared COW handles; on disk a
@@ -100,13 +99,11 @@ impl StoreCodec for DtlpIndex {
         self.config().encode(w);
         self.is_directed().encode(w);
         encode_slice(self.subgraph_indexes(), w);
-        // Vertex memberships, sorted by vertex id for a canonical encoding
-        // (the map iterates in hash order). Per-vertex membership order is
-        // preserved verbatim: it determines refine-step candidate order.
-        let mut memberships: Vec<(VertexId, &[SubgraphId])> = self.vertex_memberships().collect();
-        memberships.sort_unstable_by_key(|(v, _)| *v);
+        // Vertex memberships by ascending vertex id. Per-vertex membership
+        // order is preserved verbatim: it determines refine-step candidate order.
+        let memberships = self.vertex_memberships();
         w.put_u64(memberships.len() as u64);
-        for (v, sgs) in &memberships {
+        for (v, sgs) in memberships {
             v.encode(w);
             encode_slice(sgs, w);
         }
@@ -118,17 +115,21 @@ impl StoreCodec for DtlpIndex {
         let directed = bool::decode(r)?;
         let subgraph_indexes = Vec::<Arc<SubgraphIndex>>::decode(r)?;
         let num_memberships = r.get_count(12)?; // vertex id + empty-list length
-        let mut vertex_subgraphs = HashMap::with_capacity(num_memberships);
-        for _ in 0..num_memberships {
-            let v = VertexId::decode(r)?;
-            let sgs = Vec::<SubgraphId>::decode(r)?;
-            vertex_subgraphs.insert(v, sgs);
+        let mut vertex_subgraphs = Vec::with_capacity(num_memberships);
+        for i in 0..num_memberships {
+            if VertexId::decode(r)?.index() != i {
+                return Err(CodecError::InvalidValue("vertex memberships out of order"));
+            }
+            vertex_subgraphs.push(Vec::<SubgraphId>::decode(r)?);
         }
         let edge_owner = Vec::<SubgraphId>::decode(r)?;
         let boundary = Vec::<VertexId>::decode(r)?;
         let num_subgraphs = subgraph_indexes.len() as u32;
         if edge_owner.iter().any(|sg| sg.0 >= num_subgraphs) {
             return Err(CodecError::InvalidValue("edge owner references unknown subgraph"));
+        }
+        if vertex_subgraphs.iter().flatten().any(|sg| sg.0 >= num_subgraphs) {
+            return Err(CodecError::InvalidValue("vertex membership references unknown subgraph"));
         }
         Ok(DtlpIndex::assemble_shared(
             config,
@@ -230,6 +231,32 @@ mod tests {
         assert!(matches!(
             DtlpIndex::from_bytes(&bytes),
             Err(CodecError::InvalidValue("edge owner references unknown subgraph"))
+        ));
+    }
+
+    #[test]
+    fn corrupt_vertex_memberships_are_rejected() {
+        let graph = grid_graph(4);
+        let index = DtlpIndex::build(&graph, DtlpConfig::new(6, 1)).unwrap();
+        let bytes = index.to_bytes();
+        // The memberships end where the edge owners and the boundary list begin
+        // (each a u64 count + 4 bytes per entry). The last entry is the last
+        // vertex: its id, then its subgraph list.
+        let tail = 8 + index.edge_owners().len() * 4 + 8 + index.boundary_vertices().len() * 4;
+        let end = bytes.len() - tail;
+        let last = VertexId(graph.num_vertices() as u32 - 1);
+        let id_end = end - index.subgraphs_of_vertex(last).len() * 4 - 8;
+        let mut unknown = bytes.clone();
+        unknown[end - 4..end].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(
+            DtlpIndex::from_bytes(&unknown),
+            Err(CodecError::InvalidValue("vertex membership references unknown subgraph"))
+        ));
+        let mut reordered = bytes;
+        reordered[id_end - 4..id_end].copy_from_slice(&0u32.to_le_bytes());
+        assert!(matches!(
+            DtlpIndex::from_bytes(&reordered),
+            Err(CodecError::InvalidValue("vertex memberships out of order"))
         ));
     }
 }
