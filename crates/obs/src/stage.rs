@@ -60,9 +60,11 @@ pub trait StageSet: Copy + Eq + Debug + 'static {
 /// The stages partition the interval from submission to reply, in this order:
 ///
 /// 1. [`Admission`](Stage::Admission) — validation and shard routing, up to
-///    the moment the request is enqueued.
+///    the moment the request is enqueued; for a cache hit answered at
+///    admission, up to its cache lookup.
 /// 2. [`Queue`](Stage::Queue) — waiting in the home shard's bounded queue
-///    until a worker begins processing it. Zero when the request was stolen.
+///    until a worker begins processing it. Zero when the request was stolen
+///    or answered at admission.
 /// 3. [`Steal`](Stage::Steal) — the same wait, attributed here instead of
 ///    [`Queue`](Stage::Queue) when a *thief* worker drained the request from
 ///    another shard's queue. Exactly one of Queue/Steal is non-zero per

@@ -23,8 +23,10 @@
 //! predicted = queue_depth × blended_service_time + own_class_service_time
 //! ```
 //!
-//! When the prediction breaches the `slo_p99`-derived budget the request is
-//! rejected *before* it queues, with a `retry_after_ms` hint telling the
+//! The service asks only about requests that would queue: a current cache
+//! hit is answered at admission, waits behind no backlog and is always
+//! admitted. When the prediction breaches the `slo_p99`-derived budget the
+//! request is rejected *before* it queues, with a `retry_after_ms` hint telling the
 //! client how far over budget the backlog currently is. Overload thus shows up
 //! as fast typed rejections instead of SLO breaches on admitted work.
 
@@ -351,8 +353,9 @@ impl AdmissionController {
     }
 
     /// Decides one arriving request: `depth` is the target shard's live queue
-    /// depth, `predicted` the request's cost class (from a trace-checked peek
-    /// at the home shard's cache).
+    /// depth, `predicted` the cost class of the work it would queue for (the
+    /// service queues only misses, so it asks with
+    /// [`CostClass::EngineRun`]).
     pub fn assess(&self, depth: usize, predicted: CostClass) -> AdmissionVerdict {
         if self.budget_nanos == 0 {
             return AdmissionVerdict::Admit;

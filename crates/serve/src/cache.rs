@@ -152,14 +152,6 @@ impl ResultCache {
         Some(&self.slab[slot].value)
     }
 
-    /// Whether a [`ResultCache::get`] for `key` at `epoch` would hit, without
-    /// bumping recency. The admission path uses this to *predict* a request's
-    /// cost class before deciding whether to enqueue it; only the worker's
-    /// actual `get` marks the entry as used.
-    pub fn peek_fresh(&self, key: &CacheKey, epoch: u64) -> bool {
-        self.map.get(key).is_some_and(|&slot| self.slab[slot].epoch == epoch)
-    }
-
     /// Inserts or replaces the entry for `key` with an answer exact for
     /// `epoch` carrying dependency set `trace`, evicting a victim if the
     /// cache is full.
@@ -572,22 +564,6 @@ mod tests {
             assert_eq!(outcome.retained, 1, "entry must survive publish {epoch}");
         }
         assert!(cache.get(&key(0, 1, 2), 50).is_some());
-    }
-
-    #[test]
-    fn peek_fresh_predicts_get_without_bumping_recency() {
-        let mut cache = ResultCache::new(2);
-        cache.insert(key(0, 1, 1), 3, trace(&[1]), path(1.0));
-        assert!(cache.peek_fresh(&key(0, 1, 1), 3));
-        assert!(!cache.peek_fresh(&key(0, 1, 1), 4), "stale epoch must predict a miss");
-        assert!(!cache.peek_fresh(&key(0, 9, 1), 3), "absent key must predict a miss");
-        // The peek must not have bumped 0->1: after inserting 0->2, the next
-        // insert still evicts 0->1 (it stayed least recently used).
-        cache.insert(key(0, 2, 1), 3, trace(&[1]), path(2.0));
-        let _ = cache.get(&key(0, 2, 1), 3);
-        assert!(cache.peek_fresh(&key(0, 1, 1), 3));
-        cache.insert(key(0, 3, 1), 3, trace(&[1]), path(3.0));
-        assert!(!cache.peek_fresh(&key(0, 1, 1), 3), "peek kept LRU order intact");
     }
 
     #[test]

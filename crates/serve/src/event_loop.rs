@@ -12,11 +12,13 @@
 //!              ┌────────────────────────────────────────────┐
 //!   accept ──▶ │ poller thread (epoll: listener + N socks)  │
 //!              │  · non-blocking read → reassemble frames   │
+//!              │  · Query: submit; a cache hit (or a        │
+//!              │    rejection) replies inline, right here   │
 //!              │  · non-blocking write of queued responses  │
 //!              └───┬─────────────▲───────────────┬──────▲───┘
-//!         Query:   │ completions │ every other   │      │ completions
-//!   submit (the    │ (self-pipe  │ request       │      │ (self-pipe
-//!   service admits)│  wake)      │ (mpsc)        │      │  wake)
+//!   Query miss:    │ completions │ every other   │      │ completions
+//!   queued on its  │ (self-pipe  │ request       │      │ (self-pipe
+//!   home shard     │  wake)      │ (mpsc)        │      │  wake)
 //!              ┌───▼─────────────┴───┐      ┌────▼──────┴───┐
 //!              │ home shard's queue  │      │ control thread│
 //!              │ → shard worker runs │      │ · handle()    │
@@ -33,14 +35,19 @@
 //! CRC).
 //!
 //! A single `Query` (bare or in one trace envelope) goes straight to the
-//! service's own admission, which queues it on its home shard without
-//! blocking; the shard worker that answers it runs the reply callback,
-//! which frames the response and hands it back through a completion queue.
-//! A rejected query is answered through the same callback, so the service
-//! counts every rejection once, and the connection stays healthy. Every
-//! other request goes to the control thread, which runs
-//! [`QueryService::handle`]. A self-pipe wakes the poller to write
-//! completions out.
+//! service's own admission. A current cache hit is answered there and then:
+//! its reply callback frames the response on the poller itself, so a hit
+//! crosses no thread hand-over. A miss is queued on its home shard without
+//! blocking, and the shard worker that answers it runs the reply callback,
+//! so a miss crosses two hand-overs: to the worker and back. Either way the
+//! framed response reaches the connection through a completion queue. A
+//! rejected query is answered inline through the same callback, so the
+//! service counts every rejection once, and the connection stays healthy.
+//! Every other request goes to the control thread, which runs
+//! [`QueryService::handle`]. Another thread's completion writes a byte to a
+//! self-pipe to wake the poller; one made on the poller needs none, because
+//! the poller applies completions until the queue is empty before it waits
+//! again.
 //!
 //! Requests of one connection are handed on strictly in arrival order, one
 //! at a time — a pipelined client gets its responses in request order.
@@ -62,172 +69,14 @@ use std::io::{self, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
+use std::thread::{JoinHandle, ThreadId};
 use std::time::Instant;
 
 /// Raw, dependency-free bindings to the handful of kernel calls the loop
 /// needs: epoll for readiness, a pipe for cross-thread wakeup. `std` already
 /// links libc on Linux, so these resolve without any external crate.
-mod sys {
-    use std::io;
-    use std::os::raw::{c_int, c_void};
-
-    /// One epoll readiness record. The kernel packs `struct epoll_event`
-    /// on x86-64 *only*; every other Linux arch lays it out naturally
-    /// aligned (4 padding bytes after `events`, `data` at offset 8). The
-    /// repr must mirror the kernel's per-arch layout or every record after
-    /// the first in an `epoll_wait` batch is read at the wrong offset. On
-    /// the packed arch, field reads must copy (never borrow) — both fields
-    /// are plain integers, which keeps that invisible.
-    #[cfg_attr(target_arch = "x86_64", repr(C, packed))]
-    #[cfg_attr(not(target_arch = "x86_64"), repr(C))]
-    #[derive(Clone, Copy)]
-    pub struct EpollEvent {
-        /// Readiness bit set (`EPOLLIN` | `EPOLLOUT` | ...).
-        pub events: u32,
-        /// The caller's token, echoed back verbatim.
-        pub data: u64,
-    }
-
-    pub const EPOLLIN: u32 = 0x001;
-    pub const EPOLLOUT: u32 = 0x004;
-    pub const EPOLLERR: u32 = 0x008;
-    pub const EPOLLHUP: u32 = 0x010;
-
-    const EPOLL_CTL_ADD: c_int = 1;
-    const EPOLL_CTL_DEL: c_int = 2;
-    const EPOLL_CTL_MOD: c_int = 3;
-    const EPOLL_CLOEXEC: c_int = 0o2000000;
-    const O_NONBLOCK: c_int = 0o4000;
-    const O_CLOEXEC: c_int = 0o2000000;
-
-    extern "C" {
-        fn epoll_create1(flags: c_int) -> c_int;
-        fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
-        fn epoll_wait(
-            epfd: c_int,
-            events: *mut EpollEvent,
-            maxevents: c_int,
-            timeout: c_int,
-        ) -> c_int;
-        fn pipe2(fds: *mut c_int, flags: c_int) -> c_int;
-        fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
-        fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
-        fn close(fd: c_int) -> c_int;
-    }
-
-    /// An owned epoll instance.
-    pub struct Epoll {
-        fd: c_int,
-    }
-
-    impl Epoll {
-        pub fn new() -> io::Result<Epoll> {
-            let fd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
-            if fd < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(Epoll { fd })
-        }
-
-        fn ctl(&self, op: c_int, fd: c_int, token: u64, interest: u32) -> io::Result<()> {
-            let mut ev = EpollEvent { events: interest, data: token };
-            if unsafe { epoll_ctl(self.fd, op, fd, &mut ev) } == 0 {
-                Ok(())
-            } else {
-                Err(io::Error::last_os_error())
-            }
-        }
-
-        pub fn add(&self, fd: c_int, token: u64, interest: u32) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_ADD, fd, token, interest)
-        }
-
-        pub fn modify(&self, fd: c_int, token: u64, interest: u32) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_MOD, fd, token, interest)
-        }
-
-        pub fn delete(&self, fd: c_int) {
-            let _ = self.ctl(EPOLL_CTL_DEL, fd, 0, 0);
-        }
-
-        /// Blocks up to `timeout_ms` for readiness, retrying on `EINTR`.
-        pub fn wait(&self, events: &mut [EpollEvent], timeout_ms: c_int) -> io::Result<usize> {
-            loop {
-                let n = unsafe {
-                    epoll_wait(self.fd, events.as_mut_ptr(), events.len() as c_int, timeout_ms)
-                };
-                if n >= 0 {
-                    return Ok(n as usize);
-                }
-                let err = io::Error::last_os_error();
-                if err.kind() != io::ErrorKind::Interrupted {
-                    return Err(err);
-                }
-            }
-        }
-    }
-
-    impl Drop for Epoll {
-        fn drop(&mut self) {
-            unsafe {
-                close(self.fd);
-            }
-        }
-    }
-
-    /// A non-blocking self-pipe: completing threads write a byte to wake the
-    /// poller out of `epoll_wait`; the poller drains it on wakeup.
-    pub struct WakePipe {
-        read_fd: c_int,
-        write_fd: c_int,
-    }
-
-    impl WakePipe {
-        pub fn new() -> io::Result<WakePipe> {
-            let mut fds: [c_int; 2] = [0; 2];
-            if unsafe { pipe2(fds.as_mut_ptr(), O_NONBLOCK | O_CLOEXEC) } != 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(WakePipe { read_fd: fds[0], write_fd: fds[1] })
-        }
-
-        pub fn read_fd(&self) -> c_int {
-            self.read_fd
-        }
-
-        /// Writes one wake byte. Failure (pipe full) means a wake is already
-        /// pending — exactly as good.
-        pub fn wake(&self) {
-            let byte = [1u8];
-            // SAFETY: `write_fd` is this pipe's write end, open until `self`
-            // drops, and `byte` is one readable byte.
-            let _ = unsafe { write(self.write_fd, byte.as_ptr() as *const c_void, 1) };
-        }
-
-        /// Empties the pipe. A full pipe means a wake is already pending, so
-        /// short reads and `EAGAIN` are both fine.
-        pub fn drain(&self) {
-            let mut buf = [0u8; 64];
-            loop {
-                let n = unsafe { read(self.read_fd, buf.as_mut_ptr() as *mut c_void, buf.len()) };
-                if n <= 0 {
-                    return;
-                }
-            }
-        }
-    }
-
-    impl Drop for WakePipe {
-        fn drop(&mut self) {
-            unsafe {
-                close(self.read_fd);
-                close(self.write_fd);
-            }
-        }
-    }
-}
+mod sys;
 
 /// Token the listener registers under; connection tokens count up from zero
 /// and cannot collide before the heat death of the universe.
@@ -325,6 +174,10 @@ struct Completion {
 struct LoopShared {
     shutting_down: AtomicBool,
     completions: Mutex<Vec<Completion>>,
+    /// The poller's thread, set once when it starts: a completion produced
+    /// on it (an inline cache hit, a rejection) needs no wake byte, because
+    /// the poller applies completions until none are left before it waits.
+    poller: OnceLock<ThreadId>,
     /// The self-pipe, owned here rather than by the poller so that a reply
     /// completing after the poller exited still writes into this pipe, never
     /// into a closed (and possibly reused) descriptor.
@@ -333,8 +186,9 @@ struct LoopShared {
 }
 
 impl LoopShared {
-    /// Frames `response` for connection `token`, queues it for the poller and
-    /// wakes it. Never blocks: it runs on shard workers too.
+    /// Frames `response` for connection `token` and queues it for the
+    /// poller, waking it unless this is the poller's own thread. Never
+    /// blocks: it runs on shard workers too.
     fn complete(&self, token: u64, submitted: Instant, response: &Response) {
         let m = &self.metrics;
         m.handle_micros.fetch_add(
@@ -350,7 +204,9 @@ impl LoopShared {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .push(Completion { token, bytes });
-        self.wake.wake();
+        if self.poller.get() != Some(&std::thread::current().id()) {
+            self.wake.wake();
+        }
     }
 
     fn stats(&self) -> EventLoopStats {
@@ -393,6 +249,7 @@ impl EventLoopServer {
         let shared = Arc::new(LoopShared {
             shutting_down: AtomicBool::new(false),
             completions: Mutex::new(Vec::new()),
+            poller: OnceLock::new(),
             wake: sys::WakePipe::new()?,
             metrics: LoopMetrics::default(),
         });
@@ -695,6 +552,7 @@ impl Poller {
     }
 
     fn run(mut self) {
+        let _ = self.handoff.shared.poller.set(std::thread::current().id());
         let mut events = vec![sys::EpollEvent { events: 0, data: 0 }; 256];
         loop {
             let n = match self.epoll.wait(&mut events, IDLE_POLL_MS) {
@@ -714,8 +572,9 @@ impl Poller {
                 }
             }
             // Completions are applied every cycle — a wake byte may
-            // coalesce with socket readiness, so this must not depend on
-            // having seen WAKE_TOKEN.
+            // coalesce with socket readiness, and completions made on this
+            // thread write none — so this must not depend on having seen
+            // WAKE_TOKEN.
             self.apply_completions();
             if self.handoff.shared.shutting_down.load(Ordering::SeqCst) {
                 break;
@@ -770,22 +629,31 @@ impl Poller {
         self.service_conn(token);
     }
 
+    /// Applies completions until none are left. Handing on a connection's
+    /// next request may complete it inline (a cache hit answered at
+    /// admission), queueing a completion that wrote no wake byte: it must be
+    /// applied now, not after the next `epoll_wait` times out.
     fn apply_completions(&mut self) {
-        let completions = std::mem::take(
-            &mut *self.handoff.shared.completions.lock().unwrap_or_else(|e| e.into_inner()),
-        );
-        for completion in completions {
-            self.handoff.shared.metrics.outstanding.fetch_sub(1, Ordering::Relaxed);
-            let Some(conn) = self.conns.get_mut(&completion.token) else {
-                continue; // the connection died while its request was served
-            };
-            conn.inflight = false;
-            conn.queue_reply(&completion.bytes, &self.handoff.shared.metrics);
-            // Full parse, not just a hand-off: the freed slot may unblock
-            // requests already buffered in `read_buf` past PENDING_CAP, which
-            // no future EPOLLIN will announce.
-            parse_frames(conn, &self.handoff);
-            self.service_conn(completion.token);
+        loop {
+            let completions = std::mem::take(
+                &mut *self.handoff.shared.completions.lock().unwrap_or_else(|e| e.into_inner()),
+            );
+            if completions.is_empty() {
+                return;
+            }
+            for completion in completions {
+                self.handoff.shared.metrics.outstanding.fetch_sub(1, Ordering::Relaxed);
+                let Some(conn) = self.conns.get_mut(&completion.token) else {
+                    continue; // the connection died while its request was served
+                };
+                conn.inflight = false;
+                conn.queue_reply(&completion.bytes, &self.handoff.shared.metrics);
+                // Full parse, not just a hand-off: the freed slot may unblock
+                // requests already buffered in `read_buf` past PENDING_CAP,
+                // which no future EPOLLIN will announce.
+                parse_frames(conn, &self.handoff);
+                self.service_conn(completion.token);
+            }
         }
     }
 
@@ -959,9 +827,10 @@ fn decode_frames(conn: &mut Conn, handoff: &Handoff) {
 
 /// Hands the connection's next request on, unless one is already in flight
 /// (one at a time keeps responses in arrival order). A single query goes
-/// straight to the service, which admits it and queues it on its home shard;
-/// its reply callback frames the response on whichever thread answers it.
-/// Every other request goes to the control thread.
+/// straight to the service: a current cache hit runs its reply callback
+/// right here on the poller, a miss is queued on its home shard and the
+/// callback frames the response on the worker that answers it. Every other
+/// request goes to the control thread.
 fn hand_off_next(conn: &mut Conn, handoff: &Handoff) {
     if conn.inflight {
         return;

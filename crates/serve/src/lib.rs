@@ -56,7 +56,8 @@
 //! * [`event_loop`] — the **TCP server**, on two threads: one poller thread
 //!   drives a level-triggered `epoll` set with non-blocking sockets,
 //!   per-connection buffers and partial-frame reassembly and submits each
-//!   query straight to its home shard, whose worker frames the reply; one
+//!   query to the service: a cache hit is answered inline on the poller, a
+//!   miss is queued on its home shard, whose worker frames the reply; one
 //!   control thread runs every other request. Floods are answered with the
 //!   service's typed rejections instead of occupying threads, malformed or
 //!   foreign-version frames with a typed error and a disconnect, and a

@@ -13,7 +13,9 @@
 //!   the request immediately with [`ServiceError::Overloaded`] instead of
 //!   letting latency grow without bound.
 //! * **Caching.** Results are cached per shard, stamped with the epoch they
-//!   are exact for and carrying the query's subgraph trace. Publishing an
+//!   are exact for and carrying the query's subgraph trace. A request whose
+//!   home shard holds a current entry is answered at admission, on the
+//!   submitting thread, without entering a queue. Publishing an
 //!   epoch evicts only the entries whose trace intersects the batch's dirty
 //!   set ([`ksp_core::kspdg::QueryTrace`]); everything else is re-stamped to
 //!   the new epoch — the read path's analogue of maintenance cost scaling
@@ -213,12 +215,13 @@ struct Request {
 }
 
 /// Where one query's outcome goes: a callback run exactly once — inline by
-/// [`QueryService::submit`] for a rejected or invalid query, by the shard
-/// worker that answered it otherwise, and with
-/// [`ServiceError::ShuttingDown`] if it is dropped uncalled (a dead shard's
-/// drained queue). It usually runs on a shard worker, so it must never block
-/// and never own the service: the last service handle dropped there would
-/// join the very thread it runs on.
+/// [`QueryService::submit`] on the submitting thread for a current cache hit
+/// or a rejected or invalid query, by the shard worker that answered it
+/// otherwise, and with [`ServiceError::ShuttingDown`] if it is dropped
+/// uncalled (a dead shard's drained queue). It runs on whichever thread
+/// submitted (the event loop's poller among them) or on a shard worker, so
+/// it must never block and never own the service: the last service handle
+/// dropped on a shard worker would join the very thread it runs on.
 pub(crate) struct Reply(Option<Box<dyn FnOnce(Outcome) + Send>>);
 
 /// What a [`Reply`] receives.
@@ -759,11 +762,15 @@ impl QueryService {
         receiver.recv().unwrap_or(Err(ServiceError::ShuttingDown))
     }
 
-    /// Admits one query and queues it on its home shard without blocking;
-    /// `reply` receives the outcome. This is the service's one admission
-    /// point: [`QueryService::query_traced`] blocks on the reply through a
-    /// channel, and the event loop's reply frames the response for its
-    /// connection.
+    /// Admits one query without blocking; `reply` receives the outcome.
+    ///
+    /// Takes the home shard's cache lock once. A current-epoch hit is
+    /// answered right here: `reply` runs on the calling thread before
+    /// `submit` returns. A miss passes the adaptive controller as an engine
+    /// run and is queued on its home shard, whose worker runs `reply`. This
+    /// is the service's one admission point: [`QueryService::query_traced`]
+    /// blocks on the reply through a channel, and the event loop's reply
+    /// frames the response for its connection.
     pub(crate) fn submit(
         &self,
         source: VertexId,
@@ -795,29 +802,35 @@ impl QueryService {
         use std::sync::atomic::Ordering::Relaxed;
         let shard_id = route_shard(source, target, k, self.shards.len());
         let shard = &self.shards[shard_id];
-        // Adaptive admission: predict this request's cost class with a
-        // trace-checked, non-bumping peek at the home shard's cache (a
-        // current-epoch complete entry answers in microseconds; anything else
-        // pays an engine run), then ask the controller whether the predicted
-        // latency — live depth × blended service-time EWMA + own class cost —
-        // fits the SLO budget. Rejecting *here* keeps overload out of the
-        // queue entirely, so admitted requests keep their latency.
+        // A current-epoch entry in the home shard's cache is answered here,
+        // on the calling thread: no queue, no worker wake-up. It costs no
+        // queue slot and waits behind no backlog, so it is always admitted.
+        // Its span stamps a zero-width queue stage and a cache stage covering
+        // the lookup; a miss re-marks admission below, so its admission stage
+        // still covers the lookup and the enqueue attempt.
+        span.mark(Stage::Admission);
+        let key = CacheKey { source, target, k };
+        let cached = shard
+            .resources
+            .cache
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&key, epoch_now)
+            .map(<[Path]>::to_vec);
+        if let Some(paths) = cached {
+            span.mark(Stage::Cache);
+            self.metrics.admission_accepted.fetch_add(1, Relaxed);
+            let request = Request { source, target, k, submitted, span, trace_id, reply };
+            let hit = (paths, QueryStats::default(), true);
+            return answer(&self.metrics, &self.obs, shard_id, request, epoch_now, hit);
+        }
+        // Adaptive admission for a miss: ask the controller whether the
+        // predicted latency — live depth × blended service-time EWMA + an
+        // engine run — fits the SLO budget. Rejecting *here* keeps overload
+        // out of the queue entirely, so admitted requests keep their latency.
         let depth_now = shard.resources.queue.depth();
-        let predicted = {
-            let key = CacheKey { source, target, k };
-            if shard
-                .resources
-                .cache
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .peek_fresh(&key, epoch_now)
-            {
-                CostClass::CacheHit
-            } else {
-                CostClass::EngineRun
-            }
-        };
-        if let AdmissionVerdict::Reject(r) = self.admission.assess(depth_now, predicted) {
+        if let AdmissionVerdict::Reject(r) = self.admission.assess(depth_now, CostClass::EngineRun)
+        {
             self.metrics.admission_rejected_predicted.fetch_add(1, Relaxed);
             self.obs.record(
                 EventKind::Rejection,
@@ -1577,17 +1590,14 @@ fn steal_from_deepest(
 /// worker doing the computing — they differ exactly when the batch was
 /// stolen, and busy time is attributed to the worker that actually ran it.
 ///
-/// Span discipline: each request's [`StageSpan`] is stamped at every stage
-/// boundary, and when observability is on the end-to-end latency recorded
-/// into `metrics.latency` is the span's own telescoped total — so the
-/// per-stage histograms sum exactly to the end-to-end histogram.
+/// Each request's [`StageSpan`] is stamped at every stage boundary and
+/// finished by [`answer`].
 fn run_batch(
     executing_shard: usize,
     home_shard: usize,
     batch: Vec<Request>,
     ctx: &WorkerContext<'_>,
 ) {
-    use std::sync::atomic::Ordering::Relaxed;
     let WorkerContext { shards, epoch, metrics, obs, admission } = *ctx;
     // One epoch load per batch: every request in the batch is answered
     // against the same consistent (graph, index) pair. Tracing is on: the
@@ -1606,6 +1616,9 @@ fn run_batch(
         };
         request.span.mark(Stage::Cache);
         let (paths, stats, cache_hit) = match cached {
+            // `submit` answers current hits inline, so this is a request
+            // that became a hit while it was queued (an identical miss ahead
+            // of it inserted the answer).
             Some(paths) => {
                 request.span.mark(Stage::Engine);
                 (paths, QueryStats::default(), true)
@@ -1620,44 +1633,65 @@ fn run_batch(
                 (result.paths, result.stats, false)
             }
         };
-        let service_time = started.elapsed();
         // Feed the admission controller's estimator: this service time
         // (cache lookup + engine work, no queue wait) is exactly the
-        // per-request cost its queueing-delay prediction multiplies by.
+        // per-request cost its queueing-delay prediction multiplies by. Only
+        // queued work feeds it: an inline hit in `submit` waits behind no
+        // backlog, so counting it would make a backlog look cheaper than it is.
         admission.estimator().observe(
             if cache_hit { CostClass::CacheHit } else { CostClass::EngineRun },
-            service_time,
+            started.elapsed(),
         );
-        if cache_hit {
-            metrics.cache_hits.fetch_add(1, Relaxed);
-        } else {
-            metrics.cache_misses.fetch_add(1, Relaxed);
-        }
-        let (latency, chain) = match request.span.finish() {
-            Some((chain, total)) => {
-                metrics.stages.record_chain(&chain);
-                (total, Some(chain))
-            }
-            None => (request.submitted.elapsed(), None),
-        };
-        metrics.latency.record(latency);
-        metrics.completed.fetch_add(1, Relaxed);
-        if let Some(chain) = chain {
-            let slo = obs.config.slo_p99;
-            if !slo.is_zero() && latency > slo {
-                obs.trigger_traced(
-                    EventKind::SloBreach,
-                    latency.as_micros().min(u64::MAX as u128) as u64,
-                    slo.as_micros().min(u64::MAX as u128) as u64,
-                    home_shard as u64,
-                    Some(chain),
-                    request.trace_id,
-                );
-            }
-        }
-        let response = QueryResponse { paths, stats, epoch: snapshot.epoch(), cache_hit, latency };
-        request.reply.send(Ok(response));
+        answer(metrics, obs, home_shard, request, snapshot.epoch(), (paths, stats, cache_hit));
     }
+}
+
+/// Accounts one answered request and sends its reply: the cache-hit or miss
+/// counter, the stage chain, the latency histogram, `completed` and the
+/// SLO-breach trigger. The one completion path of both the inline hit in
+/// [`QueryService::submit`] and the workers' [`run_batch`].
+///
+/// When observability is on, the end-to-end latency recorded is the span's
+/// own telescoped total, so the per-stage histograms sum exactly to the
+/// end-to-end histogram.
+fn answer(
+    metrics: &ServiceMetrics,
+    obs: &Observability,
+    home_shard: usize,
+    request: Request,
+    epoch: u64,
+    (paths, stats, cache_hit): (Vec<Path>, QueryStats, bool),
+) {
+    use std::sync::atomic::Ordering::Relaxed;
+    if cache_hit {
+        metrics.cache_hits.fetch_add(1, Relaxed);
+    } else {
+        metrics.cache_misses.fetch_add(1, Relaxed);
+    }
+    let (latency, chain) = match request.span.finish() {
+        Some((chain, total)) => {
+            metrics.stages.record_chain(&chain);
+            (total, Some(chain))
+        }
+        None => (request.submitted.elapsed(), None),
+    };
+    metrics.latency.record(latency);
+    metrics.completed.fetch_add(1, Relaxed);
+    if let Some(chain) = chain {
+        let slo = obs.config.slo_p99;
+        if !slo.is_zero() && latency > slo {
+            obs.trigger_traced(
+                EventKind::SloBreach,
+                latency.as_micros().min(u64::MAX as u128) as u64,
+                slo.as_micros().min(u64::MAX as u128) as u64,
+                home_shard as u64,
+                Some(chain),
+                request.trace_id,
+            );
+        }
+    }
+    let response = QueryResponse { paths, stats, epoch, cache_hit, latency };
+    request.reply.send(Ok(response));
 }
 
 #[cfg(test)]
@@ -2099,11 +2133,17 @@ mod tests {
     fn stage_histograms_telescope_to_the_end_to_end_histogram() {
         let (service, graph) = service(150, 2, 61);
         let t = VertexId(graph.num_vertices() as u32 - 1);
-        for s in 0..8u32 {
-            service.query(VertexId(s), t, 2).unwrap();
+        // Eight misses run by the workers, then the same eight again as
+        // hits answered inline at admission.
+        for round in 0..2 {
+            for s in 0..8u32 {
+                let response = service.query(VertexId(s), t, 2).unwrap();
+                assert_eq!(response.cache_hit, round == 1);
+            }
         }
         let snap = service.obs_snapshot();
-        assert_eq!(snap.end_to_end.count, 8);
+        assert_eq!(snap.end_to_end.count, 16);
+        assert_eq!(snap.counter("ksp_cache_hits_total"), 8);
         let stage_total: u64 = snap.stages.iter().map(|s| s.histogram.total_micros).sum();
         // Spans share the submission Instant as their origin and the service
         // records the telescoped total as the e2e latency, so the per-stage
@@ -2112,18 +2152,48 @@ mod tests {
         // Every request passes admission, cache, engine and reply.
         for name in ["admission", "cache", "engine", "reply"] {
             let stage = snap.stages.iter().find(|s| s.stage.name() == name).unwrap();
-            assert_eq!(stage.histogram.count, 8, "stage {name}");
+            assert_eq!(stage.histogram.count, 16, "stage {name}");
         }
-        // Queue + steal partition the wait: together they cover every request.
+        // Queue + steal partition the wait: together they cover every
+        // request, an inline hit with a zero-width queue stage.
         let waits: u64 = snap
             .stages
             .iter()
             .filter(|s| matches!(s.stage.name(), "queue" | "steal"))
             .map(|s| s.histogram.count)
             .sum();
-        assert_eq!(waits, 8);
-        assert_eq!(snap.counter("ksp_requests_completed_total"), 8);
+        assert_eq!(waits, 16);
+        let queue = snap.stages.iter().find(|s| s.stage.name() == "queue").unwrap();
+        assert!(queue.histogram.count >= 8, "inline hits stamp the queue stage");
+        assert_eq!(snap.counter("ksp_requests_completed_total"), 16);
         assert!(snap.gauge("ksp_epoch_age_seconds").is_some());
+    }
+
+    #[test]
+    fn inline_hits_are_admitted_but_never_feed_the_cost_estimator() {
+        let (service, graph) = service(150, 2, 67);
+        let t = VertexId(graph.num_vertices() as u32 - 1);
+        assert!(!service.query(VertexId(0), t, 2).unwrap().cache_hit);
+        for _ in 0..100 {
+            assert!(service.query(VertexId(0), t, 2).unwrap().cache_hit);
+        }
+        let snap = service.obs_snapshot();
+        let estimate = |class: &str| {
+            let labels = format!("class=\"{class}\"");
+            snap.gauges
+                .iter()
+                .find(|g| g.name == "ksp_admission_est_service_micros" && g.labels == labels)
+                .map(|g| g.value)
+                .expect("the estimator gauge is exported per class")
+        };
+        // Hits that never queued say nothing about how fast a backlog drains.
+        assert_eq!(estimate("cache_hit"), 0.0);
+        assert!(estimate("engine_run") > 0.0, "the worker observed the miss it ran");
+        assert_eq!(snap.counter("ksp_cache_hits_total"), 100);
+        // Every submitted request was either accepted or rejected.
+        let report = service.metrics();
+        assert_eq!(report.admission_accepted + report.rejected, 101);
+        assert_eq!(report.completed, 101);
     }
 
     #[test]

@@ -213,6 +213,31 @@ fn pipelined_bursts_larger_than_the_pending_cap_all_answer() {
 }
 
 #[test]
+fn pipelined_cache_hits_answer_without_waiting_for_a_wake() {
+    // One warm key repeated 200 times in one burst. Each repeat is a cache
+    // hit answered inline on the poller, which queues its completion without
+    // a wake byte; handing on the next buffered repeat while applying that
+    // completion answers it inline too. The poller must keep applying until
+    // none are left, or every repeat waits out one idle epoll timeout.
+    let (server, service, graph) = default_server(160, 2, 73);
+    let key = QueryKey::new(VertexId(0), VertexId(graph.num_vertices() as u32 - 1), 3);
+    let want = service.query(key.source, key.target, key.k).unwrap();
+    assert!(!want.cache_hit, "the warming query runs the engine");
+
+    let (mut client, _) = KspClient::connect(server.local_addr()).unwrap();
+    let started = std::time::Instant::now();
+    let got = client.query_pipelined(&[key; 200]).unwrap();
+    let elapsed = started.elapsed();
+    assert_eq!(got.len(), 200);
+    for answer in got {
+        let answer = answer.unwrap();
+        assert!(answer.cache_hit, "every repeat of the warm key is a hit");
+        assert_answers_match(&answer.paths, &want.paths, answer.epoch, want.epoch);
+    }
+    assert!(elapsed < Duration::from_secs(2), "200 pipelined hits took {elapsed:?}");
+}
+
+#[test]
 fn publishes_over_the_event_loop_are_visible_to_every_connection() {
     let (server, service, graph) = default_server(160, 2, 23);
     let addr = server.local_addr();
