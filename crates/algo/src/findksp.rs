@@ -9,6 +9,11 @@
 //! from the SPT, so it settles only a small neighbourhood instead of a Dijkstra ball.
 //! The result set is the same as Yen's, and the growth with `k` is much better.
 //!
+//! Like Yen's enumerator it spurs each produced path only from the index where that
+//! path deviated from its parent (Lawler 1972, see [`crate::yen`]): the spurs before
+//! it would repeat searches already run and find no new route, so the answer set is
+//! unchanged.
+//!
 //! It serves twice: as the whole-graph FindKSP baseline of the paper's experiments
 //! ([`find_ksp`]), and as the enumerator of KSP-DG's reference paths over the skeleton
 //! overlay (Algorithm 3), where it replaces plain Yen.
@@ -63,6 +68,11 @@ impl<'a, G: GraphView> FindKsp<'a, G> {
             open: BinaryHeap::new(),
             settled_vertices: 0,
         }
+    }
+
+    /// Number of spur searches performed so far.
+    pub fn spur_searches(&self) -> usize {
+        self.lists.spur_searches
     }
 
     /// Number of vertices settled across all A* spur searches so far.

@@ -32,4 +32,4 @@ pub use dijkstra::{dijkstra_path, SearchArena};
 pub use findksp::{find_ksp, FindKsp, Transpose};
 pub use path::Path;
 pub use vfrag::{fewest_vfrag_paths, VfragView};
-pub use yen::{yen_ksp, yen_ksp_in, KspEnumerator};
+pub use yen::{yen_ksp, KspEnumerator};

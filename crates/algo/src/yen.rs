@@ -5,6 +5,16 @@
 //! more partials. KSP-DG's reference paths over the skeleton come from
 //! [`crate::FindKsp`], which shares this module's deviation step and differs only in
 //! searching each spur path with A*.
+//!
+//! **Deviation index.** Each produced path records the spur index at which it left
+//! the path it was spurred from (0 for the first path), and its own spurs start there:
+//! Lawler's refinement of Yen's algorithm (Lawler, *Management Science* 18(7), 1972).
+//! The answer set is unchanged. A path deviating at index `d` shares its first `d`
+//! edges with its parent, so for every `i < d` the next edges that the paths produced
+//! with root `prefix[..=i]` take at `i` are already those that the latest spur run
+//! at that root banned. Spurring there again would search with the same root and the
+//! same bans, find the same route, and add nothing. Only the count of spur searches
+//! drops; every candidate, and so every answer, is unchanged bit for bit.
 
 use crate::dijkstra::SearchArena;
 use crate::path::Path;
@@ -73,6 +83,16 @@ impl<'a, G: GraphView> KspEnumerator<'a, G> {
         self.lists.produced.iter().take(k).cloned().collect()
     }
 
+    /// Produces paths, searching on `arena`, until `k` are produced or none remain.
+    pub fn produce_up_to_in(&mut self, k: usize, arena: &mut SearchArena) {
+        while self.lists.produced.len() < k && self.advance(arena) {}
+    }
+
+    /// The paths produced so far, consuming the enumerator.
+    pub fn into_produced(self) -> Vec<Path> {
+        self.lists.produced
+    }
+
     fn advance(&mut self, arena: &mut SearchArena) -> bool {
         let KspEnumerator { view, source, target, lists, .. } = self;
         lists.advance(*view, *source, *target, |from, banned_vertices, banned_edges| {
@@ -92,16 +112,21 @@ pub(crate) struct Deviations {
     /// Routes already present in `produced` or `candidates`, to avoid duplicates.
     seen_routes: HashSet<Vec<VertexId>>,
     exhausted: bool,
+    /// Spur index at which the last produced path deviated from its parent: its spurs
+    /// start there.
+    last_deviation: usize,
     /// Number of spur searches performed; exposed for cost accounting in benchmarks.
-    spur_searches: usize,
+    pub(crate) spur_searches: usize,
     /// Scratch for one spur's banned edges, reused across spurs.
     banned_edges: Vec<(VertexId, VertexId)>,
 }
 
-#[derive(PartialEq, Eq)]
 struct Candidate {
     distance: Weight,
     vertices: Vec<VertexId>,
+    /// Spur index at which the route leaves the path it was spurred from; not part of
+    /// the order, so ties pop as before.
+    deviation: usize,
 }
 
 impl Ord for Candidate {
@@ -109,6 +134,14 @@ impl Ord for Candidate {
         self.distance.cmp(&other.distance).then_with(|| self.vertices.cmp(&other.vertices))
     }
 }
+
+impl PartialEq for Candidate {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for Candidate {}
 
 impl PartialOrd for Candidate {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
@@ -141,7 +174,10 @@ impl Deviations {
             first
         } else {
             self.generate_deviations(view, &mut spur);
-            self.candidates.pop().map(|Reverse(c)| Path::new(c.vertices, c.distance))
+            self.candidates.pop().map(|Reverse(c)| {
+                self.last_deviation = c.deviation;
+                Path::new(c.vertices, c.distance)
+            })
         };
         match next {
             Some(path) => self.produced.push(path),
@@ -150,20 +186,35 @@ impl Deviations {
         !self.exhausted
     }
 
-    /// Pushes every deviation of the most recently produced path onto `candidates`.
+    /// Pushes every deviation of the most recently produced path past its deviation
+    /// index onto `candidates`.
     fn generate_deviations<G: GraphView>(
         &mut self,
         view: &G,
         spur: &mut impl FnMut(VertexId, &[VertexId], &[(VertexId, VertexId)]) -> Option<Path>,
     ) {
-        let Deviations { produced, candidates, seen_routes, spur_searches, banned_edges, .. } =
-            self;
+        let Deviations {
+            produced,
+            candidates,
+            seen_routes,
+            last_deviation,
+            spur_searches,
+            banned_edges,
+            ..
+        } = self;
         let prev_vertices = produced.last().expect("produced is non-empty").vertices();
         let num_edges = prev_vertices.len() - 1;
+        let edge_weight = |i: usize| {
+            view.edge_weight(prev_vertices[i], prev_vertices[i + 1])
+                .expect("root edges exist in the view")
+        };
         // Distance of the root path `prev_vertices[..=i]`, summed edge by edge in path
         // order as the spur node advances.
         let mut root_distance = Weight::ZERO;
-        for i in 0..num_edges {
+        for i in 0..*last_deviation {
+            root_distance += edge_weight(i);
+        }
+        for i in *last_deviation..num_edges {
             let spur_node = prev_vertices[i];
             let root_vertices = &prev_vertices[..=i];
 
@@ -189,13 +240,11 @@ impl Deviations {
                 if Path::is_simple(&vertices) && !seen_routes.contains(&vertices) {
                     let distance = root_distance + spur_path.distance();
                     seen_routes.insert(vertices.clone());
-                    candidates.push(Reverse(Candidate { distance, vertices }));
+                    candidates.push(Reverse(Candidate { distance, vertices, deviation: i }));
                 }
             }
             if i + 1 < num_edges {
-                root_distance += view
-                    .edge_weight(prev_vertices[i], prev_vertices[i + 1])
-                    .expect("root edges exist in the view");
+                root_distance += edge_weight(i);
             }
         }
     }
@@ -204,20 +253,9 @@ impl Deviations {
 /// Convenience wrapper: computes the `k` shortest simple paths from `source` to
 /// `target`, fewer if fewer exist.
 pub fn yen_ksp<G: GraphView>(view: &G, source: VertexId, target: VertexId, k: usize) -> Vec<Path> {
-    yen_ksp_in(view, source, target, k, &mut SearchArena::new())
-}
-
-/// [`yen_ksp`], searching on the caller's `arena`.
-pub fn yen_ksp_in<G: GraphView>(
-    view: &G,
-    source: VertexId,
-    target: VertexId,
-    k: usize,
-    arena: &mut SearchArena,
-) -> Vec<Path> {
     let mut enumerator = KspEnumerator::new(view, source, target);
-    while enumerator.lists.produced.len() < k && enumerator.advance(arena) {}
-    enumerator.lists.produced
+    enumerator.produce_up_to_in(k, &mut SearchArena::new());
+    enumerator.into_produced()
 }
 
 #[cfg(test)]
@@ -354,6 +392,27 @@ mod tests {
         for w in paths.windows(2) {
             assert!(w[0].distance() <= w[1].distance());
         }
+    }
+
+    #[test]
+    fn spurs_start_at_each_paths_deviation_index() {
+        // Spurring every produced path from index 0 runs one search per edge of every
+        // path but the last; starting at the deviation index skips some of them.
+        let mut b = GraphBuilder::undirected(8);
+        for i in 0..3u32 {
+            b.edge(2 * i, 2 * i + 2, 1).edge(2 * i + 1, 2 * i + 3, 1).edge(2 * i, 2 * i + 1, 2);
+        }
+        b.edge(6, 7, 2);
+        let g = b.build().unwrap();
+        let mut e = KspEnumerator::new(&g, v(0), v(7));
+        let paths = e.take_up_to(6);
+        assert_eq!(paths.len(), 6);
+        let unpruned: usize = paths[..5].iter().map(Path::num_edges).sum();
+        assert!(
+            e.spur_searches() < unpruned,
+            "{} spur searches, {unpruned} without the deviation index",
+            e.spur_searches()
+        );
     }
 
     #[test]

@@ -11,12 +11,16 @@ use ksp_workload::{
 };
 use proptest::prelude::*;
 
-fn arbitrary_graph() -> impl Strategy<Value = DynamicGraph> {
-    (4usize..9).prop_flat_map(|n| {
-        let edge_count = n * 2;
+/// A tiny graph of 4–8 vertices with integer weights from 1 to 11, so equal distances
+/// are common, undirected or directed (with more edge draws, so that directed pairs
+/// are still often connected).
+fn arbitrary_graph_of(directed: bool) -> impl Strategy<Value = DynamicGraph> {
+    (4usize..9).prop_flat_map(move |n| {
+        let edge_count = if directed { n * 3 } else { n * 2 };
         (Just(n), proptest::collection::vec((0..n as u32, 0..n as u32, 1u32..12), edge_count))
-            .prop_map(|(n, edges)| {
-                let mut b = GraphBuilder::undirected(n);
+            .prop_map(move |(n, edges)| {
+                let mut b =
+                    if directed { GraphBuilder::directed(n) } else { GraphBuilder::undirected(n) };
                 for (u, v, w) in edges {
                     if u != v {
                         b.edge(u, v, w);
@@ -25,6 +29,10 @@ fn arbitrary_graph() -> impl Strategy<Value = DynamicGraph> {
                 b.build().expect("valid graph")
             })
     })
+}
+
+fn arbitrary_graph() -> impl Strategy<Value = DynamicGraph> {
+    arbitrary_graph_of(false)
 }
 
 /// Exhaustively enumerates the distances of all simple paths between two vertices via
@@ -57,6 +65,28 @@ fn brute_force_distances(graph: &DynamicGraph, s: VertexId, t: VertexId) -> Vec<
     dfs(graph, s, t, &mut visited, Weight::ZERO, &mut out);
     out.sort();
     out
+}
+
+/// Checks `got` against brute force: the `k` smallest simple-path distances from `s` to
+/// `t`, exactly and in order, each on a distinct simple route whose edges sum to it.
+fn prop_assert_matches_brute_force(
+    graph: &DynamicGraph,
+    s: VertexId,
+    t: VertexId,
+    k: usize,
+    got: &[Path],
+) -> Result<(), proptest::TestCaseError> {
+    let mut expected = brute_force_distances(graph, s, t);
+    expected.truncate(k);
+    let distances: Vec<Weight> = got.iter().map(Path::distance).collect();
+    prop_assert_eq!(distances, expected, "{}->{} k={}", s, t, k);
+    for (i, p) in got.iter().enumerate() {
+        prop_assert!(Path::is_simple(p.vertices()));
+        prop_assert!((p.source(), p.target()) == (s, t));
+        prop_assert_eq!(p.recompute_distance(graph), Some(p.distance()));
+        prop_assert!(got[..i].iter().all(|q| !q.same_route(p)), "route repeated: {:?}", p);
+    }
+    Ok(())
 }
 
 /// The distance bits of the first `k` paths FindKSP (guided by one search over
@@ -98,17 +128,28 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
 
     #[test]
-    fn yen_matches_brute_force(graph in arbitrary_graph(), k in 1usize..6) {
-        let s = VertexId(0);
-        let t = VertexId((graph.num_vertices() - 1) as u32);
-        let expected = brute_force_distances(&graph, s, t);
-        let got = yen_ksp(&graph, s, t, k);
-        let expected_k: Vec<Weight> = expected.iter().copied().take(k).collect();
-        prop_assert_eq!(got.len(), expected_k.len());
-        for (p, want) in got.iter().zip(expected_k.iter()) {
-            prop_assert!(p.distance().approx_eq(*want),
-                "yen distance {} but brute force {}", p.distance(), want);
-            prop_assert!(Path::is_simple(p.vertices()));
+    fn yen_matches_brute_force(
+        graph in arbitrary_graph(),
+        directed in arbitrary_graph_of(true),
+        k in 1usize..9,
+    ) {
+        for graph in [&graph, &directed] {
+            let s = VertexId(0);
+            let t = VertexId((graph.num_vertices() - 1) as u32);
+            prop_assert_matches_brute_force(graph, s, t, k, &yen_ksp(graph, s, t, k))?;
+        }
+    }
+
+    #[test]
+    fn findksp_matches_brute_force(
+        graph in arbitrary_graph(),
+        directed in arbitrary_graph_of(true),
+        k in 1usize..9,
+    ) {
+        for graph in [&graph, &directed] {
+            let s = VertexId(1);
+            let t = VertexId((graph.num_vertices() - 2) as u32);
+            prop_assert_matches_brute_force(graph, s, t, k, &find_ksp(graph, s, t, k))?;
         }
     }
 

@@ -55,6 +55,9 @@ pub struct QueryStats {
     /// Communication cost in vertex units: reference paths broadcast to workers plus
     /// partial paths returned to the query coordinator (Section 5.6.1).
     pub vertices_transferred: usize,
+    /// Spur searches run by the reference-path enumeration and the partial Yen
+    /// computations together.
+    pub spur_searches: usize,
 }
 
 /// The set of subgraphs a query's answer depended on, plus whether that set is
@@ -214,6 +217,7 @@ impl<'a> KspDgEngine<'a> {
         }
         stats.partial_computations = cache.misses();
         stats.partial_cache_hits = cache.hits();
+        stats.spur_searches += reference_paths.spur_searches();
 
         let mut sweep_time = std::time::Duration::ZERO;
         if self.config.collect_trace && !capped {
@@ -717,6 +721,16 @@ mod tests {
             }
         }
         assert!(exercised > 0, "at least one query must have untraced subgraphs to perturb");
+    }
+
+    #[test]
+    fn spur_searches_are_counted_and_repeat_exactly() {
+        let g = paper_graph();
+        let index = DtlpIndex::build(&g, DtlpConfig::new(6, 1)).unwrap();
+        let engine = KspDgEngine::new(&index);
+        let first = engine.query(v(3), v(12), 5).stats;
+        assert!(first.spur_searches > 0);
+        assert_eq!(engine.query(v(3), v(12), 5).stats, first);
     }
 
     #[test]

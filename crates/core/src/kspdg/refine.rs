@@ -3,7 +3,7 @@
 use crate::dtlp::DtlpIndex;
 use crate::kspdg::QueryStats;
 use ksp_algo::path::keep_k_shortest;
-use ksp_algo::{yen_ksp_in, Path, SearchArena};
+use ksp_algo::{KspEnumerator, Path, SearchArena};
 use ksp_graph::{SubgraphSet, VertexId};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -51,8 +51,9 @@ impl PartialPathCache {
     /// keeps the `k` shortest (line 8). Adds the number of newly computed path-vertices
     /// to `stats.vertices_transferred`, modelling the tuples a SubgraphBolt would send
     /// back to the QueryBolt, counts every examined subgraph in
-    /// `stats.subgraphs_examined` and records it in `trace` — the level-one half of the
-    /// query's dependency set.
+    /// `stats.subgraphs_examined` and every Yen spur search in `stats.spur_searches`,
+    /// and records each subgraph in `trace` — the level-one half of the query's
+    /// dependency set.
     pub fn partial_ksp(
         &mut self,
         index: &DtlpIndex,
@@ -75,7 +76,10 @@ impl PartialPathCache {
             stats.subgraphs_examined += 1;
             trace.insert(sg_id);
             let sg = index.subgraph_index(sg_id).subgraph();
-            merged.extend(yen_ksp_in(sg, u, v, self.k, arena));
+            let mut yen = KspEnumerator::new(sg, u, v);
+            yen.produce_up_to_in(self.k, arena);
+            stats.spur_searches += yen.spur_searches();
+            merged.extend(yen.into_produced());
         }
         keep_k_shortest(&mut merged, self.k);
         stats.vertices_transferred += merged.iter().map(|p| p.num_vertices()).sum::<usize>();

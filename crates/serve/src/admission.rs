@@ -20,12 +20,12 @@
 //! run — and predicts each arriving request's end-to-end latency as
 //!
 //! ```text
-//! predicted = queue_depth × blended_service_time + own_class_service_time
+//! predicted = queue_depth × blended_service_time + engine_run_service_time
 //! ```
 //!
-//! The service asks only about requests that would queue: a current cache
-//! hit is answered at admission, waits behind no backlog and is always
-//! admitted. When the prediction breaches the `slo_p99`-derived budget the
+//! The service asks only about requests that would queue, and only misses
+//! queue, so a request's own term is an engine run: a current cache hit is
+//! answered at admission, waits behind no backlog and is always admitted. When the prediction breaches the `slo_p99`-derived budget the
 //! request is rejected *before* it queues, with a `retry_after_ms` hint telling the
 //! client how far over budget the backlog currently is. Overload thus shows up
 //! as fast typed rejections instead of SLO breaches on admitted work.
@@ -352,11 +352,9 @@ impl AdmissionController {
         &self.estimator
     }
 
-    /// Decides one arriving request: `depth` is the target shard's live queue
-    /// depth, `predicted` the cost class of the work it would queue for (the
-    /// service queues only misses, so it asks with
-    /// [`CostClass::EngineRun`]).
-    pub fn assess(&self, depth: usize, predicted: CostClass) -> AdmissionVerdict {
+    /// Decides one arriving miss, which would queue for an engine run behind
+    /// the target shard's live queue `depth`.
+    pub fn assess(&self, depth: usize) -> AdmissionVerdict {
         if self.budget_nanos == 0 {
             return AdmissionVerdict::Admit;
         }
@@ -365,7 +363,7 @@ impl AdmissionController {
             // No completed request yet: nothing to predict with; admit.
             return AdmissionVerdict::Admit;
         }
-        let own = match self.estimator.class_nanos(predicted) {
+        let own = match self.estimator.class_nanos(CostClass::EngineRun) {
             0 => per_item,
             n => n,
         };
@@ -537,14 +535,14 @@ mod tests {
     fn controller_admits_blind_and_rejects_on_predicted_breach() {
         let c = AdmissionController::new(Duration::from_millis(10));
         // No completed request yet: no signal, admit anything.
-        assert_eq!(c.assess(10_000, CostClass::EngineRun), AdmissionVerdict::Admit);
+        assert_eq!(c.assess(10_000), AdmissionVerdict::Admit);
         // 1ms per queued item: depth 5 predicts ~6ms, within the 10ms budget.
         for _ in 0..8 {
             c.estimator().observe(CostClass::EngineRun, Duration::from_millis(1));
         }
-        assert_eq!(c.assess(5, CostClass::EngineRun), AdmissionVerdict::Admit);
+        assert_eq!(c.assess(5), AdmissionVerdict::Admit);
         // Depth 50 predicts ~51ms: over budget, with a ceil'd backoff hint.
-        match c.assess(50, CostClass::EngineRun) {
+        match c.assess(50) {
             AdmissionVerdict::Reject(r) => {
                 assert!(r.estimated_wait > r.budget);
                 assert!(r.retry_after_ms >= 1);
@@ -556,24 +554,27 @@ mod tests {
 
     #[test]
     fn cost_classes_split_the_admission_decision() {
-        // Budget 2ms, engine runs cost 10ms, hits cost 1µs: at depth 0 a
-        // predicted hit fits the budget while a predicted engine run breaches
-        // it — the cost-aware half of the controller.
+        // Budget 2ms, engine runs cost 10ms, hits cost 1µs and make up nine
+        // tenths of the traffic: the blended estimate (~1ms) fits the budget,
+        // but the request's own term is an engine run, so even an empty
+        // queue rejects it — the cost-aware half of the controller.
         let c = AdmissionController::new(Duration::from_millis(2));
         for _ in 0..8 {
-            c.estimator().observe(CostClass::CacheHit, Duration::from_micros(1));
+            for _ in 0..9 {
+                c.estimator().observe(CostClass::CacheHit, Duration::from_micros(1));
+            }
             c.estimator().observe(CostClass::EngineRun, Duration::from_millis(10));
         }
-        assert_eq!(c.assess(0, CostClass::CacheHit), AdmissionVerdict::Admit);
-        assert!(matches!(c.assess(0, CostClass::EngineRun), AdmissionVerdict::Reject(_)));
+        assert!(c.estimator().blended_nanos() < 2_000_000);
+        assert!(matches!(c.assess(0), AdmissionVerdict::Reject(_)));
     }
 
     #[test]
     fn breach_episodes_are_edge_triggered() {
         let c = AdmissionController::new(Duration::from_millis(1));
         c.estimator().observe(CostClass::EngineRun, Duration::from_millis(1));
-        let first = c.assess(100, CostClass::EngineRun);
-        let second = c.assess(100, CostClass::EngineRun);
+        let first = c.assess(100);
+        let second = c.assess(100);
         match (first, second) {
             (AdmissionVerdict::Reject(a), AdmissionVerdict::Reject(b)) => {
                 assert!(a.entered_breach);
@@ -582,8 +583,8 @@ mod tests {
             other => panic!("expected two rejections, got {other:?}"),
         }
         // An admit closes the episode; the next rejection re-enters it.
-        assert_eq!(c.assess(0, CostClass::CacheHit), AdmissionVerdict::Admit);
-        match c.assess(100, CostClass::EngineRun) {
+        assert_eq!(c.assess(0), AdmissionVerdict::Admit);
+        match c.assess(100) {
             AdmissionVerdict::Reject(r) => assert!(r.entered_breach),
             v => panic!("expected rejection, got {v:?}"),
         }
@@ -593,7 +594,7 @@ mod tests {
     fn disabled_controller_admits_everything_but_still_hints() {
         let c = AdmissionController::new(Duration::ZERO);
         c.estimator().observe(CostClass::EngineRun, Duration::from_millis(2));
-        assert_eq!(c.assess(1_000_000, CostClass::EngineRun), AdmissionVerdict::Admit);
+        assert_eq!(c.assess(1_000_000), AdmissionVerdict::Admit);
         // The static-cap hint still works off the estimator: 64 × 2ms = 128ms.
         assert_eq!(c.queue_full_hint_ms(64), 128);
         assert_eq!(AdmissionController::new(Duration::ZERO).queue_full_hint_ms(64), 0);

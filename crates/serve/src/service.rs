@@ -829,8 +829,7 @@ impl QueryService {
         // engine run — fits the SLO budget. Rejecting *here* keeps overload
         // out of the queue entirely, so admitted requests keep their latency.
         let depth_now = shard.resources.queue.depth();
-        if let AdmissionVerdict::Reject(r) = self.admission.assess(depth_now, CostClass::EngineRun)
-        {
+        if let AdmissionVerdict::Reject(r) = self.admission.assess(depth_now) {
             self.metrics.admission_rejected_predicted.fetch_add(1, Relaxed);
             self.obs.record(
                 EventKind::Rejection,
