@@ -132,8 +132,8 @@ mod tests {
 
     fn sample_snapshot() -> ObsSnapshot {
         let stages = StageHistograms::<Stage>::default();
-        stages.record_chain(&SpanChain { micros: [1, 5, 0, 2, 900, 40, 1], branched: false });
-        stages.record_chain(&SpanChain { micros: [2, 0, 9, 1, 0, 0, 1], branched: true });
+        stages.record_chain(&SpanChain { micros: [1, 5, 2, 900, 40, 1], branched: false });
+        stages.record_chain(&SpanChain { micros: [2, 9, 1, 0, 0, 1], branched: false });
         let e2e = crate::LatencyHistogram::default();
         e2e.record_micros(949);
         e2e.record_micros(13);
@@ -152,7 +152,11 @@ mod tests {
                     labels: String::new(),
                     value: 2,
                 },
-                Counter { name: "ksp_steals_total".into(), labels: "shard=\"1\"".into(), value: 1 },
+                Counter {
+                    name: "ksp_admission_rejected_total".into(),
+                    labels: "reason=\"queue_full\"".into(),
+                    value: 1,
+                },
             ],
             gauges: vec![Gauge {
                 name: "ksp_epoch_age_seconds".into(),
@@ -168,7 +172,7 @@ mod tests {
         let text = render_prometheus(&sample_snapshot());
         assert!(text.contains("# TYPE ksp_requests_completed_total counter"));
         assert!(text.contains("ksp_requests_completed_total 2"));
-        assert!(text.contains("ksp_steals_total{shard=\"1\"} 1"));
+        assert!(text.contains("ksp_admission_rejected_total{reason=\"queue_full\"} 1"));
         assert!(text.contains("# TYPE ksp_epoch_age_seconds gauge"));
         assert!(text.contains("ksp_epoch_age_seconds 0.125"));
         assert!(text.contains("# TYPE ksp_stage_duration_seconds histogram"));
@@ -211,7 +215,7 @@ mod tests {
         // Every byte a scraper reads: family order, label order, bucket
         // elision and number formatting. Changing any of it means re-pinning.
         let text = render_prometheus(&sample_snapshot());
-        assert_eq!((text.len(), crc32(text.as_bytes())), (8227, 0xc68b_6040), "{text}");
+        assert_eq!((text.len(), crc32(text.as_bytes())), (7900, 0x565d_41ac), "{text}");
     }
 
     #[test]

@@ -25,7 +25,7 @@ use std::time::Instant;
 /// `ObsSnapshot` payloads. Changing or adding one is a wire change that bumps
 /// `ksp-proto`'s `PROTOCOL_VERSION`. A decoder that meets a code it does not
 /// know fails the whole payload with a typed error (see
-/// [`EventKind::from_code`]).
+/// [`EventKind::from_code`]). A retired code is never reused.
 ///
 /// | code | variant                 |
 /// |-----:|-------------------------|
@@ -33,7 +33,7 @@ use std::time::Instant;
 /// |    1 | `CheckpointCommitted`   |
 /// |    2 | `CheckpointFailed`      |
 /// |    3 | `CacheRetention`        |
-/// |    4 | `Steal`                 |
+/// |    4 | retired                 |
 /// |    5 | `Rejection`             |
 /// |    6 | `HostileFrame`          |
 /// |    7 | `RecoveryStep`          |
@@ -55,13 +55,11 @@ pub enum EventKind {
     CheckpointCommitted = 1,
     /// A failed checkpoint attempt. `a` = epoch.
     CheckpointFailed = 2,
-    /// Publish-time cache retention on one shard. `a` = shard,
+    /// Publish-time cache retention over every cache stripe. `a` = epoch,
     /// `b` = entries retained, `c` = entries evicted.
     CacheRetention = 3,
-    /// A work-stealing transfer. `a` = thief shard, `b` = victim shard,
-    /// `c` = requests transferred.
-    Steal = 4,
-    /// An admission rejection. `a` = shard, `b` = queue depth at rejection.
+    /// An admission rejection. `a` = the request's cache stripe, `b` = queue
+    /// depth at rejection, `c` = the retry hint in milliseconds.
     Rejection = 5,
     /// A hostile or malformed frame on a wire connection. `a` = reason code
     /// (see the serve layer's frame handling).
@@ -88,8 +86,8 @@ pub enum EventKind {
     FsyncStall = 11,
     /// The adaptive admission controller started rejecting: its estimated
     /// queueing delay crossed the SLO-derived budget (the controller entered
-    /// a breach episode). `a` = shard, `b` = estimated wait in microseconds,
-    /// `c` = the budget in microseconds.
+    /// a breach episode). `a` = the request's cache stripe, `b` = estimated
+    /// wait in microseconds, `c` = the budget in microseconds.
     AdmissionBreach = 12,
     /// The service flipped into read-only degraded mode: the delta log
     /// refused an append, so writes are rejected while reads keep serving
@@ -103,12 +101,11 @@ pub enum EventKind {
 
 impl EventKind {
     /// All kinds, for decoding and iteration.
-    pub const ALL: [EventKind; 15] = [
+    pub const ALL: [EventKind; 14] = [
         EventKind::EpochPublished,
         EventKind::CheckpointCommitted,
         EventKind::CheckpointFailed,
         EventKind::CacheRetention,
-        EventKind::Steal,
         EventKind::Rejection,
         EventKind::HostileFrame,
         EventKind::RecoveryStep,
@@ -128,7 +125,6 @@ impl EventKind {
             EventKind::CheckpointCommitted => "checkpoint_committed",
             EventKind::CheckpointFailed => "checkpoint_failed",
             EventKind::CacheRetention => "cache_retention",
-            EventKind::Steal => "steal",
             EventKind::Rejection => "rejection",
             EventKind::HostileFrame => "hostile_frame",
             EventKind::RecoveryStep => "recovery_step",
@@ -142,9 +138,9 @@ impl EventKind {
         }
     }
 
-    /// Inverse of `self as u8`; `None` for an unknown code.
+    /// Inverse of `self as u8`; `None` for an unknown or retired code.
     pub fn from_code(code: u8) -> Option<EventKind> {
-        EventKind::ALL.get(code as usize).copied()
+        EventKind::ALL.into_iter().find(|&kind| kind as u8 == code)
     }
 }
 
@@ -367,7 +363,7 @@ mod tests {
     fn ring_keeps_the_newest_events() {
         let rec = FlightRecorder::new(4);
         for i in 0..10u64 {
-            rec.record(EventKind::Steal, i, 0, 0);
+            rec.record(EventKind::Rejection, i, 0, 0);
         }
         let events = rec.snapshot();
         assert_eq!(events.len(), 4);
@@ -380,11 +376,20 @@ mod tests {
     fn overwrite_counter_stays_zero_until_the_ring_wraps() {
         let rec = FlightRecorder::new(4);
         for _ in 0..4 {
-            rec.record(EventKind::Steal, 0, 0, 0);
+            rec.record(EventKind::Rejection, 0, 0, 0);
         }
         assert_eq!(rec.events_overwritten(), 0);
-        rec.record(EventKind::Steal, 0, 0, 0);
+        rec.record(EventKind::Rejection, 0, 0, 0);
         assert_eq!(rec.events_overwritten(), 1);
+    }
+
+    #[test]
+    fn codes_decode_by_value_and_the_retired_code_fails() {
+        for kind in EventKind::ALL {
+            assert_eq!(EventKind::from_code(kind as u8), Some(kind));
+        }
+        assert_eq!(EventKind::from_code(4), None, "code 4 is retired");
+        assert_eq!(EventKind::from_code(15), None);
     }
 
     #[test]
@@ -431,7 +436,7 @@ mod tests {
                 let rec = Arc::clone(&rec);
                 std::thread::spawn(move || {
                     for i in 0..5_000u64 {
-                        rec.record(EventKind::Steal, t, i, 0);
+                        rec.record(EventKind::Rejection, t, i, 0);
                     }
                 })
             })

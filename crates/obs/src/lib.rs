@@ -9,8 +9,8 @@
 //!
 //! * **[`StageSpan`] / [`SpanChain`] / [`StageHistograms`]** — one stage
 //!   clock, generic over a [`StageSet`], for both paths. Every request is
-//!   stamped through the [`Stage`]s admission → queue | steal → cache →
-//!   engine → trace-sweep → reply; every epoch publish through the
+//!   stamped through the [`Stage`]s admission → queue → cache → engine →
+//!   trace_sweep → reply; every epoch publish through the
 //!   [`PublishStage`]s stage_index → wal_append → fsync → swap → retention →
 //!   checkpoint_encode → checkpoint_commit, the span travelling into the
 //!   background checkpointer for checkpoint epochs. Stage durations are
@@ -19,8 +19,8 @@
 //!   records. Disabled spans cost one branch per stage mark.
 //! * **[`FlightRecorder`]** — a fixed-size, lock-free ring of recent
 //!   structured [`ObsEvent`]s (epoch publishes with dirty-set sizes,
-//!   checkpoint commits, cache retention outcomes, steals, rejections,
-//!   hostile frames, recovery steps). Anomaly triggers (per-request SLO
+//!   checkpoint commits, cache retention outcomes, rejections, hostile
+//!   frames, recovery steps). Anomaly triggers (per-request SLO
 //!   breach, slow publish, hostile frame, recovery) capture a bounded
 //!   [`FlightDump`] — the ring contents plus the offending request's span
 //!   chain — for post-hoc diagnosis.

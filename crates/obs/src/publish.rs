@@ -64,8 +64,7 @@ impl StageSet for PublishStage {
         PublishStage::CheckpointEncode,
         PublishStage::CheckpointCommit,
     ];
-    const BRANCH: PublishStage = PublishStage::CheckpointEncode;
-    const REPLACED_BY_BRANCH: Option<PublishStage> = None;
+    const BRANCH: Option<PublishStage> = Some(PublishStage::CheckpointEncode);
 
     fn name(self) -> &'static str {
         match self {

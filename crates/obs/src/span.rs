@@ -21,9 +21,8 @@ use std::time::{Duration, Instant};
 /// and [`finish`](StageSpan::finish) to get the [`SpanChain`].
 ///
 /// A stage whose end is never marked clamps to the previous boundary and
-/// reads as zero-width (the home queue of a stolen request, the checkpoint
-/// stages of an epoch without a checkpoint). The last stage ends at
-/// `finish`.
+/// reads as zero-width (the checkpoint stages of an epoch without a
+/// checkpoint). The last stage ends at `finish`.
 #[derive(Debug, Clone, Copy)]
 pub struct StageSpan<S: StageSet> {
     /// The instant stamps count from; `None` for a disabled span.
@@ -75,7 +74,7 @@ impl<S: StageSet> StageSpan<S> {
             if !tail.is_zero() {
                 ends[i + 1] = now;
             }
-            self.branched |= stage == S::BRANCH;
+            self.branched |= S::BRANCH == Some(stage);
         }
     }
 
@@ -104,8 +103,8 @@ impl<S: StageSet> StageSpan<S> {
 pub struct SpanChain<S: StageSet> {
     /// Duration of each stage, microseconds.
     pub micros: S::PerStage<u64>,
-    /// Whether the span marked [`StageSet::BRANCH`]: the request was served
-    /// by a thief worker, the publish produced a checkpoint image.
+    /// Whether the span marked [`StageSet::BRANCH`]: the publish produced a
+    /// checkpoint image. Always false for a set without a branch.
     pub branched: bool,
 }
 
@@ -119,13 +118,6 @@ impl<S: StageSet> SpanChain<S> {
     /// Duration of one stage.
     pub fn stage(&self, stage: S) -> Duration {
         Duration::from_micros(self.micros.as_ref()[stage.index()])
-    }
-
-    /// The stage this chain did not pass through, which histograms leave
-    /// unrecorded (see [`StageSet::REPLACED_BY_BRANCH`]).
-    fn skipped(&self) -> Option<S> {
-        let replaced = S::REPLACED_BY_BRANCH?;
-        Some(if self.branched { replaced } else { S::BRANCH })
     }
 }
 
@@ -144,14 +136,10 @@ impl<S: StageSet> Default for StageHistograms<S> {
 
 impl<S: StageSet> StageHistograms<S> {
     /// Folds one finished chain in. Every stage is recorded, zero-width
-    /// stages too, except the one the chain did not pass through (see
-    /// [`StageSet::REPLACED_BY_BRANCH`]).
+    /// stages too, so each stage's count is the number of chains.
     pub fn record_chain(&self, chain: &SpanChain<S>) {
-        let skipped = chain.skipped();
-        for &stage in S::ALL.as_ref() {
-            if Some(stage) != skipped {
-                self.stage(stage).record_micros(chain.micros.as_ref()[stage.index()]);
-            }
+        for (&stage, &micros) in S::ALL.as_ref().iter().zip(chain.micros.as_ref()) {
+            self.stage(stage).record_micros(micros);
         }
     }
 
@@ -199,40 +187,25 @@ mod tests {
         let (chain, total) = span.finish().expect("enabled span finishes");
         assert_eq!(chain.total_micros(), total.as_micros() as u64);
         assert!(chain.stage(Stage::Queue) >= Duration::from_millis(2));
-        assert_eq!(chain.micros[Stage::Steal.index()], 0);
+        assert!(!chain.branched, "the read path has no branch stage");
         assert_eq!(chain.stage(Stage::TraceSweep), Duration::from_micros(200));
         assert!(chain.stage(Stage::Engine) >= Duration::from_micros(800));
     }
 
     #[test]
-    fn stolen_wait_lands_in_the_steal_stage() {
-        let origin = Instant::now();
-        let mut span = StageSpan::begin_at(origin, true);
-        span.mark(Stage::Admission);
-        std::thread::sleep(Duration::from_millis(1));
-        span.mark(Stage::Steal);
-        span.mark(Stage::Cache);
-        span.mark_with_tail(Stage::Engine, Duration::ZERO);
-        let (chain, _) = span.finish().unwrap();
-        assert!(chain.branched);
-        assert_eq!(chain.micros[Stage::Queue.index()], 0);
-        assert!(chain.stage(Stage::Steal) >= Duration::from_millis(1));
-    }
-
-    #[test]
-    fn stage_histograms_partition_queue_and_steal_counts() {
+    fn stage_histograms_record_every_stage_of_every_chain() {
         let hists = StageHistograms::<Stage>::default();
-        let stolen = SpanChain::<Stage> { micros: [1, 0, 7, 2, 100, 10, 1], branched: true };
-        let queued = SpanChain::<Stage> { micros: [1, 5, 0, 2, 100, 10, 1], branched: false };
-        hists.record_chain(&stolen);
+        let queued = SpanChain::<Stage> { micros: [1, 5, 2, 100, 10, 1], branched: false };
+        let hit = SpanChain::<Stage> { micros: [3, 0, 1, 0, 0, 1], branched: false };
         hists.record_chain(&queued);
         hists.record_chain(&queued);
-        assert_eq!(hists.stage(Stage::Admission).count(), 3);
-        assert_eq!(hists.stage(Stage::Queue).count(), 2);
-        assert_eq!(hists.stage(Stage::Steal).count(), 1);
+        hists.record_chain(&hit);
+        for stage in Stage::ALL {
+            assert_eq!(hists.stage(stage).count(), 3, "{}", stage.name());
+        }
         let snap = hists.snapshot();
         assert_eq!(snap.len(), Stage::COUNT);
         let total: u64 = snap.iter().map(|s| s.histogram.total_micros).sum();
-        assert_eq!(total, stolen.total_micros() + 2 * queued.total_micros());
+        assert_eq!(total, 2 * queued.total_micros() + hit.total_micros());
     }
 }

@@ -22,17 +22,9 @@ pub trait StageSet: Copy + Eq + Debug + 'static {
     /// Every stage, in the order a span passes through them.
     const ALL: Self::PerStage<Self>;
 
-    /// The stage only some spans mark (a steal, a checkpoint encode). A
-    /// chain's `branched` flag says whether its span marked it.
-    const BRANCH: Self;
-
-    /// The stage a branched span does not pass through (the home queue of a
-    /// stolen request), if branching replaces a stage rather than adding
-    /// one. When set, histograms record this stage only for unbranched
-    /// chains and [`BRANCH`](StageSet::BRANCH) only for branched ones, so the
-    /// two counts partition the span count; otherwise every stage of every
-    /// chain is recorded.
-    const REPLACED_BY_BRANCH: Option<Self>;
+    /// The stage only some spans mark (a checkpoint encode), if the set has
+    /// one. A chain's `branched` flag says whether its span marked it.
+    const BRANCH: Option<Self>;
 
     /// Stable metric-label name of this stage.
     fn name(self) -> &'static str;
@@ -59,32 +51,25 @@ pub trait StageSet: Copy + Eq + Debug + 'static {
 ///
 /// The stages partition the interval from submission to reply, in this order:
 ///
-/// 1. [`Admission`](Stage::Admission) — validation and shard routing, up to
-///    the moment the request is enqueued; for a cache hit answered at
-///    admission, up to its cache lookup.
-/// 2. [`Queue`](Stage::Queue) — waiting in the home shard's bounded queue
-///    until a worker begins processing it. Zero when the request was stolen
-///    or answered at admission.
-/// 3. [`Steal`](Stage::Steal) — the same wait, attributed here instead of
-///    [`Queue`](Stage::Queue) when a *thief* worker drained the request from
-///    another shard's queue. Exactly one of Queue/Steal is non-zero per
-///    request, so the partition property is preserved while the steal
-///    histogram's count doubles as "requests served via work stealing".
-/// 4. [`Cache`](Stage::Cache) — result-cache lock and lookup.
-/// 5. [`Engine`](Stage::Engine) — the KSP-DG filter/refine run (cache miss
+/// 1. [`Admission`](Stage::Admission) — validation and cache-stripe
+///    routing, up to the moment the request is enqueued; for a cache hit
+///    answered at admission, up to its cache lookup.
+/// 2. [`Queue`](Stage::Queue) — waiting in the service's one bounded queue
+///    until a worker pops it. Zero when the request was answered at
+///    admission.
+/// 3. [`Cache`](Stage::Cache) — result-cache lock and lookup.
+/// 4. [`Engine`](Stage::Engine) — the KSP-DG filter/refine run (cache miss
 ///    only), minus the survival sweep.
-/// 6. [`TraceSweep`](Stage::TraceSweep) — the survival sweep that widens the
+/// 5. [`TraceSweep`](Stage::TraceSweep) — the survival sweep that widens the
 ///    result's dependency trace so it can outlive epoch publishes.
-/// 7. [`Reply`](Stage::Reply) — cache insert, metrics accounting and response
+/// 6. [`Reply`](Stage::Reply) — cache insert, metrics accounting and response
 ///    construction, up to the latency stamp.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
     /// Validation + routing, submission to enqueue.
     Admission,
-    /// Home-queue wait, enqueue to worker pickup.
+    /// Queue wait, enqueue to worker pickup.
     Queue,
-    /// Queue wait of a stolen request, attributed to the steal path.
-    Steal,
     /// Result-cache lock and lookup.
     Cache,
     /// Engine filter/refine run, excluding the survival sweep.
@@ -96,25 +81,22 @@ pub enum Stage {
 }
 
 impl StageSet for Stage {
-    type PerStage<T> = [T; 7];
-    const COUNT: usize = 7;
-    const ALL: [Stage; 7] = [
+    type PerStage<T> = [T; 6];
+    const COUNT: usize = 6;
+    const ALL: [Stage; 6] = [
         Stage::Admission,
         Stage::Queue,
-        Stage::Steal,
         Stage::Cache,
         Stage::Engine,
         Stage::TraceSweep,
         Stage::Reply,
     ];
-    const BRANCH: Stage = Stage::Steal;
-    const REPLACED_BY_BRANCH: Option<Stage> = Some(Stage::Queue);
+    const BRANCH: Option<Stage> = None;
 
     fn name(self) -> &'static str {
         match self {
             Stage::Admission => "admission",
             Stage::Queue => "queue",
-            Stage::Steal => "steal",
             Stage::Cache => "cache",
             Stage::Engine => "engine",
             Stage::TraceSweep => "trace_sweep",
@@ -126,7 +108,7 @@ impl StageSet for Stage {
         self as usize
     }
 
-    fn per_stage<T>(f: impl FnMut(Stage) -> T) -> [T; 7] {
+    fn per_stage<T>(f: impl FnMut(Stage) -> T) -> [T; 6] {
         Stage::ALL.map(f)
     }
 

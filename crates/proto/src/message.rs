@@ -21,7 +21,7 @@ use ksp_store::{CodecError, Reader, StoreCodec, Writer};
 /// The protocol version this build speaks, carried in every frame header. A
 /// frame stamped with any other version is rejected before its payload is
 /// read.
-pub const PROTOCOL_VERSION: u32 = 3;
+pub const PROTOCOL_VERSION: u32 = 4;
 
 /// A client-originated trace context, carried in a [`Request::Traced`] /
 /// [`Response::Traced`] envelope.

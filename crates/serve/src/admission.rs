@@ -1,45 +1,40 @@
-//! Bounded request queues with admission control.
+//! The bounded request queue and admission control.
 //!
-//! Each shard owns one [`BoundedQueue`]. Producers (`submit`) are rejected with
-//! [`QueueFull`] once the queue holds `max_depth` requests — backpressure the
-//! client observes immediately instead of unbounded queueing delay. The shard's
-//! worker drains requests in batches, which lets it load the current epoch
-//! once (and take its cache lock once) per batch instead of per request.
-//!
-//! For the work-stealing scheduler the queue additionally supports a timed
-//! drain ([`BoundedQueue::pop_batch_timeout`]) — an idle worker wakes after
-//! the timeout to look for a victim — and a non-blocking
-//! [`BoundedQueue::steal_batch`] that removes the *oldest* queued requests, so
-//! a thief always relieves the requests that have waited longest (the ones
-//! driving the victim's tail latency).
+//! The service owns one [`BoundedQueue`], drained by every shard worker.
+//! Producers (`submit`) are rejected with [`QueueFull`] once the queue holds
+//! `max_depth` requests — backpressure the client observes immediately
+//! instead of unbounded queueing delay. A worker blocks on the queue's
+//! condvar and pops one request per wake, so no request waits while a worker
+//! idles.
 //!
 //! On top of the static cap sits the **adaptive controller**
-//! ([`AdmissionController`]): it keeps a per-cost-class EWMA of recent service
-//! times ([`CostEstimator`]) — a request whose trace-checked cache entry
-//! survived costs microseconds, an evicted/incomplete one costs a full engine
-//! run — and predicts each arriving request's end-to-end latency as
+//! ([`AdmissionController`]): it keeps an EWMA of recent engine-run service
+//! times ([`CostEstimator`]) and predicts each arriving miss's end-to-end
+//! latency as
 //!
 //! ```text
-//! predicted = queue_depth × blended_service_time + engine_run_service_time
+//! predicted = (backlog_per_worker + 1) × engine_run_service_time
 //! ```
 //!
-//! The service asks only about requests that would queue, and only misses
-//! queue, so a request's own term is an engine run: a current cache hit is
-//! answered at admission, waits behind no backlog and is always admitted. When the prediction breaches the `slo_p99`-derived budget the
-//! request is rejected *before* it queues, with a `retry_after_ms` hint telling the
-//! client how far over budget the backlog currently is. Overload thus shows up
-//! as fast typed rejections instead of SLO breaches on admitted work.
+//! where `backlog_per_worker` is the queue depth divided among the workers
+//! draining it, rounded up. Only misses queue, so only engine runs feed the
+//! estimator: a current cache hit is answered at admission, waits behind no
+//! backlog and is always admitted. When the prediction breaches the
+//! `slo_p99`-derived budget the request is rejected *before* it queues, with
+//! a `retry_after_ms` hint telling the client how far over budget the
+//! backlog currently is. Overload thus shows up as fast typed rejections
+//! instead of SLO breaches on admitted work.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
-/// Admission-control settings for every shard queue.
+/// Admission-control settings of the request queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdmissionConfig {
-    /// Maximum number of queued (admitted but not yet executing) requests per
-    /// shard; submissions beyond this are rejected.
+    /// Maximum number of queued (admitted but not yet executing) requests;
+    /// submissions beyond this are rejected.
     pub max_queue_depth: usize,
 }
 
@@ -56,22 +51,11 @@ impl AdmissionConfig {
     }
 }
 
-/// Rejection marker: the shard's queue is at its configured depth.
+/// Rejection marker: the queue is at its configured depth.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueueFull {
     /// The configured depth that was reached.
     pub depth: usize,
-}
-
-/// Outcome of a [`BoundedQueue::pop_batch_timeout`].
-#[derive(Debug, PartialEq, Eq)]
-pub enum TimedPop<T> {
-    /// At least one item arrived within the timeout.
-    Items(Vec<T>),
-    /// The queue stayed empty for the whole timeout; the caller may steal.
-    TimedOut,
-    /// The queue is closed and drained; the worker should exit.
-    Closed,
 }
 
 struct QueueState<T> {
@@ -83,7 +67,7 @@ struct QueueState<T> {
     high_water: usize,
 }
 
-/// A bounded MPSC queue: many submitting clients, one draining worker.
+/// A bounded MPMC queue: many submitting clients, many draining workers.
 pub struct BoundedQueue<T> {
     state: Mutex<QueueState<T>>,
     ready: Condvar,
@@ -127,14 +111,14 @@ impl<T> BoundedQueue<T> {
         Ok(())
     }
 
-    /// Blocks until at least one item is available, then drains up to
-    /// `max_batch` items. Returns `None` once the queue is closed and empty.
-    pub fn pop_batch(&self, max_batch: usize) -> Option<Vec<T>> {
+    /// Blocks until an item is available and takes the oldest. Returns
+    /// `None` once the queue is closed and empty: a closed queue still hands
+    /// out what it holds.
+    pub fn pop(&self) -> Option<T> {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         loop {
-            if !state.items.is_empty() {
-                let take = state.items.len().min(max_batch.max(1));
-                return Some(state.items.drain(..take).collect());
+            if let Some(item) = state.items.pop_front() {
+                return Some(item);
             }
             if state.closed {
                 return None;
@@ -143,70 +127,12 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// Like [`BoundedQueue::pop_batch`], but waits at most `timeout` for an
-    /// item. [`TimedPop::TimedOut`] tells an idle worker it is free to go
-    /// looking for steal victims; [`TimedPop::Closed`] is terminal.
-    pub fn pop_batch_timeout(&self, max_batch: usize, timeout: Duration) -> TimedPop<T> {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        let deadline = std::time::Instant::now() + timeout;
-        loop {
-            if !state.items.is_empty() {
-                let take = state.items.len().min(max_batch.max(1));
-                return TimedPop::Items(state.items.drain(..take).collect());
-            }
-            if state.closed {
-                return TimedPop::Closed;
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return TimedPop::TimedOut;
-            }
-            let (next, wait) =
-                self.ready.wait_timeout(state, deadline - now).unwrap_or_else(|e| e.into_inner());
-            state = next;
-            if wait.timed_out() && state.items.is_empty() && !state.closed {
-                return TimedPop::TimedOut;
-            }
-        }
-    }
-
-    /// Steals up to `max` of the *oldest* queued items without blocking.
-    /// Returns `None` when there is nothing to steal. Closed queues can still
-    /// be stolen from: draining a dead shard's backlog is exactly what the
-    /// thief is for during shutdown races.
-    pub fn steal_batch(&self, max: usize) -> Option<Vec<T>> {
-        if max == 0 {
-            return None;
-        }
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        if state.items.is_empty() {
-            return None;
-        }
-        let take = state.items.len().min(max);
-        Some(state.items.drain(..take).collect())
-    }
-
-    /// Closes the queue: further submissions are rejected and the worker drains
-    /// what remains, then observes the shutdown.
+    /// Closes the queue: further submissions are rejected and the workers
+    /// drain what remains, then observe the shutdown.
     pub fn close(&self) {
         self.state.lock().unwrap_or_else(|e| e.into_inner()).closed = true;
         self.ready.notify_all();
     }
-}
-
-/// The predicted (and later, observed) cost class of one request.
-///
-/// The split is what makes the controller *cost-aware*: a request whose
-/// trace-checked cache entry survived the last publishes is answered in
-/// microseconds, while an evicted or never-cached request pays a full engine
-/// run — typically three to five orders of magnitude more. Folding both into
-/// one average would make the delay estimate useless under any real hit rate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CostClass {
-    /// The home shard's cache holds a current-epoch entry for this identity.
-    CacheHit,
-    /// No servable cache entry: the engine will run.
-    EngineRun,
 }
 
 /// EWMA shift: each sample moves the average by 1/8 of the residual. Small
@@ -214,41 +140,31 @@ pub enum CostClass {
 /// (e.g. a publish storm evicting the cache) re-converges within ~20 samples.
 const EWMA_SHIFT: u32 = 3;
 
-/// Per-cost-class service-time estimator.
+/// Engine-run service-time estimator.
 ///
-/// Workers feed it one sample per completed request
-/// ([`CostEstimator::observe`]); the admission path reads it lock-free. The
-/// EWMAs are plain relaxed load/store cells — a lost update under contention
-/// nudges the average by one sample and is harmless, which is the price of
-/// keeping the hot path at two atomic ops.
+/// Workers feed it one sample per engine run ([`CostEstimator::observe`]);
+/// the admission path reads it lock-free. The EWMA is a plain relaxed
+/// load/store cell — a lost update under contention nudges the average by
+/// one sample and is harmless, which is the price of keeping the hot path at
+/// two atomic ops.
 #[derive(Debug, Default)]
 pub struct CostEstimator {
-    /// EWMA of cache-hit service time, nanoseconds; 0 = no samples yet.
-    hit_nanos: AtomicU64,
     /// EWMA of engine-run service time, nanoseconds; 0 = no samples yet.
-    miss_nanos: AtomicU64,
-    /// Requests observed per class, for the hit-rate blend.
-    hits_seen: AtomicU64,
-    misses_seen: AtomicU64,
+    nanos: AtomicU64,
 }
 
 impl CostEstimator {
-    /// Creates an estimator with no samples (every class estimates as zero
-    /// until the first observation, and the controller admits blind).
+    /// Creates an estimator with no samples (it estimates zero until the
+    /// first observation, and the controller admits blind).
     pub fn new() -> Self {
         CostEstimator::default()
     }
 
-    /// Feeds one completed request's service time (cache lookup + engine work,
-    /// excluding queue wait) into the class's EWMA.
-    pub fn observe(&self, class: CostClass, service_time: Duration) {
+    /// Feeds one engine run's service time (cache lookup + engine work,
+    /// excluding queue wait) into the EWMA.
+    pub fn observe(&self, service_time: Duration) {
         let sample = service_time.as_nanos().min(u64::MAX as u128) as u64;
-        let (cell, seen) = match class {
-            CostClass::CacheHit => (&self.hit_nanos, &self.hits_seen),
-            CostClass::EngineRun => (&self.miss_nanos, &self.misses_seen),
-        };
-        seen.fetch_add(1, Ordering::Relaxed);
-        let old = cell.load(Ordering::Relaxed);
+        let old = self.nanos.load(Ordering::Relaxed);
         let new = if old == 0 {
             // First sample seeds the average directly; a warm-up ramp from
             // zero would under-admit nothing but under-predict for dozens of
@@ -257,35 +173,12 @@ impl CostEstimator {
         } else {
             old - (old >> EWMA_SHIFT) + (sample >> EWMA_SHIFT)
         };
-        cell.store(new.max(1), Ordering::Relaxed);
+        self.nanos.store(new.max(1), Ordering::Relaxed);
     }
 
-    /// The current EWMA for one class; zero until the class has a sample.
-    pub fn class_nanos(&self, class: CostClass) -> u64 {
-        match class {
-            CostClass::CacheHit => self.hit_nanos.load(Ordering::Relaxed),
-            CostClass::EngineRun => self.miss_nanos.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Hit-rate-blended expected service time of an *unknown* queued request,
-    /// in nanoseconds — the per-item multiplier of the queueing-delay
-    /// estimate. Falls back to whichever class has samples; zero only before
-    /// any request completed.
-    pub fn blended_nanos(&self) -> u64 {
-        let hit = self.hit_nanos.load(Ordering::Relaxed);
-        let miss = self.miss_nanos.load(Ordering::Relaxed);
-        let hits = self.hits_seen.load(Ordering::Relaxed);
-        let misses = self.misses_seen.load(Ordering::Relaxed);
-        match (hit, miss) {
-            (0, m) => m,
-            (h, 0) => h,
-            (h, m) => {
-                let total = (hits + misses).max(1) as f64;
-                let rate = hits as f64 / total;
-                (h as f64 * rate + m as f64 * (1.0 - rate)) as u64
-            }
-        }
+    /// The current EWMA, in nanoseconds; zero until the first sample.
+    pub fn nanos(&self) -> u64 {
+        self.nanos.load(Ordering::Relaxed)
     }
 }
 
@@ -317,9 +210,9 @@ pub enum AdmissionVerdict {
     Reject(AdmissionRejection),
 }
 
-/// SLO-driven, cost-aware admission controller (see the module docs for the
-/// formula). One per service, shared by the submit path (decisions) and every
-/// shard worker (service-time observations).
+/// SLO-driven admission controller (see the module docs for the formula).
+/// One per service, shared by the submit path (decisions) and every shard
+/// worker (service-time observations).
 #[derive(Debug)]
 pub struct AdmissionController {
     estimator: CostEstimator,
@@ -353,21 +246,17 @@ impl AdmissionController {
     }
 
     /// Decides one arriving miss, which would queue for an engine run behind
-    /// the target shard's live queue `depth`.
-    pub fn assess(&self, depth: usize) -> AdmissionVerdict {
+    /// `backlog` queued requests per worker.
+    pub fn assess(&self, backlog: usize) -> AdmissionVerdict {
         if self.budget_nanos == 0 {
             return AdmissionVerdict::Admit;
         }
-        let per_item = self.estimator.blended_nanos();
+        let per_item = self.estimator.nanos();
         if per_item == 0 {
-            // No completed request yet: nothing to predict with; admit.
+            // No engine run completed yet: nothing to predict with; admit.
             return AdmissionVerdict::Admit;
         }
-        let own = match self.estimator.class_nanos(CostClass::EngineRun) {
-            0 => per_item,
-            n => n,
-        };
-        let predicted_nanos = (depth as u64).saturating_mul(per_item).saturating_add(own);
+        let predicted_nanos = (backlog as u64).saturating_add(1).saturating_mul(per_item);
         if predicted_nanos <= self.budget_nanos {
             self.in_breach.store(false, Ordering::Relaxed);
             return AdmissionVerdict::Admit;
@@ -382,15 +271,15 @@ impl AdmissionController {
     }
 
     /// Backoff hint for a *static-cap* rejection (the queue hit
-    /// `max_queue_depth`): the predicted time to drain the full backlog, in
-    /// milliseconds. Zero when no request has completed yet, which the wire
-    /// reads as "no hint".
-    pub fn queue_full_hint_ms(&self, depth: usize) -> u64 {
-        let per_item = self.estimator.blended_nanos();
+    /// `max_queue_depth`): the predicted time to drain `backlog` requests per
+    /// worker, in milliseconds. Zero when no engine run has completed yet,
+    /// which the wire reads as "no hint".
+    pub fn queue_full_hint_ms(&self, backlog: usize) -> u64 {
+        let per_item = self.estimator.nanos();
         if per_item == 0 {
             return 0;
         }
-        ((depth as u64).saturating_mul(per_item).div_ceil(1_000_000)).clamp(1, MAX_RETRY_AFTER_MS)
+        ((backlog as u64).saturating_mul(per_item).div_ceil(1_000_000)).clamp(1, MAX_RETRY_AFTER_MS)
     }
 }
 
@@ -419,7 +308,7 @@ mod tests {
         q.submit(3).unwrap();
         assert_eq!(q.high_water(), 3);
         // Draining lowers the depth but never the high-water mark.
-        assert_eq!(q.pop_batch(2), Some(vec![1, 2]));
+        assert_eq!((q.pop(), q.pop()), (Some(1), Some(2)));
         assert_eq!(q.depth(), 1);
         assert_eq!(q.high_water(), 3);
         q.submit(4).unwrap();
@@ -427,13 +316,14 @@ mod tests {
     }
 
     #[test]
-    fn pop_batch_drains_up_to_max_batch() {
+    fn pop_takes_one_item_in_arrival_order() {
         let q = BoundedQueue::new(8);
-        for i in 0..5 {
+        for i in 0..3 {
             q.submit(i).unwrap();
         }
-        assert_eq!(q.pop_batch(3), Some(vec![0, 1, 2]));
-        assert_eq!(q.pop_batch(3), Some(vec![3, 4]));
+        assert_eq!(q.pop(), Some(0));
+        assert_eq!(q.depth(), 2, "one item per pop");
+        assert_eq!((q.pop(), q.pop()), (Some(1), Some(2)));
     }
 
     #[test]
@@ -441,7 +331,7 @@ mod tests {
         let q = Arc::new(BoundedQueue::<u32>::new(4));
         let worker = {
             let q = q.clone();
-            std::thread::spawn(move || q.pop_batch(4))
+            std::thread::spawn(move || q.pop())
         };
         // Give the worker a moment to block, then close.
         std::thread::sleep(std::time::Duration::from_millis(20));
@@ -451,80 +341,24 @@ mod tests {
     }
 
     #[test]
-    fn timed_pop_returns_items_timeout_and_closed() {
-        let q = BoundedQueue::new(4);
-        q.submit(1).unwrap();
-        assert_eq!(
-            q.pop_batch_timeout(4, std::time::Duration::from_millis(1)),
-            TimedPop::Items(vec![1])
-        );
-        assert_eq!(q.pop_batch_timeout(4, std::time::Duration::from_millis(1)), TimedPop::TimedOut);
-        q.close();
-        assert_eq!(q.pop_batch_timeout(4, std::time::Duration::from_millis(1)), TimedPop::Closed);
-    }
-
-    #[test]
-    fn timed_pop_wakes_on_late_submission() {
-        let q = Arc::new(BoundedQueue::new(4));
-        let worker = {
-            let q = q.clone();
-            std::thread::spawn(move || q.pop_batch_timeout(4, std::time::Duration::from_secs(5)))
-        };
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        q.submit(9).unwrap();
-        assert_eq!(worker.join().unwrap(), TimedPop::Items(vec![9]));
-    }
-
-    #[test]
-    fn steal_takes_the_oldest_items_first() {
-        let q = BoundedQueue::new(8);
-        for i in 0..5 {
-            q.submit(i).unwrap();
-        }
-        assert_eq!(q.steal_batch(2), Some(vec![0, 1]));
-        assert_eq!(q.depth(), 3);
-        // The owner still drains FIFO after the theft.
-        assert_eq!(q.pop_batch(8), Some(vec![2, 3, 4]));
-        assert_eq!(q.steal_batch(2), None, "empty queue has nothing to steal");
-        assert_eq!(q.steal_batch(0), None, "zero-sized steals are refused");
-        // A closed queue's backlog is still stealable.
-        let q = BoundedQueue::new(8);
-        q.submit(7).unwrap();
-        q.close();
-        assert_eq!(q.steal_batch(4), Some(vec![7]));
-    }
-
-    #[test]
     fn close_lets_worker_drain_remaining_items() {
         let q = BoundedQueue::new(4);
         q.submit(7).unwrap();
         q.close();
-        assert_eq!(q.pop_batch(4), Some(vec![7]));
-        assert_eq!(q.pop_batch(4), None);
-    }
-
-    #[test]
-    fn estimator_tracks_each_cost_class_separately() {
-        let e = CostEstimator::new();
-        assert_eq!(e.blended_nanos(), 0, "no samples, no estimate");
-        e.observe(CostClass::CacheHit, Duration::from_micros(5));
-        e.observe(CostClass::EngineRun, Duration::from_millis(5));
-        // The first sample seeds each class directly.
-        assert_eq!(e.class_nanos(CostClass::CacheHit), 5_000);
-        assert_eq!(e.class_nanos(CostClass::EngineRun), 5_000_000);
-        // The blend sits strictly between the classes.
-        let blend = e.blended_nanos();
-        assert!(blend > 5_000 && blend < 5_000_000, "blend {blend} out of range");
+        assert_eq!(q.pop(), Some(7));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn estimator_converges_toward_a_shifted_service_time() {
         let e = CostEstimator::new();
-        e.observe(CostClass::EngineRun, Duration::from_micros(100));
+        assert_eq!(e.nanos(), 0, "no samples, no estimate");
+        e.observe(Duration::from_micros(100));
+        assert_eq!(e.nanos(), 100_000, "the first sample seeds the average");
         for _ in 0..100 {
-            e.observe(CostClass::EngineRun, Duration::from_micros(900));
+            e.observe(Duration::from_micros(900));
         }
-        let est = e.class_nanos(CostClass::EngineRun);
+        let est = e.nanos();
         assert!(
             (800_000..=1_000_000).contains(&est),
             "EWMA should have re-converged near 900µs, got {est}ns"
@@ -536,12 +370,12 @@ mod tests {
         let c = AdmissionController::new(Duration::from_millis(10));
         // No completed request yet: no signal, admit anything.
         assert_eq!(c.assess(10_000), AdmissionVerdict::Admit);
-        // 1ms per queued item: depth 5 predicts ~6ms, within the 10ms budget.
+        // 1ms per queued item: backlog 5 predicts ~6ms, within the 10ms budget.
         for _ in 0..8 {
-            c.estimator().observe(CostClass::EngineRun, Duration::from_millis(1));
+            c.estimator().observe(Duration::from_millis(1));
         }
         assert_eq!(c.assess(5), AdmissionVerdict::Admit);
-        // Depth 50 predicts ~51ms: over budget, with a ceil'd backoff hint.
+        // Backlog 50 predicts ~51ms: over budget, with a ceil'd backoff hint.
         match c.assess(50) {
             AdmissionVerdict::Reject(r) => {
                 assert!(r.estimated_wait > r.budget);
@@ -553,26 +387,9 @@ mod tests {
     }
 
     #[test]
-    fn cost_classes_split_the_admission_decision() {
-        // Budget 2ms, engine runs cost 10ms, hits cost 1µs and make up nine
-        // tenths of the traffic: the blended estimate (~1ms) fits the budget,
-        // but the request's own term is an engine run, so even an empty
-        // queue rejects it — the cost-aware half of the controller.
-        let c = AdmissionController::new(Duration::from_millis(2));
-        for _ in 0..8 {
-            for _ in 0..9 {
-                c.estimator().observe(CostClass::CacheHit, Duration::from_micros(1));
-            }
-            c.estimator().observe(CostClass::EngineRun, Duration::from_millis(10));
-        }
-        assert!(c.estimator().blended_nanos() < 2_000_000);
-        assert!(matches!(c.assess(0), AdmissionVerdict::Reject(_)));
-    }
-
-    #[test]
     fn breach_episodes_are_edge_triggered() {
         let c = AdmissionController::new(Duration::from_millis(1));
-        c.estimator().observe(CostClass::EngineRun, Duration::from_millis(1));
+        c.estimator().observe(Duration::from_millis(1));
         let first = c.assess(100);
         let second = c.assess(100);
         match (first, second) {
@@ -593,7 +410,7 @@ mod tests {
     #[test]
     fn disabled_controller_admits_everything_but_still_hints() {
         let c = AdmissionController::new(Duration::ZERO);
-        c.estimator().observe(CostClass::EngineRun, Duration::from_millis(2));
+        c.estimator().observe(Duration::from_millis(2));
         assert_eq!(c.assess(1_000_000), AdmissionVerdict::Admit);
         // The static-cap hint still works off the estimator: 64 × 2ms = 128ms.
         assert_eq!(c.queue_full_hint_ms(64), 128);

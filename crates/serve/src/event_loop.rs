@@ -17,12 +17,13 @@
 //!              │  · non-blocking write of queued responses  │
 //!              └───┬─────────────▲───────────────┬──────▲───┘
 //!   Query miss:    │ completions │ every other   │      │ completions
-//!   queued on its  │ (self-pipe  │ request       │      │ (self-pipe
-//!   home shard     │  wake)      │ (mpsc)        │      │  wake)
+//!   enters the     │ (self-pipe  │ request       │      │ (self-pipe
+//!   request queue  │  wake)      │ (mpsc)        │      │  wake)
 //!              ┌───▼─────────────┴───┐      ┌────▼──────┴───┐
-//!              │ home shard's queue  │      │ control thread│
-//!              │ → shard worker runs │      │ · handle()    │
-//!              │   the reply callback│      └───────────────┘
+//!              │ request queue       │      │ control thread│
+//!              │ → the shard worker  │      │ · handle()    │
+//!              │   that pops it runs │      └───────────────┘
+//!              │   the reply callback│
 //!              └─────────────────────┘
 //! ```
 //!
@@ -37,7 +38,7 @@
 //! A single `Query` (bare or in one trace envelope) goes straight to the
 //! service's own admission. A current cache hit is answered there and then:
 //! its reply callback frames the response on the poller itself, so a hit
-//! crosses no thread hand-over. A miss is queued on its home shard without
+//! crosses no thread hand-over. A miss enters the request queue without
 //! blocking, and the shard worker that answers it runs the reply callback,
 //! so a miss crosses two hand-overs: to the worker and back. Either way the
 //! framed response reaches the connection through a completion queue. A
@@ -291,8 +292,8 @@ impl EventLoopServer {
     }
 
     /// Stops accepting, disconnects every live connection and joins both
-    /// threads. Idempotent; also runs on drop. Queries still queued on a
-    /// shard are answered into the void.
+    /// threads. Idempotent; also runs on drop. Queries still queued in the
+    /// service are answered into the void.
     pub fn shutdown(&mut self) {
         if self.shared.shutting_down.swap(true, Ordering::SeqCst) {
             return;
@@ -828,7 +829,7 @@ fn decode_frames(conn: &mut Conn, handoff: &Handoff) {
 /// Hands the connection's next request on, unless one is already in flight
 /// (one at a time keeps responses in arrival order). A single query goes
 /// straight to the service: a current cache hit runs its reply callback
-/// right here on the poller, a miss is queued on its home shard and the
+/// right here on the poller, a miss enters the request queue and the
 /// callback frames the response on the worker that answers it. Every other
 /// request goes to the control thread.
 fn hand_off_next(conn: &mut Conn, handoff: &Handoff) {

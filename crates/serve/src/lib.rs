@@ -13,21 +13,20 @@
 //!   untouched per-subgraph index, the bounding-path shapes of the touched
 //!   ones, the skeleton's topology and the auxiliary tables, so staging an
 //!   epoch copies the weights the batch reaches, never structure.
-//! * [`service`] — the [`QueryService`]: a sharded pool of worker threads with
-//!   per-shard **bounded queues** (reject-with-backpressure admission control),
-//!   request **batching** (one epoch load per drained batch), and **work
-//!   stealing**: hash routing keeps cache affinity, but an idle worker steals
-//!   the oldest requests from the deepest queue, so skewed workloads do not
-//!   pin one shard while the rest idle.
-//! * [`admission`] — besides the static queue cap, an **SLO-driven,
-//!   cost-aware adaptive controller**: per predicted cost class (a
-//!   trace-checked cache hit costs microseconds, an engine run costs
-//!   milliseconds) it tracks service-time EWMAs, predicts an arriving
-//!   request's completion as `depth × blended + own-class`, and rejects with
-//!   a typed `Overloaded { retry_after_ms }` when the prediction breaches
-//!   the [`ObsConfig::slo_p99`](ksp_obs::ObsConfig) budget — load is shed
-//!   *before* it queues, and the retry hint sizes the client's backoff.
-//! * [`cache`] — a per-shard **LRU result cache** keyed by
+//! * [`service`] — the [`QueryService`]: a pool of `num_shards` worker
+//!   threads draining **one bounded queue** (reject-with-backpressure
+//!   admission control). A worker blocks on the queue's condvar and pops one
+//!   request per wake, so no miss waits while a worker idles, however skewed
+//!   the workload.
+//! * [`admission`] — besides the static queue cap, an **SLO-driven adaptive
+//!   controller**: it tracks an EWMA of engine-run service times, predicts
+//!   an arriving miss's completion as `(backlog per worker + 1) × EWMA`, and
+//!   rejects with a typed `Overloaded { retry_after_ms }` when the
+//!   prediction breaches the [`ObsConfig::slo_p99`](ksp_obs::ObsConfig)
+//!   budget — load is shed *before* it queues, and the retry hint sizes the
+//!   client's backoff. Cache hits are answered at admission and always
+//!   admitted.
+//! * [`cache`] — an **LRU result cache** in `num_shards` stripes keyed by
 //!   `(source, target, k)`, with entries stamped by epoch and carrying their
 //!   query's subgraph trace ([`QueryTrace`](ksp_core::kspdg::QueryTrace)).
 //!   An epoch publish evicts only the entries whose trace intersects the
@@ -35,17 +34,17 @@
 //!   epoch — so under steady small-batch churn the hit rate tracks update
 //!   locality instead of collapsing to zero at every publish.
 //! * [`metrics`] — lock-free latency histograms (p50/p95/p99), cache hit rate,
-//!   retention/steal counters and per-shard queue gauges. All counters are
+//!   retention counters and the queue gauge. All counters are
 //!   cumulative-monotonic.
 //! * **observability** (via `ksp-obs`) — every request and every epoch
 //!   publish carries a [`StageSpan`](ksp_obs::StageSpan) stamped at each
-//!   stage boundary (admission → queue/steal → cache → engine → trace-sweep
-//!   → reply; stage_index → wal_append → fsync → swap → retention →
+//!   stage boundary (admission → queue → cache → engine → trace_sweep →
+//!   reply; stage_index → wal_append → fsync → swap → retention →
 //!   checkpoint_encode → checkpoint_commit); the finished chains aggregate
 //!   into per-stage histograms that sum exactly to the end-to-end ones. A
 //!   lock-free flight recorder
 //!   ([`FlightRecorder`](ksp_obs::FlightRecorder)) keeps the last N
-//!   structured events (publishes, checkpoints, steals, rejections, hostile
+//!   structured events (publishes, checkpoints, rejections, hostile
 //!   frames, recovery steps) and dumps itself on anomalies (SLO breach,
 //!   publish stall). [`QueryService::obs_snapshot`] exports the lot, and
 //!   [`QueryService::render_exposition`] renders it in the Prometheus text
@@ -57,7 +56,8 @@
 //!   drives a level-triggered `epoll` set with non-blocking sockets,
 //!   per-connection buffers and partial-frame reassembly and submits each
 //!   query to the service: a cache hit is answered inline on the poller, a
-//!   miss is queued on its home shard, whose worker frames the reply; one
+//!   miss enters the request queue, and the worker that pops it frames the
+//!   reply; one
 //!   control thread runs every other request. Floods are answered with the
 //!   service's typed rejections instead of occupying threads, malformed or
 //!   foreign-version frames with a typed error and a disconnect, and a
@@ -111,11 +111,11 @@ pub mod metrics;
 pub mod rpc;
 pub mod service;
 
-pub use admission::{AdmissionConfig, QueueFull, TimedPop};
+pub use admission::{AdmissionConfig, QueueFull};
 pub use cache::{CacheKey, CacheRetention, ResultCache};
 pub use epoch::{EpochPointer, EpochSnapshot};
 pub use event_loop::{EventLoopServer, EventLoopStats};
-pub use metrics::{LatencyHistogram, MetricsReport, ServiceMetrics, ShardQueueGauge};
+pub use metrics::{LatencyHistogram, MetricsReport, QueueGauge, ServiceMetrics};
 pub use rpc::{InProcTransport, ReplicationHook};
 pub use service::{
     route_shard, Observability, PublishError, QueryResponse, QueryService, ServiceConfig,

@@ -1,8 +1,8 @@
 //! Latency/throughput metrics for the serving subsystem.
 //!
 //! Everything on the hot path is an atomic counter: workers record into a
-//! log-scale latency histogram and per-shard steal counters without locks,
-//! and [`ServiceMetrics::report`] folds the counters into the summary the
+//! log-scale latency histogram and plain counters without locks, and
+//! [`ServiceMetrics::report`] folds the counters into the summary the
 //! operator cares about — p50/p95/p99 latency, cache hit rate, admission
 //! rejections and epochs published.
 //!
@@ -12,7 +12,7 @@
 //!
 //! **Counter semantics.** Every `u64` counter in [`MetricsReport`] —
 //! `completed`, `rejected`, `cache_hits`, `cache_misses`, `epochs_published`,
-//! `cache_retained`, `cache_evicted`, `steals` — is *cumulative-monotonic*
+//! `cache_retained`, `cache_evicted` — is *cumulative-monotonic*
 //! over the service's lifetime: it only ever grows, and a report is a
 //! point-in-time snapshot of the running totals. Per-interval figures are the
 //! difference of two reports, never a counter reset.
@@ -21,25 +21,6 @@ pub use ksp_obs::LatencyHistogram;
 use ksp_obs::{PublishStage, Stage, StageHistograms};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
-
-/// Per-shard hot-path counters.
-#[derive(Debug, Default)]
-pub struct ShardCounters {
-    steals: AtomicU64,
-}
-
-impl ShardCounters {
-    /// Records that this shard's worker stole `count` requests from another
-    /// shard's queue.
-    pub fn record_steals(&self, count: usize) {
-        self.steals.fetch_add(count as u64, Ordering::Relaxed);
-    }
-
-    /// Requests this shard's worker stole from other shards so far.
-    pub fn steals(&self) -> u64 {
-        self.steals.load(Ordering::Relaxed)
-    }
-}
 
 /// All counters of one [`crate::QueryService`].
 #[derive(Debug)]
@@ -58,7 +39,7 @@ pub struct ServiceMetrics {
     pub publish_latency: LatencyHistogram,
     /// Completed requests.
     pub completed: AtomicU64,
-    /// Requests the admission path accepted into a shard queue.
+    /// Requests the admission path accepted: answered inline or queued.
     pub admission_accepted: AtomicU64,
     /// Rejections from the static queue cap (the queue held `max_queue_depth`
     /// requests).
@@ -73,20 +54,18 @@ pub struct ServiceMetrics {
     /// Epochs published (excluding the initial build).
     pub epochs_published: AtomicU64,
     /// Cache entries re-stamped (kept servable) across epoch publishes by
-    /// dirty-set retention, summed over all shards.
+    /// dirty-set retention, summed over all cache stripes.
     pub cache_retained: AtomicU64,
     /// Cache entries evicted at epoch publishes (dirty trace, incomplete
-    /// trace, or wholesale clears), summed over all shards.
+    /// trace, or wholesale clears), summed over all cache stripes.
     pub cache_evicted: AtomicU64,
     /// Cache entries stamped older than the previous epoch that the dirty-set
-    /// ring certified across every missed publish (summed over all shards;
+    /// ring certified across every missed publish (summed over all stripes;
     /// disjoint from `cache_retained`).
     pub cache_ring_retained: AtomicU64,
     /// Capacity evictions where the trace-size weight overrode plain LRU
-    /// order (collected from the per-shard caches at each publish).
+    /// order (collected from the cache stripes at each publish).
     pub cache_weighted_evictions: AtomicU64,
-    /// Per-shard steal counters.
-    pub shards: Vec<ShardCounters>,
     /// When these metrics were created (service boot).
     started: Instant,
     /// Microseconds after `started` at which the last epoch publish
@@ -95,9 +74,9 @@ pub struct ServiceMetrics {
     last_publish_micros: AtomicU64,
 }
 
-impl ServiceMetrics {
-    /// Creates zeroed metrics for `num_shards` shards.
-    pub fn new(num_shards: usize) -> Self {
+/// Zeroed metrics, their clock started now.
+impl Default for ServiceMetrics {
+    fn default() -> Self {
         ServiceMetrics {
             latency: LatencyHistogram::default(),
             stages: StageHistograms::default(),
@@ -114,12 +93,13 @@ impl ServiceMetrics {
             cache_evicted: AtomicU64::new(0),
             cache_ring_retained: AtomicU64::new(0),
             cache_weighted_evictions: AtomicU64::new(0),
-            shards: (0..num_shards).map(|_| ShardCounters::default()).collect(),
             started: Instant::now(),
             last_publish_micros: AtomicU64::new(0),
         }
     }
+}
 
+impl ServiceMetrics {
     /// Stamps "an epoch was just published" for the staleness gauge.
     pub fn note_publish(&self) {
         let now = self.started.elapsed().as_micros().min(u64::MAX as u128) as u64;
@@ -134,7 +114,6 @@ impl ServiceMetrics {
 
     /// Folds the live counters into an immutable report.
     pub fn report(&self) -> MetricsReport {
-        let per_shard_steals: Vec<u64> = self.shards.iter().map(|s| s.steals()).collect();
         let completed = self.completed.load(Ordering::Relaxed);
         let hits = self.cache_hits.load(Ordering::Relaxed);
         let misses = self.cache_misses.load(Ordering::Relaxed);
@@ -153,8 +132,7 @@ impl ServiceMetrics {
             cache_evicted: self.cache_evicted.load(Ordering::Relaxed),
             cache_ring_retained: self.cache_ring_retained.load(Ordering::Relaxed),
             cache_weighted_evictions: self.cache_weighted_evictions.load(Ordering::Relaxed),
-            steals: per_shard_steals.iter().sum(),
-            per_shard_steals,
+            steals: 0,
             epoch_age: self.epoch_age(),
             p50: self.latency.quantile(0.50),
             p95: self.latency.quantile(0.95),
@@ -166,14 +144,13 @@ impl ServiceMetrics {
     }
 }
 
-/// Point-in-time backlog gauges of one shard's request queue.
+/// Point-in-time backlog gauges of the service's request queue.
 ///
-/// Groundwork for adaptive admission control: the current depth is the
-/// instantaneous queueing-delay signal, and the high-water mark tells the
-/// operator how close the shard has come to its configured rejection depth
-/// since the service started.
+/// The current depth is the instantaneous queueing-delay signal, and the
+/// high-water mark tells the operator how close the queue has come to its
+/// configured rejection depth since the service started.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ShardQueueGauge {
+pub struct QueueGauge {
     /// Requests admitted and waiting right now.
     pub depth: usize,
     /// Deepest the queue has ever been.
@@ -182,7 +159,7 @@ pub struct ShardQueueGauge {
     pub max_depth: usize,
 }
 
-impl ShardQueueGauge {
+impl QueueGauge {
     /// High-water backlog as a fraction of the configured depth, in `[0, 1]`.
     /// A value near 1 means admission control has been the binding constraint.
     pub fn saturation(&self) -> f64 {
@@ -209,7 +186,7 @@ pub struct MetricsReport {
     pub completed: u64,
     /// Requests rejected by admission control (static cap + adaptive, total).
     pub rejected: u64,
-    /// Requests accepted into a shard queue.
+    /// Requests accepted: answered inline or queued.
     pub admission_accepted: u64,
     /// Rejections from the static queue cap.
     pub admission_rejected_queue_full: u64,
@@ -229,11 +206,10 @@ pub struct MetricsReport {
     pub cache_ring_retained: u64,
     /// Capacity evictions where the trace-size weight overrode plain LRU.
     pub cache_weighted_evictions: u64,
-    /// Requests answered by a worker that stole them from another shard's
-    /// queue, total.
+    /// Always 0: every worker drains the one request queue, so no request
+    /// moves between workers. Kept because the ledger's `serve.steals` row
+    /// reads it.
     pub steals: u64,
-    /// Steal counts attributed to the *thief* shard, indexed by shard.
-    pub per_shard_steals: Vec<u64>,
     /// Time since the last epoch publish when the report was taken (time
     /// since boot, before the first publish) — the staleness gauge a replica
     /// or freshness SLO watches.
@@ -248,10 +224,10 @@ pub struct MetricsReport {
     pub mean: Duration,
     /// Worst observed end-to-end latency.
     pub max: Duration,
-    /// Per-shard queue backlog gauges (empty when the report was produced
-    /// directly from [`ServiceMetrics::report`], which cannot see the queues;
-    /// [`crate::QueryService::metrics`] fills them in).
-    pub queue_gauges: Vec<ShardQueueGauge>,
+    /// The request queue's backlog gauge, one entry (empty when the report
+    /// was produced directly from [`ServiceMetrics::report`], which cannot
+    /// see the queue; [`crate::QueryService::metrics`] fills it in).
+    pub queue_gauges: Vec<QueueGauge>,
 }
 
 impl MetricsReport {
@@ -272,14 +248,13 @@ mod tests {
 
     #[test]
     fn report_computes_hit_rate_and_shard_loads() {
-        let m = ServiceMetrics::new(3);
+        let m = ServiceMetrics::default();
         m.cache_hits.fetch_add(3, Ordering::Relaxed);
         m.cache_misses.fetch_add(1, Ordering::Relaxed);
         m.completed.fetch_add(4, Ordering::Relaxed);
         m.latency.record(Duration::from_millis(2));
         let report = m.report();
         assert!((report.cache_hit_rate() - 0.75).abs() < 1e-9);
-        assert_eq!(report.per_shard_steals.len(), 3);
         assert!(report.p50 > Duration::ZERO);
     }
 
@@ -289,7 +264,7 @@ mod tests {
         // the admission path counts, whatever its cause, has to reach the
         // report's `rejected` total (and from there the wire `ObsSnapshot`
         // response) unchanged.
-        let m = ServiceMetrics::new(1);
+        let m = ServiceMetrics::default();
         m.admission_rejected_queue_full.fetch_add(5, Ordering::Relaxed);
         m.completed.fetch_add(2, Ordering::Relaxed);
         assert_eq!(m.report().rejected, 5);
@@ -303,7 +278,7 @@ mod tests {
         // accepted count must each reach the report for the `ksp_admission_*`
         // exposition families, and the total `rejected` is their sum, so
         // overload stays observable on the wire.
-        let m = ServiceMetrics::new(1);
+        let m = ServiceMetrics::default();
         m.admission_accepted.fetch_add(10, Ordering::Relaxed);
         m.admission_rejected_queue_full.fetch_add(3, Ordering::Relaxed);
         m.admission_rejected_predicted.fetch_add(4, Ordering::Relaxed);
@@ -316,25 +291,23 @@ mod tests {
     }
 
     #[test]
-    fn report_surfaces_steal_and_retention_counters() {
-        // Regression guard for the work-stealing + cache-survival telemetry:
-        // thief-side steal counts and publish-time retention totals must
-        // reach the report (and from there the wire `ObsSnapshot` response).
-        let m = ServiceMetrics::new(3);
-        m.shards[2].record_steals(4);
-        m.shards[0].record_steals(1);
+    fn report_surfaces_retention_counters() {
+        // Regression guard for the cache-survival telemetry: publish-time
+        // retention totals must reach the report (and from there the wire
+        // `ObsSnapshot` response).
+        let m = ServiceMetrics::default();
         m.cache_retained.fetch_add(17, Ordering::Relaxed);
         m.cache_evicted.fetch_add(3, Ordering::Relaxed);
+        m.cache_ring_retained.fetch_add(2, Ordering::Relaxed);
         let report = m.report();
-        assert_eq!(report.steals, 5);
-        assert_eq!(report.per_shard_steals, vec![1, 0, 4]);
         assert_eq!(report.cache_retained, 17);
         assert_eq!(report.cache_evicted, 3);
+        assert_eq!(report.cache_ring_retained, 2);
     }
 
     #[test]
     fn epoch_age_resets_on_publish() {
-        let m = ServiceMetrics::new(1);
+        let m = ServiceMetrics::default();
         std::thread::sleep(Duration::from_millis(5));
         let before = m.epoch_age();
         assert!(before >= Duration::from_millis(5), "age accrues from boot: {before:?}");
@@ -346,8 +319,8 @@ mod tests {
 
     #[test]
     fn queue_gauge_saturation_is_a_fraction_of_the_cap() {
-        let gauge = ShardQueueGauge { depth: 3, high_water: 48, max_depth: 64 };
+        let gauge = QueueGauge { depth: 3, high_water: 48, max_depth: 64 };
         assert!((gauge.saturation() - 0.75).abs() < 1e-9);
-        assert_eq!(ShardQueueGauge::default().saturation(), 0.0);
+        assert_eq!(QueueGauge::default().saturation(), 0.0);
     }
 }

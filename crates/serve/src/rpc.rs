@@ -12,10 +12,10 @@
 //!   the wire against).
 //! * [`EventLoopServer`](crate::EventLoopServer) puts the service behind a
 //!   socket: it reads length-prefixed CRC-guarded frames and submits a
-//!   single query straight to its home shard, whose worker builds the reply
-//!   with `query_response` and `echo_trace` — the same two steps `handle`
-//!   takes. Every other request goes through `handle` on the server's
-//!   control thread. Malformed, truncated, corrupt or foreign-version frames
+//!   single query straight to the service; the reply to a miss is built by
+//!   the worker that answers it, with `query_response` and `echo_trace` —
+//!   the same two steps `handle` takes. Every other request goes through
+//!   `handle` on the server's control thread. Malformed, truncated, corrupt or foreign-version frames
 //!   are answered with a typed [`ErrorReply`] and a clean disconnect.
 
 use crate::service::{PublishError, QueryResponse, QueryService, ServiceError};
@@ -264,13 +264,13 @@ mod tests {
         // CheckpointNow on an in-memory service is a typed no-op.
         assert_eq!(service.handle(Request::CheckpointNow), Response::CheckpointNow { epoch: None });
 
-        // ObsSnapshot carries the rejected counter and per-shard gauges.
+        // ObsSnapshot carries the rejected counter and the one queue gauge.
         let Response::ObsSnapshot(snap) = service.handle(Request::ObsSnapshot) else {
             panic!("expected an ObsSnapshot response");
         };
         assert_eq!(snap.counter("ksp_epochs_published_total"), 1);
         assert_eq!(snap.counter("ksp_requests_rejected_total"), 0);
-        assert_eq!(snap.gauges.iter().filter(|g| g.name == "ksp_queue_depth").count(), 2);
+        assert_eq!(snap.gauges.iter().filter(|g| g.name == "ksp_queue_depth").count(), 1);
         let completed = service.metrics().completed;
         assert_eq!(snap.counter("ksp_requests_completed_total"), completed);
         assert_eq!(snap.end_to_end.count, completed);

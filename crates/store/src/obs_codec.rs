@@ -4,8 +4,8 @@
 //! Histograms carry only their bucket occupancy (the log₂-microsecond bucket
 //! bounds are fixed by `ksp-obs`), stages and event kinds travel as their
 //! `u8` codes, and gauge values as raw IEEE-754 bits. Decoding is
-//! hostile-input safe: a stage or event-kind code outside the known range,
-//! and a span chain without exactly one value per stage, fail with a typed
+//! hostile-input safe: an unknown or retired stage or event-kind code, and a
+//! span chain without exactly one value per stage, fail with a typed
 //! [`CodecError`]. Whatever decodes renders exactly as the sender's snapshot
 //! does.
 
@@ -178,7 +178,11 @@ mod tests {
                     labels: String::new(),
                     value: 17,
                 },
-                Counter { name: "ksp_steals_total".into(), labels: "shard=\"1\"".into(), value: 3 },
+                Counter {
+                    name: "ksp_admission_rejected_total".into(),
+                    labels: "reason=\"queue_full\"".into(),
+                    value: 3,
+                },
             ],
             gauges: vec![Gauge {
                 name: "ksp_epoch_age_seconds".into(),
@@ -194,10 +198,10 @@ mod tests {
                     b: 10,
                     c: 0,
                 },
-                span: Some(SpanChain { micros: [1, 2, 0, 3, 4, 5, 6], branched: false }),
+                span: Some(SpanChain { micros: [1, 2, 3, 4, 5, 6], branched: false }),
                 events: vec![
                     ObsEvent { at_micros: 1, kind: EventKind::EpochPublished, a: 1, b: 4, c: 900 },
-                    ObsEvent { at_micros: 2, kind: EventKind::Steal, a: 0, b: 1, c: 8 },
+                    ObsEvent { at_micros: 2, kind: EventKind::Rejection, a: 0, b: 1, c: 8 },
                 ],
                 trace_id: 0xBEEF_0007,
             }),
@@ -218,8 +222,8 @@ mod tests {
         // The layout is part of the wire protocol: changing any byte of it
         // means bumping the protocol version and re-pinning these.
         let bytes = sample_snapshot().to_bytes();
-        assert_eq!(bytes.len(), 6014);
-        assert_eq!(crc32(&bytes), 0x458a_3986);
+        assert_eq!(bytes.len(), 5675);
+        assert_eq!(crc32(&bytes), 0x301e_b55d);
     }
 
     #[test]
@@ -253,16 +257,22 @@ mod tests {
         assert!(matches!(decode_with(&stage, 0, 200), Err(CodecError::InvalidValue(_))));
         let publish = StageSnapshot { stage: PublishStage::Fsync, histogram };
         assert!(matches!(decode_with(&publish, 0, 200), Err(CodecError::InvalidValue(_))));
-        let event = ObsEvent { at_micros: 0, kind: EventKind::Steal, a: 0, b: 0, c: 0 };
+        let event = ObsEvent { at_micros: 0, kind: EventKind::Rejection, a: 0, b: 0, c: 0 };
         assert!(matches!(decode_with(&event, 8, 99), Err(CodecError::InvalidValue(_))));
+        // Code 4 is retired: it decodes to no kind, although 3 and 5 do.
+        assert!(matches!(decode_with(&event, 8, 4), Err(CodecError::InvalidValue(_))));
 
-        let mut w = Writer::new();
-        vec![1u64, 2, 3].encode(&mut w);
-        false.encode(&mut w);
-        assert!(matches!(
-            SpanChain::<Stage>::from_bytes(&w.into_bytes()),
-            Err(CodecError::InvalidValue(_))
-        ));
+        // A read-path chain carries exactly six stages: three, or the seven
+        // of a protocol that still had a steal stage, fail typed.
+        for len in [3u64, 7] {
+            let mut w = Writer::new();
+            (1..=len).collect::<Vec<u64>>().encode(&mut w);
+            false.encode(&mut w);
+            assert!(matches!(
+                SpanChain::<Stage>::from_bytes(&w.into_bytes()),
+                Err(CodecError::InvalidValue(_))
+            ));
+        }
 
         // A dump option tag outside {0, 1} is rejected.
         let mut w = Writer::new();

@@ -176,7 +176,7 @@ fn event_loop_answers_are_byte_identical_to_in_proc() {
     let snap = client.obs_snapshot().unwrap();
     assert!(snap.counter("ksp_requests_completed_total") >= 3 * workload.len() as u64);
     assert_eq!(snap.counter("ksp_requests_rejected_total"), 0);
-    assert_eq!(snap.gauges.iter().filter(|g| g.name == "ksp_queue_depth").count(), 3);
+    assert_eq!(snap.gauges.iter().filter(|g| g.name == "ksp_queue_depth").count(), 1);
 
     let stats = server.stats();
     assert!(stats.accepted >= 3);
