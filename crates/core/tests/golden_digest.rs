@@ -11,7 +11,10 @@
 
 use ksp_core::dtlp::{DtlpConfig, DtlpIndex};
 use ksp_core::kspdg::{KspDgConfig, KspDgEngine, QueryResult};
-use ksp_workload::{QueryWorkload, QueryWorkloadConfig, RoadNetworkConfig, RoadNetworkGenerator};
+use ksp_workload::{
+    QueryWorkload, QueryWorkloadConfig, RoadNetworkConfig, RoadNetworkGenerator, TrafficConfig,
+    TrafficModel,
+};
 
 /// FNV-1a over 64-bit words.
 struct Fnv(u64);
@@ -59,13 +62,33 @@ impl Fnv {
 /// Recorded with the hash-map search state the flat arena replaced.
 const GOLDEN: u64 = 0x365e_b813_9e99_d953;
 
-#[test]
-fn answers_stats_and_traces_match_the_pinned_digest() {
-    let net =
-        RoadNetworkGenerator::new(RoadNetworkConfig::with_vertices(300)).generate(2024).unwrap();
-    let index = DtlpIndex::build(&net.graph, DtlpConfig::new(25, 2)).unwrap();
+/// The same workload over the directed variant of the network after two
+/// paper-default traffic batches, which change the two directions of a road
+/// independently: recorded before the spur, heuristic and partial searches moved
+/// onto one indexed heap.
+const DIRECTED_GOLDEN: u64 = 0x803b_65fd_99ff_6426;
+
+/// The undirected network after three paper-default traffic batches, each dirtying
+/// enough subgraphs to keep Theorem 1's slack bounds rather than repair them:
+/// recorded with the same searches as [`DIRECTED_GOLDEN`].
+const SLACK_GOLDEN: u64 = 0x0518_ddcd_04ae_bb6b;
+
+/// The 300-vertex network, its DTLP index at z = 25, ξ = 2, after `batches`
+/// paper-default traffic snapshots, and the digest of 60 seeded `k = 3` queries
+/// answered with certified traces, with the number of paths they returned.
+fn digest_of(directed: bool, batches: usize) -> (u64, usize) {
+    let mut config = RoadNetworkConfig::with_vertices(300);
+    config.directed = directed;
+    let mut graph = RoadNetworkGenerator::new(config).generate(2024).unwrap().graph;
+    let mut index = DtlpIndex::build(&graph, DtlpConfig::new(25, 2)).unwrap();
+    let mut traffic = TrafficModel::new(&graph, TrafficConfig::default(), 7);
+    for _ in 0..batches {
+        let batch = traffic.next_snapshot();
+        graph.apply_batch(&batch).unwrap();
+        index.apply_batch(&batch).unwrap();
+    }
     let engine = KspDgEngine::with_config(&index, KspDgConfig::default().with_trace());
-    let workload = QueryWorkload::generate(&net.graph, QueryWorkloadConfig::new(60, 3), 11);
+    let workload = QueryWorkload::generate(&graph, QueryWorkloadConfig::new(60, 3), 11);
     let mut digest = Fnv::new();
     let mut paths = 0;
     for q in workload.iter() {
@@ -73,6 +96,26 @@ fn answers_stats_and_traces_match_the_pinned_digest() {
         paths += result.paths.len();
         digest.result(&result);
     }
+    (digest.0, paths)
+}
+
+#[test]
+fn answers_stats_and_traces_match_the_pinned_digest() {
+    let (digest, paths) = digest_of(false, 0);
     assert!(paths >= 150, "the workload must exercise multi-path answers, got {paths} paths");
-    assert_eq!(digest.0, GOLDEN, "engine answers moved: digest {:#018x}", digest.0);
+    assert_eq!(digest, GOLDEN, "engine answers moved: digest {digest:#018x}");
+}
+
+#[test]
+fn directed_answers_match_the_pinned_digest() {
+    let (digest, paths) = digest_of(true, 2);
+    assert!(paths >= 150, "the workload must exercise multi-path answers, got {paths} paths");
+    assert_eq!(digest, DIRECTED_GOLDEN, "directed engine answers moved: digest {digest:#018x}");
+}
+
+#[test]
+fn answers_over_slack_bounds_match_the_pinned_digest() {
+    let (digest, paths) = digest_of(false, 3);
+    assert!(paths >= 150, "the workload must exercise multi-path answers, got {paths} paths");
+    assert_eq!(digest, SLACK_GOLDEN, "engine answers after updates moved: digest {digest:#018x}");
 }
