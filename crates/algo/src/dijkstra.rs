@@ -1,63 +1,76 @@
-//! Binary-heap Dijkstra searches over any [`GraphView`], run on a caller-owned
+//! Dijkstra and A* searches over any [`GraphView`], run on a caller-owned
 //! [`SearchArena`].
 //!
 //! Every search in this crate — point-to-point, Yen's spur searches, single-source,
-//! the bounded survival sweep and FindKSP's A* — keeps its per-vertex state in one
-//! dense arena indexed by [`VertexId`] and sized by [`GraphView::num_vertices`]. A
-//! search starts a new *generation*: a slot counts as reached, settled or banned only
-//! while its stamp equals the current generation, so starting a search costs O(1) and
-//! never clears the table. A search confined to a 50-vertex subgraph therefore touches
-//! 50 slots, even though the table spans the global id range.
+//! the bounded survival sweep, FindKSP's A* and its on-demand reverse search — keeps
+//! its per-vertex state in one dense arena indexed by [`VertexId`] and sized by
+//! [`GraphView::num_vertices`]. A search starts a new *generation*: a slot counts as
+//! reached, settled or banned only while its stamp equals the current generation, so
+//! starting a search costs O(1) and never clears the table. A search confined to a
+//! 50-vertex subgraph therefore touches 50 slots, even though the table spans the
+//! global id range.
 //!
 //! The caller owns the arena and threads it through one unit of work — a KSP-DG query
-//! runs every search it makes on one arena, a [`crate::KspEnumerator`] keeps one for
-//! its spur searches, and the free functions here make a fresh one per call. An arena
-//! is never kept in a thread-local or a global, so what a call allocates depends on the
-//! call alone, not on what ran before it on the same thread.
+//! runs its spur searches, attachments and sweep on one arena and each FindKSP
+//! heuristic on its own, a [`crate::KspEnumerator`] keeps one for its spur searches,
+//! and the free functions here make a fresh one per call. An arena is never kept in a
+//! thread-local or a global, so what a call allocates depends on the call alone, not
+//! on what ran before it on the same thread.
+//!
+//! **The heap.** The open list is an indexed 4-ary min-heap of `(f, g, vertex)`
+//! entries, where `g` is the distance from the source and `f` the priority: `f = g`
+//! for Dijkstra, `f = g + h` for A*. A queued vertex's heap position lives in its
+//! slot, so it is queued at most once: an improvement rewrites its entry in place and
+//! sifts it up (decrease-key) instead of pushing a second copy to be skipped later.
+//! Pops therefore settle vertices in the order a lazily-deleting binary heap of the
+//! same entries would.
 //!
 //! Tie-breaking is part of the contract and keeps answers bit-identical across
-//! arenas: the heap pops by (distance, vertex id), a parent is recorded only on strict
-//! improvement, and neighbours are relaxed in the order the view yields them.
+//! arenas: the heap pops by `(f, g, vertex id)`, a parent is recorded only on strict
+//! improvement of `g`, and neighbours are relaxed in the order the view yields them.
 
 use crate::path::Path;
 use ksp_graph::{GraphView, VertexId, Weight};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Per-vertex search state. The stamps hold the generation in which the vertex was
-/// last reached, settled or banned; `dist` and `parent` are valid while `reached` is
-/// current.
+/// last reached or banned; `dist` and `parent` are valid while `reached` is current,
+/// and so is `pos`: the vertex's index in the heap while it is queued, [`SETTLED`]
+/// once it is settled.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     dist: Weight,
     parent: VertexId,
+    pos: u32,
     reached: u32,
-    settled: u32,
     banned: u32,
 }
 
 impl Slot {
     const FRESH: Slot =
-        Slot { dist: Weight::ZERO, parent: VertexId(0), reached: 0, settled: 0, banned: 0 };
+        Slot { dist: Weight::ZERO, parent: VertexId(0), pos: 0, reached: 0, banned: 0 };
 }
 
-#[derive(Debug, PartialEq, Eq)]
+/// The heap position of a settled vertex.
+const SETTLED: u32 = u32::MAX;
+
+/// One queued vertex: its priority `f`, its distance `g` and its id.
+#[derive(Debug, Clone, Copy)]
 struct HeapEntry {
-    dist: Weight,
+    f: Weight,
+    g: Weight,
     vertex: VertexId,
 }
 
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.dist.cmp(&other.dist).then_with(|| self.vertex.cmp(&other.vertex))
+impl HeapEntry {
+    /// Whether `self` pops before `other`: by `f`, then `g`, then vertex id.
+    #[inline]
+    fn precedes(&self, other: &HeapEntry) -> bool {
+        (self.f, self.g, self.vertex) < (other.f, other.g, other.vertex)
     }
 }
 
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
+/// Children per heap node.
+const ARITY: usize = 4;
 
 /// Reusable, generation-stamped scratch space for shortest-path searches.
 ///
@@ -69,7 +82,8 @@ impl PartialOrd for HeapEntry {
 pub struct SearchArena {
     slots: Vec<Slot>,
     generation: u32,
-    heap: BinaryHeap<Reverse<HeapEntry>>,
+    /// The indexed open list; `slots[e.vertex].pos` is the index of entry `e`.
+    heap: Vec<HeapEntry>,
 }
 
 impl SearchArena {
@@ -110,6 +124,39 @@ impl SearchArena {
     pub fn search_from<G: GraphView>(&mut self, view: &G, source: VertexId) {
         self.begin(view.num_vertices());
         self.run(view, source, None, None, &[], |_| {});
+    }
+
+    /// Starts a single-source search from `source` that settles nothing yet:
+    /// [`SearchArena::settle_through`] resumes it as far as each call needs.
+    pub fn open_search<G: GraphView>(&mut self, view: &G, source: VertexId) {
+        self.begin(view.num_vertices());
+        if view.contains_vertex(source) {
+            self.open(source, Weight::ZERO);
+        }
+    }
+
+    /// The distance from the source of the search [`SearchArena::open_search`]
+    /// started to `v`, resuming that search until `v` is settled; infinite if `v` is
+    /// outside `view` or the search runs out first. `view` must be the view the search
+    /// was opened on.
+    ///
+    /// The search settles and expands vertices in the same order as
+    /// [`SearchArena::search_from`], however the calls interleave, so every distance
+    /// has the same bits as the full search's.
+    pub fn settle_through<G: GraphView>(&mut self, view: &G, v: VertexId) -> Weight {
+        if self.is_settled(v) {
+            return self.slots[v.index()].dist;
+        }
+        if !view.contains_vertex(v) {
+            return Weight::INFINITY;
+        }
+        while let Some((u, g)) = self.pop() {
+            self.expand(view, u, g, None, &[]);
+            if u == v {
+                return g;
+            }
+        }
+        Weight::INFINITY
     }
 
     /// Settles vertices outward from `source` until the next vertex would be at
@@ -170,9 +217,6 @@ impl SearchArena {
             self.slots.resize(n, Slot::FRESH);
         }
         self.heap.clear();
-        if self.heap.capacity() < n {
-            self.heap.reserve(n);
-        }
         if self.generation == u32::MAX {
             // Every stamp is now ambiguous: restart the count from a clean table.
             self.slots.fill(Slot::FRESH);
@@ -189,43 +233,144 @@ impl SearchArena {
         }
     }
 
-    /// Reaches `source` at distance zero, as its own parent.
-    pub(crate) fn start(&mut self, source: VertexId) {
+    /// Reaches `source` at distance zero, as its own parent, and queues it with
+    /// priority `f`.
+    pub(crate) fn open(&mut self, source: VertexId, f: Weight) {
         let slot = &mut self.slots[source.index()];
         *slot = Slot { dist: Weight::ZERO, parent: source, reached: self.generation, ..*slot };
-    }
-
-    #[inline]
-    pub(crate) fn settle(&mut self, v: VertexId) {
-        self.slots[v.index()].settled = self.generation;
+        let entry = HeapEntry { f, g: Weight::ZERO, vertex: source };
+        self.heap.push(entry);
+        self.sift_up(self.heap.len() - 1, entry);
     }
 
     /// Whether the current search settled `v`. A fresh arena has no slots, so the
     /// zero generation never matches.
     #[inline]
     pub(crate) fn is_settled(&self, v: VertexId) -> bool {
-        self.slots.get(v.index()).is_some_and(|s| s.settled == self.generation)
+        self.slots.get(v.index()).is_some_and(|s| s.reached == self.generation && s.pos == SETTLED)
     }
 
-    /// Offers `candidate` as the distance of `to`, reached from `from`. Refused if
-    /// `to` is settled or banned; taken if `to` is unreached or strictly improved.
+    /// Whether [`SearchArena::relax`] would take distance `g` for `to`: `to` is
+    /// neither settled nor banned, and is unreached or strictly improved.
     #[inline]
-    pub(crate) fn improve(&mut self, from: VertexId, to: VertexId, candidate: Weight) -> bool {
+    pub(crate) fn improves(&self, to: VertexId, g: Weight) -> bool {
+        let slot = &self.slots[to.index()];
         let generation = self.generation;
+        if slot.reached == generation {
+            slot.pos != SETTLED && g < slot.dist
+        } else {
+            slot.banned != generation
+        }
+    }
+
+    /// Offers distance `g` and priority `f` for `to`, reached from `from`: queues
+    /// `to`, or lowers its queued entry, if [`SearchArena::improves`] holds. `f` must
+    /// fall with `g` (`f = g + h` for a fixed `h`), so a lowered entry only sifts up.
+    #[inline]
+    pub(crate) fn relax(&mut self, from: VertexId, to: VertexId, g: Weight, f: Weight) -> bool {
+        if !self.improves(to, g) {
+            return false;
+        }
+        let generation = self.generation;
+        let entry = HeapEntry { f, g, vertex: to };
         let slot = &mut self.slots[to.index()];
-        if slot.settled == generation || slot.banned == generation {
-            return false;
-        }
-        if slot.reached == generation && candidate >= slot.dist {
-            return false;
-        }
-        *slot = Slot { dist: candidate, parent: from, reached: generation, ..*slot };
+        let pos = if slot.reached == generation {
+            slot.pos as usize
+        } else {
+            self.heap.push(entry);
+            self.heap.len() - 1
+        };
+        *slot = Slot { dist: g, parent: from, reached: generation, ..*slot };
+        self.sift_up(pos, entry);
         true
     }
 
-    /// The Dijkstra loop shared by every search. `target` stops the search once it is
-    /// settled; `bound` stops it before settling a vertex at that distance or more and
-    /// prunes relaxations that reach it.
+    /// Removes the first entry of the heap and settles its vertex, returning the
+    /// vertex and its distance.
+    #[inline]
+    pub(crate) fn pop(&mut self) -> Option<(VertexId, Weight)> {
+        let top = *self.heap.first()?;
+        let last = self.heap.pop().expect("the heap is non-empty");
+        if !self.heap.is_empty() {
+            self.sift_down(0, last);
+        }
+        self.slots[top.vertex.index()].pos = SETTLED;
+        Some((top.vertex, top.g))
+    }
+
+    /// Places `entry` at index `i`, or nearer the root past every ancestor it
+    /// precedes.
+    #[inline]
+    fn sift_up(&mut self, mut i: usize, entry: HeapEntry) {
+        while i > 0 {
+            let parent = (i - 1) / ARITY;
+            let above = self.heap[parent];
+            if !entry.precedes(&above) {
+                break;
+            }
+            self.heap[i] = above;
+            self.slots[above.vertex.index()].pos = i as u32;
+            i = parent;
+        }
+        self.heap[i] = entry;
+        self.slots[entry.vertex.index()].pos = i as u32;
+    }
+
+    /// Places `entry` at index `i`, or nearer the leaves past every descendant that
+    /// precedes it.
+    #[inline]
+    fn sift_down(&mut self, mut i: usize, entry: HeapEntry) {
+        let len = self.heap.len();
+        loop {
+            let first = ARITY * i + 1;
+            if first >= len {
+                break;
+            }
+            let mut best = first;
+            for child in first + 1..(first + ARITY).min(len) {
+                if self.heap[child].precedes(&self.heap[best]) {
+                    best = child;
+                }
+            }
+            let below = self.heap[best];
+            if !below.precedes(&entry) {
+                break;
+            }
+            self.heap[i] = below;
+            self.slots[below.vertex.index()].pos = i as u32;
+            i = best;
+        }
+        self.heap[i] = entry;
+        self.slots[entry.vertex.index()].pos = i as u32;
+    }
+
+    /// Relaxes every edge leaving `vertex`, settled at distance `g`, except those in
+    /// `banned_edges` and those reaching `bound` or more.
+    #[inline]
+    fn expand<G: GraphView>(
+        &mut self,
+        view: &G,
+        vertex: VertexId,
+        g: Weight,
+        bound: Option<Weight>,
+        banned_edges: &[(VertexId, VertexId)],
+    ) {
+        let edge_bans = banned_edges.iter().any(|&(tail, _)| tail == vertex);
+        view.for_each_neighbor(vertex, |to, w| {
+            if edge_bans && banned_edges.contains(&(vertex, to)) {
+                return;
+            }
+            let candidate = g + w;
+            if bound.is_some_and(|b| candidate >= b) {
+                return;
+            }
+            self.relax(vertex, to, candidate, candidate);
+        });
+    }
+
+    /// The Dijkstra loop shared by the searches that run to completion in one call.
+    /// `target` stops the search once it is settled; `bound` prunes relaxations that
+    /// reach it, so no vertex at that distance or more is ever queued or settled.
     fn run<G: GraphView>(
         &mut self,
         view: &G,
@@ -238,33 +383,13 @@ impl SearchArena {
         if !view.contains_vertex(source) {
             return;
         }
-        self.start(source);
-        self.heap.push(Reverse(HeapEntry { dist: Weight::ZERO, vertex: source }));
-        while let Some(Reverse(HeapEntry { dist, vertex })) = self.heap.pop() {
-            if self.is_settled(vertex) {
-                continue;
-            }
-            if bound.is_some_and(|b| dist >= b) {
-                break;
-            }
-            self.settle(vertex);
+        self.open(source, Weight::ZERO);
+        while let Some((vertex, g)) = self.pop() {
             visit(vertex);
             if target == Some(vertex) {
                 break;
             }
-            let edge_bans = banned_edges.iter().any(|&(tail, _)| tail == vertex);
-            view.for_each_neighbor(vertex, |to, w| {
-                if edge_bans && banned_edges.contains(&(vertex, to)) {
-                    return;
-                }
-                let candidate = dist + w;
-                if bound.is_some_and(|b| candidate >= b) {
-                    return;
-                }
-                if self.improve(vertex, to, candidate) {
-                    self.heap.push(Reverse(HeapEntry { dist: candidate, vertex: to }));
-                }
-            });
+            self.expand(view, vertex, g, bound, banned_edges);
         }
     }
 }
@@ -498,5 +623,109 @@ mod tests {
         assert_same_as_fresh(&mut arena, &**high, high.vertices()[0], &[]);
         assert_same_as_fresh(&mut arena, &parallel_graph(), v(0), &[v(1)]);
         assert_same_as_fresh(&mut arena, &graph, v(180), &[v(3)]);
+    }
+    #[test]
+    fn settle_through_in_any_order_matches_the_full_search_bit_for_bit() {
+        // Road networks, undirected and directed, after a traffic batch (so distances
+        // are sums of non-integral weights), and a graph whose second component is
+        // unreachable. Every id is asked, and a few beyond the view.
+        let mut views = Vec::new();
+        for directed in [false, true] {
+            let mut config = ksp_workload::RoadNetworkConfig::with_vertices(150);
+            config.directed = directed;
+            let mut graph =
+                ksp_workload::RoadNetworkGenerator::new(config).generate(9).unwrap().graph;
+            let mut traffic =
+                ksp_workload::TrafficModel::new(&graph, ksp_workload::TrafficConfig::default(), 9);
+            graph.apply_batch(&traffic.next_snapshot()).unwrap();
+            views.push(graph);
+        }
+        let mut b = GraphBuilder::directed(7);
+        b.edge(0, 1, 2).edge(1, 2, 3).edge(2, 0, 1).edge(3, 4, 1).edge(4, 5, 2).edge(6, 0, 4);
+        views.push(b.build().unwrap());
+
+        let mut rng = ksp_workload::Xoshiro256::seed_from_u64(3);
+        let mut full = SearchArena::new();
+        let mut lazy = SearchArena::new();
+        for view in &views {
+            let n = view.num_vertices() as u32;
+            for _ in 0..4 {
+                let source = v(rng.next_bounded(n as u64) as u32);
+                full.search_from(view, source);
+                lazy.open_search(view, source);
+                let mut ids: Vec<VertexId> = (0..n + 3).map(v).collect();
+                for i in (1..ids.len()).rev() {
+                    ids.swap(i, rng.next_bounded(i as u64 + 1) as usize);
+                }
+                for &id in &ids {
+                    let got = lazy.settle_through(view, id);
+                    let want = full.distance(id);
+                    assert_eq!(got.value().to_bits(), want.value().to_bits(), "{source}->{id}");
+                }
+                // Every id is now settled or out of reach: the search ran to its end,
+                // and the routes it recorded are the full search's.
+                for &id in &ids {
+                    assert_eq!(lazy.path_to(id), full.path_to(id), "{source}->{id}");
+                }
+            }
+        }
+        // The unreachable component really is asked about.
+        full.search_from(&views[2], v(0));
+        assert_eq!(full.distance(v(4)), Weight::INFINITY);
+    }
+
+    #[test]
+    fn the_indexed_heap_pops_like_a_binary_heap_under_decrease_key() {
+        // A model of the open list: a lazily-deleting `BinaryHeap` of (f, g, vertex)
+        // entries and the current distance of every queued vertex. `relax` offers
+        // random distances with `f = g + h` for a fixed per-vertex `h`, so ties in `f`
+        // and `g` are common; a pop must return what the model pops.
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        let mut rng = ksp_workload::Xoshiro256::seed_from_u64(11);
+        let mut arena = SearchArena::new();
+        for round in 0..40 {
+            let n = 1 + rng.next_bounded(60) as usize;
+            let h: Vec<Weight> = (0..n).map(|_| Weight::new(rng.next_bounded(6) as f64)).collect();
+            let mut model: BinaryHeap<Reverse<(Weight, Weight, VertexId)>> = BinaryHeap::new();
+            let mut queued: Vec<Option<Weight>> = vec![None; n];
+            let mut settled = vec![false; n];
+            arena.begin(n);
+            for _ in 0..8 * n {
+                if rng.next_bounded(3) == 0 {
+                    let got = arena.pop();
+                    let want = loop {
+                        match model.pop() {
+                            Some(Reverse((_, g, x))) if queued[x.index()] == Some(g) => {
+                                queued[x.index()] = None;
+                                settled[x.index()] = true;
+                                break Some((x, g));
+                            }
+                            Some(_) => continue,
+                            None => break None,
+                        }
+                    };
+                    assert_eq!(got, want, "round {round}");
+                } else {
+                    let to = v(rng.next_bounded(n as u64) as u32);
+                    let g = Weight::new(rng.next_bounded(20) as f64);
+                    let f = g + h[to.index()];
+                    let takes = !settled[to.index()] && queued[to.index()].is_none_or(|d| g < d);
+                    assert_eq!(arena.improves(to, g), takes);
+                    assert_eq!(arena.relax(v(0), to, g, f), takes, "round {round}");
+                    if takes {
+                        queued[to.index()] = Some(g);
+                        model.push(Reverse((f, g, to)));
+                    }
+                }
+            }
+            while let Some(Reverse((_, g, x))) = model.pop() {
+                if queued[x.index()] == Some(g) {
+                    queued[x.index()] = None;
+                    assert_eq!(arena.pop(), Some((x, g)), "round {round}");
+                }
+            }
+            assert_eq!(arena.pop(), None);
+        }
     }
 }

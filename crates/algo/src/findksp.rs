@@ -9,63 +9,75 @@
 //! from the SPT, so it settles only a small neighbourhood instead of a Dijkstra ball.
 //! The result set is the same as Yen's, and the growth with `k` is much better.
 //!
+//! **The heuristic is built on demand.** The reverse SPT is one Dijkstra search from
+//! the destination over the reversed view, kept open on its own [`SearchArena`] and
+//! resumed ([`SearchArena::settle_through`]) only until the vertex A* asks about is
+//! settled. A spur search asks about the vertices it relaxes, which lie near the
+//! routes it explores, so the reverse search never has to cover the vertices no spur
+//! goes near. It settles in the order a full search would, so every heuristic value
+//! has the bits the full search gives it. The heuristic plays two roles: its value at
+//! a vertex orders the open list (`f = g + h`), and an infinite value prunes the
+//! vertex outright, since nothing there reaches the destination even without bans.
+//!
 //! Like Yen's enumerator it spurs each produced path only from the index where that
 //! path deviated from its parent (Lawler 1972, see [`crate::yen`]): the spurs before
 //! it would repeat searches already run and find no new route, so the answer set is
 //! unchanged.
 //!
-//! It serves twice: as the whole-graph FindKSP baseline of the paper's experiments
-//! ([`find_ksp`]), and as the enumerator of KSP-DG's reference paths over the skeleton
-//! overlay (Algorithm 3), where it replaces plain Yen.
+//! It serves three times: as the whole-graph FindKSP baseline of the paper's
+//! experiments ([`find_ksp`]), as the enumerator of KSP-DG's reference paths over the
+//! skeleton overlay (Algorithm 3), and for KSP-DG's partial k shortest paths inside
+//! each subgraph (Algorithm 4).
 
 use crate::dijkstra::SearchArena;
 use crate::path::Path;
 use crate::yen::{yen_ksp, Deviations};
 use ksp_graph::{DynamicGraph, GraphView, VertexId, Weight};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
-/// Lazy enumerator of k shortest simple paths using SPT-guided deviations. Its
-/// searches run on the caller's [`SearchArena`], passed to [`FindKsp::new`] and
-/// [`FindKsp::next_path_in`].
-pub struct FindKsp<'a, G: GraphView> {
+/// Lazy enumerator of k shortest simple paths using SPT-guided deviations.
+///
+/// It runs on two caller-owned arenas: the heuristic arena handed to
+/// [`FindKsp::new`], which the enumerator keeps for its life and hands back in
+/// [`FindKsp::into_produced`], and the arena each [`FindKsp::next_path_in`] runs its
+/// spur searches on.
+pub struct FindKsp<'a, G: GraphView, R: GraphView> {
     view: &'a G,
+    /// `view` with every edge turned around: the heuristic's search runs on it.
+    reverse: &'a R,
     source: VertexId,
     target: VertexId,
-    /// Exact distance from every vertex to the target (the reverse SPT), by vertex id;
-    /// ids at or beyond its length cannot reach the target.
-    dist_to_target: Vec<Weight>,
+    /// The search from the target over `reverse`, settled only as far as A* has
+    /// asked: the heuristic at `v` is its distance to `v`.
+    heuristic: SearchArena,
     lists: Deviations,
-    /// The A* open list, ordered by (f, g, vertex) and reused across spurs.
-    open: BinaryHeap<Reverse<Entry>>,
     /// Number of vertices settled across all spur searches (cost accounting).
     settled_vertices: usize,
 }
 
-impl<'a, G: GraphView> FindKsp<'a, G> {
-    /// Creates the enumerator for paths from `source` to `target` in `view`, building
-    /// the reverse shortest path tree with one search from `target` over `reverse` on
-    /// `arena`.
+impl<'a, G: GraphView, R: GraphView> FindKsp<'a, G, R> {
+    /// Creates the enumerator for paths from `source` to `target` in `view`, opening
+    /// the reverse shortest-path search from `target` over `reverse` on `heuristic`.
+    /// The enumerator takes over `heuristic`'s storage, leaving an empty arena in its
+    /// place, until [`FindKsp::into_produced`] hands it back.
     ///
     /// `reverse` must be `view` with every edge turned around (`view` itself when it
     /// is undirected); [`Transpose`] builds one for a view that keeps no in-adjacency.
-    pub fn new<R: GraphView>(
+    pub fn new(
         view: &'a G,
-        reverse: &R,
+        reverse: &'a R,
         source: VertexId,
         target: VertexId,
-        arena: &mut SearchArena,
+        heuristic: &mut SearchArena,
     ) -> Self {
-        arena.search_from(reverse, target);
-        let dist_to_target =
-            (0..view.num_vertices() as u32).map(|i| arena.distance(VertexId(i))).collect();
+        let mut heuristic = std::mem::take(heuristic);
+        heuristic.open_search(reverse, target);
         FindKsp {
             view,
+            reverse,
             source,
             target,
-            dist_to_target,
+            heuristic,
             lists: Deviations::default(),
-            open: BinaryHeap::new(),
             settled_vertices: 0,
         }
     }
@@ -86,53 +98,42 @@ impl<'a, G: GraphView> FindKsp<'a, G> {
         self.advance(arena).then(|| self.lists.produced.last().expect("just produced").clone())
     }
 
+    /// Produces paths, searching on `arena`, until `k` are produced or none remain.
+    pub fn produce_up_to_in(&mut self, k: usize, arena: &mut SearchArena) {
+        while self.lists.produced.len() < k && self.advance(arena) {}
+    }
+
+    /// The paths produced so far, consuming the enumerator and handing its heuristic
+    /// arena back to `heuristic`.
+    pub fn into_produced(self, heuristic: &mut SearchArena) -> Vec<Path> {
+        *heuristic = self.heuristic;
+        self.lists.produced
+    }
+
     fn advance(&mut self, arena: &mut SearchArena) -> bool {
-        let FindKsp { view, source, target, dist_to_target, lists, open, settled_vertices, .. } =
-            self;
-        let mut search = AStar { arena, open, settled_vertices, h: dist_to_target };
+        let FindKsp { view, reverse, source, target, heuristic, lists, settled_vertices } = self;
+        let mut search = AStar { arena, heuristic, reverse: *reverse, settled_vertices };
         lists.advance(*view, *source, *target, |from, banned_vertices, banned_edges| {
             search.run(*view, *target, from, banned_vertices, banned_edges)
         })
     }
 }
 
-#[derive(PartialEq, Eq)]
-struct Entry {
-    f: Weight,
-    g: Weight,
-    vertex: VertexId,
-}
-
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.f
-            .cmp(&other.f)
-            .then_with(|| self.g.cmp(&other.g))
-            .then_with(|| self.vertex.cmp(&other.vertex))
-    }
-}
-
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// One A* spur search: per-vertex state on a [`SearchArena`] and the enumerator's
-/// open list.
-struct AStar<'s> {
+/// One A* spur search: per-vertex state on the spur arena, guided by the on-demand
+/// reverse search.
+struct AStar<'s, R: GraphView> {
     arena: &'s mut SearchArena,
-    open: &'s mut BinaryHeap<Reverse<Entry>>,
+    /// The reverse search from the target, resumed as the spur search asks.
+    heuristic: &'s mut SearchArena,
+    reverse: &'s R,
     settled_vertices: &'s mut usize,
-    /// The exact distance-to-target heuristic from the reverse SPT.
-    h: &'s [Weight],
 }
 
-impl AStar<'_> {
-    /// The heuristic at `v`: infinite for ids the reverse search did not cover.
+impl<R: GraphView> AStar<'_, R> {
+    /// The exact unbanned distance from `v` to the target; infinite if none exists.
     #[inline]
-    fn h(&self, v: VertexId) -> Weight {
-        self.h.get(v.index()).copied().unwrap_or(Weight::INFINITY)
+    fn h(&mut self, v: VertexId) -> Weight {
+        self.heuristic.settle_through(self.reverse, v)
     }
 
     /// Goal-directed A* from `from` to `target` using the exact distance-to-target
@@ -140,7 +141,8 @@ impl AStar<'_> {
     /// the unbanned graph; banning edges/vertices only removes paths, so it remains
     /// admissible and the search stays correct. A vertex with an infinite heuristic
     /// cannot reach the target even without bans, so it is never queued. Banned edges
-    /// are checked only when their tail is expanded.
+    /// are checked only when their tail is expanded, and the heuristic is asked only
+    /// about a vertex the relaxation would improve.
     fn run<G: GraphView>(
         &mut self,
         view: &G,
@@ -149,24 +151,21 @@ impl AStar<'_> {
         banned_vertices: &[VertexId],
         banned_edges: &[(VertexId, VertexId)],
     ) -> Option<Path> {
+        if banned_vertices.contains(&from) {
+            return None;
+        }
         let h_from = self.h(from);
-        if banned_vertices.contains(&from) || !h_from.is_finite() {
-            // Banned, or the target is unreachable from here even without bans.
+        if !h_from.is_finite() {
+            // The target is unreachable from here even without bans.
             return None;
         }
         self.arena.begin(view.num_vertices());
         for &v in banned_vertices {
             self.arena.ban(v);
         }
-        self.arena.start(from);
-        self.open.clear();
-        self.open.push(Reverse(Entry { f: h_from, g: Weight::ZERO, vertex: from }));
+        self.arena.open(from, h_from);
 
-        while let Some(Reverse(Entry { g, vertex, .. })) = self.open.pop() {
-            if self.arena.is_settled(vertex) {
-                continue;
-            }
-            self.arena.settle(vertex);
+        while let Some((vertex, g)) = self.arena.pop() {
             *self.settled_vertices += 1;
             if vertex == target {
                 return self.arena.path_to(vertex);
@@ -176,17 +175,13 @@ impl AStar<'_> {
                 if edge_bans && banned_edges.contains(&(vertex, to)) {
                     return;
                 }
-                let h_to = self.h(to);
-                if !h_to.is_finite() {
+                let tentative = g + w;
+                if !self.arena.improves(to, tentative) {
                     return;
                 }
-                let tentative = g + w;
-                if self.arena.improve(vertex, to, tentative) {
-                    self.open.push(Reverse(Entry {
-                        f: tentative + h_to,
-                        g: tentative,
-                        vertex: to,
-                    }));
+                let h_to = self.h(to);
+                if h_to.is_finite() {
+                    self.arena.relax(vertex, to, tentative, tentative + h_to);
                 }
             });
         }
@@ -235,14 +230,23 @@ impl GraphView for Transpose {
 /// The FindKSP baseline over a whole graph: the `k` shortest simple paths from
 /// `source` to `target`. A directed graph's reverse is built per call.
 pub fn find_ksp(graph: &DynamicGraph, source: VertexId, target: VertexId, k: usize) -> Vec<Path> {
-    let mut arena = SearchArena::new();
-    let mut enumerator = if graph.is_directed() {
-        FindKsp::new(graph, &Transpose::of(graph), source, target, &mut arena)
+    fn first_k<G: GraphView, R: GraphView>(
+        view: &G,
+        reverse: &R,
+        source: VertexId,
+        target: VertexId,
+        k: usize,
+    ) -> Vec<Path> {
+        let mut heuristic = SearchArena::new();
+        let mut enumerator = FindKsp::new(view, reverse, source, target, &mut heuristic);
+        enumerator.produce_up_to_in(k, &mut SearchArena::new());
+        enumerator.into_produced(&mut heuristic)
+    }
+    if graph.is_directed() {
+        first_k(graph, &Transpose::of(graph), source, target, k)
     } else {
-        FindKsp::new(graph, graph, source, target, &mut arena)
-    };
-    while enumerator.lists.produced.len() < k && enumerator.advance(&mut arena) {}
-    enumerator.lists.produced
+        first_k(graph, graph, source, target, k)
+    }
 }
 
 /// Debug helper used by tests and benchmarks: checks FindKSP and Yen agree on the

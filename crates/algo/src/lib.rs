@@ -6,17 +6,18 @@
 //!
 //! * [`path`] — the simple-path representation shared across the system, including the
 //!   loop-free concatenation used when joining partial paths (Algorithm 4, line 9).
-//! * [`dijkstra`] — binary-heap Dijkstra on a caller-owned, generation-stamped dense
-//!   [`SearchArena`]: point-to-point, single-source, a bounded sweep, and the
-//!   banned-vertex/edge spur search inside Yen's algorithm. Every search in this crate
-//!   runs on an arena.
+//! * [`dijkstra`] — Dijkstra and A* on a caller-owned, generation-stamped dense
+//!   [`SearchArena`] with an indexed 4-ary heap (decrease-key, no stale entries):
+//!   point-to-point, single-source (at once or resumed on demand), a bounded sweep,
+//!   and the banned-vertex/edge spur search inside Yen's algorithm. Every search in
+//!   this crate runs on an arena.
 //! * [`yen`] — Yen's k-shortest-simple-paths algorithm \[27\], exposed both as a lazy
-//!   enumerator (used by KSP-DG for partial paths inside subgraphs) and as a
-//!   convenience function.
+//!   enumerator (used for DTLP's fewest-vfrag bounding paths) and as the Yen
+//!   baseline function.
 //! * [`findksp`] — FindKSP \[21\]: deviation-based KSP guided by a shortest path tree
-//!   rooted at the destination, so spur searches are goal-directed. It is the FindKSP
-//!   baseline over a whole graph and KSP-DG's lazy enumerator of reference paths over
-//!   the skeleton overlay.
+//!   rooted at the destination, built on demand, so spur searches are goal-directed.
+//!   It is the FindKSP baseline over a whole graph and KSP-DG's lazy enumerator of
+//!   reference paths over the skeleton overlay and of partial paths inside subgraphs.
 //! * [`vfrag`] — enumeration of paths by *virtual-fragment count* (fewest-vfrag paths),
 //!   the primitive DTLP uses to select bounding paths (Section 3.4).
 

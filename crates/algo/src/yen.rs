@@ -1,10 +1,11 @@
 //! Yen's k-shortest-simple-paths algorithm \[27\], as a lazy enumerator.
 //!
-//! The enumerator powers the plain Yen baseline and the partial-KSP computation inside
-//! each subgraph (Algorithm 4, line 6), where it is consumed lazily as the join needs
-//! more partials. KSP-DG's reference paths over the skeleton come from
-//! [`crate::FindKsp`], which shares this module's deviation step and differs only in
-//! searching each spur path with A*.
+//! The enumerator serves the plain Yen baseline ([`yen_ksp`], also the answer oracle
+//! the benchmarks and tests check KSP-DG against) and DTLP's bounding-path selection
+//! ([`crate::fewest_vfrag_paths`], over vfrag counts at index build). The KSP-DG
+//! engine runs none of it: its reference paths over the skeleton and its partial
+//! paths inside subgraphs come from [`crate::FindKsp`], which shares this module's
+//! deviation step and differs only in searching each spur path with A*.
 //!
 //! **Deviation index.** Each produced path records the spur index at which it left
 //! the path it was spurred from (0 for the first path), and its own spurs start there:

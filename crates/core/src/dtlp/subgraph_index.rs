@@ -282,18 +282,15 @@ impl SubgraphIndex {
         self.boundary_distances(arena)
     }
 
-    /// Shortest distances from every boundary vertex of this subgraph *to* `v`.
-    /// Identical to [`Self::boundary_distances_from`] for undirected subgraphs; for
-    /// directed subgraphs it searches the reversed subgraph.
+    /// Shortest distances from every boundary vertex of this subgraph *to* `v`: one
+    /// search from `v` over [`Subgraph::reversed`], which reads the in-adjacency the
+    /// subgraph's shape keeps (an undirected subgraph is its own reverse).
     pub fn boundary_distances_to(
         &self,
         v: VertexId,
         arena: &mut SearchArena,
     ) -> Vec<(VertexId, Weight)> {
-        if !self.subgraph.is_directed() {
-            return self.boundary_distances_from(v, arena);
-        }
-        arena.search_from(&ReversedSubgraph::new(&self.subgraph), v);
+        arena.search_from(&self.subgraph.reversed(), v);
         self.boundary_distances(arena)
     }
 
@@ -357,42 +354,6 @@ fn build_ep_index(subgraph: &Subgraph, table: &BoundingPathTable) -> EpIndex {
         }
     }
     ep
-}
-
-/// A reversed view of a directed subgraph (in-edges become out-edges).
-struct ReversedSubgraph {
-    adj: HashMap<VertexId, Vec<(VertexId, Weight)>>,
-    max_vertex: usize,
-}
-
-impl ReversedSubgraph {
-    fn new(subgraph: &Subgraph) -> Self {
-        let mut adj: HashMap<VertexId, Vec<(VertexId, Weight)>> = HashMap::new();
-        for e in subgraph.edges() {
-            adj.entry(e.v).or_default().push((e.u, e.current_weight));
-        }
-        let max_vertex = ksp_graph::GraphView::num_vertices(subgraph);
-        ReversedSubgraph { adj, max_vertex }
-    }
-}
-
-impl ksp_graph::GraphView for ReversedSubgraph {
-    fn num_vertices(&self) -> usize {
-        self.max_vertex
-    }
-    fn contains_vertex(&self, v: VertexId) -> bool {
-        self.adj.contains_key(&v) || v.index() < self.max_vertex
-    }
-    fn for_each_neighbor(&self, v: VertexId, mut f: impl FnMut(VertexId, Weight)) {
-        if let Some(list) = self.adj.get(&v) {
-            for &(to, w) in list {
-                f(to, w);
-            }
-        }
-    }
-    fn edge_weight(&self, u: VertexId, v: VertexId) -> Option<Weight> {
-        self.adj.get(&u)?.iter().find(|&&(to, _)| to == v).map(|&(_, w)| w)
-    }
 }
 
 #[cfg(test)]

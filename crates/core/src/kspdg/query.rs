@@ -55,7 +55,7 @@ pub struct QueryStats {
     /// Communication cost in vertex units: reference paths broadcast to workers plus
     /// partial paths returned to the query coordinator (Section 5.6.1).
     pub vertices_transferred: usize,
-    /// Spur searches run by the reference-path enumeration and the partial Yen
+    /// Spur searches run by the reference-path enumeration and the partial FindKSP
     /// computations together.
     pub spur_searches: usize,
 }
@@ -162,9 +162,14 @@ impl<'a> KspDgEngine<'a> {
             };
         }
 
-        // Every search of this query — endpoint attachment, reference enumeration,
-        // partial Yen and the survival sweep — runs on this one arena.
+        // Every search of this query — endpoint attachment, the spur searches of the
+        // reference and partial enumerations, and the survival sweep — runs on
+        // `arena`. The two FindKSP heuristics, each a reverse search resumed on
+        // demand, keep their own: one for the reference paths over the overlay, one
+        // reused by every partial computation inside a subgraph.
         let mut arena = SearchArena::new();
+        let mut reference_heuristic = SearchArena::new();
+        let mut partial_heuristic = SearchArena::new();
 
         // Filter-step search structure: the skeleton graph with the query endpoints
         // attached (Section 5.3 / Step 1 of the Storm deployment).
@@ -175,8 +180,9 @@ impl<'a> KspDgEngine<'a> {
         // without bans, and a spur's bans only remove paths, so the heuristic stays
         // admissible and each spur path is still a shortest one: the reference
         // distances, and so Theorem 3's stopping test, are the ones Yen would produce.
+        let reverse = overlay.reversed();
         let mut reference_paths =
-            FindKsp::new(&overlay, &overlay.reversed(), source, target, &mut arena);
+            FindKsp::new(&overlay, &reverse, source, target, &mut reference_heuristic);
         let mut cache = PartialPathCache::new(k);
         let mut results: Vec<Path> = Vec::new();
         let mut capped = false;
@@ -196,6 +202,7 @@ impl<'a> KspDgEngine<'a> {
                 reference.vertices(),
                 &mut cache,
                 &mut arena,
+                &mut partial_heuristic,
                 &mut stats,
                 &mut trace.subgraphs,
             );

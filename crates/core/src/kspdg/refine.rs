@@ -3,7 +3,7 @@
 use crate::dtlp::DtlpIndex;
 use crate::kspdg::QueryStats;
 use ksp_algo::path::keep_k_shortest;
-use ksp_algo::{KspEnumerator, Path, SearchArena};
+use ksp_algo::{FindKsp, Path, SearchArena};
 use ksp_graph::{SubgraphSet, VertexId};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -43,27 +43,28 @@ impl PartialPathCache {
         self.misses
     }
 
-    /// Returns the partial k shortest paths from `u` to `v`, computing (and caching)
-    /// them if necessary. The paths are lent from the cache, not copied.
+    /// Returns the partial k shortest paths from `u` to `v` of `pair`, computing (and
+    /// caching) them if necessary. The paths are lent from the cache, not copied.
     ///
-    /// The computation examines every subgraph containing both endpoints, runs Yen's
-    /// algorithm inside each on `arena` (Algorithm 4, line 6), merges the results and
-    /// keeps the `k` shortest (line 8). Adds the number of newly computed path-vertices
-    /// to `stats.vertices_transferred`, modelling the tuples a SubgraphBolt would send
-    /// back to the QueryBolt, counts every examined subgraph in
-    /// `stats.subgraphs_examined` and every Yen spur search in `stats.spur_searches`,
-    /// and records each subgraph in `trace` — the level-one half of the query's
-    /// dependency set.
+    /// The computation examines every subgraph containing both endpoints, runs
+    /// FindKSP inside each (Algorithm 4, line 6) — its spur searches on `arena`, its
+    /// reverse search from `v` over [`ksp_graph::Subgraph::reversed`] on `heuristic` —
+    /// merges the results and keeps the `k` shortest (line 8). Adds the number of
+    /// newly computed path-vertices to `stats.vertices_transferred`, modelling the
+    /// tuples a SubgraphBolt would send back to the QueryBolt, counts every examined
+    /// subgraph in `stats.subgraphs_examined` and every spur search in
+    /// `stats.spur_searches`, and records each subgraph in `trace` — the level-one
+    /// half of the query's dependency set.
     pub fn partial_ksp(
         &mut self,
         index: &DtlpIndex,
-        u: VertexId,
-        v: VertexId,
+        pair: (VertexId, VertexId),
         arena: &mut SearchArena,
+        heuristic: &mut SearchArena,
         stats: &mut QueryStats,
         trace: &mut SubgraphSet,
     ) -> &[Path] {
-        let slot = match self.entries.entry((u, v)) {
+        let slot = match self.entries.entry(pair) {
             Entry::Occupied(cached) => {
                 self.hits += 1;
                 return cached.into_mut();
@@ -71,15 +72,17 @@ impl PartialPathCache {
             Entry::Vacant(slot) => slot,
         };
         self.misses += 1;
+        let (u, v) = pair;
         let mut merged: Vec<Path> = Vec::new();
         for sg_id in index.subgraphs_containing_pair(u, v) {
             stats.subgraphs_examined += 1;
             trace.insert(sg_id);
             let sg = index.subgraph_index(sg_id).subgraph();
-            let mut yen = KspEnumerator::new(sg, u, v);
-            yen.produce_up_to_in(self.k, arena);
-            stats.spur_searches += yen.spur_searches();
-            merged.extend(yen.into_produced());
+            let reverse = sg.reversed();
+            let mut partials = FindKsp::new(sg, &reverse, u, v, heuristic);
+            partials.produce_up_to_in(self.k, arena);
+            stats.spur_searches += partials.spur_searches();
+            merged.extend(partials.into_produced(heuristic));
         }
         keep_k_shortest(&mut merged, self.k);
         stats.vertices_transferred += merged.iter().map(|p| p.num_vertices()).sum::<usize>();
@@ -88,7 +91,8 @@ impl PartialPathCache {
 }
 
 /// Computes the candidate KSPs for one reference path (Algorithm 4), with the `k` of
-/// `cache`.
+/// `cache`, computing missing partials on `arena` and `heuristic` (see
+/// [`PartialPathCache::partial_ksp`]).
 ///
 /// `reference` is the vertex sequence of the reference path in the (overlaid) skeleton
 /// graph; adjacent vertices always share at least one subgraph. The function joins the
@@ -100,6 +104,7 @@ pub fn candidate_ksp(
     reference: &[VertexId],
     cache: &mut PartialPathCache,
     arena: &mut SearchArena,
+    heuristic: &mut SearchArena,
     stats: &mut QueryStats,
     trace: &mut SubgraphSet,
 ) -> Vec<Path> {
@@ -108,7 +113,7 @@ pub fn candidate_ksp(
     assert!(k >= 1, "k must be at least 1");
     let mut combined: Vec<Path> = vec![Path::trivial(reference[0])];
     for pair in reference.windows(2) {
-        let partials = cache.partial_ksp(index, pair[0], pair[1], arena, stats, trace);
+        let partials = cache.partial_ksp(index, (pair[0], pair[1]), arena, heuristic, stats, trace);
         if partials.is_empty() {
             return Vec::new();
         }
@@ -136,9 +141,9 @@ mod tests {
     use ksp_algo::dijkstra_path;
     use ksp_graph::GraphBuilder;
 
-    /// Accounting sinks for one refine call.
-    fn sinks() -> (SearchArena, QueryStats, SubgraphSet) {
-        (SearchArena::new(), QueryStats::default(), SubgraphSet::new())
+    /// Arenas and accounting sinks for one refine call.
+    fn sinks() -> (SearchArena, SearchArena, QueryStats, SubgraphSet) {
+        (SearchArena::new(), SearchArena::new(), QueryStats::default(), SubgraphSet::new())
     }
 
     fn v(i: u32) -> VertexId {
@@ -187,7 +192,7 @@ mod tests {
     fn partial_ksp_matches_subgraph_shortest_paths() {
         let index = paper_index();
         let mut cache = PartialPathCache::new(2);
-        let (mut arena, mut stats, mut trace) = sinks();
+        let (mut arena, mut heuristic, mut stats, mut trace) = sinks();
         // Pick two boundary vertices that share a subgraph.
         let pair = index
             .boundary_vertices()
@@ -196,7 +201,7 @@ mod tests {
             .find(|&(a, b)| a != b && index.subgraphs_containing_pair(a, b).next().is_some())
             .expect("some boundary pair shares a subgraph");
         let partials =
-            cache.partial_ksp(&index, pair.0, pair.1, &mut arena, &mut stats, &mut trace);
+            cache.partial_ksp(&index, pair, &mut arena, &mut heuristic, &mut stats, &mut trace);
         assert!(!partials.is_empty());
         // The best partial equals the best single-subgraph shortest path.
         let best_direct = index
@@ -214,11 +219,16 @@ mod tests {
     fn partial_cache_avoids_recomputation() {
         let index = paper_index();
         let mut cache = PartialPathCache::new(2);
-        let (mut arena, mut stats, mut trace) = sinks();
+        let (mut arena, mut heuristic, mut stats, mut trace) = sinks();
         let (a, b) = (index.boundary_vertices()[0], index.boundary_vertices()[1]);
-        let first = cache.partial_ksp(&index, a, b, &mut arena, &mut stats, &mut trace).to_vec();
+        let mut partials = |cache: &mut PartialPathCache, stats: &mut QueryStats| {
+            cache
+                .partial_ksp(&index, (a, b), &mut arena, &mut heuristic, stats, &mut trace)
+                .to_vec()
+        };
+        let first = partials(&mut cache, &mut stats);
         let t_after_first = stats.vertices_transferred;
-        let second = cache.partial_ksp(&index, a, b, &mut arena, &mut stats, &mut trace);
+        let second = partials(&mut cache, &mut stats);
         assert_eq!(first, second);
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
@@ -239,10 +249,17 @@ mod tests {
         // path of the full graph.
         let index = paper_index();
         let mut cache = PartialPathCache::new(2);
-        let (mut arena, mut stats, mut trace) = sinks();
+        let (mut arena, mut heuristic, mut stats, mut trace) = sinks();
         let reference = [v(3), v(5), v(8), v(12)]; // v4, v6, v9, v13 (0-based ids)
-        let candidates =
-            candidate_ksp(&index, &reference, &mut cache, &mut arena, &mut stats, &mut trace);
+        let candidates = candidate_ksp(
+            &index,
+            &reference,
+            &mut cache,
+            &mut arena,
+            &mut heuristic,
+            &mut stats,
+            &mut trace,
+        );
         assert_eq!(candidates.len(), 2);
         assert!(candidates[0].distance() <= candidates[1].distance());
         for c in &candidates {
@@ -267,10 +284,17 @@ mod tests {
     fn candidate_ksp_returns_simple_paths_following_the_reference_sequence() {
         let index = paper_index();
         let mut cache = PartialPathCache::new(3);
-        let (mut arena, mut stats, mut trace) = sinks();
+        let (mut arena, mut heuristic, mut stats, mut trace) = sinks();
         let reference = [v(3), v(5), v(8), v(12)];
-        let candidates =
-            candidate_ksp(&index, &reference, &mut cache, &mut arena, &mut stats, &mut trace);
+        let candidates = candidate_ksp(
+            &index,
+            &reference,
+            &mut cache,
+            &mut arena,
+            &mut heuristic,
+            &mut stats,
+            &mut trace,
+        );
         for c in &candidates {
             assert!(Path::is_simple(c.vertices()));
             assert_eq!(c.source(), v(3));
@@ -295,7 +319,7 @@ mod tests {
     fn disconnected_pair_produces_no_candidates() {
         let index = paper_index();
         let mut cache = PartialPathCache::new(2);
-        let (mut arena, mut stats, mut trace) = sinks();
+        let (mut arena, mut heuristic, mut stats, mut trace) = sinks();
         // v1 (id 0) and v19 (id 18) never share a subgraph in this partitioning, so the
         // partial computation finds no subgraph and yields nothing.
         if index.subgraphs_containing_pair(v(0), v(18)).next().is_none() {
@@ -304,6 +328,7 @@ mod tests {
                 &[v(0), v(18)],
                 &mut cache,
                 &mut arena,
+                &mut heuristic,
                 &mut stats,
                 &mut trace,
             );
@@ -315,9 +340,16 @@ mod tests {
     fn single_vertex_reference_path_yields_the_trivial_path() {
         let index = paper_index();
         let mut cache = PartialPathCache::new(2);
-        let (mut arena, mut stats, mut trace) = sinks();
-        let candidates =
-            candidate_ksp(&index, &[v(3)], &mut cache, &mut arena, &mut stats, &mut trace);
+        let (mut arena, mut heuristic, mut stats, mut trace) = sinks();
+        let candidates = candidate_ksp(
+            &index,
+            &[v(3)],
+            &mut cache,
+            &mut arena,
+            &mut heuristic,
+            &mut stats,
+            &mut trace,
+        );
         assert_eq!(candidates.len(), 1);
         assert_eq!(candidates[0].num_edges(), 0);
     }

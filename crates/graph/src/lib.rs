@@ -37,7 +37,7 @@ pub use error::GraphError;
 pub use graph::{DynamicGraph, EdgeRecord};
 pub use ids::{EdgeId, SubgraphId, VertexId};
 pub use partition::{PartitionConfig, Partitioner, Partitioning};
-pub use subgraph::Subgraph;
+pub use subgraph::{Subgraph, TransposedSubgraph};
 pub use subgraph_set::SubgraphSet;
 pub use update::{UpdateBatch, WeightUpdate};
 pub use view::GraphView;

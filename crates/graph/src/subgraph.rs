@@ -69,6 +69,12 @@ struct SubgraphShape {
     /// Adjacency entries (global neighbour id, local edge index), each vertex's in
     /// edge order.
     adj: Vec<(VertexId, u32)>,
+    /// Over a directed subgraph, local vertex `i`'s in-adjacency is
+    /// `in_adj[in_start[i]..in_start[i + 1]]`: (global tail id, local edge index),
+    /// each vertex's in edge order. Both are empty over an undirected subgraph,
+    /// whose adjacency is its own reverse.
+    in_start: Vec<u32>,
+    in_adj: Vec<(VertexId, u32)>,
     /// Maps a global edge id to its index in the edge records.
     edge_index: HashMap<EdgeId, u32>,
     /// Boundary vertices of this subgraph (a sorted subset of `vertices`).
@@ -89,6 +95,41 @@ impl SubgraphShape {
             None => &[],
         }
     }
+
+    /// The entries of the edges entering `v`, empty if `v` is not in the subgraph.
+    #[inline]
+    fn in_adjacency(&self, v: VertexId) -> &[(VertexId, u32)] {
+        if !self.directed {
+            return self.adjacency(v);
+        }
+        match self.local_index(v) {
+            Some(i) => &self.in_adj[self.in_start[i] as usize..self.in_start[i + 1] as usize],
+            None => &[],
+        }
+    }
+}
+
+/// Compressed rows by counting sort: `entries` are `(row, neighbour, edge index)`,
+/// placed in the order given, so each row lists its edges in edge order (search
+/// tie-breaking depends on it). Returns the row starts and the entries.
+fn compressed_rows(
+    rows: usize,
+    entries: impl Iterator<Item = (usize, VertexId, u32)> + Clone,
+) -> (Vec<u32>, Vec<(VertexId, u32)>) {
+    let mut start = vec![0u32; rows + 1];
+    for (row, _, _) in entries.clone() {
+        start[row + 1] += 1;
+    }
+    for i in 1..start.len() {
+        start[i] += start[i - 1];
+    }
+    let mut fill = start.clone();
+    let mut list = vec![(VertexId(0), 0); start[rows] as usize];
+    for (row, to, edge) in entries {
+        list[fill[row] as usize] = (to, edge);
+        fill[row] += 1;
+    }
+    (start, list)
 }
 
 impl Subgraph {
@@ -125,39 +166,36 @@ impl Subgraph {
                 .binary_search(&v)
                 .unwrap_or_else(|_| panic!("edge endpoint {v} missing from subgraph {id}"))
         };
-        // CSR by counting sort: entries are placed in edge order, so each vertex
-        // lists its edges in the order they were given (search tie-breaking
-        // depends on it).
-        let mut adj_start = vec![0u32; vertices.len() + 1];
-        for e in &edges {
-            let (iu, iv) = (local(e.u), local(e.v));
-            adj_start[iu + 1] += 1;
-            if !directed {
-                adj_start[iv + 1] += 1;
-            }
-        }
-        for i in 1..adj_start.len() {
-            adj_start[i] += adj_start[i - 1];
-        }
-        let mut fill = adj_start.clone();
-        let mut adj = vec![(VertexId(0), 0); adj_start[vertices.len()] as usize];
-        let mut edge_index = HashMap::with_capacity(edges.len());
-        for (i, e) in edges.iter().enumerate() {
-            let mut push = |from: VertexId, to: VertexId| {
-                let slot = &mut fill[local(from)];
-                adj[*slot as usize] = (to, i as u32);
-                *slot += 1;
-            };
-            push(e.u, e.v);
-            if !directed {
-                push(e.v, e.u);
-            }
-            edge_index.insert(e.global_id, i as u32);
-        }
+        let (adj_start, adj) = compressed_rows(
+            vertices.len(),
+            edges.iter().enumerate().flat_map(|(i, e)| {
+                let back = (!directed).then(|| (local(e.v), e.u, i as u32));
+                std::iter::once((local(e.u), e.v, i as u32)).chain(back)
+            }),
+        );
+        let (in_start, in_adj) = if directed {
+            compressed_rows(
+                vertices.len(),
+                edges.iter().enumerate().map(|(i, e)| (local(e.v), e.u, i as u32)),
+            )
+        } else {
+            (Vec::new(), Vec::new())
+        };
+        let edge_index = edges.iter().enumerate().map(|(i, e)| (e.global_id, i as u32)).collect();
         boundary.retain(|v| vertices.binary_search(v).is_ok());
         boundary.sort_unstable();
         boundary.dedup();
-        let shape = SubgraphShape { id, directed, vertices, adj_start, adj, edge_index, boundary };
+        let shape = SubgraphShape {
+            id,
+            directed,
+            vertices,
+            adj_start,
+            adj,
+            in_start,
+            in_adj,
+            edge_index,
+            boundary,
+        };
         Subgraph { shape: Arc::new(shape), edges }
     }
 
@@ -264,14 +302,21 @@ impl Subgraph {
         }
     }
 
+    /// This subgraph with every edge turned around, read from the in-adjacency its
+    /// shape keeps: the view a search *towards* a vertex runs on. It allocates
+    /// nothing.
+    pub fn reversed(&self) -> TransposedSubgraph<'_> {
+        TransposedSubgraph { subgraph: self }
+    }
+
     /// Estimated memory footprint of the subgraph structure in bytes: the shape,
     /// counted in full, plus the edge records.
     pub fn memory_bytes(&self) -> usize {
         let s = &*self.shape;
         (s.vertices.len() + s.boundary.len()) * std::mem::size_of::<VertexId>()
             + self.edges.len() * std::mem::size_of::<SubgraphEdge>()
-            + s.adj.len() * std::mem::size_of::<(VertexId, u32)>()
-            + s.adj_start.len() * std::mem::size_of::<u32>()
+            + (s.adj.len() + s.in_adj.len()) * std::mem::size_of::<(VertexId, u32)>()
+            + (s.adj_start.len() + s.in_start.len()) * std::mem::size_of::<u32>()
             + s.edge_index.len() * (std::mem::size_of::<EdgeId>() + 4)
     }
 }
@@ -299,6 +344,34 @@ impl GraphView for Subgraph {
             .iter()
             .find(|&&(to, _)| to == v)
             .map(|&(_, ei)| self.edges[ei as usize].current_weight)
+    }
+}
+
+/// A [`Subgraph`] with every edge turned around; see [`Subgraph::reversed`]. Each
+/// vertex lists the edges entering it in edge order, and it contains exactly the
+/// subgraph's vertices.
+#[derive(Debug, Clone, Copy)]
+pub struct TransposedSubgraph<'a> {
+    subgraph: &'a Subgraph,
+}
+
+impl GraphView for TransposedSubgraph<'_> {
+    fn num_vertices(&self) -> usize {
+        GraphView::num_vertices(self.subgraph)
+    }
+
+    fn contains_vertex(&self, v: VertexId) -> bool {
+        self.subgraph.contains_vertex(v)
+    }
+
+    fn for_each_neighbor(&self, v: VertexId, mut f: impl FnMut(VertexId, Weight)) {
+        for &(from, ei) in self.subgraph.shape.in_adjacency(v) {
+            f(from, self.subgraph.edges[ei as usize].current_weight);
+        }
+    }
+
+    fn edge_weight(&self, u: VertexId, v: VertexId) -> Option<Weight> {
+        self.subgraph.edge_weight(v, u)
     }
 }
 
@@ -404,6 +477,46 @@ mod tests {
         let sg = Subgraph::new(SubgraphId(0), true, vs, vec![e]);
         assert_eq!(sg.neighbors(VertexId(0)).len(), 1);
         assert_eq!(sg.neighbors(VertexId(1)).len(), 0);
+    }
+
+    #[test]
+    fn reversed_view_lists_in_edges_in_edge_order() {
+        // Directed: 10→11, 12→11, 11→13, 13→11, 10→12.
+        let vs = vec![VertexId(10), VertexId(11), VertexId(12), VertexId(13)];
+        let mk = |id: u32, u: u32, v: u32, w: f64| SubgraphEdge {
+            global_id: EdgeId(id),
+            u: VertexId(u),
+            v: VertexId(v),
+            initial_weight: 1,
+            current_weight: Weight::new(w),
+        };
+        let edges = vec![
+            mk(0, 10, 11, 1.0),
+            mk(1, 12, 11, 2.0),
+            mk(2, 11, 13, 3.0),
+            mk(3, 13, 11, 4.0),
+            mk(4, 10, 12, 5.0),
+        ];
+        let sg = Subgraph::new(SubgraphId(0), true, vs, edges);
+        let rev = sg.reversed();
+        let w = Weight::new;
+        assert_eq!(
+            rev.neighbors(VertexId(11)),
+            vec![(VertexId(10), w(1.0)), (VertexId(12), w(2.0)), (VertexId(13), w(4.0))]
+        );
+        assert_eq!(rev.neighbors(VertexId(10)), vec![]);
+        assert_eq!(rev.edge_weight(VertexId(12), VertexId(10)), Some(w(5.0)));
+        assert_eq!(rev.edge_weight(VertexId(10), VertexId(12)), None);
+        assert_eq!(GraphView::num_vertices(&rev), 14);
+        // It holds the subgraph's vertices and no other id below its bound.
+        assert!(rev.contains_vertex(VertexId(13)));
+        assert!(!rev.contains_vertex(VertexId(5)));
+
+        // An undirected subgraph is its own reverse.
+        let sg = sample_subgraph();
+        for x in sg.vertices() {
+            assert_eq!(sg.reversed().neighbors(*x), sg.neighbors(*x));
+        }
     }
 
     #[test]

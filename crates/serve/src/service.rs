@@ -2011,7 +2011,7 @@ mod tests {
     }
 
     #[test]
-    fn metrics_report_carries_per_shard_queue_gauges() {
+    fn metrics_report_carries_one_queue_gauge() {
         let (service, graph) = service(120, 3, 47);
         let t = VertexId(graph.num_vertices() as u32 - 1);
         for s in 0..6u32 {
