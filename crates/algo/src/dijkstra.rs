@@ -268,15 +268,18 @@ impl SearchArena {
     /// fall with `g` (`f = g + h` for a fixed `h`), so a lowered entry only sifts up.
     #[inline]
     pub(crate) fn relax(&mut self, from: VertexId, to: VertexId, g: Weight, f: Weight) -> bool {
-        if !self.improves(to, g) {
-            return false;
-        }
         let generation = self.generation;
         let entry = HeapEntry { f, g, vertex: to };
         let slot = &mut self.slots[to.index()];
         let pos = if slot.reached == generation {
+            if slot.pos == SETTLED || g >= slot.dist {
+                return false;
+            }
             slot.pos as usize
         } else {
+            if slot.banned == generation {
+                return false;
+            }
             self.heap.push(entry);
             self.heap.len() - 1
         };
