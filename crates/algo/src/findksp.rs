@@ -24,6 +24,18 @@
 //! it would repeat searches already run and find no new route, so the answer set is
 //! unchanged.
 //!
+//! **Spurs run only when they can matter.** Most spurs of a produced path find a
+//! path longer than every path the enumeration is asked for. Before searching one,
+//! FindKSP bounds it with the sidetrack bound of Eppstein's deviation cost: the root
+//! distance plus the least `w + h(x)` over the edges `spur node → x` the spur may
+//! take first (not banned, `x` not on the root). Every spur path takes one of those
+//! edges and then needs at least `h(x)`, so no spur path is shorter. The shared
+//! deviation step defers each spur by that bound and searches it only once no
+//! candidate beats it (see [`crate::yen`] for why the produced paths, their distance
+//! bits and the version kept of a duplicate route are those of searching every spur
+//! at once). [`FindKsp::spur_searches`] counts the searches run, not the spurs
+//! generated.
+//!
 //! It serves three times: as the whole-graph FindKSP baseline of the paper's
 //! experiments ([`find_ksp`]), as the enumerator of KSP-DG's reference paths over the
 //! skeleton overlay (Algorithm 3), and for KSP-DG's partial k shortest paths inside
@@ -31,7 +43,7 @@
 
 use crate::dijkstra::SearchArena;
 use crate::path::Path;
-use crate::yen::{yen_ksp, Deviations};
+use crate::yen::{yen_ksp, Deviations, SpurSearch};
 use ksp_graph::{DynamicGraph, GraphView, VertexId, Weight};
 
 /// Lazy enumerator of k shortest simple paths using SPT-guided deviations.
@@ -61,7 +73,7 @@ impl<'a, G: GraphView, R: GraphView> FindKsp<'a, G, R> {
     /// place, until [`FindKsp::into_produced`] hands it back.
     ///
     /// `reverse` must be `view` with every edge turned around (`view` itself when it
-    /// is undirected); [`Transpose`] builds one for a view that keeps no in-adjacency.
+    /// is undirected), such as [`DynamicGraph::reversed`].
     pub fn new(
         view: &'a G,
         reverse: &'a R,
@@ -112,41 +124,48 @@ impl<'a, G: GraphView, R: GraphView> FindKsp<'a, G, R> {
 
     fn advance(&mut self, arena: &mut SearchArena) -> bool {
         let FindKsp { view, reverse, source, target, heuristic, lists, settled_vertices } = self;
-        let mut search = AStar { arena, heuristic, reverse: *reverse, settled_vertices };
-        lists.advance(*view, *source, *target, |from, banned_vertices, banned_edges| {
-            search.run(*view, *target, from, banned_vertices, banned_edges)
-        })
+        let mut search = AStar {
+            view: *view,
+            reverse: *reverse,
+            target: *target,
+            arena,
+            heuristic,
+            settled_vertices,
+        };
+        lists.advance(*view, *source, *target, &mut search)
     }
 }
 
-/// One A* spur search: per-vertex state on the spur arena, guided by the on-demand
-/// reverse search.
-struct AStar<'s, R: GraphView> {
+/// The spur searches of one enumerator: A* on the spur arena, guided by the
+/// on-demand reverse search, which also bounds each spur before it runs.
+struct AStar<'s, G: GraphView, R: GraphView> {
+    view: &'s G,
+    reverse: &'s R,
+    target: VertexId,
     arena: &'s mut SearchArena,
     /// The reverse search from the target, resumed as the spur search asks.
     heuristic: &'s mut SearchArena,
-    reverse: &'s R,
     settled_vertices: &'s mut usize,
 }
 
-impl<R: GraphView> AStar<'_, R> {
+impl<G: GraphView, R: GraphView> AStar<'_, G, R> {
     /// The exact unbanned distance from `v` to the target; infinite if none exists.
     #[inline]
     fn h(&mut self, v: VertexId) -> Weight {
         self.heuristic.settle_through(self.reverse, v)
     }
+}
 
-    /// Goal-directed A* from `from` to `target` using the exact distance-to-target
+impl<G: GraphView, R: GraphView> SpurSearch for AStar<'_, G, R> {
+    /// Goal-directed A* from `from` to the target using the exact distance-to-target
     /// heuristic `h` from the reverse SPT. The heuristic is admissible and consistent on
     /// the unbanned graph; banning edges/vertices only removes paths, so it remains
     /// admissible and the search stays correct. A vertex with an infinite heuristic
     /// cannot reach the target even without bans, so it is never queued. Banned edges
     /// are checked only when their tail is expanded, and the heuristic is asked only
     /// about a vertex the relaxation would improve.
-    fn run<G: GraphView>(
+    fn search(
         &mut self,
-        view: &G,
-        target: VertexId,
         from: VertexId,
         banned_vertices: &[VertexId],
         banned_edges: &[(VertexId, VertexId)],
@@ -159,6 +178,7 @@ impl<R: GraphView> AStar<'_, R> {
             // The target is unreachable from here even without bans.
             return None;
         }
+        let view = self.view;
         self.arena.begin(view.num_vertices());
         for &v in banned_vertices {
             self.arena.ban(v);
@@ -167,7 +187,7 @@ impl<R: GraphView> AStar<'_, R> {
 
         while let Some((vertex, g)) = self.arena.pop() {
             *self.settled_vertices += 1;
-            if vertex == target {
+            if vertex == self.target {
                 return self.arena.path_to(vertex);
             }
             let edge_bans = banned_edges.iter().any(|&(tail, _)| tail == vertex);
@@ -187,66 +207,34 @@ impl<R: GraphView> AStar<'_, R> {
         }
         None
     }
-}
 
-/// A view with every edge of another view turned around, built once by walking every
-/// vertex's out-neighbours: the reverse FindKSP searches for its heuristic when the
-/// view keeps no in-adjacency of its own.
-#[derive(Debug, Clone)]
-pub struct Transpose {
-    /// By vertex id: (in-neighbour, weight) of every edge entering it.
-    radj: Vec<Vec<(VertexId, Weight)>>,
-}
-
-impl Transpose {
-    /// The transpose of `view`, with its current weights.
-    pub fn of<G: GraphView>(view: &G) -> Self {
-        let n = view.num_vertices();
-        let mut radj: Vec<Vec<(VertexId, Weight)>> = vec![Vec::new(); n];
-        for u in (0..n as u32).map(VertexId).filter(|&u| view.contains_vertex(u)) {
-            view.for_each_neighbor(u, |to, w| radj[to.index()].push((u, w)));
-        }
-        Transpose { radj }
-    }
-}
-
-impl GraphView for Transpose {
-    fn num_vertices(&self) -> usize {
-        self.radj.len()
-    }
-    fn contains_vertex(&self, v: VertexId) -> bool {
-        v.index() < self.radj.len()
-    }
-    fn for_each_neighbor(&self, v: VertexId, mut f: impl FnMut(VertexId, Weight)) {
-        for &(to, w) in self.radj.get(v.index()).map_or(&[][..], Vec::as_slice) {
-            f(to, w);
-        }
-    }
-    fn edge_weight(&self, u: VertexId, v: VertexId) -> Option<Weight> {
-        self.radj.get(u.index())?.iter().find(|&&(to, _)| to == v).map(|&(_, w)| w)
+    /// The sidetrack bound: the least `w + h(x)` over the edges `from → x` the spur
+    /// may take first. Any spur path takes one of them and then needs at least `h(x)`.
+    fn spur_bound(
+        &mut self,
+        from: VertexId,
+        banned_vertices: &[VertexId],
+        banned_edges: &[(VertexId, VertexId)],
+    ) -> Option<Weight> {
+        let mut bound = Weight::INFINITY;
+        let view = self.view;
+        view.for_each_neighbor(from, |to, w| {
+            if !banned_edges.contains(&(from, to)) && !banned_vertices.contains(&to) {
+                bound = bound.min(w + self.h(to));
+            }
+        });
+        Some(bound)
     }
 }
 
 /// The FindKSP baseline over a whole graph: the `k` shortest simple paths from
-/// `source` to `target`. A directed graph's reverse is built per call.
+/// `source` to `target`, guided by a search over [`DynamicGraph::reversed`].
 pub fn find_ksp(graph: &DynamicGraph, source: VertexId, target: VertexId, k: usize) -> Vec<Path> {
-    fn first_k<G: GraphView, R: GraphView>(
-        view: &G,
-        reverse: &R,
-        source: VertexId,
-        target: VertexId,
-        k: usize,
-    ) -> Vec<Path> {
-        let mut heuristic = SearchArena::new();
-        let mut enumerator = FindKsp::new(view, reverse, source, target, &mut heuristic);
-        enumerator.produce_up_to_in(k, &mut SearchArena::new());
-        enumerator.into_produced(&mut heuristic)
-    }
-    if graph.is_directed() {
-        first_k(graph, &Transpose::of(graph), source, target, k)
-    } else {
-        first_k(graph, graph, source, target, k)
-    }
+    let reverse = graph.reversed();
+    let mut heuristic = SearchArena::new();
+    let mut enumerator = FindKsp::new(graph, &reverse, source, target, &mut heuristic);
+    enumerator.produce_up_to_in(k, &mut SearchArena::new());
+    enumerator.into_produced(&mut heuristic)
 }
 
 /// Debug helper used by tests and benchmarks: checks FindKSP and Yen agree on the
@@ -260,6 +248,7 @@ pub fn agrees_with_yen(graph: &DynamicGraph, source: VertexId, target: VertexId,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::KspEnumerator;
     use ksp_graph::GraphBuilder;
     use ksp_workload::{RoadNetworkConfig, RoadNetworkGenerator, Xoshiro256};
 
@@ -325,8 +314,9 @@ mod tests {
 
     #[test]
     fn transpose_turns_every_edge_around() {
+        // `find_ksp` guides a directed graph's spurs by a search over its reverse.
         let g = yen_wikipedia_graph();
-        let t = Transpose::of(&g);
+        let t = g.reversed();
         assert_eq!(t.num_vertices(), g.num_vertices());
         for u in 0..6 {
             for (to, w) in g.neighbors(v(u)) {
@@ -336,6 +326,77 @@ mod tests {
             assert_eq!(t.neighbors(v(u)).len(), in_degree);
         }
         assert!(t.neighbors(v(9)).is_empty());
+    }
+
+    /// The weighted graph of the two tied routes below: ids `s = 0`, `x = 1`, `y = 2`,
+    /// `a = 3`, `c = 4`, `t = 5`, directed.
+    fn tied_routes_graph() -> DynamicGraph {
+        let mut g = DynamicGraph::new(6, true);
+        for (u, w, weight) in [
+            (0, 3, 0.1),
+            (3, 5, 0.1),
+            (3, 4, 0.25),
+            (4, 5, 0.25),
+            (0, 1, 0.3),
+            (1, 2, 0.2),
+            (2, 5, 0.1),
+        ] {
+            let e = g.add_edge(v(u), v(w), 1).unwrap();
+            g.set_weight(e, Weight::new(weight)).unwrap();
+        }
+        g
+    }
+
+    #[test]
+    fn a_tied_smaller_route_behind_a_larger_bound_pops_in_eager_order() {
+        // The first path is s-a-t (0.2). Its spur at a finds C = s-a-c-t at
+        // 0.1 + (0.25 + 0.25) = 0.6; its spur at s finds R = s-x-y-t at
+        // (0.3 + 0.2) + 0.1 = 0.6, the same bits, and R < C. The spur at s is bounded
+        // by 0.3 + h(x) = 0.3 + (0.1 + 0.2), one ulp above 0.6: only the tolerance
+        // searches it before C pops, so that R comes second, as Yen produces it.
+        let premise = (0.3 + (0.1 + 0.2), (0.3 + 0.2) + 0.1, 0.1 + (0.25 + 0.25));
+        assert!(premise.0 > premise.1 && premise.1 == premise.2, "{premise:?}");
+        let g = tied_routes_graph();
+        let route = |p: &Path| p.vertices().iter().map(|x| x.0).collect::<Vec<_>>();
+        let bits = |paths: &[Path]| {
+            paths.iter().map(|p| (route(p), p.distance().value().to_bits())).collect::<Vec<_>>()
+        };
+        let lazy = find_ksp(&g, v(0), v(5), 3);
+        assert_eq!(
+            lazy.iter().map(route).collect::<Vec<_>>(),
+            [vec![0, 3, 5], vec![0, 1, 2, 5], vec![0, 3, 4, 5]]
+        );
+        assert_eq!(bits(&lazy), bits(&yen_ksp(&g, v(0), v(5), 3)));
+    }
+
+    #[test]
+    fn the_ladder_needs_fewer_spur_searches_than_yen_for_the_same_paths() {
+        let mut b = GraphBuilder::undirected(8);
+        for i in 0..3u32 {
+            b.edge(2 * i, 2 * i + 2, 1).edge(2 * i + 1, 2 * i + 3, 1).edge(2 * i, 2 * i + 1, 2);
+        }
+        b.edge(6, 7, 2);
+        let g = b.build().unwrap();
+        let bits = |paths: &[Path]| {
+            paths
+                .iter()
+                .map(|p| (p.vertices().to_vec(), p.distance().value().to_bits()))
+                .collect::<Vec<_>>()
+        };
+        let (mut arena, mut heuristic) = (SearchArena::new(), SearchArena::new());
+        let mut lazy = FindKsp::new(&g, &g, v(0), v(7), &mut heuristic);
+        lazy.produce_up_to_in(6, &mut arena);
+        let lazy_searches = lazy.spur_searches();
+        let lazy = lazy.into_produced(&mut heuristic);
+        let mut eager = KspEnumerator::new(&g, v(0), v(7));
+        eager.produce_up_to_in(6, &mut arena);
+        let eager_searches = eager.spur_searches();
+        assert_eq!(lazy.len(), 6);
+        assert_eq!(bits(&lazy), bits(&eager.into_produced()));
+        assert!(
+            lazy_searches < eager_searches,
+            "{lazy_searches} spur searches, Yen runs {eager_searches}"
+        );
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! [`fewest_vfrag_paths`] extracts the paths with the `ξ` smallest vfrag counts — the
 //! bounding-path set `B_{i,j}` of the paper.
 
+use crate::dijkstra::SearchArena;
 use crate::path::Path;
 use crate::yen::KspEnumerator;
 use ksp_graph::{GraphView, Subgraph, VertexId, Weight};
@@ -76,12 +77,16 @@ pub struct VfragPath {
 /// is ordered), so the lower-bound property of the resulting bound distances is
 /// preserved — the bounds merely become looser, costing extra KSP-DG iterations rather
 /// than correctness.
+///
+/// The spur searches run on `arena`, so an index build that enumerates every boundary
+/// pair of a subgraph sizes one arena for all of them.
 pub fn fewest_vfrag_paths(
     subgraph: &Subgraph,
     source: VertexId,
     target: VertexId,
     xi: usize,
     max_enumerated: usize,
+    arena: &mut SearchArena,
 ) -> Vec<VfragPath> {
     assert!(xi >= 1, "at least one bounding path per pair is required");
     let view = VfragView::new(subgraph);
@@ -89,7 +94,7 @@ pub fn fewest_vfrag_paths(
     let mut result: Vec<VfragPath> = Vec::with_capacity(xi);
     let mut distinct = 0;
     while distinct < xi && result.len() < max_enumerated {
-        let Some(path) = enumerator.next_path() else { break };
+        let Some(path) = enumerator.next_path_in(arena) else { break };
         let vfrags = path.distance().value().round() as u64;
         debug_assert!(result.last().is_none_or(|p| p.vfrags <= vfrags));
         if result.last().map(|p| p.vfrags) != Some(vfrags) {
@@ -153,7 +158,7 @@ mod tests {
         // Example 3 of the paper: with ξ = 2, the bounding paths between v13 and v14
         // are ⟨v13,v16,v14⟩ (8 vfrags) and ⟨v13,v18,v17,v16,v14⟩ (11 vfrags).
         let sg = paper_sg4();
-        let paths = fewest_vfrag_paths(&sg, v(0), v(1), 2, 64);
+        let paths = fewest_vfrag_paths(&sg, v(0), v(1), 2, 64, &mut SearchArena::new());
         assert_eq!(paths.len(), 2);
         assert_eq!(paths[0].vertices, vec![v(0), v(2), v(1)]);
         assert_eq!(paths[0].vfrags, 8);
@@ -164,7 +169,7 @@ mod tests {
     #[test]
     fn xi_one_returns_only_the_fewest_vfrag_path() {
         let sg = paper_sg4();
-        let paths = fewest_vfrag_paths(&sg, v(0), v(1), 1, 64);
+        let paths = fewest_vfrag_paths(&sg, v(0), v(1), 1, 64, &mut SearchArena::new());
         assert_eq!(paths.len(), 1);
         assert_eq!(paths[0].vfrags, 8);
     }
@@ -185,7 +190,10 @@ mod tests {
             .into_subgraphs()
             .remove(0);
         let counts = |xi| -> Vec<u64> {
-            fewest_vfrag_paths(&sg, v(0), v(5), xi, 128).iter().map(|p| p.vfrags).collect()
+            fewest_vfrag_paths(&sg, v(0), v(5), xi, 128, &mut SearchArena::new())
+                .iter()
+                .map(|p| p.vfrags)
+                .collect()
         };
         assert_eq!(counts(2), vec![3, 3, 3, 5]);
         assert_eq!(counts(1), vec![3]);
@@ -194,7 +202,7 @@ mod tests {
     #[test]
     fn truncation_by_max_enumerated_is_safe_and_bounded() {
         let sg = paper_sg4();
-        let truncated = fewest_vfrag_paths(&sg, v(0), v(1), 5, 1);
+        let truncated = fewest_vfrag_paths(&sg, v(0), v(1), 5, 1, &mut SearchArena::new());
         assert_eq!(truncated.len(), 1);
         assert_eq!(truncated[0].vfrags, 8);
     }
@@ -209,7 +217,7 @@ mod tests {
             .unwrap()
             .into_subgraphs()
             .remove(0);
-        assert!(fewest_vfrag_paths(&sg, v(0), v(3), 3, 32).is_empty());
+        assert!(fewest_vfrag_paths(&sg, v(0), v(3), 3, 32, &mut SearchArena::new()).is_empty());
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! ([`crate::fewest_vfrag_paths`], over vfrag counts at index build). The KSP-DG
 //! engine runs none of it: its reference paths over the skeleton and its partial
 //! paths inside subgraphs come from [`crate::FindKsp`], which shares this module's
-//! deviation step and differs only in searching each spur path with A*.
+//! deviation step and differs in searching each spur path with A* and in deferring
+//! the spurs that cannot beat the next path.
 //!
 //! **Deviation index.** Each produced path records the spur index at which it left
 //! the path it was spurred from (0 for the first path), and its own spurs start there:
@@ -16,6 +17,37 @@
 //! at that root banned. Spurring there again would search with the same root and the
 //! same bans, find the same route, and add nothing. Only the count of spur searches
 //! drops; every candidate, and so every answer, is unchanged bit for bit.
+//!
+//! **Deferred spurs.** Yen's enumerator searches every spur of a produced path as soon
+//! as the path is produced. A search that can bound its spurs beforehand (FindKSP's
+//! sidetrack bound, see [`crate::findksp`]) has them deferred instead: each waits in
+//! a heap by its bound, and before a candidate is popped every deferred spur whose
+//! bound is at most that candidate's distance is searched, best bound first, until
+//! none is left. A spur whose bound is infinite finds nothing and is dropped. The
+//! produced paths, their distance bits and their deviation indices are those of eager
+//! search:
+//!
+//! - *Same searches.* A spur is identified by its parent path and its index, and its
+//!   bans are the next edges of the paths produced up to and including its parent
+//!   that share its root, recomputed from that prefix of the produced list when it
+//!   runs. A deferred spur therefore searches exactly what it would have searched
+//!   eagerly and finds the same path.
+//! - *Same pop.* A spur still deferred has a bound above the best candidate's
+//!   distance, so it can only find a longer path. Bounds and distances are float
+//!   sums taken in different orders (the bound adds the heuristic, itself summed from
+//!   the target), so a bound can exceed the distance of the path it bounds by a few
+//!   units in the last place: a spur whose bound is [`Weight::approx_eq`] to the best
+//!   distance is searched too, so an equal-distance route that sorts first is never
+//!   left behind.
+//! - *Same version of a duplicate.* When two spurs find one route, eager search keeps
+//!   the version of the spur generated first; deferred search keeps the version found
+//!   first, which is the same one. Say spur `X` (of path `p`, index `i`) is generated
+//!   before spur `Y` (of a later path `q`, index `j`) and both find route `R`. If
+//!   `j < i`, `R` takes `p`'s edge at `j`, which `Y` bans: impossible. If `i < j`,
+//!   `q` shares `R`'s first `i + 1` vertices and its edge at `i`, so `q` is a path `X`
+//!   may find: `X`'s bound is at most `q`'s distance, and `X` was searched before `q`
+//!   was popped, so before `Y` existed. If `i = j`, the two versions have the same
+//!   root and the same spur path, so the same distance bits and deviation index.
 
 use crate::dijkstra::SearchArena;
 use crate::path::Path;
@@ -96,14 +128,60 @@ impl<'a, G: GraphView> KspEnumerator<'a, G> {
 
     fn advance(&mut self, arena: &mut SearchArena) -> bool {
         let KspEnumerator { view, source, target, lists, .. } = self;
-        lists.advance(*view, *source, *target, |from, banned_vertices, banned_edges| {
-            arena.shortest_path(*view, from, *target, banned_vertices, banned_edges)
-        })
+        lists.advance(
+            *view,
+            *source,
+            *target,
+            &mut |from, banned_vertices: &[VertexId], banned_edges: &[(VertexId, VertexId)]| {
+                arena.shortest_path(*view, from, *target, banned_vertices, banned_edges)
+            },
+        )
+    }
+}
+
+/// One spur search of the deviation step, with the bans of the spur it runs.
+///
+/// Any `FnMut(from, banned_vertices, banned_edges) -> Option<Path>` is one that keeps
+/// no bound, so each of its spurs runs as soon as it is generated: Yen's.
+pub(crate) trait SpurSearch {
+    /// A shortest path from `from` to the target that enters no vertex of
+    /// `banned_vertices` and takes no edge of `banned_edges`.
+    fn search(
+        &mut self,
+        from: VertexId,
+        banned_vertices: &[VertexId],
+        banned_edges: &[(VertexId, VertexId)],
+    ) -> Option<Path>;
+
+    /// A lower bound on the distance of the path [`SpurSearch::search`] returns for
+    /// the same arguments, infinite if it returns none; `None` if the search keeps
+    /// no bound, which makes the spur run at once.
+    fn spur_bound(
+        &mut self,
+        _from: VertexId,
+        _banned_vertices: &[VertexId],
+        _banned_edges: &[(VertexId, VertexId)],
+    ) -> Option<Weight> {
+        None
+    }
+}
+
+impl<F> SpurSearch for F
+where
+    F: FnMut(VertexId, &[VertexId], &[(VertexId, VertexId)]) -> Option<Path>,
+{
+    fn search(
+        &mut self,
+        from: VertexId,
+        banned_vertices: &[VertexId],
+        banned_edges: &[(VertexId, VertexId)],
+    ) -> Option<Path> {
+        self(from, banned_vertices, banned_edges)
     }
 }
 
 /// Yen's two lists and the deviation step, shared by [`KspEnumerator`] and FindKSP,
-/// which differ only in how they search a spur path.
+/// which differ in how they search a spur path and in whether they bound it first.
 #[derive(Default)]
 pub(crate) struct Deviations {
     /// Paths already produced, in ascending distance order (Yen's list `A`).
@@ -112,6 +190,8 @@ pub(crate) struct Deviations {
     candidates: BinaryHeap<Reverse<Candidate>>,
     /// Routes already present in `produced` or `candidates`, to avoid duplicates.
     seen_routes: HashSet<Vec<VertexId>>,
+    /// Spurs generated but not yet searched, by the lower bound of their distance.
+    deferred: BinaryHeap<Reverse<Deferred>>,
     exhausted: bool,
     /// Spur index at which the last produced path deviated from its parent: its spurs
     /// start there.
@@ -120,6 +200,25 @@ pub(crate) struct Deviations {
     pub(crate) spur_searches: usize,
     /// Scratch for one spur's banned edges, reused across spurs.
     banned_edges: Vec<(VertexId, VertexId)>,
+}
+
+/// One spur of a produced path: its root is the first `index + 1` vertices of
+/// `produced[parent]`, and it bans the next edge of every path among
+/// `produced[..=parent]` sharing that root. Spurs order as they are generated.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Spur {
+    parent: usize,
+    index: usize,
+}
+
+/// A spur generated but not searched yet: no path it can find is shorter than
+/// `bound`. Deferred spurs pop by bound, then in generation order.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+struct Deferred {
+    bound: Weight,
+    spur: Spur,
+    /// Distance of the spur's root path.
+    root_distance: Weight,
 }
 
 struct Candidate {
@@ -154,27 +253,31 @@ impl Deviations {
     /// Appends the next shortest simple path from `source` to `target` to `produced`;
     /// `false` once no further path exists.
     ///
-    /// `spur(from, banned_vertices, banned_edges)` searches a shortest path from `from`
-    /// to `target` that avoids the bans; the first path is `spur(source, &[], &[])`.
+    /// `spur` searches each spur path; the first path is `spur.search(source, &[],
+    /// &[])`.
     pub(crate) fn advance<G: GraphView>(
         &mut self,
         view: &G,
         source: VertexId,
         target: VertexId,
-        mut spur: impl FnMut(VertexId, &[VertexId], &[(VertexId, VertexId)]) -> Option<Path>,
+        spur: &mut impl SpurSearch,
     ) -> bool {
         if self.exhausted {
             return false;
         }
         let next = if self.produced.is_empty() {
-            let first =
-                if source == target { Some(Path::trivial(source)) } else { spur(source, &[], &[]) };
+            let first = if source == target {
+                Some(Path::trivial(source))
+            } else {
+                spur.search(source, &[], &[])
+            };
             if let Some(p) = &first {
                 self.seen_routes.insert(p.vertices().to_vec());
             }
             first
         } else {
-            self.generate_deviations(view, &mut spur);
+            self.generate_spurs(view, spur);
+            self.search_due_spurs(spur);
             self.candidates.pop().map(|Reverse(c)| {
                 self.last_deviation = c.deviation;
                 Path::new(c.vertices, c.distance)
@@ -187,23 +290,22 @@ impl Deviations {
         !self.exhausted
     }
 
-    /// Pushes every deviation of the most recently produced path past its deviation
-    /// index onto `candidates`.
-    fn generate_deviations<G: GraphView>(
-        &mut self,
-        view: &G,
-        spur: &mut impl FnMut(VertexId, &[VertexId], &[(VertexId, VertexId)]) -> Option<Path>,
-    ) {
+    /// Generates every spur of the most recently produced path past its deviation
+    /// index: searches it at once if `spur` keeps no bound, defers it otherwise, and
+    /// drops it if its bound is infinite.
+    fn generate_spurs<G: GraphView>(&mut self, view: &G, spur: &mut impl SpurSearch) {
         let Deviations {
             produced,
             candidates,
             seen_routes,
+            deferred,
             last_deviation,
             spur_searches,
             banned_edges,
             ..
         } = self;
-        let prev_vertices = produced.last().expect("produced is non-empty").vertices();
+        let parent = produced.len() - 1;
+        let prev_vertices = produced[parent].vertices();
         let num_edges = prev_vertices.len() - 1;
         let edge_weight = |i: usize| {
             view.edge_weight(prev_vertices[i], prev_vertices[i + 1])
@@ -215,38 +317,86 @@ impl Deviations {
         for i in 0..*last_deviation {
             root_distance += edge_weight(i);
         }
-        for i in *last_deviation..num_edges {
-            let spur_node = prev_vertices[i];
-            let root_vertices = &prev_vertices[..=i];
+        for index in *last_deviation..num_edges {
+            let at = Spur { parent, index };
+            ban_next_edges(produced, at, banned_edges);
+            let (spur_node, root) = (prev_vertices[index], &prev_vertices[..index]);
+            match spur.spur_bound(spur_node, root, banned_edges) {
+                None => {
+                    *spur_searches += 1;
+                    let found = spur.search(spur_node, root, banned_edges);
+                    offer(candidates, seen_routes, root, root_distance, found);
+                }
+                Some(bound) if bound.is_finite() => deferred.push(Reverse(Deferred {
+                    bound: root_distance + bound,
+                    spur: at,
+                    root_distance,
+                })),
+                Some(_) => {}
+            }
+            if index + 1 < num_edges {
+                root_distance += edge_weight(index);
+            }
+        }
+    }
 
-            // Ban the next edge of every already-produced path sharing this root, so
-            // the spur path deviates from all of them. Only the edge leaving the spur
-            // node needs banning: the spur node is the search's source, so no
-            // relaxation ever enters it.
-            banned_edges.clear();
-            for p in produced.iter() {
-                let pv = p.vertices();
-                if pv.len() > i + 1 && &pv[..=i] == root_vertices {
-                    banned_edges.push((pv[i], pv[i + 1]));
-                }
+    /// Searches every deferred spur that could find a path no longer than the best
+    /// candidate, or tied with it up to float rounding, until none is left that
+    /// could: the best candidate is then the one eager search would pop.
+    fn search_due_spurs(&mut self, spur: &mut impl SpurSearch) {
+        while let Some(Reverse(next)) = self.deferred.peek() {
+            let due = self.candidates.peek().is_none_or(|Reverse(best)| {
+                next.bound <= best.distance || next.bound.approx_eq(best.distance)
+            });
+            if !due {
+                break;
             }
-            // Ban the root path's vertices (except the spur node) so the total path
-            // stays simple.
-            *spur_searches += 1;
-            if let Some(spur_path) = spur(spur_node, &root_vertices[..i], banned_edges) {
-                // Assemble root + spur.
-                let mut vertices = Vec::with_capacity(i + spur_path.num_vertices());
-                vertices.extend_from_slice(&root_vertices[..i]);
-                vertices.extend_from_slice(spur_path.vertices());
-                if Path::is_simple(&vertices) && !seen_routes.contains(&vertices) {
-                    let distance = root_distance + spur_path.distance();
-                    seen_routes.insert(vertices.clone());
-                    candidates.push(Reverse(Candidate { distance, vertices, deviation: i }));
-                }
-            }
-            if i + 1 < num_edges {
-                root_distance += edge_weight(i);
-            }
+            let Reverse(Deferred { spur: at, root_distance, .. }) =
+                self.deferred.pop().expect("peeked");
+            ban_next_edges(&self.produced, at, &mut self.banned_edges);
+            let prev_vertices = self.produced[at.parent].vertices();
+            let (spur_node, root) = (prev_vertices[at.index], &prev_vertices[..at.index]);
+            self.spur_searches += 1;
+            let found = spur.search(spur_node, root, &self.banned_edges);
+            offer(&mut self.candidates, &mut self.seen_routes, root, root_distance, found);
+        }
+    }
+}
+
+/// Offers `root` (the root path without the spur node) followed by `spur_path`, the
+/// path a spur search found from the spur node, as a candidate, unless the route
+/// repeats a vertex or is already known. The candidate deviates at `root.len()`.
+fn offer(
+    candidates: &mut BinaryHeap<Reverse<Candidate>>,
+    seen_routes: &mut HashSet<Vec<VertexId>>,
+    root: &[VertexId],
+    root_distance: Weight,
+    spur_path: Option<Path>,
+) {
+    let Some(spur_path) = spur_path else { return };
+    let mut vertices = Vec::with_capacity(root.len() + spur_path.num_vertices());
+    vertices.extend_from_slice(root);
+    vertices.extend_from_slice(spur_path.vertices());
+    if Path::is_simple(&vertices) && !seen_routes.contains(&vertices) {
+        let distance = root_distance + spur_path.distance();
+        seen_routes.insert(vertices.clone());
+        candidates.push(Reverse(Candidate { distance, vertices, deviation: root.len() }));
+    }
+}
+
+/// Fills `banned_edges` with the bans of spur `at`: the edge leaving the spur node on
+/// every path among `produced[..=at.parent]` that shares the spur's root, so the spur
+/// path deviates from all of them. Only that edge needs banning: the spur node is the
+/// search's source, so no relaxation ever enters it. The root path's other vertices
+/// are banned by the search itself, so the whole path stays simple.
+fn ban_next_edges(produced: &[Path], at: Spur, banned_edges: &mut Vec<(VertexId, VertexId)>) {
+    let Spur { parent, index } = at;
+    let root = &produced[parent].vertices()[..=index];
+    banned_edges.clear();
+    for p in &produced[..=parent] {
+        let pv = p.vertices();
+        if pv.len() > index + 1 && &pv[..=index] == root {
+            banned_edges.push((pv[index], pv[index + 1]));
         }
     }
 }
@@ -413,6 +563,87 @@ mod tests {
             e.spur_searches() < unpruned,
             "{} spur searches, {unpruned} without the deviation index",
             e.spur_searches()
+        );
+    }
+
+    /// Dijkstra spur searches that bound each spur before it runs: by zero, the
+    /// loosest bound, or by the distance the search will find, the tightest.
+    struct BoundedDijkstra<'a> {
+        view: &'a DynamicGraph,
+        target: VertexId,
+        arena: SearchArena,
+        exact: bool,
+    }
+
+    impl SpurSearch for BoundedDijkstra<'_> {
+        fn search(
+            &mut self,
+            from: VertexId,
+            banned_vertices: &[VertexId],
+            banned_edges: &[(VertexId, VertexId)],
+        ) -> Option<Path> {
+            self.arena.shortest_path(self.view, from, self.target, banned_vertices, banned_edges)
+        }
+
+        fn spur_bound(
+            &mut self,
+            from: VertexId,
+            banned_vertices: &[VertexId],
+            banned_edges: &[(VertexId, VertexId)],
+        ) -> Option<Weight> {
+            if !self.exact {
+                return Some(Weight::ZERO);
+            }
+            let found = self.search(from, banned_vertices, banned_edges);
+            Some(found.map_or(Weight::INFINITY, |p| p.distance()))
+        }
+    }
+
+    #[test]
+    fn deferred_spurs_produce_the_eager_paths_bit_for_bit() {
+        // Weights with inexact float sums and many ties, so spurs run far out of
+        // generation order and tied routes, duplicates and rounding all occur.
+        let menu = [0.1, 0.2, 0.3, 0.4, 0.6, 0.7];
+        let bits = |paths: &[Path]| {
+            paths
+                .iter()
+                .map(|p| (p.vertices().to_vec(), p.distance().value().to_bits()))
+                .collect::<Vec<_>>()
+        };
+        let mut rng = ksp_workload::Xoshiro256::seed_from_u64(47);
+        let (mut eager_searches, mut deferred_searches) = (0, 0);
+        for round in 0..2000 {
+            let n = 5 + rng.next_bounded(4) as usize;
+            let mut g = DynamicGraph::new(n, round % 2 == 1);
+            for _ in 0..2 * n + rng.next_bounded(n as u64) as usize {
+                let (a, b) = (rng.next_bounded(n as u64) as u32, rng.next_bounded(n as u64) as u32);
+                if let Ok(e) = g.add_edge(v(a), v(b), 1) {
+                    let w = menu[rng.next_bounded(menu.len() as u64) as usize];
+                    g.set_weight(e, Weight::new(w)).unwrap();
+                }
+            }
+            let (s, t) = (v(0), v(n as u32 - 1));
+            let mut eager = KspEnumerator::new(&g, s, t);
+            let eager_paths = eager.take_up_to(10);
+            for exact in [false, true] {
+                let mut spur =
+                    BoundedDijkstra { view: &g, target: t, arena: SearchArena::new(), exact };
+                let mut lists = Deviations::default();
+                while lists.produced.len() < 10 && lists.advance(&g, s, t, &mut spur) {}
+                assert_eq!(
+                    bits(&lists.produced),
+                    bits(&eager_paths),
+                    "round {round}, exact {exact}"
+                );
+                if exact {
+                    eager_searches += eager.spur_searches();
+                    deferred_searches += lists.spur_searches;
+                }
+            }
+        }
+        assert!(
+            deferred_searches < eager_searches,
+            "{deferred_searches} deferred spur searches, {eager_searches} eager ones"
         );
     }
 

@@ -58,6 +58,10 @@ fn query_batch_reports_are_consistent() {
     assert!(report.load_balance.busy_spread <= 1.0);
 }
 
+/// The simulated makespan is the busiest server's share of the work. Wall-clock
+/// times of 30 tiny queries are noise beside the suite's other tests, so this checks
+/// what the report counts: adding servers never gives the busiest one more queries,
+/// and never changes the work the queries do.
 #[test]
 fn more_servers_never_increase_simulated_makespan_much() {
     let graph = tiny_graph();
@@ -69,14 +73,16 @@ fn more_servers_never_increase_simulated_makespan_much() {
         let (cluster, _) =
             Cluster::build(&graph, ClusterConfig::new(servers, DtlpConfig::new(18, 2)))
                 .expect("cluster");
-        let makespan = cluster.process_queries(&specs).simulated_makespan();
-        if let Some(prev) = previous {
-            // Allow a generous tolerance: measurement noise on very fast queries.
+        let report = cluster.process_queries(&specs);
+        let busiest = report.per_server.iter().map(|l| l.items_processed).max().expect("servers");
+        let work = (report.total_iterations, report.total_candidates);
+        if let Some((prev_busiest, prev_work)) = previous {
             assert!(
-                makespan.as_secs_f64() <= 1.5 * f64::max(prev, 1e-6),
-                "makespan grew sharply when adding servers"
+                busiest <= prev_busiest,
+                "{servers} servers: the busiest ran {busiest} queries, {prev_busiest} before"
             );
+            assert_eq!(work, prev_work, "{servers} servers did other work");
         }
-        previous = Some(makespan.as_secs_f64());
+        previous = Some((busiest, work));
     }
 }

@@ -374,14 +374,21 @@ mod tests {
                 base.iter().map(|&(u, w, _)| (u, w, 1 + (u + w + scale) % 7)).collect();
             let sg = figure6_subgraph(&weights);
             // Recompute bounding paths for this weighting via the vfrag search.
-            let paths = ksp_algo::fewest_vfrag_paths(&sg, v(0), v(7), 3, 64)
-                .into_iter()
-                .map(|p| {
-                    let dist =
-                        ksp_algo::Path::from_vertices(&sg, p.vertices.clone()).unwrap().distance();
-                    BoundingPath::new(p.vertices, p.vfrags, dist)
-                })
-                .collect();
+            let paths = ksp_algo::fewest_vfrag_paths(
+                &sg,
+                v(0),
+                v(7),
+                3,
+                64,
+                &mut ksp_algo::SearchArena::new(),
+            )
+            .into_iter()
+            .map(|p| {
+                let dist =
+                    ksp_algo::Path::from_vertices(&sg, p.vertices.clone()).unwrap().distance();
+                BoundingPath::new(p.vertices, p.vfrags, dist)
+            })
+            .collect();
             let idx = index_of(sg, BoundingPathSet::new(v(0), v(7), paths));
             let ms = UnitWeightMultiset::from_subgraph(idx.subgraph());
             let lbd = idx.pair(0).lower_bound_distance(&ms);

@@ -88,13 +88,15 @@ impl SubgraphIndex {
         let boundary: Vec<VertexId> = subgraph.boundary_vertices().to_vec();
 
         let mut pairs: Vec<BoundingPathSet> = Vec::new();
+        let mut arena = SearchArena::new();
         for (i, &a) in boundary.iter().enumerate() {
             for (j, &b) in boundary.iter().enumerate() {
                 let take = if directed { i != j } else { j > i };
                 if !take {
                     continue;
                 }
-                let candidates = fewest_vfrag_paths(&subgraph, a, b, xi, MAX_PATHS_ENUMERATED);
+                let candidates =
+                    fewest_vfrag_paths(&subgraph, a, b, xi, MAX_PATHS_ENUMERATED, &mut arena);
                 let paths: Vec<BoundingPath> = candidates
                     .into_iter()
                     .filter_map(|c| {

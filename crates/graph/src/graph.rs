@@ -57,6 +57,9 @@ struct Topology {
     directed: bool,
     /// Out-adjacency. For undirected graphs each edge appears in both endpoint lists.
     adj: Vec<Vec<(VertexId, EdgeId)>>,
+    /// In-adjacency of a directed graph, each list in edge order; empty for an
+    /// undirected graph, whose edges enter a vertex where they leave it.
+    in_adj: Vec<Vec<(VertexId, EdgeId)>>,
     /// Lookup from endpoint pair to edge id. Keys are canonicalised (min, max) for
     /// undirected graphs and kept as (tail, head) for directed graphs.
     edge_lookup: HashMap<(u32, u32), EdgeId>,
@@ -90,6 +93,7 @@ impl DynamicGraph {
             topology: Arc::new(Topology {
                 directed,
                 adj: vec![Vec::new(); num_vertices],
+                in_adj: if directed { vec![Vec::new(); num_vertices] } else { Vec::new() },
                 edge_lookup: HashMap::new(),
             }),
             edges: Vec::new(),
@@ -173,6 +177,13 @@ impl DynamicGraph {
         &self.topology.adj[v.index()]
     }
 
+    /// This graph with every edge turned around, read from the in-adjacency a
+    /// directed graph keeps: the view a search *towards* a vertex runs on. It
+    /// allocates nothing, and an undirected graph reverses to its own adjacency.
+    pub fn reversed(&self) -> ReversedGraph<'_> {
+        ReversedGraph { graph: self }
+    }
+
     /// Validates a vertex id against this graph.
     pub fn check_vertex(&self, v: VertexId) -> Result<(), GraphError> {
         if v.index() >= self.num_vertices() {
@@ -216,7 +227,9 @@ impl DynamicGraph {
         let topology = Arc::make_mut(&mut self.topology);
         topology.edge_lookup.insert(key, id);
         topology.adj[u.index()].push((v, id));
-        if !topology.directed {
+        if topology.directed {
+            topology.in_adj[v.index()].push((u, id));
+        } else {
             topology.adj[v.index()].push((u, id));
         }
         Ok(id)
@@ -336,6 +349,34 @@ impl GraphView for DynamicGraph {
     }
 }
 
+/// A [`DynamicGraph`] with every edge turned around; see [`DynamicGraph::reversed`].
+#[derive(Debug, Clone, Copy)]
+pub struct ReversedGraph<'a> {
+    graph: &'a DynamicGraph,
+}
+
+impl GraphView for ReversedGraph<'_> {
+    fn num_vertices(&self) -> usize {
+        self.graph.num_vertices()
+    }
+
+    fn contains_vertex(&self, v: VertexId) -> bool {
+        GraphView::contains_vertex(self.graph, v)
+    }
+
+    fn for_each_neighbor(&self, v: VertexId, mut f: impl FnMut(VertexId, Weight)) {
+        let topology = &self.graph.topology;
+        let entering = if topology.directed { &topology.in_adj } else { &topology.adj };
+        for &(from, e) in entering.get(v.index()).map_or(&[][..], Vec::as_slice) {
+            f(from, self.graph.edges[e.index()].current_weight);
+        }
+    }
+
+    fn edge_weight(&self, u: VertexId, v: VertexId) -> Option<Weight> {
+        self.graph.edge_weight(v, u)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -376,6 +417,32 @@ mod tests {
         assert_ne!(e0, e1);
         assert_eq!(g.edge_weight(VertexId(0), VertexId(1)), Some(Weight::new(5.0)));
         assert_eq!(g.edge_weight(VertexId(1), VertexId(0)), Some(Weight::new(9.0)));
+    }
+
+    #[test]
+    fn reversed_view_lists_entering_edges_in_edge_order() {
+        let mut g = DynamicGraph::new(4, true);
+        for (u, v, w) in [(2, 1, 5), (0, 1, 3), (1, 3, 2), (3, 1, 4)] {
+            g.add_edge(VertexId(u), VertexId(v), w).unwrap();
+        }
+        let r = g.reversed();
+        let entering = |v: u32| r.neighbors(VertexId(v));
+        assert_eq!(
+            entering(1),
+            vec![
+                (VertexId(2), Weight::new(5.0)),
+                (VertexId(0), Weight::new(3.0)),
+                (VertexId(3), Weight::new(4.0))
+            ]
+        );
+        assert!(entering(0).is_empty());
+        assert_eq!(r.edge_weight(VertexId(3), VertexId(1)), Some(Weight::new(2.0)));
+        assert!(entering(9).is_empty(), "ids past the graph have no edges");
+        // An undirected graph is its own reverse.
+        let t = triangle();
+        for v in t.vertices() {
+            assert_eq!(t.reversed().neighbors(v), t.neighbors(v));
+        }
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub mod weight;
 
 pub use builder::GraphBuilder;
 pub use error::GraphError;
-pub use graph::{DynamicGraph, EdgeRecord};
+pub use graph::{DynamicGraph, EdgeRecord, ReversedGraph};
 pub use ids::{EdgeId, SubgraphId, VertexId};
 pub use partition::{PartitionConfig, Partitioner, Partitioning};
 pub use subgraph::{Subgraph, TransposedSubgraph};
