@@ -12,5 +12,5 @@
 pub mod query;
 pub mod refine;
 
-pub use query::{KspDgConfig, KspDgEngine, QueryResult, QueryStats, QueryTrace, SharedEngine};
+pub use query::{KspDgConfig, KspDgEngine, QueryResult, QueryStats, QueryTrace};
 pub use refine::{candidate_ksp, PartialPathCache};

@@ -318,46 +318,11 @@ impl<'a> KspDgEngine<'a> {
     }
 }
 
-/// A query engine that owns its index behind an [`Arc`](std::sync::Arc), so it can be
-/// moved into `'static` worker threads (the serving subsystem's shards) and shared
-/// freely.
-///
-/// Queries are read-only, so any number of `SharedEngine`s (or clones of one) can
-/// answer queries against the same index concurrently.
-#[derive(Debug, Clone)]
-pub struct SharedEngine {
-    index: std::sync::Arc<DtlpIndex>,
-    config: KspDgConfig,
-}
-
-impl SharedEngine {
-    /// Creates a shared engine over the given index with default configuration.
-    pub fn new(index: std::sync::Arc<DtlpIndex>) -> Self {
-        SharedEngine { index, config: KspDgConfig::default() }
-    }
-
-    /// Creates a shared engine with an explicit configuration.
-    pub fn with_config(index: std::sync::Arc<DtlpIndex>, config: KspDgConfig) -> Self {
-        SharedEngine { index, config }
-    }
-
-    /// The index this engine queries.
-    pub fn index(&self) -> &std::sync::Arc<DtlpIndex> {
-        &self.index
-    }
-
-    /// Answers the query `q(source, target)` with parameter `k`.
-    pub fn query(&self, source: VertexId, target: VertexId, k: usize) -> QueryResult {
-        KspDgEngine::with_config(&self.index, self.config).query(source, target, k)
-    }
-}
-
-// The serving subsystem hands `&DtlpIndex` / `SharedEngine` across threads; keep
-// that property from regressing silently.
+// The serving subsystem's workers share `&DtlpIndex` and run `KspDgEngine`s
+// across threads; keep that property from regressing silently.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<DtlpIndex>();
-    assert_send_sync::<SharedEngine>();
     assert_send_sync::<KspDgEngine<'_>>();
 };
 

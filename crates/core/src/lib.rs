@@ -54,4 +54,4 @@ pub mod dtlp;
 pub mod kspdg;
 
 pub use dtlp::{DtlpConfig, DtlpIndex};
-pub use kspdg::{KspDgEngine, QueryResult, QueryStats, QueryTrace, SharedEngine};
+pub use kspdg::{KspDgEngine, QueryResult, QueryStats, QueryTrace};

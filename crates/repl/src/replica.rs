@@ -29,7 +29,8 @@ use std::time::{Duration, Instant};
 
 use crate::ReplError;
 
-/// Configuration of a [`Replica`].
+/// Configuration of a [`Replica`]. Shipping caps are the leader's: every
+/// `ShipSegment` request passes `0` for its record and byte caps.
 #[derive(Debug, Clone)]
 pub struct ReplicaConfig {
     /// The name this follower acknowledges under; the leader labels its
@@ -40,10 +41,6 @@ pub struct ReplicaConfig {
     pub service: ServiceConfig,
     /// Store configuration for the replica's own durable directory.
     pub store: StoreConfig,
-    /// Records per `ShipSegment` request (`0` = the leader's default cap).
-    /// Record bytes per request and bytes per bootstrap `SnapshotChunk` are
-    /// always left to the leader's caps.
-    pub max_records: u64,
     /// When set, [`Replica::query`] refuses reads once the replica has
     /// fallen more than this many epochs behind the leader's last reported
     /// position — the observable-staleness bound. `None` serves reads at any
@@ -70,14 +67,12 @@ pub struct ReplicaConfig {
 
 impl ReplicaConfig {
     /// A configuration with the given follower name and service/store
-    /// settings; shipping caps deferred to the leader, no staleness bound,
-    /// 20 ms poll interval.
+    /// settings; no staleness bound, 20 ms poll interval.
     pub fn new(follower: impl Into<String>, service: ServiceConfig, store: StoreConfig) -> Self {
         ReplicaConfig {
             follower: follower.into(),
             service,
             store,
-            max_records: 0,
             max_read_lag: None,
             poll_interval: Duration::from_millis(20),
             backoff_base: Duration::from_millis(10),
@@ -235,7 +230,7 @@ impl Replica {
         let mut client = connect_leader(addr, &config)?;
         // Epoch 0 lives in the initial checkpoint, never in the log, so a
         // fresh join always receives the snapshot fallback.
-        let batch = client.ship_segment(0, config.max_records, 0)?;
+        let batch = client.ship_segment(0, 0, 0)?;
         let manifest = batch.fallback.ok_or_else(|| {
             ReplError::Protocol("leader did not offer a snapshot to a fresh follower".to_string())
         })?;
@@ -439,7 +434,7 @@ fn fetch_and_open(
 fn sync_round(ctx: &SyncCtx, core: &mut Core) -> Result<SyncOutcome, ReplError> {
     let service = ctx.service.read().unwrap_or_else(PoisonError::into_inner).clone();
     let from = service.current_epoch() + 1;
-    let batch = core.client.ship_segment(from, ctx.config.max_records, 0)?;
+    let batch = core.client.ship_segment(from, 0, 0)?;
     ctx.shared.leader_epoch.store(batch.leader_epoch, Ordering::Relaxed);
     if let Some(manifest) = batch.fallback {
         // The leader pruned past our position: full re-sync into the next
@@ -498,7 +493,7 @@ fn full_resync(
 /// outright: epoch 0 lives in the leader's initial checkpoint, never in its
 /// log, so shipping from 0 always answers with a manifest.
 fn salvage_resync(ctx: &SyncCtx, core: &mut Core) -> Result<SyncOutcome, ReplError> {
-    let batch = core.client.ship_segment(0, ctx.config.max_records, 0)?;
+    let batch = core.client.ship_segment(0, 0, 0)?;
     ctx.shared.leader_epoch.store(batch.leader_epoch, Ordering::Relaxed);
     let manifest = batch.fallback.ok_or_else(|| {
         ReplError::Protocol("leader did not offer a snapshot for a salvage re-sync".to_string())

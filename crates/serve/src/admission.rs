@@ -61,9 +61,10 @@ pub struct QueueFull {
 struct QueueState<T> {
     items: VecDeque<T>,
     closed: bool,
-    /// Deepest the queue has ever been; the backlog gauge adaptive admission
-    /// control will key off (a depth that *reached* the cap tells the operator
-    /// the configured depth, not the default, is the binding constraint).
+    /// Deepest the queue has ever been, reported in the backlog gauge (a
+    /// depth that *reached* the cap tells the operator the configured depth,
+    /// not the default, is the binding constraint). Admission keys off the
+    /// current depth, not this.
     high_water: usize,
 }
 

@@ -2,25 +2,25 @@
 //!
 //! The paper observes that weight updates arrive in periodic batches
 //! (Section 6.2), so between two epochs the answer to a repeated
-//! `(source, target, k)` request is bit-identical. Entries are therefore
-//! stamped with the epoch they are exact for — but unlike the original
-//! wholesale-clear design, an epoch publish no longer empties the cache.
-//! Every entry carries the [`QueryTrace`] of its answer: the set of subgraphs
-//! the answer depended on (level-one lookups plus the skeleton survival
-//! sweep). [`ResultCache::retain_for_publish`] evicts exactly the entries
-//! whose trace intersects the batch's dirty set and *re-stamps* the rest to
-//! the new epoch, so under steady small-batch churn the hit rate tracks the
-//! locality of the updates instead of collapsing to zero at every publish —
-//! the read-path counterpart of maintenance cost scaling with what changed.
+//! `(source, target, k)` request is bit-identical, and it stays exact across a
+//! publish that dirties none of the subgraphs it depends on. Entries are
+//! therefore stamped with the epoch they are exact for, and each carries the
+//! [`QueryTrace`] of its answer: the set of subgraphs the answer depended on
+//! (level-one lookups plus the skeleton survival sweep).
+//! [`ResultCache::retain_for_publish`] evicts the entries whose trace
+//! intersects the batch's dirty set and *re-stamps* the rest to the new epoch,
+//! so under steady small-batch churn the hit rate tracks the locality of the
+//! updates instead of collapsing to zero at every publish — the read-path
+//! counterpart of maintenance cost scaling with what changed.
 //!
 //! The implementation is a classic O(1) LRU: a `HashMap` from key to a slot in
 //! a slab of doubly linked entries, with the most recently used entry at the
-//! head of the list.
+//! head of the list. A full cache evicts the tail.
 
 use ksp_algo::Path;
 use ksp_core::kspdg::QueryTrace;
 use ksp_graph::{SubgraphSet, VertexId};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 /// Cache key: the full query identity. The epoch an entry is exact for is
 /// stored *in* the entry (and advanced by survival), not in the key.
@@ -40,37 +40,13 @@ pub struct CacheRetention {
     /// Entries whose trace was disjoint from the dirty set: re-stamped to the
     /// new epoch and still servable.
     pub retained: usize,
-    /// Entries evicted because their trace intersected a dirty set, their
-    /// trace was incomplete, or they lagged further behind than the dirty-set
-    /// ring could certify.
+    /// Entries evicted because their trace intersected the dirty set, their
+    /// trace was incomplete, or they were stamped older than the previous
+    /// epoch.
     pub evicted: usize,
-    /// Entries stamped *older* than the previous epoch — a worker raced a
-    /// publish (or several) and inserted an answer computed against an old
-    /// snapshot — rescued because the ring of recent dirty sets covered every
-    /// intervening publish and the trace was disjoint from all of them.
-    /// Disjoint from `retained`, which counts only one-epoch survivors.
-    pub ring_retained: usize,
-    /// Capacity (insert-time) evictions since the previous publish walk in
-    /// which the trace-size weight overrode plain LRU order — the victim was
-    /// *not* the least recently used entry, because a nearby entry's huge (or
-    /// incomplete) trace made it the better sacrifice. Drained into the
-    /// outcome by [`ResultCache::retain_for_publish`].
-    pub weighted_evicted: usize,
 }
 
 const NIL: usize = usize::MAX;
-
-/// Length of the dirty-set ring. Deep enough to bridge the handful of
-/// publishes a slow query can race against, small enough that the
-/// per-publish clone of the dirty set stays negligible next to the retention
-/// walk itself.
-const HISTORY_DEPTH: usize = 8;
-
-/// How many entries from the LRU tail the weighted victim scan considers.
-/// Bounded so an insert stays O(1); large enough that a huge-trace entry
-/// sitting a few slots off the tail is still sacrificed before a small
-/// survivable one.
-const EVICTION_SCAN: usize = 8;
 
 #[derive(Debug)]
 struct Entry {
@@ -96,19 +72,10 @@ pub struct ResultCache {
     head: usize,
     tail: usize,
     capacity: usize,
-    /// Capacity evictions where the trace-size weight picked a victim other
-    /// than the plain-LRU tail; drained by [`ResultCache::retain_for_publish`].
-    weighted_evictions: usize,
-    /// Ring of the last [`HISTORY_DEPTH`] publishes, oldest first:
-    /// `(epoch, dirty)` records that the publish which produced `epoch`
-    /// dirtied exactly `dirty`. Lets an entry lagging several epochs survive
-    /// when the ring certifies every publish it slept through.
-    history: VecDeque<(u64, SubgraphSet)>,
 }
 
 impl ResultCache {
-    /// Creates a cache that holds at most `capacity` entries and remembers
-    /// the dirty sets of the last eight publishes for multi-epoch survival.
+    /// Creates a cache that holds at most `capacity` entries.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity >= 1, "cache capacity must be at least 1");
         ResultCache {
@@ -118,8 +85,6 @@ impl ResultCache {
             head: NIL,
             tail: NIL,
             capacity,
-            weighted_evictions: 0,
-            history: VecDeque::with_capacity(HISTORY_DEPTH),
         }
     }
 
@@ -153,15 +118,8 @@ impl ResultCache {
     }
 
     /// Inserts or replaces the entry for `key` with an answer exact for
-    /// `epoch` carrying dependency set `trace`, evicting a victim if the
-    /// cache is full.
-    ///
-    /// Victim choice is trace-size-weighted LRU: among the `EVICTION_SCAN`
-    /// least recently used entries, evict the one with an incomplete trace
-    /// (it cannot survive any publish) or, failing that, the largest trace —
-    /// a huge dependency set intersects almost any batch's dirty set, so the
-    /// entry would die at the next publish anyway, while a small-trace entry
-    /// is the one worth keeping alive. Ties fall back to plain LRU order.
+    /// `epoch` carrying dependency set `trace`, as the most recently used
+    /// entry. A full cache first evicts its least recently used entry.
     pub fn insert(&mut self, key: CacheKey, epoch: u64, trace: QueryTrace, value: Vec<Path>) {
         if let Some(&slot) = self.map.get(&key) {
             let entry = &mut self.slab[slot];
@@ -174,11 +132,8 @@ impl ResultCache {
             return;
         }
         if self.map.len() == self.capacity {
-            let victim = self.weighted_victim();
+            let victim = self.tail;
             debug_assert_ne!(victim, NIL);
-            if victim != self.tail {
-                self.weighted_evictions += 1;
-            }
             self.detach(victim);
             self.map.remove(&self.slab[victim].key);
             self.free.push(victim);
@@ -207,51 +162,29 @@ impl ResultCache {
     }
 
     /// Applies one epoch publish (`prev_epoch` → `new_epoch`, dirtying
-    /// `dirty`) to the cache: entries stamped `prev_epoch` whose trace is
-    /// complete and disjoint from `dirty` are re-stamped to `new_epoch`;
-    /// entries already stamped `new_epoch` (inserted by a worker that loaded
-    /// the new snapshot before this walk ran) are kept untouched.
-    ///
-    /// Entries stamped *older* than `prev_epoch` — a worker computed against
-    /// an old snapshot and inserted after further publishes raced past it —
-    /// get a second chance through the dirty-set ring: if the ring still
-    /// holds every publish in `(entry_epoch, new_epoch]` and the entry's
-    /// trace is disjoint from all of those dirty sets, the answer is provably
-    /// still exact and is re-stamped too (counted as
-    /// [`CacheRetention::ring_retained`]). A gap in the ring — the laggard
-    /// slept through a publish whose dirty set has already been forgotten —
-    /// means the union of intervening dirtiness is unknown, so the entry is
-    /// evicted.
+    /// `dirty`) to the cache. An entry stamped `new_epoch` (inserted by a
+    /// worker that loaded the new snapshot before this walk ran) is left
+    /// alone. An entry stamped `prev_epoch` whose trace is complete and
+    /// disjoint from `dirty` is re-stamped to `new_epoch`. Every other entry
+    /// is evicted, including one stamped older than `prev_epoch` (a worker
+    /// computed it against an old snapshot and inserted it after further
+    /// publishes): the dirty sets of the publishes it missed are not kept.
     pub fn retain_for_publish(
         &mut self,
         prev_epoch: u64,
         new_epoch: u64,
         dirty: &SubgraphSet,
     ) -> CacheRetention {
-        if self.history.len() == HISTORY_DEPTH {
-            self.history.pop_front();
-        }
-        self.history.push_back((new_epoch, dirty.clone()));
-        let mut outcome = CacheRetention {
-            // Hand the insert-time weighted-eviction count to the publish
-            // that collects retention totals, then restart the window.
-            weighted_evicted: std::mem::take(&mut self.weighted_evictions),
-            ..CacheRetention::default()
-        };
+        let mut outcome = CacheRetention::default();
         let mut evict: Vec<usize> = Vec::new();
         for &slot in self.map.values() {
-            let entry = &self.slab[slot];
+            let entry = &mut self.slab[slot];
             if entry.epoch == new_epoch {
                 continue;
             }
-            if !entry.complete {
-                evict.push(slot);
-            } else if entry.epoch == prev_epoch && !entry.trace.intersects(dirty) {
+            if entry.epoch == prev_epoch && entry.complete && !entry.trace.intersects(dirty) {
+                entry.epoch = new_epoch;
                 outcome.retained += 1;
-            } else if entry.epoch < prev_epoch
-                && self.ring_certifies(entry.epoch, new_epoch, &entry.trace)
-            {
-                outcome.ring_retained += 1;
             } else {
                 evict.push(slot);
             }
@@ -263,82 +196,7 @@ impl ResultCache {
             self.free.push(slot);
             outcome.evicted += 1;
         }
-        // Re-stamp survivors after the eviction pass so the map iteration
-        // above never observes a half-updated cache.
-        for &slot in self.map.values() {
-            let entry = &mut self.slab[slot];
-            if entry.epoch < new_epoch {
-                entry.epoch = new_epoch;
-            }
-        }
         outcome
-    }
-
-    /// Whether the dirty-set ring proves that an entry stamped `entry_epoch`
-    /// is still exact at `new_epoch`: the ring must hold an unbroken chain of
-    /// publishes for every epoch in `(entry_epoch, new_epoch]`, each with a
-    /// dirty set disjoint from `trace`. The current publish has already been
-    /// pushed, so the walk runs newest-to-oldest from the ring's tail.
-    fn ring_certifies(&self, entry_epoch: u64, new_epoch: u64, trace: &SubgraphSet) -> bool {
-        let mut need = new_epoch;
-        for (epoch, dirty) in self.history.iter().rev() {
-            if *epoch != need || trace.intersects(dirty) {
-                return false;
-            }
-            if need == entry_epoch + 1 {
-                return true;
-            }
-            need -= 1;
-        }
-        false
-    }
-
-    /// Drops every entry. The dirty-set ring is *not* cleared: it records
-    /// publish history, which remains true regardless of what the cache
-    /// holds, so entries inserted afterwards at older epochs can still be
-    /// certified.
-    pub fn clear(&mut self) {
-        self.map.clear();
-        self.slab.clear();
-        self.free.clear();
-        self.head = NIL;
-        self.tail = NIL;
-        self.weighted_evictions = 0;
-    }
-
-    /// Picks the capacity-eviction victim: walks up to [`EVICTION_SCAN`]
-    /// entries from the LRU tail and returns the slot with the highest
-    /// sacrifice score `(incomplete trace, trace length, age)`. With equal
-    /// weights this degenerates to the plain tail, so the weighted policy is
-    /// a strict refinement of LRU, never a replacement.
-    fn weighted_victim(&self) -> usize {
-        let mut best = self.tail;
-        if best == NIL {
-            return NIL;
-        }
-        // Age rank descends from the tail; fold it into the score so ties on
-        // (incomplete, trace length) resolve to the oldest candidate.
-        let mut best_score = (!self.slab[best].complete, self.slab[best].trace.len(), usize::MAX);
-        let mut slot = self.slab[best].prev;
-        for age in 1..EVICTION_SCAN {
-            if slot == NIL {
-                break;
-            }
-            let entry = &self.slab[slot];
-            let score = (!entry.complete, entry.trace.len(), usize::MAX - age);
-            if score > best_score {
-                best = slot;
-                best_score = score;
-            }
-            slot = entry.prev;
-        }
-        best
-    }
-
-    /// Capacity evictions so far in which the trace-size weight overrode
-    /// plain LRU order (the victim was not the tail).
-    pub fn weighted_evictions(&self) -> usize {
-        self.weighted_evictions
     }
 
     fn detach(&mut self, slot: usize) {
@@ -427,20 +285,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_empties_the_cache() {
-        let mut cache = ResultCache::new(8);
-        for t in 1..5 {
-            cache.insert(key(0, t, 2), 0, trace(&[t]), path(t as f64));
-        }
-        assert_eq!(cache.len(), 4);
-        cache.clear();
-        assert!(cache.is_empty());
-        assert!(cache.get(&key(0, 1, 2), 0).is_none());
-        cache.insert(key(0, 1, 2), 1, trace(&[1]), path(1.0));
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
     fn dirty_trace_intersection_always_evicts() {
         // The invalidation contract: an entry whose trace intersects the
         // publish's dirty set must never survive, no matter how it overlaps.
@@ -460,10 +304,7 @@ mod tests {
         cache.insert(key(0, 1, 2), 0, trace(&[3, 7]), path(1.0));
         cache.insert(key(0, 2, 2), 0, trace(&[5]), path(2.0));
         let outcome = cache.retain_for_publish(0, 1, &dirty(&[5, 8]));
-        assert_eq!(
-            outcome,
-            CacheRetention { retained: 1, evicted: 1, ..CacheRetention::default() }
-        );
+        assert_eq!(outcome, CacheRetention { retained: 1, evicted: 1 });
         assert!(cache.get(&key(0, 1, 2), 1).is_some(), "disjoint entry must survive");
         assert!(cache.get(&key(0, 1, 2), 0).is_none(), "survivor now carries the new epoch");
         assert!(cache.get(&key(0, 2, 2), 1).is_none(), "dirtied entry must be gone");
@@ -480,35 +321,17 @@ mod tests {
             QueryTrace { subgraphs: dirty(&[1]), complete: false },
             path(1.0),
         );
-        // An entry that sleeps through a publish the ring never saw: the
-        // intervening dirty set is unknown, so it must not be re-stamped
-        // even with a disjoint trace.
+        // An entry that sleeps through a publish: the intervening dirty set
+        // is unknown, so it must not be re-stamped even with a disjoint trace.
         cache.insert(key(0, 2, 2), 0, trace(&[2]), path(2.0));
         let first = cache.retain_for_publish(0, 1, &dirty(&[9]));
         assert_eq!(first.retained, 1, "only the complete entry survives epoch 1");
         // Simulate the gap: entry 0->2 now claims epoch 1; hand-publish
-        // epoch 2 -> 3 so the ring is missing epoch 2's dirty set.
+        // epoch 2 -> 3 so epoch 2's dirty set is never seen.
         let second = cache.retain_for_publish(2, 3, &dirty(&[9]));
         assert_eq!(second.retained, 0);
-        assert_eq!(second.ring_retained, 0, "a ring gap must not certify the laggard");
         assert_eq!(second.evicted, 1);
         assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn laggard_survives_when_the_ring_covers_every_missed_publish() {
-        let mut cache = ResultCache::new(4);
-        cache.retain_for_publish(0, 1, &dirty(&[5]));
-        cache.retain_for_publish(1, 2, &dirty(&[6]));
-        // A worker that computed against the epoch-0 snapshot inserts only
-        // now — two publishes late. Its trace is disjoint from every dirty
-        // set the ring holds, so the next publish can prove it still exact.
-        cache.insert(key(0, 1, 2), 0, trace(&[3]), path(1.0));
-        let outcome = cache.retain_for_publish(2, 3, &dirty(&[7]));
-        assert_eq!(outcome.ring_retained, 1, "ring-covered laggard must be rescued");
-        assert_eq!(outcome.retained, 0);
-        assert_eq!(outcome.evicted, 0);
-        assert!(cache.get(&key(0, 1, 2), 3).is_some(), "rescued entry serves the new epoch");
     }
 
     #[test]
@@ -520,28 +343,8 @@ mod tests {
         // a subgraph it depends on, so the cached answer may be wrong.
         cache.insert(key(0, 1, 2), 0, trace(&[6]), path(1.0));
         let outcome = cache.retain_for_publish(2, 3, &dirty(&[7]));
-        assert_eq!(outcome.ring_retained, 0);
         assert_eq!(outcome.evicted, 1);
         assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn ring_forgets_publishes_beyond_its_depth() {
-        let mut cache = ResultCache::new(4);
-        for epoch in 0..HISTORY_DEPTH as u64 {
-            cache.retain_for_publish(epoch, epoch + 1, &dirty(&[5]));
-        }
-        // Publishing epoch D + 1 pushes epoch 1's dirty set out of the ring.
-        // A laggard from epoch 0 needs every dirty set in 1..=D + 1 and so
-        // dies; a laggard from epoch 1 needs only 2..=D + 1, still covered.
-        let depth = HISTORY_DEPTH as u64;
-        cache.insert(key(0, 1, 2), 0, trace(&[3]), path(1.0));
-        cache.insert(key(0, 2, 2), 1, trace(&[3]), path(2.0));
-        let outcome = cache.retain_for_publish(depth, depth + 1, &dirty(&[7]));
-        assert_eq!(outcome.ring_retained, 1, "only the in-window laggard survives");
-        assert_eq!(outcome.evicted, 1);
-        assert!(cache.get(&key(0, 2, 2), depth + 1).is_some());
-        assert!(cache.get(&key(0, 1, 2), depth + 1).is_none());
     }
 
     #[test]
@@ -567,60 +370,43 @@ mod tests {
     }
 
     #[test]
-    fn eviction_sacrifices_the_huge_trace_entry_first() {
-        // Three entries, oldest first: a small-trace one at the tail, a
-        // huge-trace one just above it. Plain LRU would evict the tail; the
-        // weighted policy must sacrifice the huge trace instead — it dies to
-        // almost any publish anyway — and count the override.
+    fn laggard_dies_even_when_every_missed_dirty_set_is_disjoint() {
+        let mut cache = ResultCache::new(4);
+        cache.retain_for_publish(0, 1, &dirty(&[5]));
+        cache.retain_for_publish(1, 2, &dirty(&[6]));
+        // A worker that computed against the epoch-0 snapshot inserts only
+        // now, two publishes late. Its trace misses every dirty set, but the
+        // cache keeps none of them, so the next publish must not re-stamp it.
+        cache.insert(key(0, 1, 2), 0, trace(&[3]), path(1.0));
+        let outcome = cache.retain_for_publish(2, 3, &dirty(&[7]));
+        assert_eq!((outcome.retained, outcome.evicted), (0, 1));
+        assert!(cache.get(&key(0, 1, 2), 3).is_none(), "a laggard never serves a later epoch");
+        assert!(cache.is_empty());
+    }
+
+    #[test]
+    fn capacity_eviction_takes_the_tail_whatever_the_traces() {
+        // Oldest first: a narrow-trace entry at the tail, then a 64-subgraph
+        // trace and an incomplete one above it. The victim of a full cache
+        // is the least recently used entry, not the widest or uncertified one.
         let mut cache = ResultCache::new(3);
         cache.insert(key(0, 1, 1), 0, trace(&[1]), path(1.0));
         cache.insert(key(0, 2, 1), 0, trace(&(0..64).collect::<Vec<_>>()), path(2.0));
-        cache.insert(key(0, 3, 1), 0, trace(&[2]), path(3.0));
-        assert_eq!(cache.weighted_evictions(), 0);
-        cache.insert(key(0, 4, 1), 0, trace(&[3]), path(4.0));
-        assert!(cache.get(&key(0, 2, 1), 0).is_none(), "huge-trace entry was the victim");
-        assert!(cache.get(&key(0, 1, 1), 0).is_some(), "small-trace tail survived");
-        assert_eq!(cache.weighted_evictions(), 1);
-    }
-
-    #[test]
-    fn eviction_prefers_incomplete_traces_over_any_size() {
-        // An uncertified entry can never survive a publish: it outranks even
-        // a larger complete trace as the sacrifice.
-        let mut cache = ResultCache::new(2);
-        cache.insert(key(0, 1, 1), 0, trace(&(0..32).collect::<Vec<_>>()), path(1.0));
         cache.insert(
-            key(0, 2, 1),
+            key(0, 3, 1),
             0,
             QueryTrace { subgraphs: dirty(&[5]), complete: false },
-            path(2.0),
+            path(3.0),
         );
-        cache.insert(key(0, 3, 1), 0, trace(&[9]), path(3.0));
-        assert!(cache.get(&key(0, 2, 1), 0).is_none(), "incomplete entry was the victim");
-        assert!(cache.get(&key(0, 1, 1), 0).is_some());
-        assert_eq!(cache.weighted_evictions(), 1);
-    }
-
-    #[test]
-    fn equal_weights_degenerate_to_plain_lru() {
-        let mut cache = ResultCache::new(2);
-        cache.insert(key(0, 1, 1), 0, trace(&[1]), path(1.0));
-        cache.insert(key(0, 2, 1), 0, trace(&[2]), path(2.0));
-        cache.insert(key(0, 3, 1), 0, trace(&[3]), path(3.0));
-        assert!(cache.get(&key(0, 1, 1), 0).is_none(), "tail evicted on equal weights");
-        assert_eq!(cache.weighted_evictions(), 0, "no override happened");
-    }
-
-    #[test]
-    fn retain_for_publish_drains_the_weighted_counter() {
-        let mut cache = ResultCache::new(2);
-        cache.insert(key(0, 1, 1), 0, trace(&[1]), path(1.0));
-        cache.insert(key(0, 2, 1), 0, trace(&(0..64).collect::<Vec<_>>()), path(2.0));
-        cache.insert(key(0, 3, 1), 0, trace(&[3]), path(3.0)); // weighted eviction
-        let outcome = cache.retain_for_publish(0, 1, &dirty(&[99]));
-        assert_eq!(outcome.weighted_evicted, 1, "publish walk collects the window");
-        let next = cache.retain_for_publish(1, 2, &dirty(&[99]));
-        assert_eq!(next.weighted_evicted, 0, "the window restarted");
+        cache.insert(key(0, 4, 1), 0, trace(&[3]), path(4.0));
+        assert!(cache.get(&key(0, 1, 1), 0).is_none(), "the tail was the victim");
+        assert!(cache.get(&key(0, 2, 1), 0).is_some(), "the wide trace stays");
+        assert!(cache.get(&key(0, 3, 1), 0).is_some(), "the incomplete trace stays");
+        assert!(cache.get(&key(0, 4, 1), 0).is_some());
+        // The lookups above made the wide trace the least recently used.
+        cache.insert(key(0, 5, 1), 0, trace(&[4]), path(5.0));
+        assert!(cache.get(&key(0, 2, 1), 0).is_none());
+        assert_eq!(cache.len(), 3);
     }
 
     #[test]

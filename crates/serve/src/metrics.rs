@@ -56,16 +56,10 @@ pub struct ServiceMetrics {
     /// Cache entries re-stamped (kept servable) across epoch publishes by
     /// dirty-set retention, summed over all cache stripes.
     pub cache_retained: AtomicU64,
-    /// Cache entries evicted at epoch publishes (dirty trace, incomplete
-    /// trace, or wholesale clears), summed over all cache stripes.
+    /// Cache entries evicted at epoch publishes (dirty or incomplete trace,
+    /// or stamped older than the previous epoch), summed over all cache
+    /// stripes.
     pub cache_evicted: AtomicU64,
-    /// Cache entries stamped older than the previous epoch that the dirty-set
-    /// ring certified across every missed publish (summed over all stripes;
-    /// disjoint from `cache_retained`).
-    pub cache_ring_retained: AtomicU64,
-    /// Capacity evictions where the trace-size weight overrode plain LRU
-    /// order (collected from the cache stripes at each publish).
-    pub cache_weighted_evictions: AtomicU64,
     /// When these metrics were created (service boot).
     started: Instant,
     /// Microseconds after `started` at which the last epoch publish
@@ -91,8 +85,6 @@ impl Default for ServiceMetrics {
             epochs_published: AtomicU64::new(0),
             cache_retained: AtomicU64::new(0),
             cache_evicted: AtomicU64::new(0),
-            cache_ring_retained: AtomicU64::new(0),
-            cache_weighted_evictions: AtomicU64::new(0),
             started: Instant::now(),
             last_publish_micros: AtomicU64::new(0),
         }
@@ -130,8 +122,6 @@ impl ServiceMetrics {
             epochs_published: self.epochs_published.load(Ordering::Relaxed),
             cache_retained: self.cache_retained.load(Ordering::Relaxed),
             cache_evicted: self.cache_evicted.load(Ordering::Relaxed),
-            cache_ring_retained: self.cache_ring_retained.load(Ordering::Relaxed),
-            cache_weighted_evictions: self.cache_weighted_evictions.load(Ordering::Relaxed),
             steals: 0,
             epoch_age: self.epoch_age(),
             p50: self.latency.quantile(0.50),
@@ -202,10 +192,6 @@ pub struct MetricsReport {
     pub cache_retained: u64,
     /// Cache entries dropped at epoch publishes.
     pub cache_evicted: u64,
-    /// Multi-epoch laggards rescued by the dirty-set ring at publishes.
-    pub cache_ring_retained: u64,
-    /// Capacity evictions where the trace-size weight overrode plain LRU.
-    pub cache_weighted_evictions: u64,
     /// Always 0: every worker drains the one request queue, so no request
     /// moves between workers. Kept because the ledger's `serve.steals` row
     /// reads it.
@@ -298,11 +284,9 @@ mod tests {
         let m = ServiceMetrics::default();
         m.cache_retained.fetch_add(17, Ordering::Relaxed);
         m.cache_evicted.fetch_add(3, Ordering::Relaxed);
-        m.cache_ring_retained.fetch_add(2, Ordering::Relaxed);
         let report = m.report();
         assert_eq!(report.cache_retained, 17);
         assert_eq!(report.cache_evicted, 3);
-        assert_eq!(report.cache_ring_retained, 2);
     }
 
     #[test]

@@ -31,7 +31,7 @@ use crate::epoch::{EpochPointer, EpochSnapshot};
 use crate::metrics::{MetricsReport, QueueGauge, ServiceMetrics};
 use ksp_algo::Path;
 use ksp_core::dtlp::{DtlpConfig, DtlpIndex};
-use ksp_core::kspdg::{KspDgConfig, QueryStats, SharedEngine};
+use ksp_core::kspdg::{KspDgConfig, KspDgEngine, QueryStats};
 use ksp_graph::{DynamicGraph, GraphError, SubgraphSet, UpdateBatch, VertexId};
 use ksp_obs::{
     Counter, EventKind, FlightRecorder, Gauge, ObsConfig, ObsSnapshot, PublishStage, SpanChain,
@@ -932,8 +932,6 @@ impl QueryService {
         // `retain_for_publish` relies on.
         let mut retained = 0u64;
         let mut evicted = 0u64;
-        let mut ring_retained = 0u64;
-        let mut weighted_evicted = 0u64;
         for cache in &self.pool.caches {
             let outcome = cache
                 .lock()
@@ -941,16 +939,12 @@ impl QueryService {
                 .retain_for_publish(prev_epoch, epoch, &dirty_set);
             retained += outcome.retained as u64;
             evicted += outcome.evicted as u64;
-            ring_retained += outcome.ring_retained as u64;
-            weighted_evicted += outcome.weighted_evicted as u64;
         }
         span.mark(PublishStage::Retention);
         drop(masters);
         use std::sync::atomic::Ordering::Relaxed;
         self.metrics.cache_retained.fetch_add(retained, Relaxed);
         self.metrics.cache_evicted.fetch_add(evicted, Relaxed);
-        self.metrics.cache_ring_retained.fetch_add(ring_retained, Relaxed);
-        self.metrics.cache_weighted_evictions.fetch_add(weighted_evicted, Relaxed);
         self.metrics.epochs_published.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         self.metrics.note_publish();
         let publish_time = publish_started.elapsed();
@@ -1098,8 +1092,6 @@ impl QueryService {
             unlabelled("ksp_epochs_published_total", report.epochs_published),
             unlabelled("ksp_cache_retained_total", report.cache_retained),
             unlabelled("ksp_cache_evicted_total", report.cache_evicted),
-            unlabelled("ksp_cache_ring_retained_total", report.cache_ring_retained),
-            unlabelled("ksp_cache_weighted_evictions_total", report.cache_weighted_evictions),
             unlabelled("ksp_flight_events_total", flight.events_recorded()),
             unlabelled("ksp_flight_dumps_total", flight.dumps_taken()),
             unlabelled("ksp_flight_overwritten_total", flight.events_overwritten()),
@@ -1520,11 +1512,9 @@ fn run_request(mut request: Request, ctx: &WorkerContext<'_>) {
         None => {
             // Tracing is on: the cache's publish-time survival consumes the
             // answer's subgraph trace.
-            let engine = SharedEngine::with_config(
-                snapshot.index().clone(),
-                KspDgConfig::default().with_trace(),
-            );
-            let result = engine.query(request.source, request.target, request.k);
+            let result =
+                KspDgEngine::with_config(snapshot.index(), KspDgConfig::default().with_trace())
+                    .query(request.source, request.target, request.k);
             request.span.mark_with_tail(Stage::Engine, result.sweep_time);
             // The insert is post-engine bookkeeping: it lands in the span's
             // reply stage, not the cache-lookup stage.

@@ -103,10 +103,6 @@ proptest! {
             prop_assert_eq!(retained.apply_batch(&batch).unwrap(), round as u64 + 1);
             index.apply_batch(&batch).unwrap();
         }
-        // Retention must actually have happened somewhere across the cases,
-        // otherwise this property is vacuous — checked loosely per run since
-        // small graphs with large fractions may legitimately evict all.
-        let _ = retained.metrics().cache_retained;
     }
 }
 

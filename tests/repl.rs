@@ -275,14 +275,12 @@ fn staleness_bound_and_warm_failover_promotion() {
         leader.apply_batch(&traffic.next_snapshot()).unwrap();
     }
 
-    // Zero-staleness bound, one record per round: the replica observes its
-    // lag and refuses reads until caught up.
+    // Zero-staleness bound: bootstrapped from the epoch-0 checkpoint, the
+    // replica observes its lag and refuses reads until caught up.
     let mut rconfig = ReplicaConfig::new("standby", sconfig, store_config());
     rconfig.max_read_lag = Some(0);
-    rconfig.max_records = 1;
     let mut replica = Replica::bootstrap(server.local_addr(), &replica_root, rconfig).unwrap();
     let last = VertexId(graph.num_vertices() as u32 - 1);
-    replica.sync_once().unwrap();
     assert!(replica.lag_epochs() > 0);
     assert!(
         matches!(
