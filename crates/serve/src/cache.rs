@@ -385,28 +385,55 @@ mod tests {
     }
 
     #[test]
-    fn capacity_eviction_takes_the_tail_whatever_the_traces() {
-        // Oldest first: a narrow-trace entry at the tail, then a 64-subgraph
-        // trace and an incomplete one above it. The victim of a full cache
-        // is the least recently used entry, not the widest or uncertified one.
+    fn capacity_eviction_takes_the_tail_over_a_wide_trace() {
+        // Oldest first: a narrow-trace entry at the tail, a 64-subgraph trace
+        // just above it. The victim of a full cache is the least recently
+        // used entry, not the one with the widest trace.
         let mut cache = ResultCache::new(3);
         cache.insert(key(0, 1, 1), 0, trace(&[1]), path(1.0));
         cache.insert(key(0, 2, 1), 0, trace(&(0..64).collect::<Vec<_>>()), path(2.0));
-        cache.insert(
-            key(0, 3, 1),
-            0,
-            QueryTrace { subgraphs: dirty(&[5]), complete: false },
-            path(3.0),
-        );
+        cache.insert(key(0, 3, 1), 0, trace(&[2]), path(3.0));
         cache.insert(key(0, 4, 1), 0, trace(&[3]), path(4.0));
         assert!(cache.get(&key(0, 1, 1), 0).is_none(), "the tail was the victim");
         assert!(cache.get(&key(0, 2, 1), 0).is_some(), "the wide trace stays");
-        assert!(cache.get(&key(0, 3, 1), 0).is_some(), "the incomplete trace stays");
+        assert!(cache.get(&key(0, 3, 1), 0).is_some());
         assert!(cache.get(&key(0, 4, 1), 0).is_some());
         // The lookups above made the wide trace the least recently used.
         cache.insert(key(0, 5, 1), 0, trace(&[4]), path(5.0));
         assert!(cache.get(&key(0, 2, 1), 0).is_none());
         assert_eq!(cache.len(), 3);
+    }
+
+    #[test]
+    fn capacity_eviction_takes_the_tail_over_an_incomplete_trace() {
+        // A complete 32-subgraph trace at the tail, an incomplete trace above
+        // it: the tail is the victim even though the other entry cannot
+        // survive a publish.
+        let mut cache = ResultCache::new(2);
+        cache.insert(key(0, 1, 1), 0, trace(&(0..32).collect::<Vec<_>>()), path(1.0));
+        cache.insert(
+            key(0, 2, 1),
+            0,
+            QueryTrace { subgraphs: dirty(&[5]), complete: false },
+            path(2.0),
+        );
+        cache.insert(key(0, 3, 1), 0, trace(&[9]), path(3.0));
+        assert!(cache.get(&key(0, 1, 1), 0).is_none(), "the tail was the victim");
+        assert!(cache.get(&key(0, 2, 1), 0).is_some(), "the incomplete trace stays");
+        assert!(cache.get(&key(0, 3, 1), 0).is_some());
+        assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn equal_weights_degenerate_to_plain_lru() {
+        // Traces of equal size: the full cache evicts its tail.
+        let mut cache = ResultCache::new(2);
+        cache.insert(key(0, 1, 1), 0, trace(&[1]), path(1.0));
+        cache.insert(key(0, 2, 1), 0, trace(&[2]), path(2.0));
+        cache.insert(key(0, 3, 1), 0, trace(&[3]), path(3.0));
+        assert!(cache.get(&key(0, 1, 1), 0).is_none(), "tail evicted on equal weights");
+        assert!(cache.get(&key(0, 2, 1), 0).is_some());
+        assert!(cache.get(&key(0, 3, 1), 0).is_some());
     }
 
     #[test]
