@@ -2,7 +2,8 @@
 //! [`SearchArena`].
 //!
 //! Every search in this crate — point-to-point, Yen's spur searches, single-source,
-//! the bounded survival sweep, FindKSP's A* and its on-demand reverse search — keeps
+//! the bounded survival sweep, FindKSP's A* and its on-demand reverse search (which
+//! KSP-DG resumes to a bound for the target half of its certificate) — keeps
 //! its per-vertex state in one dense arena indexed by [`VertexId`] and sized by
 //! [`GraphView::num_vertices`]. A search starts a new *generation*: a slot counts as
 //! reached, settled or banned only while its stamp equals the current generation, so
@@ -159,16 +160,31 @@ impl SearchArena {
         Weight::INFINITY
     }
 
+    /// Resumes the search [`SearchArena::open_search`] started until the next vertex
+    /// would be at a distance `d` with `offset + d >= bound`. Afterwards
+    /// [`SearchArena::distance`] reports every vertex with `offset + d < bound`, each
+    /// with the bits the full search gives it, together with whatever earlier
+    /// [`SearchArena::settle_through`] calls settled beyond that. The test is a sum,
+    /// so a caller splitting `bound` in two adds no rounding of its own.
+    pub fn resume_within<G: GraphView>(&mut self, view: &G, offset: Weight, bound: Weight) {
+        while self.heap.first().is_some_and(|top| offset + top.g < bound) {
+            let (u, g) = self.pop().expect("the heap is non-empty");
+            self.expand(view, u, g, None, &[]);
+        }
+    }
+
     /// Settles vertices outward from `source` until the next vertex would be at
     /// distance `bound` or more, calling `visit` on every vertex settled — i.e. on
     /// exactly the set `{v : dist(source, v) < bound}`, nearest first.
     ///
-    /// This is the *survival sweep* of the query-trace machinery: after a KSP
-    /// query finishes with a k-th answer distance `T`, sweeping the skeleton
-    /// overlay to `T` enumerates every skeleton vertex through which a path
-    /// shorter than `T` could possibly route. Any region outside the sweep is
-    /// provably too far to ever change the answer, which is what lets a cached
-    /// result survive epoch publishes that only dirty far-away subgraphs.
+    /// This is the source half of the query-trace *survival sweep*: after a KSP
+    /// query finishes with a k-th answer distance `T`, KSP-DG sweeps the skeleton
+    /// overlay from the source to a quarter of `T` and takes the rest of its
+    /// certificate from the target's reverse search
+    /// ([`SearchArena::resume_within`]). A subgraph outside both balls is too far
+    /// for any weight change inside it to create a path shorter than `T`, which is
+    /// what lets a cached result survive epoch publishes that only dirty far-away
+    /// subgraphs.
     pub fn settled_within<G: GraphView>(
         &mut self,
         view: &G,
@@ -675,6 +691,53 @@ mod tests {
         // The unreachable component really is asked about.
         full.search_from(&views[2], v(0));
         assert_eq!(full.distance(v(4)), Weight::INFINITY);
+    }
+
+    #[test]
+    fn resume_within_settles_exactly_the_offset_ball_after_any_settle_through() {
+        // Undirected and directed road networks after a traffic batch. Each round
+        // opens a search, settles a random handful of vertices on demand (none in some
+        // rounds), then resumes with an offset and a bound whose difference is a
+        // settled distance, so that some vertex sits exactly on the bound.
+        let mut rng = ksp_workload::Xoshiro256::seed_from_u64(5);
+        let mut settled_inside = 0;
+        let mut full = SearchArena::new();
+        let mut lazy = SearchArena::new();
+        for directed in [false, true] {
+            let mut config = ksp_workload::RoadNetworkConfig::with_vertices(150);
+            config.directed = directed;
+            let mut graph =
+                ksp_workload::RoadNetworkGenerator::new(config).generate(13).unwrap().graph;
+            let mut traffic =
+                ksp_workload::TrafficModel::new(&graph, ksp_workload::TrafficConfig::default(), 13);
+            graph.apply_batch(&traffic.next_snapshot()).unwrap();
+            let n = graph.num_vertices() as u32;
+            for round in 0..12 {
+                let source = v(rng.next_bounded(n as u64) as u32);
+                full.search_from(&graph, source);
+                let reach = full.distance(v(rng.next_bounded(n as u64) as u32));
+                let offset = if round % 2 == 0 { reach / 4.0 } else { reach * 0.3 };
+                let bound = offset + reach;
+                lazy.open_search(&graph, source);
+                let asked = if round % 3 == 0 { 0 } else { rng.next_bounded(n as u64 / 2) };
+                for _ in 0..asked {
+                    lazy.settle_through(&graph, v(rng.next_bounded(n as u64) as u32));
+                }
+                lazy.resume_within(&graph, offset, bound);
+                for id in (0..n).map(v) {
+                    let (got, want) = (lazy.distance(id), full.distance(id));
+                    let inside = offset + got < bound;
+                    assert_eq!(inside, offset + want < bound, "{source}->{id} at {bound}");
+                    if got.is_finite() {
+                        assert_eq!(got.value().to_bits(), want.value().to_bits(), "{source}->{id}");
+                    }
+                    // With nothing asked first, nothing beyond the bound settles.
+                    assert!(inside || asked > 0 || !got.is_finite(), "{source}->{id} settled");
+                    settled_inside += inside as usize;
+                }
+            }
+        }
+        assert!(settled_inside > 200, "only {settled_inside} vertices fell inside a bound");
     }
 
     #[test]

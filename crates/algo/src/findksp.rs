@@ -43,7 +43,7 @@
 
 use crate::dijkstra::SearchArena;
 use crate::path::Path;
-use crate::yen::{yen_ksp, Deviations, SpurSearch};
+use crate::yen::{Deviations, SpurSearch};
 use ksp_graph::{DynamicGraph, GraphView, VertexId, Weight};
 
 /// Lazy enumerator of k shortest simple paths using SPT-guided deviations.
@@ -237,18 +237,10 @@ pub fn find_ksp(graph: &DynamicGraph, source: VertexId, target: VertexId, k: usi
     enumerator.into_produced(&mut heuristic)
 }
 
-/// Debug helper used by tests and benchmarks: checks FindKSP and Yen agree on the
-/// distances of the k shortest paths.
-pub fn agrees_with_yen(graph: &DynamicGraph, source: VertexId, target: VertexId, k: usize) -> bool {
-    let a = find_ksp(graph, source, target, k);
-    let b = yen_ksp(graph, source, target, k);
-    a.len() == b.len() && a.iter().zip(b.iter()).all(|(x, y)| x.distance().approx_eq(y.distance()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::KspEnumerator;
+    use crate::{yen_ksp, KspEnumerator};
     use ksp_graph::GraphBuilder;
     use ksp_workload::{RoadNetworkConfig, RoadNetworkGenerator, Xoshiro256};
 
@@ -271,7 +263,11 @@ mod tests {
         assert_eq!(paths[0].distance(), Weight::new(5.0));
         assert_eq!(paths[1].distance(), Weight::new(7.0));
         assert_eq!(paths[2].distance(), Weight::new(8.0));
-        assert!(agrees_with_yen(&g, v(0), v(5), 6));
+        let (ours, yen) = (find_ksp(&g, v(0), v(5), 6), yen_ksp(&g, v(0), v(5), 6));
+        assert!(
+            ours.len() == yen.len()
+                && ours.iter().zip(&yen).all(|(x, y)| x.distance().approx_eq(y.distance()))
+        );
     }
 
     #[test]
@@ -285,7 +281,12 @@ mod tests {
             if s == t {
                 continue;
             }
-            assert!(agrees_with_yen(&net.graph, s, t, 4), "mismatch for {s}->{t}");
+            let (ours, yen) = (find_ksp(&net.graph, s, t, 4), yen_ksp(&net.graph, s, t, 4));
+            assert!(
+                ours.len() == yen.len()
+                    && ours.iter().zip(&yen).all(|(x, y)| x.distance().approx_eq(y.distance())),
+                "mismatch for {s}->{t}"
+            );
         }
     }
 

@@ -107,12 +107,6 @@ impl Path {
         self.vertices.windows(2).map(|w| (w[0], w[1]))
     }
 
-    /// The prefix of the path ending at index `i` (inclusive), with its distance
-    /// recomputed from `view`. Used by Yen's algorithm to form root paths.
-    pub fn prefix<G: GraphView>(&self, view: &G, i: usize) -> Option<Path> {
-        Path::from_vertices(view, self.vertices[..=i].to_vec())
-    }
-
     /// Concatenates two paths that share exactly one vertex: the target of `self` must
     /// equal the source of `other`. Returns `None` if the concatenation would repeat a
     /// vertex (i.e. would not be a simple path).
@@ -291,15 +285,6 @@ mod tests {
         let joined = a.concat(&b).unwrap();
         assert_eq!(joined.vertices(), b.vertices());
         assert_eq!(joined.distance(), b.distance());
-    }
-
-    #[test]
-    fn prefix_recomputes_distance() {
-        let g = line_graph();
-        let p = Path::from_vertices(&g, vec![v(0), v(1), v(2), v(3)]).unwrap();
-        let pre = p.prefix(&g, 1).unwrap();
-        assert_eq!(pre.vertices(), &[v(0), v(1)]);
-        assert_eq!(pre.distance(), Weight::new(2.0));
     }
 
     #[test]

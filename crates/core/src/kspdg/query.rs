@@ -15,12 +15,13 @@ pub struct KspDgConfig {
     pub max_iterations: usize,
     /// Whether queries produce a *certified* [`QueryTrace`] — i.e. run the
     /// survival sweep after the answer is found. Off by default: the sweep
-    /// costs one extra bounded Dijkstra over the skeleton overlay, which only
-    /// pays for itself when something consumes the certificate (the serving
-    /// layer's cache-survival machinery turns it on). With it off, the cheap
-    /// level-one recording still happens but `QueryTrace::complete` stays
-    /// `false`, so nothing downstream can mistake the trace for a
-    /// certificate.
+    /// costs a bounded Dijkstra over the skeleton overlay from the source to a
+    /// quarter of the k-th answer distance, plus resuming the reference
+    /// FindKSP's reverse search from the target, which only pays for itself
+    /// when something consumes the certificate (the serving layer's
+    /// cache-survival machinery turns it on). With it off, the cheap level-one
+    /// recording still happens but `QueryTrace::complete` stays `false`, so
+    /// nothing downstream can mistake the trace for a certificate.
     pub collect_trace: bool,
 }
 
@@ -70,13 +71,28 @@ pub struct QueryStats {
 ///   the refine steps. The answer paths' edges all live in these subgraphs,
 ///   so their distances are a function of exactly this set.
 /// * **The survival sweep** — after the filter/refine loop terminates with a
-///   k-th answer distance `T`, one bounded Dijkstra sweeps the skeleton
-///   overlay from the source out to distance `T` and records the subgraphs of
-///   every settled vertex. Any subgraph outside the sweep is provably too far
-///   for *any* weight change inside it — increase or decrease — to produce a
-///   new path shorter than `T`: a path entering such a subgraph first touches
-///   one of its boundary vertices, whose overlay distance from the source
-///   already lower-bounds the path at `T` or more.
+///   k-th answer distance `T`, two balls around the endpoints on the skeleton
+///   overlay, split at `α = T/4`. One bounded Dijkstra from the source records
+///   the subgraphs of every vertex closer than `α` to it. The reference
+///   FindKSP's heuristic, a reverse search from the target, is resumed until
+///   `α + d >= T`, and the subgraphs of every boundary vertex with `α + d < T`
+///   for its distance `d` to the target are recorded too.
+///
+/// Why that suffices (the meet-in-the-middle argument of bidirectional search):
+/// after any weight change confined to untraced subgraphs, take a path that
+/// uses an edge of one. Its prefix up to the first untraced subgraph `S1` it
+/// uses is unchanged and enters `S1` at a boundary vertex (the endpoints' own
+/// subgraphs are traced), so, the overlay's edges being lower bounds, it is at
+/// least the overlay distance from the source to that vertex: `α` or more,
+/// since `S1` is outside the source ball. Its suffix from the last untraced
+/// subgraph `S2` it uses leaves `S2` at a boundary vertex `b`, is unchanged,
+/// and is at least the overlay distance `d` from `b` to the target. The two
+/// parts do not overlap, so the path is at least `α + d`, which is `T` or more
+/// since `S2` is outside the target ball. No weight change outside the trace,
+/// increase or decrease, can produce a path shorter than `T`. The test is the
+/// sum `α + d < T`, not `d < T − α`, so the split adds no rounding of its own.
+/// `α = T/4` is exact in binary; any `α` in `[0, T]` gives a valid
+/// certificate, and `α = T` is the source ball alone.
 ///
 /// Together: if a later update batch dirties no subgraph in a complete trace,
 /// the answer is *bit-identical* on the new epoch — which is what lets the
@@ -163,10 +179,11 @@ impl<'a> KspDgEngine<'a> {
         }
 
         // Every search of this query — endpoint attachment, the spur searches of the
-        // reference and partial enumerations, and the survival sweep — runs on
-        // `arena`. The two FindKSP heuristics, each a reverse search resumed on
-        // demand, keep their own: one for the reference paths over the overlay, one
-        // reused by every partial computation inside a subgraph.
+        // reference and partial enumerations, and the source half of the survival
+        // sweep — runs on `arena`. The two FindKSP heuristics, each a reverse search
+        // resumed on demand, keep their own: one for the reference paths over the
+        // overlay, which also serves the target half of the sweep, and one reused by
+        // every partial computation inside a subgraph.
         let mut arena = SearchArena::new();
         let mut reference_heuristic = SearchArena::new();
         let mut partial_heuristic = SearchArena::new();
@@ -229,19 +246,28 @@ impl<'a> KspDgEngine<'a> {
         let mut sweep_time = std::time::Duration::ZERO;
         if self.config.collect_trace && !capped {
             // Survival sweep (see [`QueryTrace`]): with a full answer, record
-            // every subgraph whose boundary lies within the k-th distance of
-            // the source — outside that ball no weight change can produce a
-            // path short enough to alter the answer. With fewer than k paths
-            // the enumeration was exhaustive: every simple s→t path is already
-            // in the answer (and traced through its refine subgraphs), and
-            // weight updates cannot create new simple paths, so no sweep is
-            // needed.
+            // every subgraph with a boundary vertex closer than `α = T/4` to the
+            // source, or with `α + d < T` for its distance `d` to the target. With
+            // fewer than k paths the enumeration was exhaustive: every simple s→t
+            // path is already in the answer (and traced through its refine
+            // subgraphs), and weight updates cannot create new simple paths, so no
+            // sweep is needed.
             if results.len() >= k {
                 let sweep_started = std::time::Instant::now();
                 let bound = results[k - 1].distance();
-                arena.settled_within(&overlay, source, bound, |v| {
+                let alpha = bound / 4.0;
+                arena.settled_within(&overlay, source, alpha, |v| {
                     trace.subgraphs.extend(self.index.subgraphs_of_vertex(v).iter().copied());
                 });
+                // The reference heuristic is the reverse search from the target:
+                // resume it to the bound and read the target half off it.
+                reference_paths.into_produced(&mut reference_heuristic);
+                reference_heuristic.resume_within(&reverse, alpha, bound);
+                for &v in self.index.boundary_vertices() {
+                    if alpha + reference_heuristic.distance(v) < bound {
+                        trace.subgraphs.extend(self.index.subgraphs_of_vertex(v).iter().copied());
+                    }
+                }
                 sweep_time = sweep_started.elapsed();
             }
             trace.complete = true;
@@ -693,6 +719,67 @@ mod tests {
             }
         }
         assert!(exercised > 0, "at least one query must have untraced subgraphs to perturb");
+    }
+
+    #[test]
+    fn shrinking_every_untraced_subgraph_moves_no_answer() {
+        // The two-ball certificate against the updates most likely to break it: every
+        // edge of every untraced subgraph falls to 2 % or to 30 % of its weight, as
+        // one batch, and as two batches splitting the subgraphs by id parity (each
+        // dirtying fewer subgraphs, so maintenance may take its local repair path).
+        // Every answer after every batch must keep its routes and distance bits.
+        let (mut checked, mut perturbed) = (0, 0);
+        let mut moved = Vec::new();
+        for directed in [false, true] {
+            let mut config = RoadNetworkConfig::with_vertices(300);
+            config.directed = directed;
+            let graph = RoadNetworkGenerator::new(config).generate(97).unwrap().graph;
+            let index = DtlpIndex::build(&graph, DtlpConfig::new(16, 2)).unwrap();
+            let engine = KspDgEngine::with_config(&index, KspDgConfig::default().with_trace());
+            let workload = QueryWorkload::generate(&graph, QueryWorkloadConfig::new(40, 3), 23);
+            for q in workload.iter() {
+                let before = engine.query(q.source, q.target, q.k);
+                assert!(before.trace.complete);
+                let answer = |r: &QueryResult| {
+                    let bits = |p: &Path| (p.vertices().to_vec(), p.distance().value().to_bits());
+                    r.paths.iter().map(bits).collect::<Vec<_>>()
+                };
+                let untraced: Vec<_> = graph
+                    .edge_ids()
+                    .filter(|&e| !before.trace.subgraphs.contains(index.owner_of_edge(e)))
+                    .collect();
+                for factor in [0.02, 0.30] {
+                    let scaled = |keep: &dyn Fn(u32) -> bool| {
+                        let updates = untraced
+                            .iter()
+                            .filter(|&&e| keep(index.owner_of_edge(e).0))
+                            .map(|&e| ksp_graph::WeightUpdate::new(e, graph.weight(e) * factor))
+                            .collect();
+                        ksp_graph::UpdateBatch::new(updates)
+                    };
+                    let requery = |updated: &DtlpIndex| {
+                        answer(&KspDgEngine::new(updated).query(q.source, q.target, q.k))
+                    };
+                    let mut whole = index.clone();
+                    whole.apply_batch(&scaled(&|_| true)).unwrap();
+                    let mut split = index.clone();
+                    split.apply_batch(&scaled(&|sg| sg % 2 == 0)).unwrap();
+                    let mut answers = vec![requery(&whole), requery(&split)];
+                    split.apply_batch(&scaled(&|sg| sg % 2 == 1)).unwrap();
+                    answers.push(requery(&split));
+                    for after in answers {
+                        checked += 1;
+                        if after != answer(&before) {
+                            moved.push((directed, q.source, q.target, factor));
+                        }
+                    }
+                }
+                perturbed += !untraced.is_empty() as usize;
+            }
+        }
+        assert_eq!(checked, 480);
+        assert!(perturbed >= 60, "only {perturbed} of 80 queries left a subgraph untraced");
+        assert!(moved.is_empty(), "{} of {checked} answers moved: {moved:?}", moved.len());
     }
 
     #[test]

@@ -78,20 +78,20 @@ struct Digests {
 /// Answers of the undirected network at epoch 0.
 const GOLDEN: u64 = 0x0875_e65a_13b2_df89;
 /// Traces of the undirected network at epoch 0.
-const GOLDEN_TRACES: u64 = 0x9426_c1b6_8ed3_6737;
+const GOLDEN_TRACES: u64 = 0x860a_87e6_1e38_3726;
 
 /// The same workload over the directed variant of the network after two
 /// paper-default traffic batches, which change the two directions of a road
 /// independently.
 const DIRECTED_GOLDEN: u64 = 0x4f61_5325_e371_4c37;
 /// Traces of the directed network after two batches.
-const DIRECTED_GOLDEN_TRACES: u64 = 0x1ad7_09dd_bec3_f1f7;
+const DIRECTED_GOLDEN_TRACES: u64 = 0x80e7_0897_9f76_2830;
 
 /// The undirected network after three paper-default traffic batches, each dirtying
 /// enough subgraphs to keep Theorem 1's slack bounds rather than repair them.
 const SLACK_GOLDEN: u64 = 0xde5e_18f0_4eec_db73;
 /// Traces of the undirected network after three batches.
-const SLACK_GOLDEN_TRACES: u64 = 0x832d_6c21_11a6_f414;
+const SLACK_GOLDEN_TRACES: u64 = 0xe74c_30d3_4c71_dbef;
 
 /// The 300-vertex network, its DTLP index at z = 25, ξ = 2, after `batches`
 /// paper-default traffic snapshots, and the digests of 60 seeded `k = 3` queries
