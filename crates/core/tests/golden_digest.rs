@@ -3,12 +3,19 @@
 //! The other engine tests compare answer *distances* against Yen, which would
 //! not notice a search that breaks a tie differently: an equally long route, a
 //! different candidate order, or one more partial computation. Each network
-//! here has two pins. The answer pin folds routes, the exact bits of every
-//! distance and the `QueryStats` counters into one FNV-1a digest; the trace pin
-//! folds `trace.complete` and the traced subgraph set into another. A change to
-//! the search internals must leave both alone. A change to how the survival
-//! certificate is drawn moves only the trace pins, and re-pins them saying why;
-//! a change that is *meant* to alter answers or counters re-pins the answer pins.
+//! here has three FNV-1a pins:
+//!
+//! - the *route pin* folds the vertex sequence of every answer path;
+//! - the *bits-and-counters pin* folds the exact bits of every answer distance
+//!   and the `QueryStats` counters;
+//! - the *trace pin* folds `trace.complete` and the traced subgraph set.
+//!
+//! A change to the search internals must leave all three alone. A change to how
+//! the survival certificate is drawn moves only the trace pins, and re-pins them
+//! saying why. A change to how the engine enumerates or sums (its counters, or
+//! the float order a distance is summed in) may move the bits-and-counters pins,
+//! and re-pins them saying why; its route pins must still pass, apart from exact
+//! ties at the k-th place, each listed with both routes where it is re-pinned.
 
 use ksp_core::dtlp::{DtlpConfig, DtlpIndex};
 use ksp_core::kspdg::{KspDgConfig, KspDgEngine, QueryResult};
@@ -32,15 +39,22 @@ impl Fnv {
         }
     }
 
-    /// Routes, distance bits and statistics of one answer.
-    fn answer(&mut self, r: &QueryResult) {
+    /// The routes of one answer.
+    fn routes(&mut self, r: &QueryResult) {
         self.word(r.paths.len() as u64);
         for path in &r.paths {
-            self.word(path.distance().value().to_bits());
             self.word(path.num_vertices() as u64);
             for v in path.vertices() {
                 self.word(v.0 as u64);
             }
+        }
+    }
+
+    /// Distance bits and statistics of one answer.
+    fn bits_and_counters(&mut self, r: &QueryResult) {
+        self.word(r.paths.len() as u64);
+        for path in &r.paths {
+            self.word(path.distance().value().to_bits());
         }
         let s = &r.stats;
         for count in [
@@ -66,30 +80,38 @@ impl Fnv {
     }
 }
 
-/// The answer and trace digests of one workload, the paths it returned and the
-/// subgraphs its traces hold in total.
+/// The route, bits-and-counters and trace digests of one workload, the paths it
+/// returned and the subgraphs its traces hold in total.
 struct Digests {
-    answers: u64,
+    routes: u64,
+    bits: u64,
     traces: u64,
     paths: usize,
     traced: usize,
 }
 
-/// Answers of the undirected network at epoch 0.
-const GOLDEN: u64 = 0x0875_e65a_13b2_df89;
+/// Routes of the undirected network at epoch 0.
+const GOLDEN_ROUTES: u64 = 0xd2f4_aa23_695a_8e8c;
+/// Distance bits and counters of the undirected network at epoch 0.
+const GOLDEN: u64 = 0xb183_969b_410d_b148;
 /// Traces of the undirected network at epoch 0.
 const GOLDEN_TRACES: u64 = 0x860a_87e6_1e38_3726;
 
 /// The same workload over the directed variant of the network after two
 /// paper-default traffic batches, which change the two directions of a road
-/// independently.
-const DIRECTED_GOLDEN: u64 = 0x4f61_5325_e371_4c37;
+/// independently. Its routes:
+const DIRECTED_GOLDEN_ROUTES: u64 = 0x5051_37fd_08b2_f95a;
+/// Distance bits and counters of the directed network after two batches.
+const DIRECTED_GOLDEN: u64 = 0x26be_b538_729c_fb48;
 /// Traces of the directed network after two batches.
 const DIRECTED_GOLDEN_TRACES: u64 = 0x80e7_0897_9f76_2830;
 
 /// The undirected network after three paper-default traffic batches, each dirtying
-/// enough subgraphs to keep Theorem 1's slack bounds rather than repair them.
-const SLACK_GOLDEN: u64 = 0xde5e_18f0_4eec_db73;
+/// enough subgraphs to keep Theorem 1's slack bounds rather than repair them. Its
+/// routes:
+const SLACK_GOLDEN_ROUTES: u64 = 0xa983_f7f7_a7a9_7be5;
+/// Distance bits and counters of the undirected network after three batches.
+const SLACK_GOLDEN: u64 = 0xc6af_6b2c_55c0_493f;
 /// Traces of the undirected network after three batches.
 const SLACK_GOLDEN_TRACES: u64 = 0xe74c_30d3_4c71_dbef;
 
@@ -109,23 +131,30 @@ fn digests_of(directed: bool, batches: usize) -> Digests {
     }
     let engine = KspDgEngine::with_config(&index, KspDgConfig::default().with_trace());
     let workload = QueryWorkload::generate(&graph, QueryWorkloadConfig::new(60, 3), 11);
-    let (mut answers, mut traces) = (Fnv::new(), Fnv::new());
+    let (mut routes, mut bits, mut traces) = (Fnv::new(), Fnv::new(), Fnv::new());
     let (mut paths, mut traced) = (0, 0);
     for q in workload.iter() {
         let result = engine.query(q.source, q.target, q.k);
         paths += result.paths.len();
         traced += result.trace.subgraphs.len();
-        answers.answer(&result);
+        routes.routes(&result);
+        bits.bits_and_counters(&result);
         traces.trace(&result);
     }
-    Digests { answers: answers.0, traces: traces.0, paths, traced }
+    Digests { routes: routes.0, bits: bits.0, traces: traces.0, paths, traced }
 }
 
-/// Checks the answer pin of one network.
-fn assert_answers(directed: bool, batches: usize, golden: u64) {
+/// Checks the route pin of one network.
+fn assert_routes(directed: bool, batches: usize, golden: u64) {
     let d = digests_of(directed, batches);
     assert!(d.paths >= 150, "the workload must exercise multi-path answers, got {} paths", d.paths);
-    assert_eq!(d.answers, golden, "engine answers moved: digest {:#018x}", d.answers);
+    assert_eq!(d.routes, golden, "answer routes moved: digest {:#018x}", d.routes);
+}
+
+/// Checks the bits-and-counters pin of one network.
+fn assert_bits_and_counters(directed: bool, batches: usize, golden: u64) {
+    let d = digests_of(directed, batches);
+    assert_eq!(d.bits, golden, "answer bits or counters moved: digest {:#018x}", d.bits);
 }
 
 /// Checks the trace pin of one network.
@@ -139,8 +168,13 @@ fn assert_traces(directed: bool, batches: usize, golden: u64) {
 }
 
 #[test]
+fn routes_match_the_pinned_digest() {
+    assert_routes(false, 0, GOLDEN_ROUTES);
+}
+
+#[test]
 fn answers_and_stats_match_the_pinned_digest() {
-    assert_answers(false, 0, GOLDEN);
+    assert_bits_and_counters(false, 0, GOLDEN);
 }
 
 #[test]
@@ -149,8 +183,13 @@ fn traces_match_the_pinned_digest() {
 }
 
 #[test]
+fn directed_routes_match_the_pinned_digest() {
+    assert_routes(true, 2, DIRECTED_GOLDEN_ROUTES);
+}
+
+#[test]
 fn directed_answers_match_the_pinned_digest() {
-    assert_answers(true, 2, DIRECTED_GOLDEN);
+    assert_bits_and_counters(true, 2, DIRECTED_GOLDEN);
 }
 
 #[test]
@@ -159,8 +198,13 @@ fn directed_traces_match_the_pinned_digest() {
 }
 
 #[test]
+fn routes_over_slack_bounds_match_the_pinned_digest() {
+    assert_routes(false, 3, SLACK_GOLDEN_ROUTES);
+}
+
+#[test]
 fn answers_over_slack_bounds_match_the_pinned_digest() {
-    assert_answers(false, 3, SLACK_GOLDEN);
+    assert_bits_and_counters(false, 3, SLACK_GOLDEN);
 }
 
 #[test]
