@@ -65,6 +65,7 @@ impl Fnv {
             s.candidates_generated,
             s.vertices_transferred,
             s.spur_searches,
+            s.barren_iterations,
         ] {
             self.word(count as u64);
         }
@@ -93,7 +94,7 @@ struct Digests {
 /// Routes of the undirected network at epoch 0.
 const GOLDEN_ROUTES: u64 = 0xd2f4_aa23_695a_8e8c;
 /// Distance bits and counters of the undirected network at epoch 0.
-const GOLDEN: u64 = 0xb183_969b_410d_b148;
+const GOLDEN: u64 = 0x93e3_ea8f_3b34_9b54;
 /// Traces of the undirected network at epoch 0.
 const GOLDEN_TRACES: u64 = 0x860a_87e6_1e38_3726;
 
@@ -102,7 +103,7 @@ const GOLDEN_TRACES: u64 = 0x860a_87e6_1e38_3726;
 /// independently. Its routes:
 const DIRECTED_GOLDEN_ROUTES: u64 = 0x5051_37fd_08b2_f95a;
 /// Distance bits and counters of the directed network after two batches.
-const DIRECTED_GOLDEN: u64 = 0x26be_b538_729c_fb48;
+const DIRECTED_GOLDEN: u64 = 0x1f30_8cb5_04ad_2dc1;
 /// Traces of the directed network after two batches.
 const DIRECTED_GOLDEN_TRACES: u64 = 0x80e7_0897_9f76_2830;
 
@@ -111,7 +112,7 @@ const DIRECTED_GOLDEN_TRACES: u64 = 0x80e7_0897_9f76_2830;
 /// routes:
 const SLACK_GOLDEN_ROUTES: u64 = 0xa983_f7f7_a7a9_7be5;
 /// Distance bits and counters of the undirected network after three batches.
-const SLACK_GOLDEN: u64 = 0xc6af_6b2c_55c0_493f;
+const SLACK_GOLDEN: u64 = 0x5fb1_c5da_85a6_2325;
 /// Traces of the undirected network after three batches.
 const SLACK_GOLDEN_TRACES: u64 = 0xe74c_30d3_4c71_dbef;
 
