@@ -36,15 +36,68 @@
 //! at once). [`FindKsp::spur_searches`] counts the searches run, not the spurs
 //! generated.
 //!
+//! **States and vertices.** The graph FindKSP searches may stand for another: each of
+//! its vertices is a *state* that a [`Projection`] maps to a vertex of the network
+//! (the identity for a plain graph). KSP-DG's reference enumeration searches a
+//! labelled skeleton whose states carry the subgraph of the hop that entered them,
+//! so that each route's subgraph decomposition is enumerated once (see
+//! `ksp_core::dtlp::LabelledView`). Everything that concerns routes is judged on the
+//! projection: the heuristic is asked about a state's vertex, the search ends at the
+//! first state of the target vertex, a spur bans every state of every root vertex and
+//! the other states of its own, and a path is returned only if its projection is
+//! simple. A spur search can still revisit a vertex under another label inside its
+//! own spur path when the state graph's weights break the triangle inequality. Such a
+//! path is produced, so that its spurs are generated and its next edges banned as
+//! Yen's completeness argument needs, but it is never returned: every path with a
+//! simple projection still comes out, in order of distance.
+//!
 //! It serves three times: as the whole-graph FindKSP baseline of the paper's
 //! experiments ([`find_ksp`]), as the enumerator of KSP-DG's reference paths over the
-//! skeleton overlay (Algorithm 3), and for KSP-DG's partial k shortest paths inside
-//! each subgraph (Algorithm 4).
+//! labelled skeleton overlay (Algorithm 3), and for KSP-DG's partial k shortest paths
+//! inside each subgraph (Algorithm 4).
 
 use crate::dijkstra::SearchArena;
 use crate::path::Path;
 use crate::yen::{Deviations, SpurSearch};
 use ksp_graph::{DynamicGraph, GraphView, VertexId, Weight};
+
+/// How the vertices of a search graph, its *states*, stand for the vertices of a
+/// network; see the module docs.
+pub trait Projection {
+    /// The vertex `state` stands for.
+    fn vertex_of(&self, state: VertexId) -> VertexId;
+
+    /// Calls `f` on every state that stands for `vertex`.
+    fn for_each_state(&self, vertex: VertexId, f: impl FnMut(VertexId));
+}
+
+/// The projection of a plain graph: every vertex stands for itself.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Identity;
+
+impl Projection for Identity {
+    #[inline]
+    fn vertex_of(&self, state: VertexId) -> VertexId {
+        state
+    }
+
+    #[inline]
+    fn for_each_state(&self, vertex: VertexId, mut f: impl FnMut(VertexId)) {
+        f(vertex)
+    }
+}
+
+impl<P: Projection> Projection for &P {
+    #[inline]
+    fn vertex_of(&self, state: VertexId) -> VertexId {
+        (**self).vertex_of(state)
+    }
+
+    #[inline]
+    fn for_each_state(&self, vertex: VertexId, f: impl FnMut(VertexId)) {
+        (**self).for_each_state(vertex, f)
+    }
+}
 
 /// Lazy enumerator of k shortest simple paths using SPT-guided deviations.
 ///
@@ -52,11 +105,16 @@ use ksp_graph::{DynamicGraph, GraphView, VertexId, Weight};
 /// [`FindKsp::new`], which the enumerator keeps for its life and hands back in
 /// [`FindKsp::into_produced`], and the arena each [`FindKsp::next_path_in`] runs its
 /// spur searches on.
-pub struct FindKsp<'a, G: GraphView, R: GraphView> {
+pub struct FindKsp<'a, G: GraphView, R: GraphView, P: Projection = Identity> {
     view: &'a G,
-    /// `view` with every edge turned around: the heuristic's search runs on it.
+    /// The vertices of `reverse` that `view`'s states stand for.
+    projection: P,
+    /// The network `view` stands for, with every edge turned around: the
+    /// heuristic's search runs on it.
     reverse: &'a R,
+    /// The source state.
     source: VertexId,
+    /// The target vertex: a path ends at the first state that stands for it.
     target: VertexId,
     /// The search from the target over `reverse`, settled only as far as A* has
     /// asked: the heuristic at `v` is its distance to `v`.
@@ -81,10 +139,30 @@ impl<'a, G: GraphView, R: GraphView> FindKsp<'a, G, R> {
         target: VertexId,
         heuristic: &mut SearchArena,
     ) -> Self {
+        FindKsp::with_projection(view, Identity, reverse, source, target, heuristic)
+    }
+}
+
+impl<'a, G: GraphView, R: GraphView, P: Projection> FindKsp<'a, G, R, P> {
+    /// [`FindKsp::new`] over a graph of states: paths from the state `source` to
+    /// the first state that `projection` maps to the vertex `target`. `reverse` is
+    /// the network the states stand for with every edge turned around. Each of its
+    /// distances must be at most that of every path of `view` between states
+    /// standing for the same vertices, so that it stays an admissible, consistent
+    /// heuristic.
+    pub fn with_projection(
+        view: &'a G,
+        projection: P,
+        reverse: &'a R,
+        source: VertexId,
+        target: VertexId,
+        heuristic: &mut SearchArena,
+    ) -> Self {
         let mut heuristic = std::mem::take(heuristic);
         heuristic.open_search(reverse, target);
         FindKsp {
             view,
+            projection,
             reverse,
             source,
             target,
@@ -104,10 +182,25 @@ impl<'a, G: GraphView, R: GraphView> FindKsp<'a, G, R> {
         self.settled_vertices
     }
 
-    /// Produces the next shortest simple path, searching on `arena`, or `None` once
-    /// no further simple path exists.
+    /// Produces the next shortest path whose projection is simple, searching on
+    /// `arena`, or `None` once no further such path exists.
     pub fn next_path_in(&mut self, arena: &mut SearchArena) -> Option<Path> {
-        self.advance(arena).then(|| self.lists.produced.last().expect("just produced").clone())
+        while self.advance(arena) {
+            let path = self.lists.produced.last().expect("just produced");
+            if self.projects_simply(path) {
+                return Some(path.clone());
+            }
+        }
+        None
+    }
+
+    /// Whether `path` visits no vertex twice under the projection.
+    fn projects_simply(&self, path: &Path) -> bool {
+        let states = path.vertices();
+        states.iter().enumerate().all(|(i, &x)| {
+            let v = self.projection.vertex_of(x);
+            states[..i].iter().all(|&y| self.projection.vertex_of(y) != v)
+        })
     }
 
     /// Produces paths, searching on `arena`, until `k` are produced or none remain.
@@ -123,23 +216,35 @@ impl<'a, G: GraphView, R: GraphView> FindKsp<'a, G, R> {
     }
 
     fn advance(&mut self, arena: &mut SearchArena) -> bool {
-        let FindKsp { view, reverse, source, target, heuristic, lists, settled_vertices } = self;
+        let FindKsp {
+            view,
+            projection,
+            reverse,
+            source,
+            target,
+            heuristic,
+            lists,
+            settled_vertices,
+        } = self;
+        let trivial = projection.vertex_of(*source) == *target;
         let mut search = AStar {
             view: *view,
+            projection,
             reverse: *reverse,
             target: *target,
             arena,
             heuristic,
             settled_vertices,
         };
-        lists.advance(*view, *source, *target, &mut search)
+        lists.advance(*view, *source, trivial, &mut search)
     }
 }
 
 /// The spur searches of one enumerator: A* on the spur arena, guided by the
 /// on-demand reverse search, which also bounds each spur before it runs.
-struct AStar<'s, G: GraphView, R: GraphView> {
+struct AStar<'s, G: GraphView, R: GraphView, P: Projection> {
     view: &'s G,
+    projection: &'s P,
     reverse: &'s R,
     target: VertexId,
     arena: &'s mut SearchArena,
@@ -148,29 +253,39 @@ struct AStar<'s, G: GraphView, R: GraphView> {
     settled_vertices: &'s mut usize,
 }
 
-impl<G: GraphView, R: GraphView> AStar<'_, G, R> {
-    /// The exact unbanned distance from `v` to the target; infinite if none exists.
+impl<G: GraphView, R: GraphView, P: Projection> AStar<'_, G, R, P> {
+    /// The exact unbanned distance from the vertex of state `x` to the target;
+    /// infinite if none exists.
     #[inline]
-    fn h(&mut self, v: VertexId) -> Weight {
-        self.heuristic.settle_through(self.reverse, v)
+    fn h(&mut self, x: VertexId) -> Weight {
+        self.heuristic.settle_through(self.reverse, self.projection.vertex_of(x))
+    }
+
+    /// Whether some state of `root` stands for the vertex of state `x`.
+    #[inline]
+    fn in_root(&self, root: &[VertexId], x: VertexId) -> bool {
+        let v = self.projection.vertex_of(x);
+        root.iter().any(|&r| self.projection.vertex_of(r) == v)
     }
 }
 
-impl<G: GraphView, R: GraphView> SpurSearch for AStar<'_, G, R> {
+impl<G: GraphView, R: GraphView, P: Projection> SpurSearch for AStar<'_, G, R, P> {
     /// Goal-directed A* from `from` to the target using the exact distance-to-target
     /// heuristic `h` from the reverse SPT. The heuristic is admissible and consistent on
     /// the unbanned graph; banning edges/vertices only removes paths, so it remains
     /// admissible and the search stays correct. A vertex with an infinite heuristic
     /// cannot reach the target even without bans, so it is never queued. Banned edges
     /// are checked only when their tail is expanded, and the heuristic is asked only
-    /// about a vertex the relaxation would improve.
+    /// about a vertex the relaxation would improve. `banned_vertices` is the root: every
+    /// state of its vertices is banned, and so is every state of `from`'s vertex but
+    /// `from` itself.
     fn search(
         &mut self,
         from: VertexId,
         banned_vertices: &[VertexId],
         banned_edges: &[(VertexId, VertexId)],
     ) -> Option<Path> {
-        if banned_vertices.contains(&from) {
+        if self.in_root(banned_vertices, from) {
             return None;
         }
         let h_from = self.h(from);
@@ -180,14 +295,21 @@ impl<G: GraphView, R: GraphView> SpurSearch for AStar<'_, G, R> {
         }
         let view = self.view;
         self.arena.begin(view.num_vertices());
-        for &v in banned_vertices {
-            self.arena.ban(v);
+        for &r in banned_vertices {
+            let arena = &mut *self.arena;
+            self.projection.for_each_state(self.projection.vertex_of(r), |x| arena.ban(x));
         }
+        let arena = &mut *self.arena;
+        self.projection.for_each_state(self.projection.vertex_of(from), |x| {
+            if x != from {
+                arena.ban(x);
+            }
+        });
         self.arena.open(from, h_from);
 
         while let Some((vertex, g)) = self.arena.pop() {
             *self.settled_vertices += 1;
-            if vertex == self.target {
+            if self.projection.vertex_of(vertex) == self.target {
                 return self.arena.path_to(vertex);
             }
             let edge_bans = banned_edges.iter().any(|&(tail, _)| tail == vertex);
@@ -210,6 +332,7 @@ impl<G: GraphView, R: GraphView> SpurSearch for AStar<'_, G, R> {
 
     /// The sidetrack bound: the least `w + h(x)` over the edges `from → x` the spur
     /// may take first. Any spur path takes one of them and then needs at least `h(x)`.
+    /// Infinite when `from`'s own vertex is on the root, where the search finds none.
     fn spur_bound(
         &mut self,
         from: VertexId,
@@ -217,9 +340,12 @@ impl<G: GraphView, R: GraphView> SpurSearch for AStar<'_, G, R> {
         banned_edges: &[(VertexId, VertexId)],
     ) -> Option<Weight> {
         let mut bound = Weight::INFINITY;
+        if self.in_root(banned_vertices, from) {
+            return Some(bound);
+        }
         let view = self.view;
         view.for_each_neighbor(from, |to, w| {
-            if !banned_edges.contains(&(from, to)) && !banned_vertices.contains(&to) {
+            if !banned_edges.contains(&(from, to)) && !self.in_root(banned_vertices, to) {
                 bound = bound.min(w + self.h(to));
             }
         });

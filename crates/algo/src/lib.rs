@@ -30,7 +30,7 @@ pub mod vfrag;
 pub mod yen;
 
 pub use dijkstra::{dijkstra_path, SearchArena};
-pub use findksp::{find_ksp, FindKsp};
+pub use findksp::{find_ksp, FindKsp, Identity, Projection};
 pub use path::Path;
 pub use vfrag::{fewest_vfrag_paths, VfragView};
 pub use yen::{yen_ksp, KspEnumerator};

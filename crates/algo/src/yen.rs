@@ -128,14 +128,14 @@ impl<'a, G: GraphView> KspEnumerator<'a, G> {
 
     fn advance(&mut self, arena: &mut SearchArena) -> bool {
         let KspEnumerator { view, source, target, lists, .. } = self;
-        lists.advance(
-            *view,
-            *source,
-            *target,
-            &mut |from, banned_vertices: &[VertexId], banned_edges: &[(VertexId, VertexId)]| {
-                arena.shortest_path(*view, from, *target, banned_vertices, banned_edges)
-            },
-        )
+        lists.advance(*view, *source, source == target, &mut |from,
+                                                              banned_vertices: &[VertexId],
+                                                              banned_edges: &[(
+            VertexId,
+            VertexId,
+        )]| {
+            arena.shortest_path(*view, from, *target, banned_vertices, banned_edges)
+        })
     }
 }
 
@@ -250,8 +250,9 @@ impl PartialOrd for Candidate {
 }
 
 impl Deviations {
-    /// Appends the next shortest simple path from `source` to `target` to `produced`;
-    /// `false` once no further path exists.
+    /// Appends the next shortest path from `source` to the target to `produced`;
+    /// `false` once no further path exists. `trivial` says that `source` already
+    /// stands at the target, whose only path is then the trivial one.
     ///
     /// `spur` searches each spur path; the first path is `spur.search(source, &[],
     /// &[])`.
@@ -259,18 +260,15 @@ impl Deviations {
         &mut self,
         view: &G,
         source: VertexId,
-        target: VertexId,
+        trivial: bool,
         spur: &mut impl SpurSearch,
     ) -> bool {
         if self.exhausted {
             return false;
         }
         let next = if self.produced.is_empty() {
-            let first = if source == target {
-                Some(Path::trivial(source))
-            } else {
-                spur.search(source, &[], &[])
-            };
+            let first =
+                if trivial { Some(Path::trivial(source)) } else { spur.search(source, &[], &[]) };
             if let Some(p) = &first {
                 self.seen_routes.insert(p.vertices().to_vec());
             }
@@ -364,8 +362,11 @@ impl Deviations {
 }
 
 /// Offers `root` (the root path without the spur node) followed by `spur_path`, the
-/// path a spur search found from the spur node, as a candidate, unless the route
-/// repeats a vertex or is already known. The candidate deviates at `root.len()`.
+/// path a spur search found from the spur node, as a candidate, unless the route is
+/// already known. The candidate deviates at `root.len()`. It repeats no vertex of the
+/// searched graph: the search bans the root and returns a path of its search tree.
+/// Over states it may repeat a projected vertex; FindKSP then produces it without
+/// returning it (see [`crate::findksp`]).
 fn offer(
     candidates: &mut BinaryHeap<Reverse<Candidate>>,
     seen_routes: &mut HashSet<Vec<VertexId>>,
@@ -377,7 +378,7 @@ fn offer(
     let mut vertices = Vec::with_capacity(root.len() + spur_path.num_vertices());
     vertices.extend_from_slice(root);
     vertices.extend_from_slice(spur_path.vertices());
-    if Path::is_simple(&vertices) && !seen_routes.contains(&vertices) {
+    if !seen_routes.contains(&vertices) {
         let distance = root_distance + spur_path.distance();
         seen_routes.insert(vertices.clone());
         candidates.push(Reverse(Candidate { distance, vertices, deviation: root.len() }));
@@ -629,7 +630,7 @@ mod tests {
                 let mut spur =
                     BoundedDijkstra { view: &g, target: t, arena: SearchArena::new(), exact };
                 let mut lists = Deviations::default();
-                while lists.produced.len() < 10 && lists.advance(&g, s, t, &mut spur) {}
+                while lists.produced.len() < 10 && lists.advance(&g, s, false, &mut spur) {}
                 assert_eq!(
                     bits(&lists.produced),
                     bits(&eager_paths),

@@ -218,9 +218,9 @@ proptest! {
             for &sg in index.subgraphs_of_vertex(s) {
                 for (b, d) in index.subgraph_index(sg).boundary_distances_from(s, &mut arena) {
                     if graph.is_directed() {
-                        overlay.add_edge(s, b, d);
+                        overlay.add_edge(s, b, d, sg);
                     } else {
-                        overlay.add_undirected_edge(s, b, d);
+                        overlay.add_undirected_edge(s, b, d, sg);
                     }
                 }
             }

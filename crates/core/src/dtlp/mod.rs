@@ -25,6 +25,6 @@ pub mod unit_weights;
 pub use bounding::{BoundingPath, BoundingPathSet, PairPaths};
 pub use ep_index::EpIndex;
 pub use index::{BuildStats, DtlpConfig, DtlpIndex, MaintenanceStats};
-pub use skeleton::{OverlayView, ReversedOverlay, SkeletonGraph};
+pub use skeleton::{Hop, LabelledView, OverlayView, ReversedOverlay, SkeletonGraph};
 pub use subgraph_index::{LowerBoundChange, SubgraphIndex};
 pub use unit_weights::UnitWeightMultiset;

@@ -16,8 +16,22 @@
 //! Queries whose endpoints are not boundary vertices are handled with an
 //! [`OverlayView`]: the endpoints are attached to `Gλ` with temporary edges to the
 //! boundary vertices of their home subgraphs, without mutating the shared skeleton.
+//!
+//! **The labelled view.** Every subgraph's boundary vertices form a clique in `Gλ`,
+//! so a skeleton path `a → b → c` whose two hops both lie in one subgraph has a twin
+//! `a → c`, and both refine to the same routes. The query engine therefore
+//! enumerates its reference paths over a [`LabelledView`] of the overlay instead:
+//! one *state* per (boundary vertex, subgraph of the hop that entered it), plus the
+//! source's own state. A state's edges are the per-subgraph contributions of its
+//! vertex's skeleton edges, and the endpoint attachments, each weighted by the bound
+//! of its own subgraph rather than the edge minimum, and none in the subgraph that
+//! entered the state. So no path takes two hops in a row inside one subgraph, and
+//! each path is a sequence of [`Hop`]s. The states and each contribution's head
+//! state are fixed at assembly and shared by every epoch; the view adds only the
+//! query's endpoint states.
 
 use crate::dtlp::subgraph_index::LowerBoundChange;
+use ksp_algo::Projection;
 use ksp_graph::{GraphView, SubgraphId, VertexId, Weight};
 use std::collections::HashMap;
 use std::ops::Range;
@@ -131,6 +145,18 @@ struct SkeletonTopology {
     slot_start: Vec<u32>,
     /// For each (subgraph, pair index), in assembly order: its contribution.
     slot: Vec<u32>,
+    /// The subgraph of each contribution.
+    contributor: Vec<SubgraphId>,
+    /// The labelled view's states: the vertex at position `p` of `adj` has
+    /// `state_start[p]..state_start[p + 1]`, one per subgraph whose contribution
+    /// enters it, by ascending subgraph.
+    state_start: Vec<u32>,
+    /// The vertex and the subgraph of each state.
+    state: Vec<(VertexId, SubgraphId)>,
+    /// The state each contribution enters when its edge is taken from `ends.0` to
+    /// `ends.1`, and, undirected, from `ends.1` to `ends.0` (empty if directed).
+    enters_forward: Vec<u32>,
+    enters_backward: Vec<u32>,
 }
 
 impl SkeletonTopology {
@@ -168,6 +194,61 @@ impl SkeletonTopology {
     fn contributions_of(&self, edge: usize) -> Range<usize> {
         self.contribution_start[edge] as usize..self.contribution_start[edge + 1] as usize
     }
+
+    /// The states of `v`, empty if it is not a skeleton vertex.
+    fn states_of(&self, v: VertexId) -> Range<usize> {
+        match self.adj.position.get(v.index()) {
+            Some(&p) if p != Adjacency::<u32>::ABSENT => {
+                self.state_start[p as usize] as usize..self.state_start[p as usize + 1] as usize
+            }
+            _ => 0..0,
+        }
+    }
+
+    /// The state of `v` entered from subgraph `sg`, if the skeleton has one.
+    fn state_of(&self, v: VertexId, sg: SubgraphId) -> Option<u32> {
+        let states = self.states_of(v);
+        let start = states.start;
+        self.state[states].binary_search_by_key(&sg, |&(_, l)| l).ok().map(|i| (start + i) as u32)
+    }
+
+    /// Numbers the labelled view's states and records the state each contribution
+    /// enters, from the contributions' edges and subgraphs.
+    fn label_states(&mut self) {
+        let entering = |t: &Self, c: usize, forward: bool| {
+            let (a, b) = t.ends[t.contribution_edge[c] as usize];
+            (if forward { b } else { a }, t.contributor[c])
+        };
+        let directions: &[bool] = if self.directed { &[true] } else { &[true, false] };
+        let mut labels: Vec<Vec<SubgraphId>> = vec![Vec::new(); self.adj.len()];
+        for c in 0..self.contributor.len() {
+            for &forward in directions {
+                let (v, sg) = entering(self, c, forward);
+                labels[self.adj.position[v.index()] as usize].push(sg);
+            }
+        }
+        let mut id_at = vec![VertexId(0); self.adj.len()];
+        for v in self.adj.ids() {
+            id_at[self.adj.position[v.index()] as usize] = v;
+        }
+        self.state_start = vec![0];
+        for (mut l, v) in labels.into_iter().zip(id_at) {
+            l.sort_unstable();
+            l.dedup();
+            self.state.extend(l.into_iter().map(|sg| (v, sg)));
+            self.state_start.push(self.state.len() as u32);
+        }
+        let state_at = |t: &Self, c: usize, forward: bool| {
+            let (v, sg) = entering(t, c, forward);
+            t.state_of(v, sg).expect("every contribution enters a state")
+        };
+        self.enters_forward =
+            (0..self.contributor.len()).map(|c| state_at(self, c, true)).collect();
+        if !self.directed {
+            self.enters_backward =
+                (0..self.contributor.len()).map(|c| state_at(self, c, false)).collect();
+        }
+    }
 }
 
 impl SkeletonGraph {
@@ -192,6 +273,11 @@ impl SkeletonGraph {
             contribution_edge: Vec::new(),
             slot_start: vec![0],
             slot: Vec::new(),
+            contributor: Vec::new(),
+            state_start: Vec::new(),
+            state: Vec::new(),
+            enters_forward: Vec::new(),
+            enters_backward: Vec::new(),
         };
         // One arrival per (subgraph, pair), in slot order.
         let mut arrivals: Vec<(u32, SubgraphId, Weight)> = Vec::new();
@@ -228,6 +314,8 @@ impl SkeletonGraph {
             topology.contribution_start.push(contribution.len() as u32);
             weight.push(min_weight(&contribution[start..]));
         }
+        topology.contributor = contributor;
+        topology.label_states();
         SkeletonGraph { topology: Arc::new(topology), contribution, weight }
     }
 
@@ -306,8 +394,13 @@ impl SkeletonGraph {
             + (t.contribution_start.len()
                 + t.contribution_edge.len()
                 + t.slot_start.len()
-                + t.slot.len())
+                + t.slot.len()
+                + t.contributor.len()
+                + t.state_start.len()
+                + t.enters_forward.len()
+                + t.enters_backward.len())
                 * std::mem::size_of::<u32>()
+            + t.state.len() * std::mem::size_of::<(VertexId, SubgraphId)>()
             + (self.contribution.len() + self.weight.len()) * std::mem::size_of::<Weight>()
     }
 
@@ -359,32 +452,35 @@ impl GraphView for SkeletonGraph {
 #[derive(Debug, Clone)]
 pub struct OverlayView<'a> {
     skeleton: &'a SkeletonGraph,
-    /// Extra adjacency: vertex → (neighbour, weight). Entries are directional; the
-    /// caller adds both directions for undirected graphs.
-    extra: Adjacency<Weight>,
-    /// Over a directed skeleton, the transpose of `extra`: vertex → (tail, weight).
-    /// Empty over an undirected one, whose extra edges come in both directions.
-    extra_in: Adjacency<Weight>,
+    /// Extra adjacency: vertex → (neighbour, (weight, subgraph the weight was
+    /// computed in)). Entries are directional; the caller adds both directions for
+    /// undirected graphs.
+    extra: Adjacency<(Weight, SubgraphId)>,
+    /// Over a directed skeleton, the transpose of `extra`: vertex → (tail, (weight,
+    /// subgraph)). Empty over an undirected one, whose extra edges come in both
+    /// directions.
+    extra_in: Adjacency<(Weight, SubgraphId)>,
 }
 
 impl<'a> OverlayView<'a> {
-    /// Adds a one-directional overlay edge from `u` to `v` with the given weight.
+    /// Adds a one-directional overlay edge from `u` to `v` with the given weight, a
+    /// distance computed inside subgraph `sg`.
     ///
     /// Over an undirected skeleton, add extra edges in both directions
     /// ([`OverlayView::add_undirected_edge`]): [`OverlayView::reversed`] reads an
     /// undirected overlay's forward lists as its reverse.
-    pub fn add_edge(&mut self, u: VertexId, v: VertexId, w: Weight) {
-        self.extra.list_mut(u).push((v, w));
+    pub fn add_edge(&mut self, u: VertexId, v: VertexId, w: Weight, sg: SubgraphId) {
+        self.extra.list_mut(u).push((v, (w, sg)));
         self.extra.list_mut(v);
         if self.skeleton.is_directed() {
-            self.extra_in.list_mut(v).push((u, w));
+            self.extra_in.list_mut(v).push((u, (w, sg)));
         }
     }
 
     /// Adds overlay edges in both directions between `u` and `v`.
-    pub fn add_undirected_edge(&mut self, u: VertexId, v: VertexId, w: Weight) {
-        self.add_edge(u, v, w);
-        self.add_edge(v, u, w);
+    pub fn add_undirected_edge(&mut self, u: VertexId, v: VertexId, w: Weight, sg: SubgraphId) {
+        self.add_edge(u, v, w, sg);
+        self.add_edge(v, u, w, sg);
     }
 
     /// Number of extra (overlay) directed edge entries.
@@ -397,6 +493,27 @@ impl<'a> OverlayView<'a> {
     /// at assembly, and the extra edges' recorded reverses, so it allocates nothing.
     pub fn reversed(&self) -> ReversedOverlay<'_, 'a> {
         ReversedOverlay { overlay: self }
+    }
+
+    /// The labelled view of this overlay for paths from `source` to `target` (see
+    /// the module docs). Its source state is [`LabelledView::source_state`]; its
+    /// paths end at the first state of `target`.
+    pub fn labelled(&self, source: VertexId, target: VertexId) -> LabelledView<'_, 'a> {
+        let mut view = LabelledView {
+            overlay: self,
+            source,
+            target,
+            base: self.skeleton.topology.state.len() as u32,
+            extra: vec![(source, None)],
+        };
+        for v in self.extra.ids() {
+            for &(w, (_, sg)) in self.extra.list(v) {
+                if w != source && view.state_of(w, sg).is_none() {
+                    view.extra.push((w, Some(sg)));
+                }
+            }
+        }
+        view
     }
 }
 
@@ -411,14 +528,14 @@ impl GraphView for OverlayView<'_> {
 
     fn for_each_neighbor(&self, v: VertexId, mut f: impl FnMut(VertexId, Weight)) {
         self.skeleton.for_each_neighbor(v, &mut f);
-        for &(to, w) in self.extra.list(v) {
+        for &(to, (w, _)) in self.extra.list(v) {
             f(to, w);
         }
     }
 
     fn edge_weight(&self, u: VertexId, v: VertexId) -> Option<Weight> {
         let base = self.skeleton.edge_weight(u, v);
-        let extra = self.extra.list(u).iter().find(|&&(to, _)| to == v).map(|&(_, w)| w);
+        let extra = self.extra.list(u).iter().find(|&&(to, _)| to == v).map(|&(_, (w, _))| w);
         match (base, extra) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
@@ -445,13 +562,153 @@ impl GraphView for ReversedOverlay<'_, '_> {
         let OverlayView { skeleton, extra, extra_in } = self.overlay;
         skeleton.for_each_in_neighbor(v, &mut f);
         let extra = if skeleton.is_directed() { extra_in } else { extra };
-        for &(from, w) in extra.list(v) {
+        for &(from, (w, _)) in extra.list(v) {
             f(from, w);
         }
     }
 
     fn edge_weight(&self, u: VertexId, v: VertexId) -> Option<Weight> {
         self.overlay.edge_weight(v, u)
+    }
+}
+
+/// One hop of a labelled path: a run of edges inside `subgraph` from `from` to `to`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Hop {
+    /// The subgraph the run lies in.
+    pub subgraph: SubgraphId,
+    /// Where the run starts: a boundary vertex of `subgraph`, or the source.
+    pub from: VertexId,
+    /// Where the run ends: a boundary vertex of `subgraph`, or the target.
+    pub to: VertexId,
+}
+
+/// The overlay as a graph of states, one per (vertex, subgraph of the hop that
+/// entered it); see the module docs and [`OverlayView::labelled`].
+///
+/// States below `base` are the skeleton's, numbered at assembly. The view adds the
+/// source's state, whose hop is none, and a state for each (vertex, subgraph) an
+/// endpoint attachment enters that the skeleton has none for. No edge enters a
+/// state of the source, and none leaves a state of the target.
+#[derive(Debug, Clone)]
+pub struct LabelledView<'o, 'a> {
+    overlay: &'o OverlayView<'a>,
+    source: VertexId,
+    target: VertexId,
+    base: u32,
+    /// The states from `base` on: the source's first.
+    extra: Vec<(VertexId, Option<SubgraphId>)>,
+}
+
+impl LabelledView<'_, '_> {
+    /// The state paths start from.
+    pub fn source_state(&self) -> VertexId {
+        VertexId(self.base)
+    }
+
+    /// The vertex of `state` and the subgraph of the hop that entered it.
+    #[inline]
+    fn state(&self, state: VertexId) -> (VertexId, Option<SubgraphId>) {
+        match state.0.checked_sub(self.base) {
+            None => {
+                let (v, sg) = self.overlay.skeleton.topology.state[state.index()];
+                (v, Some(sg))
+            }
+            Some(i) => self.extra[i as usize],
+        }
+    }
+
+    /// The state of `v` entered from subgraph `sg`, if the view has one.
+    fn state_of(&self, v: VertexId, sg: SubgraphId) -> Option<u32> {
+        let topology = &self.overlay.skeleton.topology;
+        topology.state_of(v, sg).or_else(|| {
+            let i = self.extra.iter().position(|&e| e == (v, Some(sg)))?;
+            Some(self.base + i as u32)
+        })
+    }
+
+    /// The hops of a path of states, in order.
+    pub fn hops<'p>(&'p self, states: &'p [VertexId]) -> impl Iterator<Item = Hop> + 'p {
+        states.windows(2).map(|pair| {
+            let (to, sg) = self.state(pair[1]);
+            Hop {
+                subgraph: sg.expect("no edge enters the source state"),
+                from: self.state(pair[0]).0,
+                to,
+            }
+        })
+    }
+}
+
+impl GraphView for LabelledView<'_, '_> {
+    fn num_vertices(&self) -> usize {
+        self.base as usize + self.extra.len()
+    }
+
+    fn contains_vertex(&self, state: VertexId) -> bool {
+        state.index() < self.num_vertices()
+    }
+
+    fn for_each_neighbor(&self, state: VertexId, mut f: impl FnMut(VertexId, Weight)) {
+        let (v, entered) = self.state(state);
+        if v == self.target {
+            return;
+        }
+        let skeleton = self.overlay.skeleton;
+        let t = &*skeleton.topology;
+        for &(w, e) in t.adj.list(v) {
+            if w == self.source {
+                continue;
+            }
+            let heads =
+                if t.ends[e as usize].1 == w { &t.enters_forward } else { &t.enters_backward };
+            for c in t.contributions_of(e as usize) {
+                if entered != Some(t.contributor[c]) {
+                    f(VertexId(heads[c]), skeleton.contribution[c]);
+                }
+            }
+        }
+        for &(w, (weight, sg)) in self.overlay.extra.list(v) {
+            if w != self.source && entered != Some(sg) {
+                f(VertexId(self.state_of(w, sg).expect("attachments enter states")), weight);
+            }
+        }
+    }
+
+    fn edge_weight(&self, x: VertexId, y: VertexId) -> Option<Weight> {
+        let ((u, entered), (w, sg)) = (self.state(x), self.state(y));
+        let sg = sg?;
+        if entered == Some(sg) || u == self.target || w == self.source {
+            return None;
+        }
+        let skeleton = self.overlay.skeleton;
+        let t = &*skeleton.topology;
+        let base = t.edge(u, w).and_then(|e| {
+            let c = t.contributions_of(e).find(|&c| t.contributor[c] == sg)?;
+            Some(skeleton.contribution[c])
+        });
+        base.or_else(|| {
+            let mut extra = self.overlay.extra.list(u).iter();
+            extra.find(|&&(to, (_, l))| to == w && l == sg).map(|&(_, (weight, _))| weight)
+        })
+    }
+}
+
+impl Projection for LabelledView<'_, '_> {
+    #[inline]
+    fn vertex_of(&self, state: VertexId) -> VertexId {
+        self.state(state).0
+    }
+
+    fn for_each_state(&self, vertex: VertexId, mut f: impl FnMut(VertexId)) {
+        for s in self.overlay.skeleton.topology.states_of(vertex) {
+            f(VertexId(s as u32));
+        }
+        for (i, &(v, _)) in self.extra.iter().enumerate() {
+            if v == vertex {
+                f(VertexId(self.base + i as u32));
+            }
+        }
     }
 }
 
@@ -580,8 +837,8 @@ mod tests {
     fn reversed_overlay_turns_skeleton_and_extra_edges_around() {
         let sk = skeleton(true, &[(1, 2, 0, 5.0), (2, 3, 1, 4.0), (3, 1, 2, 1.0)]);
         let mut overlay = sk.overlay();
-        overlay.add_edge(v(50), v(1), Weight::new(2.0));
-        overlay.add_edge(v(3), v(60), Weight::new(3.0));
+        overlay.add_edge(v(50), v(1), Weight::new(2.0), SubgraphId(0));
+        overlay.add_edge(v(3), v(60), Weight::new(3.0), SubgraphId(0));
         let reversed = overlay.reversed();
         assert_eq!(reversed.num_vertices(), overlay.num_vertices());
         for x in [1, 2, 3, 50, 60] {
@@ -602,7 +859,7 @@ mod tests {
         // Over an undirected skeleton the reverse is the overlay itself.
         let undirected = sample_skeleton();
         let mut overlay = undirected.overlay();
-        overlay.add_undirected_edge(v(50), v(1), Weight::new(1.0));
+        overlay.add_undirected_edge(v(50), v(1), Weight::new(1.0), SubgraphId(0));
         for x in [1, 2, 3, 50] {
             assert_eq!(overlay.reversed().neighbors(v(x)), overlay.neighbors(v(x)));
         }
@@ -621,8 +878,8 @@ mod tests {
         let sk = sample_skeleton();
         let mut overlay = sk.overlay();
         // Vertex 50 is a non-boundary source attached to boundary vertices 1 and 2.
-        overlay.add_undirected_edge(v(50), v(1), Weight::new(1.0));
-        overlay.add_undirected_edge(v(50), v(2), Weight::new(7.0));
+        overlay.add_undirected_edge(v(50), v(1), Weight::new(1.0), SubgraphId(0));
+        overlay.add_undirected_edge(v(50), v(2), Weight::new(7.0), SubgraphId(0));
         assert!(overlay.contains_vertex(v(50)));
         assert_eq!(overlay.num_overlay_edges(), 4);
         let p = dijkstra_path(&overlay, v(50), v(3)).unwrap();
@@ -641,7 +898,7 @@ mod tests {
         let high = b.build().unwrap();
         let sk = sample_skeleton();
         let mut overlay = sk.overlay();
-        overlay.add_undirected_edge(v(50), v(1), Weight::new(1.0));
+        overlay.add_undirected_edge(v(50), v(1), Weight::new(1.0), SubgraphId(0));
         let mut arena = ksp_algo::SearchArena::new();
         let p = arena.shortest_path(&high, v(90), v(92), &[], &[]).unwrap();
         assert_eq!(p.distance(), Weight::new(2.0));
@@ -658,7 +915,7 @@ mod tests {
     fn overlay_edge_weight_prefers_the_smaller_of_base_and_extra() {
         let sk = sample_skeleton();
         let mut overlay = sk.overlay();
-        overlay.add_undirected_edge(v(1), v(2), Weight::new(1.5));
+        overlay.add_undirected_edge(v(1), v(2), Weight::new(1.5), SubgraphId(0));
         assert_eq!(overlay.edge_weight(v(1), v(2)), Some(Weight::new(1.5)));
         assert_eq!(overlay.edge_weight(v(2), v(3)), Some(Weight::new(4.0)));
     }

@@ -1,4 +1,28 @@
 //! The iterative filter-and-refine KSP-DG query loop (Algorithm 3, Theorem 3).
+//!
+//! **Reference paths are canonical decompositions.** The loop enumerates reference
+//! paths with FindKSP over the overlay's [`LabelledView`](crate::dtlp::LabelledView):
+//! sequences of (subgraph, boundary pair) hops, no two consecutive hops in one
+//! subgraph, each weighted by its own subgraph's bound. Every simple route has
+//! exactly one such sequence, its maximal runs inside one subgraph (see
+//! [`crate::kspdg::refine`]), so a route is re-derived by one reference, not by
+//! every split of its runs at the boundary vertices they pass.
+//!
+//! **Why it stays exact.** Let `T` be the k-th answer distance when Theorem 3's
+//! test stops the loop, the next reference being no shorter than `T`. A route
+//! shorter than `T` has a canonical reference whose bound sum is at most the
+//! route's length, so below `T`: FindKSP produces references in order of distance,
+//! so that reference came before the stop, and the stopping test is unchanged. Its
+//! refine yielded the route, or k shorter simple routes (the refine module's
+//! domination argument); either way the answer holds k routes no longer than it.
+//!
+//! The enumeration's heuristic is the reverse search over the *unlabelled* overlay,
+//! asked about each state's vertex. It stays admissible and consistent: a labelled
+//! path projects onto an overlay path between the same vertices, and each labelled
+//! edge weighs one subgraph's bound, at least the overlay edge's minimum. So the
+//! survival sweep reads the same reverse search as before. Simplicity and bans are
+//! judged on vertices, not states, through the view's state → vertex projection
+//! (see [`ksp_algo::Projection`]).
 
 use crate::dtlp::{DtlpIndex, OverlayView};
 use crate::kspdg::refine::{candidate_ksp, PartialPathCache};
@@ -186,24 +210,32 @@ impl<'a> KspDgEngine<'a> {
         // reference and partial enumerations, and the source half of the survival
         // sweep — runs on `arena`. The two FindKSP heuristics, each a reverse search
         // resumed on demand, keep their own: one for the reference paths over the
-        // overlay, which also serves the target half of the sweep, and one reused by
-        // every partial computation inside a subgraph.
+        // overlay, which also serves the target half of the sweep, and one, kept by
+        // the query's partial-path cache, reused by every partial computation inside
+        // a subgraph.
         let mut arena = SearchArena::new();
         let mut reference_heuristic = SearchArena::new();
-        let mut partial_heuristic = SearchArena::new();
 
         // Filter-step search structure: the skeleton graph with the query endpoints
         // attached (Section 5.3 / Step 1 of the Storm deployment).
         let overlay = self.build_overlay(source, target, &mut arena, &mut trace.subgraphs);
 
-        // Reference paths come from FindKSP over the overlay: every spur search is an A*
-        // guided by exact overlay distances to the target. Those distances are taken
-        // without bans, and a spur's bans only remove paths, so the heuristic stays
-        // admissible and each spur path is still a shortest one: the reference
-        // distances, and so Theorem 3's stopping test, are the ones Yen would produce.
+        // Reference paths come from FindKSP over the labelled overlay (see the module
+        // docs): every spur search is an A* guided by exact unlabelled overlay
+        // distances to the target. Those distances are taken without bans or labels,
+        // which only remove paths, so the heuristic stays admissible and each spur path
+        // is still a shortest one: the reference distances, and so Theorem 3's stopping
+        // test, are the ones Yen would produce over the labelled view.
         let reverse = overlay.reversed();
-        let mut reference_paths =
-            FindKsp::new(&overlay, &reverse, source, target, &mut reference_heuristic);
+        let states = overlay.labelled(source, target);
+        let mut reference_paths = FindKsp::with_projection(
+            &states,
+            &states,
+            &reverse,
+            states.source_state(),
+            target,
+            &mut reference_heuristic,
+        );
         let mut cache = PartialPathCache::new(k);
         let mut results: Vec<Path> = Vec::new();
         let mut seen_routes: HashSet<u64> = HashSet::new();
@@ -221,10 +253,10 @@ impl<'a> KspDgEngine<'a> {
 
             let candidates = candidate_ksp(
                 self.index,
-                reference.vertices(),
+                source,
+                states.hops(reference.vertices()),
                 &mut cache,
                 &mut arena,
-                &mut partial_heuristic,
                 &mut stats,
                 &mut trace.subgraphs,
             );
@@ -287,7 +319,7 @@ impl<'a> KspDgEngine<'a> {
 
     /// Builds the overlay view attaching non-boundary endpoints to the skeleton,
     /// recording the subgraphs whose level-one data the overlay edges are
-    /// derived from.
+    /// derived from. Each attachment carries the subgraph it was computed in.
     fn build_overlay(
         &self,
         source: VertexId,
@@ -308,9 +340,9 @@ impl<'a> KspDgEngine<'a> {
                         continue;
                     }
                     if directed {
-                        overlay.add_edge(source, b, d);
+                        overlay.add_edge(source, b, d, sg);
                     } else {
-                        overlay.add_undirected_edge(source, b, d);
+                        overlay.add_undirected_edge(source, b, d, sg);
                     }
                 }
             }
@@ -322,31 +354,27 @@ impl<'a> KspDgEngine<'a> {
                         continue;
                     }
                     if directed {
-                        overlay.add_edge(b, target, d);
+                        overlay.add_edge(b, target, d, sg);
                     } else {
-                        overlay.add_undirected_edge(b, target, d);
+                        overlay.add_undirected_edge(b, target, d, sg);
                     }
                 }
             }
         }
-        // If the endpoints co-occur in a subgraph and at least one of them is not a
-        // boundary vertex, the skeleton has no edge covering paths that stay entirely
-        // inside that subgraph; add a direct overlay edge with the within-subgraph
-        // shortest distance (a valid lower bound of any such path).
-        if !self.index.is_boundary(source) || !self.index.is_boundary(target) {
-            let best = self
-                .index
-                .subgraphs_containing_pair(source, target)
-                .filter_map(|sg| {
-                    let subgraph = self.index.subgraph_index(sg).subgraph();
-                    arena.shortest_path(subgraph, source, target, &[], &[]).map(|p| p.distance())
-                })
-                .min();
-            if let Some(d) = best {
-                if directed {
-                    overlay.add_edge(source, target, d);
-                } else {
-                    overlay.add_undirected_edge(source, target, d);
+        // If neither endpoint is a boundary vertex and they share a subgraph, neither
+        // the skeleton nor an attachment covers the routes that stay inside it; add a
+        // direct overlay edge with the in-subgraph shortest distance (a lower bound of
+        // any such route). A non-boundary vertex lies in one subgraph only. When one
+        // endpoint is a boundary vertex, the other's attachment already reaches it.
+        if !self.index.is_boundary(source) && !self.index.is_boundary(target) {
+            for sg in self.index.subgraphs_containing_pair(source, target) {
+                let subgraph = self.index.subgraph_index(sg).subgraph();
+                if let Some(p) = arena.shortest_path(subgraph, source, target, &[], &[]) {
+                    if directed {
+                        overlay.add_edge(source, target, p.distance(), sg);
+                    } else {
+                        overlay.add_undirected_edge(source, target, p.distance(), sg);
+                    }
                 }
             }
         }
@@ -373,13 +401,15 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dtlp::{DtlpConfig, DtlpIndex};
-    use ksp_algo::yen_ksp;
+    use crate::dtlp::{DtlpConfig, DtlpIndex, Hop};
+    use ksp_algo::{dijkstra_path, yen_ksp};
+    use ksp_graph::GraphView;
     use ksp_graph::{DynamicGraph, GraphBuilder};
     use ksp_workload::{
         QueryWorkload, QueryWorkloadConfig, RoadNetworkConfig, RoadNetworkGenerator, TrafficConfig,
         TrafficModel,
     };
+    use std::collections::HashMap;
 
     fn v(i: u32) -> VertexId {
         VertexId(i)
@@ -798,6 +828,155 @@ mod tests {
         assert_eq!(checked, 480);
         assert!(perturbed >= 60, "only {perturbed} of 80 queries left a subgraph untraced");
         assert!(moved.is_empty(), "{} of {checked} answers moved: {moved:?}", moved.len());
+    }
+
+    /// Every simple `s → t` route of `graph` no longer than `budget`, with its
+    /// length, by depth-first search pruned by exact distances to `t`.
+    fn simple_routes(
+        graph: &DynamicGraph,
+        s: VertexId,
+        t: VertexId,
+        budget: Weight,
+    ) -> Vec<(Vec<VertexId>, Weight)> {
+        struct Walk<'g> {
+            graph: &'g DynamicGraph,
+            to_target: SearchArena,
+            t: VertexId,
+            budget: Weight,
+            out: Vec<(Vec<VertexId>, Weight)>,
+        }
+        impl Walk<'_> {
+            fn walk(&mut self, route: &mut Vec<VertexId>, length: Weight) {
+                let at = *route.last().expect("non-empty");
+                if at == self.t {
+                    self.out.push((route.clone(), length));
+                    return;
+                }
+                for &(next, e) in self.graph.adjacency(at) {
+                    let reached = length + self.graph.weight(e);
+                    let rest = self.to_target.distance(next);
+                    if route.contains(&next) || reached + rest > self.budget {
+                        continue;
+                    }
+                    route.push(next);
+                    self.walk(route, reached);
+                    route.pop();
+                }
+            }
+        }
+        let mut to_target = SearchArena::new();
+        to_target.search_from(&graph.reversed(), t);
+        let mut walk = Walk { graph, to_target, t, budget, out: Vec::new() };
+        walk.walk(&mut vec![s], Weight::ZERO);
+        walk.out
+    }
+
+    /// The canonical decomposition of a route: its maximal runs of edges owned by one
+    /// subgraph, as hops.
+    fn canonical_hops(graph: &DynamicGraph, index: &DtlpIndex, route: &[VertexId]) -> Vec<Hop> {
+        let mut hops: Vec<Hop> = Vec::new();
+        for pair in route.windows(2) {
+            let e = graph.edge_between(pair[0], pair[1]).expect("route edges exist");
+            let owner = index.owner_of_edge(e);
+            match hops.last_mut() {
+                Some(hop) if hop.subgraph == owner => hop.to = pair[1],
+                _ => hops.push(Hop { subgraph: owner, from: pair[0], to: pair[1] }),
+            }
+        }
+        hops
+    }
+
+    #[test]
+    fn every_route_has_its_canonical_decomposition_enumerated() {
+        // Every simple route of the full graph must find its canonical decomposition
+        // among the labelled references, with a bound sum no greater than its length,
+        // and no reference may take two hops in a row in one subgraph or repeat a
+        // vertex. On the Figure 3 graph, undirected and directed, the enumeration runs
+        // to exhaustion and every simple route is checked. On a 54-vertex network it
+        // has tens of thousands of references per pair, so there it runs past twice
+        // the shortest distance and every route up to that length is checked: a
+        // route's canonical reference is no longer than the route.
+        let directed_paper = {
+            let mut b = GraphBuilder::directed(19);
+            for u in 0..19u32 {
+                for (w, weight) in paper_graph().neighbors(v(u)) {
+                    // One direction of each road is a unit slower; a few are one-way.
+                    if (u + w.0) % 5 != 0 || u < w.0 {
+                        b.edge(u, w.0, weight.value() as u32 + (u < w.0) as u32);
+                    }
+                }
+            }
+            b.build().unwrap()
+        };
+        let generated = |directed: bool| {
+            let mut config = RoadNetworkConfig::with_vertices(60);
+            config.directed = directed;
+            RoadNetworkGenerator::new(config).generate(7).unwrap().graph
+        };
+        let networks = [
+            (paper_graph(), 6, false),
+            (directed_paper, 6, false),
+            (generated(false), 15, true),
+            (generated(true), 15, true),
+        ];
+        let (mut routes_checked, mut pairs_checked) = (0, 0);
+        for (graph, z, budgeted) in &networks {
+            let index = DtlpIndex::build(graph, DtlpConfig::new(*z, 2)).unwrap();
+            assert!(index.num_subgraphs() >= 3);
+            let engine = KspDgEngine::new(&index);
+            let n = graph.num_vertices() as u64;
+            let mut rng = ksp_workload::Xoshiro256::seed_from_u64(n);
+            let mut pairs = 0;
+            while pairs < 6 {
+                let (s, t) = (v(rng.next_bounded(n) as u32), v(rng.next_bounded(n) as u32));
+                let Some(shortest) = dijkstra_path(graph, s, t).filter(|_| s != t) else {
+                    continue;
+                };
+                let budget = if *budgeted { shortest.distance() * 2.0 } else { Weight::INFINITY };
+                let mut arena = SearchArena::new();
+                let overlay = engine.build_overlay(s, t, &mut arena, &mut SubgraphSet::new());
+                let reverse = overlay.reversed();
+                let states = overlay.labelled(s, t);
+                let mut heuristic = SearchArena::new();
+                let mut enumeration = FindKsp::with_projection(
+                    &states,
+                    &states,
+                    &reverse,
+                    states.source_state(),
+                    t,
+                    &mut heuristic,
+                );
+                let mut references: HashMap<Vec<Hop>, Weight> = HashMap::new();
+                while let Some(reference) = enumeration.next_path_in(&mut arena) {
+                    let hops: Vec<Hop> = states.hops(reference.vertices()).collect();
+                    for pair in hops.windows(2) {
+                        assert_ne!(pair[0].subgraph, pair[1].subgraph, "{s}->{t}: {hops:?}");
+                    }
+                    let mut vertices = vec![s];
+                    vertices.extend(hops.iter().map(|h| h.to));
+                    assert!(Path::is_simple(&vertices), "{s}->{t}: {hops:?}");
+                    assert!(references.insert(hops, reference.distance()).is_none());
+                    if reference.distance() > budget {
+                        break;
+                    }
+                }
+                for (route, length) in simple_routes(graph, s, t, budget) {
+                    let hops = canonical_hops(graph, &index, &route);
+                    let bound = references.get(&hops).unwrap_or_else(|| {
+                        panic!("{s}->{t}: route {route:?} has no reference {hops:?}")
+                    });
+                    assert!(
+                        *bound <= length || bound.approx_eq(length),
+                        "{s}->{t}: bound {bound} over the route's length {length}"
+                    );
+                    routes_checked += 1;
+                }
+                pairs += 1;
+            }
+            pairs_checked += pairs;
+        }
+        assert_eq!(pairs_checked, 24);
+        assert!(routes_checked >= 1_000, "only {routes_checked} routes checked");
     }
 
     #[test]

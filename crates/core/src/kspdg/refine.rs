@@ -1,6 +1,30 @@
 //! The refine step of KSP-DG: partial k shortest paths and their join (Algorithm 4).
+//!
+//! A reference path is a sequence of [`Hop`]s, each a (subgraph, boundary pair) with
+//! no two consecutive hops in one subgraph (see [`crate::dtlp::LabelledView`]). The
+//! refine step runs one FindKSP per hop, inside that hop's subgraph only, and joins
+//! the hops' partial paths left to right.
+//!
+//! **Why this stays exact.** Subgraphs partition the edges, so a simple route has
+//! exactly one *canonical decomposition*: its maximal runs of edges inside one
+//! subgraph. Consecutive runs lie in different subgraphs and meet at boundary
+//! vertices, so the decomposition is a hop sequence the labelled enumeration
+//! produces, and its bound sum is at most the route's length: every hop's weight is
+//! a lower bound of the in-subgraph distance between its ends, or that distance
+//! itself for an endpoint attachment. The refine of that reference yields the route
+//! itself, or k shorter simple routes: each hop keeps its k shortest partials and
+//! every join keeps the k shortest simple combinations, so the route's own
+//! combination falls out only where k shorter ones displaced it. This is the
+//! domination argument of the unlabelled join, applied one hop at a time; the
+//! property test `crates/core/tests/engine_vs_findksp.rs` checks it against
+//! whole-graph FindKSP.
+//! The query loop's side of the argument is in [`crate::kspdg::query`].
+//!
+//! A by-product: a route's distance is summed over its one decomposition, hop by
+//! hop in path order, so its bits depend only on the route and on the weights of its
+//! subgraphs, not on which reference found it.
 
-use crate::dtlp::DtlpIndex;
+use crate::dtlp::{DtlpIndex, Hop};
 use crate::kspdg::QueryStats;
 use ksp_algo::path::keep_k_shortest;
 use ksp_algo::{FindKsp, Path, SearchArena};
@@ -8,16 +32,19 @@ use ksp_graph::{SubgraphSet, VertexId};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-/// Cache of partial k-shortest-path computations, keyed by the (ordered) vertex pair.
+/// Cache of partial k-shortest-path computations, keyed by hop: subgraph and
+/// (ordered) vertex pair.
 ///
 /// Two consecutive reference paths usually share many adjacent boundary-vertex pairs
 /// (Section 5.2); caching the partial results avoids recomputing them in later
 /// iterations of the same query. The cache is per-query: it must be discarded when the
 /// underlying weights change.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct PartialPathCache {
     k: usize,
-    entries: HashMap<(VertexId, VertexId), Vec<Path>>,
+    entries: HashMap<Hop, Vec<Path>>,
+    /// The heuristic arena every partial FindKSP reuses for its reverse search.
+    heuristic: SearchArena,
     hits: usize,
     misses: usize,
 }
@@ -25,7 +52,13 @@ pub struct PartialPathCache {
 impl PartialPathCache {
     /// Creates an empty cache for partial results of size `k`.
     pub fn new(k: usize) -> Self {
-        PartialPathCache { k, entries: HashMap::new(), hits: 0, misses: 0 }
+        PartialPathCache {
+            k,
+            entries: HashMap::new(),
+            heuristic: SearchArena::new(),
+            hits: 0,
+            misses: 0,
+        }
     }
 
     /// The `k` this cache was created for.
@@ -43,28 +76,26 @@ impl PartialPathCache {
         self.misses
     }
 
-    /// Returns the partial k shortest paths from `u` to `v` of `pair`, computing (and
-    /// caching) them if necessary. The paths are lent from the cache, not copied.
+    /// Returns the partial k shortest paths of `hop`, computing (and caching) them if
+    /// necessary. The paths are lent from the cache, not copied.
     ///
-    /// The computation examines every subgraph containing both endpoints, runs
-    /// FindKSP inside each (Algorithm 4, line 6) — its spur searches on `arena`, its
-    /// reverse search from `v` over [`ksp_graph::Subgraph::reversed`] on `heuristic` —
-    /// merges the results and keeps the `k` shortest (line 8). Adds the number of
-    /// newly computed path-vertices to `stats.vertices_transferred`, modelling the
-    /// tuples a SubgraphBolt would send back to the QueryBolt, counts every examined
-    /// subgraph in `stats.subgraphs_examined` and every spur search in
-    /// `stats.spur_searches`, and records each subgraph in `trace` — the level-one
-    /// half of the query's dependency set.
+    /// The computation runs FindKSP inside the hop's subgraph (Algorithm 4, line 6) —
+    /// its spur searches on `arena`, its reverse search from `hop.to` over
+    /// [`ksp_graph::Subgraph::reversed`] on the cache's own heuristic arena. Adds the number of newly
+    /// computed path-vertices to `stats.vertices_transferred`, modelling the tuples a
+    /// SubgraphBolt would send back to the QueryBolt, counts the subgraph in
+    /// `stats.subgraphs_examined` and every spur search in `stats.spur_searches`, and
+    /// records the subgraph in `trace` — the level-one half of the query's dependency
+    /// set.
     pub fn partial_ksp(
         &mut self,
         index: &DtlpIndex,
-        pair: (VertexId, VertexId),
+        hop: Hop,
         arena: &mut SearchArena,
-        heuristic: &mut SearchArena,
         stats: &mut QueryStats,
         trace: &mut SubgraphSet,
     ) -> &[Path] {
-        let slot = match self.entries.entry(pair) {
+        let slot = match self.entries.entry(hop) {
             Entry::Occupied(cached) => {
                 self.hits += 1;
                 return cached.into_mut();
@@ -72,48 +103,42 @@ impl PartialPathCache {
             Entry::Vacant(slot) => slot,
         };
         self.misses += 1;
-        let (u, v) = pair;
-        let mut merged: Vec<Path> = Vec::new();
-        for sg_id in index.subgraphs_containing_pair(u, v) {
-            stats.subgraphs_examined += 1;
-            trace.insert(sg_id);
-            let sg = index.subgraph_index(sg_id).subgraph();
-            let reverse = sg.reversed();
-            let mut partials = FindKsp::new(sg, &reverse, u, v, heuristic);
-            partials.produce_up_to_in(self.k, arena);
-            stats.spur_searches += partials.spur_searches();
-            merged.extend(partials.into_produced(heuristic));
-        }
-        keep_k_shortest(&mut merged, self.k);
-        stats.vertices_transferred += merged.iter().map(|p| p.num_vertices()).sum::<usize>();
-        slot.insert(merged)
+        stats.subgraphs_examined += 1;
+        trace.insert(hop.subgraph);
+        let sg = index.subgraph_index(hop.subgraph).subgraph();
+        let reverse = sg.reversed();
+        let mut partials = FindKsp::new(sg, &reverse, hop.from, hop.to, &mut self.heuristic);
+        partials.produce_up_to_in(self.k, arena);
+        stats.spur_searches += partials.spur_searches();
+        let paths = partials.into_produced(&mut self.heuristic);
+        stats.vertices_transferred += paths.iter().map(|p| p.num_vertices()).sum::<usize>();
+        slot.insert(paths)
     }
 }
 
 /// Computes the candidate KSPs for one reference path (Algorithm 4), with the `k` of
-/// `cache`, computing missing partials on `arena` and `heuristic` (see
+/// `cache`, computing missing partials on `arena` (see
 /// [`PartialPathCache::partial_ksp`]).
 ///
-/// `reference` is the vertex sequence of the reference path in the (overlaid) skeleton
-/// graph; adjacent vertices always share at least one subgraph. The function joins the
-/// partial k shortest paths of each adjacent pair left to right, keeping only the `k`
-/// shortest (and only simple) combinations after every join. Returns an empty vector if
-/// any adjacent pair is disconnected inside its subgraphs.
+/// The reference path starts at `source` and takes `hops` in order, each starting
+/// where the one before ends. The function joins the partial k shortest paths of
+/// each hop left to right, keeping only the `k` shortest (and only simple)
+/// combinations after every join. Returns an empty vector if any hop is disconnected
+/// inside its subgraph.
 pub fn candidate_ksp(
     index: &DtlpIndex,
-    reference: &[VertexId],
+    source: VertexId,
+    hops: impl IntoIterator<Item = Hop>,
     cache: &mut PartialPathCache,
     arena: &mut SearchArena,
-    heuristic: &mut SearchArena,
     stats: &mut QueryStats,
     trace: &mut SubgraphSet,
 ) -> Vec<Path> {
-    assert!(!reference.is_empty(), "reference path must contain at least one vertex");
     let k = cache.k();
     assert!(k >= 1, "k must be at least 1");
-    let mut combined: Vec<Path> = vec![Path::trivial(reference[0])];
-    for pair in reference.windows(2) {
-        let partials = cache.partial_ksp(index, (pair[0], pair[1]), arena, heuristic, stats, trace);
+    let mut combined: Vec<Path> = vec![Path::trivial(source)];
+    for hop in hops {
+        let partials = cache.partial_ksp(index, hop, arena, stats, trace);
         if partials.is_empty() {
             return Vec::new();
         }
@@ -139,11 +164,11 @@ mod tests {
     use super::*;
     use crate::dtlp::{DtlpConfig, DtlpIndex};
     use ksp_algo::dijkstra_path;
-    use ksp_graph::GraphBuilder;
+    use ksp_graph::{GraphBuilder, SubgraphId};
 
-    /// Arenas and accounting sinks for one refine call.
-    fn sinks() -> (SearchArena, SearchArena, QueryStats, SubgraphSet) {
-        (SearchArena::new(), SearchArena::new(), QueryStats::default(), SubgraphSet::new())
+    /// The arena and accounting sinks for one refine call.
+    fn sinks() -> (SearchArena, QueryStats, SubgraphSet) {
+        (SearchArena::new(), QueryStats::default(), SubgraphSet::new())
     }
 
     fn v(i: u32) -> VertexId {
@@ -188,11 +213,18 @@ mod tests {
         DtlpIndex::build(&g, DtlpConfig::new(6, 3)).unwrap()
     }
 
+    /// The hops of a vertex sequence, each in the first subgraph holding both ends.
+    fn hops(index: &DtlpIndex, vertices: &[VertexId]) -> Vec<Hop> {
+        let sg = |a, b| index.subgraphs_containing_pair(a, b).next().unwrap_or(SubgraphId(0));
+        let hop = |w: &[VertexId]| Hop { subgraph: sg(w[0], w[1]), from: w[0], to: w[1] };
+        vertices.windows(2).map(hop).collect()
+    }
+
     #[test]
     fn partial_ksp_matches_subgraph_shortest_paths() {
         let index = paper_index();
         let mut cache = PartialPathCache::new(2);
-        let (mut arena, mut heuristic, mut stats, mut trace) = sinks();
+        let (mut arena, mut stats, mut trace) = sinks();
         // Pick two boundary vertices that share a subgraph.
         let pair = index
             .boundary_vertices()
@@ -200,18 +232,18 @@ mod tests {
             .flat_map(|&a| index.boundary_vertices().iter().map(move |&b| (a, b)))
             .find(|&(a, b)| a != b && index.subgraphs_containing_pair(a, b).next().is_some())
             .expect("some boundary pair shares a subgraph");
-        let partials =
-            cache.partial_ksp(&index, pair, &mut arena, &mut heuristic, &mut stats, &mut trace);
-        assert!(!partials.is_empty());
-        // The best partial equals the best single-subgraph shortest path.
-        let best_direct = index
-            .subgraphs_containing_pair(pair.0, pair.1)
-            .filter_map(|sg| dijkstra_path(index.subgraph_index(sg).subgraph(), pair.0, pair.1))
-            .map(|p| p.distance())
-            .min()
-            .unwrap();
-        assert!(partials[0].distance().approx_eq(best_direct));
-        assert!(stats.subgraphs_examined >= 1);
+        for sg in index.subgraphs_containing_pair(pair.0, pair.1) {
+            let hop = Hop { subgraph: sg, from: pair.0, to: pair.1 };
+            let partials = cache.partial_ksp(&index, hop, &mut arena, &mut stats, &mut trace);
+            // The best partial is the subgraph's own shortest path, and only that
+            // subgraph is examined and traced.
+            match dijkstra_path(index.subgraph_index(sg).subgraph(), pair.0, pair.1) {
+                Some(best) => assert!(partials[0].distance().approx_eq(best.distance())),
+                None => assert!(partials.is_empty()),
+            }
+            assert!(trace.contains(sg));
+        }
+        assert_eq!(stats.subgraphs_examined, trace.len());
         assert!(stats.vertices_transferred > 0);
     }
 
@@ -219,12 +251,10 @@ mod tests {
     fn partial_cache_avoids_recomputation() {
         let index = paper_index();
         let mut cache = PartialPathCache::new(2);
-        let (mut arena, mut heuristic, mut stats, mut trace) = sinks();
-        let (a, b) = (index.boundary_vertices()[0], index.boundary_vertices()[1]);
+        let (mut arena, mut stats, mut trace) = sinks();
+        let hop = hops(&index, &index.boundary_vertices()[..2])[0];
         let mut partials = |cache: &mut PartialPathCache, stats: &mut QueryStats| {
-            cache
-                .partial_ksp(&index, (a, b), &mut arena, &mut heuristic, stats, &mut trace)
-                .to_vec()
+            cache.partial_ksp(&index, hop, &mut arena, stats, &mut trace).to_vec()
         };
         let first = partials(&mut cache, &mut stats);
         let t_after_first = stats.vertices_transferred;
@@ -249,14 +279,14 @@ mod tests {
         // path of the full graph.
         let index = paper_index();
         let mut cache = PartialPathCache::new(2);
-        let (mut arena, mut heuristic, mut stats, mut trace) = sinks();
+        let (mut arena, mut stats, mut trace) = sinks();
         let reference = [v(3), v(5), v(8), v(12)]; // v4, v6, v9, v13 (0-based ids)
         let candidates = candidate_ksp(
             &index,
-            &reference,
+            reference[0],
+            hops(&index, &reference),
             &mut cache,
             &mut arena,
-            &mut heuristic,
             &mut stats,
             &mut trace,
         );
@@ -284,14 +314,14 @@ mod tests {
     fn candidate_ksp_returns_simple_paths_following_the_reference_sequence() {
         let index = paper_index();
         let mut cache = PartialPathCache::new(3);
-        let (mut arena, mut heuristic, mut stats, mut trace) = sinks();
+        let (mut arena, mut stats, mut trace) = sinks();
         let reference = [v(3), v(5), v(8), v(12)];
         let candidates = candidate_ksp(
             &index,
-            &reference,
+            reference[0],
+            hops(&index, &reference),
             &mut cache,
             &mut arena,
-            &mut heuristic,
             &mut stats,
             &mut trace,
         );
@@ -319,37 +349,23 @@ mod tests {
     fn disconnected_pair_produces_no_candidates() {
         let index = paper_index();
         let mut cache = PartialPathCache::new(2);
-        let (mut arena, mut heuristic, mut stats, mut trace) = sinks();
-        // v1 (id 0) and v19 (id 18) never share a subgraph in this partitioning, so the
-        // partial computation finds no subgraph and yields nothing.
-        if index.subgraphs_containing_pair(v(0), v(18)).next().is_none() {
-            let candidates = candidate_ksp(
-                &index,
-                &[v(0), v(18)],
-                &mut cache,
-                &mut arena,
-                &mut heuristic,
-                &mut stats,
-                &mut trace,
-            );
-            assert!(candidates.is_empty());
-        }
+        let (mut arena, mut stats, mut trace) = sinks();
+        // v1 (id 0) and v19 (id 18) never share a subgraph, so a hop between them
+        // inside v1's subgraph finds no partial path and yields nothing.
+        assert!(index.subgraphs_containing_pair(v(0), v(18)).next().is_none());
+        let hop = Hop { subgraph: index.subgraphs_of_vertex(v(0))[0], from: v(0), to: v(18) };
+        let candidates =
+            candidate_ksp(&index, v(0), [hop], &mut cache, &mut arena, &mut stats, &mut trace);
+        assert!(candidates.is_empty());
     }
 
     #[test]
     fn single_vertex_reference_path_yields_the_trivial_path() {
         let index = paper_index();
         let mut cache = PartialPathCache::new(2);
-        let (mut arena, mut heuristic, mut stats, mut trace) = sinks();
-        let candidates = candidate_ksp(
-            &index,
-            &[v(3)],
-            &mut cache,
-            &mut arena,
-            &mut heuristic,
-            &mut stats,
-            &mut trace,
-        );
+        let (mut arena, mut stats, mut trace) = sinks();
+        let candidates =
+            candidate_ksp(&index, v(3), [], &mut cache, &mut arena, &mut stats, &mut trace);
         assert_eq!(candidates.len(), 1);
         assert_eq!(candidates[0].num_edges(), 0);
     }
