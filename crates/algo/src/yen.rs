@@ -128,14 +128,11 @@ impl<'a, G: GraphView> KspEnumerator<'a, G> {
 
     fn advance(&mut self, arena: &mut SearchArena) -> bool {
         let KspEnumerator { view, source, target, lists, .. } = self;
-        lists.advance(*view, *source, source == target, &mut |from,
-                                                              banned_vertices: &[VertexId],
-                                                              banned_edges: &[(
-            VertexId,
-            VertexId,
-        )]| {
-            arena.shortest_path(*view, from, *target, banned_vertices, banned_edges)
-        })
+        let mut spur =
+            |from, banned_vertices: &[VertexId], banned_edges: &[(VertexId, VertexId)]| {
+                arena.shortest_path(*view, from, *target, banned_vertices, banned_edges)
+            };
+        lists.advance(*view, *source, source == target, &mut spur)
     }
 }
 

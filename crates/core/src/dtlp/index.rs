@@ -301,7 +301,10 @@ impl DtlpIndex {
 
     /// Every vertex → subgraphs membership entry the table covers, by ascending
     /// vertex id. Exposed so the storage layer can persist the table exactly as
-    /// built (per-vertex membership order matters to refine-step candidate order).
+    /// built. No answer depends on the order of a vertex's memberships: the query
+    /// engine refines each hop in the one subgraph its reference path names, and
+    /// reads memberships in order only to attach non-boundary endpoints, each of
+    /// which lies in a single subgraph.
     pub fn vertex_memberships(
         &self,
     ) -> impl ExactSizeIterator<Item = (VertexId, &[SubgraphId])> + '_ {
@@ -320,8 +323,7 @@ impl DtlpIndex {
         &self.edge_owner
     }
 
-    /// The subgraphs containing both vertices (the candidates examined by the refine
-    /// step for one adjacent pair of a reference path), in `a`'s membership order.
+    /// The subgraphs containing both vertices, in `a`'s membership order.
     pub fn subgraphs_containing_pair(
         &self,
         a: VertexId,

@@ -1,8 +1,9 @@
 //! Demonstrates index maintenance under a long stream of traffic snapshots, and how
 //! the same route request gets different answers as congestion builds up — while the
 //! DTLP structure itself (bounding paths) never has to be rebuilt. A query that
-//! reaches the engine's iteration cap stops without the Theorem 3 certificate, and
-//! the output says so.
+//! reaches the engine's iteration cap stops without the Theorem 3 certificate: the
+//! output says so, and the example exits with status 1, so that a run is a check
+//! that every snapshot's answer is certified.
 //!
 //! ```text
 //! cargo run --release --example dynamic_traffic
@@ -29,12 +30,14 @@ fn main() {
     // Heavy rush-hour traffic: 40 % of edges change per snapshot, up to ±60 %.
     let mut traffic = TrafficModel::new(&graph, TrafficConfig::new(0.40, 0.60), 31);
 
+    let mut uncertified = 0;
     for snapshot in 0..5 {
         let engine = KspDgEngine::new(&index);
         let result = engine.query(source, target, k);
         let distances: Vec<String> =
             result.paths.iter().map(|p| format!("{:.1}", p.distance().value())).collect();
         let capped = if result.stats.iterations >= iteration_cap {
+            uncertified += 1;
             " (iteration cap hit: not certified)"
         } else {
             ""
@@ -58,4 +61,8 @@ fn main() {
         );
     }
     println!("dynamic traffic example finished");
+    if uncertified > 0 {
+        eprintln!("{uncertified} snapshot(s) hit the iteration cap: answers not certified");
+        std::process::exit(1);
+    }
 }
