@@ -506,11 +506,9 @@ impl<'a> OverlayView<'a> {
             base: self.skeleton.topology.state.len() as u32,
             extra: vec![(source, None)],
         };
-        for v in self.extra.ids() {
-            for &(w, (_, sg)) in self.extra.list(v) {
-                if w != source && view.state_of(w, sg).is_none() {
-                    view.extra.push((w, Some(sg)));
-                }
+        for &(w, (_, sg)) in self.extra.lists.iter().flatten() {
+            if w != source && view.state_of(w, sg).is_none() {
+                view.extra.push((w, Some(sg)));
             }
         }
         view

@@ -9,12 +9,12 @@
 //! every split of its runs at the boundary vertices they pass.
 //!
 //! **Why it stays exact.** Let `T` be the k-th answer distance when Theorem 3's
-//! test stops the loop, the next reference being no shorter than `T`. A route
-//! shorter than `T` has a canonical reference whose bound sum is at most the
-//! route's length, so below `T`: FindKSP produces references in order of distance,
-//! so that reference came before the stop, and the stopping test is unchanged. Its
+//! test stops the loop, the next reference being no shorter than `T`. Take a route
+//! shorter than `T`. Its canonical reference has a bound sum no greater than the
+//! route's length, so below `T`. FindKSP produces references in order of distance,
+//! so that reference came before the stop: the stopping test is unchanged. Its
 //! refine yielded the route, or k shorter simple routes (the refine module's
-//! domination argument); either way the answer holds k routes no longer than it.
+//! domination argument). Either way the answer holds k routes no longer than it.
 //!
 //! The enumeration's heuristic is the reverse search over the *unlabelled* overlay,
 //! asked about each state's vertex. It stays admissible and consistent: a labelled
@@ -382,8 +382,9 @@ impl<'a> KspDgEngine<'a> {
     }
 }
 
-/// A 64-bit FNV-1a fingerprint of a route, for counting barren iterations without
-/// keeping a copy of every route seen.
+/// A 64-bit FNV-style fingerprint of a route, for counting barren iterations without
+/// keeping a copy of every route seen. Two routes of one query that collided would
+/// only make an iteration count as barren.
 fn route_fingerprint(route: &[VertexId]) -> u64 {
     route
         .iter()
