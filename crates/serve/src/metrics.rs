@@ -17,8 +17,9 @@
 //! point-in-time snapshot of the running totals. Per-interval figures are the
 //! difference of two reports, never a counter reset.
 
+use crate::QueryService;
 pub use ksp_obs::LatencyHistogram;
-use ksp_obs::{PublishStage, Stage, StageHistograms};
+use ksp_obs::{Counter, Gauge, ObsSnapshot, PublishStage, Stage, StageHistograms};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -224,6 +225,111 @@ impl MetricsReport {
             0.0
         } else {
             self.cache_hits as f64 / denom as f64
+        }
+    }
+}
+
+impl QueryService {
+    /// A full observability snapshot: per-stage latency histograms, the
+    /// end-to-end histogram, every counter and gauge the service exports, and
+    /// the latest flight-recorder dump. This is the payload behind the wire
+    /// `ObsSnapshot` request; render it with [`ksp_obs::render_prometheus`]
+    /// for scrapers that speak the Prometheus text format.
+    pub fn obs_snapshot(&self) -> ObsSnapshot {
+        let report = self.metrics();
+        let flight = &self.obs.flight;
+        let unlabelled = |name: &str, value: u64| Counter {
+            name: name.to_string(),
+            labels: String::new(),
+            value,
+        };
+        let mut counters = vec![
+            unlabelled("ksp_requests_completed_total", report.completed),
+            unlabelled("ksp_requests_rejected_total", report.rejected),
+            unlabelled("ksp_cache_hits_total", report.cache_hits),
+            unlabelled("ksp_cache_misses_total", report.cache_misses),
+            unlabelled("ksp_epochs_published_total", report.epochs_published),
+            unlabelled("ksp_cache_retained_total", report.cache_retained),
+            unlabelled("ksp_cache_evicted_total", report.cache_evicted),
+            unlabelled("ksp_flight_events_total", flight.events_recorded()),
+            unlabelled("ksp_flight_dumps_total", flight.dumps_taken()),
+            unlabelled("ksp_flight_overwritten_total", flight.events_overwritten()),
+            unlabelled("ksp_admission_accepted_total", report.admission_accepted),
+            unlabelled(
+                "ksp_degraded_entered_total",
+                self.degraded.entered_total.load(Ordering::Relaxed),
+            ),
+            unlabelled(
+                "ksp_degraded_recovered_total",
+                self.degraded.recovered_total.load(Ordering::Relaxed),
+            ),
+        ];
+        for (reason, value) in [
+            ("queue_full", report.admission_rejected_queue_full),
+            ("slo_budget", report.admission_rejected_predicted),
+        ] {
+            counters.push(Counter {
+                name: "ksp_admission_rejected_total".to_string(),
+                labels: format!("reason=\"{reason}\""),
+                value,
+            });
+        }
+        let queue = report.queue_gauges[0];
+        let mut gauges = vec![
+            Gauge {
+                name: "ksp_epoch".to_string(),
+                labels: String::new(),
+                value: self.current_epoch() as f64,
+            },
+            Gauge {
+                name: "ksp_epoch_age_seconds".to_string(),
+                labels: String::new(),
+                value: report.epoch_age.as_secs_f64(),
+            },
+            // Always exported (0 while healthy) so a scraper can alert on the
+            // transition rather than on the family appearing.
+            Gauge {
+                name: "ksp_degraded".to_string(),
+                labels: String::new(),
+                value: u64::from(self.degraded.is_degraded()) as f64,
+            },
+            Gauge {
+                name: "ksp_queue_depth".to_string(),
+                labels: String::new(),
+                value: queue.depth as f64,
+            },
+            Gauge {
+                name: "ksp_queue_high_water".to_string(),
+                labels: String::new(),
+                value: queue.high_water as f64,
+            },
+            // The admission controller's live view: the engine-run
+            // service-time EWMA (zero until the first run) — the multiplier
+            // of the queueing-delay prediction, exported so an operator can
+            // sanity-check a rejection rate against what the controller
+            // believed.
+            Gauge {
+                name: "ksp_admission_est_service_micros".to_string(),
+                labels: String::new(),
+                value: self.admission.estimator().nanos() as f64 / 1_000.0,
+            },
+        ];
+        // Replication (`ksp_repl_*`) families, when a hook is registered —
+        // the shipping counters and per-follower lag gauges ride the same
+        // snapshot as every native family.
+        if let Some(hook) = self.replication_hook() {
+            let (repl_counters, repl_gauges) = hook.metric_families();
+            counters.extend(repl_counters);
+            gauges.extend(repl_gauges);
+        }
+        ObsSnapshot {
+            stages: self.metrics.stages.snapshot(),
+            end_to_end: self.metrics.latency.snapshot(),
+            publish_stages: self.metrics.publish_stages.snapshot(),
+            publish_end_to_end: self.metrics.publish_latency.snapshot(),
+            counters,
+            gauges,
+            dump: flight.last_dump(),
         }
     }
 }

@@ -25,21 +25,26 @@
 //!   new epoch — the read path's analogue of maintenance cost scaling with
 //!   what changed, not with index size.
 
+mod degraded;
+mod publish;
+mod shard;
+
 use crate::admission::{AdmissionConfig, AdmissionController, AdmissionVerdict, BoundedQueue};
 use crate::cache::{CacheKey, ResultCache};
 use crate::epoch::{EpochPointer, EpochSnapshot};
 use crate::metrics::{MetricsReport, QueueGauge, ServiceMetrics};
+use degraded::{degraded_probe_main, DegradedHealth};
 use ksp_algo::Path;
 use ksp_core::dtlp::{DtlpConfig, DtlpIndex};
-use ksp_core::kspdg::{KspDgConfig, KspDgEngine, QueryStats};
-use ksp_graph::{DynamicGraph, GraphError, SubgraphSet, UpdateBatch, VertexId};
-use ksp_obs::{
-    Counter, EventKind, FlightRecorder, Gauge, ObsConfig, ObsSnapshot, PublishStage, SpanChain,
-    Stage, StageSpan,
-};
-use ksp_store::{AppendTimings, RecoveryReport, StorageIo, Store, StoreConfig, StoreError};
+use ksp_core::kspdg::QueryStats;
+use ksp_graph::{DynamicGraph, GraphError, VertexId};
+use ksp_obs::{EventKind, FlightRecorder, ObsConfig, SpanChain, Stage, StageSpan};
+use ksp_store::{RecoveryReport, StorageIo, Store, StoreConfig, StoreError};
+use publish::{checkpointer_main, CheckpointJob};
+pub(crate) use shard::Reply;
+use shard::{answer, shard_main, Request, WorkerContext};
 use std::path::Path as FsPath;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
@@ -197,57 +202,6 @@ pub struct QueryResponse {
     pub latency: Duration,
 }
 
-struct Request {
-    source: VertexId,
-    target: VertexId,
-    k: usize,
-    submitted: Instant,
-    /// Stage clock of this request; shares `submitted` as its origin so the
-    /// per-stage durations telescope to the recorded end-to-end latency.
-    span: StageSpan<Stage>,
-    /// The caller's trace id (zero when untraced); stamped into any flight
-    /// dump this request triggers so a remote client can resolve its own
-    /// trace ids to server-side span chains.
-    trace_id: u64,
-    /// The home cache stripe: the admission lookup and the worker's insert
-    /// both use it.
-    stripe: usize,
-    reply: Reply,
-}
-
-/// Where one query's outcome goes: a callback run exactly once — inline by
-/// [`QueryService::submit`] on the submitting thread for a current cache hit
-/// or a rejected or invalid query, by the shard worker that answered it
-/// otherwise, and with [`ServiceError::ShuttingDown`] if it is dropped
-/// uncalled (the queue drained when its last worker exits). It runs on whichever thread
-/// submitted (the event loop's poller among them) or on a shard worker, so
-/// it must never block and never own the service: the last service handle
-/// dropped on a shard worker would join the very thread it runs on.
-pub(crate) struct Reply(Option<Box<dyn FnOnce(Outcome) + Send>>);
-
-/// What a [`Reply`] receives.
-type Outcome = Result<QueryResponse, ServiceError>;
-
-impl Reply {
-    pub(crate) fn new(f: impl FnOnce(Outcome) + Send + 'static) -> Self {
-        Reply(Some(Box::new(f)))
-    }
-
-    fn send(mut self, outcome: Outcome) {
-        if let Some(f) = self.0.take() {
-            f(outcome);
-        }
-    }
-}
-
-impl Drop for Reply {
-    fn drop(&mut self) {
-        if let Some(f) = self.0.take() {
-            f(Err(ServiceError::ShuttingDown));
-        }
-    }
-}
-
 /// Step code the recovery-completed flight event uses, extending the per-step
 /// codes of [`ksp_store::RecoveryReport::steps`] (payload: recovery duration
 /// in microseconds).
@@ -256,22 +210,12 @@ pub const RECOVERY_STEP_COMPLETED: u64 = 5;
 /// Capacity of the flight-recorder ring, in events.
 const FLIGHT_CAPACITY: usize = 256;
 
-/// An epoch publish slower than this triggers a flight dump.
-const PUBLISH_STALL: Duration = Duration::from_millis(250);
-
-/// A delta-log append (record encode + write, excluding the fsync) slower
-/// than this triggers a flight dump.
-const WAL_APPEND_STALL: Duration = Duration::from_millis(50);
-
-/// A delta-log fsync slower than this triggers a flight dump.
-const FSYNC_STALL: Duration = Duration::from_millis(100);
-
 /// The shared observability runtime of one service: the configuration plus
 /// the flight recorder every instrumentation point records into.
 #[derive(Debug)]
 pub struct Observability {
     config: ObsConfig,
-    flight: FlightRecorder,
+    pub(crate) flight: FlightRecorder,
 }
 
 impl Observability {
@@ -339,57 +283,6 @@ struct Masters {
     index: Arc<DtlpIndex>,
 }
 
-/// One background-checkpoint request: `Arc`'d snapshots of a just-published
-/// epoch, encoded off the publish path.
-struct CheckpointJob {
-    epoch: u64,
-    graph: Arc<DynamicGraph>,
-    index: Arc<DtlpIndex>,
-    /// The publish span of the epoch that requested this checkpoint: it rides
-    /// into the checkpointer so the checkpoint encode/commit stages land in
-    /// the same telescoped chain as the synchronous write-path stages (the
-    /// channel wait is absorbed into `checkpoint_encode`).
-    span: StageSpan<PublishStage>,
-}
-
-/// Shared read-only-degraded state of a persistent service.
-///
-/// Entered when a delta-log append fails: the failed batch publishes nothing,
-/// queries keep serving the last published epoch, and every further
-/// [`QueryService::apply_batch`] fast-fails with [`PublishError::Degraded`]
-/// until the background probe gets an append path working again.
-#[derive(Debug)]
-struct DegradedHealth {
-    degraded: AtomicBool,
-    /// Why the service degraded (the append error's rendering); empty while
-    /// healthy.
-    reason: Mutex<String>,
-    /// When degradation was entered, for the recovery event's duration.
-    entered_at: Mutex<Option<Instant>>,
-    entered_total: AtomicU64,
-    recovered_total: AtomicU64,
-}
-
-impl DegradedHealth {
-    fn new() -> Self {
-        DegradedHealth {
-            degraded: AtomicBool::new(false),
-            reason: Mutex::new(String::new()),
-            entered_at: Mutex::new(None),
-            entered_total: AtomicU64::new(0),
-            recovered_total: AtomicU64::new(0),
-        }
-    }
-
-    fn is_degraded(&self) -> bool {
-        self.degraded.load(Ordering::Acquire)
-    }
-
-    fn reason(&self) -> String {
-        self.reason.lock().unwrap_or_else(PoisonError::into_inner).clone()
-    }
-}
-
 /// The durable side of a persistent service.
 struct Persistence {
     /// Shared with the background checkpointer; the publish path holds it
@@ -420,14 +313,14 @@ pub struct QueryService {
     pool: Arc<Pool>,
     workers: Vec<JoinHandle<()>>,
     epoch: Arc<EpochPointer>,
-    metrics: Arc<ServiceMetrics>,
-    obs: Arc<Observability>,
-    admission: Arc<AdmissionController>,
+    pub(crate) metrics: Arc<ServiceMetrics>,
+    pub(crate) obs: Arc<Observability>,
+    pub(crate) admission: Arc<AdmissionController>,
     masters: Mutex<Masters>,
     persistence: Option<Persistence>,
     /// Read-only degraded mode (see [`PublishError::Degraded`]); always
     /// healthy for an in-memory service.
-    degraded: Arc<DegradedHealth>,
+    pub(crate) degraded: Arc<DegradedHealth>,
     /// Replication endpoint (`ksp-repl`'s leader-side source), registered
     /// after construction via [`QueryService::set_replication_hook`]. Behind
     /// an `RwLock` because every request dispatch reads it and registration
@@ -846,332 +739,14 @@ impl QueryService {
         self.metrics.admission_accepted.fetch_add(1, Relaxed);
     }
 
-    /// Applies one weight-update batch and publishes the next epoch.
-    ///
-    /// Updates are serialised through the master copies; queries in flight keep
-    /// reading their already-loaded epochs and are never blocked by this call
-    /// (beyond the final pointer swap). Returns the epoch id the batch
-    /// produced, so callers can correlate answers (`QueryResponse::epoch`) and
-    /// log records with the batch that caused them.
-    ///
-    /// The update is staged on copy-on-write forks and committed only when
-    /// both the graph and the index accepted the whole batch: a failing batch
-    /// (e.g. an out-of-range edge id) leaves the masters — and therefore every
-    /// future epoch — exactly as they were. Staging copies weights, never
-    /// structure: the graph fork copies its weight table and shares its
-    /// topology; the index fork unshares only the subgraph indexes the batch
-    /// routes updates into, each copying its bounding-path distances, pair
-    /// bounds and subgraph edge records while sharing its path shape and
-    /// subgraph shape, and the skeleton copies its weights while sharing its
-    /// topology (everything
-    /// else stays pointer-shared across epochs). For a persistent service
-    /// the batch is additionally appended to the delta log (fsync-on-commit)
-    /// *before* the epoch becomes visible: an epoch a reader can observe is
-    /// always an epoch recovery can reproduce.
-    pub fn apply_batch(&self, batch: &UpdateBatch) -> Result<u64, PublishError> {
-        // Fast-fail while degraded: the log is known-broken, so staging a
-        // fork just to throw it away would waste the write path's budget.
-        if self.degraded.is_degraded() {
-            return Err(PublishError::Degraded(self.degraded.reason()));
-        }
-        let publish_started = Instant::now();
-        // The publish span shares `publish_started` as its origin, so the
-        // per-stage durations telescope to exactly the end-to-end publish
-        // latency recorded into `metrics.publish_latency`.
-        let mut span = StageSpan::begin_at(publish_started, self.obs.config.enabled);
-        let mut masters = self.masters.lock().unwrap_or_else(PoisonError::into_inner);
-        let prev_epoch = masters.graph.version();
-        let next_graph = Arc::new(masters.graph.with_batch(batch)?);
-        let mut staged_index = (*masters.index).clone();
-        let maintenance = staged_index.apply_batch(batch)?;
-        let dirty_set: SubgraphSet = maintenance.dirty_subgraphs.iter().copied().collect();
-        let next_index = Arc::new(staged_index);
-        let epoch = next_graph.version();
-        span.mark(PublishStage::StageIndex);
-        // Durability before visibility: a batch that cannot be logged
-        // publishes nothing.
-        let mut append_timings = AppendTimings::default();
-        if let Some(p) = &self.persistence {
-            match p.store.lock().unwrap_or_else(PoisonError::into_inner).log_batch(epoch, batch) {
-                Ok(timings) => append_timings = timings,
-                Err(e) => {
-                    // The append failed, so this epoch never becomes visible;
-                    // flip into read-only degraded mode and hand the failed
-                    // batch's caller the typed error. The staged forks are
-                    // simply dropped — the masters are untouched.
-                    drop(masters);
-                    return Err(self.enter_degraded(epoch, &e, p));
-                }
-            }
-        }
-        span.mark_with_tail(PublishStage::WalAppend, append_timings.fsync);
-        // The published snapshot and the masters share one (graph, index)
-        // `Arc` pair; the only extra handles taken here are for a checkpoint
-        // job, when this epoch needs one.
-        let checkpoint_job = self.persistence.as_ref().and_then(|p| {
-            p.store_config.is_checkpoint_epoch(epoch).then(|| CheckpointJob {
-                epoch,
-                graph: Arc::clone(&next_graph),
-                index: Arc::clone(&next_index),
-                span: StageSpan::disabled(),
-            })
-        });
-        // Publish before releasing the masters lock so epochs appear in order.
-        self.epoch.publish(EpochSnapshot::new(
-            epoch,
-            Arc::clone(&next_graph),
-            Arc::clone(&next_index),
-        ));
-        masters.graph = next_graph;
-        masters.index = next_index;
-        span.mark(PublishStage::Swap);
-        // Selective invalidation: drop only the entries whose trace the batch
-        // dirtied; re-stamp the rest to the new epoch. Running under the
-        // masters lock keeps publishes (and therefore retention passes)
-        // strictly ordered, which the one-epoch-lag rule of
-        // `retain_for_publish` relies on.
-        let mut retained = 0u64;
-        let mut evicted = 0u64;
-        for cache in &self.pool.caches {
-            let outcome = cache
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .retain_for_publish(prev_epoch, epoch, &dirty_set);
-            retained += outcome.retained as u64;
-            evicted += outcome.evicted as u64;
-        }
-        span.mark(PublishStage::Retention);
-        drop(masters);
-        use std::sync::atomic::Ordering::Relaxed;
-        self.metrics.cache_retained.fetch_add(retained, Relaxed);
-        self.metrics.cache_evicted.fetch_add(evicted, Relaxed);
-        self.metrics.epochs_published.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        self.metrics.note_publish();
-        let publish_time = publish_started.elapsed();
-        let publish_micros = publish_time.as_micros().min(u64::MAX as u128) as u64;
-        self.obs.record(EventKind::EpochPublished, epoch, dirty_set.len() as u64, publish_micros);
-        self.obs.record(EventKind::CacheRetention, epoch, retained, evicted);
-        if publish_time > PUBLISH_STALL {
-            self.obs.trigger(EventKind::PublishStall, epoch, publish_micros, 0, None);
-        }
-        let micros = |d: Duration| d.as_micros().min(u64::MAX as u128) as u64;
-        if append_timings.write > WAL_APPEND_STALL {
-            self.obs.trigger(
-                EventKind::WalAppendStall,
-                epoch,
-                micros(append_timings.write),
-                micros(WAL_APPEND_STALL),
-                None,
-            );
-        }
-        if append_timings.fsync > FSYNC_STALL {
-            self.obs.trigger(
-                EventKind::FsyncStall,
-                epoch,
-                micros(append_timings.fsync),
-                micros(FSYNC_STALL),
-                None,
-            );
-        }
-        match checkpoint_job {
-            Some(mut job) => {
-                // The span rides into the checkpointer, which finishes it
-                // after the commit; from here on the channel wait counts
-                // toward the checkpoint_encode stage.
-                job.span = span;
-                // A full or closed channel only delays the checkpoint; the
-                // log still holds every batch.
-                match &self.persistence.as_ref().expect("job implies store").jobs {
-                    Some(jobs) => {
-                        if let Err(mpsc::SendError(job)) = jobs.send(job) {
-                            finish_publish_span(&self.metrics, &job.span);
-                        }
-                    }
-                    None => finish_publish_span(&self.metrics, &job.span),
-                }
-            }
-            // No checkpoint this epoch: the write path ends here, with the
-            // checkpoint stages telescoping to (near-)zero width.
-            None => finish_publish_span(&self.metrics, &span),
-        }
-        Ok(epoch)
-    }
-
-    /// Flips the service into read-only degraded mode after a failed append
-    /// and returns the error the failed `apply_batch` call reports. Idempotent
-    /// under races: only the first flip records the entry event and wakes the
-    /// probe.
-    fn enter_degraded(&self, epoch: u64, cause: &StoreError, p: &Persistence) -> PublishError {
-        let reason = format!("delta-log append failed at epoch {epoch}: {cause}");
-        if !self.degraded.degraded.swap(true, Ordering::AcqRel) {
-            *self.degraded.reason.lock().unwrap_or_else(PoisonError::into_inner) = reason.clone();
-            *self.degraded.entered_at.lock().unwrap_or_else(PoisonError::into_inner) =
-                Some(Instant::now());
-            self.degraded.entered_total.fetch_add(1, Ordering::Relaxed);
-            // Entering degradation is an anomaly: capture the flight ring
-            // around the failed append, then wake the probe so recovery
-            // attempts start immediately.
-            self.obs.trigger(EventKind::DegradedEntered, epoch, 0, 0, None);
-            eprintln!("ksp-serve: entering read-only degraded mode: {reason}");
-            if let Some(wake) = &p.probe_wake {
-                let _ = wake.send(());
-            }
-        }
-        PublishError::Degraded(reason)
-    }
-
-    /// Whether the service is in read-only degraded mode (see
-    /// [`PublishError::Degraded`]). Queries are unaffected; writes fail fast
-    /// until the background probe lifts the degradation.
-    pub fn is_degraded(&self) -> bool {
-        self.degraded.is_degraded()
-    }
-
-    /// Why the service is degraded; `None` while healthy.
-    pub fn degraded_reason(&self) -> Option<String> {
-        if self.degraded.is_degraded() {
-            Some(self.degraded.reason())
-        } else {
-            None
-        }
-    }
-
     /// Whether this service persists its epochs to a store.
     pub fn is_persistent(&self) -> bool {
         self.persistence.is_some()
     }
 
-    /// Synchronously checkpoints the current epoch into the store. Returns
-    /// `Ok(None)` for an in-memory service, `Ok(Some(epoch))` after a
-    /// successful checkpoint. Useful at controlled shutdown so the next
-    /// [`QueryService::open`] replays an empty log.
-    pub fn checkpoint_now(&self) -> Result<Option<u64>, PublishError> {
-        let Some(p) = &self.persistence else { return Ok(None) };
-        let (epoch, graph, index) = {
-            let masters = self.masters.lock().unwrap_or_else(PoisonError::into_inner);
-            (masters.graph.version(), masters.graph.clone(), masters.index.clone())
-        };
-        // Encode and stage (write + fsync) without the store lock — the slow
-        // halves must not stall concurrent publishes — then commit under it.
-        let checkpoint_started = Instant::now();
-        let encoded = Store::encode_checkpoint(epoch, &graph, &index);
-        let staged = Store::stage_checkpoint_with_io(&p.dir, &encoded, &p.io)?;
-        p.store.lock().unwrap_or_else(PoisonError::into_inner).commit_staged_checkpoint(staged)?;
-        self.obs.record(
-            EventKind::CheckpointCommitted,
-            epoch,
-            1,
-            checkpoint_started.elapsed().as_micros().min(u64::MAX as u128) as u64,
-        );
-        Ok(Some(epoch))
-    }
-
     /// The observability runtime: configuration and flight recorder.
     pub fn observability(&self) -> &Observability {
         &self.obs
-    }
-
-    /// A full observability snapshot: per-stage latency histograms, the
-    /// end-to-end histogram, every counter and gauge the service exports, and
-    /// the latest flight-recorder dump. This is the payload behind the wire
-    /// `ObsSnapshot` request; render it with [`ksp_obs::render_prometheus`]
-    /// for scrapers that speak the Prometheus text format.
-    pub fn obs_snapshot(&self) -> ObsSnapshot {
-        let report = self.metrics();
-        let flight = &self.obs.flight;
-        let unlabelled = |name: &str, value: u64| Counter {
-            name: name.to_string(),
-            labels: String::new(),
-            value,
-        };
-        let mut counters = vec![
-            unlabelled("ksp_requests_completed_total", report.completed),
-            unlabelled("ksp_requests_rejected_total", report.rejected),
-            unlabelled("ksp_cache_hits_total", report.cache_hits),
-            unlabelled("ksp_cache_misses_total", report.cache_misses),
-            unlabelled("ksp_epochs_published_total", report.epochs_published),
-            unlabelled("ksp_cache_retained_total", report.cache_retained),
-            unlabelled("ksp_cache_evicted_total", report.cache_evicted),
-            unlabelled("ksp_flight_events_total", flight.events_recorded()),
-            unlabelled("ksp_flight_dumps_total", flight.dumps_taken()),
-            unlabelled("ksp_flight_overwritten_total", flight.events_overwritten()),
-            unlabelled("ksp_admission_accepted_total", report.admission_accepted),
-            unlabelled(
-                "ksp_degraded_entered_total",
-                self.degraded.entered_total.load(Ordering::Relaxed),
-            ),
-            unlabelled(
-                "ksp_degraded_recovered_total",
-                self.degraded.recovered_total.load(Ordering::Relaxed),
-            ),
-        ];
-        for (reason, value) in [
-            ("queue_full", report.admission_rejected_queue_full),
-            ("slo_budget", report.admission_rejected_predicted),
-        ] {
-            counters.push(Counter {
-                name: "ksp_admission_rejected_total".to_string(),
-                labels: format!("reason=\"{reason}\""),
-                value,
-            });
-        }
-        let queue = report.queue_gauges[0];
-        let mut gauges = vec![
-            Gauge {
-                name: "ksp_epoch".to_string(),
-                labels: String::new(),
-                value: self.current_epoch() as f64,
-            },
-            Gauge {
-                name: "ksp_epoch_age_seconds".to_string(),
-                labels: String::new(),
-                value: report.epoch_age.as_secs_f64(),
-            },
-            // Always exported (0 while healthy) so a scraper can alert on the
-            // transition rather than on the family appearing.
-            Gauge {
-                name: "ksp_degraded".to_string(),
-                labels: String::new(),
-                value: u64::from(self.degraded.is_degraded()) as f64,
-            },
-            Gauge {
-                name: "ksp_queue_depth".to_string(),
-                labels: String::new(),
-                value: queue.depth as f64,
-            },
-            Gauge {
-                name: "ksp_queue_high_water".to_string(),
-                labels: String::new(),
-                value: queue.high_water as f64,
-            },
-            // The admission controller's live view: the engine-run
-            // service-time EWMA (zero until the first run) — the multiplier
-            // of the queueing-delay prediction, exported so an operator can
-            // sanity-check a rejection rate against what the controller
-            // believed.
-            Gauge {
-                name: "ksp_admission_est_service_micros".to_string(),
-                labels: String::new(),
-                value: self.admission.estimator().nanos() as f64 / 1_000.0,
-            },
-        ];
-        // Replication (`ksp_repl_*`) families, when a hook is registered —
-        // the shipping counters and per-follower lag gauges ride the same
-        // snapshot as every native family.
-        if let Some(hook) = self.replication_hook() {
-            let (repl_counters, repl_gauges) = hook.metric_families();
-            counters.extend(repl_counters);
-            gauges.extend(repl_gauges);
-        }
-        ObsSnapshot {
-            stages: self.metrics.stages.snapshot(),
-            end_to_end: self.metrics.latency.snapshot(),
-            publish_stages: self.metrics.publish_stages.snapshot(),
-            publish_end_to_end: self.metrics.publish_latency.snapshot(),
-            counters,
-            gauges,
-            dump: flight.last_dump(),
-        }
     }
 
     /// [`QueryService::obs_snapshot`] rendered in the Prometheus text
@@ -1185,222 +760,6 @@ impl QueryService {
         self.persistence
             .as_ref()
             .map(|p| p.store.lock().unwrap_or_else(PoisonError::into_inner).last_checkpoint_epoch())
-    }
-}
-
-/// Drains checkpoint jobs, always encoding only the newest pending epoch
-/// (checkpoints are whole-pair images, so an older queued job is simply
-/// superseded). The two slow halves — encoding the image and writing/fsyncing
-/// it to a temp file — run without any lock; the store is held only for the
-/// rename-and-prune commit, so epoch publishes never wait on checkpoint I/O.
-fn checkpointer_main(
-    store: &Mutex<Store>,
-    store_dir: &std::path::Path,
-    io: &Arc<dyn StorageIo>,
-    jobs: &mpsc::Receiver<CheckpointJob>,
-    obs: &Observability,
-    metrics: &ServiceMetrics,
-) {
-    /// First retry delay after a failed stage/commit.
-    const RETRY_BASE: Duration = Duration::from_millis(10);
-    /// Retry-delay ceiling: a persistently broken checkpoint path is probed a
-    /// couple of times per second, cheap next to the image it would write.
-    const RETRY_CAP: Duration = Duration::from_secs(2);
-
-    // A job whose image failed to stage or commit is carried into the next
-    // iteration and retried with capped exponential backoff: a transient
-    // storage fault only delays the checkpoint (the log still holds every
-    // batch), and a newer job arriving during the backoff supersedes the
-    // failed one.
-    let mut carry: Option<CheckpointJob> = None;
-    let mut backoff = RETRY_BASE;
-    let mut quarantine_seq = 0u64;
-    // Jobs are sent outside the masters lock, so queue order is not epoch
-    // order: pick the max epoch, not the last queued. A superseded job's
-    // publish span is finished here — its epoch was published, so its chain
-    // still records (with the checkpoint stages covering only the wait before
-    // coalescing).
-    let merge = |best: CheckpointJob, next: CheckpointJob| {
-        if next.epoch > best.epoch {
-            finish_publish_span(metrics, &best.span);
-            next
-        } else {
-            finish_publish_span(metrics, &next.span);
-            best
-        }
-    };
-    loop {
-        let first = match carry.take() {
-            // Retrying: wait out the backoff, absorbing a newer job if one
-            // arrives during it. Channel shutdown abandons the retry — the
-            // log covers the un-imaged epochs.
-            Some(prev) => match jobs.recv_timeout(backoff) {
-                Ok(next) => merge(prev, next),
-                Err(mpsc::RecvTimeoutError::Timeout) => prev,
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
-            },
-            None => match jobs.recv() {
-                Ok(first) => first,
-                Err(_) => break,
-            },
-        };
-        let mut job = jobs.try_iter().fold(first, &merge);
-
-        let checkpoint_started = Instant::now();
-        let encoded = Store::encode_checkpoint(job.epoch, &job.graph, &job.index);
-        job.span.mark(PublishStage::CheckpointEncode);
-        let result = Store::stage_checkpoint_with_io(store_dir, &encoded, io).and_then(|staged| {
-            store.lock().unwrap_or_else(PoisonError::into_inner).commit_staged_checkpoint(staged)
-        });
-        // The epoch was published either way, so the publish span always
-        // finishes: exactly one publish chain records per published epoch,
-        // which is what lets the per-stage totals telescope to the end-to-end
-        // publish histogram. (A retry of the same epoch carries a disabled
-        // span, so finishing here stays once-per-epoch.)
-        finish_publish_span(metrics, &job.span);
-        match result {
-            Ok(()) => {
-                backoff = RETRY_BASE;
-                obs.record(
-                    EventKind::CheckpointCommitted,
-                    job.epoch,
-                    1,
-                    checkpoint_started.elapsed().as_micros().min(u64::MAX as u128) as u64,
-                );
-            }
-            Err(e) => {
-                // The log still holds every batch, so a failed checkpoint only
-                // costs recovery time. Quarantine the image bytes for
-                // post-mortem (best-effort) and retry after a backoff without
-                // stalling publishes.
-                obs.record(EventKind::CheckpointFailed, job.epoch, 1, 0);
-                eprintln!("ksp-serve: background checkpoint at epoch {} failed: {e}", job.epoch);
-                quarantine_seq += 1;
-                if let Err(qe) = quarantine_image(store_dir, &encoded, quarantine_seq) {
-                    eprintln!(
-                        "ksp-serve: could not quarantine failed image for epoch {}: {qe}",
-                        job.epoch
-                    );
-                }
-                job.span = StageSpan::disabled();
-                carry = Some(job);
-                backoff = (backoff * 2).min(RETRY_CAP);
-            }
-        }
-    }
-}
-
-/// Preserves the bytes of a checkpoint image whose staging or commit failed
-/// under `<store>/quarantine/image-<epoch>-<seq>.bad`, for post-mortem
-/// inspection. Best-effort: a quarantine failure loses only the artefact,
-/// never the retry. The subdirectory is invisible to recovery — the store's
-/// scanners match file-name prefixes in the store root only.
-fn quarantine_image(
-    store_dir: &std::path::Path,
-    encoded: &ksp_store::EncodedCheckpoint,
-    seq: u64,
-) -> std::io::Result<()> {
-    let dir = store_dir.join("quarantine");
-    std::fs::create_dir_all(&dir)?;
-    std::fs::write(dir.join(format!("image-{:020}-{seq}.bad", encoded.epoch)), encoded.bytes())
-}
-
-/// The degraded-mode probe: blocks (costing nothing) until a failed append
-/// wakes it, then retries the delta log with capped exponential backoff and
-/// lifts the degradation once an append path works again.
-///
-/// The probe's unit of work is [`Store::probe_log`]: rewind any impaired
-/// active segment, then exercise a sync through the store's I/O backend —
-/// the same backend a real append would use, so a still-broken log keeps the
-/// probe failing and the service degraded.
-fn degraded_probe_main(
-    store: &Mutex<Store>,
-    health: &DegradedHealth,
-    obs: &Observability,
-    epoch: &EpochPointer,
-    stop: &AtomicBool,
-    wake: &mpsc::Receiver<()>,
-) {
-    /// First retry delay after entering degradation.
-    const PROBE_BASE: Duration = Duration::from_millis(5);
-    /// Retry-delay ceiling while degraded.
-    const PROBE_CAP: Duration = Duration::from_millis(500);
-    /// Sleep slice, so shutdown is observed promptly mid-backoff.
-    const SLICE: Duration = Duration::from_millis(2);
-
-    loop {
-        // Healthy: block until a degradation entry wakes us (or shutdown
-        // drops the sender).
-        if !health.is_degraded() {
-            match wake.recv() {
-                Ok(()) => {}
-                Err(_) => return,
-            }
-        }
-        if stop.load(Ordering::Acquire) {
-            return;
-        }
-        let mut backoff = PROBE_BASE;
-        let mut attempts = 0u64;
-        while health.is_degraded() {
-            attempts += 1;
-            let probed = store.lock().unwrap_or_else(PoisonError::into_inner).probe_log();
-            match probed {
-                Ok(()) => {
-                    let degraded_for = health
-                        .entered_at
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .take()
-                        .map(|t| t.elapsed())
-                        .unwrap_or(Duration::ZERO);
-                    health.reason.lock().unwrap_or_else(PoisonError::into_inner).clear();
-                    health.recovered_total.fetch_add(1, Ordering::Relaxed);
-                    // Release-store after the repair so an apply_batch that
-                    // sees "healthy" sees the repaired log.
-                    health.degraded.store(false, Ordering::Release);
-                    obs.trigger(
-                        EventKind::DegradedRecovered,
-                        epoch.load().epoch(),
-                        attempts,
-                        degraded_for.as_micros().min(u64::MAX as u128) as u64,
-                        None,
-                    );
-                    eprintln!(
-                        "ksp-serve: degraded mode recovered after {attempts} probe attempt(s)"
-                    );
-                }
-                Err(_) => {
-                    // Still broken: sleep out the backoff in slices so a
-                    // shutdown mid-degradation is honoured promptly.
-                    let mut remaining = backoff;
-                    while !remaining.is_zero() {
-                        if stop.load(Ordering::Acquire) {
-                            return;
-                        }
-                        let slice = remaining.min(SLICE);
-                        std::thread::sleep(slice);
-                        remaining = remaining.saturating_sub(slice);
-                    }
-                    backoff = (backoff * 2).min(PROBE_CAP);
-                }
-            }
-            if stop.load(Ordering::Acquire) {
-                return;
-            }
-        }
-    }
-}
-
-/// Finishes one epoch's publish span and records its telescoped chain into
-/// the write-path histograms. Called exactly once per published epoch —
-/// synchronously for non-checkpoint epochs, from the checkpointer (after the
-/// image commit, or at coalesce time for superseded jobs) otherwise.
-fn finish_publish_span(metrics: &ServiceMetrics, span: &StageSpan<PublishStage>) {
-    if let Some((chain, total)) = span.finish() {
-        metrics.publish_stages.record_chain(&chain);
-        metrics.publish_latency.record_micros(chain.total_micros());
-        debug_assert_eq!(total.as_micros().min(u64::MAX as u128) as u64, chain.total_micros());
     }
 }
 
@@ -1445,743 +804,5 @@ pub fn route_shard(source: VertexId, target: VertexId, k: usize, num_shards: usi
     (h % num_shards as u64) as usize
 }
 
-/// Counts a shard worker out when it exits — including by panic. A worker
-/// that panics while others run leaves the queue open for them; the last
-/// worker out closes the queue and drains it. Dropping the drained requests
-/// drops their [`Reply`]s, which answer [`ServiceError::ShuttingDown`], so no
-/// caller waits forever on a queue no worker drains.
-struct CloseQueueOnExit<'a> {
-    queue: &'a BoundedQueue<Request>,
-    live_workers: &'a AtomicUsize,
-}
-
-impl Drop for CloseQueueOnExit<'_> {
-    fn drop(&mut self) {
-        // Exactly one worker sees the count reach zero: the last one out.
-        if self.live_workers.fetch_sub(1, Ordering::AcqRel) == 1 {
-            self.queue.close();
-            while self.queue.pop().is_some() {}
-        }
-    }
-}
-
-/// Everything a shard worker shares with its siblings: the request queue and
-/// cache stripes, the epoch pointer, the metrics sink, the observability
-/// runtime and the admission controller it feeds.
-struct WorkerContext<'a> {
-    pool: &'a Pool,
-    epoch: &'a EpochPointer,
-    metrics: &'a ServiceMetrics,
-    obs: &'a Observability,
-    admission: &'a AdmissionController,
-}
-
-fn shard_main(ctx: &WorkerContext<'_>) {
-    let queue = &ctx.pool.queue;
-    let _guard = CloseQueueOnExit { queue, live_workers: &ctx.pool.live_workers };
-    while let Some(request) = queue.pop() {
-        run_request(request, ctx);
-    }
-}
-
-/// Answers one popped request against the current epoch, inserting an engine
-/// run's answer into the request's home stripe. Its [`StageSpan`] is stamped
-/// at every stage boundary and finished by [`answer`].
-fn run_request(mut request: Request, ctx: &WorkerContext<'_>) {
-    let WorkerContext { pool, epoch, metrics, obs, admission } = *ctx;
-    request.span.mark(Stage::Queue);
-    let started = Instant::now();
-    // Graph and index come from one consistent epoch.
-    let snapshot = epoch.load();
-    let cache = &pool.caches[request.stripe];
-    let key = CacheKey { source: request.source, target: request.target, k: request.k };
-    let cached = cache
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .get(&key, snapshot.epoch())
-        .map(<[Path]>::to_vec);
-    request.span.mark(Stage::Cache);
-    let outcome = match cached {
-        // `submit` answers current hits inline, so this is a request that
-        // became a hit while it was queued (an identical miss ahead of it
-        // inserted the answer).
-        Some(paths) => {
-            request.span.mark(Stage::Engine);
-            (paths, QueryStats::default(), true)
-        }
-        None => {
-            // Tracing is on: the cache's publish-time survival consumes the
-            // answer's subgraph trace.
-            let result =
-                KspDgEngine::with_config(snapshot.index(), KspDgConfig::default().with_trace())
-                    .query(request.source, request.target, request.k);
-            request.span.mark_with_tail(Stage::Engine, result.sweep_time);
-            // The insert is post-engine bookkeeping: it lands in the span's
-            // reply stage, not the cache-lookup stage.
-            cache.lock().unwrap_or_else(PoisonError::into_inner).insert(
-                key,
-                snapshot.epoch(),
-                result.trace,
-                result.paths.clone(),
-            );
-            // Feed the admission controller's estimator: this service time
-            // (cache lookup + engine work, no queue wait) is exactly the
-            // per-request cost its queueing-delay prediction multiplies by.
-            admission.estimator().observe(started.elapsed());
-            (result.paths, result.stats, false)
-        }
-    };
-    answer(metrics, obs, request, snapshot.epoch(), outcome);
-}
-
-/// Accounts one answered request and sends its reply: the cache-hit or miss
-/// counter, the stage chain, the latency histogram, `completed` and the
-/// SLO-breach trigger. The one completion path of both the inline hit in
-/// [`QueryService::submit`] and the workers' [`run_request`].
-///
-/// When observability is on, the end-to-end latency recorded is the span's
-/// own telescoped total, so the per-stage histograms sum exactly to the
-/// end-to-end histogram.
-fn answer(
-    metrics: &ServiceMetrics,
-    obs: &Observability,
-    request: Request,
-    epoch: u64,
-    (paths, stats, cache_hit): (Vec<Path>, QueryStats, bool),
-) {
-    use std::sync::atomic::Ordering::Relaxed;
-    if cache_hit {
-        metrics.cache_hits.fetch_add(1, Relaxed);
-    } else {
-        metrics.cache_misses.fetch_add(1, Relaxed);
-    }
-    let (latency, chain) = match request.span.finish() {
-        Some((chain, total)) => {
-            metrics.stages.record_chain(&chain);
-            (total, Some(chain))
-        }
-        None => (request.submitted.elapsed(), None),
-    };
-    metrics.latency.record(latency);
-    metrics.completed.fetch_add(1, Relaxed);
-    if let Some(chain) = chain {
-        let slo = obs.config.slo_p99;
-        if !slo.is_zero() && latency > slo {
-            obs.trigger_traced(
-                EventKind::SloBreach,
-                latency.as_micros().min(u64::MAX as u128) as u64,
-                slo.as_micros().min(u64::MAX as u128) as u64,
-                request.stripe as u64,
-                Some(chain),
-                request.trace_id,
-            );
-        }
-    }
-    let response = QueryResponse { paths, stats, epoch, cache_hit, latency };
-    request.reply.send(Ok(response));
-}
-
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use ksp_algo::yen_ksp;
-    use ksp_obs::StageSet;
-    use ksp_workload::{
-        QueryWorkload, QueryWorkloadConfig, RoadNetworkConfig, RoadNetworkGenerator, TrafficConfig,
-        TrafficModel,
-    };
-
-    fn service(n: usize, shards: usize, seed: u64) -> (QueryService, DynamicGraph) {
-        let graph = RoadNetworkGenerator::new(RoadNetworkConfig::with_vertices(n))
-            .generate(seed)
-            .unwrap()
-            .graph;
-        let config = ServiceConfig::new(shards, DtlpConfig::new(18, 2));
-        let service = QueryService::start(graph.clone(), config).unwrap();
-        (service, graph)
-    }
-
-    #[test]
-    fn answers_match_yen_on_the_initial_epoch() {
-        let (service, graph) = service(200, 3, 5);
-        let workload = QueryWorkload::generate(&graph, QueryWorkloadConfig::new(10, 2), 3);
-        for q in workload.iter() {
-            let response = service.query(q.source, q.target, q.k).unwrap();
-            assert_eq!(response.epoch, 0);
-            let expected = yen_ksp(&graph, q.source, q.target, q.k);
-            assert_eq!(response.paths.len(), expected.len());
-            for (a, b) in response.paths.iter().zip(expected.iter()) {
-                assert!(a.distance().approx_eq(b.distance()));
-            }
-        }
-        let report = service.metrics();
-        assert_eq!(report.completed, 10);
-        assert_eq!(report.rejected, 0);
-    }
-
-    #[test]
-    fn repeated_queries_hit_the_cache() {
-        let (service, graph) = service(150, 2, 7);
-        let (s, t) = (VertexId(1), VertexId(graph.num_vertices() as u32 - 1));
-        let cold = service.query(s, t, 2).unwrap();
-        assert!(!cold.cache_hit);
-        let warm = service.query(s, t, 2).unwrap();
-        assert!(warm.cache_hit);
-        assert_eq!(cold.paths.len(), warm.paths.len());
-        for (a, b) in cold.paths.iter().zip(warm.paths.iter()) {
-            assert_eq!(a.vertices(), b.vertices());
-            assert!(a.distance().approx_eq(b.distance()));
-        }
-        assert!(service.metrics().cache_hit_rate() > 0.0);
-    }
-
-    /// The tentpole behaviour: a publish evicts exactly the entries whose
-    /// trace the batch dirtied. An entry whose answer the batch touched must
-    /// miss afterwards; an entry far away from the dirty set must keep
-    /// hitting, re-stamped to the new epoch.
-    #[test]
-    fn publish_evicts_dirty_entries_and_keeps_disjoint_ones() {
-        use ksp_graph::{Weight, WeightUpdate};
-        let (service, graph) = service(300, 2, 7);
-        let (s, t) = (VertexId(1), VertexId(8));
-        let cold = service.query(s, t, 2).unwrap();
-        assert!(!cold.cache_hit);
-
-        // A batch updating an edge *on* the answer path: its owner subgraph is
-        // necessarily in the query's trace, so the entry must be evicted.
-        let (u, v) = {
-            let verts = cold.paths[0].vertices();
-            (verts[0], verts[1])
-        };
-        let on_path_edge = graph
-            .edge_ids()
-            .find(|&e| {
-                let rec = graph.edge(e);
-                (rec.u == u && rec.v == v) || (rec.u == v && rec.v == u)
-            })
-            .expect("answer path edge exists");
-        let batch = ksp_graph::UpdateBatch::new(vec![WeightUpdate::new(
-            on_path_edge,
-            Weight::new(graph.weight(on_path_edge).value() * 3.0),
-        )]);
-        assert_eq!(service.apply_batch(&batch).unwrap(), 1);
-        let after = service.query(s, t, 2).unwrap();
-        assert_eq!(after.epoch, 1);
-        assert!(!after.cache_hit, "an entry whose trace was dirtied must be evicted");
-
-        // A batch updating an edge owned by a subgraph outside the cached
-        // entry's trace: the entry must survive the publish and keep
-        // answering, now stamped with the new epoch. The trace of the cached
-        // (epoch-1) entry is recomputed here through the same deterministic
-        // engine the shard worker ran.
-        let snapshot = service.snapshot();
-        let trace = {
-            // Same engine configuration the shard workers run (tracing on).
-            let engine = ksp_core::kspdg::KspDgEngine::with_config(
-                snapshot.index(),
-                KspDgConfig::default().with_trace(),
-            );
-            let result = engine.query(s, t, 2);
-            assert!(result.trace.complete);
-            result.trace.subgraphs
-        };
-        let far_edge = graph
-            .edge_ids()
-            .find(|&e| !trace.contains(snapshot.index().owner_of_edge(e)))
-            .expect("some edge is owned by an untraced subgraph");
-        let far_batch = ksp_graph::UpdateBatch::new(vec![WeightUpdate::new(
-            far_edge,
-            Weight::new(snapshot.graph().weight(far_edge).value() * 2.0),
-        )]);
-        assert_eq!(service.apply_batch(&far_batch).unwrap(), 2);
-        let survived = service.query(s, t, 2).unwrap();
-        assert_eq!(survived.epoch, 2);
-        assert!(survived.cache_hit, "a disjoint publish must not evict the entry");
-        for (a, b) in survived.paths.iter().zip(after.paths.iter()) {
-            assert_eq!(a.vertices(), b.vertices());
-            assert_eq!(a.distance().value().to_bits(), b.distance().value().to_bits());
-        }
-        let report = service.metrics();
-        assert!(report.cache_retained >= 1, "retention must be counted");
-        assert_eq!(report.epochs_published, 2);
-    }
-
-    /// Hot keys that all hash to one cache stripe, asked at once by many
-    /// clients: every answer must stay correct, and since an engine run's
-    /// answer lands in the request's home stripe whichever worker ran it, a
-    /// repeat of every hot key afterwards is an inline cache hit.
-    #[test]
-    fn a_skew_pinned_burst_is_answered_and_cached_in_its_home_stripe() {
-        let graph = RoadNetworkGenerator::new(RoadNetworkConfig::with_vertices(250))
-            .generate(23)
-            .unwrap()
-            .graph;
-        let mut config = ServiceConfig::new(4, DtlpConfig::new(18, 2));
-        // Room in the hot stripe for every hot key, and no more.
-        config.cache_capacity = 12;
-        let service = Arc::new(QueryService::start(graph.clone(), config).unwrap());
-
-        // Find the hot keys: queries that all route to stripe 0.
-        let n = graph.num_vertices() as u32;
-        let mut hot: Vec<(VertexId, VertexId)> = Vec::new();
-        's: for a in 0..n {
-            for b in 0..n {
-                if a != b && route_shard(VertexId(a), VertexId(b), 3, 4) == 0 {
-                    hot.push((VertexId(a), VertexId(b)));
-                    if hot.len() == 12 {
-                        break 's;
-                    }
-                }
-            }
-        }
-        let expected: Vec<_> = hot.iter().map(|&(s, t)| yen_ksp(&graph, s, t, 3)).collect();
-        let check = |response: &QueryResponse, pick: usize| {
-            assert_eq!(response.paths.len(), expected[pick].len());
-            for (got, want) in response.paths.iter().zip(expected[pick].iter()) {
-                assert!(got.distance().approx_eq(want.distance()));
-            }
-        };
-
-        std::thread::scope(|scope| {
-            for client in 0..8usize {
-                let service = service.clone();
-                let hot = &hot;
-                let check = &check;
-                scope.spawn(move || {
-                    for i in 0..30usize {
-                        let pick = (client + i) % hot.len();
-                        let (s, t) = hot[pick];
-                        match service.query(s, t, 3) {
-                            Ok(response) => check(&response, pick),
-                            Err(ServiceError::Overloaded { .. }) => continue,
-                            Err(e) => panic!("unexpected error: {e}"),
-                        }
-                    }
-                });
-            }
-        });
-
-        assert!(service.metrics().cache_misses >= hot.len() as u64);
-        for (pick, &(s, t)) in hot.iter().enumerate() {
-            let repeat = service.query(s, t, 3).unwrap();
-            assert!(repeat.cache_hit, "hot key {pick} must hit its home stripe");
-            check(&repeat, pick);
-        }
-    }
-
-    #[test]
-    fn queries_reflect_published_weight_updates() {
-        let (service, graph) = service(180, 2, 13);
-        let mut live = graph.clone();
-        let mut traffic = TrafficModel::new(&graph, TrafficConfig::new(0.5, 0.5), 3);
-        for _ in 0..3 {
-            let batch = traffic.next_snapshot();
-            live.apply_batch(&batch).unwrap();
-            service.apply_batch(&batch).unwrap();
-        }
-        assert_eq!(service.current_epoch(), 3);
-        let workload = QueryWorkload::generate(&live, QueryWorkloadConfig::new(8, 3), 17);
-        for q in workload.iter() {
-            let response = service.query(q.source, q.target, q.k).unwrap();
-            assert_eq!(response.epoch, 3);
-            let expected = yen_ksp(&live, q.source, q.target, q.k);
-            assert_eq!(response.paths.len(), expected.len());
-            for (a, b) in response.paths.iter().zip(expected.iter()) {
-                assert!(a.distance().approx_eq(b.distance()));
-            }
-        }
-    }
-
-    #[test]
-    fn invalid_requests_are_rejected_without_panicking_workers() {
-        let (service, graph) = service(100, 2, 19);
-        let bad = VertexId(graph.num_vertices() as u32 + 5);
-        assert!(matches!(service.query(bad, VertexId(1), 2), Err(ServiceError::InvalidQuery(_))));
-        assert!(matches!(service.query(VertexId(0), VertexId(1), 0), Err(ServiceError::InvalidK)));
-        // Workers are still healthy afterwards.
-        let ok = service.query(VertexId(0), VertexId(50), 1).unwrap();
-        assert!(!ok.paths.is_empty());
-    }
-
-    #[test]
-    fn failed_batch_leaves_masters_and_epochs_untouched() {
-        use ksp_graph::{EdgeId, Weight, WeightUpdate};
-        let (service, graph) = service(150, 2, 31);
-        let valid_edge = EdgeId(0);
-        let bogus_edge = EdgeId(graph.num_edges() as u32 + 100);
-        // A batch that fails halfway: the valid update must NOT leak into any
-        // future epoch.
-        let poisoned = ksp_graph::UpdateBatch::new(vec![
-            WeightUpdate::new(valid_edge, Weight::new(999.0)),
-            WeightUpdate::new(bogus_edge, Weight::new(1.0)),
-        ]);
-        assert!(service.apply_batch(&poisoned).is_err());
-        assert_eq!(service.current_epoch(), 0, "failed batch must not publish");
-
-        // A follow-up valid batch publishes epoch 1, whose graph must match
-        // the pristine graph plus only this batch.
-        let fix =
-            ksp_graph::UpdateBatch::new(vec![WeightUpdate::new(valid_edge, Weight::new(2.5))]);
-        assert_eq!(service.apply_batch(&fix).unwrap(), 1);
-        let snapshot = service.snapshot();
-        let expected = graph.with_batch(&fix).unwrap();
-        assert_eq!(snapshot.graph().weight(valid_edge), Weight::new(2.5));
-        assert_eq!(snapshot.graph().total_weight(), expected.total_weight());
-        // And queries still agree with Yen on that graph.
-        let q = service.query(VertexId(0), VertexId(100), 2).unwrap();
-        assert_eq!(q.epoch, 1);
-        let want = yen_ksp(&expected, VertexId(0), VertexId(100), 2);
-        assert_eq!(q.paths.len(), want.len());
-        for (a, b) in q.paths.iter().zip(want.iter()) {
-            assert!(a.distance().approx_eq(b.distance()));
-        }
-    }
-
-    fn temp_store_dir(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("ksp-serve-test-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
-    #[test]
-    fn apply_batch_returns_the_epoch_id_the_batch_produced() {
-        let (service, graph) = service(150, 2, 41);
-        let mut traffic = TrafficModel::new(&graph, TrafficConfig::new(0.4, 0.4), 5);
-        for expected in 1..=3u64 {
-            let epoch = service.apply_batch(&traffic.next_snapshot()).unwrap();
-            assert_eq!(epoch, expected, "apply_batch must report the produced epoch");
-            assert_eq!(service.current_epoch(), epoch);
-            // Answers carry the same epoch id.
-            let response = service.query(VertexId(0), VertexId(60), 1).unwrap();
-            assert_eq!(response.epoch, epoch);
-        }
-    }
-
-    #[test]
-    fn persistent_service_recovers_with_identical_answers() {
-        let dir = temp_store_dir("recover");
-        let graph = RoadNetworkGenerator::new(RoadNetworkConfig::with_vertices(160))
-            .generate(23)
-            .unwrap()
-            .graph;
-        let config = ServiceConfig::new(2, DtlpConfig::new(16, 2));
-        let store_config = StoreConfig {
-            checkpoint_interval: 2,
-            sync: ksp_store::SyncPolicy::Never,
-            ..StoreConfig::default()
-        };
-        let service =
-            QueryService::start_with_store(graph.clone(), config, &dir, store_config).unwrap();
-        assert!(service.is_persistent());
-        let mut traffic = TrafficModel::new(&graph, TrafficConfig::new(0.5, 0.5), 9);
-        for _ in 0..3 {
-            service.apply_batch(&traffic.next_snapshot()).unwrap();
-        }
-        let workload = QueryWorkload::generate(&graph, QueryWorkloadConfig::new(8, 2), 3);
-        let live: Vec<_> =
-            workload.iter().map(|q| service.query(q.source, q.target, q.k).unwrap()).collect();
-        drop(service); // crash/stop: recovery must rely only on the store
-
-        let (recovered, report) = QueryService::open(&dir, config, store_config).unwrap();
-        assert_eq!(recovered.current_epoch(), 3);
-        // The background checkpointer imaged epoch 2, so recovery must not
-        // replay all three batches from the log.
-        assert_eq!(report.checkpoint_epoch, 2);
-        assert_eq!(report.batches_replayed, 1);
-        for (q, before) in workload.iter().zip(live.iter()) {
-            let after = recovered.query(q.source, q.target, q.k).unwrap();
-            assert_eq!(after.epoch, before.epoch);
-            assert_eq!(after.paths.len(), before.paths.len());
-            for (a, b) in after.paths.iter().zip(before.paths.iter()) {
-                assert_eq!(a.vertices(), b.vertices());
-                // Byte-identical, not merely approximately equal.
-                assert_eq!(a.distance().value().to_bits(), b.distance().value().to_bits());
-            }
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn recovered_service_keeps_publishing_and_checkpointing() {
-        let dir = temp_store_dir("continue");
-        let graph = RoadNetworkGenerator::new(RoadNetworkConfig::with_vertices(120))
-            .generate(29)
-            .unwrap()
-            .graph;
-        let config = ServiceConfig::new(1, DtlpConfig::new(14, 2));
-        let store_config = StoreConfig {
-            checkpoint_interval: 0, // only explicit checkpoints
-            sync: ksp_store::SyncPolicy::Never,
-            ..StoreConfig::default()
-        };
-        let mut traffic = TrafficModel::new(&graph, TrafficConfig::new(0.4, 0.5), 2);
-        {
-            let service =
-                QueryService::start_with_store(graph.clone(), config, &dir, store_config).unwrap();
-            service.apply_batch(&traffic.next_snapshot()).unwrap();
-            assert_eq!(service.checkpoint_now().unwrap(), Some(1));
-            assert_eq!(service.last_checkpoint_epoch(), Some(1));
-        }
-        // Second life: recover, publish two more epochs, stop.
-        {
-            let (service, report) = QueryService::open(&dir, config, store_config).unwrap();
-            assert_eq!(report.checkpoint_epoch, 1);
-            assert_eq!(report.batches_replayed, 0);
-            assert_eq!(service.apply_batch(&traffic.next_snapshot()).unwrap(), 2);
-            assert_eq!(service.apply_batch(&traffic.next_snapshot()).unwrap(), 3);
-        }
-        // Third life: both post-checkpoint epochs replay from the log.
-        let (service, report) = QueryService::open(&dir, config, store_config).unwrap();
-        assert_eq!(report.batches_replayed, 2);
-        assert_eq!(service.current_epoch(), 3);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn start_with_store_refuses_an_existing_store() {
-        let dir = temp_store_dir("exists");
-        let graph = RoadNetworkGenerator::new(RoadNetworkConfig::with_vertices(80))
-            .generate(3)
-            .unwrap()
-            .graph;
-        let config = ServiceConfig::new(1, DtlpConfig::new(12, 1));
-        let store_config =
-            StoreConfig { sync: ksp_store::SyncPolicy::Never, ..StoreConfig::default() };
-        let first =
-            QueryService::start_with_store(graph.clone(), config, &dir, store_config).unwrap();
-        drop(first);
-        assert!(matches!(
-            QueryService::start_with_store(graph, config, &dir, store_config),
-            Err(PublishError::Store(_))
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn publish_shares_untouched_state_across_epochs() {
-        use ksp_graph::{EdgeId, Weight, WeightUpdate};
-        let (service, graph) = service(300, 2, 43);
-        let before = service.snapshot();
-        // One-edge batch: exactly one subgraph index may be copied.
-        let batch =
-            ksp_graph::UpdateBatch::new(vec![WeightUpdate::new(EdgeId(0), Weight::new(42.0))]);
-        service.apply_batch(&batch).unwrap();
-        let after = service.snapshot();
-
-        assert!(after.graph().shares_topology_with(before.graph()), "graph structure is shared");
-        let owner = before.index().owner_of_edge(EdgeId(0));
-        let total = before.index().num_subgraphs();
-        let shared = (0..total)
-            .filter(|&i| {
-                let id = ksp_graph::SubgraphId(i as u32);
-                Arc::ptr_eq(
-                    before.index().subgraph_index_handle(id),
-                    after.index().subgraph_index_handle(id),
-                )
-            })
-            .count();
-        assert_eq!(shared, total - 1, "only the dirtied subgraph may be copied");
-        assert!(!Arc::ptr_eq(
-            before.index().subgraph_index_handle(owner),
-            after.index().subgraph_index_handle(owner)
-        ));
-        // Even the dirtied subgraph copied only its weights: its edge records are
-        // its own, its shape (vertices, adjacency, lookups, boundary) is shared.
-        let (old, new) =
-            (before.index().subgraph_index(owner), after.index().subgraph_index(owner));
-        assert!(!Arc::ptr_eq(old.subgraph_handle(), new.subgraph_handle()));
-        assert!(new.subgraph().shares_shape_with(old.subgraph()), "the subgraph was deep-copied");
-        assert!(new.shares_structure_with(old), "the bounding-path shape was copied");
-        // The published snapshot and the masters share one Arc pair: applying
-        // the next batch forks off the published epoch, not a private copy.
-        let masters_snapshot = service.snapshot();
-        assert!(Arc::ptr_eq(after.graph(), masters_snapshot.graph()));
-        assert!(Arc::ptr_eq(after.index(), masters_snapshot.index()));
-        drop(graph);
-    }
-
-    #[test]
-    fn metrics_report_carries_one_queue_gauge() {
-        let (service, graph) = service(120, 3, 47);
-        let t = VertexId(graph.num_vertices() as u32 - 1);
-        for s in 0..6u32 {
-            service.query(VertexId(s), t, 1).unwrap();
-        }
-        let report = service.metrics();
-        // Three workers drain one queue, so there is one gauge.
-        let [gauge] = report.queue_gauges[..] else { panic!("one queue, one gauge") };
-        assert_eq!(gauge.max_depth, service.config().admission.max_queue_depth);
-        assert!(gauge.high_water <= gauge.max_depth);
-        assert!(gauge.depth <= gauge.high_water.max(1));
-        assert!(gauge.saturation() <= 1.0);
-        // At least one request sat in the queue at some point.
-        assert!(gauge.high_water >= 1);
-        let snap = service.obs_snapshot();
-        assert_eq!(snap.gauge("ksp_queue_high_water"), Some(gauge.high_water as f64));
-        assert_eq!(report.steals, 0, "no request moves between workers");
-    }
-
-    #[test]
-    fn stage_histograms_telescope_to_the_end_to_end_histogram() {
-        let (service, graph) = service(150, 2, 61);
-        let t = VertexId(graph.num_vertices() as u32 - 1);
-        // Eight misses run by the workers, then the same eight again as
-        // hits answered inline at admission.
-        for round in 0..2 {
-            for s in 0..8u32 {
-                let response = service.query(VertexId(s), t, 2).unwrap();
-                assert_eq!(response.cache_hit, round == 1);
-            }
-        }
-        let snap = service.obs_snapshot();
-        assert_eq!(snap.end_to_end.count, 16);
-        assert_eq!(snap.counter("ksp_cache_hits_total"), 8);
-        let stage_total: u64 = snap.stages.iter().map(|s| s.histogram.total_micros).sum();
-        // Spans share the submission Instant as their origin and the service
-        // records the telescoped total as the e2e latency, so the per-stage
-        // sums match the end-to-end histogram *exactly*, not approximately.
-        assert_eq!(stage_total, snap.end_to_end.total_micros);
-        // Every request passes every stage, an inline hit with a zero-width
-        // queue stage.
-        assert_eq!(snap.stages.len(), Stage::COUNT);
-        for stage in &snap.stages {
-            assert_eq!(stage.histogram.count, 16, "stage {}", stage.stage.name());
-        }
-        assert_eq!(snap.counter("ksp_requests_completed_total"), 16);
-        assert!(snap.gauge("ksp_epoch_age_seconds").is_some());
-    }
-
-    #[test]
-    fn inline_hits_are_admitted_but_never_feed_the_cost_estimator() {
-        let (service, graph) = service(150, 2, 67);
-        let t = VertexId(graph.num_vertices() as u32 - 1);
-        assert!(!service.query(VertexId(0), t, 2).unwrap().cache_hit);
-        let estimate = |snap: &ObsSnapshot| {
-            snap.gauge("ksp_admission_est_service_micros").expect("the estimator gauge is exported")
-        };
-        let after_miss = estimate(&service.obs_snapshot());
-        assert!(after_miss > 0.0, "the worker observed the miss it ran");
-        for _ in 0..100 {
-            assert!(service.query(VertexId(0), t, 2).unwrap().cache_hit);
-        }
-        // Hits that never queued say nothing about how fast a backlog drains.
-        let snap = service.obs_snapshot();
-        assert_eq!(estimate(&snap), after_miss);
-        assert_eq!(snap.counter("ksp_cache_hits_total"), 100);
-        // Every submitted request was either accepted or rejected.
-        let report = service.metrics();
-        assert_eq!(report.admission_accepted + report.rejected, 101);
-        assert_eq!(report.completed, 101);
-    }
-
-    #[test]
-    fn slo_breach_dumps_the_offending_span_chain() {
-        let mut config = ServiceConfig::new(1, DtlpConfig::new(14, 2));
-        // A 1ns SLO: every request breaches, so the first completion dumps.
-        config.observability.slo_p99 = Duration::from_nanos(1);
-        let graph = RoadNetworkGenerator::new(RoadNetworkConfig::with_vertices(120))
-            .generate(9)
-            .unwrap()
-            .graph;
-        let service = QueryService::start(graph.clone(), config).unwrap();
-        let t = VertexId(graph.num_vertices() as u32 - 1);
-        service.query(VertexId(0), t, 2).unwrap();
-        let dump = service.observability().flight().last_dump().expect("breach dumps");
-        assert_eq!(dump.cause.kind, EventKind::SloBreach);
-        let chain = dump.span.expect("the dump carries the offending request's span chain");
-        assert_eq!(chain.total_micros(), dump.cause.a, "cause payload is the e2e latency");
-        let snap = service.obs_snapshot();
-        assert!(snap.dump.is_some());
-        assert_eq!(snap.counter("ksp_flight_dumps_total"), 1);
-    }
-
-    #[test]
-    fn disabled_observability_stays_inert() {
-        let mut config = ServiceConfig::new(2, DtlpConfig::new(14, 2));
-        config.observability = ksp_obs::ObsConfig::disabled();
-        let graph = RoadNetworkGenerator::new(RoadNetworkConfig::with_vertices(120))
-            .generate(17)
-            .unwrap()
-            .graph;
-        let service = QueryService::start(graph.clone(), config).unwrap();
-        let t = VertexId(graph.num_vertices() as u32 - 1);
-        for s in 0..4u32 {
-            service.query(VertexId(s), t, 1).unwrap();
-        }
-        let mut traffic = TrafficModel::new(&graph, TrafficConfig::default(), 3);
-        service.apply_batch(&traffic.next_snapshot()).unwrap();
-        let snap = service.obs_snapshot();
-        // The plain metrics still work; the obs machinery records nothing.
-        assert_eq!(snap.counter("ksp_requests_completed_total"), 4);
-        assert!(snap.stages.iter().all(|s| s.histogram.count == 0));
-        assert_eq!(snap.counter("ksp_flight_events_total"), 0);
-        assert!(snap.dump.is_none());
-        // The e2e histogram still fills (it predates ksp-obs).
-        assert_eq!(snap.end_to_end.count, 4);
-    }
-
-    #[test]
-    fn publishes_reach_the_flight_ring() {
-        let (service, graph) = service(150, 2, 71);
-        let mut traffic = TrafficModel::new(&graph, TrafficConfig::default(), 5);
-        service.apply_batch(&traffic.next_snapshot()).unwrap();
-        service.apply_batch(&traffic.next_snapshot()).unwrap();
-        let events = service.observability().flight().snapshot();
-        let published =
-            events.iter().filter(|e| e.kind == EventKind::EpochPublished).collect::<Vec<_>>();
-        assert_eq!(published.len(), 2);
-        assert_eq!(published[0].a, 1, "payload a is the epoch");
-        assert_eq!(published[1].a, 2);
-        assert!(events.iter().any(|e| e.kind == EventKind::CacheRetention));
-    }
-
-    /// A request with a probe reply, for driving the queue directly.
-    fn probe_request(replies: &mpsc::Sender<Outcome>) -> Request {
-        let replies = replies.clone();
-        Request {
-            source: VertexId(0),
-            target: VertexId(1),
-            k: 1,
-            submitted: Instant::now(),
-            span: StageSpan::disabled(),
-            trace_id: 0,
-            stripe: 0,
-            reply: Reply::new(move |outcome| {
-                let _ = replies.send(outcome);
-            }),
-        }
-    }
-
-    #[test]
-    fn last_worker_out_closes_and_drains_the_queue() {
-        let queue = BoundedQueue::new(4);
-        let live_workers = AtomicUsize::new(2);
-        let (replies, outcomes) = mpsc::channel();
-        let first = CloseQueueOnExit { queue: &queue, live_workers: &live_workers };
-        let second = CloseQueueOnExit { queue: &queue, live_workers: &live_workers };
-        // One worker gone (a panic, say): the other still drains the queue.
-        drop(first);
-        assert!(queue.submit(probe_request(&replies)).is_ok(), "submissions still accepted");
-        assert_eq!(queue.depth(), 1);
-        assert!(outcomes.try_recv().is_err(), "the queued request is not answered yet");
-        // The last one out closes the queue and drains it with ShuttingDown.
-        drop(second);
-        assert_eq!(queue.depth(), 0);
-        assert!(matches!(outcomes.try_recv(), Ok(Err(ServiceError::ShuttingDown))));
-        assert!(queue.submit(probe_request(&replies)).is_err(), "a closed queue rejects");
-    }
-
-    #[test]
-    fn routing_is_stable_and_in_range() {
-        for shards in [1usize, 2, 7, 16] {
-            for s in 0..20u32 {
-                for t in 0..20u32 {
-                    let a = route_shard(VertexId(s), VertexId(t), 3, shards);
-                    let b = route_shard(VertexId(s), VertexId(t), 3, shards);
-                    assert_eq!(a, b);
-                    assert!(a < shards);
-                }
-            }
-        }
-    }
-}
+mod tests;
