@@ -9,8 +9,8 @@
 //! tell backpressure from a bad request.
 
 use crate::message::{
-    ErrorReply, QueryAnswer, QueryKey, QueryOutcome, Request, Response, TraceContext,
-    WireSegmentBatch, WireSnapshotChunk,
+    ErrorReply, QueryAnswer, QueryKey, Request, Response, TraceContext, WireSegmentBatch,
+    WireSnapshotChunk,
 };
 use crate::transport::{TcpTransport, Transport, TransportError, TransportStats};
 use ksp_graph::{UpdateBatch, VertexId};
@@ -278,25 +278,6 @@ impl<T: Transport> KspClient<T> {
         }
     }
 
-    /// Answers a batch of queries with one request frame; each query
-    /// succeeds or fails independently, in request order.
-    pub fn query_batch(
-        &mut self,
-        keys: &[QueryKey],
-    ) -> Result<Vec<Result<QueryAnswer, ErrorReply>>, ClientError> {
-        match self.call(Request::QueryBatch(keys.to_vec()))? {
-            Response::QueryBatch(outcomes) => {
-                if outcomes.len() != keys.len() {
-                    return Err(ClientError::UnexpectedResponse {
-                        expected: "one outcome per batched query",
-                    });
-                }
-                Ok(outcomes.into_iter().map(|o| o.into_result()).collect())
-            }
-            _ => Err(ClientError::UnexpectedResponse { expected: "QueryBatch" }),
-        }
-    }
-
     /// Issues many single-query requests *pipelined*: every request frame is
     /// written before the first response is read, so the batch costs one
     /// round trip of latency instead of one per query. Each reply is matched
@@ -409,16 +390,8 @@ impl<T: Transport> KspClient<T> {
     /// Accumulates the server-reported latency carried by query answers, the
     /// `server` bucket of [`LatencyBreakdown`].
     fn absorb_server_micros(&mut self, response: &Response) {
-        match response {
-            Response::Query(answer) => self.server_micros += answer.latency_micros,
-            Response::QueryBatch(outcomes) => {
-                for outcome in outcomes {
-                    if let QueryOutcome::Answer(answer) = outcome {
-                        self.server_micros += answer.latency_micros;
-                    }
-                }
-            }
-            _ => {}
+        if let Response::Query(answer) = response {
+            self.server_micros += answer.latency_micros;
         }
     }
 }

@@ -32,7 +32,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic "KSPF"
-//! 4       4     protocol version (u32 LE, currently 3)
+//! 4       4     protocol version (u32 LE, currently 5)
 //! 8       1     frame kind (0 = request, 1 = response)
 //! 9       4     payload length in bytes (u32 LE)
 //! 13      4     CRC-32 (ISO-HDLC) of the payload
@@ -58,8 +58,8 @@ pub use client::{ClientConfig, ClientError, HandshakeInfo, KspClient, LatencyBre
 pub use fault::FaultTransport;
 pub use frame::{FrameError, FrameKind, FRAME_HEADER_LEN, FRAME_MAGIC, MAX_FRAME_PAYLOAD};
 pub use message::{
-    ErrorReply, QueryAnswer, QueryKey, QueryOutcome, Request, Response, TraceContext, WirePath,
-    WireQueryStats, WireSegmentBatch, WireShippedRecord, WireSnapshotChunk, WireSnapshotFile,
-    WireSnapshotManifest, PROTOCOL_VERSION,
+    ErrorReply, QueryAnswer, QueryKey, Request, Response, TraceContext, WirePath, WireQueryStats,
+    WireSegmentBatch, WireShippedRecord, WireSnapshotChunk, WireSnapshotFile, WireSnapshotManifest,
+    PROTOCOL_VERSION,
 };
 pub use transport::{TcpTransport, Transport, TransportError, TransportStats};

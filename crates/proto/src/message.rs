@@ -21,7 +21,7 @@ use ksp_store::{CodecError, Reader, StoreCodec, Writer};
 /// The protocol version this build speaks, carried in every frame header. A
 /// frame stamped with any other version is rejected before its payload is
 /// read.
-pub const PROTOCOL_VERSION: u32 = 4;
+pub const PROTOCOL_VERSION: u32 = 5;
 
 /// A client-originated trace context, carried in a [`Request::Traced`] /
 /// [`Response::Traced`] envelope.
@@ -97,8 +97,6 @@ pub enum Request {
     Ping,
     /// One KSP query.
     Query(QueryKey),
-    /// A batch of queries answered in order with one frame round trip.
-    QueryBatch(Vec<QueryKey>),
     /// Apply one weight-update batch and publish the next epoch.
     ApplyBatch(UpdateBatch),
     /// Synchronously checkpoint the current epoch (persistent services only).
@@ -161,7 +159,6 @@ impl Request {
 
 const REQ_PING: u8 = 0;
 const REQ_QUERY: u8 = 1;
-const REQ_QUERY_BATCH: u8 = 2;
 const REQ_APPLY_BATCH: u8 = 3;
 const REQ_CHECKPOINT_NOW: u8 = 5;
 const REQ_OBS_SNAPSHOT: u8 = 6;
@@ -178,7 +175,6 @@ impl Request {
         match tag {
             REQ_PING => Ok(Request::Ping),
             REQ_QUERY => Ok(Request::Query(QueryKey::decode(r)?)),
-            REQ_QUERY_BATCH => Ok(Request::QueryBatch(Vec::decode(r)?)),
             REQ_APPLY_BATCH => Ok(Request::ApplyBatch(UpdateBatch::decode(r)?)),
             REQ_CHECKPOINT_NOW => Ok(Request::CheckpointNow),
             REQ_OBS_SNAPSHOT => Ok(Request::ObsSnapshot),
@@ -207,10 +203,6 @@ impl StoreCodec for Request {
             Request::Query(key) => {
                 w.put_u8(REQ_QUERY);
                 key.encode(w);
-            }
-            Request::QueryBatch(keys) => {
-                w.put_u8(REQ_QUERY_BATCH);
-                keys.encode(w);
             }
             Request::ApplyBatch(batch) => {
                 w.put_u8(REQ_APPLY_BATCH);
@@ -560,49 +552,6 @@ impl StoreCodec for ErrorReply {
     }
 }
 
-/// One element of a [`Response::QueryBatch`]: each query in the batch
-/// succeeds or fails independently.
-#[derive(Debug, Clone, PartialEq)]
-pub enum QueryOutcome {
-    /// The query was answered.
-    Answer(QueryAnswer),
-    /// The query failed (e.g. an invalid endpoint); the rest of the batch is
-    /// unaffected.
-    Error(ErrorReply),
-}
-
-impl QueryOutcome {
-    /// Converts into a standard `Result`.
-    pub fn into_result(self) -> Result<QueryAnswer, ErrorReply> {
-        match self {
-            QueryOutcome::Answer(a) => Ok(a),
-            QueryOutcome::Error(e) => Err(e),
-        }
-    }
-}
-
-impl StoreCodec for QueryOutcome {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            QueryOutcome::Answer(a) => {
-                w.put_u8(0);
-                a.encode(w);
-            }
-            QueryOutcome::Error(e) => {
-                w.put_u8(1);
-                e.encode(w);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        match r.get_u8()? {
-            0 => Ok(QueryOutcome::Answer(QueryAnswer::decode(r)?)),
-            1 => Ok(QueryOutcome::Error(ErrorReply::decode(r)?)),
-            tag => Err(CodecError::InvalidTag { what: "QueryOutcome", tag }),
-        }
-    }
-}
-
 /// One WAL record as shipped to a follower: the epoch it published and the
 /// update batch that produced it. CRC integrity is re-established by the
 /// carrying frame; the leader only ships records its own CRC-checked log
@@ -744,8 +693,6 @@ pub enum Response {
     },
     /// The answer to a [`Request::Query`].
     Query(QueryAnswer),
-    /// The per-query outcomes of a [`Request::QueryBatch`], in request order.
-    QueryBatch(Vec<QueryOutcome>),
     /// The epoch a [`Request::ApplyBatch`] published.
     ApplyBatch {
         /// The epoch id the batch produced.
@@ -797,7 +744,6 @@ impl Response {
 
 const RESP_PONG: u8 = 0;
 const RESP_QUERY: u8 = 1;
-const RESP_QUERY_BATCH: u8 = 2;
 const RESP_APPLY_BATCH: u8 = 3;
 const RESP_CHECKPOINT_NOW: u8 = 5;
 const RESP_ERROR: u8 = 6;
@@ -815,7 +761,6 @@ impl Response {
         match tag {
             RESP_PONG => Ok(Response::Pong { epoch: r.get_u64()?, num_shards: r.get_u64()? }),
             RESP_QUERY => Ok(Response::Query(QueryAnswer::decode(r)?)),
-            RESP_QUERY_BATCH => Ok(Response::QueryBatch(Vec::decode(r)?)),
             RESP_APPLY_BATCH => Ok(Response::ApplyBatch { epoch: r.get_u64()? }),
             RESP_CHECKPOINT_NOW => Ok(Response::CheckpointNow { epoch: Option::decode(r)? }),
             RESP_OBS_SNAPSHOT => Ok(Response::ObsSnapshot(Box::new(ObsSnapshot::decode(r)?))),
@@ -839,10 +784,6 @@ impl StoreCodec for Response {
             Response::Query(answer) => {
                 w.put_u8(RESP_QUERY);
                 answer.encode(w);
-            }
-            Response::QueryBatch(outcomes) => {
-                w.put_u8(RESP_QUERY_BATCH);
-                outcomes.encode(w);
             }
             Response::ApplyBatch { epoch } => {
                 w.put_u8(RESP_APPLY_BATCH);
@@ -911,7 +852,6 @@ mod tests {
             },
             Request::ReplAck { follower: "replica-a".to_string(), applied_epoch: 40 },
             Request::Query(QueryKey::new(v(3), v(9), 4)),
-            Request::QueryBatch(vec![QueryKey::new(v(0), v(1), 1), QueryKey::new(v(5), v(2), 8)]),
             Request::ApplyBatch(UpdateBatch::new(vec![
                 WeightUpdate::new(EdgeId(7), Weight::new(2.5)),
                 WeightUpdate::new(EdgeId(0), Weight::new(0.125)),
@@ -965,11 +905,7 @@ mod tests {
                 bytes: vec![0xAB; 512],
             }),
             Response::ReplAck { leader_epoch: 21 },
-            Response::Query(answer.clone()),
-            Response::QueryBatch(vec![
-                QueryOutcome::Answer(answer),
-                QueryOutcome::Error(ErrorReply::InvalidK),
-            ]),
+            Response::Query(answer),
             Response::ApplyBatch { epoch: 9 },
             Response::CheckpointNow { epoch: Some(12) },
             Response::CheckpointNow { epoch: None },
@@ -1103,8 +1039,8 @@ mod tests {
 
     #[test]
     fn unknown_tags_fail_typed() {
-        // Tag 4 is unassigned in both directions; 200 was never assigned.
-        for tag in [4, 200] {
+        // Tags 2 and 4 are retired in both directions; 200 was never assigned.
+        for tag in [2, 4, 200] {
             assert!(matches!(
                 Request::from_bytes(&[tag]),
                 Err(CodecError::InvalidTag { what: "Request", tag: t }) if t == tag
@@ -1148,10 +1084,10 @@ mod tests {
 
     #[test]
     fn oversized_batch_count_fails_before_allocation() {
-        // A QueryBatch claiming u64::MAX entries with a tiny payload must be
+        // An ApplyBatch claiming u64::MAX updates with a tiny payload must be
         // rejected by the count validation, not by the allocator.
         let mut w = Writer::new();
-        w.put_u8(2); // REQ_QUERY_BATCH
+        w.put_u8(REQ_APPLY_BATCH);
         w.put_u64(u64::MAX);
         let bytes = w.into_bytes();
         assert!(matches!(Request::from_bytes(&bytes), Err(CodecError::LengthOutOfBounds { .. })));

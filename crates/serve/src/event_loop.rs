@@ -63,7 +63,7 @@ use ksp_obs::{Counter, EventKind, Gauge};
 use ksp_proto::frame::{
     frame_len, write_frame, FrameError, FrameKind, FRAME_HEADER_LEN, FRAME_MAGIC, MAX_FRAME_PAYLOAD,
 };
-use ksp_proto::message::{ErrorReply, QueryOutcome, Request, Response, PROTOCOL_VERSION};
+use ksp_proto::message::{ErrorReply, Request, Response, PROTOCOL_VERSION};
 use ksp_store::{crc32, StoreCodec};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read as _, Write as _};
@@ -126,9 +126,8 @@ pub struct EventLoopStats {
     pub bytes_in: u64,
     /// Wire bytes of queued response frames.
     pub bytes_out: u64,
-    /// `Overloaded` replies sent through the loop, one per rejected query
-    /// (a batch counts each rejected element). The service made every one
-    /// of these decisions and counted it too. Always answered, never
+    /// `Overloaded` replies sent through the loop, one per rejected query.
+    /// The service made every one of these decisions and counted it too. Always answered, never
     /// dropped.
     pub rejected: u64,
     /// Hostile frames answered with a typed error and a disconnect.
@@ -196,9 +195,8 @@ impl LoopShared {
             submitted.elapsed().as_micros().min(u64::MAX as u128) as u64,
             Ordering::Relaxed,
         );
-        let overloaded = count_overloaded(response);
-        if overloaded > 0 {
-            m.rejected.fetch_add(overloaded, Ordering::Relaxed);
+        if is_overloaded(response) {
+            m.rejected.fetch_add(1, Ordering::Relaxed);
         }
         let bytes = encode_response(response);
         self.completions
@@ -323,22 +321,13 @@ fn control_main(service: &QueryService, shared: &LoopShared, jobs: &mpsc::Receiv
     }
 }
 
-/// Number of `Overloaded` replies a response carries: one for a rejected
-/// single request, one per rejected element of a batch (each batch element
-/// passes service-side admission independently).
-fn count_overloaded(response: &Response) -> u64 {
+/// Whether a response, traced or not, is an `Overloaded` rejection.
+fn is_overloaded(response: &Response) -> bool {
     let inner = match response {
         Response::Traced { inner, .. } => inner.as_ref(),
         other => other,
     };
-    match inner {
-        Response::Error(ErrorReply::Overloaded { .. }) => 1,
-        Response::QueryBatch(outcomes) => outcomes
-            .iter()
-            .filter(|o| matches!(o, QueryOutcome::Error(ErrorReply::Overloaded { .. })))
-            .count() as u64,
-        _ => 0,
-    }
+    matches!(inner, Response::Error(ErrorReply::Overloaded { .. }))
 }
 
 /// Frames a response, substituting the typed `Unsupported` reply when the

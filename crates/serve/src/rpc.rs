@@ -19,7 +19,7 @@
 //!   are answered with a typed [`ErrorReply`] and a clean disconnect.
 
 use crate::service::{PublishError, QueryResponse, QueryService, ServiceError};
-use ksp_proto::message::{ErrorReply, QueryAnswer, QueryOutcome, Request, Response, TraceContext};
+use ksp_proto::message::{ErrorReply, QueryAnswer, Request, Response, TraceContext};
 use ksp_proto::transport::{Transport, TransportError, TransportStats};
 use std::sync::Arc;
 
@@ -121,14 +121,6 @@ impl QueryService {
             Request::Query(key) => {
                 query_response(self.query_traced(key.source, key.target, key.k, trace_id))
             }
-            Request::QueryBatch(keys) => Response::QueryBatch(
-                keys.into_iter()
-                    .map(|key| match self.query_traced(key.source, key.target, key.k, trace_id) {
-                        Ok(response) => QueryOutcome::Answer(answer_from(response)),
-                        Err(e) => QueryOutcome::Error(e.into()),
-                    })
-                    .collect(),
-            ),
             Request::ApplyBatch(batch) => match self.apply_batch(&batch) {
                 Ok(epoch) => Response::ApplyBatch { epoch },
                 Err(e) => Response::Error(e.into()),
@@ -226,20 +218,6 @@ mod tests {
             assert_eq!(a.distance().value().to_bits(), b.distance().value().to_bits());
         }
 
-        // QueryBatch: per-query outcomes, failures isolated.
-        let bad = VertexId(graph.num_vertices() as u32 + 9);
-        let Response::QueryBatch(outcomes) = service.handle(Request::QueryBatch(vec![
-            QueryKey::new(VertexId(0), last, 1),
-            QueryKey::new(bad, last, 1),
-            QueryKey::new(VertexId(0), last, 0),
-        ])) else {
-            panic!("expected a QueryBatch response");
-        };
-        assert_eq!(outcomes.len(), 3);
-        assert!(matches!(outcomes[0], QueryOutcome::Answer(_)));
-        assert!(matches!(outcomes[1], QueryOutcome::Error(ErrorReply::InvalidQuery(_))));
-        assert!(matches!(outcomes[2], QueryOutcome::Error(ErrorReply::InvalidK)));
-
         // ApplyBatch publishes; the epoch is visible to later requests.
         let mut traffic = TrafficModel::new(&graph, TrafficConfig::new(0.4, 0.4), 5);
         let Response::ApplyBatch { epoch } =
@@ -274,6 +252,25 @@ mod tests {
         let completed = service.metrics().completed;
         assert_eq!(snap.counter("ksp_requests_completed_total"), completed);
         assert_eq!(snap.end_to_end.count, completed);
+    }
+
+    #[test]
+    fn pipelined_queries_fail_one_at_a_time() {
+        let (service, graph) = service(120, 2, 13);
+        let last = VertexId(graph.num_vertices() as u32 - 1);
+        let bad = VertexId(graph.num_vertices() as u32 + 9);
+        let mut client = KspClient::new(InProcTransport::new(service));
+        let outcomes = client
+            .query_pipelined(&[
+                QueryKey::new(VertexId(0), last, 1),
+                QueryKey::new(bad, last, 1),
+                QueryKey::new(VertexId(0), last, 0),
+            ])
+            .unwrap();
+        assert_eq!(outcomes.len(), 3);
+        assert!(!outcomes[0].as_ref().unwrap().paths.is_empty());
+        assert!(matches!(outcomes[1], Err(ErrorReply::InvalidQuery(_))));
+        assert!(matches!(outcomes[2], Err(ErrorReply::InvalidK)));
     }
 
     #[test]

@@ -140,18 +140,6 @@ fn event_loop_answers_are_byte_identical_to_in_proc() {
                             assert_answers_match(&got.paths, &want.paths, got.epoch, want.epoch);
                         }
                     }
-                    1 => {
-                        let keys: Vec<QueryKey> = workload
-                            .iter()
-                            .map(|q| QueryKey::new(q.source, q.target, q.k))
-                            .collect();
-                        for (got, want) in
-                            client.query_batch(&keys).unwrap().into_iter().zip(reference.iter())
-                        {
-                            let got = got.unwrap();
-                            assert_answers_match(&got.paths, &want.paths, got.epoch, want.epoch);
-                        }
-                    }
                     _ => {
                         let keys: Vec<QueryKey> = workload
                             .iter()
