@@ -7,6 +7,7 @@ use crate::metrics::ServiceMetrics;
 use ksp_core::dtlp::DtlpIndex;
 use ksp_graph::{DynamicGraph, SubgraphSet, UpdateBatch};
 use ksp_obs::{EventKind, PublishStage, StageSpan};
+use ksp_store::checkpoint::stage_checkpoint;
 use ksp_store::{AppendTimings, StorageIo, Store};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -201,7 +202,7 @@ impl QueryService {
         // halves must not stall concurrent publishes — then commit under it.
         let checkpoint_started = Instant::now();
         let encoded = Store::encode_checkpoint(epoch, &graph, &index);
-        let staged = Store::stage_checkpoint_with_io(&p.dir, &encoded, &p.io)?;
+        let staged = stage_checkpoint(&p.dir, &encoded, &p.io)?;
         p.store.lock().unwrap_or_else(PoisonError::into_inner).commit_staged_checkpoint(staged)?;
         self.obs.record(
             EventKind::CheckpointCommitted,
@@ -274,7 +275,7 @@ pub(super) fn checkpointer_main(
         let checkpoint_started = Instant::now();
         let encoded = Store::encode_checkpoint(job.epoch, &job.graph, &job.index);
         job.span.mark(PublishStage::CheckpointEncode);
-        let result = Store::stage_checkpoint_with_io(store_dir, &encoded, io).and_then(|staged| {
+        let result = stage_checkpoint(store_dir, &encoded, io).and_then(|staged| {
             store.lock().unwrap_or_else(PoisonError::into_inner).commit_staged_checkpoint(staged)
         });
         // The epoch was published either way, so the publish span always

@@ -114,20 +114,14 @@ pub struct StagedCheckpoint {
     final_path: PathBuf,
 }
 
-/// Writes an encoded checkpoint to a temp file in `dir` and fsyncs it.
+/// Writes an encoded checkpoint to a temp file in `dir` through `io` and
+/// fsyncs it. Pass the store's own backend ([`crate::Store::io_handle`]) so
+/// a fault plan sees every image write.
 ///
 /// The temp name carries a process-wide unique suffix: a background
 /// checkpointer staging epoch E and a synchronous `checkpoint_now` at the
 /// same epoch must never interleave writes into one file.
 pub fn stage_checkpoint(
-    dir: &Path,
-    encoded: &EncodedCheckpoint,
-) -> Result<StagedCheckpoint, StoreError> {
-    stage_checkpoint_with_io(dir, encoded, &crate::io::default_io())
-}
-
-/// [`stage_checkpoint`] with an explicit I/O backend (fault injection).
-pub fn stage_checkpoint_with_io(
     dir: &Path,
     encoded: &EncodedCheckpoint,
     io: &std::sync::Arc<dyn crate::io::StorageIo>,
@@ -192,9 +186,14 @@ pub(crate) fn sweep_stale_tmp_files(dir: &Path) -> Result<usize, StoreError> {
     Ok(removed)
 }
 
-/// Atomically writes an encoded checkpoint into `dir`, returning its path.
-pub fn write_checkpoint(dir: &Path, encoded: &EncodedCheckpoint) -> Result<PathBuf, StoreError> {
-    let staged = stage_checkpoint(dir, encoded)?;
+/// Atomically writes an encoded checkpoint into `dir` through `io`,
+/// returning its path.
+pub fn write_checkpoint(
+    dir: &Path,
+    encoded: &EncodedCheckpoint,
+    io: &std::sync::Arc<dyn crate::io::StorageIo>,
+) -> Result<PathBuf, StoreError> {
+    let staged = stage_checkpoint(dir, encoded, io)?;
     promote_checkpoint(dir, staged)
 }
 
@@ -289,6 +288,7 @@ pub(crate) fn sync_dir(dir: &Path) -> Result<(), StoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::io::default_io;
     use ksp_core::dtlp::DtlpConfig;
     use ksp_graph::GraphBuilder;
 
@@ -324,7 +324,7 @@ mod tests {
         let dir = temp_dir("ckpt-roundtrip");
         let (graph, index) = sample_pair();
         let encoded = encode_checkpoint(0, &graph, &index);
-        let path = write_checkpoint(&dir, &encoded).unwrap();
+        let path = write_checkpoint(&dir, &encoded, &default_io()).unwrap();
         let restored = read_checkpoint(&path).unwrap();
         assert_eq!(restored.epoch, 0);
         assert_eq!(restored.graph.to_bytes(), graph.to_bytes());
@@ -336,7 +336,8 @@ mod tests {
     fn flipped_bit_fails_crc() {
         let dir = temp_dir("ckpt-crc");
         let (graph, index) = sample_pair();
-        let path = write_checkpoint(&dir, &encode_checkpoint(3, &graph, &index)).unwrap();
+        let path =
+            write_checkpoint(&dir, &encode_checkpoint(3, &graph, &index), &default_io()).unwrap();
         let mut bytes = fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;
@@ -350,7 +351,8 @@ mod tests {
     fn truncated_checkpoint_is_corrupt_not_panic() {
         let dir = temp_dir("ckpt-trunc");
         let (graph, index) = sample_pair();
-        let path = write_checkpoint(&dir, &encode_checkpoint(1, &graph, &index)).unwrap();
+        let path =
+            write_checkpoint(&dir, &encode_checkpoint(1, &graph, &index), &default_io()).unwrap();
         let bytes = fs::read(&path).unwrap();
         for keep in [0, 5, 20, bytes.len() / 2, bytes.len() - 1] {
             fs::write(&path, &bytes[..keep]).unwrap();
@@ -367,7 +369,8 @@ mod tests {
         // check, never handed to the decoder.
         let dir = temp_dir("ckpt-version");
         let (graph, index) = sample_pair();
-        let path = write_checkpoint(&dir, &encode_checkpoint(4, &graph, &index)).unwrap();
+        let path =
+            write_checkpoint(&dir, &encode_checkpoint(4, &graph, &index), &default_io()).unwrap();
         let mut bytes = fs::read(&path).unwrap();
         bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
         fs::write(&path, &bytes).unwrap();
@@ -384,7 +387,8 @@ mod tests {
         let dir = temp_dir("ckpt-list");
         let (graph, index) = sample_pair();
         for epoch in [7u64, 2, 11] {
-            write_checkpoint(&dir, &encode_checkpoint(epoch, &graph, &index)).unwrap();
+            write_checkpoint(&dir, &encode_checkpoint(epoch, &graph, &index), &default_io())
+                .unwrap();
         }
         fs::write(dir.join("checkpoint-garbage.ckpt"), b"x").unwrap();
         fs::write(dir.join("notes.txt"), b"y").unwrap();

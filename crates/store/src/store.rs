@@ -340,7 +340,7 @@ impl Store {
             return Err(StoreError::corrupt(dir, "directory already contains a store"));
         }
         sweep_stale_tmp_files(dir)?;
-        write_checkpoint(dir, &encode_checkpoint(epoch, graph, index))?;
+        write_checkpoint(dir, &encode_checkpoint(epoch, graph, index), &io)?;
         let log = DeltaLog::create_with_io(
             dir,
             epoch + 1,
@@ -549,7 +549,7 @@ impl Store {
     }
 
     /// The I/O backend this store was opened with, for sharing with
-    /// out-of-lock staging ([`Store::stage_checkpoint_with_io`]).
+    /// out-of-lock staging ([`crate::checkpoint::stage_checkpoint`]).
     pub fn io_handle(&self) -> Arc<dyn StorageIo> {
         Arc::clone(&self.io)
     }
@@ -640,29 +640,9 @@ impl Store {
         encode_checkpoint(epoch, graph, index)
     }
 
-    /// Stages an encoded checkpoint: writes and fsyncs it under a temp name.
-    /// This is the slow half of a commit; it touches no store state, so a
-    /// background checkpointer runs it without holding the store lock and
-    /// passes the result to [`Store::commit_staged_checkpoint`].
-    pub fn stage_checkpoint(
-        dir: &Path,
-        encoded: &EncodedCheckpoint,
-    ) -> Result<StagedCheckpoint, StoreError> {
-        stage_checkpoint(dir, encoded)
-    }
-
-    /// [`Store::stage_checkpoint`] with an explicit I/O backend — pair with
-    /// [`Store::io_handle`] so a background checkpointer stages through the
-    /// same (possibly fault-injecting) backend the store was opened with.
-    pub fn stage_checkpoint_with_io(
-        dir: &Path,
-        encoded: &EncodedCheckpoint,
-        io: &Arc<dyn StorageIo>,
-    ) -> Result<StagedCheckpoint, StoreError> {
-        crate::checkpoint::stage_checkpoint_with_io(dir, encoded, io)
-    }
-
-    /// Commits a staged checkpoint: renames it into place, rotates the log,
+    /// Commits a checkpoint staged by [`crate::checkpoint::stage_checkpoint`]
+    /// (the slow half, which touches no store state and so runs without the
+    /// store lock): renames it into place, rotates the log,
     /// drops checkpoints beyond the retention count and prunes segments no
     /// *retained* checkpoint needs. The fast half of a commit (rename + a few
     /// directory operations); safe to run under the store lock.
@@ -685,7 +665,7 @@ impl Store {
 
     /// Commits an encoded checkpoint (stage + commit in one call).
     pub fn commit_checkpoint(&mut self, encoded: &EncodedCheckpoint) -> Result<(), StoreError> {
-        let staged = stage_checkpoint(&self.dir, encoded)?;
+        let staged = stage_checkpoint(&self.dir, encoded, &self.io)?;
         self.commit_staged_checkpoint(staged)
     }
 
@@ -892,6 +872,36 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// Every checkpoint image, the initial one included, is written through
+    /// the store's own backend, so a fault plan numbers and can fail it.
+    #[test]
+    fn checkpoint_images_are_written_through_the_stores_io() {
+        use crate::io::FaultyIo;
+        use ksp_fault::{FaultAction, FaultPlan, FaultPoint, Schedule};
+        let failing_first_image = || {
+            let plan = FaultPlan::new(3);
+            plan.arm(FaultPoint::CheckpointWrite, Schedule::Nth(1), FaultAction::Fail);
+            let io: Arc<dyn StorageIo> = Arc::new(FaultyIo::new(plan.clone()));
+            (plan, io)
+        };
+        let dir = temp_dir("image-io");
+        let (graph, index) = pair();
+        let config = StoreConfig { sync: SyncPolicy::Never, ..StoreConfig::default() };
+
+        let (plan, io) = failing_first_image();
+        assert!(Store::create_with_io(&dir, config, 0, &graph, &index, io).is_err());
+        assert_eq!(plan.ops_at(FaultPoint::CheckpointWrite), 1);
+        let _ = fs::remove_dir_all(&dir);
+
+        drop(Store::create(&dir, config, 0, &graph, &index).unwrap());
+        let (plan, io) = failing_first_image();
+        let (mut store, _) = Store::recover_with_io(&dir, config, io).unwrap();
+        assert!(store.checkpoint(0, &graph, &index).is_err());
+        assert_eq!(plan.ops_at(FaultPoint::CheckpointWrite), 1);
+        drop(store);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn snapshot_manifest_and_chunks_transfer_the_image_set() {
         let dir = temp_dir("manifest");
@@ -1022,7 +1032,7 @@ mod tests {
         // Write a checkpoint at 3, but do NOT let it prune (interval 0 +
         // manual write_checkpoint keeps the log intact), then corrupt it.
         let encoded = Store::encode_checkpoint(3, &graph, &index);
-        let path = write_checkpoint(&dir, &encoded).unwrap();
+        let path = write_checkpoint(&dir, &encoded, &default_io()).unwrap();
         let mut bytes = fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x01;

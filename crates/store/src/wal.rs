@@ -594,11 +594,6 @@ impl DeltaLog {
         Ok(removed)
     }
 
-    /// Whether a failed append left the log refusing writes (fail closed).
-    pub fn is_impaired(&self) -> bool {
-        self.impaired.is_some()
-    }
-
     /// Probes whether the log can accept appends again: re-attempts the
     /// rewind of an impaired segment, then exercises an fsync on the active
     /// segment through the I/O backend. Success clears the impaired state —
