@@ -29,7 +29,6 @@ use crate::kspdg::refine::{candidate_ksp, PartialPathCache};
 use ksp_algo::path::keep_k_shortest;
 use ksp_algo::{FindKsp, Path, SearchArena};
 use ksp_graph::{SubgraphSet, VertexId, Weight};
-use std::collections::HashSet;
 
 /// Configuration of the query engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,8 +83,10 @@ pub struct QueryStats {
     /// Spur searches run by the reference-path enumeration and the partial FindKSP
     /// computations together.
     pub spur_searches: usize,
-    /// Iterations none of whose candidates is a route not already seen in this
-    /// query: reference paths whose refine re-derived only known routes.
+    /// Iterations whose refine produced no candidate. A candidate's canonical
+    /// decomposition is the hop sequence of the reference that produced it, so
+    /// no two references of one query yield the same route: an iteration found
+    /// no new route exactly when it found no route at all.
     pub barren_iterations: usize,
 }
 
@@ -238,7 +239,6 @@ impl<'a> KspDgEngine<'a> {
         );
         let mut cache = PartialPathCache::new(k);
         let mut results: Vec<Path> = Vec::new();
-        let mut seen_routes: HashSet<u64> = HashSet::new();
         let mut capped = false;
 
         let mut next_reference = reference_paths.next_path_in(&mut arena);
@@ -261,11 +261,7 @@ impl<'a> KspDgEngine<'a> {
                 &mut trace.subgraphs,
             );
             stats.candidates_generated += candidates.len();
-            let mut fresh = false;
-            for c in &candidates {
-                fresh |= seen_routes.insert(route_fingerprint(c.vertices()));
-            }
-            stats.barren_iterations += !fresh as usize;
+            stats.barren_iterations += candidates.is_empty() as usize;
             results.extend(candidates);
             keep_k_shortest(&mut results, k);
 
@@ -380,15 +376,6 @@ impl<'a> KspDgEngine<'a> {
         }
         overlay
     }
-}
-
-/// A 64-bit FNV-style fingerprint of a route, for counting barren iterations without
-/// keeping a copy of every route seen. Two routes of one query that collided would
-/// only make an iteration count as barren.
-fn route_fingerprint(route: &[VertexId]) -> u64 {
-    route
-        .iter()
-        .fold(0xcbf2_9ce4_8422_2325, |h, v| (h ^ v.0 as u64).wrapping_mul(0x0000_0100_0000_01b3))
 }
 
 // The serving subsystem's workers share `&DtlpIndex` and run `KspDgEngine`s
