@@ -255,12 +255,6 @@ impl DtlpIndex {
         &self.skeleton
     }
 
-    /// The shared handle to the skeleton graph. Epochs between which no lower
-    /// bound moved return pointer-equal handles.
-    pub fn skeleton_handle(&self) -> &Arc<SkeletonGraph> {
-        &self.skeleton
-    }
-
     /// The per-subgraph indexes (indexed by [`SubgraphId`]), as the shared
     /// handles the copy-on-write clone path bumps. Pointer-equal handles
     /// across two indexes mean the subgraph state is structurally shared.

@@ -302,11 +302,6 @@ impl Replica {
         Ok(())
     }
 
-    /// Whether the background replication thread is running.
-    pub fn is_running(&self) -> bool {
-        self.thread.is_some()
-    }
-
     /// Promotes the replica: stops the replication pull and declares the
     /// already-running service the new authority. The service itself needs
     /// no work — no image load, no replay, no index build — which is the

@@ -117,11 +117,6 @@ impl ReplicationSource {
         self.ship_bytes.load(Ordering::Relaxed)
     }
 
-    /// Cumulative snapshot image bytes transferred to re-seeding followers.
-    pub fn snapshot_bytes_shipped(&self) -> u64 {
-        self.snapshot_bytes.load(Ordering::Relaxed)
-    }
-
     /// Cumulative snapshot-fallback replies (fresh joins + laggards).
     pub fn snapshot_fallbacks(&self) -> u64 {
         self.snapshot_fallbacks.load(Ordering::Relaxed)
