@@ -1,11 +1,11 @@
 //! Comparison with the baseline algorithms (Figures 35–41).
 
 use crate::cluster::{Cluster, ClusterConfig, QuerySpec};
+use crate::experiments::cands::CandsIndex;
 use crate::experiments::datasets_for;
 use crate::report::{ms, Table};
 use crate::Scale;
 use ksp_algo::{find_ksp, yen_ksp};
-use ksp_cands::CandsIndex;
 use ksp_core::dtlp::{DtlpConfig, DtlpIndex};
 use ksp_workload::{
     DatasetPreset, QueryWorkload, QueryWorkloadConfig, TrafficConfig, TrafficModel,

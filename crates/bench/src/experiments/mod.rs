@@ -6,6 +6,7 @@
 //! tests run the tiny-scale versions as smoke tests.
 
 pub mod baselines;
+mod cands;
 pub mod dtlp;
 pub mod kspdg;
 pub mod scaling;

@@ -7,7 +7,6 @@
 //! * [`graph`] — the dynamic weighted graph substrate ([`ksp_graph`]).
 //! * [`algo`] — Dijkstra, Yen's algorithm, FindKSP and path utilities ([`ksp_algo`]).
 //! * [`core`] — the DTLP index and the KSP-DG query engine ([`ksp_core`]).
-//! * [`cands`] — the CANDS single-shortest-path baseline ([`ksp_cands`]).
 //! * [`workload`] — dataset generators, the traffic model and query workloads
 //!   ([`ksp_workload`]).
 //! * [`serve`] — the concurrent query-serving subsystem: epoch snapshots,
@@ -49,7 +48,6 @@
 #![warn(missing_docs)]
 
 pub use ksp_algo as algo;
-pub use ksp_cands as cands;
 pub use ksp_core as core;
 pub use ksp_fault as fault;
 pub use ksp_graph as graph;

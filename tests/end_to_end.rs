@@ -3,7 +3,6 @@
 //! against the centralized baselines on the live graph.
 
 use ksp_dg::algo::{find_ksp, yen_ksp};
-use ksp_dg::cands::CandsIndex;
 use ksp_dg::core::dtlp::{DtlpConfig, DtlpIndex};
 use ksp_dg::core::kspdg::KspDgEngine;
 use ksp_dg::workload::datasets::DatasetScale;
@@ -61,30 +60,6 @@ fn all_three_ksp_algorithms_agree() {
         for ((x, y), z) in a.paths.iter().zip(b.iter()).zip(c.iter()) {
             assert!(x.distance().approx_eq(y.distance()));
             assert!(y.distance().approx_eq(z.distance()));
-        }
-    }
-}
-
-#[test]
-fn cands_agrees_with_ksp_dg_for_single_shortest_paths() {
-    let (mut graph, z) = tiny_dataset(DatasetPreset::NewYork);
-    let mut dtlp = DtlpIndex::build(&graph, DtlpConfig::new(z, 2)).expect("index build");
-    let mut cands = CandsIndex::build(&graph, z).expect("cands build");
-    let mut traffic = TrafficModel::new(&graph, TrafficConfig::new(0.4, 0.4), 5);
-    let batch = traffic.next_snapshot();
-    graph.apply_batch(&batch).expect("graph update");
-    dtlp.apply_batch(&batch).expect("dtlp maintenance");
-    cands.apply_batch(&batch).expect("cands maintenance");
-
-    let engine = KspDgEngine::new(&dtlp);
-    let workload = QueryWorkload::generate(&graph, QueryWorkloadConfig::new(10, 1), 13);
-    for q in workload.iter() {
-        let ksp = engine.query(q.source, q.target, 1);
-        let sp = cands.shortest_path(q.source, q.target);
-        match (ksp.shortest_distance(), sp.distance) {
-            (Some(a), Some(b)) => assert!(a.approx_eq(b), "{} vs {}", a, b),
-            (None, None) => {}
-            other => panic!("reachability disagreement for {q:?}: {other:?}"),
         }
     }
 }
