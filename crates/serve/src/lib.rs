@@ -17,7 +17,14 @@
 //!   threads draining **one bounded queue** (reject-with-backpressure
 //!   admission control). A worker blocks on the queue's condvar and pops one
 //!   request per wake, so no miss waits while a worker idles, however skewed
-//!   the workload.
+//!   the workload. `service.rs` holds the service's state, boot and admission
+//!   (`submit`); three private submodules hold the rest: `service::shard`,
+//!   the worker loop and a queued request's `Reply` callback;
+//!   `service::publish`, `apply_batch` with cache retention, the stall
+//!   triggers and the background checkpointer; and `service::degraded`, the
+//!   read-only mode a failed delta-log append enters and the probe that
+//!   lifts it. `QueryService::obs_snapshot` lives next to the counters in
+//!   [`metrics`].
 //! * [`admission`] — besides the static queue cap, an **SLO-driven adaptive
 //!   controller**: it tracks an EWMA of engine-run service times, predicts
 //!   an arriving miss's completion as `(backlog per worker + 1) × EWMA`, and

@@ -237,7 +237,7 @@ impl QueryService {
     /// for scrapers that speak the Prometheus text format.
     pub fn obs_snapshot(&self) -> ObsSnapshot {
         let report = self.metrics();
-        let flight = &self.obs.flight;
+        let flight = self.obs.flight();
         let unlabelled = |name: &str, value: u64| Counter {
             name: name.to_string(),
             labels: String::new(),

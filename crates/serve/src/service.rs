@@ -215,7 +215,7 @@ const FLIGHT_CAPACITY: usize = 256;
 #[derive(Debug)]
 pub struct Observability {
     config: ObsConfig,
-    pub(crate) flight: FlightRecorder,
+    flight: FlightRecorder,
 }
 
 impl Observability {
