@@ -64,20 +64,16 @@ pub trait ReplicationHook: Send + Sync {
     fn metric_families(&self) -> (Vec<ksp_obs::Counter>, Vec<ksp_obs::Gauge>);
 }
 
-fn answer_from(response: QueryResponse) -> QueryAnswer {
-    QueryAnswer {
-        epoch: response.epoch,
-        cache_hit: response.cache_hit,
-        latency_micros: response.latency.as_micros().min(u64::MAX as u128) as u64,
-        stats: (&response.stats).into(),
-        paths: response.paths,
-    }
-}
-
 /// The reply to one query's outcome.
 pub(crate) fn query_response(result: Result<QueryResponse, ServiceError>) -> Response {
     match result {
-        Ok(response) => Response::Query(answer_from(response)),
+        Ok(response) => Response::Query(QueryAnswer {
+            epoch: response.epoch,
+            cache_hit: response.cache_hit,
+            latency_micros: response.latency.as_micros().min(u64::MAX as u128) as u64,
+            stats: (&response.stats).into(),
+            paths: response.paths,
+        }),
         Err(e) => Response::Error(e.into()),
     }
 }
