@@ -11,10 +11,11 @@ use crate::dtlp::bounding::{BoundingPath, BoundingPathSet, BoundingPathTable, Pa
 use crate::dtlp::ep_index::{EpIndex, PathRef};
 use crate::dtlp::mfp::MfpForest;
 use crate::dtlp::unit_weights::UnitWeightMultiset;
+use crate::kspdg::refine::PartialMemo;
 use ksp_algo::{fewest_vfrag_paths, Path, SearchArena};
 use ksp_graph::{EdgeId, GraphError, Subgraph, SubgraphId, VertexId, Weight, WeightUpdate};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// How many paths [`SubgraphIndex::build`] enumerates per boundary pair at most
 /// while searching for bounding paths; see [`ksp_algo::fewest_vfrag_paths`] for why
@@ -61,11 +62,19 @@ struct PathShape {
 /// What maintenance does change is flat: one distance per bounding path and one
 /// last-reported lower bound per pair. Cloning a `SubgraphIndex` (as the
 /// copy-on-write fork of an epoch does) therefore copies those two vectors and
-/// bumps two reference counts; the first update then unshares the subgraph via
+/// bumps the reference counts of what it shares; the first update then unshares the subgraph via
 /// `Arc::make_mut`, which copies its edge records and shares its vertices,
 /// adjacency and lookups ([`Subgraph::shares_shape_with`]). The path shape is
 /// never copied: every epoch descended from one build shares it
 /// ([`SubgraphIndex::shares_structure_with`]).
+///
+/// The index also carries a memo of the partial k shortest paths that queries
+/// computed between its boundary vertices (see [`crate::kspdg::refine`]). It is
+/// derived from the current weights alone: build and restore start without one,
+/// maintenance lets go of it before it changes a weight, and the first query to ask
+/// makes a new, empty one. A clone shares it, as it shares the weights, until one
+/// of the two is updated. It is neither persisted nor counted in
+/// [`SubgraphIndex::index_memory_bytes`].
 #[derive(Debug, Clone)]
 pub struct SubgraphIndex {
     subgraph: Arc<Subgraph>,
@@ -75,6 +84,9 @@ pub struct SubgraphIndex {
     /// Last lower bound distance reported for each pair, to detect changes:
     /// Theorem 1's bound, or the exact distance a repair stored in its place.
     last_lbd: Vec<Weight>,
+    /// Partial k shortest paths between boundary vertices on the current weights,
+    /// made by the first query that asks, so that maintenance allocates none.
+    memo: OnceLock<Arc<PartialMemo>>,
 }
 
 impl SubgraphIndex {
@@ -139,7 +151,7 @@ impl SubgraphIndex {
         let (table, distance) = BoundingPathTable::from_sets(pairs);
         let ep = build_ep_index(&subgraph, &table);
         let shape = Arc::new(PathShape { table, ep });
-        SubgraphIndex { subgraph, shape, distance, last_lbd: Vec::new() }
+        SubgraphIndex { subgraph, shape, distance, last_lbd: Vec::new(), memo: OnceLock::new() }
     }
 
     /// The subgraph this index covers (with live weights).
@@ -151,6 +163,12 @@ impl SubgraphIndex {
     /// same index) that return pointer-equal handles share one allocation.
     pub fn subgraph_handle(&self) -> &Arc<Subgraph> {
         &self.subgraph
+    }
+
+    /// The memo of partial k shortest paths between this subgraph's boundary
+    /// vertices on its current weights.
+    pub(crate) fn partial_memo(&self) -> &PartialMemo {
+        self.memo.get_or_init(Arc::default)
     }
 
     /// Whether `self` and `other` share one bounding-path shape allocation.
@@ -221,6 +239,9 @@ impl SubgraphIndex {
         if updates.is_empty() {
             return Ok(refresh);
         }
+        // The memo holds partials of the weights about to change: let go of it,
+        // leaving it to the epochs that still share it.
+        self.memo = OnceLock::new();
         let table = &self.shape.table;
         // Copy-on-write: the first update of a batch unshares the subgraph's
         // edge records if a previous epoch still holds them (its shape stays

@@ -68,8 +68,10 @@ impl KspDgConfig {
 pub struct QueryStats {
     /// Number of filter/refine iterations executed (reference paths examined).
     pub iterations: usize,
-    /// Number of partial k-shortest-path computations actually performed (cache
-    /// misses); Operation (2) of the computation-cost analysis.
+    /// Number of partial k-shortest-path computations (per-query cache misses);
+    /// Operation (2) of the computation-cost analysis. A miss a subgraph's memo
+    /// answers counts here too, and the other counters are charged what its
+    /// computation cost, so none of them depends on what ran before.
     pub partial_computations: usize,
     /// Number of partial computations answered from the per-query cache.
     pub partial_cache_hits: usize,
@@ -88,6 +90,10 @@ pub struct QueryStats {
     /// no two references of one query yield the same route: an iteration found
     /// no new route exactly when it found no route at all.
     pub barren_iterations: usize,
+    /// Partial computations that a subgraph's memo answered because an earlier query
+    /// on the same weights ran them (see [`crate::kspdg::refine`]). The one counter
+    /// that depends on query history.
+    pub partials_reused: usize,
 }
 
 /// The set of subgraphs a query's answer depended on, plus whether that set is
@@ -279,6 +285,7 @@ impl<'a> KspDgEngine<'a> {
         }
         stats.partial_computations = cache.misses();
         stats.partial_cache_hits = cache.hits();
+        stats.partials_reused = cache.reused();
         stats.spur_searches += reference_paths.spur_searches();
 
         let mut sweep_time = std::time::Duration::ZERO;
@@ -974,7 +981,11 @@ mod tests {
         let engine = KspDgEngine::new(&index);
         let first = engine.query(v(3), v(12), 5).stats;
         assert!(first.spur_searches > 0);
-        assert_eq!(engine.query(v(3), v(12), 5).stats, first);
+        // The repeat reads its boundary-pair partials from the subgraphs' memos, and
+        // is charged what computing them cost: only `partials_reused` differs.
+        let second = engine.query(v(3), v(12), 5).stats;
+        assert_eq!((first.partials_reused, second.partials_reused > 0), (0, true));
+        assert_eq!(QueryStats { partials_reused: 0, ..second }, first);
     }
 
     #[test]

@@ -23,30 +23,151 @@
 //! A by-product: a route's distance is summed over its one decomposition, hop by
 //! hop in path order, so its bits depend only on the route and on the weights of its
 //! subgraphs, not on which reference found it.
+//!
+//! **Two scopes of reuse.** A hop's partials are a function of its subgraph's
+//! weights, its ends and `k`, so they are kept at two scopes:
+//!
+//! * *Per query*, by [`PartialPathCache`], keyed by [`Hop`]: consecutive reference
+//!   paths share most of their hops (Section 5.2), and a hop seen again in the same
+//!   query is a cache hit that counts no work.
+//! * *Across queries*, by each subgraph's `PartialMemo`, for hops between two
+//!   boundary vertices: queries on the same weights keep meeting the same boundary
+//!   pairs. A hop with a non-boundary end (an endpoint attachment) is per query only.
+//!
+//! **The invalidation rule.** The memo belongs to a [`SubgraphIndex`] and so to one
+//! set of its subgraph's weights. Building or restoring an index starts it empty,
+//! and [`SubgraphIndex`]'s maintenance replaces it with a fresh, empty one (made by
+//! the first query that asks) before it changes a weight, leaving the old one to the
+//! epochs that still hold the old index. Epochs that share a clean subgraph's index
+//! share its memo, so a publish does no work per entry and only the subgraphs a
+//! batch dirtied lose theirs.
+//!
+//! **Why a memo hit is the computation, bit for bit.** FindKSP produces paths one
+//! at a time, and what it produces does not depend on how many it was asked for:
+//! the first `k` paths of a run asked for more are those of a run asked for `k`,
+//! with the same distance bits. A memo entry keeps the spur searches each prefix
+//! cost, so a query asking for fewer paths reads a prefix and is charged what
+//! computing that prefix costs; one asking for more recomputes and replaces the
+//! entry. A hit records the hop's subgraph in the trace and counts the same
+//! `subgraphs_examined`, `spur_searches` and `vertices_transferred` as computing it;
+//! only [`QueryStats::partials_reused`] tells the two apart.
+//!
+//! [`SubgraphIndex`]: crate::dtlp::SubgraphIndex
 
 use crate::dtlp::{DtlpIndex, Hop};
 use crate::kspdg::QueryStats;
 use ksp_algo::path::keep_k_shortest;
 use ksp_algo::{FindKsp, Path, SearchArena};
-use ksp_graph::{SubgraphSet, VertexId};
+use ksp_graph::{Subgraph, SubgraphSet, VertexId};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// Cache of partial k-shortest-path computations, keyed by hop: subgraph and
+/// FindKSP's first partial paths between two vertices of one subgraph, with the
+/// spur searches each prefix cost.
+#[derive(Debug)]
+pub(crate) struct Partials {
+    paths: Vec<Path>,
+    /// `spur_searches[i]` is the number of spur searches a run asked for `i + 1`
+    /// paths performs. One entry longer than `paths` when the run ran out of paths:
+    /// the last entry is then what a run asked for any larger number performs.
+    spur_searches: Vec<usize>,
+}
+
+impl Partials {
+    /// Runs FindKSP from `from` to `to` inside `subgraph` for up to `k` paths: its
+    /// spur searches on `arena`, its reverse search over
+    /// [`Subgraph::reversed`] on `heuristic`.
+    fn compute(
+        subgraph: &Subgraph,
+        from: VertexId,
+        to: VertexId,
+        k: usize,
+        arena: &mut SearchArena,
+        heuristic: &mut SearchArena,
+    ) -> Self {
+        let reverse = subgraph.reversed();
+        let mut find = FindKsp::new(subgraph, &reverse, from, to, heuristic);
+        let mut spur_searches = Vec::with_capacity(k);
+        for asked in 1..=k {
+            find.produce_up_to_in(asked, arena);
+            spur_searches.push(find.spur_searches());
+        }
+        let paths = find.into_produced(heuristic);
+        spur_searches.truncate(paths.len() + 1);
+        Partials { paths, spur_searches }
+    }
+
+    /// How many paths a run may be asked for and be answered from this entry.
+    fn reach(&self) -> usize {
+        if self.spur_searches.len() > self.paths.len() {
+            usize::MAX
+        } else {
+            self.paths.len()
+        }
+    }
+
+    /// The paths a run asked for `k` returns and the spur searches it performs; `k`
+    /// must be within [`Partials::reach`].
+    fn prefix(&self, k: usize) -> (&[Path], usize) {
+        debug_assert!((1..=self.reach()).contains(&k));
+        let answered = k.min(self.spur_searches.len());
+        (&self.paths[..answered.min(self.paths.len())], self.spur_searches[answered - 1])
+    }
+}
+
+/// The partial k shortest paths between boundary vertices of one subgraph that
+/// queries computed on its current weights, keyed by `(from, to)` and shared by
+/// every query and every shard behind a lock (see the module docs for when it is
+/// replaced). An entry holds the largest `k` asked so far, so the memo is bounded by
+/// the subgraph's ordered boundary pairs times that `k`.
+#[derive(Debug, Default)]
+pub(crate) struct PartialMemo {
+    entries: Mutex<HashMap<(VertexId, VertexId), Arc<Partials>>>,
+}
+
+impl PartialMemo {
+    /// The entries. A thread that panicked while holding the lock left no entry
+    /// half-written (each is replaced whole), so a poisoned lock is used as is.
+    fn entries(&self) -> MutexGuard<'_, HashMap<(VertexId, VertexId), Arc<Partials>>> {
+        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The entry of `from → to`, if it answers a run asked for `k` paths.
+    fn get(&self, from: VertexId, to: VertexId, k: usize) -> Option<Arc<Partials>> {
+        self.entries().get(&(from, to)).filter(|p| k <= p.reach()).cloned()
+    }
+
+    /// Keeps `partials` as the entry of `from → to`, unless the entry there
+    /// already answers as many runs.
+    fn offer(&self, from: VertexId, to: VertexId, partials: &Arc<Partials>) {
+        let mut entries = self.entries();
+        let kept = entries.entry((from, to)).or_insert_with(|| Arc::clone(partials));
+        if kept.reach() < partials.reach() {
+            *kept = Arc::clone(partials);
+        }
+    }
+}
+
+/// One query's partial k-shortest-path computations, keyed by hop: subgraph and
 /// (ordered) vertex pair.
 ///
-/// Two consecutive reference paths usually share many adjacent boundary-vertex pairs
-/// (Section 5.2); caching the partial results avoids recomputing them in later
-/// iterations of the same query. The cache is per-query: it must be discarded when the
-/// underlying weights change.
+/// Two consecutive reference paths usually share many hops (Section 5.2); keeping
+/// the partial results avoids recomputing them in later iterations of the same
+/// query. On a miss between two boundary vertices the cache asks the subgraph's
+/// memo, shared across queries on the same weights, before it computes; see the
+/// module docs for the two scopes and when the memo is dropped. Entries are shared
+/// with the memo, not copied.
 #[derive(Debug)]
 pub struct PartialPathCache {
     k: usize,
-    entries: HashMap<Hop, Vec<Path>>,
+    /// Each hop's partials and how many of their paths this query uses.
+    entries: HashMap<Hop, (Arc<Partials>, usize)>,
     /// The heuristic arena every partial FindKSP reuses for its reverse search.
     heuristic: SearchArena,
     hits: usize,
     misses: usize,
+    reused: usize,
 }
 
 impl PartialPathCache {
@@ -58,6 +179,7 @@ impl PartialPathCache {
             heuristic: SearchArena::new(),
             hits: 0,
             misses: 0,
+            reused: 0,
         }
     }
 
@@ -71,9 +193,15 @@ impl PartialPathCache {
         self.hits
     }
 
-    /// Number of cache misses (i.e. actual partial computations) so far.
+    /// Number of cache misses so far: partial computations, whether run here or
+    /// read from a subgraph's memo.
     pub fn misses(&self) -> usize {
         self.misses
+    }
+
+    /// Number of cache misses a subgraph's memo answered.
+    pub fn reused(&self) -> usize {
+        self.reused
     }
 
     /// Returns the partial k shortest paths of `hop`, computing (and caching) them if
@@ -81,12 +209,13 @@ impl PartialPathCache {
     ///
     /// The computation runs FindKSP inside the hop's subgraph (Algorithm 4, line 6) —
     /// its spur searches on `arena`, its reverse search from `hop.to` over
-    /// [`ksp_graph::Subgraph::reversed`] on the cache's own heuristic arena. Adds the number of newly
-    /// computed path-vertices to `stats.vertices_transferred`, modelling the tuples a
-    /// SubgraphBolt would send back to the QueryBolt, counts the subgraph in
-    /// `stats.subgraphs_examined` and every spur search in `stats.spur_searches`, and
-    /// records the subgraph in `trace` — the level-one half of the query's dependency
-    /// set.
+    /// [`ksp_graph::Subgraph::reversed`] on the cache's own heuristic arena — unless
+    /// both ends are boundary vertices and the subgraph's memo holds it. Either way
+    /// it adds the number of path-vertices to `stats.vertices_transferred`, modelling
+    /// the tuples a SubgraphBolt would send back to the QueryBolt, counts the
+    /// subgraph in `stats.subgraphs_examined` and the computation's spur searches in
+    /// `stats.spur_searches`, and records the subgraph in `trace` — the level-one half
+    /// of the query's dependency set.
     pub fn partial_ksp(
         &mut self,
         index: &DtlpIndex,
@@ -98,21 +227,43 @@ impl PartialPathCache {
         let slot = match self.entries.entry(hop) {
             Entry::Occupied(cached) => {
                 self.hits += 1;
-                return cached.into_mut();
+                let (partials, used) = cached.into_mut();
+                return &partials.paths[..*used];
             }
             Entry::Vacant(slot) => slot,
         };
         self.misses += 1;
         stats.subgraphs_examined += 1;
         trace.insert(hop.subgraph);
-        let sg = index.subgraph_index(hop.subgraph).subgraph();
-        let reverse = sg.reversed();
-        let mut partials = FindKsp::new(sg, &reverse, hop.from, hop.to, &mut self.heuristic);
-        partials.produce_up_to_in(self.k, arena);
-        stats.spur_searches += partials.spur_searches();
-        let paths = partials.into_produced(&mut self.heuristic);
+        let sg = index.subgraph_index(hop.subgraph);
+        let memo =
+            (index.is_boundary(hop.from) && index.is_boundary(hop.to)).then(|| sg.partial_memo());
+        let partials = match memo.and_then(|m| m.get(hop.from, hop.to, self.k)) {
+            Some(kept) => {
+                self.reused += 1;
+                kept
+            }
+            None => {
+                let computed = Arc::new(Partials::compute(
+                    sg.subgraph(),
+                    hop.from,
+                    hop.to,
+                    self.k,
+                    arena,
+                    &mut self.heuristic,
+                ));
+                if let Some(memo) = memo {
+                    memo.offer(hop.from, hop.to, &computed);
+                }
+                computed
+            }
+        };
+        let (paths, spur_searches) = partials.prefix(self.k);
+        stats.spur_searches += spur_searches;
         stats.vertices_transferred += paths.iter().map(|p| p.num_vertices()).sum::<usize>();
-        slot.insert(paths)
+        let used = paths.len();
+        let (partials, used) = slot.insert((partials, used));
+        &partials.paths[..*used]
     }
 }
 
@@ -368,5 +519,57 @@ mod tests {
             candidate_ksp(&index, v(3), [], &mut cache, &mut arena, &mut stats, &mut trace);
         assert_eq!(candidates.len(), 1);
         assert_eq!(candidates[0].num_edges(), 0);
+    }
+
+    #[test]
+    fn memo_prefixes_and_regrowth_match_fresh_findksp_runs() {
+        // One boundary hop asked for 5, then 2, then 7 paths, each by a new query's
+        // cache over the same index: every run must be a fresh FindKSP run's paths,
+        // distance bits and counters, whether the memo answered it (2 reads the
+        // prefix of 5) or not (7 regrows the entry unless 5 ran out of paths).
+        let fresh = |index: &DtlpIndex, hop: Hop, k: usize| {
+            let sg = index.subgraph_index(hop.subgraph).subgraph();
+            let (reverse, mut heuristic) = (sg.reversed(), SearchArena::new());
+            let mut find = FindKsp::new(sg, &reverse, hop.from, hop.to, &mut heuristic);
+            find.produce_up_to_in(k, &mut SearchArena::new());
+            let spur_searches = find.spur_searches();
+            (find.into_produced(&mut heuristic), spur_searches)
+        };
+        let bits = |paths: &[Path]| {
+            paths.iter().map(|p| (p.vertices().to_vec(), p.distance().value().to_bits())).collect()
+        };
+        let (mut regrown, mut ran_out) = (0, 0);
+        let road = crate::dtlp::index::tests::road_network(400, 19);
+        for index in [paper_index(), DtlpIndex::build(&road, DtlpConfig::new(20, 2)).unwrap()] {
+            for sg in index.subgraph_indexes() {
+                let boundary = sg.subgraph().boundary_vertices();
+                let Some((&from, &to)) = boundary.first().zip(boundary.last()) else { continue };
+                if from == to {
+                    continue;
+                }
+                let hop = Hop { subgraph: sg.id(), from, to };
+                for (run, k) in [5, 2, 7, 7].into_iter().enumerate() {
+                    let mut cache = PartialPathCache::new(k);
+                    let (mut arena, mut stats, mut trace) = sinks();
+                    let got: Vec<(Vec<VertexId>, u64)> =
+                        bits(cache.partial_ksp(&index, hop, &mut arena, &mut stats, &mut trace));
+                    let (want, spur_searches) = fresh(&index, hop, k);
+                    let case = format!("{hop:?} run {run}, k = {k}");
+                    assert_eq!(got, bits(&want), "{case}");
+                    assert_eq!(stats.spur_searches, spur_searches, "{case}");
+                    let transferred: usize = want.iter().map(|p| p.num_vertices()).sum();
+                    assert_eq!(stats.vertices_transferred, transferred, "{case}");
+                    assert!(trace.contains(hop.subgraph), "{case}: a hit is traced too");
+                    // 5 runs first and 2 reads its prefix; 7 regrows the entry unless
+                    // 5 found fewer paths, and the second 7 reads the regrown one.
+                    let exhausted_at_5 = run == 2 && fresh(&index, hop, 5).0.len() < 5;
+                    let reused = matches!(run, 1 | 3) || exhausted_at_5;
+                    assert_eq!(cache.reused(), reused as usize, "{case}");
+                    regrown += (run == 2 && !reused) as usize;
+                    ran_out += exhausted_at_5 as usize;
+                }
+            }
+        }
+        assert!(regrown > 0 && ran_out > 0, "regrown {regrown}, ran out {ran_out}");
     }
 }

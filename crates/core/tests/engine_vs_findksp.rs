@@ -5,17 +5,24 @@
 //! `kspdg::query` and `kspdg::refine` module docs: a route's canonical reference
 //! comes before Theorem 3's stop, and its refine yields the route or k shorter
 //! simple routes. This test checks their conclusion on 300-vertex networks,
-//! undirected and directed, at epoch 0 and after three paper-default global batches
-//! (float weights, slack Theorem 1 bounds): every answer has FindKSP's distances, up
-//! to float rounding, and only simple routes.
+//! undirected and directed, at epoch 0, after three paper-default global batches
+//! (float weights, slack Theorem 1 bounds) and after an incident on top of them:
+//! every answer has FindKSP's distances, up to float rounding, and only simple
+//! routes.
+//!
+//! One index serves all three states, so the subgraphs' memos of boundary-pair
+//! partials carry over: the global batches dirty nearly every subgraph and must
+//! drop what they memoised, and the incident dirties one to three and must leave
+//! the others' entries in use.
 
 use ksp_algo::{find_ksp, Path};
 use ksp_core::dtlp::{DtlpConfig, DtlpIndex};
 use ksp_core::kspdg::KspDgEngine;
-use ksp_graph::{DynamicGraph, VertexId};
+use ksp_graph::{DynamicGraph, GraphView, UpdateBatch, VertexId, Weight, WeightUpdate};
 use ksp_workload::{
     RoadNetworkConfig, RoadNetworkGenerator, TrafficConfig, TrafficModel, Xoshiro256,
 };
+use std::collections::BTreeSet;
 
 /// Uniform pairs per network state.
 const UNIFORM_PAIRS: usize = 80;
@@ -52,6 +59,34 @@ fn pairs(graph: &DynamicGraph, index: &DtlpIndex, seed: u64) -> Vec<(VertexId, V
     pairs
 }
 
+/// An incident: every edge within three hops of a random centre moves to its initial
+/// weight × U[0.7, 1.3]. Centres are drawn until the edges lie in one to three
+/// subgraphs, so the batch is local.
+fn incident(graph: &DynamicGraph, index: &DtlpIndex, rng: &mut Xoshiro256) -> UpdateBatch {
+    loop {
+        let mut reached = vec![VertexId(rng.next_bounded(graph.num_vertices() as u64) as u32)];
+        let mut edges = BTreeSet::new();
+        for _ in 0..3 {
+            for u in std::mem::take(&mut reached) {
+                for (v, _) in graph.neighbors(u) {
+                    if edges.insert(graph.edge_between(u, v).expect("neighbours share an edge")) {
+                        reached.push(v);
+                    }
+                }
+            }
+        }
+        let owners: BTreeSet<_> = edges.iter().map(|&e| index.owner_of_edge(e)).collect();
+        if owners.len() > 3 {
+            continue;
+        }
+        let updates = edges.into_iter().map(|e| {
+            let factor = rng.next_range_f64(0.7, 1.3);
+            WeightUpdate::new(e, Weight::new(graph.initial_weight(e) as f64 * factor))
+        });
+        return UpdateBatch::new(updates.collect());
+    }
+}
+
 #[test]
 fn engine_answers_match_whole_graph_findksp() {
     let mut answers = 0;
@@ -61,19 +96,46 @@ fn engine_answers_match_whole_graph_findksp() {
         let mut graph = RoadNetworkGenerator::new(config).generate(2023).unwrap().graph;
         let mut index = DtlpIndex::build(&graph, DtlpConfig::new(25, 2)).unwrap();
         let mut traffic = TrafficModel::new(&graph, TrafficConfig::default(), 5);
-        for batches in [0, 3] {
-            while traffic.snapshots_generated() < batches as u64 {
-                let batch = traffic.next_snapshot();
-                graph.apply_batch(&batch).unwrap();
-                index.apply_batch(&batch).unwrap();
+        let mut rng = Xoshiro256::seed_from_u64(41);
+        let mut asked = Vec::new();
+        for (state, seed) in [("epoch 0", 17), ("3 global batches", 20), ("an incident", 23)] {
+            match state {
+                "3 global batches" => {
+                    for _ in 0..3 {
+                        let batch = traffic.next_snapshot();
+                        graph.apply_batch(&batch).unwrap();
+                        index.apply_batch(&batch).unwrap();
+                    }
+                }
+                "an incident" => {
+                    // The previous state's pair whose answer reads the most memoised
+                    // partials: all of them are boundary-pair hops its k = 5 run
+                    // memoised.
+                    let engine = KspDgEngine::new(&index);
+                    let reads = |&(s, t): &(VertexId, VertexId)| {
+                        (engine.query(s, t, 5).stats.partials_reused, s, t)
+                    };
+                    let (reads, s, t) = asked.iter().map(reads).max().unwrap();
+                    assert!(reads > 0, "directed {directed}: no answer reads a memoised partial");
+                    let batch = incident(&graph, &index, &mut rng);
+                    graph.apply_batch(&batch).unwrap();
+                    let dirty = index.apply_batch(&batch).unwrap().dirty_subgraphs.len();
+                    assert!((1..=3).contains(&dirty), "directed {directed}: {dirty} dirty");
+                    // The first query after the batch can only read partials memoised
+                    // before it: those of the subgraphs the incident left clean.
+                    let after = KspDgEngine::new(&index).query(s, t, 5).stats.partials_reused;
+                    assert!(after > 0, "directed {directed}: {s}->{t} read {reads}, now 0");
+                }
+                _ => {}
             }
             let engine = KspDgEngine::new(&index);
-            for (s, t) in pairs(&graph, &index, 17 + batches as u64) {
+            asked = pairs(&graph, &index, seed);
+            for &(s, t) in &asked {
                 for k in 1..=5 {
                     let got = engine.query(s, t, k);
                     assert!(got.stats.iterations < 10_000, "{s}->{t} k={k} hit the cap");
                     let want = find_ksp(&graph, s, t, k);
-                    let case = format!("directed {directed}, {batches} batches, {s}->{t}, k={k}");
+                    let case = format!("directed {directed}, {state}, {s}->{t}, k={k}");
                     assert_eq!(got.paths.len(), want.len(), "{case}: answer size");
                     for (g, w) in got.paths.iter().zip(&want) {
                         assert!(
@@ -89,5 +151,5 @@ fn engine_answers_match_whole_graph_findksp() {
             }
         }
     }
-    assert_eq!(answers, 2 * 2 * (UNIFORM_PAIRS + SHARED_PAIRS) * 5);
+    assert_eq!(answers, 2 * 3 * (UNIFORM_PAIRS + SHARED_PAIRS) * 5);
 }
