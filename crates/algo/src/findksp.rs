@@ -177,6 +177,11 @@ impl<'a, G: GraphView, R: GraphView, P: Projection> FindKsp<'a, G, R, P> {
         self.lists.spur_searches
     }
 
+    /// Number of paths produced so far.
+    pub fn num_produced(&self) -> usize {
+        self.lists.produced.len()
+    }
+
     /// Number of vertices settled across all A* spur searches so far.
     pub fn settled_vertices(&self) -> usize {
         self.settled_vertices

@@ -397,7 +397,7 @@ const _: () = {
 mod tests {
     use super::*;
     use crate::dtlp::{DtlpConfig, DtlpIndex, Hop};
-    use ksp_algo::{dijkstra_path, yen_ksp};
+    use ksp_algo::{dijkstra_path, find_ksp, yen_ksp};
     use ksp_graph::GraphView;
     use ksp_graph::{DynamicGraph, GraphBuilder};
     use ksp_workload::{
@@ -986,6 +986,28 @@ mod tests {
         let second = engine.query(v(3), v(12), 5).stats;
         assert_eq!((first.partials_reused, second.partials_reused > 0), (0, true));
         assert_eq!(QueryStats { partials_reused: 0, ..second }, first);
+    }
+
+    #[test]
+    fn a_huge_k_returns_every_route_twice_alike() {
+        // `k` reaches the engine unchecked but for zero. Asked for `usize::MAX` paths,
+        // a query returns every simple route whole-graph FindKSP finds, and so does
+        // its repeat, which reads the boundary-pair partials from the memos.
+        let g = paper_graph();
+        let index = DtlpIndex::build(&g, DtlpConfig::new(6, 1)).unwrap();
+        let engine = KspDgEngine::new(&index);
+        let bits = |paths: &[Path]| -> Vec<(Vec<VertexId>, u64)> {
+            paths.iter().map(|p| (p.vertices().to_vec(), p.distance().value().to_bits())).collect()
+        };
+        let want = find_ksp(&g, v(3), v(12), usize::MAX);
+        let first = engine.query(v(3), v(12), usize::MAX);
+        let second = engine.query(v(3), v(12), usize::MAX);
+        assert_eq!(first.paths.len(), want.len());
+        for (got, want) in first.paths.iter().zip(&want) {
+            assert!(got.distance().approx_eq(want.distance()));
+        }
+        assert_eq!(bits(&second.paths), bits(&first.paths));
+        assert_eq!((first.stats.partials_reused, second.stats.partials_reused > 0), (0, true));
     }
 
     #[test]

@@ -63,42 +63,54 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// FindKSP's first partial paths between two vertices of one subgraph, with the
-/// spur searches each prefix cost.
+/// FindKSP's first partial paths between two vertices of one subgraph and, for a
+/// memo entry, the spur searches each prefix cost.
 #[derive(Debug)]
 pub(crate) struct Partials {
     paths: Vec<Path>,
     /// `spur_searches[i]` is the number of spur searches a run asked for `i + 1`
     /// paths performs. One entry longer than `paths` when the run ran out of paths:
     /// the last entry is then what a run asked for any larger number performs.
+    /// Empty for partials computed for one query alone.
     spur_searches: Vec<usize>,
 }
 
 impl Partials {
-    /// Runs FindKSP from `from` to `to` inside `subgraph` for up to `k` paths: its
-    /// spur searches on `arena`, its reverse search over
-    /// [`Subgraph::reversed`] on `heuristic`.
+    /// Runs FindKSP from `from` to `to` inside `subgraph` until it has produced `k`
+    /// paths or none remain: its spur searches on `arena`, its reverse search over
+    /// [`Subgraph::reversed`] on `heuristic`. Returns the partials and the spur
+    /// searches the run performed. With `prefixes` the partials also keep what each
+    /// shorter run performs, as a memo entry must; the run then produces one path at
+    /// a time, so its cost stays that of the paths the hop has, whatever `k` is.
     fn compute(
         subgraph: &Subgraph,
         from: VertexId,
         to: VertexId,
         k: usize,
+        prefixes: bool,
         arena: &mut SearchArena,
         heuristic: &mut SearchArena,
-    ) -> Self {
+    ) -> (Self, usize) {
         let reverse = subgraph.reversed();
         let mut find = FindKsp::new(subgraph, &reverse, from, to, heuristic);
-        let mut spur_searches = Vec::with_capacity(k);
-        for asked in 1..=k {
-            find.produce_up_to_in(asked, arena);
-            spur_searches.push(find.spur_searches());
+        let mut spur_searches = Vec::new();
+        if prefixes {
+            for asked in 1..=k {
+                find.produce_up_to_in(asked, arena);
+                spur_searches.push(find.spur_searches());
+                if find.num_produced() < asked {
+                    // Out of paths: a run asked for more stops at the same search.
+                    break;
+                }
+            }
+        } else {
+            find.produce_up_to_in(k, arena);
         }
-        let paths = find.into_produced(heuristic);
-        spur_searches.truncate(paths.len() + 1);
-        Partials { paths, spur_searches }
+        let performed = find.spur_searches();
+        (Partials { paths: find.into_produced(heuristic), spur_searches }, performed)
     }
 
-    /// How many paths a run may be asked for and be answered from this entry.
+    /// How many paths a run may be asked for and be answered from this memo entry.
     fn reach(&self) -> usize {
         if self.spur_searches.len() > self.paths.len() {
             usize::MAX
@@ -107,20 +119,20 @@ impl Partials {
         }
     }
 
-    /// The paths a run asked for `k` returns and the spur searches it performs; `k`
-    /// must be within [`Partials::reach`].
-    fn prefix(&self, k: usize) -> (&[Path], usize) {
+    /// The spur searches a run asked for `k` paths performs; `k` must be within
+    /// [`Partials::reach`] of this memo entry.
+    fn spur_searches(&self, k: usize) -> usize {
         debug_assert!((1..=self.reach()).contains(&k));
-        let answered = k.min(self.spur_searches.len());
-        (&self.paths[..answered.min(self.paths.len())], self.spur_searches[answered - 1])
+        self.spur_searches[k.min(self.spur_searches.len()) - 1]
     }
 }
 
 /// The partial k shortest paths between boundary vertices of one subgraph that
 /// queries computed on its current weights, keyed by `(from, to)` and shared by
 /// every query and every shard behind a lock (see the module docs for when it is
-/// replaced). An entry holds the largest `k` asked so far, so the memo is bounded by
-/// the subgraph's ordered boundary pairs times that `k`.
+/// replaced). An entry holds the paths of the largest `k` asked so far, or all the
+/// paths its hop has if fewer, so the memo is bounded by the subgraph's ordered
+/// boundary pairs times that `k`.
 #[derive(Debug, Default)]
 pub(crate) struct PartialMemo {
     entries: Mutex<HashMap<(VertexId, VertexId), Arc<Partials>>>,
@@ -238,30 +250,33 @@ impl PartialPathCache {
         let sg = index.subgraph_index(hop.subgraph);
         let memo =
             (index.is_boundary(hop.from) && index.is_boundary(hop.to)).then(|| sg.partial_memo());
-        let partials = match memo.and_then(|m| m.get(hop.from, hop.to, self.k)) {
+        let (partials, spur_searches) = match memo.and_then(|m| m.get(hop.from, hop.to, self.k)) {
             Some(kept) => {
                 self.reused += 1;
-                kept
+                let spur_searches = kept.spur_searches(self.k);
+                (kept, spur_searches)
             }
             None => {
-                let computed = Arc::new(Partials::compute(
+                let (computed, spur_searches) = Partials::compute(
                     sg.subgraph(),
                     hop.from,
                     hop.to,
                     self.k,
+                    memo.is_some(),
                     arena,
                     &mut self.heuristic,
-                ));
+                );
+                let computed = Arc::new(computed);
                 if let Some(memo) = memo {
                     memo.offer(hop.from, hop.to, &computed);
                 }
-                computed
+                (computed, spur_searches)
             }
         };
-        let (paths, spur_searches) = partials.prefix(self.k);
+        let used = partials.paths.len().min(self.k);
         stats.spur_searches += spur_searches;
-        stats.vertices_transferred += paths.iter().map(|p| p.num_vertices()).sum::<usize>();
-        let used = paths.len();
+        stats.vertices_transferred +=
+            partials.paths[..used].iter().map(|p| p.num_vertices()).sum::<usize>();
         let (partials, used) = slot.insert((partials, used));
         &partials.paths[..*used]
     }
@@ -521,55 +536,83 @@ mod tests {
         assert_eq!(candidates[0].num_edges(), 0);
     }
 
+    /// A fresh FindKSP run for up to `k` paths of `hop`, and its spur searches.
+    fn findksp_hop(index: &DtlpIndex, hop: Hop, k: usize) -> (Vec<Path>, usize) {
+        let sg = index.subgraph_index(hop.subgraph).subgraph();
+        let (reverse, mut heuristic) = (sg.reversed(), SearchArena::new());
+        let mut find = FindKsp::new(sg, &reverse, hop.from, hop.to, &mut heuristic);
+        find.produce_up_to_in(k, &mut SearchArena::new());
+        let spur_searches = find.spur_searches();
+        (find.into_produced(&mut heuristic), spur_searches)
+    }
+
+    /// Asks a new query's cache for `k` paths of `hop` and checks them against a
+    /// fresh FindKSP run: routes, distance bits, spur searches, vertices transferred
+    /// and trace. Returns whether the subgraph's memo answered.
+    fn memo_run_matches_findksp(index: &DtlpIndex, hop: Hop, k: usize) -> bool {
+        let bits = |paths: &[Path]| -> Vec<(Vec<VertexId>, u64)> {
+            paths.iter().map(|p| (p.vertices().to_vec(), p.distance().value().to_bits())).collect()
+        };
+        let mut cache = PartialPathCache::new(k);
+        let (mut arena, mut stats, mut trace) = sinks();
+        let got = bits(cache.partial_ksp(index, hop, &mut arena, &mut stats, &mut trace));
+        let (want, spur_searches) = findksp_hop(index, hop, k);
+        let case = format!("{hop:?}, k = {k}");
+        assert_eq!(got, bits(&want), "{case}");
+        assert_eq!(stats.spur_searches, spur_searches, "{case}");
+        let transferred: usize = want.iter().map(|p| p.num_vertices()).sum();
+        assert_eq!(stats.vertices_transferred, transferred, "{case}");
+        assert!(trace.contains(hop.subgraph), "{case}: a hit is traced too");
+        cache.reused() == 1
+    }
+
+    /// A hop between the first and last boundary vertex of each subgraph with two.
+    fn boundary_hops(index: &DtlpIndex) -> Vec<Hop> {
+        let hop = |sg: &Arc<crate::dtlp::SubgraphIndex>| {
+            let boundary = sg.subgraph().boundary_vertices();
+            let (&from, &to) = boundary.first().zip(boundary.last())?;
+            (from != to).then_some(Hop { subgraph: sg.id(), from, to })
+        };
+        index.subgraph_indexes().iter().filter_map(hop).collect()
+    }
+
     #[test]
     fn memo_prefixes_and_regrowth_match_fresh_findksp_runs() {
         // One boundary hop asked for 5, then 2, then 7 paths, each by a new query's
         // cache over the same index: every run must be a fresh FindKSP run's paths,
         // distance bits and counters, whether the memo answered it (2 reads the
         // prefix of 5) or not (7 regrows the entry unless 5 ran out of paths).
-        let fresh = |index: &DtlpIndex, hop: Hop, k: usize| {
-            let sg = index.subgraph_index(hop.subgraph).subgraph();
-            let (reverse, mut heuristic) = (sg.reversed(), SearchArena::new());
-            let mut find = FindKsp::new(sg, &reverse, hop.from, hop.to, &mut heuristic);
-            find.produce_up_to_in(k, &mut SearchArena::new());
-            let spur_searches = find.spur_searches();
-            (find.into_produced(&mut heuristic), spur_searches)
-        };
-        let bits = |paths: &[Path]| {
-            paths.iter().map(|p| (p.vertices().to_vec(), p.distance().value().to_bits())).collect()
-        };
         let (mut regrown, mut ran_out) = (0, 0);
         let road = crate::dtlp::index::tests::road_network(400, 19);
         for index in [paper_index(), DtlpIndex::build(&road, DtlpConfig::new(20, 2)).unwrap()] {
-            for sg in index.subgraph_indexes() {
-                let boundary = sg.subgraph().boundary_vertices();
-                let Some((&from, &to)) = boundary.first().zip(boundary.last()) else { continue };
-                if from == to {
-                    continue;
-                }
-                let hop = Hop { subgraph: sg.id(), from, to };
+            for hop in boundary_hops(&index) {
                 for (run, k) in [5, 2, 7, 7].into_iter().enumerate() {
-                    let mut cache = PartialPathCache::new(k);
-                    let (mut arena, mut stats, mut trace) = sinks();
-                    let got: Vec<(Vec<VertexId>, u64)> =
-                        bits(cache.partial_ksp(&index, hop, &mut arena, &mut stats, &mut trace));
-                    let (want, spur_searches) = fresh(&index, hop, k);
-                    let case = format!("{hop:?} run {run}, k = {k}");
-                    assert_eq!(got, bits(&want), "{case}");
-                    assert_eq!(stats.spur_searches, spur_searches, "{case}");
-                    let transferred: usize = want.iter().map(|p| p.num_vertices()).sum();
-                    assert_eq!(stats.vertices_transferred, transferred, "{case}");
-                    assert!(trace.contains(hop.subgraph), "{case}: a hit is traced too");
+                    let reused = memo_run_matches_findksp(&index, hop, k);
                     // 5 runs first and 2 reads its prefix; 7 regrows the entry unless
                     // 5 found fewer paths, and the second 7 reads the regrown one.
-                    let exhausted_at_5 = run == 2 && fresh(&index, hop, 5).0.len() < 5;
-                    let reused = matches!(run, 1 | 3) || exhausted_at_5;
-                    assert_eq!(cache.reused(), reused as usize, "{case}");
+                    let exhausted_at_5 = run == 2 && findksp_hop(&index, hop, 5).0.len() < 5;
+                    assert_eq!(reused, matches!(run, 1 | 3) || exhausted_at_5, "{hop:?} run {run}");
                     regrown += (run == 2 && !reused) as usize;
                     ran_out += exhausted_at_5 as usize;
                 }
             }
         }
         assert!(regrown > 0 && ran_out > 0, "regrown {regrown}, ran out {ran_out}");
+    }
+
+    #[test]
+    fn a_huge_k_costs_only_the_paths_a_hop_has() {
+        // `k` reaches the engine unchecked but for zero. A memo entry records one
+        // prefix per path the hop has, not one per path asked for, so a run asked
+        // for `usize::MAX` paths stops when FindKSP runs out, and the next such run
+        // reads the entry.
+        let index = paper_index();
+        let hops = boundary_hops(&index);
+        assert!(!hops.is_empty());
+        for hop in hops {
+            assert!(!memo_run_matches_findksp(&index, hop, usize::MAX), "{hop:?} computed");
+            assert!(memo_run_matches_findksp(&index, hop, usize::MAX), "{hop:?} reused");
+            assert!(memo_run_matches_findksp(&index, hop, 2), "{hop:?} prefix");
+        }
     }
 }
