@@ -449,10 +449,10 @@ impl DtlpIndex {
 pub(crate) mod tests {
     use super::*;
     use ksp_algo::dijkstra_path;
-    use ksp_graph::{GraphBuilder, GraphView, Weight, WeightUpdate};
+    use ksp_graph::{GraphBuilder, GraphView, Weight};
     use ksp_workload::{
-        QueryWorkload, QueryWorkloadConfig, RoadNetworkConfig, RoadNetworkGenerator, TrafficConfig,
-        TrafficModel, Xoshiro256,
+        incident, QueryWorkload, QueryWorkloadConfig, RoadNetworkConfig, RoadNetworkGenerator,
+        TrafficConfig, TrafficModel, Xoshiro256,
     };
 
     fn paper_graph() -> DynamicGraph {
@@ -493,30 +493,6 @@ pub(crate) mod tests {
 
     pub(crate) fn road_network(n: usize, seed: u64) -> DynamicGraph {
         RoadNetworkGenerator::new(RoadNetworkConfig::with_vertices(n)).generate(seed).unwrap().graph
-    }
-
-    /// An incident: every edge within two hops of a random centre moves to
-    /// initial × U[0.7, 1.3]. It dirties a few subgraphs, so it is a local batch.
-    pub(crate) fn incident(graph: &DynamicGraph, rng: &mut Xoshiro256) -> UpdateBatch {
-        let mut reached = vec![VertexId(rng.next_bounded(graph.num_vertices() as u64) as u32)];
-        let mut edges = std::collections::BTreeSet::new();
-        for _ in 0..2 {
-            for u in std::mem::take(&mut reached) {
-                for (v, _) in graph.neighbors(u) {
-                    if edges.insert(graph.edge_between(u, v).expect("neighbours share an edge")) {
-                        reached.push(v);
-                    }
-                }
-            }
-        }
-        let updates = edges
-            .into_iter()
-            .map(|e| {
-                let factor = rng.next_range_f64(0.7, 1.3);
-                WeightUpdate::new(e, Weight::new(graph.initial_weight(e) as f64 * factor))
-            })
-            .collect();
-        UpdateBatch::new(updates)
     }
 
     #[test]
@@ -571,7 +547,7 @@ pub(crate) mod tests {
         let mut repaired = 0;
         for round in 0..6 {
             let batch =
-                if round % 2 == 0 { traffic.next_snapshot() } else { incident(&g, &mut rng) };
+                if round % 2 == 0 { traffic.next_snapshot() } else { incident(&g, 2, &mut rng) };
             g.apply_batch(&batch).unwrap();
             repaired += index.apply_batch(&batch).unwrap().pairs_repaired;
         }
@@ -755,7 +731,7 @@ pub(crate) mod tests {
         let (mut repaired, mut patched) = (0, 0);
         for round in 0..6 {
             let batch =
-                if round % 2 == 0 { traffic.next_snapshot() } else { incident(&g, &mut rng) };
+                if round % 2 == 0 { traffic.next_snapshot() } else { incident(&g, 2, &mut rng) };
             g.apply_batch(&batch).unwrap();
             let stats = live.apply_batch(&batch).unwrap();
             repaired += stats.pairs_repaired;

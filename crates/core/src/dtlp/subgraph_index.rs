@@ -547,9 +547,9 @@ mod tests {
 
     #[test]
     fn local_batches_repair_loose_bounds_and_global_batches_keep_theorem1() {
-        use crate::dtlp::index::tests::{incident, road_network};
+        use crate::dtlp::index::tests::road_network;
         use crate::dtlp::{DtlpConfig, DtlpIndex};
-        use ksp_workload::{TrafficConfig, TrafficModel, Xoshiro256};
+        use ksp_workload::{incident, TrafficConfig, TrafficModel, Xoshiro256};
 
         let mut g = road_network(400, 19);
         let mut index = DtlpIndex::build(&g, DtlpConfig::new(20, 2)).unwrap();
@@ -559,7 +559,7 @@ mod tests {
         let mut repaired_total = 0;
         for round in 0..8 {
             let global = round % 4 == 0;
-            let batch = if global { traffic.next_snapshot() } else { incident(&g, &mut rng) };
+            let batch = if global { traffic.next_snapshot() } else { incident(&g, 2, &mut rng) };
             g.apply_batch(&batch).unwrap();
             let stats = index.apply_batch(&batch).unwrap();
             let dirty = stats.dirty_subgraphs.len();

@@ -13,14 +13,15 @@
 //! One index serves all three states, so the subgraphs' memos of boundary-pair
 //! partials carry over: the global batches dirty nearly every subgraph and must
 //! drop what they memoised, and the incident dirties one to three and must leave
-//! the others' entries in use.
+//! the others' entries in use. A second test measures what the memo is worth on
+//! pairs no earlier query asked.
 
 use ksp_algo::{find_ksp, Path};
 use ksp_core::dtlp::{DtlpConfig, DtlpIndex};
 use ksp_core::kspdg::KspDgEngine;
-use ksp_graph::{DynamicGraph, GraphView, UpdateBatch, VertexId, Weight, WeightUpdate};
+use ksp_graph::{DynamicGraph, UpdateBatch, VertexId};
 use ksp_workload::{
-    RoadNetworkConfig, RoadNetworkGenerator, TrafficConfig, TrafficModel, Xoshiro256,
+    incident, RoadNetworkConfig, RoadNetworkGenerator, TrafficConfig, TrafficModel, Xoshiro256,
 };
 use std::collections::BTreeSet;
 
@@ -29,19 +30,33 @@ const UNIFORM_PAIRS: usize = 80;
 /// Pairs of non-boundary endpoints that share a subgraph, per network state.
 const SHARED_PAIRS: usize = 20;
 
-/// The query pairs of one network state: uniform ones, then non-boundary pairs in
-/// one subgraph.
-fn pairs(graph: &DynamicGraph, index: &DtlpIndex, seed: u64) -> Vec<(VertexId, VertexId)> {
+/// The 300-vertex network and its index at epoch 0.
+fn network(directed: bool) -> (DynamicGraph, DtlpIndex) {
+    let mut config = RoadNetworkConfig::with_vertices(300);
+    config.directed = directed;
+    let graph = RoadNetworkGenerator::new(config).generate(2023).unwrap().graph;
+    let index = DtlpIndex::build(&graph, DtlpConfig::new(25, 2)).unwrap();
+    (graph, index)
+}
+
+/// `uniform` seeded pairs with distinct endpoints, then `shared` pairs of
+/// non-boundary endpoints in one subgraph.
+fn pairs(
+    graph: &DynamicGraph,
+    index: &DtlpIndex,
+    (uniform, shared): (usize, usize),
+    seed: u64,
+) -> Vec<(VertexId, VertexId)> {
     let n = graph.num_vertices() as u64;
     let mut rng = Xoshiro256::seed_from_u64(seed);
     let mut pairs = Vec::new();
-    while pairs.len() < UNIFORM_PAIRS {
+    while pairs.len() < uniform {
         let (s, t) = (VertexId(rng.next_bounded(n) as u32), VertexId(rng.next_bounded(n) as u32));
         if s != t {
             pairs.push((s, t));
         }
     }
-    while pairs.len() < UNIFORM_PAIRS + SHARED_PAIRS {
+    while pairs.len() < uniform + shared {
         let sg = index.subgraph_index(ksp_graph::SubgraphId(
             rng.next_bounded(index.num_subgraphs() as u64) as u32,
         ));
@@ -59,31 +74,15 @@ fn pairs(graph: &DynamicGraph, index: &DtlpIndex, seed: u64) -> Vec<(VertexId, V
     pairs
 }
 
-/// An incident: every edge within three hops of a random centre moves to its initial
-/// weight × U[0.7, 1.3]. Centres are drawn until the edges lie in one to three
-/// subgraphs, so the batch is local.
-fn incident(graph: &DynamicGraph, index: &DtlpIndex, rng: &mut Xoshiro256) -> UpdateBatch {
+/// An incident of radius three, its centre drawn until its edges lie in one to
+/// three subgraphs, so the batch is local.
+fn local_incident(graph: &DynamicGraph, index: &DtlpIndex, rng: &mut Xoshiro256) -> UpdateBatch {
     loop {
-        let mut reached = vec![VertexId(rng.next_bounded(graph.num_vertices() as u64) as u32)];
-        let mut edges = BTreeSet::new();
-        for _ in 0..3 {
-            for u in std::mem::take(&mut reached) {
-                for (v, _) in graph.neighbors(u) {
-                    if edges.insert(graph.edge_between(u, v).expect("neighbours share an edge")) {
-                        reached.push(v);
-                    }
-                }
-            }
+        let batch = incident(graph, 3, rng);
+        let owners: BTreeSet<_> = batch.iter().map(|u| index.owner_of_edge(u.edge)).collect();
+        if owners.len() <= 3 {
+            return batch;
         }
-        let owners: BTreeSet<_> = edges.iter().map(|&e| index.owner_of_edge(e)).collect();
-        if owners.len() > 3 {
-            continue;
-        }
-        let updates = edges.into_iter().map(|e| {
-            let factor = rng.next_range_f64(0.7, 1.3);
-            WeightUpdate::new(e, Weight::new(graph.initial_weight(e) as f64 * factor))
-        });
-        return UpdateBatch::new(updates.collect());
     }
 }
 
@@ -91,10 +90,7 @@ fn incident(graph: &DynamicGraph, index: &DtlpIndex, rng: &mut Xoshiro256) -> Up
 fn engine_answers_match_whole_graph_findksp() {
     let mut answers = 0;
     for directed in [false, true] {
-        let mut config = RoadNetworkConfig::with_vertices(300);
-        config.directed = directed;
-        let mut graph = RoadNetworkGenerator::new(config).generate(2023).unwrap().graph;
-        let mut index = DtlpIndex::build(&graph, DtlpConfig::new(25, 2)).unwrap();
+        let (mut graph, mut index) = network(directed);
         let mut traffic = TrafficModel::new(&graph, TrafficConfig::default(), 5);
         let mut rng = Xoshiro256::seed_from_u64(41);
         let mut asked = Vec::new();
@@ -117,7 +113,7 @@ fn engine_answers_match_whole_graph_findksp() {
                     };
                     let (reads, s, t) = asked.iter().map(reads).max().unwrap();
                     assert!(reads > 0, "directed {directed}: no answer reads a memoised partial");
-                    let batch = incident(&graph, &index, &mut rng);
+                    let batch = local_incident(&graph, &index, &mut rng);
                     graph.apply_batch(&batch).unwrap();
                     let dirty = index.apply_batch(&batch).unwrap().dirty_subgraphs.len();
                     assert!((1..=3).contains(&dirty), "directed {directed}: {dirty} dirty");
@@ -129,7 +125,7 @@ fn engine_answers_match_whole_graph_findksp() {
                 _ => {}
             }
             let engine = KspDgEngine::new(&index);
-            asked = pairs(&graph, &index, seed);
+            asked = pairs(&graph, &index, (UNIFORM_PAIRS, SHARED_PAIRS), seed);
             for &(s, t) in &asked {
                 for k in 1..=5 {
                     let got = engine.query(s, t, k);
@@ -152,4 +148,31 @@ fn engine_answers_match_whole_graph_findksp() {
         }
     }
     assert_eq!(answers, 2 * 3 * (UNIFORM_PAIRS + SHARED_PAIRS) * 5);
+}
+
+#[test]
+fn fresh_pairs_read_most_boundary_partials_from_the_memo() {
+    // The gain must not come from replaying the same pairs. After 200 seeded
+    // queries, 100 pairs none of them asked: the share of their boundary-pair
+    // partials that an earlier query had computed. Run a second time, every such
+    // partial is a memo hit, so that run's `partials_reused` counts them all.
+    let (graph, index) = network(false);
+    let engine = KspDgEngine::new(&index);
+    let reads = |pairs: &[(VertexId, VertexId)]| -> usize {
+        pairs.iter().map(|&(s, t)| engine.query(s, t, 3).stats.partials_reused).sum()
+    };
+    let warm = pairs(&graph, &index, (200, 0), 61);
+    reads(&warm);
+    let fresh: Vec<_> = pairs(&graph, &index, (400, 0), 62)
+        .into_iter()
+        .filter(|p| !warm.contains(p))
+        .take(100)
+        .collect();
+    assert_eq!(fresh.len(), 100);
+    let (reused, boundary_partials) = (reads(&fresh), reads(&fresh));
+    assert!(boundary_partials >= 100, "only {boundary_partials} boundary-pair partials");
+    assert!(
+        2 * reused >= boundary_partials,
+        "{reused} of {boundary_partials} boundary-pair partials came from the memo"
+    );
 }

@@ -4,13 +4,11 @@
 //! digest guards maintenance itself bit for bit.
 
 use ksp_core::dtlp::{DtlpConfig, DtlpIndex};
-use ksp_graph::{DynamicGraph, GraphView, UpdateBatch, VertexId, Weight, WeightUpdate};
 use ksp_store::{Store, StoreCodec, StoreConfig, SyncPolicy};
 use ksp_workload::{
-    RoadNetworkConfig, RoadNetworkGenerator, TrafficConfig, TrafficModel, Xoshiro256,
+    incident, RoadNetworkConfig, RoadNetworkGenerator, TrafficConfig, TrafficModel, Xoshiro256,
 };
 use proptest::prelude::*;
-use std::collections::BTreeSet;
 use std::path::PathBuf;
 
 fn temp_dir(tag: u64) -> PathBuf {
@@ -29,31 +27,6 @@ impl Fnv {
             self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
-}
-
-/// An incident: every edge within two hops of a random centre moves to
-/// initial × U[0.7, 1.3].
-fn incident(graph: &DynamicGraph, rng: &mut Xoshiro256) -> UpdateBatch {
-    let centre = VertexId(rng.next_bounded(graph.num_vertices() as u64) as u32);
-    let mut reached = vec![centre];
-    let mut edges = BTreeSet::new();
-    for _ in 0..2 {
-        for u in std::mem::take(&mut reached) {
-            for (v, _) in graph.neighbors(u) {
-                if edges.insert(graph.edge_between(u, v).expect("neighbours share an edge")) {
-                    reached.push(v);
-                }
-            }
-        }
-    }
-    let updates = edges
-        .into_iter()
-        .map(|e| {
-            let factor = rng.next_range_f64(0.7, 1.3);
-            WeightUpdate::new(e, Weight::new(graph.initial_weight(e) as f64 * factor))
-        })
-        .collect();
-    UpdateBatch::new(updates)
 }
 
 /// Recorded when local batches began repairing loose bounds with exact
@@ -77,7 +50,7 @@ fn maintenance_matches_the_pinned_digest() {
     let mut digest = Fnv(0xcbf2_9ce4_8422_2325);
     for round in 0..24 {
         let batch =
-            if round % 2 == 0 { traffic.next_snapshot() } else { incident(&graph, &mut rng) };
+            if round % 2 == 0 { traffic.next_snapshot() } else { incident(&graph, 2, &mut rng) };
         graph.apply_batch(&batch).unwrap();
         let stats = index.apply_batch(&batch).unwrap();
         digest.word(stats.updates_applied as u64);

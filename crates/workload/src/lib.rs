@@ -32,4 +32,4 @@ pub use datasets::{DatasetPreset, DatasetSpec};
 pub use queries::{KspQuery, QueryWorkload, QueryWorkloadConfig};
 pub use rng::Xoshiro256;
 pub use synthetic::{RoadNetworkConfig, RoadNetworkGenerator};
-pub use traffic::{TrafficConfig, TrafficModel};
+pub use traffic::{incident, TrafficConfig, TrafficModel};

@@ -14,7 +14,8 @@
 //! cycle shared by all edges and `noise` is per-edge uniform noise.
 
 use crate::rng::Xoshiro256;
-use ksp_graph::{DynamicGraph, EdgeId, UpdateBatch, Weight, WeightUpdate};
+use ksp_graph::{DynamicGraph, EdgeId, GraphView, UpdateBatch, VertexId, Weight, WeightUpdate};
+use std::collections::BTreeSet;
 
 /// Configuration of the traffic model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -140,6 +141,28 @@ impl TrafficModel {
     pub fn snapshots(&mut self, count: usize) -> Vec<UpdateBatch> {
         (0..count).map(|_| self.next_snapshot()).collect()
     }
+}
+
+/// An incident: every edge within `radius` hops of a centre drawn from `rng` moves
+/// to its initial weight × U[0.7, 1.3], drawn in edge order. It touches a few
+/// subgraphs, a local batch where [`TrafficModel::next_snapshot`] is a global one.
+pub fn incident(graph: &DynamicGraph, radius: usize, rng: &mut Xoshiro256) -> UpdateBatch {
+    let mut reached = vec![VertexId(rng.next_bounded(graph.num_vertices() as u64) as u32)];
+    let mut edges = BTreeSet::new();
+    for _ in 0..radius {
+        for u in std::mem::take(&mut reached) {
+            for (v, _) in graph.neighbors(u) {
+                if edges.insert(graph.edge_between(u, v).expect("neighbours share an edge")) {
+                    reached.push(v);
+                }
+            }
+        }
+    }
+    let updates = edges.into_iter().map(|e| {
+        let factor = rng.next_range_f64(0.7, 1.3);
+        WeightUpdate::new(e, Weight::new(graph.initial_weight(e) as f64 * factor))
+    });
+    UpdateBatch::new(updates.collect())
 }
 
 #[cfg(test)]

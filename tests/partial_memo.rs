@@ -1,13 +1,16 @@
-//! The partial-path memo is derived state: it never reaches a checkpoint image,
-//! and a process that never held it answers as the one that did.
+//! The partial-path memo is derived state: no answer depends on who filled it or
+//! whether it was filled at all, and it never reaches a checkpoint image.
 //!
-//! A leader serves a persistent store over a real socket. After a global batch
-//! and an incident, its engine warms the memos of the current epoch's subgraphs.
-//! The checkpoint image of that epoch must be the same bytes before and after,
-//! and a follower bootstrapped from the leader and a service recovered from its
-//! store, both starting with empty memos, must answer byte-identically to the
-//! warmed index: routes, distance bits, counters (all but the history-dependent
-//! `partials_reused`) and certified traces.
+//! Two threads that share one cold index, racing to fill, read and regrow its
+//! memos, answer as a sequential run does. A leader serves a persistent store
+//! over a real socket; after a global batch and an incident, its engine warms the
+//! memos of the current epoch's subgraphs. The checkpoint image of that epoch
+//! must be the same bytes before and after, and a follower bootstrapped from the
+//! leader and a service recovered from its store, both starting with empty memos,
+//! must answer byte-identically to the warmed index.
+//!
+//! Answers are compared as routes, distance bits, counters (all but the
+//! history-dependent `partials_reused`) and certified traces.
 
 mod common;
 
@@ -113,4 +116,42 @@ fn warmed_memos_reach_no_image_and_no_answer_of_a_replica_or_a_recovered_store()
 
     let _ = std::fs::remove_dir_all(&leader_dir);
     let _ = std::fs::remove_dir_all(&replica_root);
+}
+
+#[test]
+fn two_threads_on_one_cold_index_answer_as_a_sequential_run() {
+    // Two threads run the same 200 queries, in opposite orders, on one cold index,
+    // so they race to compute, read and regrow the same memo entries (k runs over
+    // 1..=5). Every answer must be the one a sequential run on its own cold index
+    // gives.
+    let graph = RoadNetworkGenerator::new(RoadNetworkConfig::with_vertices(300))
+        .generate(2023)
+        .unwrap()
+        .graph;
+    let cold = || DtlpIndex::build(&graph, DtlpConfig::new(25, 2)).unwrap();
+    let (shared, alone) = (cold(), cold());
+    let mut workload = QueryWorkload::generate(&graph, QueryWorkloadConfig::new(200, 1), 63);
+    for (i, q) in workload.queries.iter_mut().enumerate() {
+        q.k = 1 + i % 5;
+    }
+    let run = |index: &DtlpIndex, order: &mut dyn Iterator<Item = usize>| {
+        let engine = KspDgEngine::with_config(index, KspDgConfig::default().with_trace());
+        let mut answers = vec![None; workload.len()];
+        for i in order {
+            let q = &workload.queries[i];
+            answers[i] = Some(answer(engine.query(q.source, q.target, q.k)));
+        }
+        answers
+    };
+    let sequential = run(&alone, &mut (0..workload.len()));
+    let (forward, backward) = std::thread::scope(|scope| {
+        let forward = scope.spawn(|| run(&shared, &mut (0..workload.len())));
+        let backward = scope.spawn(|| run(&shared, &mut (0..workload.len()).rev()));
+        (forward.join().unwrap(), backward.join().unwrap())
+    });
+    for (i, want) in sequential.iter().enumerate() {
+        let q = &workload.queries[i];
+        assert_eq!(forward[i], *want, "forward thread, query {i}: {q:?}");
+        assert_eq!(backward[i], *want, "backward thread, query {i}: {q:?}");
+    }
 }
