@@ -43,7 +43,7 @@ fn main() {
         std::process::exit(2);
     }
 
-    let mut scale = Scale::from_env(Scale::Small);
+    let mut scale = Scale::Small;
     let mut csv = false;
     let mut ids: Vec<String> = Vec::new();
     let mut iter = args.into_iter();

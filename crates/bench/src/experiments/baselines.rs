@@ -1,6 +1,6 @@
 //! Comparison with the baseline algorithms (Figures 35–41).
 
-use crate::cluster::{Cluster, ClusterConfig, QuerySpec};
+use crate::cluster::{Cluster, ClusterConfig};
 use crate::experiments::cands::CandsIndex;
 use crate::experiments::datasets_for;
 use crate::report::{ms, Table};
@@ -13,10 +13,6 @@ use ksp_workload::{
 use std::time::{Duration, Instant};
 
 const DEFAULT_SERVERS: usize = 10;
-
-fn query_specs(workload: &QueryWorkload) -> Vec<QuerySpec> {
-    workload.iter().map(|q| QuerySpec { source: q.source, target: q.target, k: q.k }).collect()
-}
 
 /// Runs the centralized baselines (Yen and FindKSP) over a workload and returns the
 /// elapsed wall-clock time of each.
@@ -60,7 +56,7 @@ pub fn fig35_38(scale: Scale) -> Vec<Table> {
         let full = QueryWorkload::generate(&net.graph, QueryWorkloadConfig::new(max_nq, 2), 0x35);
         for nq in scale.nq_sweep() {
             let workload = full.prefix(nq);
-            let report = cluster.process_queries(&query_specs(&workload));
+            let report = cluster.process_queries(&workload);
             let (findksp, yen) = run_centralized(&net.graph, &workload);
             table.row(vec![
                 preset.short_name().to_string(),
@@ -107,7 +103,7 @@ pub fn fig39(scale: Scale) -> Vec<Table> {
     );
     for &k in &ks {
         let wk = workload.with_k(k);
-        let report = cluster.process_queries(&query_specs(&wk));
+        let report = cluster.process_queries(&wk);
         let (findksp, yen) = run_centralized(&net.graph, &wk);
         table.row(vec![k.to_string(), ms(report.wall_clock), ms(findksp), ms(yen)]);
     }
@@ -142,7 +138,7 @@ pub fn fig40(scale: Scale) -> Vec<Table> {
         let cands = CandsIndex::build(&net.graph, spec.default_z).expect("CANDS build");
         let workload = QueryWorkload::generate(&net.graph, QueryWorkloadConfig::new(nq, 1), 0x40);
 
-        let report = cluster.process_queries(&query_specs(&workload));
+        let report = cluster.process_queries(&workload);
         let t0 = Instant::now();
         for q in workload.iter() {
             let _ = cands.shortest_path(q.source, q.target);

@@ -1,6 +1,6 @@
 //! Experiments on KSP-DG query processing (Figures 24–34).
 
-use crate::cluster::{Cluster, ClusterConfig, QuerySpec};
+use crate::cluster::{Cluster, ClusterConfig};
 use crate::experiments::datasets_for;
 use crate::report::{f2, ms, Table};
 use crate::Scale;
@@ -21,10 +21,6 @@ fn iteration_k(scale: Scale) -> usize {
         Scale::Tiny => 8,
         _ => 20,
     }
-}
-
-fn query_specs(workload: &QueryWorkload) -> Vec<QuerySpec> {
-    workload.iter().map(|q| QuerySpec { source: q.source, target: q.target, k: q.k }).collect()
 }
 
 /// Shared helper: average number of iterations over a query workload after applying a
@@ -172,8 +168,7 @@ pub fn fig28_31(scale: Scale) -> Vec<Table> {
             )
             .expect("cluster build");
             for &k in &ks {
-                let specs = query_specs(&workload.with_k(k));
-                let report = cluster.process_queries(&specs);
+                let report = cluster.process_queries(&workload.with_k(k));
                 table.row(vec![
                     preset.short_name().to_string(),
                     z.to_string(),
@@ -210,8 +205,7 @@ pub fn fig32(scale: Scale) -> Vec<Table> {
         let workload =
             QueryWorkload::generate(&net.graph, QueryWorkloadConfig::new(max_nq, 2), 0x32);
         for nq in scale.nq_sweep() {
-            let specs = query_specs(&workload.prefix(nq));
-            let report = cluster.process_queries(&specs);
+            let report = cluster.process_queries(&workload.prefix(nq));
             table.row(vec![
                 preset.short_name().to_string(),
                 nq.to_string(),

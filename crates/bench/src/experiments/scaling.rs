@@ -1,16 +1,12 @@
 //! Scaling-out experiments (Figures 42–46) and the load-balance report of Section 6.6.
 
-use crate::cluster::{Cluster, ClusterConfig, QuerySpec};
+use crate::cluster::{Cluster, ClusterConfig};
 use crate::report::{f2, ms, Table};
 use crate::Scale;
 use ksp_algo::{find_ksp, yen_ksp};
 use ksp_core::dtlp::DtlpConfig;
 use ksp_workload::{DatasetPreset, QueryWorkload, QueryWorkloadConfig};
 use std::time::{Duration, Instant};
-
-fn query_specs(workload: &QueryWorkload) -> Vec<QuerySpec> {
-    workload.iter().map(|q| QuerySpec { source: q.source, target: q.target, k: q.k }).collect()
-}
 
 fn scaling_datasets(scale: Scale) -> Vec<DatasetPreset> {
     match scale {
@@ -69,7 +65,7 @@ pub fn fig43(scale: Scale) -> Vec<Table> {
                 ClusterConfig::new(servers, DtlpConfig::new(spec.default_z, xi_for(scale))),
             )
             .expect("cluster build");
-            let report = cluster.process_queries(&query_specs(&workload));
+            let report = cluster.process_queries(&workload);
             table.row(vec![
                 preset.short_name().to_string(),
                 servers.to_string(),
@@ -103,7 +99,7 @@ pub fn fig44(scale: Scale) -> Vec<Table> {
         )
         .expect("cluster build");
         for &k in &ks {
-            let report = cluster.process_queries(&query_specs(&workload.with_k(k)));
+            let report = cluster.process_queries(&workload.with_k(k));
             table.row(vec![servers.to_string(), k.to_string(), ms(report.simulated_makespan())]);
         }
     }
@@ -144,7 +140,7 @@ pub fn fig45(scale: Scale) -> Vec<Table> {
             ClusterConfig::new(servers, DtlpConfig::new(spec.default_z, xi_for(scale))),
         )
         .expect("cluster build");
-        let report = cluster.process_queries(&query_specs(&workload));
+        let report = cluster.process_queries(&workload);
         let divide = |d: Duration| Duration::from_secs_f64(d.as_secs_f64() / servers as f64);
         table.row(vec![
             servers.to_string(),
@@ -171,7 +167,7 @@ pub fn fig46(scale: Scale) -> Vec<Table> {
             ClusterConfig::new(servers, DtlpConfig::new(spec.default_z, xi_for(scale))),
         )
         .expect("cluster build");
-        let report = cluster.process_queries(&query_specs(&workload));
+        let report = cluster.process_queries(&workload);
         makespans.push((servers, report.simulated_makespan()));
     }
     let baseline = makespans[0].1;
@@ -207,7 +203,7 @@ pub fn load_balance(scale: Scale) -> Vec<Table> {
             ClusterConfig::new(servers, DtlpConfig::new(spec.default_z, xi_for(scale))),
         )
         .expect("cluster build");
-        let report = cluster.process_queries(&query_specs(&workload));
+        let report = cluster.process_queries(&workload);
         let busy = report.load_balance.busy_spread * 100.0;
         let memory = build.load_balance.memory_spread * 100.0;
         table.row(vec![servers.to_string(), f2(busy), f2(memory)]);

@@ -8,10 +8,9 @@
 //! the repository's benchmark; it uses none of this library.
 //!
 //! Experiments run on synthetic road networks generated by `ksp-workload` at a
-//! configurable [`Scale`] (see `DESIGN.md` for the dataset-substitution rationale).
-//! Absolute numbers are not comparable with the paper's 10-server cluster; the *shape*
-//! of every curve — who wins, how cost scales with each parameter — is the
-//! reproduction target, and `EXPERIMENTS.md` records both.
+//! configurable [`Scale`] (the README's "Experiments" section). Absolute numbers are
+//! not comparable with the paper's 10-server cluster; the *shape* of every curve —
+//! who wins, how cost scales with each parameter — is the reproduction target.
 
 #![warn(missing_docs)]
 
@@ -22,7 +21,7 @@ pub mod report;
 
 use ksp_workload::datasets::DatasetScale;
 
-/// The scale experiments run at; selected with `--scale` or `KSP_EXPERIMENT_SCALE`.
+/// The scale experiments run at; selected with `--scale` (`small` when omitted).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// Hundreds of vertices; completes in seconds. Used by `cargo test` smoke tests.
@@ -42,12 +41,6 @@ impl Scale {
             "medium" => Some(Scale::Medium),
             _ => None,
         }
-    }
-
-    /// Reads the scale from the `KSP_EXPERIMENT_SCALE` environment variable, falling
-    /// back to the given default.
-    pub fn from_env(default: Scale) -> Scale {
-        std::env::var("KSP_EXPERIMENT_SCALE").ok().and_then(|s| Scale::parse(&s)).unwrap_or(default)
     }
 
     /// The dataset scale used by `ksp-workload` presets.

@@ -7,7 +7,7 @@ use std::time::Duration;
 pub struct ServerLoad {
     /// Total busy time attributed to this server.
     pub busy_time: Duration,
-    /// Number of work items (subgraph builds, queries, or update batches) executed.
+    /// Number of work items (subgraph builds or queries) executed.
     pub items_processed: usize,
     /// Bytes of index state held by this server (for memory-balance reporting).
     pub memory_bytes: usize,

@@ -56,6 +56,9 @@ pub struct BuildStats {
     pub skeleton_edges: usize,
     /// Wall-clock time spent building.
     pub build_time: Duration,
+    /// Wall-clock time of each subgraph's level-one build, by subgraph id. Empty
+    /// for an index assembled from persisted parts.
+    pub subgraph_build_times: Vec<Duration>,
     /// Memory used by the level-one (per-subgraph) index structures, in bytes.
     pub level1_memory_bytes: usize,
     /// Memory used by the skeleton graph, in bytes.
@@ -131,10 +134,16 @@ impl DtlpIndex {
         let edge_owner: Vec<SubgraphId> =
             graph.edge_ids().map(|e| partitioning.owner_of_edge(e)).collect();
 
-        let subgraph_indexes: Vec<SubgraphIndex> = partitioning
+        let mut subgraph_build_times = Vec::with_capacity(num_subgraphs);
+        let subgraph_indexes: Vec<Arc<SubgraphIndex>> = partitioning
             .into_subgraphs()
             .into_iter()
-            .map(|sg| SubgraphIndex::build(sg, config.xi))
+            .map(|sg| {
+                let t0 = Instant::now();
+                let built = SubgraphIndex::build(sg, config.xi);
+                subgraph_build_times.push(t0.elapsed());
+                Arc::new(built)
+            })
             .collect();
 
         let mut index = Self::assemble(
@@ -147,37 +156,17 @@ impl DtlpIndex {
         );
         index.build_stats.num_subgraphs = num_subgraphs;
         index.build_stats.num_subgraphs_boundary_over_5 = num_subgraphs_boundary_over_5;
+        index.build_stats.subgraph_build_times = subgraph_build_times;
         index.build_stats.build_time = start.elapsed();
         Ok(index)
     }
 
-    /// Assembles an index from per-subgraph indexes that may have been built elsewhere
-    /// (e.g. in parallel on the workers of the distributed runtime).
+    /// Assembles an index from per-subgraph indexes: [`DtlpIndex::build`]'s
+    /// own, or the storage layer's checkpoint decode.
     /// `subgraph_indexes[s]` is the index of subgraph `s`, and `vertex_subgraphs[v]`
     /// lists the subgraphs vertex `v` belongs to, in the refine step's candidate
     /// order.
     pub fn assemble(
-        config: DtlpConfig,
-        directed: bool,
-        subgraph_indexes: Vec<SubgraphIndex>,
-        vertex_subgraphs: Vec<Vec<SubgraphId>>,
-        edge_owner: Vec<SubgraphId>,
-        boundary: Vec<VertexId>,
-    ) -> Self {
-        Self::assemble_shared(
-            config,
-            directed,
-            subgraph_indexes.into_iter().map(Arc::new).collect(),
-            vertex_subgraphs,
-            edge_owner,
-            boundary,
-        )
-    }
-
-    /// Like [`DtlpIndex::assemble`], but takes already-shared per-subgraph
-    /// handles so callers that hold `Arc`s (the storage layer's checkpoint
-    /// decode) assemble without copying.
-    pub fn assemble_shared(
         config: DtlpConfig,
         directed: bool,
         subgraph_indexes: Vec<Arc<SubgraphIndex>>,
@@ -229,6 +218,7 @@ impl DtlpIndex {
             num_bounding_paths,
             skeleton_edges: skeleton.num_skeleton_edges(),
             build_time: Duration::default(),
+            subgraph_build_times: Vec::new(),
             level1_memory_bytes,
             skeleton_memory_bytes: skeleton.memory_bytes(),
         };
@@ -331,7 +321,7 @@ impl DtlpIndex {
     /// scatters an update stream to the SubgraphBolts. Subgraphs come in ascending id
     /// order, each with its updates in batch order, so maintenance visits them in an
     /// order that does not vary between runs.
-    pub fn route_batch(
+    fn route_batch(
         &self,
         batch: &UpdateBatch,
     ) -> Result<Vec<(SubgraphId, Vec<ksp_graph::WeightUpdate>)>, GraphError> {
@@ -352,22 +342,10 @@ impl DtlpIndex {
             .collect())
     }
 
-    /// Applies the updates destined for one subgraph (they must all belong to it) and
-    /// patches the skeleton graph with the resulting lower-bound changes. This is the
-    /// unit of work a single worker performs during maintenance; the distributed
-    /// runtime (`ksp_bench::cluster`) calls it per subgraph so it can attribute the
-    /// cost to the owning server. Its bounds are Theorem 1's only: whether to repair
-    /// is a property of the whole batch, which [`DtlpIndex::apply_batch`] sees.
-    pub fn apply_updates_for_subgraph(
-        &mut self,
-        sg_id: SubgraphId,
-        updates: &[ksp_graph::WeightUpdate],
-    ) -> Result<MaintenanceStats, GraphError> {
-        self.maintain_subgraph(sg_id, updates, None)
-    }
-
-    /// [`DtlpIndex::apply_updates_for_subgraph`], repairing loose bounds on
-    /// `repair` if given (see [`SubgraphIndex::apply_updates`]).
+    /// Applies the updates destined for one subgraph (they must all belong to it),
+    /// repairing loose bounds on `repair` if given (see
+    /// [`SubgraphIndex::apply_updates`]), and patches the skeleton graph with the
+    /// resulting lower-bound changes.
     fn maintain_subgraph(
         &mut self,
         sg_id: SubgraphId,
@@ -507,6 +485,8 @@ pub(crate) mod tests {
         assert!(stats.num_bounding_paths >= stats.num_pairs);
         assert!(stats.level1_memory_bytes > 0);
         assert!(stats.skeleton_memory_bytes > 0);
+        assert_eq!(stats.subgraph_build_times.len(), index.num_subgraphs());
+        assert!(stats.subgraph_build_times.iter().sum::<Duration>() <= stats.build_time);
         // Every boundary vertex appears in the skeleton.
         for &b in index.boundary_vertices() {
             assert!(index.skeleton().contains(b), "boundary vertex {b} missing from skeleton");
@@ -740,7 +720,7 @@ pub(crate) mod tests {
         assert!(repaired > 0, "the stream must leave repaired bounds behind");
         assert!(patched > 0, "the stream must move skeleton weights");
         // Reassemble the way a restore does: from the per-subgraph parts alone.
-        let rebuilt = DtlpIndex::assemble_shared(
+        let rebuilt = DtlpIndex::assemble(
             *live.config(),
             live.is_directed(),
             live.subgraph_indexes().to_vec(),
@@ -748,6 +728,7 @@ pub(crate) mod tests {
             live.edge_owners().to_vec(),
             live.boundary_vertices().to_vec(),
         );
+        assert!(rebuilt.build_stats().subgraph_build_times.is_empty());
         // The skeleton derived from the parts matches the live, incrementally
         // patched skeleton edge for edge, bit for bit.
         assert_eq!(rebuilt.skeleton().num_skeleton_edges(), live.skeleton().num_skeleton_edges());

@@ -30,13 +30,14 @@ use ksp_algo::path::keep_k_shortest;
 use ksp_algo::{FindKsp, Path, SearchArena};
 use ksp_graph::{SubgraphSet, VertexId, Weight};
 
+/// Safety cap on the number of filter/refine iterations per query. The paper shows
+/// the number of iterations stays near `k` in practice (Section 5.5); the cap only
+/// guards against pathological inputs.
+pub const MAX_ITERATIONS: usize = 10_000;
+
 /// Configuration of the query engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KspDgConfig {
-    /// Safety cap on the number of filter/refine iterations per query. The paper shows
-    /// the number of iterations stays near `k` in practice (Section 5.5); the cap only
-    /// guards against pathological inputs.
-    pub max_iterations: usize,
     /// Whether queries produce a *certified* [`QueryTrace`] — i.e. run the
     /// survival sweep after the answer is found. Off by default: the sweep
     /// costs a bounded Dijkstra over the skeleton overlay from the source to a
@@ -47,12 +48,6 @@ pub struct KspDgConfig {
     /// recording still happens but `QueryTrace::complete` stays `false`, so
     /// nothing downstream can mistake the trace for a certificate.
     pub collect_trace: bool,
-}
-
-impl Default for KspDgConfig {
-    fn default() -> Self {
-        KspDgConfig { max_iterations: 10_000, collect_trace: false }
-    }
 }
 
 impl KspDgConfig {
@@ -137,7 +132,7 @@ pub struct QueryStats {
 /// `complete` is `false` when certified tracing is disabled
 /// ([`KspDgConfig::collect_trace`], the default — the sweep is pure overhead
 /// for callers that never consume the certificate) or when the query loop was
-/// cut short by the [`KspDgConfig::max_iterations`] safety cap, in which case
+/// cut short by the [`MAX_ITERATIONS`] safety cap, in which case
 /// the answer is not certified exact and a cached copy must not outlive its
 /// epoch.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -249,7 +244,7 @@ impl<'a> KspDgEngine<'a> {
 
         let mut next_reference = reference_paths.next_path_in(&mut arena);
         while let Some(reference) = next_reference {
-            if stats.iterations >= self.config.max_iterations {
+            if stats.iterations >= MAX_ITERATIONS {
                 capped = true;
                 break;
             }

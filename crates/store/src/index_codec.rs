@@ -131,7 +131,7 @@ impl StoreCodec for DtlpIndex {
         if vertex_subgraphs.iter().flatten().any(|sg| sg.0 >= num_subgraphs) {
             return Err(CodecError::InvalidValue("vertex membership references unknown subgraph"));
         }
-        Ok(DtlpIndex::assemble_shared(
+        Ok(DtlpIndex::assemble(
             config,
             directed,
             subgraph_indexes,

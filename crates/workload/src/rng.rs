@@ -1,9 +1,10 @@
 //! A small, fast, seedable PRNG for deterministic workload generation.
 //!
 //! All experiment inputs — graph topology, initial weights, traffic evolution, query
-//! endpoints — are derived from a [`Xoshiro256`] seeded explicitly, so any figure in
-//! `EXPERIMENTS.md` can be regenerated exactly. The implementation follows the public
-//! domain reference of SplitMix64 (for seeding) and Xoshiro256** (for the stream).
+//! endpoints — are derived from a [`Xoshiro256`] seeded explicitly, so any experiment
+//! in the README's "Experiments" section can be regenerated exactly. The implementation
+//! follows the public domain reference of SplitMix64 (for seeding) and Xoshiro256**
+//! (for the stream).
 
 /// SplitMix64 step; used to expand a single `u64` seed into the Xoshiro state.
 #[inline]

@@ -10,7 +10,7 @@
 //! ```
 
 use ksp_dg::core::dtlp::{DtlpConfig, DtlpIndex};
-use ksp_dg::core::kspdg::{KspDgConfig, KspDgEngine};
+use ksp_dg::core::kspdg::{KspDgEngine, MAX_ITERATIONS};
 use ksp_dg::graph::VertexId;
 use ksp_dg::workload::{RoadNetworkConfig, RoadNetworkGenerator, TrafficConfig, TrafficModel};
 
@@ -21,7 +21,6 @@ fn main() {
     let mut graph = net.graph;
     let dtlp_config = DtlpConfig::new(50, 3);
     let mut index = DtlpIndex::build(&graph, dtlp_config).expect("index build");
-    let iteration_cap = KspDgConfig::default().max_iterations;
 
     let source = VertexId(10);
     let target = VertexId((graph.num_vertices() as u32) - 10);
@@ -36,7 +35,7 @@ fn main() {
         let result = engine.query(source, target, k);
         let distances: Vec<String> =
             result.paths.iter().map(|p| format!("{:.1}", p.distance().value())).collect();
-        let capped = if result.stats.iterations >= iteration_cap {
+        let capped = if result.stats.iterations >= MAX_ITERATIONS {
             uncertified += 1;
             " (iteration cap hit: not certified)"
         } else {
