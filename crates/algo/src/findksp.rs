@@ -9,15 +9,19 @@
 //! from the SPT, so it settles only a small neighbourhood instead of a Dijkstra ball.
 //! The result set is the same as Yen's, and the growth with `k` is much better.
 //!
-//! **The heuristic is built on demand.** The reverse SPT is one Dijkstra search from
-//! the destination over the reversed view, kept open on its own [`SearchArena`] and
-//! resumed ([`SearchArena::settle_through`]) only until the vertex A* asks about is
-//! settled. A spur search asks about the vertices it relaxes, which lie near the
-//! routes it explores, so the reverse search never has to cover the vertices no spur
-//! goes near. It settles in the order a full search would, so every heuristic value
-//! has the bits the full search gives it. The heuristic plays two roles: its value at
-//! a vertex orders the open list (`f = g + h`), and an infinite value prunes the
-//! vertex outright, since nothing there reaches the destination even without bans.
+//! **The heuristic is a [`Heuristic`]: built on demand, or given.** [`FindKsp::new`]
+//! guides by a [`ReverseSearch`]: one Dijkstra search from the destination over the
+//! reversed view, kept open on its own [`SearchArena`] and resumed
+//! ([`SearchArena::settle_through`]) only until the vertex A* asks about is settled.
+//! A spur search asks about the vertices it relaxes, which lie near the routes it
+//! explores, so the reverse search never has to cover the vertices no spur goes near.
+//! It settles in the order a full search would, so every heuristic value has the bits
+//! the full search gives it. [`FindKsp::with_heuristic`] takes the distances from the
+//! caller instead, such as a table computed once and shared by many enumerations to
+//! one destination (KSP-DG's per-target rows over the skeleton). Either way the
+//! heuristic plays two roles: its value at a vertex orders the open list
+//! (`f = g + h`), and an infinite value prunes the vertex outright, since nothing
+//! there reaches the destination even without bans.
 //!
 //! Like Yen's enumerator it spurs each produced path only from the index where that
 //! path deviated from its parent (Lawler 1972, see [`crate::yen`]): the spurs before
@@ -99,32 +103,62 @@ impl<P: Projection> Projection for &P {
     }
 }
 
+/// The exact distance from a vertex to FindKSP's target over the unbanned graph,
+/// infinite if none exists: the A* heuristic of every spur search, asked about the
+/// vertices a state stands for.
+///
+/// It must be a *consistent* lower bound on the distance through the graph FindKSP
+/// searches: `h(u) <= w + h(v)` for each edge `u → v` of weight `w`, and `h` is zero
+/// at the target. The exact distances over the network the states stand for are.
+pub trait Heuristic {
+    /// The distance from `v` to the target.
+    fn to_target(&mut self, v: VertexId) -> Weight;
+}
+
+impl<F: FnMut(VertexId) -> Weight> Heuristic for F {
+    #[inline]
+    fn to_target(&mut self, v: VertexId) -> Weight {
+        self(v)
+    }
+}
+
+/// The heuristic [`FindKsp::new`] builds: a Dijkstra search from the target over the
+/// reversed view, resumed on its own arena until it settles each vertex asked about.
+#[derive(Debug)]
+pub struct ReverseSearch<'a, R: GraphView> {
+    reverse: &'a R,
+    arena: SearchArena,
+}
+
+impl<R: GraphView> Heuristic for ReverseSearch<'_, R> {
+    #[inline]
+    fn to_target(&mut self, v: VertexId) -> Weight {
+        self.arena.settle_through(self.reverse, v)
+    }
+}
+
 /// Lazy enumerator of k shortest simple paths using SPT-guided deviations.
 ///
-/// It runs on two caller-owned arenas: the heuristic arena handed to
-/// [`FindKsp::new`], which the enumerator keeps for its life and hands back in
-/// [`FindKsp::into_produced`], and the arena each [`FindKsp::next_path_in`] runs its
-/// spur searches on.
-pub struct FindKsp<'a, G: GraphView, R: GraphView, P: Projection = Identity> {
+/// It runs on the arena each [`FindKsp::next_path_in`] runs its spur searches on and
+/// on its [`Heuristic`]: with [`FindKsp::new`], a reverse search on the caller-owned
+/// arena handed to it, which the enumerator keeps for its life and hands back in
+/// [`FindKsp::into_produced`].
+pub struct FindKsp<'a, G: GraphView, H: Heuristic, P: Projection = Identity> {
     view: &'a G,
-    /// The vertices of `reverse` that `view`'s states stand for.
+    /// The vertices of the network that `view`'s states stand for.
     projection: P,
-    /// The network `view` stands for, with every edge turned around: the
-    /// heuristic's search runs on it.
-    reverse: &'a R,
     /// The source state.
     source: VertexId,
     /// The target vertex: a path ends at the first state that stands for it.
     target: VertexId,
-    /// The search from the target over `reverse`, settled only as far as A* has
-    /// asked: the heuristic at `v` is its distance to `v`.
-    heuristic: SearchArena,
+    /// Each vertex's exact distance to the target.
+    heuristic: H,
     lists: Deviations,
     /// Number of vertices settled across all spur searches (cost accounting).
     settled_vertices: usize,
 }
 
-impl<'a, G: GraphView, R: GraphView> FindKsp<'a, G, R> {
+impl<'a, G: GraphView, R: GraphView> FindKsp<'a, G, ReverseSearch<'a, R>> {
     /// Creates the enumerator for paths from `source` to `target` in `view`, opening
     /// the reverse shortest-path search from `target` over `reverse` on `heuristic`.
     /// The enumerator takes over `heuristic`'s storage, leaving an empty arena in its
@@ -139,31 +173,35 @@ impl<'a, G: GraphView, R: GraphView> FindKsp<'a, G, R> {
         target: VertexId,
         heuristic: &mut SearchArena,
     ) -> Self {
-        FindKsp::with_projection(view, Identity, reverse, source, target, heuristic)
+        let mut arena = std::mem::take(heuristic);
+        arena.open_search(reverse, target);
+        FindKsp::with_heuristic(view, Identity, source, target, ReverseSearch { reverse, arena })
+    }
+
+    /// The paths produced so far, consuming the enumerator and handing its heuristic
+    /// arena back to `heuristic`.
+    pub fn into_produced(self, heuristic: &mut SearchArena) -> Vec<Path> {
+        *heuristic = self.heuristic.arena;
+        self.lists.produced
     }
 }
 
-impl<'a, G: GraphView, R: GraphView, P: Projection> FindKsp<'a, G, R, P> {
-    /// [`FindKsp::new`] over a graph of states: paths from the state `source` to
-    /// the first state that `projection` maps to the vertex `target`. `reverse` is
-    /// the network the states stand for with every edge turned around. Each of its
-    /// distances must be at most that of every path of `view` between states
-    /// standing for the same vertices, so that it stays an admissible, consistent
-    /// heuristic.
-    pub fn with_projection(
+impl<'a, G: GraphView, H: Heuristic, P: Projection> FindKsp<'a, G, H, P> {
+    /// The enumerator over a graph of states: paths from the state `source` to the
+    /// first state that `projection` maps to the vertex `target`, guided by
+    /// `heuristic`, which is asked about the vertex each state stands for. Its
+    /// distance at a vertex must be at most that of every path of `view` from a state
+    /// standing for it to the target, and consistent (see [`Heuristic`]).
+    pub fn with_heuristic(
         view: &'a G,
         projection: P,
-        reverse: &'a R,
         source: VertexId,
         target: VertexId,
-        heuristic: &mut SearchArena,
+        heuristic: H,
     ) -> Self {
-        let mut heuristic = std::mem::take(heuristic);
-        heuristic.open_search(reverse, target);
         FindKsp {
             view,
             projection,
-            reverse,
             source,
             target,
             heuristic,
@@ -213,57 +251,32 @@ impl<'a, G: GraphView, R: GraphView, P: Projection> FindKsp<'a, G, R, P> {
         while self.lists.produced.len() < k && self.advance(arena) {}
     }
 
-    /// The paths produced so far, consuming the enumerator and handing its heuristic
-    /// arena back to `heuristic`.
-    pub fn into_produced(self, heuristic: &mut SearchArena) -> Vec<Path> {
-        *heuristic = self.heuristic;
-        self.lists.produced
-    }
-
     fn advance(&mut self, arena: &mut SearchArena) -> bool {
-        let FindKsp {
-            view,
-            projection,
-            reverse,
-            source,
-            target,
-            heuristic,
-            lists,
-            settled_vertices,
-        } = self;
+        let FindKsp { view, projection, source, target, heuristic, lists, settled_vertices } = self;
         let trivial = projection.vertex_of(*source) == *target;
-        let mut search = AStar {
-            view: *view,
-            projection,
-            reverse: *reverse,
-            target: *target,
-            arena,
-            heuristic,
-            settled_vertices,
-        };
+        let mut search =
+            AStar { view: *view, projection, target: *target, arena, heuristic, settled_vertices };
         lists.advance(*view, *source, trivial, &mut search)
     }
 }
 
 /// The spur searches of one enumerator: A* on the spur arena, guided by the
-/// on-demand reverse search, which also bounds each spur before it runs.
-struct AStar<'s, G: GraphView, R: GraphView, P: Projection> {
+/// heuristic, which also bounds each spur before it runs.
+struct AStar<'s, G: GraphView, H: Heuristic, P: Projection> {
     view: &'s G,
     projection: &'s P,
-    reverse: &'s R,
     target: VertexId,
     arena: &'s mut SearchArena,
-    /// The reverse search from the target, resumed as the spur search asks.
-    heuristic: &'s mut SearchArena,
+    heuristic: &'s mut H,
     settled_vertices: &'s mut usize,
 }
 
-impl<G: GraphView, R: GraphView, P: Projection> AStar<'_, G, R, P> {
+impl<G: GraphView, H: Heuristic, P: Projection> AStar<'_, G, H, P> {
     /// The exact unbanned distance from the vertex of state `x` to the target;
     /// infinite if none exists.
     #[inline]
     fn h(&mut self, x: VertexId) -> Weight {
-        self.heuristic.settle_through(self.reverse, self.projection.vertex_of(x))
+        self.heuristic.to_target(self.projection.vertex_of(x))
     }
 
     /// Whether some state of `root` stands for the vertex of state `x`.
@@ -274,9 +287,9 @@ impl<G: GraphView, R: GraphView, P: Projection> AStar<'_, G, R, P> {
     }
 }
 
-impl<G: GraphView, R: GraphView, P: Projection> SpurSearch for AStar<'_, G, R, P> {
+impl<G: GraphView, H: Heuristic, P: Projection> SpurSearch for AStar<'_, G, H, P> {
     /// Goal-directed A* from `from` to the target using the exact distance-to-target
-    /// heuristic `h` from the reverse SPT. The heuristic is admissible and consistent on
+    /// heuristic `h`. The heuristic is admissible and consistent on
     /// the unbanned graph; banning edges/vertices only removes paths, so it remains
     /// admissible and the search stays correct. A vertex with an infinite heuristic
     /// cannot reach the target even without bans, so it is never queued. Banned edges
@@ -445,7 +458,7 @@ mod tests {
     }
 
     #[test]
-    fn transpose_turns_every_edge_around() {
+    fn reversed_turns_every_edge_around() {
         // `find_ksp` guides a directed graph's spurs by a search over its reverse.
         let g = yen_wikipedia_graph();
         let t = g.reversed();

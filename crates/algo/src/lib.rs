@@ -15,7 +15,8 @@
 //!   enumerator (used for DTLP's fewest-vfrag bounding paths) and as the Yen
 //!   baseline function.
 //! * [`findksp`] — FindKSP \[21\]: deviation-based KSP guided by a shortest path tree
-//!   rooted at the destination, built on demand, so spur searches are goal-directed.
+//!   rooted at the destination, built on demand or given by the caller, so spur
+//!   searches are goal-directed.
 //!   It is the FindKSP baseline over a whole graph and KSP-DG's lazy enumerator of
 //!   reference paths over the skeleton overlay and of partial paths inside subgraphs.
 //! * [`vfrag`] — enumeration of paths by *virtual-fragment count* (fewest-vfrag paths),
@@ -30,7 +31,7 @@ pub mod vfrag;
 pub mod yen;
 
 pub use dijkstra::{dijkstra_path, SearchArena};
-pub use findksp::{find_ksp, FindKsp, Identity, Projection};
+pub use findksp::{find_ksp, FindKsp, Heuristic, Identity, Projection, ReverseSearch};
 pub use path::Path;
 pub use vfrag::{fewest_vfrag_paths, VfragView};
 pub use yen::{yen_ksp, KspEnumerator};

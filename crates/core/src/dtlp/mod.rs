@@ -24,7 +24,7 @@ pub mod unit_weights;
 
 pub use bounding::{BoundingPath, BoundingPathSet, PairPaths};
 pub use ep_index::EpIndex;
-pub use index::{BuildStats, DtlpConfig, DtlpIndex, MaintenanceStats};
+pub use index::{BuildStats, DtlpConfig, DtlpIndex, MaintenanceStats, TargetRow};
 pub use skeleton::{Hop, LabelledView, OverlayView, ReversedOverlay, SkeletonGraph};
 pub use subgraph_index::{LowerBoundChange, SubgraphIndex};
 pub use unit_weights::UnitWeightMultiset;

@@ -345,6 +345,16 @@ impl SkeletonGraph {
         self.topology.adj.contains(v)
     }
 
+    /// The position of skeleton vertex `v` among `0..num_skeleton_vertices()`, the
+    /// order tables dense over the skeleton's vertices are kept in.
+    #[inline]
+    pub(crate) fn position(&self, v: VertexId) -> Option<usize> {
+        match self.topology.adj.position.get(v.index()) {
+            Some(&p) if p != Adjacency::<u32>::ABSENT => Some(p as usize),
+            _ => None,
+        }
+    }
+
     /// All skeleton vertices, ascending.
     pub fn vertices(&self) -> impl Iterator<Item = VertexId> + '_ {
         self.topology.adj.ids()

@@ -171,6 +171,11 @@ impl SubgraphIndex {
         self.memo.get_or_init(Arc::default)
     }
 
+    /// An estimate of the bytes this subgraph's memo of partial paths holds.
+    pub(crate) fn memo_bytes(&self) -> usize {
+        self.memo.get().map_or(0, |memo| memo.memory_bytes())
+    }
+
     /// Whether `self` and `other` share one bounding-path shape allocation.
     /// Maintenance never copies the shape, so every epoch descended from one
     /// build (or restore) shares it, dirty or not.

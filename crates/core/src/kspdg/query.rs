@@ -16,19 +16,29 @@
 //! refine yielded the route, or k shorter simple routes (the refine module's
 //! domination argument). Either way the answer holds k routes no longer than it.
 //!
-//! The enumeration's heuristic is the reverse search over the *unlabelled* overlay,
-//! asked about each state's vertex. It stays admissible and consistent: a labelled
-//! path projects onto an overlay path between the same vertices, and each labelled
-//! edge weighs one subgraph's bound, at least the overlay edge's minimum. So the
-//! survival sweep reads the same reverse search as before. Simplicity and bans are
-//! judged on vertices, not states, through the view's state → vertex projection
-//! (see [`ksp_algo::Projection`]).
+//! The enumeration's heuristic is the exact distance to the target over the
+//! *unlabelled* overlay, asked about each state's vertex ([`TargetDistances`]). It
+//! stays admissible and consistent: a labelled path projects onto an overlay path
+//! between the same vertices, and each labelled edge weighs one subgraph's bound, at
+//! least the overlay edge's minimum. So the survival sweep reads the same distances.
+//! Simplicity and bans are judged on vertices, not states, through the view's
+//! state → vertex projection (see [`ksp_algo::Projection`]).
+//!
+//! **The distances are shared per target.** They come from the index's
+//! [`TargetRow`] for the target: one search over the skeleton plus the target's
+//! attachments, made by the first query to that target on the current weights and
+//! read by every later one until a batch changes a weight (see
+//! [`DtlpIndex::target_row`], which also shows why its distances have the bits of a
+//! search over the query's own overlay). The query adds only its source: the
+//! source's distance is the least `w + d(b)` over its out-edges in the overlay, as
+//! a search would settle it. So the reference enumeration runs no reverse search of
+//! its own, and the row also supplies the overlay's target attachments.
 
-use crate::dtlp::{DtlpIndex, OverlayView};
+use crate::dtlp::{DtlpIndex, OverlayView, SkeletonGraph, TargetRow};
 use crate::kspdg::refine::{candidate_ksp, PartialPathCache};
 use ksp_algo::path::keep_k_shortest;
 use ksp_algo::{FindKsp, Path, SearchArena};
-use ksp_graph::{SubgraphSet, VertexId, Weight};
+use ksp_graph::{GraphView, SubgraphSet, VertexId, Weight};
 
 /// Safety cap on the number of filter/refine iterations per query. The paper shows
 /// the number of iterations stays near `k` in practice (Section 5.5); the cap only
@@ -41,8 +51,8 @@ pub struct KspDgConfig {
     /// Whether queries produce a *certified* [`QueryTrace`] — i.e. run the
     /// survival sweep after the answer is found. Off by default: the sweep
     /// costs a bounded Dijkstra over the skeleton overlay from the source to a
-    /// quarter of the k-th answer distance, plus resuming the reference
-    /// FindKSP's reverse search from the target, which only pays for itself
+    /// quarter of the k-th answer distance, plus a pass over the boundary
+    /// vertices' distances to the target, which only pays for itself
     /// when something consumes the certificate (the serving layer's
     /// cache-survival machinery turns it on). With it off, the cheap level-one
     /// recording still happens but `QueryTrace::complete` stays `false`, so
@@ -104,9 +114,9 @@ pub struct QueryStats {
 ///   k-th answer distance `T`, two balls around the endpoints on the skeleton
 ///   overlay, split at `α = T/4`. One bounded Dijkstra from the source records
 ///   the subgraphs of every vertex closer than `α` to it. The reference
-///   FindKSP's heuristic, a reverse search from the target, is resumed until
-///   `α + d >= T`, and the subgraphs of every boundary vertex with `α + d < T`
-///   for its distance `d` to the target are recorded too.
+///   FindKSP's heuristic holds every boundary vertex's distance `d` to the
+///   target ([`TargetDistances`]), and the subgraphs of every boundary vertex
+///   with `α + d < T` are recorded too.
 ///
 /// Why that suffices (the meet-in-the-middle argument of bidirectional search):
 /// after any weight change confined to untraced subgraphs, take a path that
@@ -208,19 +218,17 @@ impl<'a> KspDgEngine<'a> {
             };
         }
 
-        // Every search of this query — endpoint attachment, the spur searches of the
-        // reference and partial enumerations, and the source half of the survival
-        // sweep — runs on `arena`. The two FindKSP heuristics, each a reverse search
-        // resumed on demand, keep their own: one for the reference paths over the
-        // overlay, which also serves the target half of the sweep, and one, kept by
-        // the query's partial-path cache, reused by every partial computation inside
-        // a subgraph.
+        // Every search of this query — the target's row on a memo miss, endpoint
+        // attachment, the spur searches of the reference and partial enumerations,
+        // and the source half of the survival sweep — runs on `arena`. The partial
+        // FindKSPs' reverse searches run on one more, kept by the query's
+        // partial-path cache.
         let mut arena = SearchArena::new();
-        let mut reference_heuristic = SearchArena::new();
+        let row = self.index.target_row(target, &mut arena);
 
         // Filter-step search structure: the skeleton graph with the query endpoints
         // attached (Section 5.3 / Step 1 of the Storm deployment).
-        let overlay = self.build_overlay(source, target, &mut arena, &mut trace.subgraphs);
+        let overlay = self.build_overlay(source, &row, &mut arena, &mut trace.subgraphs);
 
         // Reference paths come from FindKSP over the labelled overlay (see the module
         // docs): every spur search is an A* guided by exact unlabelled overlay
@@ -228,16 +236,12 @@ impl<'a> KspDgEngine<'a> {
         // which only remove paths, so the heuristic stays admissible and each spur path
         // is still a shortest one: the reference distances, and so Theorem 3's stopping
         // test, are the ones Yen would produce over the labelled view.
-        let reverse = overlay.reversed();
+        let to_target = TargetDistances::new(self.index, &row, &overlay, source);
         let states = overlay.labelled(source, target);
-        let mut reference_paths = FindKsp::with_projection(
-            &states,
-            &states,
-            &reverse,
-            states.source_state(),
-            target,
-            &mut reference_heuristic,
-        );
+        let mut reference_paths =
+            FindKsp::with_heuristic(&states, &states, states.source_state(), target, |v| {
+                to_target.get(v)
+            });
         let mut cache = PartialPathCache::new(k);
         let mut results: Vec<Path> = Vec::new();
         let mut capped = false;
@@ -299,12 +303,9 @@ impl<'a> KspDgEngine<'a> {
                 arena.settled_within(&overlay, source, alpha, |v| {
                     trace.subgraphs.extend(self.index.subgraphs_of_vertex(v).iter().copied());
                 });
-                // The reference heuristic is the reverse search from the target:
-                // resume it to the bound and read the target half off it.
-                reference_paths.into_produced(&mut reference_heuristic);
-                reference_heuristic.resume_within(&reverse, alpha, bound);
+                // The target half reads the reference heuristic's distances.
                 for &v in self.index.boundary_vertices() {
-                    if alpha + reference_heuristic.distance(v) < bound {
+                    if alpha + to_target.get(v) < bound {
                         trace.subgraphs.extend(self.index.subgraphs_of_vertex(v).iter().copied());
                     }
                 }
@@ -316,15 +317,17 @@ impl<'a> KspDgEngine<'a> {
     }
 
     /// Builds the overlay view attaching non-boundary endpoints to the skeleton,
-    /// recording the subgraphs whose level-one data the overlay edges are
-    /// derived from. Each attachment carries the subgraph it was computed in.
+    /// the target through its row's attachments, recording the subgraphs whose
+    /// level-one data the overlay edges are derived from. Each attachment carries
+    /// the subgraph it was computed in.
     fn build_overlay(
         &self,
         source: VertexId,
-        target: VertexId,
+        row: &TargetRow,
         arena: &mut SearchArena,
         trace: &mut SubgraphSet,
     ) -> OverlayView<'_> {
+        let target = row.target();
         trace.extend(self.index.subgraphs_of_vertex(source).iter().copied());
         trace.extend(self.index.subgraphs_of_vertex(target).iter().copied());
         let skeleton = self.index.skeleton();
@@ -345,18 +348,11 @@ impl<'a> KspDgEngine<'a> {
                 }
             }
         }
-        if !self.index.is_boundary(target) {
-            for &sg in self.index.subgraphs_of_vertex(target) {
-                for (b, d) in self.index.subgraph_index(sg).boundary_distances_to(target, arena) {
-                    if b == target {
-                        continue;
-                    }
-                    if directed {
-                        overlay.add_edge(b, target, d, sg);
-                    } else {
-                        overlay.add_undirected_edge(b, target, d, sg);
-                    }
-                }
+        for &(b, d, sg) in row.attachments() {
+            if directed {
+                overlay.add_edge(b, target, d, sg);
+            } else {
+                overlay.add_undirected_edge(b, target, d, sg);
             }
         }
         // If neither endpoint is a boundary vertex and they share a subgraph, neither
@@ -377,6 +373,52 @@ impl<'a> KspDgEngine<'a> {
             }
         }
         overlay
+    }
+}
+
+/// Each vertex's exact distance to a query's target over the query's overlay: the
+/// reference FindKSP's heuristic and the target half of the survival sweep.
+///
+/// It reads the target's [`TargetRow`] and adds the source, whose distance is the
+/// least `w + d(b)` over its out-edges in the overlay, the value a search over the
+/// overlay settles it at.
+#[derive(Debug, Clone, Copy)]
+pub struct TargetDistances<'a> {
+    skeleton: &'a SkeletonGraph,
+    row: &'a TargetRow,
+    source: VertexId,
+    from_source: Weight,
+}
+
+impl<'a> TargetDistances<'a> {
+    /// The distances to `row`'s target over `overlay`, the skeleton of `index` with
+    /// the source's attachments and the row's attachments added.
+    pub fn new(
+        index: &'a DtlpIndex,
+        row: &'a TargetRow,
+        overlay: &OverlayView<'_>,
+        source: VertexId,
+    ) -> Self {
+        let skeleton = index.skeleton();
+        let from_source = if index.is_boundary(source) || source == row.target() {
+            row.distance(skeleton, source)
+        } else {
+            let mut least = Weight::INFINITY;
+            overlay
+                .for_each_neighbor(source, |b, w| least = least.min(w + row.distance(skeleton, b)));
+            least
+        };
+        TargetDistances { skeleton, row, source, from_source }
+    }
+
+    /// The distance from `v` to the target; infinite where none exists.
+    #[inline]
+    pub fn get(&self, v: VertexId) -> Weight {
+        if v == self.source {
+            self.from_source
+        } else {
+            self.row.distance(self.skeleton, v)
+        }
     }
 }
 
@@ -924,18 +966,14 @@ mod tests {
                 };
                 let budget = if *budgeted { shortest.distance() * 2.0 } else { Weight::INFINITY };
                 let mut arena = SearchArena::new();
-                let overlay = engine.build_overlay(s, t, &mut arena, &mut SubgraphSet::new());
-                let reverse = overlay.reversed();
+                let row = index.target_row(t, &mut arena);
+                let overlay = engine.build_overlay(s, &row, &mut arena, &mut SubgraphSet::new());
+                let to_target = TargetDistances::new(&index, &row, &overlay, s);
                 let states = overlay.labelled(s, t);
-                let mut heuristic = SearchArena::new();
-                let mut enumeration = FindKsp::with_projection(
-                    &states,
-                    &states,
-                    &reverse,
-                    states.source_state(),
-                    t,
-                    &mut heuristic,
-                );
+                let mut enumeration =
+                    FindKsp::with_heuristic(&states, &states, states.source_state(), t, |x| {
+                        to_target.get(x)
+                    });
                 let mut references: HashMap<Vec<Hop>, Weight> = HashMap::new();
                 while let Some(reference) = enumeration.next_path_in(&mut arena) {
                     let hops: Vec<Hop> = states.hops(reference.vertices()).collect();

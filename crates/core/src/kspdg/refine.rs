@@ -119,6 +119,15 @@ impl Partials {
         }
     }
 
+    fn memory_bytes(&self) -> usize {
+        let paths = self.paths.iter().map(|p| {
+            std::mem::size_of::<Path>() + p.num_vertices() * std::mem::size_of::<VertexId>()
+        });
+        std::mem::size_of::<Self>()
+            + paths.sum::<usize>()
+            + self.spur_searches.len() * std::mem::size_of::<usize>()
+    }
+
     /// The spur searches a run asked for `k` paths performs; `k` must be within
     /// [`Partials::reach`] of this memo entry.
     fn spur_searches(&self, k: usize) -> usize {
@@ -148,6 +157,12 @@ impl PartialMemo {
     /// The entry of `from → to`, if it answers a run asked for `k` paths.
     fn get(&self, from: VertexId, to: VertexId, k: usize) -> Option<Arc<Partials>> {
         self.entries().get(&(from, to)).filter(|p| k <= p.reach()).cloned()
+    }
+
+    /// An estimate of the bytes the entries hold.
+    pub(crate) fn memory_bytes(&self) -> usize {
+        let entry = std::mem::size_of::<((VertexId, VertexId), Arc<Partials>)>();
+        self.entries().values().map(|p| entry + p.memory_bytes()).sum()
     }
 
     /// Keeps `partials` as the entry of `from → to`, unless the entry there
