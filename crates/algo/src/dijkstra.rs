@@ -2,19 +2,21 @@
 //! [`SearchArena`].
 //!
 //! Every search in this crate — point-to-point, Yen's spur searches, single-source
-//! (at once, or resumed on demand as FindKSP's reverse search), the bounded survival
-//! sweep and FindKSP's A* — keeps its per-vertex state in one dense arena indexed by
-//! [`VertexId`] and sized by [`GraphView::num_vertices`]. A search starts a new *generation*: a slot counts as
+//! (at once, or resumed on demand, such as FindKSP's reverse search and KSP-DG's
+//! per-target distances, which a query resumes to a bound for the target half of its
+//! certificate), the bounded survival sweep and FindKSP's A* — keeps its per-vertex
+//! state in one dense arena indexed by [`VertexId`] and sized by
+//! [`GraphView::num_vertices`]. A search starts a new *generation*: a slot counts as
 //! reached, settled or banned only while its stamp equals the current generation, so
 //! starting a search costs O(1) and never clears the table. A search confined to a
 //! 50-vertex subgraph therefore touches 50 slots, even though the table spans the
 //! global id range.
 //!
 //! The caller owns the arena and threads it through one unit of work — a KSP-DG query
-//! runs its spur searches, attachments, per-target distances and sweep on one arena
-//! and each partial FindKSP's reverse search on another, a [`crate::KspEnumerator`]
-//! keeps one for its spur searches, and the free functions here make a fresh one per
-//! call. An arena is never kept in a
+//! runs its spur searches, attachments and sweep on one arena, resumes its target's
+//! distances on another and each partial FindKSP's reverse search on a third, a
+//! [`crate::KspEnumerator`] keeps one for its spur searches, and the free functions
+//! here make a fresh one per call. An arena is never kept in a
 //! thread-local or a global, so what a call allocates depends on the call alone, not
 //! on what ran before it on the same thread.
 //!
@@ -136,6 +138,36 @@ impl SearchArena {
         }
     }
 
+    /// Starts a single-source search over `view` where another search over `view`
+    /// stopped: `settled` are the vertices it settled, at their distances, and
+    /// `queued` its open list ([`SearchArena::queued`]). Resuming it
+    /// ([`SearchArena::settle_through`], [`SearchArena::resume_within`]) settles
+    /// the rest in the order that search would have, with the same bits. The
+    /// restored search records no routes: [`SearchArena::path_to`] is meaningless
+    /// after it.
+    pub fn restore_search<G: GraphView>(
+        &mut self,
+        view: &G,
+        settled: impl IntoIterator<Item = (VertexId, Weight)>,
+        queued: impl IntoIterator<Item = (VertexId, Weight)>,
+    ) {
+        self.begin(view.num_vertices());
+        let generation = self.generation;
+        for (v, dist) in settled {
+            let slot = &mut self.slots[v.index()];
+            *slot = Slot { dist, parent: v, pos: SETTLED, reached: generation, ..*slot };
+        }
+        for (v, g) in queued {
+            self.relax(v, v, g, g);
+        }
+    }
+
+    /// The open list of the current search: every vertex it reached and has not
+    /// settled, with its tentative distance, in no particular order.
+    pub fn queued(&self) -> impl ExactSizeIterator<Item = (VertexId, Weight)> + '_ {
+        self.heap.iter().map(|e| (e.vertex, e.g))
+    }
+
     /// The distance from the source of the search [`SearchArena::open_search`]
     /// started to `v`, resuming that search until `v` is settled; infinite if `v` is
     /// outside `view` or the search runs out first. `view` must be the view the search
@@ -160,6 +192,19 @@ impl SearchArena {
         Weight::INFINITY
     }
 
+    /// Resumes the search [`SearchArena::open_search`] started until the next vertex
+    /// would be at a distance `d` with `offset + d >= bound`. Afterwards
+    /// [`SearchArena::distance`] reports every vertex with `offset + d < bound`, each
+    /// with the bits the full search gives it, together with whatever earlier
+    /// [`SearchArena::settle_through`] calls settled beyond that. The test is a sum,
+    /// so a caller splitting `bound` in two adds no rounding of its own.
+    pub fn resume_within<G: GraphView>(&mut self, view: &G, offset: Weight, bound: Weight) {
+        while self.heap.first().is_some_and(|top| offset + top.g < bound) {
+            let (u, g) = self.pop().expect("the heap is non-empty");
+            self.expand(view, u, g, None, &[]);
+        }
+    }
+
     /// Settles vertices outward from `source` until the next vertex would be at
     /// distance `bound` or more, calling `visit` on every vertex settled — i.e. on
     /// exactly the set `{v : dist(source, v) < bound}`, nearest first.
@@ -167,8 +212,8 @@ impl SearchArena {
     /// This is the source half of the query-trace *survival sweep*: after a KSP
     /// query finishes with a k-th answer distance `T`, KSP-DG sweeps the skeleton
     /// overlay from the source to a quarter of `T` and takes the rest of its
-    /// certificate from the target's distances over the skeleton, which it keeps
-    /// per target. A subgraph outside both balls is too far
+    /// certificate from the target's reverse search
+    /// ([`SearchArena::resume_within`]). A subgraph outside both balls is too far
     /// for any weight change inside it to create a path shorter than `T`, which is
     /// what lets a cached result survive epoch publishes that only dirty far-away
     /// subgraphs.
@@ -678,6 +723,98 @@ mod tests {
         // The unreachable component really is asked about.
         full.search_from(&views[2], v(0));
         assert_eq!(full.distance(v(4)), Weight::INFINITY);
+    }
+
+    #[test]
+    fn resume_within_settles_exactly_the_offset_ball_after_any_settle_through() {
+        // Undirected and directed road networks after a traffic batch. Each round
+        // opens a search, settles a random handful of vertices on demand (none in some
+        // rounds), then resumes with an offset and a bound whose difference is a
+        // settled distance, so that some vertex sits exactly on the bound.
+        let mut rng = ksp_workload::Xoshiro256::seed_from_u64(5);
+        let mut settled_inside = 0;
+        let mut full = SearchArena::new();
+        let mut lazy = SearchArena::new();
+        for directed in [false, true] {
+            let mut config = ksp_workload::RoadNetworkConfig::with_vertices(150);
+            config.directed = directed;
+            let mut graph =
+                ksp_workload::RoadNetworkGenerator::new(config).generate(13).unwrap().graph;
+            let mut traffic =
+                ksp_workload::TrafficModel::new(&graph, ksp_workload::TrafficConfig::default(), 13);
+            graph.apply_batch(&traffic.next_snapshot()).unwrap();
+            let n = graph.num_vertices() as u32;
+            for round in 0..12 {
+                let source = v(rng.next_bounded(n as u64) as u32);
+                full.search_from(&graph, source);
+                let reach = full.distance(v(rng.next_bounded(n as u64) as u32));
+                let offset = if round % 2 == 0 { reach / 4.0 } else { reach * 0.3 };
+                let bound = offset + reach;
+                lazy.open_search(&graph, source);
+                let asked = if round % 3 == 0 { 0 } else { rng.next_bounded(n as u64 / 2) };
+                for _ in 0..asked {
+                    lazy.settle_through(&graph, v(rng.next_bounded(n as u64) as u32));
+                }
+                lazy.resume_within(&graph, offset, bound);
+                for id in (0..n).map(v) {
+                    let (got, want) = (lazy.distance(id), full.distance(id));
+                    let inside = offset + got < bound;
+                    assert_eq!(inside, offset + want < bound, "{source}->{id} at {bound}");
+                    if got.is_finite() {
+                        assert_eq!(got.value().to_bits(), want.value().to_bits(), "{source}->{id}");
+                    }
+                    // With nothing asked first, nothing beyond the bound settles.
+                    assert!(inside || asked > 0 || !got.is_finite(), "{source}->{id} settled");
+                    settled_inside += inside as usize;
+                }
+            }
+        }
+        assert!(settled_inside > 200, "only {settled_inside} vertices fell inside a bound");
+    }
+
+    #[test]
+    fn a_restored_search_resumes_as_the_search_it_was_taken_from() {
+        // Undirected and directed road networks after a traffic batch. A search
+        // settles a random handful of vertices on demand; its settled distances and
+        // open list seed a second arena, which then settles every id in a random
+        // order. Every distance must have the full search's bits.
+        let mut rng = ksp_workload::Xoshiro256::seed_from_u64(17);
+        let (mut full, mut first, mut restored) =
+            (SearchArena::new(), SearchArena::new(), SearchArena::new());
+        for directed in [false, true] {
+            let mut config = ksp_workload::RoadNetworkConfig::with_vertices(150);
+            config.directed = directed;
+            let mut graph =
+                ksp_workload::RoadNetworkGenerator::new(config).generate(17).unwrap().graph;
+            let mut traffic =
+                ksp_workload::TrafficModel::new(&graph, ksp_workload::TrafficConfig::default(), 17);
+            graph.apply_batch(&traffic.next_snapshot()).unwrap();
+            let n = graph.num_vertices() as u32;
+            for round in 0..8 {
+                let source = v(rng.next_bounded(n as u64) as u32);
+                full.search_from(&graph, source);
+                first.open_search(&graph, source);
+                let asked = if round == 0 { 0 } else { rng.next_bounded(n as u64 / 2) };
+                for _ in 0..asked {
+                    first.settle_through(&graph, v(rng.next_bounded(n as u64) as u32));
+                }
+                let settled: Vec<(VertexId, Weight)> = (0..n)
+                    .map(v)
+                    .filter(|&x| first.distance(x).is_finite())
+                    .map(|x| (x, first.distance(x)))
+                    .collect();
+                restored.restore_search(&graph, settled, first.queued());
+                for _ in 0..n {
+                    let x = v(rng.next_bounded(n as u64) as u32);
+                    let (got, want) = (restored.settle_through(&graph, x), full.distance(x));
+                    assert_eq!(got.value().to_bits(), want.value().to_bits(), "{source}->{x}");
+                }
+                for x in (0..n).map(v) {
+                    let (got, want) = (restored.settle_through(&graph, x), full.distance(x));
+                    assert_eq!(got.value().to_bits(), want.value().to_bits(), "{source}->{x}");
+                }
+            }
+        }
     }
 
     #[test]

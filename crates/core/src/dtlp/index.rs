@@ -2,10 +2,11 @@
 
 use crate::dtlp::skeleton::SkeletonGraph;
 use crate::dtlp::subgraph_index::SubgraphIndex;
+use crate::dtlp::target_row::TargetRow;
 use ksp_algo::SearchArena;
 use ksp_graph::{
     DynamicGraph, EdgeId, GraphError, PartitionConfig, Partitioner, SubgraphId, UpdateBatch,
-    VertexId, Weight,
+    VertexId,
 };
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -88,58 +89,8 @@ pub struct MaintenanceStats {
     pub dirty_subgraphs: Vec<SubgraphId>,
 }
 
-/// One query target's distances over the skeleton, kept by the index for every
-/// query to that target on the same weights (see [`DtlpIndex::target_row`]).
-#[derive(Debug)]
-pub struct TargetRow {
-    target: VertexId,
-    /// Each skeleton vertex's distance to `target` over the skeleton plus the
-    /// target's attachments, by skeleton position.
-    distance: Vec<Weight>,
-    /// The target's attachments `(b, d, sg)`: boundary vertex `b` reaches the
-    /// target at distance `d` inside subgraph `sg`. Empty for a boundary target.
-    attachments: Vec<(VertexId, Weight, SubgraphId)>,
-}
-
-impl TargetRow {
-    /// The vertex the distances lead to.
-    pub fn target(&self) -> VertexId {
-        self.target
-    }
-
-    /// The target's attachments to the skeleton, in the order a query's overlay adds
-    /// them: by the target's subgraphs, then by each subgraph's boundary order.
-    pub fn attachments(&self) -> &[(VertexId, Weight, SubgraphId)] {
-        &self.attachments
-    }
-
-    /// The distance from `v` to the target over `skeleton` (that of the index the
-    /// row came from) plus the target's attachments: zero at the target, and
-    /// infinite where no such path exists.
-    #[inline]
-    pub fn distance(&self, skeleton: &SkeletonGraph, v: VertexId) -> Weight {
-        if v == self.target {
-            return Weight::ZERO;
-        }
-        match skeleton.position(v) {
-            Some(p) => self.distance[p],
-            // A vertex off the skeleton has no edge but its attachments.
-            None => {
-                let attached = self.attachments.iter().filter(|&&(b, _, _)| b == v);
-                attached.map(|&(_, d, _)| d).min().unwrap_or(Weight::INFINITY)
-            }
-        }
-    }
-
-    fn memory_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.distance.len() * std::mem::size_of::<Weight>()
-            + self.attachments.len() * std::mem::size_of::<(VertexId, Weight, SubgraphId)>()
-    }
-}
-
-/// The [`TargetRow`]s queries computed on one set of weights, by target, shared
-/// by every query and every shard behind a lock.
+/// The [`TargetRow`]s queries filled on one set of weights, by target, shared by
+/// every query and every shard behind a lock.
 #[derive(Debug, Default)]
 struct TargetRows {
     rows: Mutex<HashMap<VertexId, Arc<TargetRow>>>,
@@ -177,7 +128,8 @@ impl TargetRows {
 ///
 /// The index also keeps what queries computed from its weights alone: each
 /// subgraph's memo of partial paths (see [`crate::kspdg::refine`]) and the memo of
-/// [`TargetRow`]s. Build and restore start without them, a clone shares them until
+/// [`TargetRow`]s (see [`crate::dtlp::target_row`]). Build and restore start
+/// without them, a clone shares them until
 /// one of the two is updated, and [`DtlpIndex::apply_batch`] lets go of the rows
 /// (and of each dirtied subgraph's partials) before it changes a weight, leaving
 /// them to the epochs that still hold them. They are neither persisted nor counted
@@ -493,52 +445,20 @@ impl DtlpIndex {
         Ok(stats)
     }
 
-    /// The distances to `target` from every skeleton vertex over the skeleton plus
-    /// `target`'s own attachments, and those attachments: from this index's memo, or
-    /// computed on `arena` (one search per subgraph of a non-boundary target, then
-    /// one full search over the reversed skeleton) and offered to it.
-    ///
-    /// A query's overlay adds its source's attachments as well. The row's
-    /// distances are those of a search over that overlay, bit for bit: Dijkstra
-    /// gives every vertex the least `fl(d(u) + w)` over its successors whatever the
-    /// settle order, and no vertex's least passes through the source. Over a
-    /// directed skeleton nothing leaves a vertex towards the source's attachments.
-    /// Over an undirected one a detour `b → source → b'` inside subgraph `sg` is no
-    /// shorter than the skeleton edge `b → b'`, whose weight is a lower bound of the
-    /// distance inside `sg`.
-    pub fn target_row(&self, target: VertexId, arena: &mut SearchArena) -> Arc<TargetRow> {
-        let memo = self.target_rows.get_or_init(Arc::default);
-        if let Some(row) = memo.rows().get(&target) {
-            return Arc::clone(row);
-        }
-        let row = Arc::new(self.compute_target_row(target, arena));
-        Arc::clone(memo.rows().entry(target).or_insert(row))
+    /// The row of `target`'s distances over the skeleton that queries filled on
+    /// this index's weights, if any has (see [`crate::dtlp::target_row`]).
+    pub fn target_row(&self, target: VertexId) -> Option<Arc<TargetRow>> {
+        self.target_rows.get()?.rows().get(&target).cloned()
     }
 
-    fn compute_target_row(&self, target: VertexId, arena: &mut SearchArena) -> TargetRow {
-        let mut attachments = Vec::new();
-        if !self.is_boundary(target) {
-            for &sg in self.subgraphs_of_vertex(target) {
-                let to_target = self.subgraph_index(sg).boundary_distances_to(target, arena);
-                attachments.extend(
-                    to_target.into_iter().filter(|&(b, _)| b != target).map(|(b, d)| (b, d, sg)),
-                );
-            }
+    /// Keeps `row` as its target's row unless the row there settled as much.
+    pub(crate) fn offer_target_row(&self, row: Arc<TargetRow>) {
+        let memo = self.target_rows.get_or_init(Arc::default);
+        let mut rows = memo.rows();
+        let kept = rows.entry(row.target()).or_insert_with(|| Arc::clone(&row));
+        if row.settled_more_than(kept) {
+            *kept = row;
         }
-        let mut overlay = self.skeleton.overlay();
-        for &(b, d, sg) in &attachments {
-            if self.directed {
-                overlay.add_edge(b, target, d, sg);
-            } else {
-                overlay.add_undirected_edge(b, target, d, sg);
-            }
-        }
-        arena.search_from(&overlay.reversed(), target);
-        let mut distance = vec![Weight::INFINITY; self.skeleton.num_skeleton_vertices()];
-        for v in self.skeleton.vertices() {
-            distance[self.skeleton.position(v).expect("a skeleton vertex")] = arena.distance(v);
-        }
-        TargetRow { target, distance, attachments }
     }
 
     /// An estimate of the bytes the memos hold that queries filled on this index's

@@ -20,11 +20,13 @@ pub mod index;
 mod mfp;
 pub mod skeleton;
 pub mod subgraph_index;
+pub mod target_row;
 pub mod unit_weights;
 
 pub use bounding::{BoundingPath, BoundingPathSet, PairPaths};
 pub use ep_index::EpIndex;
-pub use index::{BuildStats, DtlpConfig, DtlpIndex, MaintenanceStats, TargetRow};
+pub use index::{BuildStats, DtlpConfig, DtlpIndex, MaintenanceStats};
 pub use skeleton::{Hop, LabelledView, OverlayView, ReversedOverlay, SkeletonGraph};
 pub use subgraph_index::{LowerBoundChange, SubgraphIndex};
+pub use target_row::{TargetDistances, TargetRow};
 pub use unit_weights::UnitWeightMultiset;

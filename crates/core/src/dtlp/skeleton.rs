@@ -56,6 +56,8 @@ pub struct SkeletonEdge {
 struct Adjacency<T> {
     /// By vertex id: the vertex's position in `lists`, or [`Adjacency::ABSENT`].
     position: Vec<u32>,
+    /// By position: the vertex id.
+    id_at: Vec<VertexId>,
     lists: Vec<Vec<(VertexId, T)>>,
 }
 
@@ -63,7 +65,7 @@ impl<T> Adjacency<T> {
     const ABSENT: u32 = u32::MAX;
 
     fn new() -> Self {
-        Adjacency { position: Vec::new(), lists: Vec::new() }
+        Adjacency { position: Vec::new(), id_at: Vec::new(), lists: Vec::new() }
     }
 
     /// Number of vertices with a list.
@@ -94,6 +96,7 @@ impl<T> Adjacency<T> {
         }
         if self.position[v.index()] == Self::ABSENT {
             self.position[v.index()] = self.lists.len() as u32;
+            self.id_at.push(v);
             self.lists.push(Vec::new());
         }
         &mut self.lists[self.position[v.index()] as usize]
@@ -227,12 +230,8 @@ impl SkeletonTopology {
                 labels[self.adj.position[v.index()] as usize].push(sg);
             }
         }
-        let mut id_at = vec![VertexId(0); self.adj.len()];
-        for v in self.adj.ids() {
-            id_at[self.adj.position[v.index()] as usize] = v;
-        }
         self.state_start = vec![0];
-        for (mut l, v) in labels.into_iter().zip(id_at) {
+        for (mut l, &v) in labels.into_iter().zip(&self.adj.id_at) {
             l.sort_unstable();
             l.dedup();
             self.state.extend(l.into_iter().map(|sg| (v, sg)));
@@ -353,6 +352,11 @@ impl SkeletonGraph {
             Some(&p) if p != Adjacency::<u32>::ABSENT => Some(p as usize),
             _ => None,
         }
+    }
+
+    /// The skeleton vertices by position: the inverse of [`SkeletonGraph::position`].
+    pub(crate) fn vertices_by_position(&self) -> &[VertexId] {
+        &self.topology.adj.id_at
     }
 
     /// All skeleton vertices, ascending.

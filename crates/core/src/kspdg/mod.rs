@@ -13,7 +13,5 @@
 pub mod query;
 pub mod refine;
 
-pub use query::{
-    KspDgConfig, KspDgEngine, QueryResult, QueryStats, QueryTrace, TargetDistances, MAX_ITERATIONS,
-};
+pub use query::{KspDgConfig, KspDgEngine, QueryResult, QueryStats, QueryTrace, MAX_ITERATIONS};
 pub use refine::{candidate_ksp, PartialPathCache};

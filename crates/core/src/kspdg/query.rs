@@ -25,20 +25,20 @@
 //! state → vertex projection (see [`ksp_algo::Projection`]).
 //!
 //! **The distances are shared per target.** They come from the index's
-//! [`TargetRow`] for the target: one search over the skeleton plus the target's
-//! attachments, made by the first query to that target on the current weights and
-//! read by every later one until a batch changes a weight (see
-//! [`DtlpIndex::target_row`], which also shows why its distances have the bits of a
-//! search over the query's own overlay). The query adds only its source: the
-//! source's distance is the least `w + d(b)` over its out-edges in the overlay, as
-//! a search would settle it. So the reference enumeration runs no reverse search of
-//! its own, and the row also supplies the overlay's target attachments.
+//! [`TargetRow`](crate::dtlp::TargetRow) for the target: one search over the
+//! skeleton plus the target's attachments, settled as far as the queries to that
+//! target on the current weights have asked, and dropped when a batch changes a
+//! weight (see [`crate::dtlp::target_row`], which also shows why its distances are
+//! those of a search over the query's own overlay). The query reads them through
+//! [`TargetDistances`], which resumes the row's search only past what the row
+//! settled, and adds the source, whose distance is the least `w + d(b)` over its
+//! out-edges in the overlay. The row also supplies the overlay's target attachments.
 
-use crate::dtlp::{DtlpIndex, OverlayView, SkeletonGraph, TargetRow};
+use crate::dtlp::{DtlpIndex, OverlayView, TargetDistances};
 use crate::kspdg::refine::{candidate_ksp, PartialPathCache};
 use ksp_algo::path::keep_k_shortest;
 use ksp_algo::{FindKsp, Path, SearchArena};
-use ksp_graph::{GraphView, SubgraphSet, VertexId, Weight};
+use ksp_graph::{SubgraphSet, VertexId, Weight};
 
 /// Safety cap on the number of filter/refine iterations per query. The paper shows
 /// the number of iterations stays near `k` in practice (Section 5.5); the cap only
@@ -218,17 +218,20 @@ impl<'a> KspDgEngine<'a> {
             };
         }
 
-        // Every search of this query — the target's row on a memo miss, endpoint
-        // attachment, the spur searches of the reference and partial enumerations,
-        // and the source half of the survival sweep — runs on `arena`. The partial
-        // FindKSPs' reverse searches run on one more, kept by the query's
-        // partial-path cache.
+        // Every search of this query — endpoint attachment, the spur searches of the
+        // reference and partial enumerations, and the source half of the survival
+        // sweep — runs on `arena`. Two more arenas are made on demand: the target's
+        // distances keep one to resume its row's search past what the row settled,
+        // and the query's partial-path cache one that every partial FindKSP reuses
+        // for its reverse search.
         let mut arena = SearchArena::new();
-        let row = self.index.target_row(target, &mut arena);
+        let mut to_target = TargetDistances::new(self.index, target, &mut arena);
 
         // Filter-step search structure: the skeleton graph with the query endpoints
         // attached (Section 5.3 / Step 1 of the Storm deployment).
-        let overlay = self.build_overlay(source, &row, &mut arena, &mut trace.subgraphs);
+        let overlay =
+            self.build_overlay(source, target, &to_target, &mut arena, &mut trace.subgraphs);
+        to_target.add_source(&overlay, source);
 
         // Reference paths come from FindKSP over the labelled overlay (see the module
         // docs): every spur search is an A* guided by exact unlabelled overlay
@@ -236,7 +239,6 @@ impl<'a> KspDgEngine<'a> {
         // which only remove paths, so the heuristic stays admissible and each spur path
         // is still a shortest one: the reference distances, and so Theorem 3's stopping
         // test, are the ones Yen would produce over the labelled view.
-        let to_target = TargetDistances::new(self.index, &row, &overlay, source);
         let states = overlay.labelled(source, target);
         let mut reference_paths =
             FindKsp::with_heuristic(&states, &states, states.source_state(), target, |v| {
@@ -303,9 +305,11 @@ impl<'a> KspDgEngine<'a> {
                 arena.settled_within(&overlay, source, alpha, |v| {
                     trace.subgraphs.extend(self.index.subgraphs_of_vertex(v).iter().copied());
                 });
-                // The target half reads the reference heuristic's distances.
+                // The target half reads the reference heuristic's distances, settled
+                // as far as `α + d < T`.
+                to_target.settle_within(alpha, bound);
                 for &v in self.index.boundary_vertices() {
-                    if alpha + to_target.get(v) < bound {
+                    if alpha + to_target.settled(v) < bound {
                         trace.subgraphs.extend(self.index.subgraphs_of_vertex(v).iter().copied());
                     }
                 }
@@ -313,21 +317,22 @@ impl<'a> KspDgEngine<'a> {
             }
             trace.complete = true;
         }
+        to_target.offer();
         QueryResult { paths: results, stats, trace, sweep_time }
     }
 
     /// Builds the overlay view attaching non-boundary endpoints to the skeleton,
-    /// the target through its row's attachments, recording the subgraphs whose
-    /// level-one data the overlay edges are derived from. Each attachment carries
-    /// the subgraph it was computed in.
+    /// the target through the attachments its distances carry, recording the
+    /// subgraphs whose level-one data the overlay edges are derived from. Each
+    /// attachment carries the subgraph it was computed in.
     fn build_overlay(
         &self,
         source: VertexId,
-        row: &TargetRow,
+        target: VertexId,
+        to_target: &TargetDistances<'_>,
         arena: &mut SearchArena,
         trace: &mut SubgraphSet,
     ) -> OverlayView<'_> {
-        let target = row.target();
         trace.extend(self.index.subgraphs_of_vertex(source).iter().copied());
         trace.extend(self.index.subgraphs_of_vertex(target).iter().copied());
         let skeleton = self.index.skeleton();
@@ -348,7 +353,7 @@ impl<'a> KspDgEngine<'a> {
                 }
             }
         }
-        for &(b, d, sg) in row.attachments() {
+        for &(b, d, sg) in to_target.attachments() {
             if directed {
                 overlay.add_edge(b, target, d, sg);
             } else {
@@ -373,52 +378,6 @@ impl<'a> KspDgEngine<'a> {
             }
         }
         overlay
-    }
-}
-
-/// Each vertex's exact distance to a query's target over the query's overlay: the
-/// reference FindKSP's heuristic and the target half of the survival sweep.
-///
-/// It reads the target's [`TargetRow`] and adds the source, whose distance is the
-/// least `w + d(b)` over its out-edges in the overlay, the value a search over the
-/// overlay settles it at.
-#[derive(Debug, Clone, Copy)]
-pub struct TargetDistances<'a> {
-    skeleton: &'a SkeletonGraph,
-    row: &'a TargetRow,
-    source: VertexId,
-    from_source: Weight,
-}
-
-impl<'a> TargetDistances<'a> {
-    /// The distances to `row`'s target over `overlay`, the skeleton of `index` with
-    /// the source's attachments and the row's attachments added.
-    pub fn new(
-        index: &'a DtlpIndex,
-        row: &'a TargetRow,
-        overlay: &OverlayView<'_>,
-        source: VertexId,
-    ) -> Self {
-        let skeleton = index.skeleton();
-        let from_source = if index.is_boundary(source) || source == row.target() {
-            row.distance(skeleton, source)
-        } else {
-            let mut least = Weight::INFINITY;
-            overlay
-                .for_each_neighbor(source, |b, w| least = least.min(w + row.distance(skeleton, b)));
-            least
-        };
-        TargetDistances { skeleton, row, source, from_source }
-    }
-
-    /// The distance from `v` to the target; infinite where none exists.
-    #[inline]
-    pub fn get(&self, v: VertexId) -> Weight {
-        if v == self.source {
-            self.from_source
-        } else {
-            self.row.distance(self.skeleton, v)
-        }
     }
 }
 
@@ -966,9 +925,10 @@ mod tests {
                 };
                 let budget = if *budgeted { shortest.distance() * 2.0 } else { Weight::INFINITY };
                 let mut arena = SearchArena::new();
-                let row = index.target_row(t, &mut arena);
-                let overlay = engine.build_overlay(s, &row, &mut arena, &mut SubgraphSet::new());
-                let to_target = TargetDistances::new(&index, &row, &overlay, s);
+                let mut to_target = TargetDistances::new(&index, t, &mut arena);
+                let overlay =
+                    engine.build_overlay(s, t, &to_target, &mut arena, &mut SubgraphSet::new());
+                to_target.add_source(&overlay, s);
                 let states = overlay.labelled(s, t);
                 let mut enumeration =
                     FindKsp::with_heuristic(&states, &states, states.source_state(), t, |x| {
