@@ -7,38 +7,28 @@
 //! the one [`DtlpIndex`] the service runs and the real engine ([`KspDgEngine`]).
 //!
 //! Subgraphs are assigned to `Ns` *logical servers* with the same load-balancing rule
-//! the paper uses ("allocated to workers on a many-to-one basis based on their load").
-//! Work items — per-subgraph index builds, as [`DtlpIndex::build`] times them, and
-//! per-query executions — run one after another, and each item's duration is
+//! the paper uses ("allocated to workers on a many-to-one basis based on their load"):
+//! the assignment is a function of the index and `Ns` alone, so one build serves every
+//! server count. Work items — per-subgraph index builds, as [`DtlpIndex::build`] times
+//! them, and per-query executions — run one after another, and each item's duration is
 //! attributed to the logical server that owns it. The reports expose both the
 //! one-processor wall-clock time and the *simulated makespan* (maximum per-server
 //! busy time), which is the quantity that scales with `Ns` the way a real cluster's
 //! batch latency does. The `fig42`–`fig46` and `loadbal` experiments read these
 //! reports; per-server accounting lives in [`crate::metrics`].
+//!
+//! **Every query batch starts cold.** Queries memoise partial paths and target
+//! distances in the index they run on. A batch therefore runs on a copy of the index
+//! decoded from its storage encoding, which carries no memo, so that its time does not
+//! depend on the batches run before it, and its report counts how many partial paths
+//! the memos answered within the batch.
 
 use crate::metrics::{balanced_assignment, LoadBalanceReport, ServerLoad};
-use ksp_core::dtlp::{DtlpConfig, DtlpIndex};
+use ksp_core::dtlp::DtlpIndex;
 use ksp_core::kspdg::KspDgEngine;
-use ksp_graph::{DynamicGraph, GraphError};
+use ksp_store::StoreCodec;
 use ksp_workload::QueryWorkload;
 use std::time::{Duration, Instant};
-
-/// Configuration of the simulated cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ClusterConfig {
-    /// Number of logical servers (the paper's `Ns`, 10 by default and up to 20 in the
-    /// scaling experiments).
-    pub num_servers: usize,
-    /// DTLP configuration used to build the index.
-    pub dtlp: DtlpConfig,
-}
-
-impl ClusterConfig {
-    /// Creates a configuration with the given server count and DTLP settings.
-    pub fn new(num_servers: usize, dtlp: DtlpConfig) -> Self {
-        ClusterConfig { num_servers, dtlp }
-    }
-}
 
 /// Report of an index build (Figure 42).
 #[derive(Debug, Clone)]
@@ -70,6 +60,11 @@ pub struct DistributedQueryReport {
     pub total_vertices_transferred: usize,
     /// Sum of per-query candidate paths generated.
     pub total_candidates: usize,
+    /// Sum of per-query partial path computations.
+    pub total_partials: usize,
+    /// How many of those partial computations a subgraph's memo answered, filled by
+    /// an earlier query of the batch.
+    pub total_partials_reused: usize,
 }
 
 impl DistributedQueryReport {
@@ -86,55 +81,59 @@ impl DistributedQueryReport {
             self.total_iterations as f64 / self.queries_answered as f64
         }
     }
+
+    /// The share of partial path computations the memos answered.
+    pub fn memo_hit_share(&self) -> f64 {
+        if self.total_partials == 0 {
+            0.0
+        } else {
+            self.total_partials_reused as f64 / self.total_partials as f64
+        }
+    }
 }
 
-/// The simulated cluster: a DTLP index whose subgraphs are assigned to logical servers.
+/// The simulated cluster: the subgraphs of one DTLP index assigned to logical servers.
 #[derive(Debug)]
-pub struct Cluster {
+pub struct Cluster<'i> {
+    index: &'i DtlpIndex,
     num_servers: usize,
-    index: DtlpIndex,
     /// For every subgraph, the logical server that owns it.
     subgraph_server: Vec<usize>,
 }
 
-impl Cluster {
-    /// Builds the DTLP index for `graph`, assigns its subgraphs to servers, and
-    /// charges each server the build time of the subgraphs it owns.
-    pub fn build(
-        graph: &DynamicGraph,
-        config: ClusterConfig,
-    ) -> Result<(Self, DistributedBuildReport), GraphError> {
-        assert!(config.num_servers >= 1, "a cluster needs at least one server");
-        let index = DtlpIndex::build(graph, config.dtlp)?;
-
-        // Assign subgraphs to servers by estimated load (boundary² is the dominant cost
-        // of bounding-path computation; edges dominate for interior subgraphs).
+impl<'i> Cluster<'i> {
+    /// Assigns the subgraphs of `index` to `num_servers` servers by estimated load
+    /// (boundary² is the dominant cost of bounding-path computation; edges dominate
+    /// for interior subgraphs).
+    pub fn new(index: &'i DtlpIndex, num_servers: usize) -> Self {
+        assert!(num_servers >= 1, "a cluster needs at least one server");
         let load_estimates: Vec<usize> = index
             .subgraph_indexes()
             .iter()
             .map(|idx| idx.subgraph().num_edges() + idx.subgraph().boundary_vertices().len().pow(2))
             .collect();
-        let subgraph_server = balanced_assignment(&load_estimates, config.num_servers);
+        let subgraph_server = balanced_assignment(&load_estimates, num_servers);
+        Cluster { index, num_servers, subgraph_server }
+    }
 
-        let stats = index.build_stats();
-        let mut per_server = vec![ServerLoad::default(); config.num_servers];
-        for (&server, &elapsed) in subgraph_server.iter().zip(&stats.subgraph_build_times) {
+    /// The index build, each server charged the build times of the subgraphs it owns.
+    pub fn build_report(&self) -> DistributedBuildReport {
+        let stats = self.index.build_stats();
+        let mut per_server = vec![ServerLoad::default(); self.num_servers];
+        for (&server, &elapsed) in self.subgraph_server.iter().zip(&stats.subgraph_build_times) {
             per_server[server].record(elapsed);
         }
-        let wall_clock = stats.build_time;
-        let cluster = Cluster { num_servers: config.num_servers, index, subgraph_server };
-        cluster.set_memory(&mut per_server);
-        let report = DistributedBuildReport {
-            wall_clock,
+        self.set_memory(&mut per_server);
+        DistributedBuildReport {
+            wall_clock: stats.build_time,
             load_balance: LoadBalanceReport::from_loads(&per_server),
             per_server,
-        };
-        Ok((cluster, report))
+        }
     }
 
     /// The DTLP index.
-    pub fn index(&self) -> &DtlpIndex {
-        &self.index
+    pub fn index(&self) -> &'i DtlpIndex {
+        self.index
     }
 
     /// The logical server owning each subgraph.
@@ -159,26 +158,34 @@ impl Cluster {
         }
     }
 
-    /// Answers a batch of queries one after another, attributing each query to a
-    /// logical server round-robin (every query is handled by a single QueryBolt in
-    /// the deployed system).
+    /// Answers a batch of queries one after another on a memo-empty copy of the
+    /// index, attributing each query to a logical server round-robin (every query is
+    /// handled by a single QueryBolt in the deployed system).
     pub fn process_queries(&self, workload: &QueryWorkload) -> DistributedQueryReport {
+        let cold = DtlpIndex::from_bytes(&self.index.to_bytes()).expect("an index decodes");
         let start = Instant::now();
-        let engine = KspDgEngine::new(&self.index);
+        let engine = KspDgEngine::new(&cold);
         let mut per_server = vec![ServerLoad::default(); self.num_servers];
-        let mut total_iterations = 0;
-        let mut total_vertices_transferred = 0;
-        let mut total_candidates = 0;
+        let mut totals = [0usize; 5];
         for (i, q) in workload.iter().enumerate() {
             let t0 = Instant::now();
             let stats = engine.query(q.source, q.target, q.k).stats;
             per_server[i % self.num_servers].record(t0.elapsed());
-            total_iterations += stats.iterations;
-            total_vertices_transferred += stats.vertices_transferred;
-            total_candidates += stats.candidates_generated;
+            let counts = [
+                stats.iterations,
+                stats.vertices_transferred,
+                stats.candidates_generated,
+                stats.partial_computations,
+                stats.partials_reused,
+            ];
+            for (total, count) in totals.iter_mut().zip(counts) {
+                *total += count;
+            }
         }
         let wall_clock = start.elapsed();
         self.set_memory(&mut per_server);
+        let [total_iterations, total_vertices_transferred, total_candidates, total_partials, total_partials_reused] =
+            totals;
         DistributedQueryReport {
             wall_clock,
             load_balance: LoadBalanceReport::from_loads(&per_server),
@@ -187,6 +194,8 @@ impl Cluster {
             total_iterations,
             total_vertices_transferred,
             total_candidates,
+            total_partials,
+            total_partials_reused,
         }
     }
 }
@@ -195,6 +204,8 @@ impl Cluster {
 mod tests {
     use super::*;
     use ksp_algo::yen_ksp;
+    use ksp_core::dtlp::DtlpConfig;
+    use ksp_graph::DynamicGraph;
     use ksp_workload::{QueryWorkloadConfig, RoadNetworkConfig, RoadNetworkGenerator};
 
     fn network(n: usize, seed: u64) -> DynamicGraph {
@@ -204,8 +215,9 @@ mod tests {
     #[test]
     fn cluster_build_covers_all_subgraphs_and_balances_load() {
         let g = network(400, 3);
-        let config = ClusterConfig::new(4, DtlpConfig::new(25, 2));
-        let (cluster, report) = Cluster::build(&g, config).unwrap();
+        let index = DtlpIndex::build(&g, DtlpConfig::new(25, 2)).unwrap();
+        let cluster = Cluster::new(&index, 4);
+        let report = cluster.build_report();
         assert_eq!(cluster.subgraph_assignment().len(), cluster.index().num_subgraphs());
         assert!(cluster.subgraph_assignment().iter().all(|&s| s < 4));
         assert_eq!(report.per_server.len(), 4);
@@ -222,8 +234,8 @@ mod tests {
     #[test]
     fn query_batch_answers_match_yen() {
         let g = network(250, 7);
-        let (cluster, _) =
-            Cluster::build(&g, ClusterConfig::new(4, DtlpConfig::new(18, 2))).unwrap();
+        let index = DtlpIndex::build(&g, DtlpConfig::new(18, 2)).unwrap();
+        let cluster = Cluster::new(&index, 4);
         let workload = QueryWorkload::generate(&g, QueryWorkloadConfig::new(8, 2), 3);
         // Check correctness through the shared engine (the batch API reports stats only).
         let engine = KspDgEngine::new(cluster.index());
@@ -245,8 +257,8 @@ mod tests {
     #[test]
     fn query_batch_totals_are_the_engine_counters() {
         let g = network(300, 29);
-        let (cluster, _) =
-            Cluster::build(&g, ClusterConfig::new(3, DtlpConfig::new(20, 2))).unwrap();
+        let index = DtlpIndex::build(&g, DtlpConfig::new(20, 2)).unwrap();
+        let cluster = Cluster::new(&index, 3);
         let workload = QueryWorkload::generate(&g, QueryWorkloadConfig::new(16, 3), 5);
         let report = cluster.process_queries(&workload);
         let engine = KspDgEngine::new(cluster.index());
@@ -261,14 +273,29 @@ mod tests {
     }
 
     #[test]
+    fn every_batch_starts_with_empty_memos() {
+        // The batch repeats its first half, so the memos it fills answer some of its
+        // own partials, and the same batch run again reads no more than that.
+        let g = network(300, 31);
+        let index = DtlpIndex::build(&g, DtlpConfig::new(20, 2)).unwrap();
+        let cluster = Cluster::new(&index, 2);
+        let mut workload = QueryWorkload::generate(&g, QueryWorkloadConfig::new(12, 2), 7);
+        workload.queries.extend(workload.queries.clone());
+        let first = cluster.process_queries(&workload);
+        assert!(first.total_partials_reused > 0 && first.memo_hit_share() < 1.0);
+        let again = cluster.process_queries(&workload);
+        assert_eq!(again.total_partials_reused, first.total_partials_reused);
+        assert_eq!(index.memo_bytes(), 0, "the batches ran on copies");
+    }
+
+    #[test]
     fn more_servers_reduce_simulated_makespan() {
         let g = network(350, 11);
         let workload = QueryWorkload::generate(&g, QueryWorkloadConfig::new(40, 2), 9);
+        let index = DtlpIndex::build(&g, DtlpConfig::new(20, 2)).unwrap();
         let mut makespans = Vec::new();
         for servers in [1, 4, 16] {
-            let (cluster, _) =
-                Cluster::build(&g, ClusterConfig::new(servers, DtlpConfig::new(20, 2))).unwrap();
-            let report = cluster.process_queries(&workload);
+            let report = Cluster::new(&index, servers).process_queries(&workload);
             makespans.push(report.simulated_makespan());
         }
         assert!(
@@ -282,8 +309,8 @@ mod tests {
     #[test]
     fn per_server_memory_is_fully_assigned() {
         let g = network(300, 17);
-        let (cluster, _) =
-            Cluster::build(&g, ClusterConfig::new(6, DtlpConfig::new(20, 1))).unwrap();
+        let index = DtlpIndex::build(&g, DtlpConfig::new(20, 1)).unwrap();
+        let cluster = Cluster::new(&index, 6);
         let memory = cluster.per_server_memory();
         assert_eq!(memory.len(), 6);
         let total: usize = memory.iter().sum();
@@ -302,9 +329,9 @@ mod tests {
         // small synthetic graph the spread is larger, but it must stay well below total
         // imbalance for the balanced assignment to be considered working.
         let g = network(500, 19);
-        let (cluster, build) =
-            Cluster::build(&g, ClusterConfig::new(4, DtlpConfig::new(25, 2))).unwrap();
-        assert!(build.load_balance.memory_spread < 0.9);
+        let index = DtlpIndex::build(&g, DtlpConfig::new(25, 2)).unwrap();
+        let cluster = Cluster::new(&index, 4);
+        assert!(cluster.build_report().load_balance.memory_spread < 0.9);
         let workload = QueryWorkload::generate(&g, QueryWorkloadConfig::new(32, 2), 23);
         let report = cluster.process_queries(&workload);
         assert!(report.load_balance.busy_spread < 0.95);

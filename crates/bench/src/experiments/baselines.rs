@@ -1,9 +1,9 @@
 //! Comparison with the baseline algorithms (Figures 35–41).
 
-use crate::cluster::{Cluster, ClusterConfig};
+use crate::cluster::Cluster;
 use crate::experiments::cands::CandsIndex;
 use crate::experiments::datasets_for;
-use crate::report::{ms, Table};
+use crate::report::{f2, ms, Table};
 use crate::Scale;
 use ksp_algo::{find_ksp, yen_ksp};
 use ksp_core::dtlp::{DtlpConfig, DtlpIndex};
@@ -34,7 +34,9 @@ fn run_centralized(
 }
 
 /// Figures 35–38: KSP-DG vs FindKSP vs Yen, total processing time as the number of
-/// concurrent queries grows, per dataset.
+/// concurrent queries grows, per dataset. Every KSP-DG row starts with empty memos,
+/// as FindKSP and Yen start with nothing ([`Cluster::process_queries`]), and prints
+/// the share of its partial path computations that its own queries' memos answered.
 pub fn fig35_38(scale: Scale) -> Vec<Table> {
     let xi = match scale {
         Scale::Tiny => 2,
@@ -42,16 +44,14 @@ pub fn fig35_38(scale: Scale) -> Vec<Table> {
     };
     let mut table = Table::new(
         "Figures 35-38: KSP-DG vs FindKSP vs Yen, processing time vs Nq (k=2)",
-        &["dataset", "Nq", "KSP-DG (ms)", "FindKSP (ms)", "Yen (ms)"],
+        &["dataset", "Nq", "KSP-DG (ms)", "FindKSP (ms)", "Yen (ms)", "KSP-DG memo hit share"],
     );
     for preset in datasets_for(scale) {
         let spec = preset.spec(scale.dataset_scale());
         let net = spec.generate().expect("dataset generation");
-        let (cluster, _) = Cluster::build(
-            &net.graph,
-            ClusterConfig::new(DEFAULT_SERVERS, DtlpConfig::new(spec.default_z, xi)),
-        )
-        .expect("cluster build");
+        let index =
+            DtlpIndex::build(&net.graph, DtlpConfig::new(spec.default_z, xi)).expect("index build");
+        let cluster = Cluster::new(&index, DEFAULT_SERVERS);
         let max_nq = *scale.nq_sweep().last().unwrap();
         let full = QueryWorkload::generate(&net.graph, QueryWorkloadConfig::new(max_nq, 2), 0x35);
         for nq in scale.nq_sweep() {
@@ -64,6 +64,7 @@ pub fn fig35_38(scale: Scale) -> Vec<Table> {
                 ms(report.wall_clock),
                 ms(findksp),
                 ms(yen),
+                f2(report.memo_hit_share()),
             ]);
         }
     }
@@ -91,11 +92,9 @@ pub fn fig39(scale: Scale) -> Vec<Table> {
     };
     let spec = preset.spec(scale.dataset_scale());
     let net = spec.generate().expect("dataset generation");
-    let (cluster, _) = Cluster::build(
-        &net.graph,
-        ClusterConfig::new(DEFAULT_SERVERS, DtlpConfig::new(spec.default_z, xi)),
-    )
-    .expect("cluster build");
+    let index =
+        DtlpIndex::build(&net.graph, DtlpConfig::new(spec.default_z, xi)).expect("index build");
+    let cluster = Cluster::new(&index, DEFAULT_SERVERS);
     let workload = QueryWorkload::generate(&net.graph, QueryWorkloadConfig::new(nq, 2), 0x39);
     let mut table = Table::new(
         format!("Figure 39: processing time vs k ({}, Nq={nq})", preset.short_name()),
@@ -130,11 +129,9 @@ pub fn fig40(scale: Scale) -> Vec<Table> {
         }
         let spec = preset.spec(scale.dataset_scale());
         let net = spec.generate().expect("dataset generation");
-        let (cluster, _) = Cluster::build(
-            &net.graph,
-            ClusterConfig::new(DEFAULT_SERVERS, DtlpConfig::new(spec.default_z, xi)),
-        )
-        .expect("cluster build");
+        let index =
+            DtlpIndex::build(&net.graph, DtlpConfig::new(spec.default_z, xi)).expect("index build");
+        let cluster = Cluster::new(&index, DEFAULT_SERVERS);
         let cands = CandsIndex::build(&net.graph, spec.default_z).expect("CANDS build");
         let workload = QueryWorkload::generate(&net.graph, QueryWorkloadConfig::new(nq, 1), 0x40);
 

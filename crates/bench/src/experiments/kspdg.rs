@@ -1,6 +1,6 @@
 //! Experiments on KSP-DG query processing (Figures 24–34).
 
-use crate::cluster::{Cluster, ClusterConfig};
+use crate::cluster::Cluster;
 use crate::experiments::datasets_for;
 use crate::report::{f2, ms, Table};
 use crate::Scale;
@@ -162,11 +162,8 @@ pub fn fig28_31(scale: Scale) -> Vec<Table> {
         let net = spec.generate().expect("dataset generation");
         let workload = QueryWorkload::generate(&net.graph, QueryWorkloadConfig::new(nq, 2), 0x31);
         for z in spec.z_sweep() {
-            let (cluster, _) = Cluster::build(
-                &net.graph,
-                ClusterConfig::new(DEFAULT_SERVERS, DtlpConfig::new(z, xi)),
-            )
-            .expect("cluster build");
+            let index = DtlpIndex::build(&net.graph, DtlpConfig::new(z, xi)).expect("index build");
+            let cluster = Cluster::new(&index, DEFAULT_SERVERS);
             for &k in &ks {
                 let report = cluster.process_queries(&workload.with_k(k));
                 table.row(vec![
@@ -183,11 +180,20 @@ pub fn fig28_31(scale: Scale) -> Vec<Table> {
     vec![table]
 }
 
-/// Figure 32: processing time vs number of concurrent queries.
+/// Figure 32: processing time vs number of concurrent queries. Every row runs on a
+/// memo-empty copy of the index ([`Cluster::process_queries`]), like the baselines
+/// beside it, and prints the share of its partial path computations that the memos
+/// its own earlier queries filled answered.
 pub fn fig32(scale: Scale) -> Vec<Table> {
     let mut table = Table::new(
         "Figure 32: processing time vs number of queries (k=2, xi=10 scaled)",
-        &["dataset", "Nq", "wall clock (ms)", "simulated 10-server makespan (ms)"],
+        &[
+            "dataset",
+            "Nq",
+            "wall clock (ms)",
+            "simulated 10-server makespan (ms)",
+            "memo hit share",
+        ],
     );
     let xi = match scale {
         Scale::Tiny => 2,
@@ -196,11 +202,9 @@ pub fn fig32(scale: Scale) -> Vec<Table> {
     for preset in datasets_for(scale) {
         let spec = preset.spec(scale.dataset_scale());
         let net = spec.generate().expect("dataset generation");
-        let (cluster, _) = Cluster::build(
-            &net.graph,
-            ClusterConfig::new(DEFAULT_SERVERS, DtlpConfig::new(spec.default_z, xi)),
-        )
-        .expect("cluster build");
+        let index =
+            DtlpIndex::build(&net.graph, DtlpConfig::new(spec.default_z, xi)).expect("index build");
+        let cluster = Cluster::new(&index, DEFAULT_SERVERS);
         let max_nq = *scale.nq_sweep().last().unwrap();
         let workload =
             QueryWorkload::generate(&net.graph, QueryWorkloadConfig::new(max_nq, 2), 0x32);
@@ -211,6 +215,7 @@ pub fn fig32(scale: Scale) -> Vec<Table> {
                 nq.to_string(),
                 ms(report.wall_clock),
                 ms(report.simulated_makespan()),
+                f2(report.memo_hit_share()),
             ]);
         }
     }

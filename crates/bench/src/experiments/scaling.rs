@@ -1,10 +1,12 @@
 //! Scaling-out experiments (Figures 42–46) and the load-balance report of Section 6.6.
 
-use crate::cluster::{Cluster, ClusterConfig};
+use crate::cluster::Cluster;
 use crate::report::{f2, ms, Table};
 use crate::Scale;
 use ksp_algo::{find_ksp, yen_ksp};
-use ksp_core::dtlp::DtlpConfig;
+use ksp_core::dtlp::{DtlpConfig, DtlpIndex};
+use ksp_graph::DynamicGraph;
+use ksp_workload::datasets::DatasetSpec;
 use ksp_workload::{DatasetPreset, QueryWorkload, QueryWorkloadConfig};
 use std::time::{Duration, Instant};
 
@@ -22,6 +24,12 @@ fn xi_for(scale: Scale) -> usize {
     }
 }
 
+/// The one index every server count of a dataset shares: only the assignment of its
+/// subgraphs to servers depends on the count.
+fn index_for(graph: &DynamicGraph, spec: &DatasetSpec, scale: Scale) -> DtlpIndex {
+    DtlpIndex::build(graph, DtlpConfig::new(spec.default_z, xi_for(scale))).expect("index build")
+}
+
 /// Figure 42: DTLP build time as the number of servers grows.
 pub fn fig42(scale: Scale) -> Vec<Table> {
     let mut table = Table::new(
@@ -31,12 +39,9 @@ pub fn fig42(scale: Scale) -> Vec<Table> {
     for preset in scaling_datasets(scale) {
         let spec = preset.spec(scale.dataset_scale());
         let net = spec.generate().expect("dataset generation");
+        let index = index_for(&net.graph, &spec, scale);
         for servers in scale.server_sweep() {
-            let (_, report) = Cluster::build(
-                &net.graph,
-                ClusterConfig::new(servers, DtlpConfig::new(spec.default_z, xi_for(scale))),
-            )
-            .expect("cluster build");
+            let report = Cluster::new(&index, servers).build_report();
             table.row(vec![
                 preset.short_name().to_string(),
                 servers.to_string(),
@@ -59,13 +64,9 @@ pub fn fig43(scale: Scale) -> Vec<Table> {
         let spec = preset.spec(scale.dataset_scale());
         let net = spec.generate().expect("dataset generation");
         let workload = QueryWorkload::generate(&net.graph, QueryWorkloadConfig::new(nq, 2), 0x43);
+        let index = index_for(&net.graph, &spec, scale);
         for servers in scale.server_sweep() {
-            let (cluster, _) = Cluster::build(
-                &net.graph,
-                ClusterConfig::new(servers, DtlpConfig::new(spec.default_z, xi_for(scale))),
-            )
-            .expect("cluster build");
-            let report = cluster.process_queries(&workload);
+            let report = Cluster::new(&index, servers).process_queries(&workload);
             table.row(vec![
                 preset.short_name().to_string(),
                 servers.to_string(),
@@ -92,12 +93,9 @@ pub fn fig44(scale: Scale) -> Vec<Table> {
         format!("Figure 44: processing time vs servers for several k (NY, Nq={nq})"),
         &["servers", "k", "simulated makespan (ms)"],
     );
+    let index = index_for(&net.graph, &spec, scale);
     for servers in scale.server_sweep() {
-        let (cluster, _) = Cluster::build(
-            &net.graph,
-            ClusterConfig::new(servers, DtlpConfig::new(spec.default_z, xi_for(scale))),
-        )
-        .expect("cluster build");
+        let cluster = Cluster::new(&index, servers);
         for &k in &ks {
             let report = cluster.process_queries(&workload.with_k(k));
             table.row(vec![servers.to_string(), k.to_string(), ms(report.simulated_makespan())]);
@@ -134,13 +132,9 @@ pub fn fig45(scale: Scale) -> Vec<Table> {
         format!("Figure 45: scalability comparison (NY, Nq={nq}, k=2)"),
         &["servers", "KSP-DG (ms)", "FindKSP (ms)", "Yen (ms)"],
     );
+    let index = index_for(&net.graph, &spec, scale);
     for servers in scale.server_sweep() {
-        let (cluster, _) = Cluster::build(
-            &net.graph,
-            ClusterConfig::new(servers, DtlpConfig::new(spec.default_z, xi_for(scale))),
-        )
-        .expect("cluster build");
-        let report = cluster.process_queries(&workload);
+        let report = Cluster::new(&index, servers).process_queries(&workload);
         let divide = |d: Duration| Duration::from_secs_f64(d.as_secs_f64() / servers as f64);
         table.row(vec![
             servers.to_string(),
@@ -160,14 +154,10 @@ pub fn fig46(scale: Scale) -> Vec<Table> {
     let net = spec.generate().expect("dataset generation");
     let workload = QueryWorkload::generate(&net.graph, QueryWorkloadConfig::new(nq, 2), 0x46);
 
+    let index = index_for(&net.graph, &spec, scale);
     let mut makespans = Vec::new();
     for servers in scale.server_sweep() {
-        let (cluster, _) = Cluster::build(
-            &net.graph,
-            ClusterConfig::new(servers, DtlpConfig::new(spec.default_z, xi_for(scale))),
-        )
-        .expect("cluster build");
-        let report = cluster.process_queries(&workload);
+        let report = Cluster::new(&index, servers).process_queries(&workload);
         makespans.push((servers, report.simulated_makespan()));
     }
     let baseline = makespans[0].1;
@@ -197,15 +187,12 @@ pub fn load_balance(scale: Scale) -> Vec<Table> {
         format!("Section 6.6: load balance across servers ({})", preset.short_name()),
         &["servers", "busy spread (%)", "memory spread (%)"],
     );
+    let index = index_for(&net.graph, &spec, scale);
     for servers in scale.server_sweep() {
-        let (cluster, build) = Cluster::build(
-            &net.graph,
-            ClusterConfig::new(servers, DtlpConfig::new(spec.default_z, xi_for(scale))),
-        )
-        .expect("cluster build");
+        let cluster = Cluster::new(&index, servers);
         let report = cluster.process_queries(&workload);
         let busy = report.load_balance.busy_spread * 100.0;
-        let memory = build.load_balance.memory_spread * 100.0;
+        let memory = cluster.build_report().load_balance.memory_spread * 100.0;
         table.row(vec![servers.to_string(), f2(busy), f2(memory)]);
     }
     vec![table]

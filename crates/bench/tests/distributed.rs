@@ -1,8 +1,8 @@
 //! Integration tests of the simulated cluster: its scaling reports must be
 //! self-consistent.
 
-use ksp_bench::cluster::{Cluster, ClusterConfig};
-use ksp_core::dtlp::DtlpConfig;
+use ksp_bench::cluster::Cluster;
+use ksp_core::dtlp::{DtlpConfig, DtlpIndex};
 use ksp_workload::datasets::DatasetScale;
 use ksp_workload::{DatasetPreset, QueryWorkload, QueryWorkloadConfig};
 
@@ -13,9 +13,9 @@ fn tiny_graph() -> ksp_graph::DynamicGraph {
 #[test]
 fn query_batch_reports_are_consistent() {
     let graph = tiny_graph();
-    let (cluster, build) =
-        Cluster::build(&graph, ClusterConfig::new(5, DtlpConfig::new(18, 2))).expect("cluster");
-    assert_eq!(build.per_server.len(), 5);
+    let index = DtlpIndex::build(&graph, DtlpConfig::new(18, 2)).expect("index");
+    let cluster = Cluster::new(&index, 5);
+    assert_eq!(cluster.build_report().per_server.len(), 5);
 
     let workload = QueryWorkload::generate(&graph, QueryWorkloadConfig::new(20, 2), 41);
     let report = cluster.process_queries(&workload);
@@ -35,14 +35,12 @@ fn query_batch_reports_are_consistent() {
 fn more_servers_never_increase_simulated_makespan_much() {
     let graph = tiny_graph();
     let workload = QueryWorkload::generate(&graph, QueryWorkloadConfig::new(30, 2), 51);
+    let index = DtlpIndex::build(&graph, DtlpConfig::new(18, 2)).expect("index");
     let mut previous = None;
     for servers in [1usize, 2, 8] {
-        let (cluster, _) =
-            Cluster::build(&graph, ClusterConfig::new(servers, DtlpConfig::new(18, 2)))
-                .expect("cluster");
-        let report = cluster.process_queries(&workload);
+        let report = Cluster::new(&index, servers).process_queries(&workload);
         let busiest = report.per_server.iter().map(|l| l.items_processed).max().expect("servers");
-        let work = (report.total_iterations, report.total_candidates);
+        let work = (report.total_iterations, report.total_candidates, report.total_partials_reused);
         if let Some((prev_busiest, prev_work)) = previous {
             assert!(
                 busiest <= prev_busiest,

@@ -313,6 +313,13 @@ impl QueryService {
                 labels: String::new(),
                 value: self.admission.estimator().nanos() as f64 / 1_000.0,
             },
+            // What queries memoised on the published epoch's weights: partial
+            // paths per subgraph and distances per target (an estimate).
+            Gauge {
+                name: "ksp_memo_bytes".to_string(),
+                labels: String::new(),
+                value: self.snapshot().index().memo_bytes() as f64,
+            },
         ];
         // Replication (`ksp_repl_*`) families, when a hook is registered —
         // the shipping counters and per-follower lag gauges ride the same

@@ -432,6 +432,18 @@ fn metrics_report_carries_one_queue_gauge() {
 }
 
 #[test]
+fn the_memo_gauge_follows_the_published_epoch() {
+    let (service, graph) = service(150, 2, 53);
+    let memo = |service: &QueryService| service.obs_snapshot().gauge("ksp_memo_bytes");
+    assert_eq!(memo(&service), Some(0.0), "a fresh service has memoised nothing");
+    let t = VertexId(graph.num_vertices() as u32 - 1);
+    service.query(VertexId(0), t, 2).unwrap();
+    let warm = memo(&service).unwrap();
+    assert!(warm > 0.0, "a query memoises its target's row");
+    assert_eq!(warm, service.snapshot().index().memo_bytes() as f64);
+}
+
+#[test]
 fn stage_histograms_telescope_to_the_end_to_end_histogram() {
     let (service, graph) = service(150, 2, 61);
     let t = VertexId(graph.num_vertices() as u32 - 1);
