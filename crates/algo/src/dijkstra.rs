@@ -212,7 +212,7 @@ impl SearchArena {
     /// This is the source half of the query-trace *survival sweep*: after a KSP
     /// query finishes with a k-th answer distance `T`, KSP-DG sweeps the skeleton
     /// overlay from the source to a quarter of `T` and takes the rest of its
-    /// certificate from the target's reverse search
+    /// certificate from a search from the target, resumed to the bound
     /// ([`SearchArena::resume_within`]). A subgraph outside both balls is too far
     /// for any weight change inside it to create a path shorter than `T`, which is
     /// what lets a cached result survive epoch publishes that only dirty far-away

@@ -17,11 +17,11 @@
 //! explores, so the reverse search never has to cover the vertices no spur goes near.
 //! It settles in the order a full search would, so every heuristic value has the bits
 //! the full search gives it. [`FindKsp::with_heuristic`] takes the distances from the
-//! caller instead, such as a table computed once and shared by many enumerations to
-//! one destination (KSP-DG's per-target rows over the skeleton). Either way the
-//! heuristic plays two roles: its value at a vertex orders the open list
-//! (`f = g + h`), and an infinite value prunes the vertex outright, since nothing
-//! there reaches the destination even without bans.
+//! caller instead, such as a search shared by many enumerations to one destination
+//! (KSP-DG's per-target rows over the skeleton, which each query extends only past
+//! what earlier ones settled). Either way the heuristic plays two roles: its value
+//! at a vertex orders the open list (`f = g + h`), and an infinite value prunes the
+//! vertex outright, since nothing there reaches the destination even without bans.
 //!
 //! Like Yen's enumerator it spurs each produced path only from the index where that
 //! path deviated from its parent (Lawler 1972, see [`crate::yen`]): the spurs before

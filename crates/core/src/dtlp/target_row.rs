@@ -35,7 +35,7 @@
 
 use crate::dtlp::{DtlpIndex, OverlayView, SkeletonGraph};
 use ksp_algo::SearchArena;
-use ksp_graph::{SubgraphId, VertexId, Weight};
+use ksp_graph::{GraphView, SubgraphId, VertexId, Weight};
 use std::sync::Arc;
 
 /// What one target's search over the skeleton has settled; see the module docs.
@@ -158,7 +158,6 @@ impl<'i> TargetDistances<'i> {
     /// out-edges `source → b` of weight `w` in `overlay`, the value a search over
     /// the overlay settles it at.
     pub fn add_source(&mut self, overlay: &OverlayView<'_>, source: VertexId) {
-        use ksp_graph::GraphView;
         let mut out_edges = Vec::new();
         overlay.for_each_neighbor(source, |b, w| out_edges.push((b, w)));
         let mut least = Weight::INFINITY;
@@ -211,13 +210,14 @@ impl<'i> TargetDistances<'i> {
             skeleton.vertices_by_position().iter().map(|&v| search.distance(v)).collect();
         let mut settled = distance.iter().filter(|d| d.is_finite()).count();
         let attachments = row.map_or(computed, |row| row.attachments.clone());
-        let mut settled_off: Vec<(VertexId, Weight)> = Vec::new();
-        for v in attachments.iter().map(|&(b, _, _)| b).chain([target]) {
-            let d = search.distance(v);
-            if d.is_finite() && !skeleton.contains(v) && !settled_off.contains(&(v, d)) {
-                settled_off.push((v, d));
-            }
-        }
+        // A non-boundary target lies in one subgraph, so each off-skeleton vertex
+        // is listed once.
+        let off_skeleton = attachments.iter().map(|&(b, _, _)| b).chain([target]);
+        let settled_off: Vec<(VertexId, Weight)> = off_skeleton
+            .filter(|&v| !skeleton.contains(v))
+            .map(|v| (v, search.distance(v)))
+            .filter(|&(_, d)| d.is_finite())
+            .collect();
         settled += settled_off.len();
         let queued = search.queued().collect();
         let row = TargetRow { target, attachments, distance, settled_off, queued, settled };

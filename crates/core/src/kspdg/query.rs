@@ -51,8 +51,9 @@ pub struct KspDgConfig {
     /// Whether queries produce a *certified* [`QueryTrace`] — i.e. run the
     /// survival sweep after the answer is found. Off by default: the sweep
     /// costs a bounded Dijkstra over the skeleton overlay from the source to a
-    /// quarter of the k-th answer distance, plus a pass over the boundary
-    /// vertices' distances to the target, which only pays for itself
+    /// quarter of the k-th answer distance, plus settling the target's distances
+    /// to the rest of it (a target's row often already reaches that far) and a
+    /// pass over the boundary vertices, which only pays for itself
     /// when something consumes the certificate (the serving layer's
     /// cache-survival machinery turns it on). With it off, the cheap level-one
     /// recording still happens but `QueryTrace::complete` stays `false`, so
@@ -113,10 +114,11 @@ pub struct QueryStats {
 /// * **The survival sweep** — after the filter/refine loop terminates with a
 ///   k-th answer distance `T`, two balls around the endpoints on the skeleton
 ///   overlay, split at `α = T/4`. One bounded Dijkstra from the source records
-///   the subgraphs of every vertex closer than `α` to it. The reference
-///   FindKSP's heuristic holds every boundary vertex's distance `d` to the
-///   target ([`TargetDistances`]), and the subgraphs of every boundary vertex
-///   with `α + d < T` are recorded too.
+///   the subgraphs of every vertex closer than `α` to it. The search behind the
+///   reference FindKSP's heuristic, from the target over the skeleton and the
+///   target's attachments ([`TargetDistances`]), is resumed until `α + d >= T`,
+///   and the subgraphs of every boundary vertex with `α + d < T` for its
+///   distance `d` to the target are recorded too.
 ///
 /// Why that suffices (the meet-in-the-middle argument of bidirectional search):
 /// after any weight change confined to untraced subgraphs, take a path that
@@ -126,7 +128,9 @@ pub struct QueryStats {
 /// least the overlay distance from the source to that vertex: `α` or more,
 /// since `S1` is outside the source ball. Its suffix from the last untraced
 /// subgraph `S2` it uses leaves `S2` at a boundary vertex `b`, is unchanged,
-/// and is at least the overlay distance `d` from `b` to the target. The two
+/// and is at least the distance `d` from `b` to the target over the skeleton and
+/// the target's attachments: the suffix of a simple path never returns to the
+/// source, so it needs none of the source's attachments. The two
 /// parts do not overlap, so the path is at least `α + d`, which is `T` or more
 /// since `S2` is outside the target ball. No weight change outside the trace,
 /// increase or decrease, can produce a path shorter than `T`. The test is the
