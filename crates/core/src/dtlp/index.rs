@@ -129,10 +129,10 @@ impl TargetRows {
 /// The index also keeps what queries computed from its weights alone: each
 /// subgraph's memo of partial paths (see [`crate::kspdg::refine`]) and the memo of
 /// [`TargetRow`]s (see [`crate::dtlp::target_row`]). Build and restore start
-/// without them, a clone shares them until
-/// one of the two is updated, and [`DtlpIndex::apply_batch`] lets go of the rows
-/// (and of each dirtied subgraph's partials) before it changes a weight, leaving
-/// them to the epochs that still hold them. They are neither persisted nor counted
+/// without them, a clone shares them until one of the two is updated, and
+/// [`DtlpIndex::apply_batch`] lets go of the rows (and of each dirtied subgraph's
+/// partials) before it changes a weight, leaving them to the epochs that still
+/// hold them. They are neither persisted nor counted
 /// in [`DtlpIndex::level1_memory_bytes`]; [`DtlpIndex::memo_bytes`] estimates them.
 #[derive(Debug, Clone)]
 pub struct DtlpIndex {
