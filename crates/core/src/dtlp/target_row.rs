@@ -69,11 +69,6 @@ impl TargetRow {
         &self.attachments
     }
 
-    /// Whether the search ran out, so that every distance of the row is final.
-    pub fn is_complete(&self) -> bool {
-        self.queued.is_empty()
-    }
-
     /// The distance from `v` to the target over `skeleton` (that of the index the
     /// row came from) plus the target's attachments, if the row knows it: zero at
     /// the target, infinite where no path exists, `None` where the search must go
@@ -84,7 +79,10 @@ impl TargetRow {
             return Some(Weight::ZERO);
         }
         match skeleton.position(v) {
-            Some(p) if self.distance[p].is_finite() || self.is_complete() => Some(self.distance[p]),
+            // Once the search ran out, an infinite distance is final too.
+            Some(p) if self.distance[p].is_finite() || self.queued.is_empty() => {
+                Some(self.distance[p])
+            }
             Some(_) => None,
             // A vertex off the skeleton has no edge but its attachments.
             None => {
