@@ -1,6 +1,7 @@
 //! Experiments on DTLP construction and maintenance (Table 1, Table 3, Figures 15–23).
 
 use crate::experiments::datasets_for;
+use crate::experiments::mfp::mfp_level1_memory_bytes;
 use crate::report::{f2, mib, ms, Table};
 use crate::Scale;
 use ksp_core::dtlp::{DtlpConfig, DtlpIndex};
@@ -101,7 +102,7 @@ pub fn fig15_18(scale: Scale) -> Vec<Table> {
                 z.to_string(),
                 ms(elapsed),
                 mib(index.level1_memory_bytes()),
-                mib(index.mfp_level1_memory_bytes()),
+                mib(mfp_level1_memory_bytes(&index)),
                 mib(index.skeleton_memory_bytes()),
                 index.build_stats().num_bounding_paths.to_string(),
             ]);

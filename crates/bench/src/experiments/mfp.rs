@@ -13,14 +13,26 @@
 //!    node of every insertion records the edge and the length of its path list, so the
 //!    list can be recovered by walking up that many ancestors.
 //!
-//! Maintenance always reads the EP-Index. The forest is built from the EP-Index
-//! content only to report what the compressed form would cost
-//! ([`crate::dtlp::DtlpIndex::mfp_level1_memory_bytes`], the MFP-tree column of
-//! Figures 15–18); it recovers every edge's path set exactly.
+//! The DTLP index keeps only the EP-Index, which its maintenance reads. The forest is
+//! built from the EP-Index content only to report what the compressed form would
+//! cost ([`mfp_level1_memory_bytes`], the MFP-tree column of Figures 15–18); it
+//! recovers every edge's path set exactly.
 
-use crate::dtlp::ep_index::PathRef;
+use ksp_core::dtlp::ep_index::PathRef;
+use ksp_core::DtlpIndex;
 use ksp_graph::EdgeId;
 use std::collections::HashMap;
+
+/// What [`DtlpIndex::level1_memory_bytes`] would be with every EP-Index compressed
+/// into the MFP-tree forest built, on each call, from its content.
+pub(super) fn mfp_level1_memory_bytes(index: &DtlpIndex) -> usize {
+    let level1 = index.subgraph_indexes().iter().map(|idx| {
+        let ep = idx.ep_index();
+        idx.index_memory_bytes() - ep.memory_bytes()
+            + MfpForest::build(&ep.edge_paths()).memory_bytes()
+    });
+    level1.sum()
+}
 
 /// Number of MinHash hash functions used for signatures.
 const NUM_HASHES: usize = 8;
@@ -40,14 +52,14 @@ fn hash_path(p: PathRef, salt: u64) -> u64 {
 }
 
 /// MinHash + LSH grouping of edges by path-set similarity.
-pub(crate) struct MinHashLsh;
+struct MinHashLsh;
 
 impl MinHashLsh {
     /// Groups edges so that edges with similar path sets share a group.
     ///
     /// The input is the EP-Index content as (edge, path list) pairs; the output is a
     /// partition of the edges (every edge appears in exactly one group).
-    pub(crate) fn group_edges(edge_paths: &[(EdgeId, Vec<PathRef>)]) -> Vec<Vec<usize>> {
+    fn group_edges(edge_paths: &[(EdgeId, Vec<PathRef>)]) -> Vec<Vec<usize>> {
         let n = edge_paths.len();
         if n == 0 {
             return Vec::new();
@@ -209,7 +221,7 @@ impl MfpTree {
 
 /// The forest of MFP-trees for one subgraph (one tree per LSH group), merged under a
 /// conceptual empty root as in Figure 13 of the paper.
-pub(crate) struct MfpForest {
+struct MfpForest {
     trees: Vec<MfpTree>,
     /// edge → tree index (the tree holding its tail).
     edge_tree: HashMap<EdgeId, u32>,
@@ -217,7 +229,7 @@ pub(crate) struct MfpForest {
 
 impl MfpForest {
     /// Builds the forest from EP-Index content.
-    pub(crate) fn build(edge_paths: &[(EdgeId, Vec<PathRef>)]) -> Self {
+    fn build(edge_paths: &[(EdgeId, Vec<PathRef>)]) -> Self {
         let groups = MinHashLsh::group_edges(edge_paths);
         let mut trees = Vec::with_capacity(groups.len());
         let mut edge_tree = HashMap::with_capacity(edge_paths.len());
@@ -247,7 +259,7 @@ impl MfpForest {
 
     /// Appends the bounding paths passing through `edge` to `out`.
     #[cfg(test)]
-    pub(crate) fn collect_paths_through(&self, edge: EdgeId, out: &mut Vec<PathRef>) {
+    fn collect_paths_through(&self, edge: EdgeId, out: &mut Vec<PathRef>) {
         if let Some(&t) = self.edge_tree.get(&edge) {
             self.trees[t as usize].paths_of(edge, out);
         }
@@ -267,7 +279,7 @@ impl MfpForest {
     }
 
     /// Estimated memory footprint in bytes.
-    pub(crate) fn memory_bytes(&self) -> usize {
+    fn memory_bytes(&self) -> usize {
         self.trees.iter().map(|t| t.memory_bytes()).sum::<usize>()
             + self.edge_tree.len() * (std::mem::size_of::<EdgeId>() + 4)
     }
@@ -376,5 +388,69 @@ mod tests {
             (0..50).map(|e| (EdgeId(e), shared.clone())).collect();
         let forest = MfpForest::build(&input);
         assert!(forest.num_nodes() <= 20 * 4, "sharing failed: {} nodes", forest.num_nodes());
+    }
+
+    #[test]
+    fn mfp_forest_returns_the_ep_index_path_sets() {
+        // What makes the MFP-tree memory figure honest: for every subgraph of the
+        // Figure 3 graph partitioned with z = 6, the forest built from the EP-Index
+        // content answers "which bounding paths cross this edge" exactly as the
+        // EP-Index does.
+        use ksp_core::dtlp::SubgraphIndex;
+        use ksp_graph::{GraphBuilder, PartitionConfig, Partitioner};
+
+        let edges: &[(u32, u32, u32)] = &[
+            (1, 2, 3),
+            (1, 3, 3),
+            (2, 3, 6),
+            (2, 4, 3),
+            (3, 5, 2),
+            (4, 5, 3),
+            (4, 6, 4),
+            (5, 6, 4),
+            (4, 7, 3),
+            (6, 9, 3),
+            (7, 8, 5),
+            (8, 9, 4),
+            (8, 10, 6),
+            (9, 10, 5),
+            (9, 14, 7),
+            (10, 11, 5),
+            (11, 12, 3),
+            (12, 13, 3),
+            (10, 13, 6),
+            (13, 14, 3),
+            (13, 18, 3),
+            (14, 16, 3),
+            (16, 13, 5),
+            (16, 17, 2),
+            (17, 18, 2),
+            (18, 19, 3),
+        ];
+        let mut b = GraphBuilder::undirected(19);
+        for &(x, y, w) in edges {
+            b.edge(x - 1, y - 1, w);
+        }
+        let graph = b.build().unwrap();
+        let partitioning =
+            Partitioner::new(PartitionConfig::with_max_vertices(6)).partition(&graph).unwrap();
+        let mut nonempty = 0;
+        for xi in [1, 2, 3] {
+            for sg in partitioning.subgraphs() {
+                let idx = SubgraphIndex::build(sg.clone(), xi);
+                let ep = idx.ep_index();
+                let forest = MfpForest::build(&ep.edge_paths());
+                for edge in graph.edge_ids() {
+                    let mut expected = ep.paths_through(edge).to_vec();
+                    let mut actual = Vec::new();
+                    forest.collect_paths_through(edge, &mut actual);
+                    expected.sort_by_key(|r| (r.pair, r.path));
+                    actual.sort_by_key(|r| (r.pair, r.path));
+                    assert_eq!(actual, expected, "subgraph {} edge {edge} (xi {xi})", idx.id());
+                    nonempty += usize::from(!expected.is_empty());
+                }
+            }
+        }
+        assert!(nonempty > 0, "no edge carries a bounding path");
     }
 }

@@ -9,6 +9,7 @@ pub mod baselines;
 mod cands;
 pub mod dtlp;
 pub mod kspdg;
+mod mfp;
 pub mod scaling;
 
 use crate::report::Table;

@@ -43,8 +43,8 @@ impl EpIndex {
     }
 
     /// The whole map as `(edge, paths)` pairs in ascending edge order, each edge's
-    /// paths in insertion order: the input of the MFP-tree forest.
-    pub(crate) fn edge_paths(&self) -> Vec<(EdgeId, Vec<PathRef>)> {
+    /// paths in insertion order: the input of Section 4's MFP-tree forest.
+    pub fn edge_paths(&self) -> Vec<(EdgeId, Vec<PathRef>)> {
         let mut list: Vec<(EdgeId, Vec<PathRef>)> =
             self.entries.iter().map(|(&e, refs)| (e, refs.clone())).collect();
         list.sort_unstable_by_key(|(e, _)| e.0);

@@ -1,5 +1,6 @@
 //! The assembled DTLP index (Algorithms 1 and 2 of the paper).
 
+use crate::dtlp::memo::Memo;
 use crate::dtlp::skeleton::SkeletonGraph;
 use crate::dtlp::subgraph_index::SubgraphIndex;
 use crate::dtlp::target_row::TargetRow;
@@ -8,8 +9,7 @@ use ksp_graph::{
     DynamicGraph, EdgeId, GraphError, PartitionConfig, Partitioner, SubgraphId, UpdateBatch,
     VertexId,
 };
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A batch that dirties at most one in this many subgraphs is local, and
@@ -89,26 +89,6 @@ pub struct MaintenanceStats {
     pub dirty_subgraphs: Vec<SubgraphId>,
 }
 
-/// The [`TargetRow`]s queries filled on one set of weights, by target, shared by
-/// every query and every shard behind a lock.
-#[derive(Debug, Default)]
-struct TargetRows {
-    rows: Mutex<HashMap<VertexId, Arc<TargetRow>>>,
-}
-
-impl TargetRows {
-    /// The rows. A thread that panicked while holding the lock left no row
-    /// half-written (each is inserted whole), so a poisoned lock is used as is.
-    fn rows(&self) -> MutexGuard<'_, HashMap<VertexId, Arc<TargetRow>>> {
-        self.rows.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn memory_bytes(&self) -> usize {
-        let entry = std::mem::size_of::<(VertexId, Arc<TargetRow>)>();
-        self.rows().values().map(|row| entry + row.memory_bytes()).sum()
-    }
-}
-
 /// The Distributed Two-Level Path index over one graph.
 ///
 /// The index is a copy-on-write persistent structure: every per-subgraph index
@@ -126,14 +106,9 @@ impl TargetRows {
 /// untouched entry stays pointer-shared with the original. Publishing an epoch
 /// thus costs the dirty subgraphs' weights, not the index's structure.
 ///
-/// The index also keeps what queries computed from its weights alone: each
-/// subgraph's memo of partial paths (see [`crate::kspdg::refine`]) and the memo of
-/// [`TargetRow`]s (see [`crate::dtlp::target_row`]). Build and restore start
-/// without them, a clone shares them until one of the two is updated, and
-/// [`DtlpIndex::apply_batch`] lets go of the rows (and of each dirtied subgraph's
-/// partials) before it changes a weight, leaving them to the epochs that still
-/// hold them. They are neither persisted nor counted
-/// in [`DtlpIndex::level1_memory_bytes`]; [`DtlpIndex::memo_bytes`] estimates them.
+/// The index also keeps what queries learned from its weights: each subgraph's
+/// partial paths and each target's [`TargetRow`], in memos whose lifetime rule
+/// `dtlp::memo` states; [`DtlpIndex::memo_bytes`] estimates them.
 #[derive(Debug, Clone)]
 pub struct DtlpIndex {
     config: DtlpConfig,
@@ -146,9 +121,8 @@ pub struct DtlpIndex {
     boundary: Arc<Vec<VertexId>>,
     skeleton: Arc<SkeletonGraph>,
     build_stats: BuildStats,
-    /// The target rows on the current weights, made by the first query that asks,
-    /// so that maintenance allocates none.
-    target_rows: OnceLock<Arc<TargetRows>>,
+    /// The target rows on the current weights.
+    pub(crate) target_rows: Memo<VertexId, TargetRow>,
 }
 
 impl DtlpIndex {
@@ -219,7 +193,7 @@ impl DtlpIndex {
             boundary: Arc::new(boundary),
             skeleton: Arc::new(skeleton),
             build_stats,
-            target_rows: OnceLock::new(),
+            target_rows: Memo::default(),
         }
     }
 
@@ -426,9 +400,7 @@ impl DtlpIndex {
     pub fn apply_batch(&mut self, batch: &UpdateBatch) -> Result<MaintenanceStats, GraphError> {
         let per_subgraph = self.route_batch(batch)?;
         if !per_subgraph.is_empty() {
-            // The rows hold distances over the weights about to change: let go of
-            // them, leaving them to the epochs that still share them.
-            self.target_rows = OnceLock::new();
+            self.target_rows.forget();
         }
         let local = per_subgraph.len() * LOCAL_BATCH_DIVISOR <= self.num_subgraphs();
         let mut repair = local.then(SearchArena::new);
@@ -448,37 +420,20 @@ impl DtlpIndex {
     /// The row of `target`'s distances over the skeleton that queries filled on
     /// this index's weights, if any has (see [`crate::dtlp::target_row`]).
     pub fn target_row(&self, target: VertexId) -> Option<Arc<TargetRow>> {
-        self.target_rows.get()?.rows().get(&target).cloned()
-    }
-
-    /// Keeps `row` as its target's row unless the row there settled as much.
-    pub(crate) fn offer_target_row(&self, row: Arc<TargetRow>) {
-        let memo = self.target_rows.get_or_init(Arc::default);
-        let mut rows = memo.rows();
-        let kept = rows.entry(row.target()).or_insert_with(|| Arc::clone(&row));
-        if row.settled_more_than(kept) {
-            *kept = row;
-        }
+        self.target_rows.get(&target)
     }
 
     /// An estimate of the bytes the memos hold that queries filled on this index's
     /// weights: every subgraph's partial paths and the target rows. Zero after
     /// build and restore, and after a batch that dirties every subgraph.
     pub fn memo_bytes(&self) -> usize {
-        let rows = self.target_rows.get().map_or(0, |rows| rows.memory_bytes());
-        rows + self.subgraph_indexes.iter().map(|idx| idx.memo_bytes()).sum::<usize>()
+        let partials = self.subgraph_indexes.iter().map(|idx| idx.partials.memory_bytes());
+        self.target_rows.memory_bytes() + partials.sum::<usize>()
     }
 
     /// Total memory of the level-one index structures across all subgraphs, in bytes.
     pub fn level1_memory_bytes(&self) -> usize {
         self.subgraph_indexes.iter().map(|i| i.index_memory_bytes()).sum()
-    }
-
-    /// What [`DtlpIndex::level1_memory_bytes`] would be with every EP-Index
-    /// compressed into the MFP-tree forest of Section 4 (built here, on each call,
-    /// from the EP-Index content; the index itself never stores one).
-    pub fn mfp_level1_memory_bytes(&self) -> usize {
-        self.subgraph_indexes.iter().map(|i| i.mfp_index_memory_bytes()).sum()
     }
 
     /// Memory of the skeleton graph in bytes.
@@ -497,7 +452,8 @@ pub(crate) mod tests {
         TrafficConfig, TrafficModel, Xoshiro256,
     };
 
-    fn paper_graph() -> DynamicGraph {
+    /// The paper's Figure 3 graph.
+    pub(crate) fn paper_graph() -> DynamicGraph {
         let edges: &[(u32, u32, u32)] = &[
             (1, 2, 3),
             (1, 3, 3),

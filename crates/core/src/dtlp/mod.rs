@@ -5,19 +5,21 @@
 //! unit-weight multiset used to compute bound distances, and the EP-Index
 //! ([`ep_index`]) that maps an edge to the bounding paths passing through it so that
 //! weight updates touch only what they must. Section 4's MFP-tree compression of the
-//! EP-Index is reported as a size ([`DtlpIndex::mfp_level1_memory_bytes`]), not kept
-//! as a second store.
+//! EP-Index is not kept: the experiments of Figures 15–18 build it from
+//! [`EpIndex::edge_paths`] to report its size.
 //!
 //! Level two ([`skeleton`]) is the skeleton graph `Gλ` over all boundary vertices; its
 //! edge weights are *minimum lower bound distances* and it is small enough to be
 //! replicated to every worker.
 //!
-//! [`index`] ties both levels together behind [`DtlpIndex`].
+//! [`index`] ties both levels together behind [`DtlpIndex`]. What queries learn from
+//! one set of weights (partial paths per subgraph, distances per target) is kept
+//! in memos with one lifetime rule, stated in `dtlp::memo`.
 
 pub mod bounding;
 pub mod ep_index;
 pub mod index;
-mod mfp;
+pub(crate) mod memo;
 pub mod skeleton;
 pub mod subgraph_index;
 pub mod target_row;

@@ -497,6 +497,15 @@ impl<'a> OverlayView<'a> {
         self.add_edge(v, u, w, sg);
     }
 
+    /// Adds the edge `u → v`, and `v → u` too over an undirected skeleton: how a
+    /// query attaches an endpoint.
+    pub(crate) fn attach(&mut self, u: VertexId, v: VertexId, w: Weight, sg: SubgraphId) {
+        self.add_edge(u, v, w, sg);
+        if !self.skeleton.is_directed() {
+            self.add_edge(v, u, w, sg);
+        }
+    }
+
     /// Number of extra (overlay) directed edge entries.
     pub fn num_overlay_edges(&self) -> usize {
         self.extra.num_entries()

@@ -9,13 +9,13 @@
 
 use crate::dtlp::bounding::{BoundingPath, BoundingPathSet, BoundingPathTable, PairPaths};
 use crate::dtlp::ep_index::{EpIndex, PathRef};
-use crate::dtlp::mfp::MfpForest;
+use crate::dtlp::memo::Memo;
 use crate::dtlp::unit_weights::UnitWeightMultiset;
-use crate::kspdg::refine::PartialMemo;
+use crate::kspdg::refine::Partials;
 use ksp_algo::{fewest_vfrag_paths, Path, SearchArena};
 use ksp_graph::{EdgeId, GraphError, Subgraph, SubgraphId, VertexId, Weight, WeightUpdate};
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// How many paths [`SubgraphIndex::build`] enumerates per boundary pair at most
 /// while searching for bounding paths; see [`ksp_algo::fewest_vfrag_paths`] for why
@@ -69,12 +69,8 @@ struct PathShape {
 /// ([`SubgraphIndex::shares_structure_with`]).
 ///
 /// The index also carries a memo of the partial k shortest paths that queries
-/// computed between its boundary vertices (see [`crate::kspdg::refine`]). It is
-/// derived from the current weights alone: build and restore start without one,
-/// maintenance lets go of it before it changes a weight, and the first query to ask
-/// makes a new, empty one. A clone shares it, as it shares the weights, until one
-/// of the two is updated. It is neither persisted nor counted in
-/// [`SubgraphIndex::index_memory_bytes`].
+/// computed between its boundary vertices (see [`crate::kspdg::refine`]), which
+/// lives by the rule `dtlp::memo` states.
 #[derive(Debug, Clone)]
 pub struct SubgraphIndex {
     subgraph: Arc<Subgraph>,
@@ -85,8 +81,8 @@ pub struct SubgraphIndex {
     /// Theorem 1's bound, or the exact distance a repair stored in its place.
     last_lbd: Vec<Weight>,
     /// Partial k shortest paths between boundary vertices on the current weights,
-    /// made by the first query that asks, so that maintenance allocates none.
-    memo: OnceLock<Arc<PartialMemo>>,
+    /// by `(from, to)`.
+    pub(crate) partials: Memo<(VertexId, VertexId), Partials>,
 }
 
 impl SubgraphIndex {
@@ -151,7 +147,8 @@ impl SubgraphIndex {
         let (table, distance) = BoundingPathTable::from_sets(pairs);
         let ep = build_ep_index(&subgraph, &table);
         let shape = Arc::new(PathShape { table, ep });
-        SubgraphIndex { subgraph, shape, distance, last_lbd: Vec::new(), memo: OnceLock::new() }
+        let partials = Memo::default();
+        SubgraphIndex { subgraph, shape, distance, last_lbd: Vec::new(), partials }
     }
 
     /// The subgraph this index covers (with live weights).
@@ -165,15 +162,9 @@ impl SubgraphIndex {
         &self.subgraph
     }
 
-    /// The memo of partial k shortest paths between this subgraph's boundary
-    /// vertices on its current weights.
-    pub(crate) fn partial_memo(&self) -> &PartialMemo {
-        self.memo.get_or_init(Arc::default)
-    }
-
-    /// An estimate of the bytes this subgraph's memo of partial paths holds.
-    pub(crate) fn memo_bytes(&self) -> usize {
-        self.memo.get().map_or(0, |memo| memo.memory_bytes())
+    /// The EP-Index: which bounding paths cross each edge of the subgraph.
+    pub fn ep_index(&self) -> &EpIndex {
+        &self.shape.ep
     }
 
     /// Whether `self` and `other` share one bounding-path shape allocation.
@@ -244,9 +235,7 @@ impl SubgraphIndex {
         if updates.is_empty() {
             return Ok(refresh);
         }
-        // The memo holds partials of the weights about to change: let go of it,
-        // leaving it to the epochs that still share it.
-        self.memo = OnceLock::new();
+        self.partials.forget();
         let table = &self.shape.table;
         // Copy-on-write: the first update of a batch unshares the subgraph's
         // edge records if a previous epoch still holds them (its shape stays
@@ -339,18 +328,8 @@ impl SubgraphIndex {
     /// epoch's distances and lower bounds. Epochs that share the shape
     /// ([`SubgraphIndex::shares_structure_with`]) each count it in full.
     pub fn index_memory_bytes(&self) -> usize {
-        self.index_memory_bytes_with(self.shape.ep.memory_bytes())
-    }
-
-    /// [`Self::index_memory_bytes`] with the EP-Index replaced by the Section 4
-    /// MFP-tree forest built from its content.
-    pub(crate) fn mfp_index_memory_bytes(&self) -> usize {
-        self.index_memory_bytes_with(MfpForest::build(&self.shape.ep.edge_paths()).memory_bytes())
-    }
-
-    fn index_memory_bytes_with(&self, edge_map_bytes: usize) -> usize {
         self.shape.table.memory_bytes()
-            + edge_map_bytes
+            + self.shape.ep.memory_bytes()
             + (self.distance.len() + self.last_lbd.len()) * std::mem::size_of::<Weight>()
     }
 
@@ -392,39 +371,7 @@ mod tests {
 
     /// Builds the Figure 3 graph of the paper and partitions it with z = 6.
     fn paper_partitioning() -> (ksp_graph::DynamicGraph, ksp_graph::Partitioning) {
-        let edges: &[(u32, u32, u32)] = &[
-            (1, 2, 3),
-            (1, 3, 3),
-            (2, 3, 6),
-            (2, 4, 3),
-            (3, 5, 2),
-            (4, 5, 3),
-            (4, 6, 4),
-            (5, 6, 4),
-            (4, 7, 3),
-            (6, 9, 3),
-            (7, 8, 5),
-            (8, 9, 4),
-            (8, 10, 6),
-            (9, 10, 5),
-            (9, 14, 7),
-            (10, 11, 5),
-            (11, 12, 3),
-            (12, 13, 3),
-            (10, 13, 6),
-            (13, 14, 3),
-            (13, 18, 3),
-            (14, 16, 3),
-            (16, 13, 5),
-            (16, 17, 2),
-            (17, 18, 2),
-            (18, 19, 3),
-        ];
-        let mut b = GraphBuilder::undirected(19);
-        for &(x, y, w) in edges {
-            b.edge(x - 1, y - 1, w);
-        }
-        let g = b.build().unwrap();
+        let g = crate::dtlp::index::tests::paper_graph();
         let p = Partitioner::new(PartitionConfig::with_max_vertices(6)).partition(&g).unwrap();
         (g, p)
     }
@@ -599,31 +546,6 @@ mod tests {
             repaired_total += loose;
         }
         assert!(repaired_total > 0, "the incidents must leave some bounds loose");
-    }
-
-    #[test]
-    fn mfp_forest_returns_the_ep_index_path_sets() {
-        // What makes the MFP-tree memory figure honest: for every subgraph of the
-        // Figure 3 partitioning, the forest built from the EP-Index content answers
-        // "which bounding paths cross this edge" exactly as the EP-Index does.
-        let (graph, partitioning) = paper_partitioning();
-        let mut nonempty = 0;
-        for xi in [1, 2, 3] {
-            for idx in build_indexes(&partitioning, xi) {
-                let ep = &idx.shape.ep;
-                let forest = MfpForest::build(&ep.edge_paths());
-                for edge in graph.edge_ids() {
-                    let mut expected = ep.paths_through(edge).to_vec();
-                    let mut actual = Vec::new();
-                    forest.collect_paths_through(edge, &mut actual);
-                    expected.sort_by_key(|r| (r.pair, r.path));
-                    actual.sort_by_key(|r| (r.pair, r.path));
-                    assert_eq!(actual, expected, "subgraph {} edge {edge} (xi {xi})", idx.id());
-                    nonempty += usize::from(!expected.is_empty());
-                }
-            }
-        }
-        assert!(nonempty > 0, "no edge carries a bounding path");
     }
 
     #[test]

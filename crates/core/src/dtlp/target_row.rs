@@ -8,7 +8,7 @@
 //! A [`TargetRow`] is what such a search has settled: each settled skeleton
 //! vertex's distance, dense by skeleton position, the off-skeleton vertices it
 //! settled, its open list, and the target's attachments. The index keeps one row
-//! per target (see [`DtlpIndex::target_row`]).
+//! per target (see [`DtlpIndex::target_row`]) by the rule `dtlp::memo` states.
 //!
 //! A query reads its target's row through [`TargetDistances`]. A vertex the row
 //! settled is one array read. Only a query that asks about a vertex the row has not
@@ -16,8 +16,9 @@
 //! it needs, and offers the longer row back. Restoring and resuming settles
 //! vertices in the order the search would have, so every distance has the bits of
 //! one full search, whichever query settled it: no answer depends on which queries
-//! ran before. A query whose target has no row yet starts the search from nothing,
-//! as FindKSP's own reverse search would.
+//! ran before. A query whose target has no row yet reads an empty one: the
+//! target's attachments, nothing settled, and the target alone on the open list,
+//! where FindKSP's own reverse search would start.
 //!
 //! **Why the distances are the overlay's.** A query's overlay also attaches its
 //! source, which the row leaves out. Dijkstra gives every vertex the least
@@ -33,6 +34,7 @@
 //! distance inside `sg`; its floating-point sum can still round an ulp below the
 //! edge's, where the row reads the larger, exact-arithmetic-equal value.
 
+use crate::dtlp::memo::MemoEntry;
 use crate::dtlp::{DtlpIndex, OverlayView, SkeletonGraph};
 use ksp_algo::SearchArena;
 use ksp_graph::{GraphView, SubgraphId, VertexId, Weight};
@@ -46,7 +48,7 @@ pub struct TargetRow {
     /// target at distance `d` inside subgraph `sg`. Empty for a boundary target.
     attachments: Vec<(VertexId, Weight, SubgraphId)>,
     /// By skeleton position: each settled vertex's distance to the target,
-    /// infinite for the others.
+    /// infinite for the others; empty in a row that settled nothing yet.
     distance: Vec<Weight>,
     /// The settled vertices off the skeleton (the target, attachment-only
     /// boundary vertices), with their distances.
@@ -58,6 +60,24 @@ pub struct TargetRow {
 }
 
 impl TargetRow {
+    /// The row of a search from `target` that settled nothing yet: the target's
+    /// attachments, computed on `arena`, and the target alone on the open list if
+    /// the skeleton or an attachment reaches it.
+    fn empty(index: &DtlpIndex, target: VertexId, arena: &mut SearchArena) -> Self {
+        let mut attachments = Vec::new();
+        if !index.is_boundary(target) {
+            for &sg in index.subgraphs_of_vertex(target) {
+                let to_target = index.subgraph_index(sg).boundary_distances_to(target, arena);
+                let attached = to_target.into_iter().filter(|&(b, _)| b != target);
+                attachments.extend(attached.map(|(b, d)| (b, d, sg)));
+            }
+        }
+        let reached = index.skeleton().contains(target) || !attachments.is_empty();
+        let queued = reached.then_some((target, Weight::ZERO)).into_iter().collect();
+        let (distance, settled_off) = (Vec::new(), Vec::new());
+        TargetRow { target, attachments, distance, settled_off, queued, settled: 0 }
+    }
+
     /// The vertex the distances lead to.
     pub fn target(&self) -> VertexId {
         self.target
@@ -79,11 +99,11 @@ impl TargetRow {
             return Some(Weight::ZERO);
         }
         match skeleton.position(v) {
-            // Once the search ran out, an infinite distance is final too.
-            Some(p) if self.distance[p].is_finite() || self.queued.is_empty() => {
-                Some(self.distance[p])
+            Some(p) => {
+                let d = self.distance.get(p).copied().unwrap_or(Weight::INFINITY);
+                // Once the search ran out, an infinite distance is final too.
+                (d.is_finite() || self.queued.is_empty()).then_some(d)
             }
-            Some(_) => None,
             // A vertex off the skeleton has no edge but its attachments.
             None => {
                 let attached = self.attachments.iter().filter(|&&(b, _, _)| b == v);
@@ -91,19 +111,21 @@ impl TargetRow {
             }
         }
     }
+}
 
-    pub(crate) fn memory_bytes(&self) -> usize {
+impl MemoEntry for TargetRow {
+    /// The number of vertices settled. Rows of one target on one set of weights
+    /// are prefixes of one search, so the larger holds the smaller.
+    fn reach(&self) -> usize {
+        self.settled
+    }
+
+    fn memory_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self.attachments.len() * std::mem::size_of::<(VertexId, Weight, SubgraphId)>()
             + self.distance.len() * std::mem::size_of::<Weight>()
             + (self.settled_off.len() + self.queued.len())
                 * std::mem::size_of::<(VertexId, Weight)>()
-    }
-
-    /// Whether `self` settled more than `other`. Rows of one target on one set of
-    /// weights are prefixes of one search, so the larger holds the smaller.
-    pub(crate) fn settled_more_than(&self, other: &TargetRow) -> bool {
-        self.settled > other.settled
     }
 }
 
@@ -117,11 +139,8 @@ impl TargetRow {
 #[derive(Debug)]
 pub struct TargetDistances<'i> {
     index: &'i DtlpIndex,
-    target: VertexId,
-    /// The index's row when the query started, if there was one.
-    row: Option<Arc<TargetRow>>,
-    /// The target's attachments, computed by this query when there was no row.
-    computed: Vec<(VertexId, Weight, SubgraphId)>,
+    /// The index's row when the query started, or an empty one.
+    row: Arc<TargetRow>,
     /// The row's search, resumed on this query's arena, once a vertex beyond the
     /// row was asked about: the skeleton plus the target's attachments, and the
     /// search over its reverse.
@@ -132,36 +151,25 @@ pub struct TargetDistances<'i> {
 
 impl<'i> TargetDistances<'i> {
     /// The distances to `target` on `index`'s current weights: its row, or, for a
-    /// target no query has asked about, the target's attachments computed on
-    /// `arena` and a search not yet started.
+    /// target no query has asked about, an empty row whose attachments are
+    /// computed on `arena`.
     pub fn new(index: &'i DtlpIndex, target: VertexId, arena: &mut SearchArena) -> Self {
         let row = index.target_row(target);
-        let mut computed = Vec::new();
-        if row.is_none() && !index.is_boundary(target) {
-            for &sg in index.subgraphs_of_vertex(target) {
-                let to_target = index.subgraph_index(sg).boundary_distances_to(target, arena);
-                let attached = to_target.into_iter().filter(|&(b, _)| b != target);
-                computed.extend(attached.map(|(b, d)| (b, d, sg)));
-            }
-        }
-        TargetDistances { index, target, row, computed, resumed: None, source: None }
+        let row = row.unwrap_or_else(|| Arc::new(TargetRow::empty(index, target, arena)));
+        TargetDistances { index, row, resumed: None, source: None }
     }
 
     /// The target's attachments to the skeleton (see [`TargetRow::attachments`]).
     pub fn attachments(&self) -> &[(VertexId, Weight, SubgraphId)] {
-        self.row.as_deref().map_or(&self.computed, |row| &row.attachments)
+        &self.row.attachments
     }
 
     /// Answers for `source` too: its distance is the least `w + d(b)` over its
     /// out-edges `source → b` of weight `w` in `overlay`, the value a search over
     /// the overlay settles it at.
     pub fn add_source(&mut self, overlay: &OverlayView<'_>, source: VertexId) {
-        let mut out_edges = Vec::new();
-        overlay.for_each_neighbor(source, |b, w| out_edges.push((b, w)));
         let mut least = Weight::INFINITY;
-        for (b, w) in out_edges {
-            least = least.min(w + self.get(b));
-        }
+        overlay.for_each_neighbor(source, |b, w| least = least.min(w + self.get(b)));
         self.source = Some((source, least));
     }
 
@@ -171,7 +179,7 @@ impl<'i> TargetDistances<'i> {
     pub fn get(&mut self, v: VertexId) -> Weight {
         match self.source {
             Some((source, d)) if source == v => d,
-            _ => self.known(v).unwrap_or_else(|| {
+            _ => self.row.distance(self.index.skeleton(), v).unwrap_or_else(|| {
                 let (overlay, search) = self.resume();
                 search.settle_through(&overlay.reversed(), v)
             }),
@@ -181,10 +189,8 @@ impl<'i> TargetDistances<'i> {
     /// Settles every vertex at distance `d` with `offset + d < bound` (see
     /// [`SearchArena::resume_within`]).
     pub fn settle_within(&mut self, offset: Weight, bound: Weight) {
-        let row_reaches = |row: &TargetRow| {
-            row.queued.iter().map(|&(_, g)| g).min().is_none_or(|g| offset + g >= bound)
-        };
-        if self.resumed.is_none() && self.row.as_deref().is_some_and(row_reaches) {
+        let nearest_queued = self.row.queued.iter().map(|&(_, g)| g).min();
+        if self.resumed.is_none() && nearest_queued.is_none_or(|g| offset + g >= bound) {
             return;
         }
         let (overlay, search) = self.resume();
@@ -195,19 +201,21 @@ impl<'i> TargetDistances<'i> {
     /// out), infinite otherwise; it resumes nothing.
     pub fn settled(&self, v: VertexId) -> Weight {
         let resumed = self.resumed.as_ref().map(|(_, search)| search.distance(v));
-        self.known(v).or(resumed).unwrap_or(Weight::INFINITY)
+        self.row.distance(self.index.skeleton(), v).or(resumed).unwrap_or(Weight::INFINITY)
     }
 
     /// Offers the row this query's search extended to the index, which keeps it
     /// if no other query has offered a longer one.
     pub fn offer(self) {
-        let TargetDistances { index, target, row, computed, resumed, .. } = self;
+        let TargetDistances { index, row, resumed, .. } = self;
         let Some((_, search)) = resumed else { return };
+        let target = row.target;
         let skeleton = index.skeleton();
         let distance: Vec<Weight> =
             skeleton.vertices_by_position().iter().map(|&v| search.distance(v)).collect();
         let mut settled = distance.iter().filter(|d| d.is_finite()).count();
-        let attachments = row.map_or(computed, |row| row.attachments.clone());
+        let attachments =
+            Arc::try_unwrap(row).map_or_else(|row| row.attachments.clone(), |row| row.attachments);
         // A non-boundary target lies in one subgraph, so each off-skeleton vertex
         // is listed once.
         let off_skeleton = attachments.iter().map(|&(b, _, _)| b).chain([target]);
@@ -219,43 +227,24 @@ impl<'i> TargetDistances<'i> {
         settled += settled_off.len();
         let queued = search.queued().collect();
         let row = TargetRow { target, attachments, distance, settled_off, queued, settled };
-        index.offer_target_row(Arc::new(row));
+        index.target_rows.offer(target, Arc::new(row));
     }
 
-    /// What the row at hand says about `v`.
-    #[inline]
-    fn known(&self, v: VertexId) -> Option<Weight> {
-        match &self.row {
-            Some(row) => row.distance(self.index.skeleton(), v),
-            None if v == self.target => Some(Weight::ZERO),
-            None => None,
-        }
-    }
-
-    /// The search, resumed from the row (or started) on first use.
+    /// The search, resumed from the row on first use.
     fn resume(&mut self) -> (&OverlayView<'i>, &mut SearchArena) {
-        let (index, target, row) = (self.index, self.target, &self.row);
-        let attachments = row.as_deref().map_or(&self.computed, |row| &row.attachments);
+        let (index, row) = (self.index, &self.row);
         let (overlay, search) = self.resumed.get_or_insert_with(|| {
+            let target = row.target;
             let mut overlay = index.skeleton().overlay();
-            for &(b, d, sg) in attachments {
-                if index.is_directed() {
-                    overlay.add_edge(b, target, d, sg);
-                } else {
-                    overlay.add_undirected_edge(b, target, d, sg);
-                }
+            for &(b, d, sg) in &row.attachments {
+                overlay.attach(b, target, d, sg);
             }
             let mut search = SearchArena::new();
-            match row {
-                None => search.open_search(&overlay.reversed(), target),
-                Some(row) => {
-                    let by_position = index.skeleton().vertices_by_position().iter();
-                    let settled = by_position.zip(&row.distance).map(|(&v, &d)| (v, d));
-                    let settled = settled.filter(|&(_, d)| d.is_finite());
-                    let settled = settled.chain(row.settled_off.iter().copied());
-                    search.restore_search(&overlay.reversed(), settled, row.queued.iter().copied());
-                }
-            }
+            let by_position = index.skeleton().vertices_by_position().iter();
+            let settled = by_position.zip(&row.distance).map(|(&v, &d)| (v, d));
+            let settled = settled.filter(|&(_, d)| d.is_finite());
+            let settled = settled.chain(row.settled_off.iter().copied());
+            search.restore_search(&overlay.reversed(), settled, row.queued.iter().copied());
             (overlay, search)
         });
         (overlay, search)

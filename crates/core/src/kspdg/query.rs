@@ -27,9 +27,9 @@
 //! **The distances are shared per target.** They come from the index's
 //! [`TargetRow`](crate::dtlp::TargetRow) for the target: one search over the
 //! skeleton plus the target's attachments, settled as far as the queries to that
-//! target on the current weights have asked, and dropped when a batch changes a
-//! weight (see [`crate::dtlp::target_row`], which also shows why its distances are
-//! those of a search over the query's own overlay). The query reads them through
+//! target on the current weights have asked (see [`crate::dtlp::target_row`], which
+//! also shows why its distances are those of a search over the query's own overlay;
+//! rows live by the rule `dtlp::memo` states). The query reads them through
 //! [`TargetDistances`], which resumes the row's search only past what the row
 //! settled, and adds the source, whose distance is the least `w + d(b)` over its
 //! out-edges in the overlay. The row also supplies the overlay's target attachments.
@@ -340,7 +340,6 @@ impl<'a> KspDgEngine<'a> {
         trace.extend(self.index.subgraphs_of_vertex(source).iter().copied());
         trace.extend(self.index.subgraphs_of_vertex(target).iter().copied());
         let skeleton = self.index.skeleton();
-        let directed = self.index.is_directed();
         let mut overlay = skeleton.overlay();
 
         if !self.index.is_boundary(source) {
@@ -349,20 +348,12 @@ impl<'a> KspDgEngine<'a> {
                     if b == source {
                         continue;
                     }
-                    if directed {
-                        overlay.add_edge(source, b, d, sg);
-                    } else {
-                        overlay.add_undirected_edge(source, b, d, sg);
-                    }
+                    overlay.attach(source, b, d, sg);
                 }
             }
         }
         for &(b, d, sg) in to_target.attachments() {
-            if directed {
-                overlay.add_edge(b, target, d, sg);
-            } else {
-                overlay.add_undirected_edge(b, target, d, sg);
-            }
+            overlay.attach(b, target, d, sg);
         }
         // If neither endpoint is a boundary vertex and they share a subgraph, neither
         // the skeleton nor an attachment covers the routes that stay inside it; add a
@@ -373,11 +364,7 @@ impl<'a> KspDgEngine<'a> {
             for sg in self.index.subgraphs_containing_pair(source, target) {
                 let subgraph = self.index.subgraph_index(sg).subgraph();
                 if let Some(p) = arena.shortest_path(subgraph, source, target, &[], &[]) {
-                    if directed {
-                        overlay.add_edge(source, target, p.distance(), sg);
-                    } else {
-                        overlay.add_undirected_edge(source, target, p.distance(), sg);
-                    }
+                    overlay.attach(source, target, p.distance(), sg);
                 }
             }
         }
@@ -396,6 +383,7 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dtlp::index::tests::paper_graph;
     use crate::dtlp::{DtlpConfig, DtlpIndex, Hop};
     use ksp_algo::{dijkstra_path, find_ksp, yen_ksp};
     use ksp_graph::GraphView;
@@ -408,42 +396,6 @@ mod tests {
 
     fn v(i: u32) -> VertexId {
         VertexId(i)
-    }
-
-    fn paper_graph() -> DynamicGraph {
-        let edges: &[(u32, u32, u32)] = &[
-            (1, 2, 3),
-            (1, 3, 3),
-            (2, 3, 6),
-            (2, 4, 3),
-            (3, 5, 2),
-            (4, 5, 3),
-            (4, 6, 4),
-            (5, 6, 4),
-            (4, 7, 3),
-            (6, 9, 3),
-            (7, 8, 5),
-            (8, 9, 4),
-            (8, 10, 6),
-            (9, 10, 5),
-            (9, 14, 7),
-            (10, 11, 5),
-            (11, 12, 3),
-            (12, 13, 3),
-            (10, 13, 6),
-            (13, 14, 3),
-            (13, 18, 3),
-            (14, 16, 3),
-            (16, 13, 5),
-            (16, 17, 2),
-            (17, 18, 2),
-            (18, 19, 3),
-        ];
-        let mut b = GraphBuilder::undirected(19);
-        for &(x, y, w) in edges {
-            b.edge(x - 1, y - 1, w);
-        }
-        b.build().unwrap()
     }
 
     /// Checks that KSP-DG and Yen (ground truth on the full graph) return the same

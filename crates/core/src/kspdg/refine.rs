@@ -30,17 +30,11 @@
 //! * *Per query*, by [`PartialPathCache`], keyed by [`Hop`]: consecutive reference
 //!   paths share most of their hops (Section 5.2), and a hop seen again in the same
 //!   query is a cache hit that counts no work.
-//! * *Across queries*, by each subgraph's `PartialMemo`, for hops between two
+//! * *Across queries*, by each [`SubgraphIndex`]'s memo, for hops between two
 //!   boundary vertices: queries on the same weights keep meeting the same boundary
 //!   pairs. A hop with a non-boundary end (an endpoint attachment) is per query only.
-//!
-//! **The invalidation rule.** The memo belongs to a [`SubgraphIndex`] and so to one
-//! set of its subgraph's weights. Building or restoring an index starts it empty,
-//! and [`SubgraphIndex`]'s maintenance replaces it with a fresh, empty one (made by
-//! the first query that asks) before it changes a weight, leaving the old one to the
-//! epochs that still hold the old index. Epochs that share a clean subgraph's index
-//! share its memo, so a publish does no work per entry and only the subgraphs a
-//! batch dirtied lose theirs.
+//!   The memo is dropped before its subgraph's weights change, by the rule
+//!   `dtlp::memo` states.
 //!
 //! **Why a memo hit is the computation, bit for bit.** FindKSP produces paths one
 //! at a time, and what it produces does not depend on how many it was asked for:
@@ -54,6 +48,7 @@
 //!
 //! [`SubgraphIndex`]: crate::dtlp::SubgraphIndex
 
+use crate::dtlp::memo::MemoEntry;
 use crate::dtlp::{DtlpIndex, Hop};
 use crate::kspdg::QueryStats;
 use ksp_algo::path::keep_k_shortest;
@@ -61,10 +56,11 @@ use ksp_algo::{FindKsp, Path, SearchArena};
 use ksp_graph::{Subgraph, SubgraphSet, VertexId};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 
 /// FindKSP's first partial paths between two vertices of one subgraph and, for a
-/// memo entry, the spur searches each prefix cost.
+/// memo entry, the spur searches each prefix cost. A memo entry holds the paths of
+/// the largest `k` asked so far, or all the paths its hop has if fewer.
 #[derive(Debug)]
 pub(crate) struct Partials {
     paths: Vec<Path>,
@@ -82,7 +78,7 @@ impl Partials {
     /// searches the run performed. With `prefixes` the partials also keep what each
     /// shorter run performs, as a memo entry must; the run then produces one path at
     /// a time, so its cost stays that of the paths the hop has, whatever `k` is.
-    fn compute(
+    pub(crate) fn compute(
         subgraph: &Subgraph,
         from: VertexId,
         to: VertexId,
@@ -110,6 +106,15 @@ impl Partials {
         (Partials { paths: find.into_produced(heuristic), spur_searches }, performed)
     }
 
+    /// The spur searches a run asked for `k` paths performs; `k` must be within
+    /// [`MemoEntry::reach`] of this memo entry.
+    fn spur_searches(&self, k: usize) -> usize {
+        debug_assert!((1..=self.reach()).contains(&k));
+        self.spur_searches[k.min(self.spur_searches.len()) - 1]
+    }
+}
+
+impl MemoEntry for Partials {
     /// How many paths a run may be asked for and be answered from this memo entry.
     fn reach(&self) -> usize {
         if self.spur_searches.len() > self.paths.len() {
@@ -126,53 +131,6 @@ impl Partials {
         std::mem::size_of::<Self>()
             + paths.sum::<usize>()
             + self.spur_searches.len() * std::mem::size_of::<usize>()
-    }
-
-    /// The spur searches a run asked for `k` paths performs; `k` must be within
-    /// [`Partials::reach`] of this memo entry.
-    fn spur_searches(&self, k: usize) -> usize {
-        debug_assert!((1..=self.reach()).contains(&k));
-        self.spur_searches[k.min(self.spur_searches.len()) - 1]
-    }
-}
-
-/// The partial k shortest paths between boundary vertices of one subgraph that
-/// queries computed on its current weights, keyed by `(from, to)` and shared by
-/// every query and every shard behind a lock (see the module docs for when it is
-/// replaced). An entry holds the paths of the largest `k` asked so far, or all the
-/// paths its hop has if fewer, so the memo is bounded by the subgraph's ordered
-/// boundary pairs times that `k`.
-#[derive(Debug, Default)]
-pub(crate) struct PartialMemo {
-    entries: Mutex<HashMap<(VertexId, VertexId), Arc<Partials>>>,
-}
-
-impl PartialMemo {
-    /// The entries. A thread that panicked while holding the lock left no entry
-    /// half-written (each is replaced whole), so a poisoned lock is used as is.
-    fn entries(&self) -> MutexGuard<'_, HashMap<(VertexId, VertexId), Arc<Partials>>> {
-        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The entry of `from → to`, if it answers a run asked for `k` paths.
-    fn get(&self, from: VertexId, to: VertexId, k: usize) -> Option<Arc<Partials>> {
-        self.entries().get(&(from, to)).filter(|p| k <= p.reach()).cloned()
-    }
-
-    /// An estimate of the bytes the entries hold.
-    pub(crate) fn memory_bytes(&self) -> usize {
-        let entry = std::mem::size_of::<((VertexId, VertexId), Arc<Partials>)>();
-        self.entries().values().map(|p| entry + p.memory_bytes()).sum()
-    }
-
-    /// Keeps `partials` as the entry of `from → to`, unless the entry there
-    /// already answers as many runs.
-    fn offer(&self, from: VertexId, to: VertexId, partials: &Arc<Partials>) {
-        let mut entries = self.entries();
-        let kept = entries.entry((from, to)).or_insert_with(|| Arc::clone(partials));
-        if kept.reach() < partials.reach() {
-            *kept = Arc::clone(partials);
-        }
     }
 }
 
@@ -264,8 +222,10 @@ impl PartialPathCache {
         trace.insert(hop.subgraph);
         let sg = index.subgraph_index(hop.subgraph);
         let memo =
-            (index.is_boundary(hop.from) && index.is_boundary(hop.to)).then(|| sg.partial_memo());
-        let (partials, spur_searches) = match memo.and_then(|m| m.get(hop.from, hop.to, self.k)) {
+            (index.is_boundary(hop.from) && index.is_boundary(hop.to)).then_some(&sg.partials);
+        let key = (hop.from, hop.to);
+        let kept = memo.and_then(|m| m.get(&key)).filter(|kept| self.k <= kept.reach());
+        let (partials, spur_searches) = match kept {
             Some(kept) => {
                 self.reused += 1;
                 let spur_searches = kept.spur_searches(self.k);
@@ -283,7 +243,7 @@ impl PartialPathCache {
                 );
                 let computed = Arc::new(computed);
                 if let Some(memo) = memo {
-                    memo.offer(hop.from, hop.to, &computed);
+                    memo.offer(key, Arc::clone(&computed));
                 }
                 (computed, spur_searches)
             }

@@ -269,7 +269,7 @@ impl Observability {
 struct Pool {
     queue: BoundedQueue<Request>,
     /// Workers still running; the last one out closes and drains the queue
-    /// (see [`CloseQueueOnExit`]).
+    /// (see [`CloseQueueOnExit`](shard::CloseQueueOnExit)).
     live_workers: AtomicUsize,
     /// One result cache per stripe, indexed by a request's [`route_shard`].
     caches: Vec<Mutex<ResultCache>>,

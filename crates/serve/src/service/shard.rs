@@ -40,6 +40,8 @@ pub(super) struct Request {
 /// submitted (the event loop's poller among them) or on a shard worker, so
 /// it must never block and never own the service: the last service handle
 /// dropped on a shard worker would join the very thread it runs on.
+///
+/// [`QueryService::submit`]: super::QueryService::submit
 pub(crate) struct Reply(Option<Box<dyn FnOnce(Outcome) + Send>>);
 
 /// What a [`Reply`] receives.
@@ -162,6 +164,8 @@ fn run_request(mut request: Request, ctx: &WorkerContext<'_>) {
 /// When observability is on, the end-to-end latency recorded is the span's
 /// own telescoped total, so the per-stage histograms sum exactly to the
 /// end-to-end histogram.
+///
+/// [`QueryService::submit`]: super::QueryService::submit
 pub(super) fn answer(
     metrics: &ServiceMetrics,
     obs: &Observability,
